@@ -38,6 +38,10 @@ class BaseDistribution:
     isf : callable, optional
         Inverse survival: s -> x with sf(x) = s. Derived from quantile
         when omitted.
+    log_isf : callable, optional
+        Inverse survival in log space: log s -> x with sf(x) = s, for
+        survival levels below double range. The family uses it for odds
+        that underflow; without it such odds are mapped in linear space.
     tail_rate : float, optional
         Exponential decay rate of sf at the upper end of the support,
         when known. Consumers use it for moment-generating domains.
@@ -55,6 +59,7 @@ class BaseDistribution:
     d_logpdf_dparams: Callable
     sf: Optional[Callable] = None
     isf: Optional[Callable] = None
+    log_isf: Optional[Callable] = None
     tail_rate: Optional[float] = None
 
     def __post_init__(self):
@@ -74,7 +79,8 @@ def make_exponential(lam):
 
     cdf(x) = 1 - exp(-lam x). The survival side is exact: sf is a plain
     exponential and isf(s) = -ln(s)/lam, so tail round trips do not lose
-    precision to the 1 - u subtraction.
+    precision to the 1 - u subtraction; log_isf(ln s) = -ln(s)/lam
+    reaches survival levels below double range.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"exponential rate must be positive and finite, got {lam}")
@@ -111,6 +117,9 @@ def make_exponential(lam):
         with np.errstate(divide="ignore"):
             return -np.log(s) / lam
 
+    def log_isf(log_s):
+        return -np.asarray(log_s, dtype=float) / lam
+
     def d_cdf_dparams(x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, x * np.exp(-lam * np.maximum(x, 0.0)), 0.0)[None, ...]
@@ -132,5 +141,6 @@ def make_exponential(lam):
         d_logpdf_dparams=d_logpdf_dparams,
         sf=sf,
         isf=isf,
+        log_isf=log_isf,
         tail_rate=lam,
     )

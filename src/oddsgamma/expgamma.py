@@ -1,9 +1,10 @@
 """Survival-odds gamma distribution on an exponential base, in closed form.
 
 With an Exp(lam) base the odds transform collapses to
-w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1), so every map
-(cdf, log-density, hazard, quantile, sampler) has a direct expression
-with no generic plumbing in the hot path. The class also carries the
+w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1), so the cdf,
+log-density, hazard and sampler have direct expressions with no generic
+plumbing in the hot path. Quantiles use the generic family's gamma
+inverse, whose deep tail runs in log space. The class also carries the
 double-sum expansions specific to this base: their inner terms are
 available analytically, which makes them fast enough to push to very
 deep truncations. ``as_family()`` returns the equivalent generic object
@@ -30,7 +31,7 @@ from .family import (
     GammaRatioDist,
     SeriesResult,
     _as_float_array,
-    _gamma_variates,
+    _log_gamma_variates,
     _recombine_central,
     _restore,
     _sum_shells,
@@ -165,44 +166,25 @@ class OEGammaDist:
 
     # -- inverse maps and sampling ---------------------------------------
 
-    def _x_from_wstar(self, wstar):
-        # x = log(1 + 1/w)/lam, accurate for both tiny and huge odds
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.log1p(1.0 / wstar) / self.lam
-
     def quantile(self, p):
-        from .specfun import inv_reg_lower_gamma, inv_reg_upper_gamma
-
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile requires 0 < p < 1, got {p}")
-        if p <= 0.5:
-            g = inv_reg_upper_gamma(self.alpha, p)
-        else:
-            g = inv_reg_lower_gamma(self.alpha, 1.0 - p)
-        return float(self._x_from_wstar(max(g / self.beta, _TINY)))
+        return self._family.quantile(p)
 
     def quantile_sf(self, s):
-        from .specfun import inv_reg_lower_gamma, inv_reg_upper_gamma
-
-        s = float(s)
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"quantile_sf requires 0 < s < 1, got {s}")
-        if s <= 0.5:
-            g = inv_reg_lower_gamma(self.alpha, s)
-        else:
-            g = inv_reg_upper_gamma(self.alpha, 1.0 - s)
-        return float(self._x_from_wstar(max(g / self.beta, _TINY)))
+        return self._family.quantile_sf(s)
 
     def sample(self, n, rng=None):
         """n draws via the gamma representation: X = log(1 + 1/T)/lam
-        with T ~ Gamma(alpha, rate beta)."""
+        with T ~ Gamma(alpha, rate beta).
+
+        T is drawn in log space and mapped as softplus(-ln T)/lam, so
+        draws of T below double range keep their exact law.
+        """
         n = int(n)
         if n < 0:
             raise ValueError(f"sample size must be >= 0, got {n}")
         rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        t = _gamma_variates(rng, self.alpha, n) / self.beta
-        return self._x_from_wstar(np.maximum(t, _TINY))
+        log_t = _log_gamma_variates(rng, self.alpha, n) - math.log(self.beta)
+        return np.logaddexp(0.0, -log_t) / self.lam
 
     # -- quadrature-backed functionals (generic machinery) ----------------
 

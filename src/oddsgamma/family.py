@@ -11,7 +11,7 @@ authoritative whenever the two disagree.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -20,7 +20,6 @@ from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
 from .quadrature import windowed_quad
 from .specfun import (
-    DEFAULT_POLICY,
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
     inv_reg_lower_gamma,
@@ -31,6 +30,7 @@ from .specfun import (
 __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]
 
 _TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 _QUAD_TOL = 0.5e-10  # per half-axis; the two halves add to 1e-10
 
 
@@ -92,21 +92,23 @@ def _restore(arr, scalar):
     return float(arr) if scalar else arr
 
 
-def _gamma_variates(rng, alpha, n):
-    """n Gamma(alpha, 1) draws from a numpy Generator.
+def _log_gamma_variates(rng, alpha, n):
+    """Logs of n Gamma(alpha, 1) draws from a numpy Generator.
 
     Squeeze-rejection sampler (Marsaglia-Tsang): d = a - 1/3,
     c = 1/sqrt(9d), accept d*(1+c*z)^3 when ln u < z^2/2 + d - d*v
     + d*ln v. Shapes below 1 are boosted through Gamma(alpha+1) times
-    an independent uniform to the power 1/alpha.
+    an independent uniform to the power 1/alpha, added in log space,
+    ln G = ln G(alpha+1) + ln(U)/alpha, because U^(1/alpha) underflows
+    for a sizeable share of draws once alpha is small.
     """
     if n == 0:
         return np.empty(0)
-    boost = None
+    log_boost = None
     a = alpha
     if alpha < 1.0:
-        with np.errstate(under="ignore"):
-            boost = rng.random(n) ** (1.0 / alpha)
+        with np.errstate(divide="ignore"):
+            log_boost = np.log(rng.random(n)) / alpha
         a = alpha + 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -120,9 +122,9 @@ def _gamma_variates(rng, alpha, n):
             accept = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(v))
         out[todo[accept]] = d * v[accept]
         todo = todo[~accept]
-    if boost is not None:
-        with np.errstate(under="ignore"):
-            out *= boost
+    out = np.log(out)
+    if log_boost is not None:
+        out += log_boost
     return out
 
 
@@ -212,11 +214,16 @@ def _recombine_central(parts, m):
 
 @dataclass(frozen=True)
 class GammaRatioDist:
-    """Gamma(alpha, rate beta) pushed through the survival odds of base."""
+    """Gamma(alpha, rate beta) pushed through the survival odds of base.
+
+    Raw moments from moment_quadrature are memoised per instance, so the
+    central and standardized moments reuse them.
+    """
 
     alpha: float
     beta: float
     base: BaseDistribution
+    _raw_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
@@ -314,8 +321,13 @@ class GammaRatioDist:
 
     # ---------------- inverses and sampling ----------------
 
-    def _x_from_w(self, w):
-        """Map odds values back to the base scale on the accurate side."""
+    def _x_from_w(self, w, log_w=None):
+        """Map odds values back to the base scale on the accurate side.
+
+        Where log_w, the log of the odds, lies below double range and the
+        base has a log_isf, x comes from log space: sf = w/(1 + w), so
+        ln sf = -softplus(-ln w).
+        """
         w = np.atleast_1d(np.asarray(w, dtype=float))
         out = np.empty(w.shape)
         big = w > 1.0
@@ -325,7 +337,28 @@ class GammaRatioDist:
             small = ~big
             if np.any(small):
                 out[small] = self.base.isf(w[small] / (1.0 + w[small]))
+        if log_w is not None and self.base.log_isf is not None:
+            log_w = np.atleast_1d(log_w)
+            deep = log_w < _LOG_TINY
+            if np.any(deep):
+                out[deep] = self.base.log_isf(-np.logaddexp(0.0, -log_w[deep]))
         return out
+
+    def _x_from_root(self, g, s):
+        """x with beta * w(x) = g, where g solves P(alpha, g) = s.
+
+        A root whose odds g/beta fall below double range is taken in log
+        space when the base has a log_isf: the leading term of
+        P(alpha, g) = g^alpha/Gamma(alpha+1) * (1 + O(g)) gives
+        ln g = (ln s + ln Gamma(alpha+1))/alpha with relative error O(g).
+        """
+        w = np.asarray(g, dtype=float) / self.beta
+        log_w = None
+        if self.base.log_isf is not None and np.any(w < _TINY):
+            with np.errstate(divide="ignore"):
+                log_g = (np.log(s) + special.gammaln(self.alpha + 1.0)) / self.alpha
+            log_w = log_g - math.log(self.beta)
+        return self._x_from_w(w, log_w)
 
     def quantile(self, p):
         """Inverse cdf; |cdf(quantile(p)) - p| <= 1e-9 on (0, 1).
@@ -338,10 +371,10 @@ class GammaRatioDist:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile requires 0 < p < 1, got {p}")
         if p <= 0.5:
-            g = inv_reg_upper_gamma(self.alpha, p, DEFAULT_POLICY)
+            g = inv_reg_upper_gamma(self.alpha, p)
         else:
-            g = inv_reg_lower_gamma(self.alpha, 1.0 - p, DEFAULT_POLICY)
-        return float(self._x_from_w(g / self.beta)[0])
+            g = inv_reg_lower_gamma(self.alpha, 1.0 - p)
+        return float(self._x_from_root(g, 1.0 - p)[0])
 
     def quantile_sf(self, s):
         """x with 1 - cdf(x) = s; the tail-accurate companion of quantile."""
@@ -349,20 +382,20 @@ class GammaRatioDist:
         if not 0.0 < s < 1.0:
             raise ValueError(f"quantile_sf requires 0 < s < 1, got {s}")
         if s <= 0.5:
-            g = inv_reg_lower_gamma(self.alpha, s, DEFAULT_POLICY)
+            g = inv_reg_lower_gamma(self.alpha, s)
         else:
-            g = inv_reg_upper_gamma(self.alpha, 1.0 - s, DEFAULT_POLICY)
-        return float(self._x_from_w(g / self.beta)[0])
+            g = inv_reg_upper_gamma(self.alpha, 1.0 - s)
+        return float(self._x_from_root(g, s)[0])
 
     def _x_of_u(self, u):
         """Vectorized quantile for cdf-space integration, u in (0, 1/2]."""
-        g = _inv_reg_upper_gamma_vec(self.alpha, np.asarray(u, dtype=float))
-        return self._x_from_w(g / self.beta)
+        u = np.asarray(u, dtype=float)
+        return self._x_from_root(_inv_reg_upper_gamma_vec(self.alpha, u), 1.0 - u)
 
     def _x_of_s(self, s):
         """Vectorized survival quantile for tail integration, s in (0, 1/2]."""
-        g = _inv_reg_lower_gamma_vec(self.alpha, np.asarray(s, dtype=float))
-        return self._x_from_w(g / self.beta)
+        s = np.asarray(s, dtype=float)
+        return self._x_from_root(_inv_reg_lower_gamma_vec(self.alpha, s), s)
 
     def sample(self, n, rng):
         """n independent draws, exact in law: X = w^{-1}(T), T ~ Gamma.
@@ -370,15 +403,19 @@ class GammaRatioDist:
         rng is a numpy Generator or an integer seed. T with shape alpha
         and rate beta has P(T >= w(x)) = Q(alpha, beta w(x)) = H(x), so
         mapping T back through the odds inverts the construction without
-        any quantile iteration.
+        any quantile iteration. T is drawn in log space; draws below
+        double range map through the base's log_isf, or, for a base
+        without one, as T = tiny.
         """
         n = int(n)
         if n < 0:
             raise ValueError(f"sample requires n >= 0, got {n}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        t = _gamma_variates(rng, self.alpha, n) / self.beta
-        return self._x_from_w(np.maximum(t, _TINY))
+        log_t = _log_gamma_variates(rng, self.alpha, n) - math.log(self.beta)
+        with np.errstate(under="ignore"):
+            t = np.exp(log_t)
+        return self._x_from_w(np.maximum(t, _TINY), log_t)
 
     # ---------------- quadrature expectations ----------------
 
@@ -446,9 +483,19 @@ class GammaRatioDist:
         return h.value + t.value
 
     def moment_quadrature(self, m):
-        """Raw moment E X^m by adaptive quadrature; the authoritative path."""
-        m = _validate_order(m, "moment_quadrature")
-        return self._expect(lambda x: x**m, f"moment of order {m} does not exist")
+        """Raw moment E X^m by adaptive quadrature; the authoritative path.
+
+        Each order is integrated once per instance and memoised; a
+        divergent order is not, so it raises DivergenceError every time.
+        """
+        return self._raw_moment(_validate_order(m, "moment_quadrature"))
+
+    def _raw_moment(self, m):
+        if m not in self._raw_moments:
+            self._raw_moments[m] = self._expect(
+                lambda x: x**m, f"moment of order {m} does not exist"
+            )
+        return self._raw_moments[m]
 
     def central_moment_quadrature(self, m):
         """Central moment via binomial recombination of quadrature raw moments.
@@ -459,7 +506,7 @@ class GammaRatioDist:
         m = _validate_order(m, "central_moment_quadrature")
         if m == 0:
             return 1.0
-        mus = [1.0] + [self.moment_quadrature(i) for i in range(1, m + 1)]
+        mus = [1.0] + [self._raw_moment(i) for i in range(1, m + 1)]
         mu = mus[1]
         return math.fsum(
             math.comb(m, r) * (-mu) ** r * mus[m - r] for r in range(m + 1)

@@ -1,61 +1,28 @@
 """Gamma-function primitives: log-gamma, digamma, the regularized
-incomplete gamma pair, its inverse, and generalized binomial coefficients.
+incomplete gamma pair and its inverses.
 
-These are the innermost kernels of the package. The forward maps delegate
-to scipy.special; the inverse is solved here so its accuracy policy is an
-explicit, testable contract rather than an implementation detail.
+These are the innermost kernels of the package, all on scipy.special.
+The inverses are scipy's gammainccinv/gammaincinv, which implement
+DiDonato & Morris (ACM TOMS 12, 1986) and keep relative accuracy in
+both tails. The scalar forms validate their arguments and return
+floats; the unvalidated elementwise forms serve the quadrature node
+maps, which keep their arguments in range themselves.
+
+A root below double range comes back as 0 or a subnormal number. The
+callers that need such roots take them in log space instead (see
+GammaRatioDist._x_from_root).
 """
 
-import math
-from dataclasses import dataclass
-
-import numpy as np
 from scipy import special
 
-from .errors import IterationError
-
 __all__ = [
-    "AccuracyPolicy",
-    "DEFAULT_POLICY",
     "log_gamma",
     "digamma",
     "reg_upper_gamma",
     "reg_lower_gamma",
     "inv_reg_upper_gamma",
     "inv_reg_lower_gamma",
-    "gen_binomial",
 ]
-
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Tolerance knobs for the iterative inverse.
-
-    Parameters
-    ----------
-    abs_tol : float
-        Bound on |Q(a, x) - p| at the returned root.
-    rel_tol : float
-        Bound on the bracket width relative to the root; used as a
-        secondary stop when the residual stagnates at roundoff level.
-    max_iter : int
-        Cap on Newton/bisection steps before an IterationError.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError("abs_tol must be positive and finite")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_POLICY = AccuracyPolicy()
 
 
 def log_gamma(a):
@@ -76,8 +43,7 @@ def reg_upper_gamma(a, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a).
 
     Q(a, 0) = 1 and Q decreases to 0 as x grows; Q + P = 1 with
-    reg_lower_gamma. Underlying evaluation switches between a power
-    series and a continued fraction depending on the (a, x) region.
+    reg_lower_gamma.
     """
     if not a > 0.0:
         raise ValueError(f"reg_upper_gamma requires a > 0, got {a}")
@@ -95,249 +61,31 @@ def reg_lower_gamma(a, x):
     return float(special.gammainc(a, x))
 
 
-def inv_reg_upper_gamma(a, p, policy=DEFAULT_POLICY):
-    """Solve Q(a, x) = p for x, with 0 < p <= 1.
+def inv_reg_upper_gamma(a, p):
+    """Solve Q(a, x) = p for x, with 0 < p <= 1; returns 0.0 when p == 1.
 
-    Bracketing plus safeguarded Newton: the bracket [lo, hi] always
-    satisfies Q(lo) >= p >= Q(hi); a Newton proposal outside the open
-    bracket (or with an unusable derivative) falls back to bisection.
-    Success requires |Q(a, x) - p| <= min(abs_tol, rel_tol * p), so tail
-    roots keep relative accuracy. p > 1/2 routes through the lower
-    inverse on the complement 1 - p (exact in floating point for
-    p >= 1/2), where Q is too flat to pin x; returns 0.0 when p == 1.
-
-    Raises
-    ------
-    IterationError
-        If the residual target is not reached within policy.max_iter
-        steps. The exception carries the last bracket.
+    Q(a, x) = Gamma(a, x)/Gamma(a) is the regularized upper incomplete
+    gamma function.
     """
     if not a > 0.0:
         raise ValueError(f"inv_reg_upper_gamma requires a > 0, got {a}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"inv_reg_upper_gamma requires 0 < p <= 1, got {p}")
-    if p == 1.0:
-        return 0.0
-    if p > 0.5:
-        return inv_reg_lower_gamma(a, 1.0 - p, policy)
-
-    lo = 0.0
-    hi = max(a, 1.0)
-    grow = 0
-    while special.gammaincc(a, hi) > p:
-        lo = hi
-        hi *= 2.0
-        grow += 1
-        if grow > 1100:  # Q underflows long before this
-            raise IterationError(
-                f"inv_reg_upper_gamma(a={a}, p={p}): bracket growth failed",
-                bracket=(lo, hi),
-            )
-
-    log_norm = special.gammaln(a)
-    x = 0.5 * (lo + hi)
-    target = min(policy.abs_tol, policy.rel_tol * p)
-    for _ in range(policy.max_iter):
-        f = special.gammaincc(a, x) - p
-        if abs(f) <= target:
-            return float(x)
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        # dQ/dx = -x^{a-1} e^{-x} / Gamma(a), assembled in log space
-        with np.errstate(over="ignore", divide="ignore"):
-            deriv = -np.exp((a - 1.0) * np.log(x) - x - log_norm)
-        x_new = x - f / deriv if np.isfinite(deriv) and deriv < 0.0 else x
-        if not (lo < x_new < hi) or x_new == x:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-        if hi - lo <= policy.rel_tol * max(x, 1e-300) and abs(f) <= 1e3 * target:
-            # residual is stuck at roundoff but the root is located
-            return float(x)
-    raise IterationError(
-        f"inv_reg_upper_gamma(a={a}, p={p}) did not reach the residual "
-        f"target in {policy.max_iter} iterations",
-        bracket=(lo, hi),
-    )
+    return float(special.gammainccinv(a, p))
 
 
-def _inv_reg_upper_gamma_vec(a, p, policy=DEFAULT_POLICY):
-    """Vectorized companion of inv_reg_upper_gamma for hot paths.
+def inv_reg_lower_gamma(a, s):
+    """Solve P(a, x) = s for x, with 0 <= s < 1; returns 0.0 when s == 0.
 
-    Same bracket-plus-safeguarded-Newton scheme run elementwise on
-    arrays; p entries equal to 1 map to 0. Internal: the caller keeps
-    p inside (0, 1/2] (no complement routing here) and validates.
-    """
-    p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape)
-    active = p < 1.0
-    if not np.any(active):
-        return out
-    pa = p[active]
-
-    lo = np.zeros(pa.shape)
-    hi = np.full(pa.shape, max(a, 1.0))
-    for _ in range(1100):
-        too_high = special.gammaincc(a, hi) > pa
-        if not np.any(too_high):
-            break
-        lo[too_high] = hi[too_high]
-        hi[too_high] *= 2.0
-
-    log_norm = special.gammaln(a)
-    x = 0.5 * (lo + hi)
-    target = np.minimum(policy.abs_tol, policy.rel_tol * pa)
-    done = np.zeros(pa.shape, dtype=bool)
-    for _ in range(policy.max_iter):
-        f = special.gammaincc(a, x) - pa
-        done |= np.abs(f) <= target
-        if np.all(done):
-            break
-        above = (f > 0.0) & ~done
-        below = (f <= 0.0) & ~done
-        lo[above] = x[above]
-        hi[below] = x[below]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            deriv = -np.exp((a - 1.0) * np.log(x) - x - log_norm)
-            x_new = x - f / deriv
-        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi) | (x_new == x)
-        x_new[bad] = 0.5 * (lo[bad] + hi[bad])
-        x = np.where(done, x, x_new)
-    out[active] = x
-    return out
-
-
-def inv_reg_lower_gamma(a, s, policy=DEFAULT_POLICY):
-    """Solve P(a, x) = s for x, with 0 <= s < 1.
-
-    Small-s companion of inv_reg_upper_gamma. The residual target is
-    relative (|P(a, x) - s| <= abs_tol * s) so upper-tail quantiles keep
-    relative accuracy as s shrinks toward the underflow floor. Seeded by
-    the leading-order root x0 = (s * Gamma(a + 1))^(1/a), then polished
-    by bracketed Newton. s > 1/2 routes through the upper inverse on the
-    exact complement 1 - s, where P is too flat to pin x. Returns 0.0
-    exactly when s == 0.
+    P = 1 - Q is the regularized lower incomplete gamma function. Small
+    s keeps relative accuracy, so upper-tail quantiles do too.
     """
     if not a > 0.0:
         raise ValueError(f"inv_reg_lower_gamma requires a > 0, got {a}")
     if not (0.0 <= s < 1.0):
         raise ValueError(f"inv_reg_lower_gamma requires 0 <= s < 1, got {s}")
-    if s == 0.0:
-        return 0.0
-    if s > 0.5:
-        return inv_reg_upper_gamma(a, 1.0 - s, policy)
-
-    x0 = math.exp((math.log(s) + special.gammaln(a + 1.0)) / a)
-    if not (x0 > 0.0 and math.isfinite(x0)):
-        # root below double range; 0 is the closest representable answer
-        return 0.0
-
-    lo, hi = 0.0, x0
-    for _ in range(policy.max_iter):
-        if special.gammainc(a, hi) >= s:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise IterationError(
-            f"inv_reg_lower_gamma(a={a}, s={s}): bracket growth failed",
-            bracket=(lo, hi),
-        )
-
-    log_norm = special.gammaln(a)
-    # first-order correction of the seed; P(a,x) = x^a/Gamma(a+1)·(1 - ax/(a+1) + ...)
-    x = x0 * (1.0 + x0 / (a + 1.0))
-    if not (lo < x < hi):
-        x = 0.5 * (lo + hi)
-    target = policy.abs_tol * s
-    for _ in range(policy.max_iter):
-        f = special.gammainc(a, x) - s
-        if abs(f) <= target:
-            return float(x)
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        # dP/dx = x^{a-1} e^{-x} / Gamma(a), assembled in log space
-        with np.errstate(over="ignore", divide="ignore"):
-            deriv = np.exp((a - 1.0) * np.log(x) - x - log_norm)
-        x_new = x - f / deriv if np.isfinite(deriv) and deriv > 0.0 else x
-        if not (lo < x_new < hi) or x_new == x:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-        if hi - lo <= policy.rel_tol * max(x, 1e-300) and abs(f) <= 1e3 * target:
-            return float(x)
-    raise IterationError(
-        f"inv_reg_lower_gamma(a={a}, s={s}) did not reach the relative "
-        f"residual target in {policy.max_iter} iterations",
-        bracket=(lo, hi),
-    )
+    return float(special.gammaincinv(a, s))
 
 
-def _inv_reg_lower_gamma_vec(a, s, policy=DEFAULT_POLICY):
-    """Vectorized companion of inv_reg_lower_gamma for hot paths.
-
-    Internal: domain validation is the caller's job; s entries equal to
-    0 map to 0.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    with np.errstate(under="ignore", divide="ignore"):
-        seed = np.exp((np.log(np.maximum(s, 1e-300)) + special.gammaln(a + 1.0)) / a)
-    # roots whose seed underflows are below double range; leave them at 0
-    active = (s > 0.0) & (seed > 0.0)
-    if not np.any(active):
-        return out
-    sa = s[active]
-
-    log_norm = special.gammaln(a)
-    x0 = seed[active]
-    lo = np.zeros(sa.shape)
-    hi = x0.copy()
-    for _ in range(policy.max_iter):
-        too_low = special.gammainc(a, hi) < sa
-        if not np.any(too_low):
-            break
-        lo[too_low] = hi[too_low]
-        hi[too_low] *= 2.0
-    x = x0 * (1.0 + x0 / (a + 1.0))
-    outside = ~((lo < x) & (x < hi))
-    x[outside] = 0.5 * (lo[outside] + hi[outside])
-
-    target = policy.abs_tol * sa
-    done = np.zeros(sa.shape, dtype=bool)
-    for _ in range(policy.max_iter):
-        f = special.gammainc(a, x) - sa
-        done |= np.abs(f) <= target
-        if np.all(done):
-            break
-        below = (f < 0.0) & ~done
-        above = (f >= 0.0) & ~done
-        lo[below] = x[below]
-        hi[above] = x[above]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            deriv = np.exp((a - 1.0) * np.log(x) - x - log_norm)
-            x_new = x - f / deriv
-        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi) | (x_new == x)
-        x_new[bad] = 0.5 * (lo[bad] + hi[bad])
-        x = np.where(done, x, x_new)
-    out[active] = x
-    return out
-
-
-def gen_binomial(s, j):
-    """Generalized binomial coefficient C(s, j) for real s, integer j >= 0.
-
-    Computed as the falling-factorial product prod_{i<j} (s - i)/(i + 1),
-    which divides through by j! as it goes. C(s, 0) = 1.
-    """
-    if isinstance(j, float) and not j.is_integer():
-        raise ValueError(f"gen_binomial requires integer j, got {j}")
-    j = int(j)
-    if j < 0:
-        raise ValueError(f"gen_binomial requires j >= 0, got {j}")
-    out = 1.0
-    for i in range(j):
-        out *= (s - i) / (i + 1.0)
-    return out
+_inv_reg_upper_gamma_vec = special.gammainccinv
+_inv_reg_lower_gamma_vec = special.gammaincinv

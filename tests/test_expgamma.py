@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from oddsgamma import (
     DataError,
@@ -239,6 +240,55 @@ class TestMoments:
         r1 = d1.moment_series(1, ctrl)
         assert not r1.converged
         assert r1.diagnostic
+
+
+class TestSmallShape:
+    """Small alpha puts the odds variable below double range: the
+    survival-side roots and the sampler's boost underflow in linear
+    space. The pinned references are independent of the library."""
+
+    def test_second_moment_has_no_false_divergence(self):
+        # reference: scipy.integrate.quad over ln T; mpmath quadrature over
+        # ln T at 25 digits gives 70755.002097613101
+        d = OEGammaDist(0.05, 0.05, 0.1)
+        assert d.moment_quadrature(2) == pytest.approx(70755.0021, rel=1e-9)
+
+    def test_raw_moments_against_mpmath(self):
+        # E X^m = E (softplus(-ln T)/lam)^m, T ~ Gamma(alpha, rate beta),
+        # by mpmath quadrature over ln T at 25 digits
+        ref = {1: 30.263027182752383, 2: 1834.0263754784770,
+               3: 166729.56260748178, 4: 20209643.808153782}
+        d = OEGammaDist(0.011, 0.5, 3.0)
+        for m, want in ref.items():
+            assert d.moment_quadrature(m) == pytest.approx(want, rel=1e-9), m
+
+    def test_survival_quantile_below_double_range(self):
+        a, b, lam = 0.01, 0.5, 2.0
+        d = OEGammaDist(a, b, lam)
+        x = d.quantile_sf(1e-6)
+        # root of P(alpha, beta w(x)) = 1e-6 by mpmath.findroot at 25 digits
+        assert x == pytest.approx(690.71346970523721, rel=1e-12)
+        # log-space round trip: beta w(x) is below double range, where
+        # ln P(alpha, z) = alpha ln z - ln Gamma(alpha + 1) + O(z)
+        log_w = -lam * x - math.log(-math.expm1(-lam * x))
+        log_s = a * (math.log(b) + log_w) - math.lgamma(a + 1.0)
+        assert log_s == pytest.approx(math.log(1e-6), rel=1e-12)
+        assert d.as_family().quantile_sf(1e-6) == pytest.approx(x, rel=1e-12)
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_sample_not_piled_at_underflow_cap(self, generic):
+        # draws of T below double range once mapped to the cap
+        # x = ln(1 + 1/tiny)/lam; the law puts P(T < w(cap)) there and above
+        a, n = 0.003, 200_000
+        d = OEGammaDist(a, 1.0, 1.0)
+        x = (d.as_family() if generic else d).sample(n, np.random.default_rng(2024))
+        cap = math.log1p(1.0 / np.finfo(float).tiny)
+        assert not np.any(x == cap)
+        assert np.all(np.isfinite(x))
+        p = float(sp.gammainc(a, 1.0 / np.expm1(cap)))
+        assert p == pytest.approx(0.11962, abs=1e-5)
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(x > cap) - p) <= 4.0 * se
 
 
 class TestMgfCfEntropy:

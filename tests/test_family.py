@@ -10,9 +10,11 @@ import scipy.stats
 
 from oddsgamma import (
     DEFAULT_CONTROL,
+    BaseDistribution,
     DivergenceError,
     GammaRatioDist,
     NumericalError,
+    OEGammaDist,
     SeriesControl,
     make_exponential,
 )
@@ -255,6 +257,70 @@ class TestMoments:
             d.moment_quadrature(-1)
         with pytest.raises(ValueError):
             d.moment_quadrature(1.5)
+
+
+def lomax_base():
+    """Unit Lomax base, sf(x) = 1/(1 + x): the family's survival decays
+    like x^(-alpha), so moments of order alpha and above diverge."""
+    no_params = lambda x: np.zeros((0,) + np.shape(x))
+    return BaseDistribution(
+        name="lomax",
+        cdf=lambda x: np.asarray(x, dtype=float) / (1.0 + np.asarray(x, dtype=float)),
+        pdf=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
+        log_pdf=lambda x: -2.0 * np.log1p(np.asarray(x, dtype=float)),
+        quantile=lambda u: np.asarray(u, dtype=float) / (1.0 - np.asarray(u, dtype=float)),
+        support=(0.0, math.inf),
+        params=(),
+        param_positive=(),
+        d_cdf_dparams=no_params,
+        d_logpdf_dparams=no_params,
+        sf=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
+        isf=lambda s: 1.0 / np.asarray(s, dtype=float) - 1.0,
+    )
+
+
+class TestMomentMemo:
+    @pytest.fixture
+    def expect_calls(self, monkeypatch):
+        calls = []
+        expect = GammaRatioDist._expect
+
+        def counted(self, f, what):
+            calls.append(what)
+            return expect(self, f, what)
+
+        monkeypatch.setattr(GammaRatioDist, "_expect", counted)
+        return calls
+
+    def test_moments_payload_runs_five_expectations(self, expect_calls):
+        d = OEGammaDist(2.0, 1.0, 3.0)
+
+        def payload():
+            raw = [d.moment_quadrature(m) for m in (1, 2, 3, 4)]
+            return raw + [d.general_coefficient(3), d.general_coefficient(4)]
+
+        first = payload() + [d.renyi_entropy(2.0)]
+        assert len(expect_calls) == 5
+        assert payload() == first[:-1]
+        assert len(expect_calls) == 5
+        assert d.as_family().central_moment_quadrature(2) > 0.0
+        assert len(expect_calls) == 5
+
+    def test_memo_is_not_part_of_the_value(self):
+        base = make_exponential(3.0)
+        d, fresh = GammaRatioDist(2.0, 1.0, base), GammaRatioDist(2.0, 1.0, base)
+        d.moment_quadrature(1)
+        assert d == fresh
+        assert hash(d) == hash(fresh)
+        assert repr(d) == repr(fresh)
+
+    def test_divergent_moment_raises_every_time(self, expect_calls):
+        d = GammaRatioDist(1.5, 1.0, lomax_base())
+        assert math.isfinite(d.moment_quadrature(1))
+        for _ in range(2):
+            with pytest.raises(DivergenceError, match="moment of order 2"):
+                d.moment_quadrature(2)
+        assert len(expect_calls) == 3
 
 
 class TestMomentSeries:
