@@ -1,16 +1,15 @@
 """Survival-odds gamma distribution on an exponential base, in closed form.
 
 With an Exp(lam) base the odds transform collapses to
-w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1), so the cdf,
-log-density, hazard and sampler have direct expressions with no generic
-plumbing in the hot path. Quantiles use the generic family's gamma
-inverse, whose deep tail runs in log space. The class also carries the
-double-sum expansions specific to this base: their inner terms are
-available analytically, which makes them fast enough to push to very
-deep truncations. ``as_family()`` returns the equivalent generic object
-for anything not specialised here (tau, expectations of arbitrary
-functions); the two constructions agree to near machine precision and
-the test-suite pins that.
+w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1). OEGammaDist is
+the GammaRatioDist over that base and overrides only what has a closed
+form here: the odds, the log-density, the sampler, and the double-sum
+expansions whose inner terms are available analytically, which makes
+them fast enough to push to very deep truncations. Everything else
+(cdf, pdf and hazard through the odds and log-density, quantiles with
+their log-space deep tail, the memoised quadrature moments, mgf, cf,
+entropy and tau) is the family's own code. ``as_family()`` builds the
+same law through the generic construction, as an independent reference.
 
 The entropy expansion is evaluated exactly as displayed even though it
 disagrees with direct quadrature of the density; the result carries a
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .base import make_exponential
+from .base import BaseDistribution, make_exponential
 from .errors import DataError, DivergenceError, NumericalError
 from .family import (
     DEFAULT_CONTROL,
@@ -32,16 +31,16 @@ from .family import (
     SeriesResult,
     _as_float_array,
     _log_gamma_variates,
-    _recombine_central,
     _restore,
+    _running_binomial,
     _sum_shells,
+    _truncate_inner,
     _validate_order,
 )
 from .specfun import digamma, log_gamma
 
 __all__ = ["OEGammaDist", "oe_loglik_and_score"]
 
-_TINY = np.finfo(float).tiny
 _LN2 = math.log(2.0)
 
 
@@ -58,43 +57,17 @@ def _log1mexp(y):
     return out
 
 
-def _truncate_inner(terms, ctrl):
-    """Partial-sum an inner term array with the two-small-terms stop.
-
-    Returns (partial, count, satisfied). Works for real or complex
-    terms; the stop asks for two consecutive terms at or below
-    tail_tol relative to the running sum.
-    """
-    csum = np.cumsum(terms)
-    mags = np.abs(terms)
-    scale = np.maximum(np.abs(csum), _TINY)
-    small = mags <= ctrl.tail_tol * scale
-    if terms.size > 1:
-        both = small[:-1] & small[1:]
-        hits = np.nonzero(both)[0]
-        if hits.size:
-            stop = int(hits[0]) + 1  # keep both qualifying terms
-            return complex(csum[stop]) if np.iscomplexobj(csum) else float(csum[stop]), stop + 1, True
-    return (
-        complex(csum[-1]) if np.iscomplexobj(csum) else float(csum[-1]),
-        int(terms.size),
-        False,
-    )
-
-
 @dataclass(frozen=True)
-class OEGammaDist:
+class OEGammaDist(GammaRatioDist):
     """Odds-gamma law with Exp(lam) base: closed maps plus its own expansions.
 
     Parameterised by the gamma shape alpha, the gamma rate beta applied
     to the odds, and the exponential rate lam of the base. All three
-    must be strictly positive and finite.
+    must be strictly positive and finite. The base is derived from lam.
     """
 
-    alpha: float
-    beta: float
+    base: BaseDistribution = field(init=False, repr=False, compare=False)
     lam: float
-    _family: GammaRatioDist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta", "lam"):
@@ -102,75 +75,37 @@ class OEGammaDist:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
             object.__setattr__(self, name, float(v))
-        object.__setattr__(
-            self, "_family",
-            GammaRatioDist(self.alpha, self.beta, make_exponential(self.lam)),
-        )
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
+        object.__setattr__(self, "base", make_exponential(self.lam))
 
     def as_family(self):
         """The same law built through the generic construction."""
-        return self._family
+        return GammaRatioDist(self.alpha, self.beta, self.base)
 
     # -- closed-form maps ------------------------------------------------
 
-    def _w(self, x):
-        # survival odds of the base; overflow of expm1 gives w = 0 exactly
-        with np.errstate(over="ignore", divide="ignore"):
-            return 1.0 / np.expm1(self.lam * x)
-
-    def cdf(self, x):
+    def odds(self, x):
+        """w(x) = 1/(e^{lam x} - 1); +inf for x <= 0, 0 where expm1 overflows."""
         x_arr, scalar = _as_float_array(x)
         pos = x_arr > 0.0
-        w = np.where(pos, self._w(np.where(pos, x_arr, 1.0)), np.inf)
-        with np.errstate(under="ignore"):
-            out = special.gammaincc(self.alpha, self.beta * w)
-        return _restore(out, scalar)
+        with np.errstate(over="ignore", divide="ignore"):
+            w = np.where(pos, 1.0 / np.expm1(self.lam * np.where(pos, x_arr, 1.0)), np.inf)
+        return _restore(w, scalar)
 
     def log_pdf(self, x):
         x_arr, scalar = _as_float_array(x)
         pos = x_arr > 0.0
-        xs = np.where(pos, x_arr, 1.0)
-        y = self.lam * xs
-        with np.errstate(over="ignore", under="ignore"):
+        y = self.lam * np.where(pos, x_arr, 1.0)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
             out = (
                 math.log(self.lam)
                 + self.alpha * math.log(self.beta)
                 - log_gamma(self.alpha)
                 - self.alpha * y
                 - (self.alpha + 1.0) * _log1mexp(y)
-                - self.beta * self._w(xs)
+                - self.beta * (1.0 / np.expm1(y))
             )
         out = np.where(pos, out, -np.inf)
         return _restore(out, scalar)
-
-    def pdf(self, x):
-        with np.errstate(under="ignore", over="ignore"):
-            out = np.exp(self.log_pdf(x))
-        return out
-
-    def hazard(self, x):
-        x_arr, scalar = _as_float_array(x)
-        if np.any(~(x_arr > 0.0)):
-            raise ValueError("hazard is defined only strictly inside the support (x > 0)")
-        with np.errstate(under="ignore"):
-            surv = special.gammainc(self.alpha, self.beta * self._w(x_arr))
-        if np.any(surv < 1e-300):
-            raise NumericalError("hazard overflow: 1 - cdf fell below 1e-300")
-        with np.errstate(under="ignore"):
-            out = np.exp(self.log_pdf(x_arr)) / surv
-        return _restore(out, scalar)
-
-    # -- inverse maps and sampling ---------------------------------------
-
-    def quantile(self, p):
-        return self._family.quantile(p)
-
-    def quantile_sf(self, s):
-        return self._family.quantile_sf(s)
 
     def sample(self, n, rng=None):
         """n draws via the gamma representation: X = log(1 + 1/T)/lam
@@ -186,47 +121,37 @@ class OEGammaDist:
         log_t = _log_gamma_variates(rng, self.alpha, n) - math.log(self.beta)
         return np.logaddexp(0.0, -log_t) / self.lam
 
-    # -- quadrature-backed functionals (generic machinery) ----------------
-
-    def moment_quadrature(self, m):
-        return self._family.moment_quadrature(m)
-
-    def central_moment_quadrature(self, m):
-        return self._family.central_moment_quadrature(m)
-
-    def general_coefficient(self, m):
-        return self._family.general_coefficient(m)
-
-    def mgf(self, t):
-        return self._family.mgf(t)
-
-    def cf(self, t):
-        return self._family.cf(t)
-
-    def renyi_entropy(self, eta):
-        return self._family.renyi_entropy(eta)
-
     # -- expansions specific to the exponential base ----------------------
 
-    def _inner_log_common(self, k, ctrl):
-        """Log-magnitude pieces shared by every inner sum at shell k.
+    def _sum_analytic_shells(self, ctrl, terms_of):
+        """Double sum whose k-shell inner terms are terms_of(K, logs).
 
         After rewriting the signed binomial, the inner coefficient is
         C(k+alpha+j, j) > 0, so each shell is a positive series scaled
-        by (-1)^k. Returns (K, logs) with K = k + alpha + j.
+        by (-1)^k. logs is the log of that coefficient times the shared
+        prefactor, and K = k + alpha + j.
         """
         a = self.alpha
         j = np.arange(ctrl.j_max, dtype=float)
-        kk = k + a + j
-        logs = (
-            (k + a) * math.log(self.beta)
-            - log_gamma(k + 1.0)
-            - log_gamma(a)
-            + special.gammaln(kk + 1.0)
-            - special.gammaln(j + 1.0)
-            - special.gammaln(k + a + 1.0)
-        )
-        return kk, logs
+        log_j_fact = special.gammaln(j + 1.0)
+
+        def inner(k):
+            kk = k + a + j
+            logs = (
+                (k + a) * math.log(self.beta)
+                - log_gamma(k + 1.0)
+                - log_gamma(a)
+                + special.gammaln(kk + 1.0)
+                - log_j_fact
+                - special.gammaln(k + a + 1.0)
+            )
+            with np.errstate(over="ignore", under="ignore"):
+                terms = terms_of(kk, logs)
+            val, j_used, ok = _truncate_inner(terms, ctrl)
+            sign = -1.0 if k % 2 else 1.0
+            return sign * val, j_used, ok, None
+
+        return _sum_shells(inner, ctrl)
 
     def moment_series(self, m, ctrl=None):
         """Double-sum raw moment of order m.
@@ -236,27 +161,11 @@ class OEGammaDist:
         (thousands of terms) are routinely needed and cheap here.
         """
         m = _validate_order(m, "moment_series")
-        ctrl = ctrl or DEFAULT_CONTROL
-        lg_m = log_gamma(m + 1.0)
-        log_lam = math.log(self.lam)
-
-        def inner(k):
-            kk, logs = self._inner_log_common(k, ctrl)
-            logs = logs + log_lam + lg_m - (m + 1.0) * np.log(self.lam * kk)
-            with np.errstate(over="ignore", under="ignore"):
-                terms = np.exp(logs)
-            val, j_used, ok = _truncate_inner(terms, ctrl)
-            sign = -1.0 if k % 2 else 1.0
-            return sign * val, j_used, ok, None
-
-        return _sum_shells(inner, ctrl)
-
-    def central_moment_series(self, m, ctrl=None):
-        """Centred moment by binomial recombination of series raw moments."""
-        m = _validate_order(m, "central_moment_series")
-        ctrl = ctrl or DEFAULT_CONTROL
-        parts = [self.moment_series(i, ctrl) for i in range(m + 1)]
-        return _recombine_central(parts, m)
+        log_lam, lg_m = math.log(self.lam), log_gamma(m + 1.0)
+        return self._sum_analytic_shells(
+            ctrl or DEFAULT_CONTROL,
+            lambda kk, logs: np.exp(logs + log_lam + lg_m - (m + 1.0) * np.log(self.lam * kk)),
+        )
 
     def mgf_series(self, t, ctrl=None):
         """Double-sum mgf: inner terms end in 1/(lam K - t), t < alpha lam."""
@@ -266,37 +175,22 @@ class OEGammaDist:
                 f"mgf undefined for t >= alpha * lam = {self.alpha * self.lam:.6g}, "
                 f"got t = {t:.6g}"
             )
-        ctrl = ctrl or DEFAULT_CONTROL
         log_lam = math.log(self.lam)
-
-        def inner(k):
-            kk, logs = self._inner_log_common(k, ctrl)
-            logs = logs + log_lam - np.log(self.lam * kk - t)
-            with np.errstate(over="ignore", under="ignore"):
-                terms = np.exp(logs)
-            val, j_used, ok = _truncate_inner(terms, ctrl)
-            sign = -1.0 if k % 2 else 1.0
-            return sign * val, j_used, ok, None
-
-        return _sum_shells(inner, ctrl)
+        return self._sum_analytic_shells(
+            ctrl or DEFAULT_CONTROL,
+            lambda kk, logs: np.exp(logs + log_lam - np.log(self.lam * kk - t)),
+        )
 
     def cf_series(self, t, ctrl=None):
         """Double-sum characteristic function; value is complex."""
         t = float(t)
-        ctrl = ctrl or DEFAULT_CONTROL
         log_lam = math.log(self.lam)
 
-        def inner(k):
-            kk, logs = self._inner_log_common(k, ctrl)
-            with np.errstate(over="ignore", under="ignore"):
-                mag = np.exp(logs + log_lam)
-                lam_kk = self.lam * kk
-                terms = mag * (lam_kk + 1j * t) / (lam_kk * lam_kk + t * t)
-            val, j_used, ok = _truncate_inner(terms, ctrl)
-            sign = -1.0 if k % 2 else 1.0
-            return sign * val, j_used, ok, None
+        def terms_of(kk, logs):
+            lam_kk = self.lam * kk
+            return np.exp(logs + log_lam) * (lam_kk + 1j * t) / (lam_kk * lam_kk + t * t)
 
-        return _sum_shells(inner, ctrl)
+        return self._sum_analytic_shells(ctrl or DEFAULT_CONTROL, terms_of)
 
     def renyi_series(self, eta, ctrl=None):
         """Entropy double sum evaluated exactly as displayed.
@@ -313,6 +207,7 @@ class OEGammaDist:
         ctrl = ctrl or DEFAULT_CONTROL
         a, b, lam = self.alpha, self.beta, self.lam
         log_eta = math.log(eta)
+        j = np.arange(float(ctrl.j_max))
 
         def inner(k):
             log_pref = (
@@ -330,22 +225,13 @@ class OEGammaDist:
                     f"summable at these parameters"
                 )
             sign_k = -1.0 if k % 2 else 1.0
-            s_binom = eta * (a - 1.0) + k
-            binom = 1.0
-            partial = 0.0
-            consec = 0
-            for j in range(ctrl.j_max):
-                if j > 0:
-                    binom *= (s_binom - (j - 1.0)) / j
-                term = sign_k * pref * ((-1.0) ** j) * binom / (lam * (a + k + j))
-                partial += term
-                if abs(term) <= ctrl.tail_tol * max(abs(partial), _TINY):
-                    consec += 1
-                    if consec >= 2 and j >= 1:
-                        return partial, j + 1, True, None
-                else:
-                    consec = 0
-            return partial, ctrl.j_max, False, None
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = (
+                    sign_k * pref * (-1.0) ** j
+                    * _running_binomial(eta * (a - 1.0) + k, ctrl.j_max)
+                    / (lam * (a + k + j))
+                )
+            return *_truncate_inner(terms, ctrl), None
 
         raw = _sum_shells(inner, ctrl)
         if not math.isfinite(raw.value) or raw.value <= 0.0:

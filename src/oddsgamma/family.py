@@ -182,6 +182,32 @@ def _sum_shells(inner, ctrl):
     return SeriesResult(total, (k_used, j_widest), True, "")
 
 
+def _truncate_inner(terms, ctrl):
+    """Partial-sum an inner term array with the two-small-terms stop.
+
+    Returns (partial, count, satisfied). Works for real or complex
+    terms; the stop asks for two consecutive terms at or below
+    tail_tol relative to the running sum.
+    """
+    csum = np.cumsum(terms)
+    mags = np.abs(terms)
+    scale = np.maximum(np.abs(csum), _TINY)
+    small = mags <= ctrl.tail_tol * scale
+    if terms.size > 1:
+        both = small[:-1] & small[1:]
+        hits = np.nonzero(both)[0]
+        if hits.size:
+            stop = int(hits[0]) + 1  # keep both qualifying terms
+            return csum[stop].item(), stop + 1, True
+    return csum[-1].item(), int(terms.size), False
+
+
+def _running_binomial(s, n):
+    """C(s, j) for j = 0..n-1 as the running product of (s - j + 1)/j."""
+    j = np.arange(1.0, n)
+    return np.cumprod(np.concatenate(([1.0], (s - (j - 1.0)) / j)))
+
+
 def _validate_order(m, who):
     if isinstance(m, float) and not m.is_integer():
         raise ValueError(f"{who} requires integer order, got {m}")
@@ -597,12 +623,10 @@ class GammaRatioDist:
         sign_k = -1.0 if k % 2 else 1.0
         with np.errstate(over="ignore"):
             pref = sign_k * float(np.exp(log_pref_extra))
+        binom = _running_binomial(s_binom, ctrl.j_max)
         partial = 0.0
         small_run = 0
-        binom = 1.0  # running C(s_binom, j)
         for j in range(ctrl.j_max):
-            if j > 0:
-                binom *= (s_binom - (j - 1)) / j
             r = r_of_j(j)
             try:
                 tau_val = self.tau(m, eta, r)
@@ -615,7 +639,7 @@ class GammaRatioDist:
                     f"r={r:.6g}), which is not integrable; the printed "
                     "expansion is formal at these parameters",
                 )
-            term = pref * ((-1.0) ** j) * binom * tau_val
+            term = pref * ((-1.0) ** j) * float(binom[j]) * tau_val
             partial += term
             if abs(term) <= ctrl.tail_tol * max(abs(partial), _TINY):
                 small_run += 1
@@ -770,33 +794,17 @@ class GammaRatioDist:
                 f"cdf_series requires x strictly inside the support, got G1 = {g}"
             )
         ln_g = math.log(g)
+        j = np.arange(float(ctrl.j_max))
 
         def inner(k):
             log_pref = (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a)
             sign_k = -1.0 if k % 2 else 1.0
-            partial = 0.0
-            small_run = 0
-            binom = 1.0
-            s_binom = a + k - 1.0
-            for j in range(ctrl.j_max):
-                if j > 0:
-                    binom *= (s_binom - (j - 1)) / j
-                expo = j - a - k
-                with np.errstate(over="ignore"):
-                    term = (
-                        sign_k
-                        * ((-1.0) ** j)
-                        * binom
-                        / expo
-                        * float(np.exp(log_pref + expo * ln_g))
-                    )
-                partial += term
-                if abs(term) <= ctrl.tail_tol * max(abs(partial), _TINY):
-                    small_run += 1
-                    if small_run >= 2 and j >= 1:
-                        return partial, j + 1, True, None
-                else:
-                    small_run = 0
-            return partial, ctrl.j_max, False, None
+            expo = j - a - k
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = (
+                    sign_k * (-1.0) ** j * _running_binomial(a + k - 1.0, ctrl.j_max)
+                    / expo * np.exp(log_pref + expo * ln_g)
+                )
+            return *_truncate_inner(terms, ctrl), None
 
         return _sum_shells(inner, ctrl)

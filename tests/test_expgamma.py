@@ -33,6 +33,38 @@ class TestConstruction:
         assert OEGammaDist(1.0, 1.0, 1.0).support == (0.0, math.inf)
 
 
+class TestClosedFormSubclass:
+    """The exponential-base law is the family over Exp(lam) and overrides
+    only what has a closed form there."""
+
+    OWN = {
+        "odds", "log_pdf", "sample",
+        "moment_series", "mgf_series", "cf_series", "renyi_series",
+        "_sum_analytic_shells", "as_family",
+    }
+
+    def test_defines_only_the_closed_forms(self):
+        assert issubclass(OEGammaDist, GammaRatioDist)
+        own = {
+            name for name, v in vars(OEGammaDist).items()
+            if not name.startswith("__") and (callable(v) or isinstance(v, property))
+        }
+        assert own == self.OWN
+
+    def test_value_semantics(self):
+        d = OEGammaDist(1, 2, 3)
+        twin = OEGammaDist(1.0, 2.0, 3.0)
+        assert repr(d) == "OEGammaDist(alpha=1.0, beta=2.0, lam=3.0)"
+        assert d == twin
+        assert hash(d) == hash(twin)
+        assert type(d.as_family()) is GammaRatioDist
+        assert d != d.as_family()
+
+    def test_hazard_at_infinity_is_outside_support(self):
+        with pytest.raises(ValueError, match="strictly inside the support"):
+            OEGammaDist(1.0, 1.0, 1.0).hazard(np.inf)
+
+
 class TestClosedForms:
     def test_cdf_at_log_two(self):
         assert OEGammaDist(1.0, 1.0, 1.0).cdf(LN2) == pytest.approx(
@@ -275,6 +307,17 @@ class TestSmallShape:
         assert log_s == pytest.approx(math.log(1e-6), rel=1e-12)
         assert d.as_family().quantile_sf(1e-6) == pytest.approx(x, rel=1e-12)
 
+    @pytest.mark.parametrize("theta, ref", [
+        ((0.05, 5.0, 2.0), 3.7145065264154154),
+        ((0.02, 1.0, 1.0), 5.3013759038519157),
+        ((0.011, 0.5, 3.0), 4.7962211573173005),
+    ])
+    def test_renyi_half_has_no_false_divergence(self, theta, ref):
+        # reference: mpmath quadrature of h^eta over x at 40 digits. The
+        # generic log-density reads -inf once the base sf underflows with
+        # alpha < 1, which made this integral look divergent.
+        assert OEGammaDist(*theta).renyi_entropy(0.5) == pytest.approx(ref, rel=1e-9)
+
     @pytest.mark.parametrize("generic", [False, True])
     def test_sample_not_piled_at_underflow_cap(self, generic):
         # draws of T below double range once mapped to the cap
@@ -359,6 +402,38 @@ class TestMgfCfEntropy:
         se = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
         ref = math.exp((1.0 - eta) * d.renyi_entropy(eta))
         assert abs(ref - mc) <= 3.0 * se
+
+
+class TestSeriesPins:
+    """Pinned (value, terms_used, converged) cells of the exponential-base
+    expansions: the counts and flags fix where each inner sum stopped."""
+
+    @pytest.mark.parametrize("prm, ctrl, eta, value, terms, converged", [
+        ((0.131, 0.179, 0.539), SeriesControl(60, 2000, 1e-6), 0.5,
+         2.7248021949778645, (4, 1090), True),
+        ((2.5, 1.0, 1.0), SeriesControl(40, 2000, 1e-8), 0.5,
+         -4.308290285642284, (7, 919), True),
+        ((2.5, 1.0, 1.0), SeriesControl(), 2.0, 4.560777339655881, (12, 17), True),
+        ((0.6, 0.05, 1.0), SeriesControl(), 0.5, -0.8670399106815463, (5, 200), False),
+    ])
+    def test_renyi_series(self, prm, ctrl, eta, value, terms, converged):
+        r = OEGammaDist(*prm).renyi_series(eta, ctrl)
+        assert r.value == pytest.approx(value, rel=1e-13)
+        assert r.terms_used == terms
+        assert r.converged is converged
+
+    def test_moment_mgf_cf_series(self):
+        d = OEGammaDist(0.6, 0.05, 1.0)
+        cells = [
+            (d.moment_series(2), 1.1684090110239669),
+            (d.mgf_series(0.15), 0.9676912399823493),
+            (d.cf_series(0.7), 0.7392217914744543 + 0.21277916064643515j),
+        ]
+        for r, value in cells:
+            assert r.value == pytest.approx(value, rel=1e-13)
+            assert r.terms_used[1] == 200
+            assert not r.converged
+        assert [r.terms_used[0] for r, _ in cells] == [13, 16, 16]
 
 
 class TestWheatonLikelihood:

@@ -18,6 +18,7 @@ from oddsgamma import (
     SeriesControl,
     make_exponential,
 )
+from oddsgamma.family import _running_binomial, _truncate_inner
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -303,7 +304,7 @@ class TestMomentMemo:
         assert len(expect_calls) == 5
         assert payload() == first[:-1]
         assert len(expect_calls) == 5
-        assert d.as_family().central_moment_quadrature(2) > 0.0
+        assert d.central_moment_quadrature(2) > 0.0
         assert len(expect_calls) == 5
 
     def test_memo_is_not_part_of_the_value(self):
@@ -448,6 +449,55 @@ class TestRenyi:
             assert r.diagnostic
 
 
+def _loop_binomial(s, n):
+    """C(s, j), j < n, by the scalar running product the series once used."""
+    out, binom = [], 1.0
+    for j in range(n):
+        if j > 0:
+            binom *= (s - (j - 1)) / j
+        out.append(binom)
+    return out
+
+
+def _loop_truncate(terms, ctrl):
+    """The scalar two-small-terms stop the inner series loops once used."""
+    partial, small_run = 0.0, 0
+    for j, term in enumerate(terms):
+        partial += term
+        if abs(term) <= ctrl.tail_tol * max(abs(partial), np.finfo(float).tiny):
+            small_run += 1
+            if small_run >= 2 and j >= 1:
+                return partial, j + 1, True
+        else:
+            small_run = 0
+    return partial, len(terms), False
+
+
+class TestInnerTruncation:
+    """The vectorised inner-sum helpers give the same floats and stops as
+    the scalar loops they replace."""
+
+    @pytest.mark.parametrize("s", [-1.6, -0.869, 0.4, 3.0, 7.25])
+    def test_running_binomial_matches_loop(self, s):
+        assert _running_binomial(s, 300).tolist() == _loop_binomial(s, 300)
+
+    @pytest.mark.parametrize("ctrl", [
+        DEFAULT_CONTROL, SeriesControl(tail_tol=1e-6), SeriesControl(tail_tol=1e-3),
+    ])
+    def test_truncate_inner_matches_loop(self, ctrl):
+        rng = np.random.default_rng(5)
+        j = np.arange(400.0)
+        cases = [
+            (-1.0) ** j * _running_binomial(-0.4, 400) / (j + 0.6) * 0.9**j,
+            (-1.0) ** j * _running_binomial(2.5, 400) / (j - 3.5),
+            rng.standard_normal(400) * np.exp(-0.2 * j),
+            rng.standard_normal(400),
+            np.array([3.0]),
+        ]
+        for terms in cases:
+            assert _truncate_inner(terms, ctrl) == _loop_truncate(terms.tolist(), ctrl)
+
+
 class TestCdfSeries:
     CONVERGED_CELLS = [
         ((0.5, 0.05, 1.0), (0.5, 1.0, 2.0)),
@@ -465,6 +515,25 @@ class TestCdfSeries:
                 r = d.cdf_series(x, ctrl)
                 assert r.converged, (prm, x, r.diagnostic)
                 assert r.value == pytest.approx(d.cdf(x) - 1.0, abs=1e-7), (prm, x)
+
+    # (params, control, x, value, terms_used, converged): where the
+    # vectorised inner sum stops, both when its tail test is met and when
+    # it runs into j_max or k_max
+    PINNED_CELLS = [
+        ((0.6, 0.05, 1.0), DEFAULT_CONTROL, 1.0, -0.13258697131512304, (6, 39), True),
+        ((0.6, 0.05, 1.0), SeriesControl(60, 2000, 1e-6), 4.0,
+         -0.017008107382745344, (3, 313), True),
+        ((2.5, 1.0, 1.0), DEFAULT_CONTROL, 4.0, -1.4119997218761616e-05, (6, 200), False),
+        ((0.131, 0.179, 0.539), SeriesControl(5, 20, 1e-3), 0.3,
+         -0.9687593202817056, (5, 7), False),
+    ]
+
+    @pytest.mark.parametrize("prm, ctrl, x, value, terms, converged", PINNED_CELLS)
+    def test_pinned_truncation(self, prm, ctrl, x, value, terms, converged):
+        r = dist(*prm).cdf_series(x, ctrl)
+        assert r.value == pytest.approx(value, rel=1e-13)
+        assert r.terms_used == terms
+        assert r.converged is converged
 
     def test_refuses_integer_shape(self):
         with pytest.raises(ValueError, match="integer alpha"):

@@ -83,6 +83,100 @@ TAIL_SHAPES = [0.05, 0.131, 0.5, 1.0, 2.0, 7.3, 50.0]
 TAIL_PROBS = [1e-15, 1e-12, 1e-9, 1e-4, 0.1, math.exp(-1.0), 0.5, 0.9, 0.999,
               1.0 - 1e-9, 1.0 - 1e-12]
 
+# Roots x of Q(a, x) = p and P(a, x) = s on the TAIL_SHAPES x TAIL_PROBS grid,
+# in TAIL_PROBS order, pinned offline with mpmath at 50 digits: findroot on
+# gammainc(a, x, regularized=True) (upper) and gammainc(a, 0, x,
+# regularized=True) (lower) in t = ln x, with every residual below 1e-30
+# relative. The probabilities are the exact binary values of the floats.
+Q_ROOTS = {
+    0.05: [
+        28.360249007335996, 21.697659250396554, 15.116740080176799,
+        4.6241008221004057, 0.076317113909188453, 6.064298436509371e-5,
+        5.5738784407462475e-7, 5.8446320572864887e-21, 5.8446320572866483e-61,
+        5.8446287513378569e-181, 5.8420467343590646e-241,
+    ],
+    0.131: [
+        29.596614405776108, 22.90387511462144, 16.279289895774185,
+        5.6136724879595583, 0.3792492622155748, 0.019056448418010546,
+        0.0031378330930977212, 1.4446972260292889e-8, 7.8091049731498012e-24,
+        1.2333162379930054e-69, 1.5496650743017282e-92,
+    ],
+    0.5: [
+        32.215231760061829, 25.422063955909078, 18.662446525681165,
+        7.5683526133116985, 1.3527717270477072, 0.40540743939586956,
+        0.22746821155978638, 0.0078953870467156089, 7.8539857463124633e-7,
+        7.8539811897229488e-19, 7.8536341506508976e-25,
+    ],
+    1.0: [
+        34.538776394910685, 27.631021115928548, 20.723265836946411,
+        9.2103403719761827, 2.3025850929940456, 0.99999999999999997,
+        0.69314718055994531, 0.10536051565782628, 0.0010005003335835344,
+        9.9999997221806851e-10, 9.9997787828037847e-13,
+    ],
+    2.0: [
+        38.207648230599483, 31.099873195769151, 23.939727865573973,
+        11.756371222495419, 3.889720169867429, 2.1461932206205825,
+        1.6783469900166607, 0.53181160838961195, 0.045402017769489577,
+        4.4722025597905566e-5, 1.4141985865206263e-6,
+    ],
+    7.3: [
+        52.464901120830362, 44.550226324486156, 36.405722307149806,
+        21.796224475993704, 10.905489412610778, 7.8950635491909528,
+        6.96950911787562, 4.1214137935582182, 1.6518810695503864,
+        0.20969550339397603, 0.080142513524583182,
+    ],
+    50.0: [
+        128.3174868335762, 116.9052839796039, 104.658799353271,
+        80.659328479523716, 59.249001905531052, 52.082176258376364,
+        49.667064617994228, 41.179067906178572, 30.958969603468313,
+        18.454648952328671, 15.042074384368722,
+    ],
+}
+P_ROOTS = {
+    0.05: [
+        5.8446320572867329e-301, 5.8446320572866766e-241, 5.8446320572866414e-181,
+        5.8446320572865651e-81, 5.8446320572865211e-21, 1.2046684550517812e-9,
+        5.5738784407462475e-7, 0.076317113909188504, 2.7364585987286756,
+        15.116740106874814, 21.697680480762633,
+    ],
+    0.131: [
+        1.9478155369948066e-115, 1.549926788278627e-92, 1.2333165042568958e-69,
+        1.8155719924638463e-31, 1.4446972260292919e-8, 0.00030078422701608579,
+        0.0031378330930977212, 0.37924926221557493, 3.6343881311569795,
+        16.279289922694834, 22.903896458367359,
+    ],
+    0.5: [
+        7.8539816339744843e-31, 7.8539816339744828e-25, 7.8539816339744841e-19,
+        7.8539816750978358e-9, 0.0078953870467156133, 0.11459804398173594,
+        0.22746821155978638, 1.3527717270477075, 5.4137830853313653,
+        18.66244655325936, 25.422085666224587,
+    ],
+    1.0: [
+        1.0000000000000006e-15, 1.0000000000005e-12, 1.0000000005000001e-9,
+        0.00010000500033335834, 0.10536051565782631, 0.45867514538708191,
+        0.69314718055994531, 2.3025850929940459, 6.9077552789821362,
+        20.723265865228343, 27.631043237893359,
+    ],
+    2.0: [
+        4.4721360216662476e-8, 1.4142142290401938e-6, 4.472202623032764e-5,
+        0.014209237621777501, 0.53181160838961204, 1.2850732075235632,
+        1.6783469900166607, 3.8897201698674293, 9.2334134764515847,
+        23.939727895037286, 31.099896029053797,
+    ],
+    7.3: [
+        0.030926589273539124, 0.080142758754724968, 0.20969550422738371,
+        1.1334730036229819, 4.1214137935582185, 6.119577055126131,
+        6.96950911787562, 10.905489412610778, 18.535037027899158,
+        36.405722341130704, 44.550251985685796,
+    ],
+    50.0: [
+        12.458236001841268, 15.04208379308092, 18.454648968590991,
+        27.862299225250847, 41.179067906178573, 47.327837493174949,
+        49.667064617994228, 59.249001905531053, 74.724626389519353,
+        104.65879940567221, 116.90532168255424,
+    ],
+}
+
 
 class TestUpperInverse:
     def test_exponential_case(self):
@@ -102,10 +196,10 @@ class TestUpperInverse:
 
     @pytest.mark.parametrize("a", TAIL_SHAPES)
     def test_against_scipy_oracle(self, a):
-        for p in TAIL_PROBS:
-            x = inv_reg_upper_gamma(a, p)
-            ref = sp.gammainccinv(a, p)
-            assert x == pytest.approx(ref, rel=1e-7), (a, p)
+        # the reference is the mpmath root table, not the scipy inverse
+        # that inv_reg_upper_gamma wraps
+        for p, ref in zip(TAIL_PROBS, Q_ROOTS[a]):
+            assert inv_reg_upper_gamma(a, p) == pytest.approx(ref, rel=1e-7), (a, p)
 
     def test_rejects_p_zero(self):
         with pytest.raises(ValueError, match=r"requires 0 < p <= 1, got 0\.0"):
@@ -125,10 +219,10 @@ class TestLowerInverse:
 
     @pytest.mark.parametrize("a", TAIL_SHAPES)
     def test_against_scipy_oracle(self, a):
-        for s in TAIL_PROBS:
-            x = inv_reg_lower_gamma(a, s)
-            ref = sp.gammaincinv(a, s)
-            assert x == pytest.approx(ref, rel=1e-7), (a, s)
+        # the reference is the mpmath root table, not the scipy inverse
+        # that inv_reg_lower_gamma wraps
+        for s, ref in zip(TAIL_PROBS, P_ROOTS[a]):
+            assert inv_reg_lower_gamma(a, s) == pytest.approx(ref, rel=1e-7), (a, s)
 
     def test_s_zero_maps_to_zero(self):
         assert inv_reg_lower_gamma(3.0, 0.0) == 0.0
