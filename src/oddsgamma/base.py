@@ -35,6 +35,10 @@ class BaseDistribution:
     sf : callable, optional
         Survival function 1 - cdf evaluated without cancellation. When
         omitted it is derived from cdf (loses accuracy deep in the tail).
+    log_sf : callable, optional
+        Log of the survival function, finite where sf underflows. The
+        family's log-density forms the log odds from it; without it they
+        come from log(sf).
     isf : callable, optional
         Inverse survival: s -> x with sf(x) = s. Derived from quantile
         when omitted.
@@ -58,6 +62,7 @@ class BaseDistribution:
     d_cdf_dparams: Callable
     d_logpdf_dparams: Callable
     sf: Optional[Callable] = None
+    log_sf: Optional[Callable] = None
     isf: Optional[Callable] = None
     log_isf: Optional[Callable] = None
     tail_rate: Optional[float] = None
@@ -79,8 +84,8 @@ def make_exponential(lam):
 
     cdf(x) = 1 - exp(-lam x). The survival side is exact: sf is a plain
     exponential and isf(s) = -ln(s)/lam, so tail round trips do not lose
-    precision to the 1 - u subtraction; log_isf(ln s) = -ln(s)/lam
-    reaches survival levels below double range.
+    precision to the 1 - u subtraction; log_sf(x) = -lam x and
+    log_isf(ln s) = -ln(s)/lam reach survival levels below double range.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"exponential rate must be positive and finite, got {lam}")
@@ -93,6 +98,9 @@ def make_exponential(lam):
     def sf(x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, np.exp(-lam * np.maximum(x, 0.0)), 1.0)
+
+    def log_sf(x):
+        return -lam * np.maximum(np.asarray(x, dtype=float), 0.0)
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -140,6 +148,7 @@ def make_exponential(lam):
         d_cdf_dparams=d_cdf_dparams,
         d_logpdf_dparams=d_logpdf_dparams,
         sf=sf,
+        log_sf=log_sf,
         isf=isf,
         log_isf=log_isf,
         tail_rate=lam,

@@ -32,6 +32,8 @@ __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
 _QUAD_TOL = 0.5e-10  # per half-axis; the two halves add to 1e-10
+# inner terms j per tau quadrature; deeper shells go in j-ordered blocks
+_TAU_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -289,18 +291,24 @@ class GammaRatioDist:
 
         ln h = ln g1 - 2 ln G1 + alpha ln beta - ln Gamma(alpha)
              + (alpha - 1) ln w - beta w, with G1 clamped away from 0 so
-        the support edges land on the correct -inf limit.
+        the support edges land on the correct -inf limit. ln w takes the
+        base's log_sf when it has one, so it stays finite where sf
+        underflows.
         """
         x_arr, scalar = _as_float_array(x)
-        lo, hi = self.base.support
+        base = self.base
+        lo, hi = base.support
         with np.errstate(
             divide="ignore", over="ignore", under="ignore", invalid="ignore"
         ):
-            c = np.maximum(np.asarray(self.base.cdf(x_arr), dtype=float), _TINY)
-            s = np.asarray(self.base.sf(x_arr), dtype=float)
+            c = np.maximum(np.asarray(base.cdf(x_arr), dtype=float), _TINY)
+            s = np.asarray(base.sf(x_arr), dtype=float)
+            ln_s = np.asarray(
+                np.log(s) if base.log_sf is None else base.log_sf(x_arr), dtype=float
+            )
             ln_c = np.log(c)
             out = (
-                np.asarray(self.base.log_pdf(x_arr), dtype=float)
+                np.asarray(base.log_pdf(x_arr), dtype=float)
                 - 2.0 * ln_c
                 + self.alpha * math.log(self.beta)
                 - log_gamma(self.alpha)
@@ -308,11 +316,11 @@ class GammaRatioDist:
             )
             if self.alpha != 1.0:
                 # skipped at alpha=1 where it is 0 * ln w, possibly 0 * inf
-                out = out + (self.alpha - 1.0) * (np.log(s) - ln_c)
+                out = out + (self.alpha - 1.0) * (ln_s - ln_c)
                 if self.alpha < 1.0:
-                    # past the numeric top of the support sf underflows to 0
+                    # past the numeric top of the support ln sf is -inf
                     # and (alpha-1) ln w would flip the limit to +inf
-                    out = np.where(s > 0.0, out, -np.inf)
+                    out = np.where(ln_s > -np.inf, out, -np.inf)
             inside = (x_arr > lo) & (x_arr < hi)
             out = np.where(inside, out, -np.inf)
         return _restore(out, scalar)
@@ -451,7 +459,9 @@ class GammaRatioDist:
         The head integrates f(H^{-1}(u)) du on (0, 1/2], the tail
         f(sf^{-1}(s)) ds on (0, 1/2], each with expanding windows toward
         its singular endpoint so non-integrable expectations raise
-        instead of returning a truncation artifact.
+        instead of returning a truncation artifact. f may be vector
+        valued, returning one column per component; the result is then
+        an array.
         """
 
         def head(u):
@@ -462,8 +472,9 @@ class GammaRatioDist:
 
         h = windowed_quad(head, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
         t = windowed_quad(tail, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
-        if h.diverged or t.diverged:
-            raise DivergenceError(f"{what}: {t.detail or h.detail}")
+        details = [d for res in (t, h) for d in np.atleast_1d(res.detail) if d]
+        if details:
+            raise DivergenceError(f"{what}: {details[0]}")
         return h.value + t.value
 
     def tau(self, m, eta, r):
@@ -471,26 +482,26 @@ class GammaRatioDist:
 
         The building block of the family's moment expansions. Evaluated
         in u = G1(x) with windowed adaptive quadrature at both ends,
-        absolute tolerance 1e-10; detected non-integrability raises a
-        DivergenceError naming (m, eta, r).
+        absolute tolerance 1e-10. r may be a 1-D array: one
+        vector-valued quadrature then gives the integral for every
+        entry, nan where it is not integrable. For a scalar r detected
+        non-integrability raises a DivergenceError naming (m, eta, r).
         """
         m = _validate_order(m, "tau")
         eta = float(eta)
-        r = float(r)
+        r_vec = np.atleast_1d(np.asarray(r, dtype=float))
         base = self.base
 
         def integrand(x, u):
             with np.errstate(
                 divide="ignore", over="ignore", under="ignore", invalid="ignore"
             ):
-                val = x**m if m else 1.0
-                expo = 0.0
+                val = np.multiply.outer(np.log(u), r_vec)
                 if eta != 0.0:
-                    expo = eta * np.asarray(base.log_pdf(x), dtype=float)
-                if r != 0.0:
-                    expo = expo + r * np.log(u)
-                if eta != 0.0 or r != 0.0:
-                    val = val * np.exp(expo)
+                    val += (eta * np.asarray(base.log_pdf(x), dtype=float))[:, None]
+                np.exp(val, out=val)
+                if m:
+                    val *= (x**m)[:, None]
             return val
 
         def head(u):
@@ -501,12 +512,15 @@ class GammaRatioDist:
 
         h = windowed_quad(head, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
         t = windowed_quad(tail, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
-        if h.diverged or t.diverged:
-            raise DivergenceError(
-                f"tau(m={m}, eta={eta:.6g}, r={r:.6g}) is not integrable: "
-                f"{h.detail or t.detail}"
-            )
-        return h.value + t.value
+        diverged = h.diverged | t.diverged
+        if np.ndim(r) == 0:
+            if diverged[0]:
+                raise DivergenceError(
+                    f"tau(m={m}, eta={eta:.6g}, r={float(r):.6g}) is not integrable: "
+                    f"{h.detail[0] or t.detail[0]}"
+                )
+            return float(h.value[0] + t.value[0])
+        return np.where(diverged, np.nan, h.value + t.value)
 
     def moment_quadrature(self, m):
         """Raw moment E X^m by adaptive quadrature; the authoritative path.
@@ -576,9 +590,13 @@ class GammaRatioDist:
         t = float(t)
         if t == 0.0:
             return (1.0, 0.0)
-        re = self._expect(lambda x: np.cos(t * x), f"cf({t:.6g}) real part")
-        im = self._expect(lambda x: np.sin(t * x), f"cf({t:.6g}) imaginary part")
-        return (re, im)
+
+        def f(x):
+            tx = t * x
+            return np.stack((np.cos(tx), np.sin(tx)), axis=-1)
+
+        re, im = self._expect(f, f"cf({t:.6g})")
+        return (float(re), float(im))
 
     def renyi_entropy(self, eta):
         """Entropy of order eta: log(integral of h^eta) / (1 - eta).
@@ -612,10 +630,12 @@ class GammaRatioDist:
     # ---------------- formal series evaluators ----------------
 
     def _tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref_extra=0.0, eta_pow=None):
-        """One k-shell of a tau-based double sum, term by term in j.
+        """One k-shell of a tau-based double sum.
 
-        Terms are sign * exp(log prefactor) * binom * tau. A tau that is
-        not integrable aborts the whole evaluation via the note channel.
+        Terms are sign * exp(log prefactor) * binom * tau, with tau taken
+        for a block of j at once and truncated by _truncate_inner. The
+        first j whose tau is not integrable aborts the whole evaluation
+        via the note channel, unless the truncation stopped before it.
         """
         s_binom = (
             eta_pow * (self.alpha - 1.0) + k if eta_pow is not None else self.alpha + k - 1.0
@@ -623,31 +643,32 @@ class GammaRatioDist:
         sign_k = -1.0 if k % 2 else 1.0
         with np.errstate(over="ignore"):
             pref = sign_k * float(np.exp(log_pref_extra))
-        binom = _running_binomial(s_binom, ctrl.j_max)
-        partial = 0.0
-        small_run = 0
-        for j in range(ctrl.j_max):
-            r = r_of_j(j)
-            try:
-                tau_val = self.tau(m, eta, r)
-            except DivergenceError:
+        j = np.arange(float(ctrl.j_max))
+        r = r_of_j(j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = pref * (-1.0) ** j * _running_binomial(s_binom, ctrl.j_max)
+        terms = np.empty(0)
+        for start in range(0, ctrl.j_max, _TAU_BLOCK):
+            tau = self.tau(m, eta, r[start:start + _TAU_BLOCK])
+            bad = np.flatnonzero(np.isnan(tau))
+            good = bad[0] if bad.size else tau.size
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.concatenate((terms, coef[start:start + good] * tau[:good]))
+            if terms.size:
+                partial, used, ok = _truncate_inner(terms, ctrl)
+                if ok:
+                    return partial, used, True, None
+            if bad.size:
+                jb = start + int(bad[0])
                 return (
                     0.0,
-                    j + 1,
+                    jb + 1,
                     False,
-                    f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, "
-                    f"r={r:.6g}), which is not integrable; the printed "
+                    f"term (k={k}, j={jb}) needs tau(m={m}, eta={eta:.6g}, "
+                    f"r={r[jb]:.6g}), which is not integrable; the printed "
                     "expansion is formal at these parameters",
                 )
-            term = pref * ((-1.0) ** j) * float(binom[j]) * tau_val
-            partial += term
-            if abs(term) <= ctrl.tail_tol * max(abs(partial), _TINY):
-                small_run += 1
-                if small_run >= 2 and j >= 1:
-                    return partial, j + 1, True, None
-            else:
-                small_run = 0
-        return partial, ctrl.j_max, False, None
+        return partial, used, False, None
 
     def moment_series(self, m, ctrl=None):
         """Formal double-sum expansion of the raw moment of order m.

@@ -10,6 +10,7 @@ usage (64), data (65), numerical (70), and partial-result (2) failures.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,11 +19,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oddsgamma
 from oddsgamma.cli import main
 from oddsgamma.expgamma import OEGammaDist
 
 M2 = "0.131,0.179,0.539"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# child interpreters import the oddsgamma these tests import, also when
+# pytest put it on sys.path itself (pyproject's pythonpath = ["src"])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(oddsgamma.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def run_cli(capsys, *argv):
@@ -309,7 +319,7 @@ class TestExitCodesAndIo:
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "oddsgamma.cli"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 64
         curves = ["curves", "--model", "m2", "--params", "1,1,1",
                   "--grid", "1:1:1"]
@@ -329,6 +339,6 @@ class TestExitCodesAndIo:
         launcher = (f"import sys; sys.argv[0] = 'oddsgamma'; "
                     f"from {module} import {attr}; sys.exit({attr}())")
         script = subprocess.run([sys.executable, "-c", launcher, *curves],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=CHILD_ENV)
         assert script.returncode == 0
         assert script.stdout.startswith("x\tpdf\tcdf\thazard\n")

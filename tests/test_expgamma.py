@@ -318,6 +318,17 @@ class TestSmallShape:
         # alpha < 1, which made this integral look divergent.
         assert OEGammaDist(*theta).renyi_entropy(0.5) == pytest.approx(ref, rel=1e-9)
 
+    def test_generic_log_density_past_sf_underflow(self):
+        # at x = 400 the base sf e^{-800} underflows; the generic family
+        # forms ln w from the base's log_sf and so matches the closed form
+        # instead of reading -inf, and the entropy is no longer divergent
+        d = OEGammaDist(0.05, 5.0, 2.0)
+        generic = d.as_family()
+        assert d.log_pdf(400.0) == pytest.approx(-42.19526012487008, rel=1e-12)
+        assert generic.log_pdf(400.0) == pytest.approx(-42.19526012487008, rel=1e-12)
+        # the mpmath value of test_renyi_half_has_no_false_divergence
+        assert generic.renyi_entropy(0.5) == pytest.approx(3.7145065264154154, rel=1e-9)
+
     @pytest.mark.parametrize("generic", [False, True])
     def test_sample_not_piled_at_underflow_cap(self, generic):
         # draws of T below double range once mapped to the cap

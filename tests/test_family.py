@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from scipy import special
 
 from oddsgamma import (
     DEFAULT_CONTROL,
@@ -212,6 +213,45 @@ class TestTau:
     def test_divergence_named(self):
         with pytest.raises(DivergenceError, match=r"tau\(m=1, eta=0, r=-2\.131\)"):
             dist(1.0, 1.0, 1.0).tau(1, 0, -2.131)
+
+
+class TestBatchedTau:
+    """tau over a vector of r against closed forms for the exponential
+    base: in u = G(x), x = -ln(1 - u)/lam and g(x) = lam (1 - u)."""
+
+    LAM = 1.3
+
+    @staticmethod
+    def closed(m, eta, r, lam):
+        psi = special.digamma(r + 2.0) + EULER_GAMMA
+        if (m, eta) == (1, 0.0):
+            return psi / ((r + 1.0) * lam), -2.0
+        if (m, eta) == (2, 0.0):
+            return (
+                (special.polygamma(1, 1.0) - special.polygamma(1, r + 2.0) + psi**2)
+                / ((r + 1.0) * lam**2)
+            ), -3.0
+        return lam / ((r + 1.0) * (r + 2.0)), -1.0
+
+    @pytest.mark.parametrize("m, eta", [(1, 0.0), (2, 0.0), (0, 1.0)])
+    @pytest.mark.parametrize("a", [0.6, 1.4, 2.3])
+    def test_closed_forms_and_verdicts(self, m, eta, a):
+        # the r of a moment shell, r = j - a - 1, reaching below each
+        # integrability limit for the larger shapes
+        r = np.arange(200.0) - a - 1.0
+        got = dist(a, 1.0, self.LAM).tau(m, eta, r)
+        want, limit = self.closed(m, eta, r, self.LAM)
+        assert np.array_equal(np.isnan(got), r <= limit)
+        ok = r > limit
+        np.testing.assert_allclose(got[ok], want[ok], rtol=1e-9, atol=0.0)
+
+    def test_scalar_r_keeps_scalar_contract(self):
+        d = dist(0.6, 1.0, self.LAM)
+        val = d.tau(1, 0, 0.4)
+        assert isinstance(val, float)
+        assert val == pytest.approx(self.closed(1, 0.0, 0.4, self.LAM)[0], rel=1e-9)
+        with pytest.raises(DivergenceError, match=r"tau\(m=0, eta=1, r=-1\.5\) is not integrable"):
+            d.tau(0, 1.0, -1.5)
 
 
 class TestMoments:
@@ -471,6 +511,65 @@ def _loop_truncate(terms, ctrl):
         else:
             small_run = 0
     return partial, len(terms), False
+
+
+def _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref_extra=0.0, eta_pow=None):
+    """The scalar j loop _tau_inner once ran: one tau quadrature per term."""
+    s_binom = eta_pow * (d.alpha - 1.0) + k if eta_pow is not None else d.alpha + k - 1.0
+    pref = (-1.0 if k % 2 else 1.0) * float(np.exp(log_pref_extra))
+    binom = _loop_binomial(s_binom, ctrl.j_max)
+    partial, small_run = 0.0, 0
+    for j in range(ctrl.j_max):
+        r = r_of_j(j)
+        try:
+            tau_val = d.tau(m, eta, r)
+        except DivergenceError:
+            return (
+                0.0, j + 1, False,
+                f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, "
+                f"r={r:.6g}), which is not integrable; the printed "
+                "expansion is formal at these parameters",
+            )
+        term = pref * ((-1.0) ** j) * binom[j] * tau_val
+        partial += term
+        if abs(term) <= ctrl.tail_tol * max(abs(partial), np.finfo(float).tiny):
+            small_run += 1
+            if small_run >= 2 and j >= 1:
+                return partial, j + 1, True, None
+        else:
+            small_run = 0
+    return partial, ctrl.j_max, False, None
+
+
+class TestBatchedTauInner:
+    """_tau_inner asks tau for blocks of j at once; it must keep the
+    scalar loop's stop, term count and first-non-integrable-j note."""
+
+    @pytest.mark.parametrize("prm, k, m, eta, r_of_j, ctrl, eta_pow", [
+        # the binomial C(1, j) ends at j = 1, so the sum stops at j = 3,
+        # before tau(0, 0, r) stops being integrable at j = 5
+        ((2.0, 1.0, 1.0), 0, 0, 0.0, lambda j: 3.5 - j, DEFAULT_CONTROL, None),
+        # not integrable at j = 3, with no stop before it
+        ((0.6, 0.05, 1.0), 1, 0, 0.0, lambda j: 1.5 - j, DEFAULT_CONTROL, None),
+        # j_max = 2000: stops at j = 310, in the second block of j
+        ((0.6, 0.05, 1.3), 0, 0, 1.0, lambda j: j - 0.5,
+         SeriesControl(j_max=2000, tail_tol=1e-7), None),
+        # j_max = 2000: not integrable at j = 302, in the second block
+        ((0.6, 0.05, 1.3), 2, 0, 1.0, lambda j: 300.5 - j, SeriesControl(j_max=2000), None),
+        # a moment shell at the default control, run to j_max
+        ((0.6, 0.05, 1.0), 0, 1, 0.0, lambda j: j - 1.6, DEFAULT_CONTROL, None),
+        # an entropy shell's binomial C(eta (alpha - 1) + k, j)
+        ((0.6, 0.05, 1.3), 1, 0, 1.0, lambda j: j - 0.5, DEFAULT_CONTROL, 2.0),
+    ])
+    def test_matches_scalar_loop(self, prm, k, m, eta, r_of_j, ctrl, eta_pow):
+        d = dist(*prm)
+        log_pref = 0.3 * k - 0.7
+        got = d._tau_inner(k, ctrl, m, eta, r_of_j, log_pref, eta_pow)
+        want = _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, eta_pow)
+        assert got[1:] == want[1:]
+        # each tau carries the quadrature's absolute tolerance, and the
+        # batched run refines its shared panels further than a scalar one
+        assert got[0] == pytest.approx(want[0], rel=1e-10, abs=0.0)
 
 
 class TestInnerTruncation:

@@ -1,5 +1,6 @@
 """Adaptive quadrature: exactness on polynomials, hard oscillatory and
-singular integrands against closed forms, and divergence detection."""
+singular integrands against closed forms, divergence detection, and
+vector-valued integrands against per-component scalar runs."""
 
 import math
 
@@ -41,14 +42,31 @@ class TestAdaptiveQuad:
         assert adaptive_quad(f, 0.0, 1.0, abs_tol=1e-12) == pytest.approx(ref, rel=1e-9)
 
     def test_panel_budget_caps_work(self):
-        calls = [0]
+        # one integrand call evaluates a whole level, so count nodes:
+        # 15 per panel
+        nodes = [0]
 
         def noisy(x):
-            calls[0] += 1
+            nodes[0] += np.size(x)
             return (1.0 - np.asarray(x)) ** -1.5
 
         adaptive_quad(noisy, 1.0 - 1e-8, 1.0 - 1e-9, max_panels=1000)
-        assert calls[0] <= 1005
+        assert nodes[0] <= 1005 * 15
+
+    def test_vector_valued_matches_scalar_runs(self):
+        fs = [lambda x: x**2, lambda x: np.sin(40.0 * x), lambda x: np.exp(-x) / np.sqrt(x)]
+        got = adaptive_quad(lambda x: np.stack([f(x) for f in fs], -1), 0.0, 1.0, abs_tol=1e-12)
+        assert got.shape == (3,)
+        for g, f in zip(got, fs):
+            assert g == pytest.approx(adaptive_quad(f, 0.0, 1.0, abs_tol=1e-12), rel=1e-13)
+
+    def test_intervals_integrate_separately(self):
+        # each interval gets its own tolerance share and its own budget
+        a = np.array([0.0, 1.0, 2.0, 5.0])
+        b = np.array([1.0, 3.0, 2.0, 9.0])
+        got = adaptive_quad(np.cos, a, b, abs_tol=1e-12)
+        assert got.shape == (4,)
+        np.testing.assert_allclose(got, np.sin(b) - np.sin(a), rtol=0, atol=1e-12)
 
     def test_integrable_endpoint_singularity(self):
         # endpoints are never sampled, so x^(-1/2) integrates cleanly
@@ -93,6 +111,21 @@ class TestWindowedQuad:
         r = windowed_quad(np.exp, 0.0, 1.0, "lower")
         assert not r.diverged
         assert r.value == pytest.approx(math.e - 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("end, fs", [
+        ("lower", [lambda x: x**-0.5, lambda x: x**-1.2, np.exp]),
+        ("upper", [lambda x: (1.0 - x) ** -0.5, lambda x: (1.0 - x) ** -1.5, np.cos]),
+    ])
+    def test_vector_valued_verdicts_per_component(self, end, fs):
+        stacked = windowed_quad(lambda x: np.stack([f(x) for f in fs], -1), 0.0, 1.0, end)
+        assert stacked.value.shape == stacked.diverged.shape == (3,)
+        singles = [windowed_quad(f, 0.0, 1.0, end) for f in fs]
+        assert stacked.diverged.tolist() == [r.diverged for r in singles] == [False, True, False]
+        assert stacked.detail == tuple(r.detail for r in singles)
+        # a shared panel is refined until every component passes, so a
+        # component can move, within the tolerance, from its scalar value
+        for got, r in zip(stacked.value, singles):
+            assert got == pytest.approx(r.value, rel=1e-12, abs=1e-10)
 
     def test_bad_endpoint_name(self):
         with pytest.raises(ValueError, match="singular_end"):
