@@ -84,17 +84,20 @@ class OEGammaDist(GammaRatioDist):
     # -- closed-form maps ------------------------------------------------
 
     def odds(self, x):
-        """w(x) = 1/(e^{lam x} - 1); +inf for x <= 0, 0 where expm1 overflows."""
+        """w(x) = 1/(e^{lam x} - 1); +inf for x <= 0, 0 where expm1 overflows.
+
+        The comparisons are written so that nan falls through as nan.
+        """
         x_arr, scalar = _as_float_array(x)
-        pos = x_arr > 0.0
+        below = x_arr <= 0.0
         with np.errstate(over="ignore", divide="ignore"):
-            w = np.where(pos, 1.0 / np.expm1(self.lam * np.where(pos, x_arr, 1.0)), np.inf)
+            w = np.where(below, np.inf, 1.0 / np.expm1(self.lam * np.where(below, 1.0, x_arr)))
         return _restore(w, scalar)
 
     def log_pdf(self, x):
         x_arr, scalar = _as_float_array(x)
-        pos = x_arr > 0.0
-        y = self.lam * np.where(pos, x_arr, 1.0)
+        below = x_arr <= 0.0  # false for nan, which falls through as nan
+        y = self.lam * np.where(below, 1.0, x_arr)
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             out = (
                 math.log(self.lam)
@@ -104,7 +107,7 @@ class OEGammaDist(GammaRatioDist):
                 - (self.alpha + 1.0) * _log1mexp(y)
                 - self.beta * (1.0 / np.expm1(y))
             )
-        out = np.where(pos, out, -np.inf)
+        out = np.where(below, -np.inf, out)
         return _restore(out, scalar)
 
     def sample(self, n, rng=None):

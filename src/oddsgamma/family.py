@@ -22,6 +22,7 @@ from .quadrature import windowed_quad
 from .specfun import (
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
+    _reg_upper_gamma_vec,
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
     log_gamma,
@@ -92,6 +93,11 @@ def _as_float_array(x):
 
 def _restore(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _keep_nan(x, out):
+    """out with nan wherever x is nan, whatever the base made of it."""
+    return np.where(np.isnan(x), np.nan, out)
 
 
 def _log_gamma_variates(rng, alpha, n):
@@ -270,20 +276,23 @@ class GammaRatioDist:
 
         Evaluated as sf/cdf so neither tail loses precision to the
         subtraction 1 - G1. Returns +inf where G1(x) = 0; the cdf/pdf
-        consume that as the limiting case, callers should too.
+        consume that as the limiting case, callers should too. nan gives nan.
         """
         x_arr, scalar = _as_float_array(x)
         c = np.asarray(self.base.cdf(x_arr), dtype=float)
         s = np.asarray(self.base.sf(x_arr), dtype=float)
         w = np.where(c > 0.0, s / np.maximum(c, _TINY), np.inf)
-        return _restore(w, scalar)
+        return _restore(_keep_nan(x_arr, w), scalar)
 
     def cdf(self, x):
-        """H(x) = Q(alpha, beta * w(x)); 0 below the support, 1 at its top."""
+        """H(x) = Q(alpha, beta * w(x)); 0 below the support, 1 at its top.
+
+        Q is specfun's one upper incomplete gamma; nan gives nan.
+        """
         x_arr, scalar = _as_float_array(x)
         w = np.asarray(self.odds(x_arr), dtype=float)
         with np.errstate(over="ignore", under="ignore"):
-            val = special.gammaincc(self.alpha, self.beta * w)
+            val = _reg_upper_gamma_vec(self.alpha, self.beta * w)
         return _restore(val, scalar)
 
     def log_pdf(self, x):
@@ -323,7 +332,7 @@ class GammaRatioDist:
                     out = np.where(ln_s > -np.inf, out, -np.inf)
             inside = (x_arr > lo) & (x_arr < hi)
             out = np.where(inside, out, -np.inf)
-        return _restore(out, scalar)
+        return _restore(_keep_nan(x_arr, out), scalar)
 
     def pdf(self, x):
         x_arr, scalar = _as_float_array(x)

@@ -17,11 +17,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DataError, FitError
 
 __all__ = ["FitOptions", "FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
+
+
+class _LazyOptimize:
+    """scipy.optimize, imported on first use: only the simplex fallback
+    needs it, and it costs about a third of a second to import."""
+
+    def __getattr__(self, name):
+        from scipy import optimize as module
+
+        return getattr(module, name)
+
+
+optimize = _LazyOptimize()
 
 
 @dataclass(frozen=True)

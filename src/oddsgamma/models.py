@@ -136,7 +136,8 @@ def _zb_cdf(x, theta):
     a, rho = float(theta[0]), float(theta[1])
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
-        return np.where(x > 0.0, special.gammainc(a, rho * np.maximum(x, 0.0)), 0.0)
+        # np.maximum keeps nan, and x <= 0 is false for it: nan gives nan
+        return np.where(x <= 0.0, 0.0, special.gammainc(a, rho * np.maximum(x, 0.0)))
 
 
 def _zb_initial_guess(data):
@@ -216,7 +217,7 @@ def _weibull_cdf(x, theta):
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         t = (lam * np.maximum(x, 0.0)) ** k
-        return np.where(x > 0.0, -np.expm1(-t), 0.0)
+        return np.where(x <= 0.0, 0.0, -np.expm1(-t))
 
 
 def _weibull_initial_guess(data):

@@ -342,3 +342,38 @@ class TestExitCodesAndIo:
                                 capture_output=True, text=True, env=CHILD_ENV)
         assert script.returncode == 0
         assert script.stdout.startswith("x\tpdf\tcdf\thazard\n")
+
+
+class TestImportCost:
+    """scipy.optimize, about a third of a second to import, loads only
+    when a fit reaches its simplex fallback."""
+
+    PROBE = """\
+import contextlib, io, json, sys
+import oddsgamma
+report = {"import": "scipy.optimize" in sys.modules}
+from oddsgamma.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[argv[0]] = [code, "scipy.optimize" in sys.modules]
+print(json.dumps(report))
+"""
+
+    def test_only_fitting_commands_load_optimize(self):
+        commands = [
+            ["moments", "--params", "1,1,1", "--order", "2"],
+            ["sample", "--params", M2, "--n", "10", "--seed", "1"],
+            ["curves", "--params", M2, "--grid", "0.5:5:4"],
+            ["compare"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["import"] is False
+        for name in ("moments", "sample", "curves"):
+            assert report[name] == [0, False], name
+        # compare still fits: its Wheaton fits run the simplex fallback
+        assert report["compare"] == [0, True]

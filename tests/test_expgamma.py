@@ -76,6 +76,15 @@ class TestClosedForms:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(-5.0) == 0.0
 
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_nan_in_nan_out(self, generic):
+        d = OEGammaDist(*M2_PARAMS)
+        d = d.as_family() if generic else d
+        for f in (d.odds, d.cdf, d.pdf, d.log_pdf):
+            assert math.isnan(f(math.nan)), f.__name__
+            got = f(np.array([math.nan, 1.0, 0.0]))
+            assert np.isnan(got[0]) and got[1] == f(1.0) and got[2] == f(0.0), f.__name__
+
     def test_pdf_at_log_two(self):
         assert OEGammaDist(1.0, 1.0, 1.0).pdf(LN2) == pytest.approx(
             2.0 * math.exp(-1.0), rel=1e-13

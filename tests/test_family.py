@@ -104,6 +104,14 @@ class TestPdf:
         assert d.pdf(-1.0) == 0.0
         assert d.log_pdf(-1.0) == -math.inf
 
+    def test_nan_in_nan_out(self):
+        # the exponential base maps nan to its below-support values; the
+        # family still answers nan
+        d = dist(0.5, 1.0, 1.0)
+        for f in (d.odds, d.cdf, d.pdf, d.log_pdf):
+            got = f(np.array([math.nan, 2.0]))
+            assert np.isnan(got[0]) and np.isfinite(got[1]), f.__name__
+
     def test_log_pdf_consistent(self):
         d = dist(0.131, 0.179, 0.539)
         for x in (0.4, 2.0, 11.0, 40.0):

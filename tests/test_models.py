@@ -126,6 +126,10 @@ class TestZbGammaExp:
             -np.inf, -np.inf]
         assert model.cdf(np.array([-1.0, 0.0]), self.THETA).tolist() == [0.0, 0.0]
 
+    def test_cdf_nan_in_nan_out(self):
+        got = zb_gamma_exp_model().cdf(np.array([np.nan, 1.0]), self.THETA)
+        assert np.isnan(got[0]) and 0.0 < got[1] < 1.0
+
     def test_initial_guess_moment_match(self, flood_values):
         a0, rho0 = zb_gamma_exp_model().initial_guess(flood_values)
         assert a0 > 0 and rho0 > 0
@@ -154,6 +158,10 @@ class TestWeibull:
         model = weibull_model()
         assert np.all(model.log_pdf(np.array([-2.0, 0.0]), self.THETA) == -np.inf)
         assert np.all(model.cdf(np.array([-2.0, 0.0]), self.THETA) == 0.0)
+
+    def test_cdf_nan_in_nan_out(self):
+        got = weibull_model().cdf(np.array([np.nan, 1.0]), self.THETA)
+        assert np.isnan(got[0]) and 0.0 < got[1] < 1.0
 
     def test_initial_guess_rank_regression(self, flood_values):
         k0, lam0 = weibull_model().initial_guess(flood_values)

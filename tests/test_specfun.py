@@ -2,12 +2,16 @@
 inverse round trips including deep tails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+from oddsgamma import OEGammaDist
 from oddsgamma.specfun import (
+    _lgam1p,
+    _reg_upper_gamma_vec,
     digamma,
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
@@ -77,6 +81,151 @@ class TestRegularizedGamma:
         with pytest.raises(ValueError):
             reg_lower_gamma(-2.0, 1.0)
 
+
+
+# Shapes for the in-house series branch of Q: tiny, the flood fit's
+# alpha, and around a = 1 up to the largest shape the branch serves.
+EDGE_SHAPES = [1e-4, 1e-3, 0.01, 0.131, 0.5, 0.9, 1.0, 1.2]
+
+
+def _edge_xs(a):
+    """The branch edges x = 0.5, 1.1 and a/1.1, each with its neighbours
+    one ulp either side, then 1e-300 and the smallest subnormal."""
+    xs = []
+    for t in (0.5, 1.1, a / 1.1):
+        xs += [np.nextafter(t, 0.0), t, np.nextafter(t, 2.0)]
+    return np.array(xs + [1e-300, 5e-324])
+
+
+# Q(a, x) at EDGE_SHAPES x _edge_xs(a), in _edge_xs order, pinned offline
+# with mpmath at 50 digits: gammainc(a, x, inf, regularized=True) on the
+# exact binary values of the floats.
+Q_EDGES = {
+    0.0001: [
+        5.598029295740172e-05, 5.5980292957401714e-05, 5.59802929574017e-05,
+        1.860112677492648e-05, 1.8601126774926474e-05, 1.8601126774926467e-05,
+        0.0008724799705731714, 0.0008724799705731714, 0.0008724799705731714,
+        0.06669183642388278, 0.07168697704199797,
+    ],
+    0.001: [
+        0.00056006665647075, 0.0005600666564707498, 0.0005600666564707497,
+        0.00018619450885552088, 0.00018619450885552083,
+        0.00018619450885552075, 0.0064069671328062065, 0.0064069671328062065,
+        0.0064069671328062065, 0.4985238019891134, 0.5247259425733098,
+    ],
+    0.01: [
+        0.0056267561939671844, 0.0056267561939671844, 0.005626756193967183,
+        0.0018802413150754852, 0.0018802413150754845, 0.0018802413150754839,
+        0.04055885396583026, 0.04055885396583026, 0.040558853965830255,
+        0.9989942934714996, 0.9994119569575315,
+    ],
+    0.131: [
+        0.0776636471087954, 0.07766364710879539, 0.07766364710879538,
+        0.027778934555541434, 0.027778934555541424, 0.027778934555541413,
+        0.20537198677375126, 0.20537198677375126, 0.20537198677375124, 1.0,
+        1.0,
+    ],
+    0.5: [
+        0.31731050786291415, 0.3173105078629141, 0.31731050786291404,
+        0.13801073756865959, 0.13801073756865953, 0.1380107375686595,
+        0.3403557423852016, 0.3403557423852016, 0.34035574238520155, 1.0, 1.0,
+    ],
+    0.9: [
+        0.5555935040389729, 0.5555935040389729, 0.5555935040389728,
+        0.29200298499684113, 0.2920029849968411, 0.292002984996841,
+        0.3939415766389408, 0.39394157663894075, 0.39394157663894075, 1.0,
+        1.0,
+    ],
+    1.0: [
+        0.6065306597126334, 0.6065306597126334, 0.6065306597126333,
+        0.3328710836980796, 0.33287108369807955, 0.33287108369807944,
+        0.40289032152913307, 0.402890321529133, 0.40289032152913296, 1.0, 1.0,
+    ],
+    1.2: [
+        0.6962998597584569, 0.6962998597584569, 0.6962998597584568,
+        0.4145530204158764, 0.4145530204158763, 0.4145530204158762,
+        0.4179247642278878, 0.41792476422788777, 0.41792476422788766, 1.0,
+        1.0,
+    ],
+}
+
+# ln Gamma(1 + a) on the helper's domain 0 < a < 3/2, pinned offline with
+# mpmath.loggamma(1 + a) at 50 digits.
+LGAM1P = {
+    1e-08: -5.772156566768626e-09,
+    0.0001: -5.7713342220477625e-05,
+    0.01: -0.005690307946069646,
+    0.131: -0.0623292166011349,
+    0.4999: -0.12078588195849393,
+    0.5: -0.12078223763524522,
+    0.5001: -0.12077858396397449,
+    0.9: -0.038984275923083324,
+    1.0: 0.0,
+    1.2: 0.09694746679063876,
+    1.4999: 0.2846125572606828,
+}
+
+
+class TestUpperGammaKernel:
+    """_reg_upper_gamma_vec: scipy's igamc_series branch in numpy, scipy
+    everywhere else."""
+
+    @pytest.mark.parametrize("a", EDGE_SHAPES)
+    def test_branch_edges_against_mpmath(self, a):
+        xs = _edge_xs(a)
+        got = _reg_upper_gamma_vec(a, xs)
+        for x, q, ref in zip(xs, got, Q_EDGES[a]):
+            assert q == pytest.approx(ref, rel=1e-13), (a, x)
+            assert reg_upper_gamma(a, x) == q, (a, x)
+
+    def test_dense_grid_matches_scipy(self):
+        xs = np.concatenate([np.geomspace(1e-300, 1e3, 2000), np.linspace(1e-3, 1.1, 1000)])
+        for a in np.geomspace(1e-4, 20.0, 200):
+            got = _reg_upper_gamma_vec(a, xs)
+            ref = sp.gammaincc(a, xs)
+            pos = ref > 0.0
+            rel = np.abs(got[pos] - ref[pos]) / ref[pos]
+            assert rel.max() <= 4e-15, (a, xs[pos][np.argmax(rel)])
+            assert np.array_equal(got[~pos], ref[~pos]), a
+
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 1.0, 1.2, 3.0])
+    def test_exact_edges(self, a):
+        got = _reg_upper_gamma_vec(a, np.array([0.0, np.inf, np.nan]))
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
+        assert np.isnan(_reg_upper_gamma_vec(a, np.nan))
+
+    def test_no_runtime_warning_escapes(self):
+        xs = np.concatenate([[0.0, 5e-324, 1e-300, np.inf, np.nan],
+                             np.geomspace(1e-12, 50.0, 400)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0):
+                _reg_upper_gamma_vec(a, xs)
+
+    def test_keeps_shape(self):
+        xs = np.full((2, 3), 0.3)
+        assert _reg_upper_gamma_vec(0.1, xs).shape == (2, 3)
+        assert np.ndim(_reg_upper_gamma_vec(0.1, 0.3)) == 0
+        assert float(_reg_upper_gamma_vec(0.1, 0.3)) == reg_upper_gamma(0.1, 0.3)
+
+    def test_cdf_goes_through_the_kernel(self):
+        x = np.geomspace(0.01, 60.0, 200)
+        oe = OEGammaDist(0.131, 0.179, 0.539)
+        for d in (oe, oe.as_family()):
+            want = _reg_upper_gamma_vec(d.alpha, d.beta * d.odds(x))
+            assert np.array_equal(d.cdf(x), want)
+
+    def test_lgam1p_against_mpmath(self):
+        # cephes' truncation of the Taylor series, kept so that Q matches
+        # scipy, costs up to 9e-14 relative just past a = 1/2
+        for a, ref in LGAM1P.items():
+            assert _lgam1p(a) == pytest.approx(ref, rel=1e-13, abs=1e-300), a
+
+    def test_lgam1p_beats_gammaln_at_small_shape(self):
+        # gammaln(1 + a) loses the digits of a that 1 + a rounds away
+        ref = LGAM1P[1e-08]
+        assert _lgam1p(1e-8) == pytest.approx(ref, rel=1e-15)
+        assert abs(sp.gammaln(1.0 + 1e-8) - ref) > 1e-9 * abs(ref)
 
 # deep-tail grid: flat regions are where an absolute residual criterion lies
 TAIL_SHAPES = [0.05, 0.131, 0.5, 1.0, 2.0, 7.3, 50.0]
