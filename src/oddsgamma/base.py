@@ -86,6 +86,7 @@ def make_exponential(lam):
     exponential and isf(s) = -ln(s)/lam, so tail round trips do not lose
     precision to the 1 - u subtraction; log_sf(x) = -lam x and
     log_isf(ln s) = -ln(s)/lam reach survival levels below double range.
+    The maps test x <= 0, which is false for nan, so nan gives nan.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"exponential rate must be positive and finite, got {lam}")
@@ -93,23 +94,22 @@ def make_exponential(lam):
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, -np.expm1(-lam * np.maximum(x, 0.0)), 0.0)
+        return np.where(x <= 0.0, 0.0, -np.expm1(-lam * np.maximum(x, 0.0)))
 
     def sf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, np.exp(-lam * np.maximum(x, 0.0)), 1.0)
+        return np.where(x <= 0.0, 1.0, np.exp(-lam * np.maximum(x, 0.0)))
 
     def log_sf(x):
         return -lam * np.maximum(np.asarray(x, dtype=float), 0.0)
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, lam * np.exp(-lam * np.maximum(x, 0.0)), 0.0)
+        return np.where(x <= 0.0, 0.0, lam * np.exp(-lam * np.maximum(x, 0.0)))
 
     def log_pdf(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore"):
-            return np.where(x > 0.0, np.log(lam) - lam * x, -np.inf)
+        return np.where(x <= 0.0, -np.inf, np.log(lam) - lam * x)
 
     def quantile(u):
         u = np.asarray(u, dtype=float)

@@ -95,6 +95,20 @@ def _restore(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _probabilities(q, who, name):
+    """(q, is scalar): q as a float or a float array with entries in (0, 1)."""
+    scalar = np.ndim(q) == 0
+    if scalar:
+        q = float(q)
+        bad = [] if 0.0 < q < 1.0 else [q]
+    else:
+        q = np.asarray(q, dtype=float)
+        bad = q[~((q > 0.0) & (q < 1.0))]
+    if len(bad):
+        raise ValueError(f"{who} requires 0 < {name} < 1, got {bad[0]}")
+    return q, scalar
+
+
 def _keep_nan(x, out):
     """out with nan wherever x is nan, whatever the base made of it."""
     return np.where(np.isnan(x), np.nan, out)
@@ -375,70 +389,58 @@ class GammaRatioDist:
         out = np.empty(w.shape)
         big = w > 1.0
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            if np.any(big):
+            if big.any():
                 out[big] = self.base.quantile(1.0 / (1.0 + w[big]))
             small = ~big
-            if np.any(small):
+            if small.any():
                 out[small] = self.base.isf(w[small] / (1.0 + w[small]))
         if log_w is not None and self.base.log_isf is not None:
             log_w = np.atleast_1d(log_w)
             deep = log_w < _LOG_TINY
-            if np.any(deep):
+            if deep.any():
                 out[deep] = self.base.log_isf(-np.logaddexp(0.0, -log_w[deep]))
         return out
-
-    def _x_from_root(self, g, s):
-        """x with beta * w(x) = g, where g solves P(alpha, g) = s.
-
-        A root whose odds g/beta fall below double range is taken in log
-        space when the base has a log_isf: the leading term of
-        P(alpha, g) = g^alpha/Gamma(alpha+1) * (1 + O(g)) gives
-        ln g = (ln s + ln Gamma(alpha+1))/alpha with relative error O(g).
-        """
-        w = np.asarray(g, dtype=float) / self.beta
-        log_w = None
-        if self.base.log_isf is not None and np.any(w < _TINY):
-            with np.errstate(divide="ignore"):
-                log_g = (np.log(s) + special.gammaln(self.alpha + 1.0)) / self.alpha
-            log_w = log_g - math.log(self.beta)
-        return self._x_from_w(w, log_w)
 
     def quantile(self, p):
         """Inverse cdf; |cdf(quantile(p)) - p| <= 1e-9 on (0, 1).
 
-        p <= 1/2 inverts the upper regularized gamma directly; p > 1/2
-        routes through the lower inverse on s = 1 - p, which keeps
-        relative accuracy where Q is flat.
+        p may be an array (a scalar gives a float). p <= 1/2 inverts the
+        upper regularized gamma; p > 1/2 inverts the lower one on
+        s = 1 - p, which keeps relative accuracy where Q is flat.
         """
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile requires 0 < p < 1, got {p}")
-        if p <= 0.5:
-            g = inv_reg_upper_gamma(self.alpha, p)
-        else:
-            g = inv_reg_lower_gamma(self.alpha, 1.0 - p)
-        return float(self._x_from_root(g, 1.0 - p)[0])
+        p, scalar = _probabilities(p, "quantile", "p")
+        return self._x_of_levels(p <= 0.5, p, 1.0 - p, scalar)
 
     def quantile_sf(self, s):
         """x with 1 - cdf(x) = s; the tail-accurate companion of quantile."""
-        s = float(s)
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"quantile_sf requires 0 < s < 1, got {s}")
-        if s <= 0.5:
-            g = inv_reg_lower_gamma(self.alpha, s)
+        s, scalar = _probabilities(s, "quantile_sf", "s")
+        return self._x_of_levels(s > 0.5, 1.0 - s, s, scalar)
+
+    def _x_of_levels(self, upper, p, s, scalar):
+        """x with cdf(x) = p and 1 - cdf(x) = s, through beta * w(x) = g.
+
+        g solves Q(alpha, g) = p where upper holds, P(alpha, g) = s
+        elsewhere; a scalar goes to the scalar inverses and gives a float.
+        Odds g/beta below double range are taken in log space when the
+        base has a log_isf: P(alpha, g) = g^alpha/Gamma(alpha+1) (1 +
+        O(g)) gives ln g = (ln s + ln Gamma(alpha+1))/alpha to O(g).
+        """
+        if scalar:
+            g = inv_reg_upper_gamma(self.alpha, p) if upper else inv_reg_lower_gamma(self.alpha, s)
         else:
-            g = inv_reg_upper_gamma(self.alpha, 1.0 - s)
-        return float(self._x_from_root(g, s)[0])
-
-    def _x_of_u(self, u):
-        """Vectorized quantile for cdf-space integration, u in (0, 1/2]."""
-        u = np.asarray(u, dtype=float)
-        return self._x_from_root(_inv_reg_upper_gamma_vec(self.alpha, u), 1.0 - u)
-
-    def _x_of_s(self, s):
-        """Vectorized survival quantile for tail integration, s in (0, 1/2]."""
-        s = np.asarray(s, dtype=float)
-        return self._x_from_root(_inv_reg_lower_gamma_vec(self.alpha, s), s)
+            g = np.empty(p.shape)
+            if upper.any():
+                g[upper] = _inv_reg_upper_gamma_vec(self.alpha, p[upper])
+            if not upper.all():
+                g[~upper] = _inv_reg_lower_gamma_vec(self.alpha, s[~upper])
+        w = np.asarray(g, dtype=float) / self.beta
+        log_w = None
+        if self.base.log_isf is not None and (w < _TINY).any():
+            with np.errstate(divide="ignore"):
+                log_g = (np.log(s) + special.gammaln(self.alpha + 1.0)) / self.alpha
+            log_w = log_g - math.log(self.beta)
+        x = self._x_from_w(w, log_w)
+        return float(x[0]) if scalar else x
 
     def sample(self, n, rng):
         """n independent draws, exact in law: X = w^{-1}(T), T ~ Gamma.
@@ -462,28 +464,24 @@ class GammaRatioDist:
 
     # ---------------- quadrature expectations ----------------
 
-    def _expect(self, f, what):
+    def _expect(self, f, what, per_component=False):
         """E f(X) in probability space, split at the median.
 
-        The head integrates f(H^{-1}(u)) du on (0, 1/2], the tail
-        f(sf^{-1}(s)) ds on (0, 1/2], each with expanding windows toward
-        its singular endpoint so non-integrable expectations raise
-        instead of returning a truncation artifact. f may be vector
-        valued, returning one column per component; the result is then
-        an array.
+        The head integrates f(quantile(u)) du on (0, 1/2], the tail
+        f(quantile_sf(s)) ds on (0, 1/2], each with expanding windows
+        toward its singular endpoint, so a non-integrable expectation
+        raises DivergenceError naming what. f may be vector valued, one
+        column per component, and the result is then an array; with
+        per_component nothing is raised and the result is (value,
+        details), details[i] saying why component i diverged, or "".
         """
-
-        def head(u):
-            return f(self._x_of_u(u))
-
-        def tail(s):
-            return f(self._x_of_s(s))
-
-        h = windowed_quad(head, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
-        t = windowed_quad(tail, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
-        details = [d for res in (t, h) for d in np.atleast_1d(res.detail) if d]
-        if details:
-            raise DivergenceError(f"{what}: {details[0]}")
+        h = windowed_quad(lambda u: f(self.quantile(u)), 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
+        t = windowed_quad(lambda s: f(self.quantile_sf(s)), 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
+        details = [a or b for a, b in zip(np.atleast_1d(t.detail), np.atleast_1d(h.detail))]
+        if per_component:
+            return h.value + t.value, details
+        if any(details):
+            raise DivergenceError(f"{what}: {next(d for d in details if d)}")
         return h.value + t.value
 
     def tau(self, m, eta, r):
@@ -513,14 +511,10 @@ class GammaRatioDist:
                     val *= (x**m)[:, None]
             return val
 
-        def head(u):
-            return integrand(base.quantile(u), u)
-
-        def tail(s):
-            return integrand(base.isf(s), 1.0 - s)
-
-        h = windowed_quad(head, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
-        t = windowed_quad(tail, 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
+        h = windowed_quad(lambda u: integrand(base.quantile(u), u), 0.0, 0.5, "lower",
+                          abs_tol=_QUAD_TOL)
+        t = windowed_quad(lambda s: integrand(base.isf(s), 1.0 - s), 0.0, 0.5, "lower",
+                          abs_tol=_QUAD_TOL)
         diverged = h.diverged | t.diverged
         if np.ndim(r) == 0:
             if diverged[0]:
@@ -534,17 +528,28 @@ class GammaRatioDist:
     def moment_quadrature(self, m):
         """Raw moment E X^m by adaptive quadrature; the authoritative path.
 
-        Each order is integrated once per instance and memoised; a
-        divergent order is not, so it raises DivergenceError every time.
+        A miss integrates every order from min(m, 1) to max(m, 4) in one
+        vector-valued pass and memoises each order that converged; a
+        divergent order is not memoised, so it raises DivergenceError
+        every time.
         """
         return self._raw_moment(_validate_order(m, "moment_quadrature"))
 
     def _raw_moment(self, m):
-        if m not in self._raw_moments:
-            self._raw_moments[m] = self._expect(
-                lambda x: x**m, f"moment of order {m} does not exist"
+        memo = self._raw_moments
+        if m not in memo:
+            orders = range(min(m, 1), max(m, 4) + 1)
+            powers = np.array(orders, dtype=float)
+            values, details = self._expect(
+                lambda x: x[:, None] ** powers, "raw moments", per_component=True
             )
-        return self._raw_moments[m]
+            for k, value, detail in zip(orders, values, details):
+                if not detail:
+                    memo.setdefault(k, float(value))
+            if m not in memo:
+                detail = details[m - orders[0]]
+                raise DivergenceError(f"moment of order {m} does not exist: {detail}")
+        return memo[m]
 
     def central_moment_quadrature(self, m):
         """Central moment via binomial recombination of quadrature raw moments.
@@ -556,10 +561,7 @@ class GammaRatioDist:
         if m == 0:
             return 1.0
         mus = [1.0] + [self._raw_moment(i) for i in range(1, m + 1)]
-        mu = mus[1]
-        return math.fsum(
-            math.comb(m, r) * (-mu) ** r * mus[m - r] for r in range(m + 1)
-        )
+        return math.fsum(math.comb(m, r) * (-mus[1]) ** r * mus[m - r] for r in range(m + 1))
 
     def general_coefficient(self, m):
         """Standardized moment mu'_m / (mu'_2)^(m/2); 3 is skewness, 4 kurtosis."""
@@ -571,6 +573,14 @@ class GammaRatioDist:
             )
         return self.central_moment_quadrature(m) / var ** (0.5 * m)
 
+    def _check_mgf_domain(self, t):
+        rate = self.base.tail_rate
+        if rate is not None and t >= self.alpha * rate:
+            raise DivergenceError(
+                f"mgf undefined for t >= alpha * tail_rate = {self.alpha * rate:.6g}, "
+                f"got t = {t:.6g}"
+            )
+
     def mgf(self, t):
         """E e^{tX} by quadrature; mgf(0) = 1 exactly.
 
@@ -581,12 +591,7 @@ class GammaRatioDist:
         t = float(t)
         if t == 0.0:
             return 1.0
-        rate = self.base.tail_rate
-        if rate is not None and t >= self.alpha * rate:
-            raise DivergenceError(
-                f"mgf undefined for t >= alpha * tail_rate = {self.alpha * rate:.6g}, "
-                f"got t = {t:.6g}"
-            )
+        self._check_mgf_domain(t)
 
         def f(x):
             with np.errstate(over="ignore", under="ignore"):
@@ -710,12 +715,7 @@ class GammaRatioDist:
         moment expansion. Inherits every component's honesty flags."""
         t = float(t)
         ctrl = ctrl or DEFAULT_CONTROL
-        rate = self.base.tail_rate
-        if rate is not None and t >= self.alpha * rate:
-            raise DivergenceError(
-                f"mgf undefined for t >= alpha * tail_rate = {self.alpha * rate:.6g}, "
-                f"got t = {t:.6g}"
-            )
+        self._check_mgf_domain(t)
         return self._exp_series(t, ctrl, complex_arg=False)
 
     def cf_series(self, t, ctrl=None):

@@ -126,10 +126,10 @@ _ZB_LAMBDA_DISPLAY = 1.96  # conventional display split of the fitted rate
 def _zb_log_pdf(x, theta):
     a, rho = float(theta[0]), float(theta[1])
     x = np.asarray(x, dtype=float)
-    pos = x > 0.0
-    xs = np.where(pos, x, 1.0)
+    below = x <= 0.0  # false for nan, which falls through as nan
+    xs = np.where(below, 1.0, x)
     out = a * math.log(rho) - special.gammaln(a) + (a - 1.0) * np.log(xs) - rho * xs
-    return np.where(pos, out, -np.inf)
+    return np.where(below, -np.inf, out)
 
 
 def _zb_cdf(x, theta):
@@ -204,12 +204,12 @@ def zb_gamma_exp_model():
 def _weibull_log_pdf(x, theta):
     k, lam = float(theta[0]), float(theta[1])
     x = np.asarray(x, dtype=float)
-    pos = x > 0.0
-    xs = np.where(pos, x, 1.0)
+    below = x <= 0.0  # false for nan, which falls through as nan
+    xs = np.where(below, 1.0, x)
     lx = lam * xs
     with np.errstate(over="ignore"):
         out = math.log(k) + k * math.log(lam) + (k - 1.0) * np.log(xs) - lx ** k
-    return np.where(pos, out, -np.inf)
+    return np.where(below, -np.inf, out)
 
 
 def _weibull_cdf(x, theta):

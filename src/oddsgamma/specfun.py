@@ -18,12 +18,12 @@ loses the digits of a small a that 1 + a rounds away.
 The inverses are scipy's gammainccinv/gammaincinv, which implement
 DiDonato & Morris (ACM TOMS 12, 1986) and keep relative accuracy in
 both tails. The scalar forms validate their arguments and return
-floats; the unvalidated elementwise forms serve the quadrature node
-maps, which keep their arguments in range themselves.
+floats; the unvalidated elementwise forms serve the family's array
+quantiles, which validate their arguments themselves.
 
 A root below double range comes back as 0 or a subnormal number. The
 callers that need such roots take them in log space instead (see
-GammaRatioDist._x_from_root).
+GammaRatioDist._x_of_levels).
 """
 
 import math

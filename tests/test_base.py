@@ -27,6 +27,14 @@ class TestExponentialFactory:
         assert exp07.log_pdf(-1.0) == -math.inf
         assert exp07.sf(-1.0) == 1.0
 
+    def test_nan_in_nan_out(self, exp07):
+        # nan fails the x <= 0 test as it fails x > 0: no support-edge value
+        for f in (exp07.cdf, exp07.sf, exp07.pdf, exp07.log_pdf):
+            assert math.isnan(f(math.nan)), f
+            got = f(np.array([math.nan, 1.0, -1.0]))
+            assert np.isnan(got[0]) and np.isfinite(got[1]), f
+            assert got[2] == f(-1.0), f
+
     def test_survival_side_exact(self, exp07):
         # sf is a plain exponential; isf(s) = -ln(s)/lam without 1-u loss
         assert exp07.sf(10.0) == pytest.approx(math.exp(-7.0), rel=1e-15)

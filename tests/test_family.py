@@ -105,8 +105,7 @@ class TestPdf:
         assert d.log_pdf(-1.0) == -math.inf
 
     def test_nan_in_nan_out(self):
-        # the exponential base maps nan to its below-support values; the
-        # family still answers nan
+        # a base may map nan anywhere; the family answers nan itself
         d = dist(0.5, 1.0, 1.0)
         for f in (d.odds, d.cdf, d.pdf, d.log_pdf):
             got = f(np.array([math.nan, 2.0]))
@@ -180,6 +179,45 @@ class TestQuantile:
         for s in (1e-9, 1e-4, 0.3, 0.9):
             x = d.quantile_sf(s)
             assert 1.0 - d.cdf(x) == pytest.approx(s, rel=1e-6, abs=1e-12)
+
+    # cdf and survival levels on both sides of 1/2, down to the deep tail
+    # that quantile_sf maps through the base's log_isf
+    LEVELS = np.array([1e-300, 1e-200, 1e-30, 1e-9, 0.1, 0.5, 0.5000001, 0.7, 1.0 - 1e-12])
+
+    @pytest.mark.parametrize("prm", [(0.131, 0.179, 0.539), (0.01, 1.0, 1.0), (3.2, 2.5, 0.8)])
+    def test_arrays_match_scalars_bit_for_bit(self, prm):
+        for d in (dist(*prm), OEGammaDist(*prm)):
+            for name in ("quantile", "quantile_sf"):
+                f = getattr(d, name)
+                levels = self.LEVELS[::-1] if name == "quantile" else self.LEVELS
+                got = f(levels)
+                assert got.shape == levels.shape
+                want = np.array([f(float(q)) for q in levels])
+                assert np.array_equal(got, want), (prm, name)
+                assert np.array_equal(f(levels.reshape(3, 3)), want.reshape(3, 3))
+
+    def test_deep_survival_levels_are_distinct(self):
+        # 1e-300 and 1e-200 are below the odds' double range here, so they
+        # come from log space rather than collapsing onto one value
+        d = dist(0.131, 0.179, 0.539)
+        x = d.quantile_sf(np.array([1e-300, 1e-200, 1e-30]))
+        assert np.all(np.isfinite(x)) and x[0] > x[1] > x[2]
+
+    @pytest.mark.parametrize("name,var", [("quantile", "p"), ("quantile_sf", "s")])
+    def test_array_domain(self, name, var):
+        f = getattr(dist(1.0, 1.0, 1.0), name)
+        for bad in (0.0, 1.0, -0.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=f"{name} requires 0 < {var} < 1"):
+                f(np.array([0.3, bad]))
+            with pytest.raises(ValueError, match=f"{name} requires 0 < {var} < 1"):
+                f(bad)
+
+    def test_zero_dim_input_gives_a_float(self):
+        d = dist(0.5, 1.0, 1.0)
+        for f in (d.quantile, d.quantile_sf):
+            got = f(np.array(0.3))
+            assert type(got) is float
+            assert got == f(0.3)
 
 
 class TestSampling:
@@ -334,14 +372,15 @@ class TestMomentMemo:
         calls = []
         expect = GammaRatioDist._expect
 
-        def counted(self, f, what):
+        def counted(self, f, what, **kwargs):
             calls.append(what)
-            return expect(self, f, what)
+            return expect(self, f, what, **kwargs)
 
         monkeypatch.setattr(GammaRatioDist, "_expect", counted)
         return calls
 
-    def test_moments_payload_runs_five_expectations(self, expect_calls):
+    def test_moments_payload_runs_two_expectations(self, expect_calls):
+        # raw moments 1..4 in one pass, Renyi in the other
         d = OEGammaDist(2.0, 1.0, 3.0)
 
         def payload():
@@ -349,11 +388,11 @@ class TestMomentMemo:
             return raw + [d.general_coefficient(3), d.general_coefficient(4)]
 
         first = payload() + [d.renyi_entropy(2.0)]
-        assert len(expect_calls) == 5
+        assert len(expect_calls) == 2
         assert payload() == first[:-1]
-        assert len(expect_calls) == 5
+        assert len(expect_calls) == 2
         assert d.central_moment_quadrature(2) > 0.0
-        assert len(expect_calls) == 5
+        assert len(expect_calls) == 2
 
     def test_memo_is_not_part_of_the_value(self):
         base = make_exponential(3.0)
@@ -370,6 +409,66 @@ class TestMomentMemo:
             with pytest.raises(DivergenceError, match="moment of order 2"):
                 d.moment_quadrature(2)
         assert len(expect_calls) == 3
+
+    def test_finite_order_survives_a_divergent_pass(self, expect_calls):
+        # asked first, order 2 fails its pass; order 1 of that same pass
+        # converged and is served from the memo
+        d = GammaRatioDist(1.5, 1.0, lomax_base())
+        with pytest.raises(DivergenceError, match="moment of order 2 does not exist: "):
+            d.moment_quadrature(2)
+        assert len(expect_calls) == 1
+        assert d.moment_quadrature(1) == pytest.approx(2.0, rel=1e-6)
+        assert len(expect_calls) == 1
+
+    def test_order_zero_is_one(self):
+        assert dist(2.0, 1.0, 3.0).moment_quadrature(0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_high_order_fills_every_lower_order_in_one_pass(self, expect_calls):
+        d = OEGammaDist(2.0, 1.0, 3.0)
+        top = d.moment_quadrature(6)
+        assert len(expect_calls) == 1
+        assert sorted(d._raw_moments) == [1, 2, 3, 4, 5, 6]
+        assert d.moment_quadrature(6) == top
+        assert len(expect_calls) == 1
+
+    # 40-digit mpmath in T-space: T ~ Gamma(5, rate 2), X = log1p(1/T)/10
+    ONE_PASS_PINS = {
+        "m1": 0.039080571775755236492,
+        "m2": 0.001794255804879502954,
+        "m3": 0.000097898943019699239273,
+        "m4": 6.4010892444825212309e-6,
+        "skewness": 1.5846424407493205417,
+        "kurtosis": 7.5986047907571028319,
+    }
+
+    def test_one_pass_matches_mpmath(self):
+        d = OEGammaDist(5.0, 2.0, 10.0)
+        got = {f"m{m}": d.moment_quadrature(m) for m in (1, 2, 3, 4)}
+        got["skewness"] = d.general_coefficient(3)
+        got["kurtosis"] = d.general_coefficient(4)
+        for key, want in self.ONE_PASS_PINS.items():
+            assert got[key] == pytest.approx(want, rel=1e-9), key
+
+    def test_inverse_work_per_payload(self, monkeypatch):
+        # a deterministic work counter: the node maps' gamma inverses
+        # for one moments payload (the one-pass memo inverts 2,880)
+        from oddsgamma import family
+
+        points = []
+        for attr in ("_inv_reg_upper_gamma_vec", "_inv_reg_lower_gamma_vec"):
+            inverse = getattr(family, attr)
+
+            def counted(a, p, inverse=inverse):
+                points.append(np.size(p))
+                return inverse(a, p)
+
+            monkeypatch.setattr(family, attr, counted)
+        d = OEGammaDist(2.0, 1.0, 3.0)
+        [d.moment_quadrature(m) for m in (1, 2, 3, 4)]
+        d.general_coefficient(3)
+        d.general_coefficient(4)
+        d.renyi_entropy(2.0)
+        assert 0 < sum(points) <= 3200
 
 
 class TestMomentSeries:

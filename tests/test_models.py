@@ -130,6 +130,10 @@ class TestZbGammaExp:
         got = zb_gamma_exp_model().cdf(np.array([np.nan, 1.0]), self.THETA)
         assert np.isnan(got[0]) and 0.0 < got[1] < 1.0
 
+    def test_log_pdf_nan_in_nan_out(self):
+        got = zb_gamma_exp_model().log_pdf(np.array([np.nan, 1.0, 0.0]), self.THETA)
+        assert np.isnan(got[0]) and np.isfinite(got[1]) and got[2] == -np.inf
+
     def test_initial_guess_moment_match(self, flood_values):
         a0, rho0 = zb_gamma_exp_model().initial_guess(flood_values)
         assert a0 > 0 and rho0 > 0
@@ -162,6 +166,10 @@ class TestWeibull:
     def test_cdf_nan_in_nan_out(self):
         got = weibull_model().cdf(np.array([np.nan, 1.0]), self.THETA)
         assert np.isnan(got[0]) and 0.0 < got[1] < 1.0
+
+    def test_log_pdf_nan_in_nan_out(self):
+        got = weibull_model().log_pdf(np.array([np.nan, 1.0, 0.0]), self.THETA)
+        assert np.isnan(got[0]) and np.isfinite(got[1]) and got[2] == -np.inf
 
     def test_initial_guess_rank_regression(self, flood_values):
         k0, lam0 = weibull_model().initial_guess(flood_values)

@@ -55,8 +55,8 @@ def test_install_patches_and_uninstall_restores(tracer):
 def test_node_maps_reach_the_vector_inverses_through_family_globals(tracer):
     d = GammaRatioDist(0.5, 1.0, make_exponential(1.0))
     tracer.begin_op(0)
-    d._x_of_u(np.array([0.1, 0.2, 0.3]))
-    d._x_of_s(np.array([0.1, 0.2]))
+    d.quantile(np.array([0.1, 0.2, 0.3]))
+    d.quantile_sf(np.array([0.1, 0.2]))
     tracer.end_op(True)
     assert tracer.totals["specfun.inverse.calls"] == 2
     assert tracer.totals["specfun.inverse.points"] == 5
