@@ -310,6 +310,7 @@ def _cmd_moments(args):
     if args.order < 1:
         raise _UsageError("--order must be >= 1")
     dist = OEGammaDist(*theta)
+    dist.moment_quadrature(args.order)  # one pass fills orders 1..order
     moments = {f"m{m}": _round10(dist.moment_quadrature(m))
                for m in range(1, args.order + 1)}
     doc = {

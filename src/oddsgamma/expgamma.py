@@ -284,15 +284,16 @@ def oe_loglik_and_score(data, alpha, beta, lam):
         raise ValueError("alpha, beta, lam must all be strictly positive")
     n = x.size
     y = lam * x
+    # a tiny lam makes w and x w^2 overflow; the fit rejects inf
     with np.errstate(over="ignore", under="ignore"):
         w = 1.0 / np.expm1(y)
         l1m = _log1mexp(y)
         xw = x * w
+        sum_w = float(np.sum(w))
+        sum_xw = float(np.sum(xw))
+        sum_xw1w = float(np.sum(xw * (1.0 + w)))
     sum_x = float(np.sum(x))
-    sum_w = float(np.sum(w))
     sum_l1m = float(np.sum(l1m))
-    sum_xw = float(np.sum(xw))
-    sum_xw1w = float(np.sum(xw * (1.0 + w)))
     ll = (
         n * (math.log(lam) + alpha * math.log(beta) - log_gamma(alpha))
         - alpha * lam * sum_x

@@ -535,10 +535,11 @@ class GammaRatioDist:
         """
         return self._raw_moment(_validate_order(m, "moment_quadrature"))
 
-    def _raw_moment(self, m):
+    def _raw_moment(self, m, top=0):
+        # a miss integrates orders min(m, 1)..max(m, top, 4) in one pass
         memo = self._raw_moments
         if m not in memo:
-            orders = range(min(m, 1), max(m, 4) + 1)
+            orders = range(min(m, 1), max(m, top, 4) + 1)
             powers = np.array(orders, dtype=float)
             values, details = self._expect(
                 lambda x: x[:, None] ** powers, "raw moments", per_component=True
@@ -555,23 +556,25 @@ class GammaRatioDist:
         """Central moment via binomial recombination of quadrature raw moments.
 
         The zeroth raw moment is 1 by normalization and is substituted
-        exactly, which makes the m = 1 result vanish identically.
+        exactly, which makes the m = 1 result vanish identically. One
+        pass integrates orders 1..m; the lowest divergent one raises.
         """
         m = _validate_order(m, "central_moment_quadrature")
         if m == 0:
             return 1.0
-        mus = [1.0] + [self._raw_moment(i) for i in range(1, m + 1)]
+        mus = [1.0] + [self._raw_moment(i, top=m) for i in range(1, m + 1)]
         return math.fsum(math.comb(m, r) * (-mus[1]) ** r * mus[m - r] for r in range(m + 1))
 
     def general_coefficient(self, m):
         """Standardized moment mu'_m / (mu'_2)^(m/2); 3 is skewness, 4 kurtosis."""
         m = _validate_order(m, "general_coefficient")
+        central = self.central_moment_quadrature(m)  # fills orders 1..m first
         var = self.central_moment_quadrature(2)
         if not var > 0.0:
             raise NumericalError(
                 f"general_coefficient: degenerate distribution, variance {var:.3g}"
             )
-        return self.central_moment_quadrature(m) / var ** (0.5 * m)
+        return central / var ** (0.5 * m)
 
     def _check_mgf_domain(self, t):
         rate = self.base.tail_rate

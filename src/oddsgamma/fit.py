@@ -8,9 +8,10 @@ cyclic coordinate perturbations) guard against ridge-shaped likelihoods,
 and the best final likelihood wins. Everything is deterministic: same
 model, data, and options give a bit-identical FitResult.
 
-Standard errors come from the observed information on the original
-parameter scale; a non-positive-definite Hessian falls back to a
-pseudo-inverse and says so in the result's warnings.
+Standard errors come from the same log-coordinate Hessian that Newton
+uses, mapped to the original scale by the delta method; a
+non-positive-definite Hessian falls back to a pseudo-inverse and says
+so in the result's warnings.
 """
 
 import math
@@ -73,11 +74,8 @@ def negative_log_lik(model, data, theta):
     if x.size == 0:
         raise DataError("negative_log_lik requires at least one observation")
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    if not (np.all(np.isfinite(theta)) and np.all(theta > 0.0)):
         return math.inf
-    for positive, t in zip(model.param_positivity, theta):
-        if positive and not t > 0.0:
-            return math.inf
     with np.errstate(all="ignore"):
         lp = np.asarray(model.log_pdf(x, theta), dtype=float)
     total = float(np.sum(lp))
@@ -102,7 +100,10 @@ def _grad_phi(model, data, phi, opts):
         ll = float(ll)
         if not math.isfinite(ll):
             return -math.inf, np.zeros_like(phi)
-        return ll, np.asarray(g_theta, dtype=float) * theta
+        # an exploratory point far out can overflow to inf; the caller
+        # rejects the non-finite step
+        with np.errstate(over="ignore"):
+            return ll, np.asarray(g_theta, dtype=float) * theta
     ll = _loglik(model, data, theta)
     if not math.isfinite(ll):
         return -math.inf, np.zeros_like(phi)
@@ -253,7 +254,7 @@ def mle_fit(model, data, options=None):
     phi, ll, g, iters, converged = best
     theta_hat = np.exp(phi)
     warnings_out = []
-    se = standard_errors(model, x, theta_hat, warnings_out=warnings_out)
+    se = _log_coordinate_std_errors(model, x, phi, opts, warnings_out)
     grad_sup = _orig_grad_sup(g, phi)
     if not converged:
         warnings_out.append(
@@ -272,56 +273,47 @@ def mle_fit(model, data, options=None):
     )
 
 
-def _observed_information(model, data, theta):
-    """Hessian of -loglik on the original scale, central differences with
-    per-coordinate steps max(1e-5, 1e-4*|theta_i|)."""
-    theta = np.asarray(theta, dtype=float)
-    p = theta.size
-    steps = np.maximum(1e-5, 1e-4 * np.abs(theta))
-    f = lambda th: negative_log_lik(model, data, th)
-    f0 = f(theta)
-    H = np.empty((p, p))
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = steps[i]
-        H[i, i] = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / steps[i] ** 2
-        for j in range(i + 1, p):
-            ej = np.zeros(p)
-            ej[j] = steps[j]
-            mixed = (
-                f(theta + ei + ej)
-                - f(theta + ei - ej)
-                - f(theta - ei + ej)
-                + f(theta - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-            H[i, j] = H[j, i] = mixed
-    return H
+def _log_coordinate_std_errors(model, data, phi, opts, sink):
+    """Standard errors of theta = exp(phi) by the delta method.
+
+    diag(g) - H, from the log-coordinate gradient g and Hessian H, is
+    exactly diag(theta) I diag(theta) for the original-scale observed
+    information I at any point, so theta_i * sqrt((diag(g) - H)^-1_ii)
+    is the original-scale standard error, and no product of two theta
+    entries (which overflows near the float range) is ever formed.
+    """
+    _, g = _grad_phi(model, data, phi, opts)
+    info = np.diag(g) - _hess_phi(model, data, phi, opts)
+    if not np.all(np.isfinite(info)):
+        sink.append("observed information contains non-finite entries; standard errors unreliable")
+        info = np.where(np.isfinite(info), info, 0.0)
+    try:
+        np.linalg.cholesky(info)
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        sink.append(
+            "observed information is not positive definite; standard errors use a pseudo-inverse"
+        )
+        cov = np.linalg.pinv(info)
+    diag = np.diag(cov).copy()
+    if np.any(diag <= 0.0):
+        sink.append("non-positive variance estimate on at least one coordinate")
+        diag = np.abs(diag)
+    with np.errstate(over="ignore"):  # inf for a parameter near the float limit
+        return np.exp(phi) * np.sqrt(diag)
 
 
 def standard_errors(model, data, theta_hat, warnings_out=None):
     """Square roots of the inverse observed-information diagonal.
 
-    A Hessian that is not positive definite is inverted by pseudo-inverse
-    and reported through warnings_out (a list, appended in place).
+    The information is differenced in log coordinates, as in the fit,
+    and mapped to the original scale by the delta method. A Hessian that
+    is not positive definite is inverted by pseudo-inverse and reported
+    through warnings_out (a list, appended in place).
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise DataError("standard_errors requires at least one observation")
-    H = _observed_information(model, x, theta_hat)
+    phi = np.log(np.asarray(theta_hat, dtype=float))
     sink = warnings_out if warnings_out is not None else []
-    if not np.all(np.isfinite(H)):
-        sink.append("observed information contains non-finite entries; standard errors unreliable")
-        H = np.where(np.isfinite(H), H, 0.0)
-    try:
-        np.linalg.cholesky(H)
-        cov = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        sink.append(
-            "observed information is not positive definite; standard errors use a pseudo-inverse"
-        )
-        cov = np.linalg.pinv(H)
-    diag = np.diag(cov).copy()
-    if np.any(diag <= 0.0):
-        sink.append("non-positive variance estimate on at least one coordinate")
-        diag = np.abs(diag)
-    return np.sqrt(diag)
+    return _log_coordinate_std_errors(model, x, phi, FitOptions(), sink)

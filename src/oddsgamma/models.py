@@ -33,10 +33,10 @@ class FittableModel:
     """Uniform fitting interface for one parametric family.
 
     log_pdf and cdf take (x_array, theta) with theta on the natural
-    scale. param_positivity flags which coordinates must stay positive
-    (all of them, for every model here). k is the parameter count
-    reported to information criteria, which can exceed the optimized
-    dimension when displayed parameters are redundant. analytic_score,
+    scale. Every parameter is positive, because the fit works in log
+    coordinates. k is the parameter count reported to information
+    criteria, which can exceed the optimized dimension when displayed
+    parameters are redundant. analytic_score,
     when present, maps (data, theta) to (loglik, gradient).
     report_params expands the optimized vector into display rows of
     (name, value, std_error) so redundant parameterizations can show
@@ -46,7 +46,6 @@ class FittableModel:
     name: str
     k: int
     param_names: tuple
-    param_positivity: tuple
     log_pdf: Callable
     cdf: Callable
     initial_guess: Callable
@@ -54,8 +53,6 @@ class FittableModel:
     report_params: Optional[Callable] = None
 
     def __post_init__(self):
-        if len(self.param_names) != len(self.param_positivity):
-            raise ValueError("param_names and param_positivity lengths differ")
         if self.k < len(self.param_names):
             raise ValueError("reported k cannot be below the optimized dimension")
 
@@ -110,7 +107,6 @@ def oe_gamma_model():
         name="oe-gamma",
         k=3,
         param_names=("alpha", "beta", "lambda"),
-        param_positivity=(True, True, True),
         log_pdf=_oe_log_pdf,
         cdf=_oe_cdf,
         initial_guess=_oe_initial_guess,
@@ -190,7 +186,6 @@ def zb_gamma_exp_model():
         name="zb-gamma-exp",
         k=3,
         param_names=("alpha", "rho"),
-        param_positivity=(True, True),
         log_pdf=_zb_log_pdf,
         cdf=_zb_cdf,
         initial_guess=_zb_initial_guess,
@@ -240,12 +235,15 @@ def _weibull_score(data, theta):
     x = _check_positive_data(data)
     n = x.size
     lx = np.log(lam * x)
-    # exploratory starts can push (lam*x)^k past the float range; inf is fine
+    # exploratory starts can push (lam*x)^k past the float range; inf is
+    # fine, the fit rejects the non-finite point
     with np.errstate(over="ignore"):
         t = np.exp(k * lx)
-    ll = n * (math.log(k) + k * math.log(lam)) + (k - 1.0) * float(np.sum(np.log(x))) - float(np.sum(t))
-    d_k = n / k + float(np.sum(lx)) - float(np.sum(t * lx))
-    d_lam = (k / lam) * (n - float(np.sum(t)))
+        sum_t = float(np.sum(t))
+        sum_t_lx = float(np.sum(t * lx))
+    ll = n * (math.log(k) + k * math.log(lam)) + (k - 1.0) * float(np.sum(np.log(x))) - sum_t
+    d_k = n / k + float(np.sum(lx)) - sum_t_lx
+    d_lam = (k / lam) * (n - sum_t)
     return ll, np.array([d_k, d_lam])
 
 
@@ -255,7 +253,6 @@ def weibull_model():
         name="weibull",
         k=2,
         param_names=("shape", "rate"),
-        param_positivity=(True, True),
         log_pdf=_weibull_log_pdf,
         cdf=_weibull_cdf,
         initial_guess=_weibull_initial_guess,

@@ -431,6 +431,23 @@ class TestMomentMemo:
         assert d.moment_quadrature(6) == top
         assert len(expect_calls) == 1
 
+    @pytest.mark.parametrize("method, m", [
+        ("general_coefficient", 6),
+        ("central_moment_quadrature", 7),
+    ])
+    def test_central_orders_above_four_run_one_pass(self, expect_calls, method, m):
+        d = OEGammaDist(2.0, 1.0, 3.0)
+        assert math.isfinite(getattr(d, method)(m))
+        assert len(expect_calls) == 1
+        assert sorted(d._raw_moments) == list(range(1, m + 1))
+
+    def test_lowest_divergent_order_is_named(self, expect_calls):
+        # every order >= 2 of a Lomax base with alpha 1.5 diverges
+        d = GammaRatioDist(1.5, 1.0, lomax_base())
+        with pytest.raises(DivergenceError, match="moment of order 2 does not exist: "):
+            d.general_coefficient(5)
+        assert d.moment_quadrature(1) == pytest.approx(2.0, rel=1e-6)
+
     # 40-digit mpmath in T-space: T ~ Gamma(5, rate 2), X = log1p(1/T)/10
     ONE_PASS_PINS = {
         "m1": 0.039080571775755236492,

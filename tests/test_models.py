@@ -55,23 +55,11 @@ class TestRegistry:
 
 
 class TestDescriptor:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            FittableModel(
-                name="bad", k=2,
-                param_names=("a", "b"),
-                param_positivity=(True,),
-                log_pdf=lambda x, t: x,
-                cdf=lambda x, t: x,
-                initial_guess=lambda d: np.ones(2),
-            )
-
     def test_k_below_dimension_rejected(self):
         with pytest.raises(ValueError, match="reported k cannot be below"):
             FittableModel(
                 name="bad", k=1,
                 param_names=("a", "b"),
-                param_positivity=(True, True),
                 log_pdf=lambda x, t: x,
                 cdf=lambda x, t: x,
                 initial_guess=lambda d: np.ones(2),
