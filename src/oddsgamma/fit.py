@@ -1,12 +1,16 @@
 """Maximum-likelihood fitting over FittableModel descriptors.
 
-Positivity is enforced by optimizing over log-parameters. The primary
-engine is Newton-Raphson with step halving; when it stalls it hands the
-point to a derivative-free simplex descent and polishes the result with
-Newton again. Five deterministic starts (the model's initial guess plus
-cyclic coordinate perturbations) guard against ridge-shaped likelihoods,
-and the best final likelihood wins. Everything is deterministic: same
-model, data, and options give a bit-identical FitResult.
+Positivity is enforced by optimizing over log-parameters. The engine
+is Newton-Raphson with step halving, on the eigenvalue-modified Hessian
+wherever the Hessian is not negative definite, so every step ascends.
+Only a genuine stall (no halving improves the likelihood, away from a
+stationary point) hands the point to a derivative-free simplex descent,
+polished by Newton again. Five deterministic starts (the model's
+initial guess plus cyclic coordinate perturbations) guard against
+ridge-shaped likelihoods, and the best final likelihood wins. A fit
+whose parameter runs to 1e300 or 1e-300 is never reported converged.
+Everything is deterministic: same model, data, and options give a
+bit-identical FitResult.
 
 Standard errors come from the same log-coordinate Hessian that Newton
 uses, mapped to the original scale by the delta method; a
@@ -55,7 +59,8 @@ class FitResult:
 
     theta_hat and std_errors are on the original (positive) scale.
     converged implies grad_sup_norm <= 1e-6 * max(1, |loglik|), with the
-    gradient measured on the original scale.
+    gradient measured on the original scale, and every theta_hat entry
+    inside (1e-300, 1e300); an entry outside is named in warnings.
     """
 
     model_name: str
@@ -139,16 +144,32 @@ def _orig_grad_sup(g_phi, phi):
         return float(np.max(np.abs(g_phi * np.exp(-phi))))
 
 
+def _ascent_step(H, g):
+    """The step s that Newton subtracts from phi: H^-1 g where -H is
+    positive definite, else the same with each eigenvalue e of H
+    replaced by -max(|e|, 1e-8 max|e|), so that -s ascends wherever
+    g != 0 (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.4).
+    Raises LinAlgError where H has no usable eigenvalues."""
+    try:
+        np.linalg.cholesky(-H)
+    except np.linalg.LinAlgError:
+        e, V = np.linalg.eigh(H)
+        floor = 1e-8 * np.max(np.abs(e))
+        if not floor > 0.0:  # zero or nan eigenvalues
+            raise
+        return V @ ((V.T @ g) / -np.maximum(np.abs(e), floor))
+    return np.linalg.solve(H, g)
+
+
 def _newton(model, data, phi, ll, g, opts, budget):
-    """Newton-Raphson with step halving. Returns
+    """Modified Newton (see _ascent_step) with step halving. Returns
     (phi, ll, g, iterations_used, converged, stalled)."""
     iters = 0
     grad_ok = lambda: _orig_grad_sup(g, phi) <= opts.grad_tol * max(1.0, abs(ll))
     while iters < budget:
         iters += 1
-        H = _hess_phi(model, data, phi, opts)
         try:
-            step = np.linalg.solve(H, g)
+            step = _ascent_step(_hess_phi(model, data, phi, opts), g)
         except np.linalg.LinAlgError:
             return phi, ll, g, iters, grad_ok(), not grad_ok()
         if not np.all(np.isfinite(step)):
@@ -256,6 +277,10 @@ def mle_fit(model, data, options=None):
     warnings_out = []
     se = _log_coordinate_std_errors(model, x, phi, opts, warnings_out)
     grad_sup = _orig_grad_sup(g, phi)
+    for name, t in zip(model.param_names, theta_hat):
+        if not 1e-300 < t < 1e300:
+            converged = False
+            warnings_out.append(f"{name} = {t:.3g} ran to the edge of the parameter space")
     if not converged:
         warnings_out.append(
             "optimizer did not meet both convergence criteria; "

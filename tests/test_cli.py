@@ -346,7 +346,7 @@ class TestExitCodesAndIo:
 
 class TestImportCost:
     """scipy.optimize, about a third of a second to import, loads only
-    when a fit reaches its simplex fallback."""
+    when a fit reaches its simplex fallback, which no command here does."""
 
     PROBE = """\
 import contextlib, io, json, sys
@@ -375,5 +375,5 @@ print(json.dumps(report))
         assert report["import"] is False
         for name in ("moments", "sample", "curves"):
             assert report[name] == [0, False], name
-        # compare still fits: its Wheaton fits run the simplex fallback
-        assert report["compare"] == [0, True]
+        # compare fits, but its Wheaton fits converge by Newton alone
+        assert report["compare"] == [0, False]

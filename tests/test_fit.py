@@ -8,13 +8,16 @@ models. The flood-data fits from the session fixture double as
 integration checks.
 """
 
+import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import special
 
 from oddsgamma import DataError, FitError, OEGammaDist, get_model, mle_fit
+from oddsgamma import fit
 from oddsgamma.fit import FitOptions, FitResult, negative_log_lik, standard_errors
 from oddsgamma.models import FittableModel
 
@@ -205,16 +208,117 @@ class TestStandardErrors:
         assert warnings_out == []
 
 
-@pytest.mark.parametrize("seed", [8, 9, 23, 117, 120, 173])
+def _resample(seed):
+    return OEGammaDist(0.131, 0.179, 0.539).sample(72, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", [8, 9, 23, 117, 120, 173, 580])
 def test_bootstrap_fits_leak_no_runtime_warning(seed):
     # resamples of the flood fit on which exploratory optimizer points
-    # overflow in the scores and the gradient map; on seed 173 m2 runs
-    # beta to the float limit, where the information used to overflow
-    data = OEGammaDist(0.131, 0.179, 0.539).sample(72, np.random.default_rng(seed))
+    # overflow in the scores and the gradient map; on seed 580 m2 runs
+    # beta to the float limit, where the information can overflow
+    data = _resample(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for alias in ("m1", "m2", "m6"):
             assert np.isfinite(mle_fit(get_model(alias), data).loglik)
+
+
+def _newton_from(model, data, theta0):
+    opts = FitOptions()
+    phi = np.log(np.asarray(theta0, dtype=float))
+    ll, g = fit._grad_phi(model, data, phi, opts)
+    return fit._newton(model, data, phi, ll, g, opts, opts.max_iterations)
+
+
+def _negative_definite(H):
+    try:
+        np.linalg.cholesky(-H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.fixture
+def no_simplex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Nelder-Mead fallback ran")
+
+    monkeypatch.setattr(fit, "optimize", SimpleNamespace(minimize=refuse))
+
+
+class TestModifiedNewton:
+    """Where the log-coordinate Hessian is indefinite, Newton steps along
+    the eigenvalue-modified Hessian, which always ascends, instead of
+    stalling and handing the start to the simplex."""
+
+    def test_weibull_rate_times_four_start_converges(self, flood_values):
+        # start 4 scales the rate by 4; its first plain Newton step lands
+        # where the Hessian is indefinite and the plain step descends
+        model = get_model("m6")
+        starts = fit._starts(model, flood_values, FitOptions())
+        _, ll4, _, _, converged, stalled = _newton_from(model, flood_values, starts[4])
+        assert converged and not stalled
+        ll0 = _newton_from(model, flood_values, starts[0])[1]
+        assert ll4 == pytest.approx(ll0, abs=1e-9)
+
+    def test_step_at_plain_newton_stall_point_ascends(self, flood_values, monkeypatch):
+        model = get_model("m6")
+        opts = FitOptions()
+        theta0 = fit._starts(model, flood_values, opts)[4]
+        with monkeypatch.context() as m:
+            m.setattr(fit, "_ascent_step", np.linalg.solve)
+            phi, _, g, _, converged, stalled = _newton_from(model, flood_values, theta0)
+        assert stalled and not converged
+        H = fit._hess_phi(model, flood_values, phi, opts)
+        assert not _negative_definite(H)
+        assert g @ -fit._ascent_step(H, g) > 0.0
+
+    @pytest.mark.parametrize("seed", [None, 8, 69, 180])
+    def test_fits_converge_without_simplex(self, flood_values, no_simplex, seed):
+        # on each data set plain Newton stalls on some start and would
+        # hand it to the simplex
+        data = flood_values if seed is None else _resample(seed)
+        for alias in ("m1", "m2", "m6"):
+            res = mle_fit(get_model(alias), data)
+            assert res.converged, (alias, res.warnings)
+
+    def test_no_start_ends_on_a_saddle(self):
+        # plain Newton takes starts 0 and 1 of this resample to a saddle
+        # point (loglik -256.32, one Hessian eigenvalue +0.16)
+        model = get_model("m2")
+        data = _resample(5)
+        opts = FitOptions()
+        for theta0 in fit._starts(model, data, opts):
+            phi, ll, _, _, converged, _ = _newton_from(model, data, theta0)
+            assert converged
+            assert _negative_definite(fit._hess_phi(model, data, phi, opts))
+            assert ll == pytest.approx(-251.64979281324, abs=1e-9)
+
+    def test_wheaton_work_count(self, flood_values, no_simplex):
+        # a deterministic count of likelihood evaluations shows a
+        # regression that noisy timings hide; 639 measured, plus 10%
+        calls = []
+        for alias in ("m1", "m2", "m6"):
+            model = get_model(alias)
+
+            def counted(data, theta, score=model.analytic_score):
+                calls.append(alias)
+                return score(data, theta)
+
+            mle_fit(dataclasses.replace(model, analytic_score=counted), flood_values)
+        assert len(calls) <= 702
+
+
+class TestParameterSpaceEdge:
+    def test_beta_at_float_limit_is_named_and_not_converged(self):
+        # on this resample the best m2 start runs beta toward the float
+        # limit, where the likelihood keeps rising
+        res = mle_fit(get_model("m2"), _resample(580))
+        assert res.theta_hat[1] >= 1e300
+        assert not res.converged
+        edge = [w for w in res.warnings if "edge of the parameter space" in w]
+        assert len(edge) == 1 and edge[0].startswith("beta = ")
 
 
 class TestNegativeLogLik:
