@@ -2,16 +2,10 @@
 
 from .base import BaseDistribution, make_exponential
 from .data import Dataset, Summary, load_csv, summary, wheaton, write_csv
-from .errors import (
-    DataError,
-    DivergenceError,
-    FitError,
-    IterationError,
-    NumericalError,
-)
+from .errors import DataError, DivergenceError, FitError, NumericalError
 from .expgamma import OEGammaDist, oe_loglik_and_score
 from .family import DEFAULT_CONTROL, GammaRatioDist, SeriesControl, SeriesResult
-from .fit import FitOptions, FitResult, mle_fit, negative_log_lik, standard_errors
+from .fit import FitResult, mle_fit, negative_log_lik, standard_errors
 from .gof import (
     GofReport,
     anderson_darling,
@@ -37,12 +31,10 @@ __all__ = [
     "Dataset",
     "DivergenceError",
     "FitError",
-    "FitOptions",
     "FitResult",
     "FittableModel",
     "GammaRatioDist",
     "GofReport",
-    "IterationError",
     "NumericalError",
     "OEGammaDist",
     "SeriesControl",

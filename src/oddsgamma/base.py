@@ -1,7 +1,7 @@
 """Baseline distribution bundles consumed by the odds-gamma family.
 
 A BaseDistribution packages the callables the family construction needs:
-cdf, pdf, log-pdf, quantile, parameter derivatives, and (optionally)
+cdf, pdf, log-pdf, quantile, parameter values, and (optionally)
 tail-accurate survival-side companions. All callables accept scalars or
 numpy arrays.
 """
@@ -28,10 +28,6 @@ class BaseDistribution:
         Open interval of positive density; endpoints may be infinite.
     params : tuple of float
         Baseline parameter values, in a fixed documented order.
-    param_positive : tuple of bool
-        Positivity flag per parameter.
-    d_cdf_dparams, d_logpdf_dparams : callable
-        x -> array of per-parameter derivatives.
     sf : callable, optional
         Survival function 1 - cdf evaluated without cancellation. When
         omitted it is derived from cdf (loses accuracy deep in the tail).
@@ -58,9 +54,6 @@ class BaseDistribution:
     quantile: Callable
     support: Tuple[float, float]
     params: Tuple[float, ...]
-    param_positive: Tuple[bool, ...]
-    d_cdf_dparams: Callable
-    d_logpdf_dparams: Callable
     sf: Optional[Callable] = None
     log_sf: Optional[Callable] = None
     isf: Optional[Callable] = None
@@ -68,8 +61,6 @@ class BaseDistribution:
     tail_rate: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.params) != len(self.param_positive):
-            raise ValueError("params and param_positive lengths differ")
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
@@ -128,14 +119,6 @@ def make_exponential(lam):
     def log_isf(log_s):
         return -np.asarray(log_s, dtype=float) / lam
 
-    def d_cdf_dparams(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, x * np.exp(-lam * np.maximum(x, 0.0)), 0.0)[None, ...]
-
-    def d_logpdf_dparams(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, 1.0 / lam - x, 0.0)[None, ...]
-
     return BaseDistribution(
         name="exponential",
         cdf=cdf,
@@ -144,9 +127,6 @@ def make_exponential(lam):
         quantile=quantile,
         support=(0.0, np.inf),
         params=(lam,),
-        param_positive=(True,),
-        d_cdf_dparams=d_cdf_dparams,
-        d_logpdf_dparams=d_logpdf_dparams,
         sf=sf,
         log_sf=log_sf,
         isf=isf,

@@ -9,18 +9,6 @@ class NumericalError(RuntimeError):
     """A numerical routine could not deliver its advertised accuracy."""
 
 
-class IterationError(NumericalError):
-    """An iterative solver hit its iteration cap.
-
-    Carries the last bracketing interval so callers can inspect how far
-    the solve progressed.
-    """
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class DivergenceError(NumericalError):
     """An integral or series was detected to be non-convergent."""
 

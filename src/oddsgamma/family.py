@@ -35,6 +35,8 @@ _LOG_TINY = math.log(_TINY)
 _QUAD_TOL = 0.5e-10  # per half-axis; the two halves add to 1e-10
 # inner terms j per tau quadrature; deeper shells go in j-ordered blocks
 _TAU_BLOCK = 256
+# shell-over-shell growth factor that fires a series' divergence flag
+_DIVERGENCE_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,12 @@ class SeriesControl:
 
     k_max and j_max are term counts: shells k = 0..k_max-1 with inner
     terms j = 0..j_max-1 are eligible. tail_tol is the relative size at
-    which trailing terms count as negligible; divergence_ratio is the
-    shell-over-shell growth factor that fires the divergence flag.
+    which trailing terms count as negligible.
     """
 
     k_max: int = 60
     j_max: int = 200
     tail_tol: float = 1e-10
-    divergence_ratio: float = 10.0
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -59,10 +59,6 @@ class SeriesControl:
             raise ValueError(f"j_max must be at least 1, got {self.j_max}")
         if not self.tail_tol > 0.0:
             raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
-        if not self.divergence_ratio > 1.0:
-            raise ValueError(
-                f"divergence_ratio must exceed 1, got {self.divergence_ratio}"
-            )
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -180,7 +176,7 @@ def _sum_shells(inner, ctrl):
         if (
             prev_mag is not None
             and prev_mag > ctrl.tail_tol * scale
-            and mag > ctrl.divergence_ratio * prev_mag
+            and mag > _DIVERGENCE_RATIO * prev_mag
         ):
             return SeriesResult(
                 total, (k_used, j_widest), False,
@@ -237,27 +233,6 @@ def _validate_order(m, who):
     if m < 0:
         raise ValueError(f"{who} requires order >= 0, got {m}")
     return m
-
-
-def _recombine_central(parts, m):
-    """Binomial recombination of series raw moments into a central one.
-
-    parts[i] is the SeriesResult for the raw moment of order i,
-    i = 0..m. Convergence requires every component to have converged.
-    """
-    mu = parts[1].value if m >= 1 else 0.0
-    value = math.fsum(
-        math.comb(m, r) * (-mu) ** r * parts[m - r].value for r in range(m + 1)
-    )
-    k_used = max(p.terms_used[0] for p in parts)
-    j_used = max(p.terms_used[1] for p in parts)
-    bad = next((p for p in parts if not p.converged), None)
-    if bad is not None:
-        return SeriesResult(
-            value, (k_used, j_used), False,
-            f"a component raw-moment series did not converge: {bad.diagnostic}",
-        )
-    return SeriesResult(value, (k_used, j_used), True, "")
 
 
 @dataclass(frozen=True)
@@ -475,8 +450,8 @@ class GammaRatioDist:
         per_component nothing is raised and the result is (value,
         details), details[i] saying why component i diverged, or "".
         """
-        h = windowed_quad(lambda u: f(self.quantile(u)), 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
-        t = windowed_quad(lambda s: f(self.quantile_sf(s)), 0.0, 0.5, "lower", abs_tol=_QUAD_TOL)
+        h = windowed_quad(lambda u: f(self.quantile(u)), 0.0, 0.5, abs_tol=_QUAD_TOL)
+        t = windowed_quad(lambda s: f(self.quantile_sf(s)), 0.0, 0.5, abs_tol=_QUAD_TOL)
         details = [a or b for a, b in zip(np.atleast_1d(t.detail), np.atleast_1d(h.detail))]
         if per_component:
             return h.value + t.value, details
@@ -511,10 +486,8 @@ class GammaRatioDist:
                     val *= (x**m)[:, None]
             return val
 
-        h = windowed_quad(lambda u: integrand(base.quantile(u), u), 0.0, 0.5, "lower",
-                          abs_tol=_QUAD_TOL)
-        t = windowed_quad(lambda s: integrand(base.isf(s), 1.0 - s), 0.0, 0.5, "lower",
-                          abs_tol=_QUAD_TOL)
+        h = windowed_quad(lambda u: integrand(base.quantile(u), u), 0.0, 0.5, abs_tol=_QUAD_TOL)
+        t = windowed_quad(lambda s: integrand(base.isf(s), 1.0 - s), 0.0, 0.5, abs_tol=_QUAD_TOL)
         diverged = h.diverged | t.diverged
         if np.ndim(r) == 0:
             if diverged[0]:
@@ -646,20 +619,18 @@ class GammaRatioDist:
 
     # ---------------- formal series evaluators ----------------
 
-    def _tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref_extra=0.0, eta_pow=None):
+    def _tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom):
         """One k-shell of a tau-based double sum.
 
-        Terms are sign * exp(log prefactor) * binom * tau, with tau taken
-        for a block of j at once and truncated by _truncate_inner. The
-        first j whose tau is not integrable aborts the whole evaluation
-        via the note channel, unless the truncation stopped before it.
+        Terms are (-1)^(k+j) exp(log_pref) C(s_binom, j) tau(m, eta,
+        r_of_j(j)), with tau taken for a block of j at once and truncated
+        by _truncate_inner. The first j whose tau is not integrable
+        aborts the whole evaluation via the note channel, unless the
+        truncation stopped before it.
         """
-        s_binom = (
-            eta_pow * (self.alpha - 1.0) + k if eta_pow is not None else self.alpha + k - 1.0
-        )
         sign_k = -1.0 if k % 2 else 1.0
         with np.errstate(over="ignore"):
-            pref = sign_k * float(np.exp(log_pref_extra))
+            pref = sign_k * float(np.exp(log_pref))
         j = np.arange(float(ctrl.j_max))
         r = r_of_j(j)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -701,17 +672,34 @@ class GammaRatioDist:
         def inner(k):
             log_pref = (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a)
             return self._tau_inner(
-                k, ctrl, m, 0.0, lambda j: j - a - k - 1.0, log_pref_extra=log_pref
+                k, ctrl, m, 0.0, lambda j: j - a - k - 1.0, log_pref, a + k - 1.0
             )
 
         return _sum_shells(inner, ctrl)
 
     def central_moment_series(self, m, ctrl=None):
-        """Binomial recombination of series raw moments (all-series path)."""
+        """Binomial recombination of series raw moments (all-series path).
+
+        The zeroth raw moment is 1 by normalization and is substituted
+        exactly, as in central_moment_quadrature; its own series is
+        formal at every parameter. Convergence requires the raw-moment
+        series of every order 1..m to have converged.
+        """
         m = _validate_order(m, "central_moment_series")
         ctrl = ctrl or DEFAULT_CONTROL
-        parts = [self.moment_series(i, ctrl) for i in range(m + 1)]
-        return _recombine_central(parts, m)
+        parts = [self.moment_series(i, ctrl) for i in range(1, m + 1)]
+        mus = [1.0] + [p.value for p in parts]
+        mu = mus[1] if m else 0.0
+        value = math.fsum(math.comb(m, r) * (-mu) ** r * mus[m - r] for r in range(m + 1))
+        used = tuple(max((p.terms_used[i] for p in parts), default=0) for i in (0, 1))
+        bad = next((i for i, p in enumerate(parts, 1) if not p.converged), None)
+        if bad is not None:
+            return SeriesResult(
+                value, used, False,
+                f"the order-{bad} raw-moment series did not converge: "
+                f"{parts[bad - 1].diagnostic}",
+            )
+        return SeriesResult(value, used, True, "")
 
     def mgf_series(self, t, ctrl=None):
         """Formal triple-sum mgf: sum over orders of t^m/m! times the
@@ -787,10 +775,8 @@ class GammaRatioDist:
                 - eta * log_gamma(a)
             )
             return self._tau_inner(
-                k, ctrl, 0, eta - 1.0,
-                lambda j: j - eta * (a + 1.0) - k,
-                log_pref_extra=log_pref,
-                eta_pow=eta,
+                k, ctrl, 0, eta - 1.0, lambda j: j - eta * (a + 1.0) - k,
+                log_pref, eta * (a - 1.0) + k,
             )
 
         raw = _sum_shells(inner, ctrl)

@@ -9,8 +9,8 @@ polished by Newton again. Five deterministic starts (the model's
 initial guess plus cyclic coordinate perturbations) guard against
 ridge-shaped likelihoods, and the best final likelihood wins. A fit
 whose parameter runs to 1e300 or 1e-300 is never reported converged.
-Everything is deterministic: same model, data, and options give a
-bit-identical FitResult.
+The settings below are fixed. Everything is deterministic: same model
+and data give a bit-identical FitResult.
 
 Standard errors come from the same log-coordinate Hessian that Newton
 uses, mapped to the original scale by the delta method; a
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, FitError
 
-__all__ = ["FitOptions", "FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
+__all__ = ["FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
 
 
 class _LazyOptimize:
@@ -41,16 +41,14 @@ class _LazyOptimize:
 optimize = _LazyOptimize()
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 500
-    ll_tol: float = 1e-10
-    grad_tol: float = 1e-6
-    max_halvings: int = 40
-    simplex_max_evals: int = 2000
-    n_starts: int = 5
-    fd_step: float = 1e-6    # central-difference gradient step (log scale)
-    hess_step: float = 1e-4  # differencing step for the Hessian of the gradient
+_MAX_ITERATIONS = 500  # Newton iterations per start, polish included
+_LL_TOL = 1e-10  # relative loglik change that ends Newton, with _GRAD_TOL
+_GRAD_TOL = 1e-6  # original-scale gradient sup-norm relative to max(1, |ll|)
+_MAX_HALVINGS = 40
+_SIMPLEX_MAX_EVALS = 2000
+_N_STARTS = 5
+_FD_STEP = 1e-6  # central-difference gradient step (log scale)
+_HESS_STEP = 1e-4  # differencing step for the Hessian of the gradient
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ def _loglik(model, data, theta):
     return -negative_log_lik(model, data, theta)
 
 
-def _grad_phi(model, data, phi, opts):
+def _grad_phi(model, data, phi):
     """Log-likelihood and its gradient in log-parameter coordinates."""
     with np.errstate(over="ignore"):
         theta = np.exp(phi)
@@ -113,7 +111,7 @@ def _grad_phi(model, data, phi, opts):
     if not math.isfinite(ll):
         return -math.inf, np.zeros_like(phi)
     g = np.empty_like(phi)
-    h = opts.fd_step
+    h = _FD_STEP
     for i in range(phi.size):
         e = np.zeros_like(phi)
         e[i] = h
@@ -124,16 +122,16 @@ def _grad_phi(model, data, phi, opts):
     return ll, g
 
 
-def _hess_phi(model, data, phi, opts):
+def _hess_phi(model, data, phi):
     """Hessian in log coordinates by central differences of the gradient."""
     p = phi.size
     H = np.empty((p, p))
-    h = opts.hess_step
+    h = _HESS_STEP
     for i in range(p):
         e = np.zeros(p)
         e[i] = h
-        _, gp = _grad_phi(model, data, phi + e, opts)
-        _, gm = _grad_phi(model, data, phi - e, opts)
+        _, gp = _grad_phi(model, data, phi + e)
+        _, gm = _grad_phi(model, data, phi - e)
         H[:, i] = (gp - gm) / (2.0 * h)
     return 0.5 * (H + H.T)
 
@@ -161,24 +159,24 @@ def _ascent_step(H, g):
     return np.linalg.solve(H, g)
 
 
-def _newton(model, data, phi, ll, g, opts, budget):
+def _newton(model, data, phi, ll, g, budget):
     """Modified Newton (see _ascent_step) with step halving. Returns
     (phi, ll, g, iterations_used, converged, stalled)."""
     iters = 0
-    grad_ok = lambda: _orig_grad_sup(g, phi) <= opts.grad_tol * max(1.0, abs(ll))
+    grad_ok = lambda: _orig_grad_sup(g, phi) <= _GRAD_TOL * max(1.0, abs(ll))
     while iters < budget:
         iters += 1
         try:
-            step = _ascent_step(_hess_phi(model, data, phi, opts), g)
+            step = _ascent_step(_hess_phi(model, data, phi), g)
         except np.linalg.LinAlgError:
             return phi, ll, g, iters, grad_ok(), not grad_ok()
         if not np.all(np.isfinite(step)):
             return phi, ll, g, iters, grad_ok(), not grad_ok()
         scale = 1.0
         accepted = None
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = phi - scale * step
-            ll_new, g_new = _grad_phi(model, data, cand, opts)
+            ll_new, g_new = _grad_phi(model, data, cand)
             if math.isfinite(ll_new) and ll_new > ll:
                 accepted = (cand, ll_new, g_new)
                 break
@@ -189,26 +187,21 @@ def _newton(model, data, phi, ll, g, opts, budget):
             return phi, ll, g, iters, grad_ok(), not grad_ok()
         delta = accepted[1] - ll
         phi, ll, g = accepted
-        if (
-            delta <= opts.ll_tol * max(1.0, abs(ll))
-            and _orig_grad_sup(g, phi) <= opts.grad_tol * max(1.0, abs(ll))
-        ):
+        if delta <= _LL_TOL * max(1.0, abs(ll)) and grad_ok():
             return phi, ll, g, iters, True, False
     return phi, ll, g, iters, False, False
 
 
-def _run_start(model, data, theta0, opts):
+def _run_start(model, data, theta0):
     """One complete optimization from one start. None if the start is bad."""
     theta0 = np.asarray(theta0, dtype=float)
     if not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
         return None
     phi = np.log(theta0)
-    ll, g = _grad_phi(model, data, phi, opts)
+    ll, g = _grad_phi(model, data, phi)
     if not math.isfinite(ll):
         return None
-    phi, ll, g, used, converged, stalled = _newton(
-        model, data, phi, ll, g, opts, opts.max_iterations
-    )
+    phi, ll, g, used, converged, stalled = _newton(model, data, phi, ll, g, _MAX_ITERATIONS)
     iters = used
     if not converged and stalled:
         def objective(ph):
@@ -223,45 +216,44 @@ def _run_start(model, data, theta0, opts):
             phi,
             method="Nelder-Mead",
             options={
-                "maxfev": opts.simplex_max_evals,
+                "maxfev": _SIMPLEX_MAX_EVALS,
                 "xatol": 1e-10,
                 "fatol": 1e-12,
             },
         )
         cand = np.asarray(res.x, dtype=float)
-        ll_c, g_c = _grad_phi(model, data, cand, opts)
+        ll_c, g_c = _grad_phi(model, data, cand)
         if math.isfinite(ll_c) and ll_c >= ll:
             phi, ll, g = cand, ll_c, g_c
         # single Newton polish after the simplex pass
         phi, ll, g, used2, converged, _ = _newton(
-            model, data, phi, ll, g, opts, max(opts.max_iterations - iters, 1)
+            model, data, phi, ll, g, max(_MAX_ITERATIONS - iters, 1)
         )
         iters += used2
     return phi, ll, g, iters, converged
 
 
-def _starts(model, data, opts):
+def _starts(model, data):
     theta0 = np.asarray(model.initial_guess(data), dtype=float)
     out = [theta0.copy()]
     factors = (0.25, 0.5, 2.0, 4.0)
     p = theta0.size
-    for i in range(1, opts.n_starts):
+    for i in range(1, _N_STARTS):
         t = theta0.copy()
         t[(i - 1) % p] *= factors[(i - 1) % len(factors)]
         out.append(t)
     return out
 
 
-def mle_fit(model, data, options=None):
+def mle_fit(model, data):
     """Maximize the likelihood; deterministic multi-start Newton descent."""
-    opts = options or FitOptions()
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise DataError("mle_fit requires at least one observation")
     best = None
     failures = []
-    for idx, theta0 in enumerate(_starts(model, x, opts)):
-        outcome = _run_start(model, x, theta0, opts)
+    for idx, theta0 in enumerate(_starts(model, x)):
+        outcome = _run_start(model, x, theta0)
         if outcome is None:
             failures.append(f"start {idx} at {np.asarray(theta0).tolist()} was not finite")
             continue
@@ -275,7 +267,7 @@ def mle_fit(model, data, options=None):
     phi, ll, g, iters, converged = best
     theta_hat = np.exp(phi)
     warnings_out = []
-    se = _log_coordinate_std_errors(model, x, phi, opts, warnings_out)
+    se = _log_coordinate_std_errors(model, x, phi, warnings_out)
     grad_sup = _orig_grad_sup(g, phi)
     for name, t in zip(model.param_names, theta_hat):
         if not 1e-300 < t < 1e300:
@@ -298,7 +290,7 @@ def mle_fit(model, data, options=None):
     )
 
 
-def _log_coordinate_std_errors(model, data, phi, opts, sink):
+def _log_coordinate_std_errors(model, data, phi, sink):
     """Standard errors of theta = exp(phi) by the delta method.
 
     diag(g) - H, from the log-coordinate gradient g and Hessian H, is
@@ -307,8 +299,8 @@ def _log_coordinate_std_errors(model, data, phi, opts, sink):
     is the original-scale standard error, and no product of two theta
     entries (which overflows near the float range) is ever formed.
     """
-    _, g = _grad_phi(model, data, phi, opts)
-    info = np.diag(g) - _hess_phi(model, data, phi, opts)
+    _, g = _grad_phi(model, data, phi)
+    info = np.diag(g) - _hess_phi(model, data, phi)
     if not np.all(np.isfinite(info)):
         sink.append("observed information contains non-finite entries; standard errors unreliable")
         info = np.where(np.isfinite(info), info, 0.0)
@@ -341,4 +333,4 @@ def standard_errors(model, data, theta_hat, warnings_out=None):
         raise DataError("standard_errors requires at least one observation")
     phi = np.log(np.asarray(theta_hat, dtype=float))
     sink = warnings_out if warnings_out is not None else []
-    return _log_coordinate_std_errors(model, x, phi, FitOptions(), sink)
+    return _log_coordinate_std_errors(model, x, phi, sink)

@@ -32,9 +32,10 @@ __all__ = [
 class FittableModel:
     """Uniform fitting interface for one parametric family.
 
-    log_pdf and cdf take (x_array, theta) with theta on the natural
-    scale. Every parameter is positive, because the fit works in log
-    coordinates. k is the parameter count reported to information
+    log_pdf, cdf and sf take (x_array, theta) with theta on the natural
+    scale; sf is the survival 1 - cdf in closed form, accurate where
+    cdf rounds to 1. Every parameter is positive, because the fit works
+    in log coordinates. k is the parameter count reported to information
     criteria, which can exceed the optimized dimension when displayed
     parameters are redundant. analytic_score,
     when present, maps (data, theta) to (loglik, gradient).
@@ -48,6 +49,7 @@ class FittableModel:
     param_names: tuple
     log_pdf: Callable
     cdf: Callable
+    sf: Callable
     initial_guess: Callable
     analytic_score: Optional[Callable] = None
     report_params: Optional[Callable] = None
@@ -92,6 +94,14 @@ def _oe_cdf(x, theta):
     return OEGammaDist(a, b, lam).cdf(np.asarray(x, dtype=float))
 
 
+def _oe_sf(x, theta):
+    # P(alpha, beta w(x)), the survival OEGammaDist.hazard uses
+    a, b, lam = (float(t) for t in theta)
+    w = OEGammaDist(a, b, lam).odds(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore", under="ignore"):
+        return special.gammainc(a, b * w)
+
+
 def _oe_initial_guess(data):
     x = _check_positive_data(data)
     return np.array([0.5, 1.0, 1.0 / float(np.median(x))])
@@ -109,6 +119,7 @@ def oe_gamma_model():
         param_names=("alpha", "beta", "lambda"),
         log_pdf=_oe_log_pdf,
         cdf=_oe_cdf,
+        sf=_oe_sf,
         initial_guess=_oe_initial_guess,
         analytic_score=_oe_score,
     )
@@ -134,6 +145,13 @@ def _zb_cdf(x, theta):
     with np.errstate(under="ignore"):
         # np.maximum keeps nan, and x <= 0 is false for it: nan gives nan
         return np.where(x <= 0.0, 0.0, special.gammainc(a, rho * np.maximum(x, 0.0)))
+
+
+def _zb_sf(x, theta):
+    a, rho = float(theta[0]), float(theta[1])
+    x = np.asarray(x, dtype=float)
+    with np.errstate(under="ignore"):
+        return np.where(x <= 0.0, 1.0, special.gammaincc(a, rho * np.maximum(x, 0.0)))
 
 
 def _zb_initial_guess(data):
@@ -188,6 +206,7 @@ def zb_gamma_exp_model():
         param_names=("alpha", "rho"),
         log_pdf=_zb_log_pdf,
         cdf=_zb_cdf,
+        sf=_zb_sf,
         initial_guess=_zb_initial_guess,
         analytic_score=_zb_score,
         report_params=_zb_report,
@@ -213,6 +232,13 @@ def _weibull_cdf(x, theta):
     with np.errstate(over="ignore", under="ignore"):
         t = (lam * np.maximum(x, 0.0)) ** k
         return np.where(x <= 0.0, 0.0, -np.expm1(-t))
+
+
+def _weibull_sf(x, theta):
+    k, lam = float(theta[0]), float(theta[1])
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.where(x <= 0.0, 1.0, np.exp(-((lam * np.maximum(x, 0.0)) ** k)))
 
 
 def _weibull_initial_guess(data):
@@ -255,6 +281,7 @@ def weibull_model():
         param_names=("shape", "rate"),
         log_pdf=_weibull_log_pdf,
         cdf=_weibull_cdf,
+        sf=_weibull_sf,
         initial_guess=_weibull_initial_guess,
         analytic_score=_weibull_score,
     )

@@ -8,9 +8,9 @@ only when every component passes the tolerance test, so each component
 is refined at least as far as it would be on its own. Several
 intervals can share one run, each with its own tolerance share and its
 own panel budget. windowed_quad puts the expanding windows toward a
-singular endpoint, and the sliver closing on it, into one such run and
-makes the Cauchy divergence verdict per component, so non-integrable
-integrands are detected instead of silently mis-summed.
+singular lower endpoint, and the sliver closing on it, into one such
+run and makes the Cauchy divergence verdict per component, so
+non-integrable integrands are detected instead of silently mis-summed.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,13 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 # Expanding-window radii are (b - a) * 10^-d for these d; the Cauchy
 # check inspects the last window increments.
 _WINDOW_DEPTHS = range(2, 13)
+
+# refinement caps: bisections of one panel, and panel evaluations of
+# one interval. Without the panel cap an integrand whose own rounding
+# noise exceeds the tolerance is refined to floating-point resolution,
+# with every active panel held in memory.
+_MAX_LEVELS = 60
+_MAX_PANELS = 20_000
 
 # integrand values (nodes x components) per integrand call; a level
 # with more is evaluated in blocks, so peak memory does not grow with
@@ -55,27 +62,25 @@ def _rule(f, lo, hi, step):
     return np.concatenate(out), vector
 
 
-def adaptive_quad(f, a, b, abs_tol=1e-10, max_levels=60, max_panels=None):
+def adaptive_quad(f, a, b, abs_tol=1e-10, max_panels=_MAX_PANELS):
     """Integrate f over (a, b) by adaptive 15-point Gauss-Legendre.
 
     f must accept a 1-D array of nodes and return either one value per
     node, shape (n,), or one row of R components per node, shape (n, R).
     An interval is accepted when bisecting it moves every component by
     at most its width-proportional share of abs_tol, or by at most
-    1e-13 of its new estimate, or when it has been bisected max_levels
-    times. A component whose estimate is no longer finite counts as
-    settled. Endpoints are never evaluated, so integrable endpoint
-    singularities are fine.
+    1e-13 of its new estimate, or when it has been bisected 60 times.
+    A component whose estimate is no longer finite counts as settled.
+    Endpoints are never evaluated, so integrable endpoint singularities
+    are fine.
 
     a and b may also be 1-D arrays of equal length: each interval
     (a[i], b[i]) is then integrated on its own, with abs_tol shared in
     proportion to its own width, and the result gains a leading axis.
 
-    max_panels, when given, bounds the number of panel evaluations of
-    each interval; on exhaustion its remaining panels keep their current
-    estimates. An integrand whose own rounding noise exceeds the
-    tolerance can otherwise force refinement all the way to
-    floating-point resolution.
+    max_panels (20,000 by default) bounds the number of panel
+    evaluations of each interval; on exhaustion its remaining panels
+    keep their current estimates.
     """
     lo = np.atleast_1d(np.asarray(a, dtype=float))
     hi = np.atleast_1d(np.asarray(b, dtype=float))
@@ -90,7 +95,7 @@ def adaptive_quad(f, a, b, abs_tol=1e-10, max_levels=60, max_panels=None):
     live = np.flatnonzero(hi > lo)
     if not live.size:
         return 0.0 if single else np.zeros(n)
-    budget = np.inf if max_panels is None else int(max_panels)
+    budget = int(max_panels)
     inv_width = 1.0 / (hi[live] - lo[live])
     # active panels, kept ordered by the interval (group) they refine
     grp = np.arange(live.size)
@@ -107,12 +112,11 @@ def adaptive_quad(f, a, b, abs_tol=1e-10, max_levels=60, max_panels=None):
         mid = 0.5 * (lo + hi)
         # an interval at floating-point resolution keeps its estimate
         cand = np.flatnonzero((mid > lo) & (mid < hi))
-        if budget < np.inf and cand.size:
-            # bisect a group's panels in order while its budget lasts
-            g = grp[cand]
-            rank = np.arange(g.size) - np.searchsorted(g, g)
-            cand = cand[used[g] + 2.0 * rank < budget]
-            used += 2.0 * np.bincount(grp[cand], minlength=live.size)
+        # bisect a group's panels in order while its budget lasts
+        g = grp[cand]
+        rank = np.arange(g.size) - np.searchsorted(g, g)
+        cand = cand[used[g] + 2.0 * rank < budget]
+        used += 2.0 * np.bincount(grp[cand], minlength=live.size)
         stay = np.ones(grp.size, dtype=bool)
         stay[cand] = False
         # non-finite sums are the callers' verdict to make
@@ -135,7 +139,7 @@ def adaptive_quad(f, a, b, abs_tol=1e-10, max_levels=60, max_panels=None):
                 | ~np.isfinite(better),
                 axis=1,
             )
-            if level >= max_levels:
+            if level >= _MAX_LEVELS:
                 ok[:] = True
             np.add.at(total, g[ok], better[ok])
         more = ~ok
@@ -166,12 +170,12 @@ class WindowedResult:
     detail: str
 
 
-def windowed_quad(f, a, b, singular_end, abs_tol=1e-10, max_levels=60):
-    """Integrate f over (a, b) with a possible singularity at one endpoint.
+def windowed_quad(f, a, b, abs_tol=1e-10):
+    """Integrate f over (a, b) with a possible singularity at a.
 
-    The neighbourhood of singular_end ("lower" or "upper") is peeled off
-    in windows at radii (b - a) * 10^-d, d = 2..12. The window increments
-    of an integrable singularity shrink; if the two innermost increments
+    The neighbourhood of a is peeled off in windows at radii
+    (b - a) * 10^-d, d = 2..12. The window increments of an integrable
+    singularity shrink; if the two innermost increments
     fail to shrink while still being non-negligible, the integral is
     declared divergent and no value is trusted. Otherwise the remaining
     sliver next to the endpoint is added (its panels never touch the
@@ -179,30 +183,20 @@ def windowed_quad(f, a, b, singular_end, abs_tol=1e-10, max_levels=60):
     adaptive run; f may be vector valued, and the verdict is then made
     per component.
     """
-    if singular_end not in ("lower", "upper"):
-        raise ValueError("singular_end must be 'lower' or 'upper'")
     width = b - a
     if not width > 0.0:
         return WindowedResult(0.0, False, "")
-    upper = singular_end == "upper"
-    edges = [b - width * 10.0 ** (-d) if upper else a + width * 10.0 ** (-d)
-             for d in _WINDOW_DEPTHS]
-    outer = [a if upper else b] + edges[:-1]
+    edges = [a + width * 10.0 ** (-d) for d in _WINDOW_DEPTHS]
     # pull the singular endpoint in by one ulp: panel nodes this close
     # can otherwise round exactly onto the singularity
-    if upper:
-        los = outer + [edges[-1]]
-        his = edges + [float(np.nextafter(b, edges[-1]))]
-    else:
-        los = edges + [float(np.nextafter(a, edges[-1]))]
-        his = outer + [edges[-1]]
+    los = edges + [float(np.nextafter(a, edges[-1]))]
+    his = [b] + edges
 
     # per-window work bound: integrands evaluated this close to an
     # endpoint can carry cancellation noise above the tolerance, and the
     # Cauchy verdict only needs the increments' order of magnitude
-    panel_budget = 20_000
     pieces = adaptive_quad(f, np.array(los), np.array(his), abs_tol=abs_tol,
-                           max_levels=max_levels, max_panels=panel_budget)
+                           max_panels=_MAX_PANELS)
     vector = pieces.ndim == 2
     pieces = pieces.reshape(len(los), -1)
     windows, closing = pieces[:-1], pieces[-1]
@@ -225,7 +219,7 @@ def windowed_quad(f, a, b, singular_end, abs_tol=1e-10, max_levels=60):
             details[i] = "non-finite window increment"
         elif cauchy[i]:
             details[i] = (
-                f"window increments near the {singular_end} endpoint fail the "
+                "window increments near the lower endpoint fail the "
                 f"Cauchy criterion (last three: {third[i]:.3e}, {second[i]:.3e}, "
                 f"{last[i]:.3e})"
             )

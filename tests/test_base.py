@@ -56,26 +56,7 @@ class TestExponentialFactory:
         assert exp07.name == "exponential"
         assert exp07.support == (0.0, math.inf)
         assert exp07.params == (0.7,)
-        assert exp07.param_positive == (True,)
         assert exp07.tail_rate == 0.7
-
-    def test_param_derivatives(self, exp07):
-        # d/dlam of (1 - e^{-lam x}) = x e^{-lam x}; d/dlam log pdf = 1/lam - x
-        x = 1.3
-        dc = exp07.d_cdf_dparams(x)
-        dl = exp07.d_logpdf_dparams(x)
-        assert dc.shape[0] == 1 and dl.shape[0] == 1
-        assert float(dc[0]) == pytest.approx(1.3 * math.exp(-0.91), rel=1e-14)
-        assert float(dl[0]) == pytest.approx(1.0 / 0.7 - 1.3, rel=1e-14)
-
-    def test_param_derivatives_match_finite_differences(self, exp07):
-        h = 1e-6
-        lo, hi = make_exponential(0.7 - h), make_exponential(0.7 + h)
-        for x in (0.4, 1.3, 6.0):
-            fd_cdf = (hi.cdf(x) - lo.cdf(x)) / (2.0 * h)
-            fd_lpdf = (hi.log_pdf(x) - lo.log_pdf(x)) / (2.0 * h)
-            assert float(exp07.d_cdf_dparams(x)[0]) == pytest.approx(fd_cdf, rel=1e-8)
-            assert float(exp07.d_logpdf_dparams(x)[0]) == pytest.approx(fd_lpdf, rel=1e-8)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -100,9 +81,6 @@ class TestBundleDefaults:
             quantile=lambda u: np.asarray(u, dtype=float),
             support=(0.0, 1.0),
             params=(),
-            param_positive=(),
-            d_cdf_dparams=lambda x: np.zeros((0,) + np.shape(x)),
-            d_logpdf_dparams=lambda x: np.zeros((0,) + np.shape(x)),
         )
         fields.update(overrides)
         return BaseDistribution(**fields)
@@ -116,7 +94,3 @@ class TestBundleDefaults:
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError, match="empty support"):
             self._minimal(support=(1.0, 1.0))
-
-    def test_rejects_mismatched_flags(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            self._minimal(params=(1.0,), param_positive=())

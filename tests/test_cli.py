@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oddsgamma
 from oddsgamma.cli import main
@@ -158,6 +159,29 @@ class TestCurves:
                                "--params", "0.9,0.086", "--grid", "1:30:5")
         assert code == 0
         assert len(out.splitlines()) == 6
+
+    @pytest.mark.parametrize("model, params, x, closed_form", [
+        # the m2 hazard P(alpha, beta w) form of OEGammaDist.hazard
+        ("m2", "0.131,0.179,0.539", 500.0,
+         lambda x: OEGammaDist(0.131, 0.179, 0.539).hazard(x)),
+        ("m2", "0.131,0.179,0.539", 700.0,
+         lambda x: OEGammaDist(0.131, 0.179, 0.539).hazard(x)),
+        # Weibull: k lam^k x^(k-1)
+        ("m6", "0.9,0.086", 500.0, lambda x: 0.9 * 0.086**0.9 * x ** -0.1),
+        # gamma: rho^a x^(a-1) e^(-rho x) / Gamma(a) / Q(a, rho x)
+        ("m1", "0.8,0.05", 900.0,
+         lambda x: 0.05**0.8 * x ** -0.2 * np.exp(-0.05 * x - special.gammaln(0.8))
+         / special.gammaincc(0.8, 0.05 * x)),
+    ])
+    def test_upper_tail_hazard_matches_closed_form(self, capsys, model, params, x, closed_form):
+        # where the cdf rounds to 1 the hazard divides by the model's own
+        # survival, not by 1 - cdf
+        code, out, _ = run_cli(capsys, "curves", "--model", model, "--params", params,
+                               "--grid", f"{x}:{x}:1")
+        assert code == 0
+        row = out.splitlines()[1].split("\t")
+        assert row[2] == "1"
+        assert float(row[3]) == pytest.approx(closed_form(x), rel=1e-9)
 
     @pytest.mark.parametrize("bad,fragment", [
         ("1:2", "start:stop:count"),

@@ -14,6 +14,7 @@ from oddsgamma import (
     NumericalError,
     OEGammaDist,
     SeriesControl,
+    SeriesResult,
     make_exponential,
     oe_loglik_and_score,
     wheaton,
@@ -454,6 +455,42 @@ class TestSeriesPins:
             assert r.terms_used[1] == 200
             assert not r.converged
         assert [r.terms_used[0] for r, _ in cells] == [13, 16, 16]
+
+
+class TestCentralMomentSeries:
+    """The zeroth raw moment is 1 exactly; its own series is formal at
+    every parameter, so the recombination never evaluates it."""
+
+    CTRL = SeriesControl(60, 2000, 1e-8)
+
+    def test_value_is_recombination_with_unit_mass(self):
+        d = OEGammaDist(0.6, 0.05, 1.0)
+        r = d.central_moment_series(2, self.CTRL)
+        mu1 = d.moment_series(1, self.CTRL).value
+        mu2 = d.moment_series(2, self.CTRL).value
+        assert r.value == math.fsum([mu2, -2.0 * mu1 * mu1, mu1 * mu1])
+        # still not converged here, but close to quadrature, not -109
+        assert not r.converged
+        assert r.value == pytest.approx(d.central_moment_quadrature(2), rel=2e-5)
+
+    def test_diagnostic_names_a_nonzero_order(self):
+        r = OEGammaDist(0.6, 0.05, 1.0).central_moment_series(2, self.CTRL)
+        assert "order-1 raw-moment series" in r.diagnostic
+        assert "order-0" not in r.diagnostic and "k=0" not in r.diagnostic
+
+    def test_converged_when_every_component_converges(self, monkeypatch):
+        d = OEGammaDist(0.6, 0.05, 1.0)
+        values = {1: 0.5, 2: 1.25, 3: 4.0}
+        monkeypatch.setattr(
+            OEGammaDist, "moment_series",
+            lambda self, m, ctrl=None: SeriesResult(values[m], (m, 10 * m), True),
+        )
+        r = d.central_moment_series(3)
+        assert r.converged and r.diagnostic == ""
+        assert r.terms_used == (3, 30)
+        assert r.value == pytest.approx(4.0 - 3 * 0.5 * 1.25 + 2 * 0.5**3, rel=1e-15)
+        assert d.central_moment_series(1).value == 0.0
+        assert d.central_moment_series(0) == SeriesResult(1.0, (0, 0), True)
 
 
 class TestWheatonLikelihood:

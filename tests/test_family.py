@@ -349,7 +349,6 @@ class TestMoments:
 def lomax_base():
     """Unit Lomax base, sf(x) = 1/(1 + x): the family's survival decays
     like x^(-alpha), so moments of order alpha and above diverge."""
-    no_params = lambda x: np.zeros((0,) + np.shape(x))
     return BaseDistribution(
         name="lomax",
         cdf=lambda x: np.asarray(x, dtype=float) / (1.0 + np.asarray(x, dtype=float)),
@@ -358,9 +357,6 @@ def lomax_base():
         quantile=lambda u: np.asarray(u, dtype=float) / (1.0 - np.asarray(u, dtype=float)),
         support=(0.0, math.inf),
         params=(),
-        param_positive=(),
-        d_cdf_dparams=no_params,
-        d_logpdf_dparams=no_params,
         sf=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
         isf=lambda s: 1.0 / np.asarray(s, dtype=float) - 1.0,
     )
@@ -637,10 +633,9 @@ def _loop_truncate(terms, ctrl):
     return partial, len(terms), False
 
 
-def _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref_extra=0.0, eta_pow=None):
+def _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, s_binom):
     """The scalar j loop _tau_inner once ran: one tau quadrature per term."""
-    s_binom = eta_pow * (d.alpha - 1.0) + k if eta_pow is not None else d.alpha + k - 1.0
-    pref = (-1.0 if k % 2 else 1.0) * float(np.exp(log_pref_extra))
+    pref = (-1.0 if k % 2 else 1.0) * float(np.exp(log_pref))
     binom = _loop_binomial(s_binom, ctrl.j_max)
     partial, small_run = 0.0, 0
     for j in range(ctrl.j_max):
@@ -669,7 +664,8 @@ class TestBatchedTauInner:
     """_tau_inner asks tau for blocks of j at once; it must keep the
     scalar loop's stop, term count and first-non-integrable-j note."""
 
-    @pytest.mark.parametrize("prm, k, m, eta, r_of_j, ctrl, eta_pow", [
+    # renyi_eta: None for a moment shell, whose binomial is C(alpha + k - 1, j)
+    @pytest.mark.parametrize("prm, k, m, eta, r_of_j, ctrl, renyi_eta", [
         # the binomial C(1, j) ends at j = 1, so the sum stops at j = 3,
         # before tau(0, 0, r) stops being integrable at j = 5
         ((2.0, 1.0, 1.0), 0, 0, 0.0, lambda j: 3.5 - j, DEFAULT_CONTROL, None),
@@ -685,11 +681,15 @@ class TestBatchedTauInner:
         # an entropy shell's binomial C(eta (alpha - 1) + k, j)
         ((0.6, 0.05, 1.3), 1, 0, 1.0, lambda j: j - 0.5, DEFAULT_CONTROL, 2.0),
     ])
-    def test_matches_scalar_loop(self, prm, k, m, eta, r_of_j, ctrl, eta_pow):
+    def test_matches_scalar_loop(self, prm, k, m, eta, r_of_j, ctrl, renyi_eta):
         d = dist(*prm)
         log_pref = 0.3 * k - 0.7
-        got = d._tau_inner(k, ctrl, m, eta, r_of_j, log_pref, eta_pow)
-        want = _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, eta_pow)
+        if renyi_eta is None:
+            s_binom = d.alpha + k - 1.0
+        else:
+            s_binom = renyi_eta * (d.alpha - 1.0) + k
+        got = d._tau_inner(k, ctrl, m, eta, r_of_j, log_pref, s_binom)
+        want = _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, s_binom)
         assert got[1:] == want[1:]
         # each tau carries the quadrature's absolute tolerance, and the
         # batched run refines its shared panels further than a scalar one

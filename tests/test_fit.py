@@ -18,7 +18,7 @@ from scipy import special
 
 from oddsgamma import DataError, FitError, OEGammaDist, get_model, mle_fit
 from oddsgamma import fit
-from oddsgamma.fit import FitOptions, FitResult, negative_log_lik, standard_errors
+from oddsgamma.fit import FitResult, negative_log_lik, standard_errors
 from oddsgamma.models import FittableModel
 
 
@@ -31,6 +31,7 @@ def _location_model():
         param_names=("mu",),
         log_pdf=lambda x, t: -0.5 * (np.asarray(x, dtype=float) - float(t[0])) ** 2,
         cdf=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        sf=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
         initial_guess=lambda d: np.array([1.0]),
     )
 
@@ -53,6 +54,7 @@ def _exp_rate_model():
         param_names=("lam",),
         log_pdf=log_pdf,
         cdf=lambda x, t: -np.expm1(-float(t[0]) * np.asarray(x, dtype=float)),
+        sf=lambda x, t: np.exp(-float(t[0]) * np.asarray(x, dtype=float)),
         initial_guess=lambda d: np.array([1.0]),
         analytic_score=score,
     )
@@ -71,6 +73,7 @@ def _flat_coordinate_model():
         param_names=("lam", "unused"),
         log_pdf=log_pdf,
         cdf=lambda x, t: -np.expm1(-float(t[0]) * np.asarray(x, dtype=float)),
+        sf=lambda x, t: np.exp(-float(t[0]) * np.asarray(x, dtype=float)),
         initial_guess=lambda d: np.array([1.0, 1.0]),
     )
 
@@ -123,8 +126,11 @@ class TestExpRateToy:
         rng = np.random.default_rng(10)
         data = rng.exponential(scale=1.0, size=300)
         full = mle_fit(_exp_rate_model(), data)
-        one = mle_fit(_exp_rate_model(), data, FitOptions(n_starts=1))
-        assert one.theta_hat[0] == pytest.approx(full.theta_hat[0], rel=1e-9)
+        model = _exp_rate_model()
+        # the first start alone, the model's initial guess
+        phi, _, _, _, converged = fit._run_start(model, data, model.initial_guess(data))
+        assert converged
+        assert np.exp(phi[0]) == pytest.approx(full.theta_hat[0], rel=1e-9)
 
 
 class TestDegenerateInformation:
@@ -225,10 +231,9 @@ def test_bootstrap_fits_leak_no_runtime_warning(seed):
 
 
 def _newton_from(model, data, theta0):
-    opts = FitOptions()
     phi = np.log(np.asarray(theta0, dtype=float))
-    ll, g = fit._grad_phi(model, data, phi, opts)
-    return fit._newton(model, data, phi, ll, g, opts, opts.max_iterations)
+    ll, g = fit._grad_phi(model, data, phi)
+    return fit._newton(model, data, phi, ll, g, fit._MAX_ITERATIONS)
 
 
 def _negative_definite(H):
@@ -256,7 +261,7 @@ class TestModifiedNewton:
         # start 4 scales the rate by 4; its first plain Newton step lands
         # where the Hessian is indefinite and the plain step descends
         model = get_model("m6")
-        starts = fit._starts(model, flood_values, FitOptions())
+        starts = fit._starts(model, flood_values)
         _, ll4, _, _, converged, stalled = _newton_from(model, flood_values, starts[4])
         assert converged and not stalled
         ll0 = _newton_from(model, flood_values, starts[0])[1]
@@ -264,13 +269,12 @@ class TestModifiedNewton:
 
     def test_step_at_plain_newton_stall_point_ascends(self, flood_values, monkeypatch):
         model = get_model("m6")
-        opts = FitOptions()
-        theta0 = fit._starts(model, flood_values, opts)[4]
+        theta0 = fit._starts(model, flood_values)[4]
         with monkeypatch.context() as m:
             m.setattr(fit, "_ascent_step", np.linalg.solve)
             phi, _, g, _, converged, stalled = _newton_from(model, flood_values, theta0)
         assert stalled and not converged
-        H = fit._hess_phi(model, flood_values, phi, opts)
+        H = fit._hess_phi(model, flood_values, phi)
         assert not _negative_definite(H)
         assert g @ -fit._ascent_step(H, g) > 0.0
 
@@ -288,11 +292,10 @@ class TestModifiedNewton:
         # point (loglik -256.32, one Hessian eigenvalue +0.16)
         model = get_model("m2")
         data = _resample(5)
-        opts = FitOptions()
-        for theta0 in fit._starts(model, data, opts):
+        for theta0 in fit._starts(model, data):
             phi, ll, _, _, converged, _ = _newton_from(model, data, theta0)
             assert converged
-            assert _negative_definite(fit._hess_phi(model, data, phi, opts))
+            assert _negative_definite(fit._hess_phi(model, data, phi))
             assert ll == pytest.approx(-251.64979281324, abs=1e-9)
 
     def test_wheaton_work_count(self, flood_values, no_simplex):
@@ -348,6 +351,7 @@ class TestFailureModes:
             param_names=("a",),
             log_pdf=lambda x, t: np.full(np.asarray(x).shape, np.nan),
             cdf=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+            sf=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
             initial_guess=lambda d: np.array([1.0]),
         )
         with pytest.raises(FitError) as err:

@@ -9,7 +9,7 @@ own log-likelihood.
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from oddsgamma import DataError, get_model, list_models
 from oddsgamma.expgamma import OEGammaDist
@@ -62,6 +62,7 @@ class TestDescriptor:
                 param_names=("a", "b"),
                 log_pdf=lambda x, t: x,
                 cdf=lambda x, t: x,
+                sf=lambda x, t: 1.0 - x,
                 initial_guess=lambda d: np.ones(2),
             )
 
@@ -190,6 +191,28 @@ class TestProposedModel:
         a0, b0, lam0 = oe_gamma_model().initial_guess(flood_values)
         assert (a0, b0) == (0.5, 1.0)
         assert lam0 == pytest.approx(1.0 / np.median(flood_values), rel=1e-12)
+
+
+class TestSurvival:
+    """sf is 1 - cdf in the body and keeps its digits where cdf rounds to 1."""
+
+    @pytest.mark.parametrize("alias, theta, ref", [
+        ("m1", (0.84, 0.0687), lambda x: stats.gamma.sf(x, 0.84, scale=1.0 / 0.0687)),
+        # odds w = e^(-lam x) to 1e-70 here, and P(a, g) = g^a / Gamma(a + 1)
+        # to O(g) for g = beta w ~ 1e-71
+        ("m2", (0.131, 0.179, 0.539),
+         lambda x: np.exp(0.131 * (np.log(0.179) - 0.539 * x) - special.gammaln(1.131))),
+        ("m6", (0.9, 0.086), lambda x: np.exp(-((0.086 * x) ** 0.9))),
+    ])
+    def test_sf_against_cdf_and_tail(self, alias, theta, ref):
+        model = get_model(alias)
+        body = np.array([0.5, 5.0, 27.0, 64.0])
+        assert np.allclose(model.sf(body, theta), 1.0 - model.cdf(body, theta),
+                           rtol=1e-12, atol=1e-15)
+        got = model.sf(np.array([-1.0, 0.0, np.nan]), theta)
+        assert got[:2].tolist() == [1.0, 1.0] and np.isnan(got[2])
+        tail = np.array([300.0, 600.0])
+        assert np.allclose(model.sf(tail, theta), ref(tail), rtol=1e-12, atol=0.0)
 
 
 def _fd_gradient(fun, theta, h=1e-6):
