@@ -3,9 +3,10 @@
 Positivity is enforced by optimizing over log-parameters. The engine
 is Newton-Raphson with step halving, on the eigenvalue-modified Hessian
 wherever the Hessian is not negative definite, so every step ascends.
-Only a genuine stall (no halving improves the likelihood, away from a
-stationary point) hands the point to a derivative-free simplex descent,
-polished by Newton again. Five deterministic starts (the model's
+Convergence is tested on the gradient measured in log coordinates,
+theta * d loglik / d theta, which does not change when the data are
+rescaled. A start that finds no ascending step away from a stationary
+point ends not converged. Five deterministic starts (the model's
 initial guess plus cyclic coordinate perturbations) guard against
 ridge-shaped likelihoods, and the best final likelihood wins. A fit
 whose parameter runs to 1e300 or 1e-300 is never reported converged.
@@ -28,10 +29,8 @@ from .errors import DataError, FitError
 __all__ = ["FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
 
 
+# Nothing in the library calls this; perfbench/tracing.py patches fit.optimize.minimize.
 class _LazyOptimize:
-    """scipy.optimize, imported on first use: only the simplex fallback
-    needs it, and it costs about a third of a second to import."""
-
     def __getattr__(self, name):
         from scipy import optimize as module
 
@@ -41,11 +40,10 @@ class _LazyOptimize:
 optimize = _LazyOptimize()
 
 
-_MAX_ITERATIONS = 500  # Newton iterations per start, polish included
+_MAX_ITERATIONS = 500  # Newton iterations per start
 _LL_TOL = 1e-10  # relative loglik change that ends Newton, with _GRAD_TOL
-_GRAD_TOL = 1e-6  # original-scale gradient sup-norm relative to max(1, |ll|)
+_GRAD_TOL = 1e-6  # log-coordinate gradient sup-norm relative to max(1, |ll|)
 _MAX_HALVINGS = 40
-_SIMPLEX_MAX_EVALS = 2000
 _N_STARTS = 5
 _FD_STEP = 1e-6  # central-difference gradient step (log scale)
 _HESS_STEP = 1e-4  # differencing step for the Hessian of the gradient
@@ -57,8 +55,9 @@ class FitResult:
 
     theta_hat and std_errors are on the original (positive) scale.
     converged implies grad_sup_norm <= 1e-6 * max(1, |loglik|), with the
-    gradient measured on the original scale, and every theta_hat entry
-    inside (1e-300, 1e300); an entry outside is named in warnings.
+    gradient measured in log coordinates (theta * d loglik / d theta),
+    and every theta_hat entry inside (1e-300, 1e300); an entry outside
+    is named in warnings.
     """
 
     model_name: str
@@ -136,12 +135,6 @@ def _hess_phi(model, data, phi):
     return 0.5 * (H + H.T)
 
 
-def _orig_grad_sup(g_phi, phi):
-    # d ll/d theta = (d ll/d phi) / theta
-    with np.errstate(over="ignore"):
-        return float(np.max(np.abs(g_phi * np.exp(-phi))))
-
-
 def _ascent_step(H, g):
     """The step s that Newton subtracts from phi: H^-1 g where -H is
     positive definite, else the same with each eigenvalue e of H
@@ -159,41 +152,10 @@ def _ascent_step(H, g):
     return np.linalg.solve(H, g)
 
 
-def _newton(model, data, phi, ll, g, budget):
-    """Modified Newton (see _ascent_step) with step halving. Returns
-    (phi, ll, g, iterations_used, converged, stalled)."""
-    iters = 0
-    grad_ok = lambda: _orig_grad_sup(g, phi) <= _GRAD_TOL * max(1.0, abs(ll))
-    while iters < budget:
-        iters += 1
-        try:
-            step = _ascent_step(_hess_phi(model, data, phi), g)
-        except np.linalg.LinAlgError:
-            return phi, ll, g, iters, grad_ok(), not grad_ok()
-        if not np.all(np.isfinite(step)):
-            return phi, ll, g, iters, grad_ok(), not grad_ok()
-        scale = 1.0
-        accepted = None
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = phi - scale * step
-            ll_new, g_new = _grad_phi(model, data, cand)
-            if math.isfinite(ll_new) and ll_new > ll:
-                accepted = (cand, ll_new, g_new)
-                break
-            scale *= 0.5
-        if accepted is None:
-            # no step improves the likelihood: converged if the gradient
-            # criterion holds here, stalled otherwise
-            return phi, ll, g, iters, grad_ok(), not grad_ok()
-        delta = accepted[1] - ll
-        phi, ll, g = accepted
-        if delta <= _LL_TOL * max(1.0, abs(ll)) and grad_ok():
-            return phi, ll, g, iters, True, False
-    return phi, ll, g, iters, False, False
-
-
 def _run_start(model, data, theta0):
-    """One complete optimization from one start. None if the start is bad."""
+    """Modified Newton (see _ascent_step) with step halving from one
+    start. Returns (phi, ll, g, iterations, converged), or None if the
+    start is not finite."""
     theta0 = np.asarray(theta0, dtype=float)
     if not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
         return None
@@ -201,36 +163,29 @@ def _run_start(model, data, theta0):
     ll, g = _grad_phi(model, data, phi)
     if not math.isfinite(ll):
         return None
-    phi, ll, g, used, converged, stalled = _newton(model, data, phi, ll, g, _MAX_ITERATIONS)
-    iters = used
-    if not converged and stalled:
-        def objective(ph):
-            # exploratory simplex steps can push exp(ph) past the float
-            # range; negative_log_lik maps the non-finite point to +inf
-            with np.errstate(over="ignore"):
-                theta = np.exp(ph)
-            return negative_log_lik(model, data, theta)
-
-        res = optimize.minimize(
-            objective,
-            phi,
-            method="Nelder-Mead",
-            options={
-                "maxfev": _SIMPLEX_MAX_EVALS,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-            },
-        )
-        cand = np.asarray(res.x, dtype=float)
-        ll_c, g_c = _grad_phi(model, data, cand)
-        if math.isfinite(ll_c) and ll_c >= ll:
-            phi, ll, g = cand, ll_c, g_c
-        # single Newton polish after the simplex pass
-        phi, ll, g, used2, converged, _ = _newton(
-            model, data, phi, ll, g, max(_MAX_ITERATIONS - iters, 1)
-        )
-        iters += used2
-    return phi, ll, g, iters, converged
+    grad_ok = lambda: np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
+    for iters in range(1, _MAX_ITERATIONS + 1):
+        try:
+            step = _ascent_step(_hess_phi(model, data, phi), g)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        for halving in range(_MAX_HALVINGS + 1):
+            cand = phi - 0.5**halving * step
+            ll_new, g_new = _grad_phi(model, data, cand)
+            if math.isfinite(ll_new) and ll_new > ll:
+                break
+        else:  # no halving improves the likelihood
+            break
+        delta = ll_new - ll
+        phi, ll, g = cand, ll_new, g_new
+        if delta <= _LL_TOL * max(1.0, abs(ll)) and grad_ok():
+            return phi, ll, g, iters, True
+    else:  # iteration budget spent
+        return phi, ll, g, iters, False
+    # no step ascends from here: converged only if the gradient test holds
+    return phi, ll, g, iters, grad_ok()
 
 
 def _starts(model, data):
@@ -268,7 +223,7 @@ def mle_fit(model, data):
     theta_hat = np.exp(phi)
     warnings_out = []
     se = _log_coordinate_std_errors(model, x, phi, warnings_out)
-    grad_sup = _orig_grad_sup(g, phi)
+    grad_sup = np.max(np.abs(g))
     for name, t in zip(model.param_names, theta_hat):
         if not 1e-300 < t < 1e300:
             converged = False
@@ -326,11 +281,16 @@ def standard_errors(model, data, theta_hat, warnings_out=None):
     The information is differenced in log coordinates, as in the fit,
     and mapped to the original scale by the delta method. A Hessian that
     is not positive definite is inverted by pseudo-inverse and reported
-    through warnings_out (a list, appended in place).
+    through warnings_out (a list, appended in place). A theta_hat entry
+    that is not finite and positive raises ValueError.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise DataError("standard_errors requires at least one observation")
-    phi = np.log(np.asarray(theta_hat, dtype=float))
+    theta = np.asarray(theta_hat, dtype=float)
+    for name, t in zip(model.param_names, theta):
+        if not (math.isfinite(t) and t > 0.0):
+            raise ValueError(f"standard_errors needs {name} finite and > 0, got {t}")
+    phi = np.log(theta)
     sink = warnings_out if warnings_out is not None else []
     return _log_coordinate_std_errors(model, x, phi, sink)

@@ -313,6 +313,20 @@ class TestExitCodesAndIo:
         assert code == 64
         assert "unknown model 'm7'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "m2"],
+        ["compare"],
+        ["curves", "--params", M2, "--grid", "1:2:2"],
+        ["moments", "--params", M2],
+        ["gof", "--model", "m6"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_is_sample_only(self, capsys, argv):
+        # only sample draws random numbers, so only sample takes --seed
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 64
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
+
     def test_unknown_flag_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--model", "m2", "--bogus", "1")
         assert code == 64
@@ -369,8 +383,8 @@ class TestExitCodesAndIo:
 
 
 class TestImportCost:
-    """scipy.optimize, about a third of a second to import, loads only
-    when a fit reaches its simplex fallback, which no command here does."""
+    """scipy.optimize costs about a third of a second to import, and no
+    command loads it: the fits are Newton iterations in numpy."""
 
     PROBE = """\
 import contextlib, io, json, sys
@@ -384,12 +398,14 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
-    def test_only_fitting_commands_load_optimize(self):
+    def test_no_command_loads_optimize(self):
         commands = [
             ["moments", "--params", "1,1,1", "--order", "2"],
             ["sample", "--params", M2, "--n", "10", "--seed", "1"],
             ["curves", "--params", M2, "--grid", "0.5:5:4"],
             ["compare"],
+            ["fit", "--model", "m2"],
+            ["gof", "--model", "m6"],
         ]
         proc = subprocess.run(
             [sys.executable, "-c", self.PROBE, json.dumps(commands)],
@@ -397,7 +413,5 @@ print(json.dumps(report))
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["import"] is False
-        for name in ("moments", "sample", "curves"):
-            assert report[name] == [0, False], name
-        # compare fits, but its Wheaton fits converge by Newton alone
-        assert report["compare"] == [0, False]
+        for argv in commands:
+            assert report[argv[0]] == [0, False], argv[0]

@@ -10,7 +10,6 @@ integration checks.
 
 import dataclasses
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,12 +229,6 @@ def test_bootstrap_fits_leak_no_runtime_warning(seed):
             assert np.isfinite(mle_fit(get_model(alias), data).loglik)
 
 
-def _newton_from(model, data, theta0):
-    phi = np.log(np.asarray(theta0, dtype=float))
-    ll, g = fit._grad_phi(model, data, phi)
-    return fit._newton(model, data, phi, ll, g, fit._MAX_ITERATIONS)
-
-
 def _negative_definite(H):
     try:
         np.linalg.cholesky(-H)
@@ -244,27 +237,19 @@ def _negative_definite(H):
     return True
 
 
-@pytest.fixture
-def no_simplex(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Nelder-Mead fallback ran")
-
-    monkeypatch.setattr(fit, "optimize", SimpleNamespace(minimize=refuse))
-
-
 class TestModifiedNewton:
     """Where the log-coordinate Hessian is indefinite, Newton steps along
     the eigenvalue-modified Hessian, which always ascends, instead of
-    stalling and handing the start to the simplex."""
+    stalling and ending the start not converged."""
 
     def test_weibull_rate_times_four_start_converges(self, flood_values):
         # start 4 scales the rate by 4; its first plain Newton step lands
         # where the Hessian is indefinite and the plain step descends
         model = get_model("m6")
         starts = fit._starts(model, flood_values)
-        _, ll4, _, _, converged, stalled = _newton_from(model, flood_values, starts[4])
-        assert converged and not stalled
-        ll0 = _newton_from(model, flood_values, starts[0])[1]
+        _, ll4, _, _, converged = fit._run_start(model, flood_values, starts[4])
+        assert converged
+        ll0 = fit._run_start(model, flood_values, starts[0])[1]
         assert ll4 == pytest.approx(ll0, abs=1e-9)
 
     def test_step_at_plain_newton_stall_point_ascends(self, flood_values, monkeypatch):
@@ -272,16 +257,15 @@ class TestModifiedNewton:
         theta0 = fit._starts(model, flood_values)[4]
         with monkeypatch.context() as m:
             m.setattr(fit, "_ascent_step", np.linalg.solve)
-            phi, _, g, _, converged, stalled = _newton_from(model, flood_values, theta0)
-        assert stalled and not converged
+            phi, _, g, _, converged = fit._run_start(model, flood_values, theta0)
+        assert not converged
         H = fit._hess_phi(model, flood_values, phi)
         assert not _negative_definite(H)
         assert g @ -fit._ascent_step(H, g) > 0.0
 
     @pytest.mark.parametrize("seed", [None, 8, 69, 180])
-    def test_fits_converge_without_simplex(self, flood_values, no_simplex, seed):
-        # on each data set plain Newton stalls on some start and would
-        # hand it to the simplex
+    def test_fits_converge_without_simplex(self, flood_values, seed):
+        # on each data set plain Newton stalls on some start
         data = flood_values if seed is None else _resample(seed)
         for alias in ("m1", "m2", "m6"):
             res = mle_fit(get_model(alias), data)
@@ -293,12 +277,12 @@ class TestModifiedNewton:
         model = get_model("m2")
         data = _resample(5)
         for theta0 in fit._starts(model, data):
-            phi, ll, _, _, converged, _ = _newton_from(model, data, theta0)
+            phi, ll, _, _, converged = fit._run_start(model, data, theta0)
             assert converged
             assert _negative_definite(fit._hess_phi(model, data, phi))
             assert ll == pytest.approx(-251.64979281324, abs=1e-9)
 
-    def test_wheaton_work_count(self, flood_values, no_simplex):
+    def test_wheaton_work_count(self, flood_values):
         # a deterministic count of likelihood evaluations shows a
         # regression that noisy timings hide; 639 measured, plus 10%
         calls = []
@@ -311,6 +295,25 @@ class TestModifiedNewton:
 
             mle_fit(dataclasses.replace(model, analytic_score=counted), flood_values)
         assert len(calls) <= 702
+
+
+class TestScaleFreeConvergence:
+    """The convergence test reads the log-coordinate gradient, which does
+    not change when the data are rescaled, so every rescaled fit meets it
+    (on the original scale d loglik / d rate grows like 1/rate)."""
+
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_rescaled_fit_converges_equivariantly(self, fits, flood_values, alias, scale):
+        unit = fits[alias][0]
+        res = mle_fit(get_model(alias), flood_values * scale)
+        assert res.converged and res.warnings == ()
+        # the rate is the last parameter of every model
+        theta = np.array(res.theta_hat)
+        theta[-1] *= scale
+        np.testing.assert_allclose(theta, unit.theta_hat, rtol=1e-6)
+        assert res.loglik == pytest.approx(
+            unit.loglik - flood_values.size * np.log(scale), rel=1e-9)
 
 
 class TestParameterSpaceEdge:
@@ -360,6 +363,11 @@ class TestFailureModes:
         assert msg.startswith("no start produced a finite likelihood for model always-nan")
         assert "start 0 at [1.0] was not finite" in msg
         assert "start 4" in msg
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_standard_errors_reject_theta_outside_the_space(self, flood_values, bad):
+        with pytest.raises(ValueError, match="shape finite and > 0"):
+            standard_errors(get_model("m6"), flood_values, (bad, 1.0))
 
     def test_empty_data_rejected(self):
         with pytest.raises(DataError, match="mle_fit requires at least one observation"):
