@@ -159,8 +159,12 @@ def _kv_tsv(pairs):
     return "".join(f"{k}\t{v}\n" for k, v in pairs)
 
 
+# the fitted statistics of a report row, in column order
+_STATS = ("loglik", "aic", "aicc", "bic", "hqic", "a_squared", "w_squared")
+
+
 def _fit_row(model, dataset):
-    """Fit one model and assemble a report row; errors become marked rows."""
+    """Fit one model and assemble a report row of rounded numbers."""
     values = np.asarray(dataset.values, dtype=float)
     result = mle_fit(model, values)
     report = gof_report(model, values, result.theta_hat, result.loglik)
@@ -171,12 +175,7 @@ def _fit_row(model, dataset):
         "params": {name: _round10(v) for name, v, _ in display},
         "std_errors": {name: _round10(se) for name, _, se in display},
         "loglik": _round10(result.loglik),
-        "aic": _round10(report.aic),
-        "aicc": _round10(report.aicc),
-        "bic": _round10(report.bic),
-        "hqic": _round10(report.hqic),
-        "a_squared": _round10(report.a_squared),
-        "w_squared": _round10(report.w_squared),
+        **{k: _round10(getattr(report, k)) for k in _STATS[1:]},
         "k": report.k,
         "warnings": list(result.warnings),
     }
@@ -234,23 +233,12 @@ def _cmd_compare(args):
     if args.format == "json":
         _emit(args, _json(doc))
     else:
-        cols = ["model", "converged", "loglik", "aic", "aicc", "bic", "hqic",
-                "a_squared", "w_squared", "params", "error"]
-        lines = ["\t".join(cols) + "\n"]
+        lines = ["\t".join(["model", "converged", *_STATS, "params", "error"]) + "\n"]
         for r in rows:
             packed = ";".join(f"{k}={_fmt10(v)}" for k, v in r.get("params", {}).items())
-            cells = [
-                r["model"], str(r["converged"]).lower(),
-                _fmt10(r["loglik"]) if "loglik" in r else "",
-                _fmt10(r["aic"]) if "aic" in r else "",
-                _fmt10(r["aicc"]) if "aicc" in r else "",
-                _fmt10(r["bic"]) if "bic" in r else "",
-                _fmt10(r["hqic"]) if "hqic" in r else "",
-                _fmt10(r["a_squared"]) if "a_squared" in r else "",
-                _fmt10(r["w_squared"]) if "w_squared" in r else "",
-                packed,
-                r.get("error", ""),
-            ]
+            cells = [r["model"], str(r["converged"]).lower()]
+            cells += [_fmt10(r[k]) if k in r else "" for k in _STATS]
+            cells += [packed, r.get("error", "")]
             lines.append("\t".join(cells) + "\n")
         _emit(args, "".join(lines))
     return EXIT_PARTIAL if any_failed else EXIT_OK
@@ -340,32 +328,16 @@ def _cmd_moments(args):
 def _cmd_gof(args):
     model = _get_model_or_usage(args.model)
     dataset = _load_data(args)
-    values = np.asarray(dataset.values, dtype=float)
-    result = mle_fit(model, values)
-    report = gof_report(model, values, result.theta_hat, result.loglik)
-    doc = {
-        "model": model.name,
-        "data": dataset.name,
-        "n": report.n,
-        "k": report.k,
-        "loglik": _round10(result.loglik),
-        "aic": _round10(report.aic),
-        "aicc": _round10(report.aicc),
-        "bic": _round10(report.bic),
-        "hqic": _round10(report.hqic),
-        "a_squared": _round10(report.a_squared),
-        "w_squared": _round10(report.w_squared),
-        "converged": result.converged,
-    }
+    row, result = _fit_row(model, dataset)
+    doc = {"model": model.name, "data": dataset.name, "n": dataset.n, "k": row["k"],
+           **{k: row[k] for k in _STATS}, "converged": result.converged}
     if args.format == "json":
         _emit(args, _json(doc))
     else:
-        order = ["model", "n", "k", "loglik", "aic", "aicc", "bic", "hqic",
-                 "a_squared", "w_squared", "converged"]
         _emit(args, _kv_tsv(
             (k, _fmt10(doc[k]) if isinstance(doc[k], float) else str(doc[k]).lower()
              if isinstance(doc[k], bool) else str(doc[k]))
-            for k in order
+            for k in doc if k != "data"
         ))
     return EXIT_OK if result.converged else EXIT_PARTIAL
 

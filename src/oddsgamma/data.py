@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .errors import DataError
 
 __all__ = ["Dataset", "Summary", "load_csv", "summary", "wheaton", "write_csv"]
@@ -38,6 +40,21 @@ class Dataset:
     @property
     def n(self):
         return len(self.values)
+
+
+def _positive_observations(data, entry):
+    """The one observation rule: data as a non-empty 1-D float array of
+    finite values > 0. entry names the caller in the empty-data message.
+
+    The public fit, standard-error, GoF and score entry points call this
+    once; everything they pass observations on to takes them as given.
+    """
+    x = np.asarray(data, dtype=float).ravel()
+    if x.size == 0:
+        raise DataError(f"{entry} requires at least one observation")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        raise DataError("observations must be finite and strictly positive")
+    return x
 
 
 def wheaton():

@@ -24,7 +24,8 @@ import numpy as np
 from scipy import special
 
 from .base import BaseDistribution, make_exponential
-from .errors import DataError, DivergenceError, NumericalError
+from .data import _positive_observations
+from .errors import DivergenceError, NumericalError
 from .family import (
     DEFAULT_CONTROL,
     GammaRatioDist,
@@ -33,6 +34,7 @@ from .family import (
     _log_gamma_variates,
     _restore,
     _running_binomial,
+    _set_positive_param,
     _sum_shells,
     _truncate_inner,
     _validate_order,
@@ -70,11 +72,8 @@ class OEGammaDist(GammaRatioDist):
     lam: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "lam"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        super().__post_init__()
+        _set_positive_param(self, "lam")
         object.__setattr__(self, "base", make_exponential(self.lam))
 
     def as_family(self):
@@ -271,15 +270,14 @@ def oe_loglik_and_score(data, alpha, beta, lam):
       d/d lam  :  n/lam - alpha sum x_i - (alpha+1) sum x_i w_i + beta sum x_i w_i (1 + w_i)
 
     using x w (1 + w) = x e^{-lam x}/(1 - e^{-lam x})^2. Raises DataError
-    for empty input or nonpositive observations.
+    unless the observations are finite and strictly positive.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
-    if x.size == 0:
-        raise DataError("log-likelihood requires at least one observation")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise DataError("observations must be finite and strictly positive")
+    x = _positive_observations(data, "log-likelihood")
+    return _oe_loglik_and_score(x, alpha, beta, lam)
+
+
+def _oe_loglik_and_score(x, alpha, beta, lam):
+    """oe_loglik_and_score on x, a 1-D float array already validated."""
     if not (alpha > 0.0 and beta > 0.0 and lam > 0.0):
         raise ValueError("alpha, beta, lam must all be strictly positive")
     n = x.size

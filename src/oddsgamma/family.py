@@ -11,6 +11,7 @@ authoritative whenever the two disagree.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,12 +236,24 @@ def _validate_order(m, who):
     return m
 
 
+def _set_positive_param(dist, name):
+    """Store dist.name as a float; ValueError unless it is a finite real > 0."""
+    v = getattr(dist, name)
+    if not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+    v = float(v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be a positive finite number, got {v}")
+    object.__setattr__(dist, name, v)
+
+
 @dataclass(frozen=True)
 class GammaRatioDist:
     """Gamma(alpha, rate beta) pushed through the survival odds of base.
 
-    Raw moments from moment_quadrature are memoised per instance, so the
-    central and standardized moments reuse them.
+    alpha and beta are finite reals > 0 (numpy scalars included), stored
+    as Python floats. Raw moments from moment_quadrature are memoised per
+    instance, so the central and standardized moments reuse them.
     """
 
     alpha: float
@@ -249,10 +262,8 @@ class GammaRatioDist:
     _raw_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        for name in ("alpha", "beta"):
+            _set_positive_param(self, name)
 
     @property
     def support(self):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _positive_observations
 from .errors import DataError, FitError
 
 __all__ = ["FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
@@ -201,10 +202,11 @@ def _starts(model, data):
 
 
 def mle_fit(model, data):
-    """Maximize the likelihood; deterministic multi-start Newton descent."""
-    x = np.asarray(data, dtype=float).ravel()
-    if x.size == 0:
-        raise DataError("mle_fit requires at least one observation")
+    """Maximize the likelihood; deterministic multi-start Newton descent.
+
+    Observations that are not finite and positive raise DataError.
+    """
+    x = _positive_observations(data, "mle_fit")
     best = None
     failures = []
     for idx, theta0 in enumerate(_starts(model, x)):
@@ -281,12 +283,11 @@ def standard_errors(model, data, theta_hat, warnings_out=None):
     The information is differenced in log coordinates, as in the fit,
     and mapped to the original scale by the delta method. A Hessian that
     is not positive definite is inverted by pseudo-inverse and reported
-    through warnings_out (a list, appended in place). A theta_hat entry
+    through warnings_out (a list, appended in place). Observations that
+    are not finite and positive raise DataError, and a theta_hat entry
     that is not finite and positive raises ValueError.
     """
-    x = np.asarray(data, dtype=float).ravel()
-    if x.size == 0:
-        raise DataError("standard_errors requires at least one observation")
+    x = _positive_observations(data, "standard_errors")
     theta = np.asarray(theta_hat, dtype=float)
     for name, t in zip(model.param_names, theta):
         if not (math.isfinite(t) and t > 0.0):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .data import _positive_observations
 from .errors import DataError
 
 __all__ = [
@@ -60,9 +61,7 @@ def _validated_sorted(u):
     bad = np.nonzero(~(np.isfinite(arr) & (arr > 0.0) & (arr < 1.0)))[0]
     if bad.size:
         i = int(bad[0])
-        raise DataError(
-            f"probability value out of (0,1) at index {i}: {arr[i]!r}"
-        )
+        raise DataError(f"probability value out of (0,1) at index {i}: {float(arr[i])}")
     return np.sort(arr)
 
 
@@ -148,11 +147,10 @@ def gof_report(model, data, theta_hat, loglik):
     """Build a GofReport from a fitted model.
 
     The EDF statistics use the modified (standardized + multiplied)
-    variant; see the module docstring.
+    variant; see the module docstring. Observations that are not finite
+    and positive raise DataError.
     """
-    x = np.asarray(data, dtype=float).ravel()
-    if x.size == 0:
-        raise DataError("gof_report requires at least one observation")
+    x = _positive_observations(data, "gof_report")
     theta = np.asarray(theta_hat, dtype=float)
     u = np.asarray(model.cdf(np.sort(x), theta), dtype=float)
     aic, aicc, bic, hqic = info_criteria(loglik, model.k, x.size)

@@ -14,8 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .errors import DataError
-from .expgamma import OEGammaDist, oe_loglik_and_score
+from .expgamma import OEGammaDist, _oe_loglik_and_score
 
 __all__ = [
     "FittableModel",
@@ -37,8 +36,11 @@ class FittableModel:
     cdf rounds to 1. Every parameter is positive, because the fit works
     in log coordinates. k is the parameter count reported to information
     criteria, which can exceed the optimized dimension when displayed
-    parameters are redundant. analytic_score,
-    when present, maps (data, theta) to (loglik, gradient).
+    parameters are redundant. initial_guess maps data to a starting
+    theta, and analytic_score, when present, maps (data, theta) to
+    (loglik, gradient). Both receive the data as mle_fit or
+    standard_errors validated them (a non-empty 1-D float array of
+    finite values > 0) and do not check them again.
     report_params expands the optimized vector into display rows of
     (name, value, std_error) so redundant parameterizations can show
     their conventional split.
@@ -73,15 +75,6 @@ class FittableModel:
         ]
 
 
-def _check_positive_data(x):
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise DataError("model evaluation requires at least one observation")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise DataError("observations must be finite and strictly positive")
-    return x
-
-
 # -- proposed model: survival-odds gamma on an exponential base ----------
 
 def _oe_log_pdf(x, theta):
@@ -102,13 +95,12 @@ def _oe_sf(x, theta):
         return special.gammainc(a, b * w)
 
 
-def _oe_initial_guess(data):
-    x = _check_positive_data(data)
+def _oe_initial_guess(x):
     return np.array([0.5, 1.0, 1.0 / float(np.median(x))])
 
 
-def _oe_score(data, theta):
-    return oe_loglik_and_score(data, *(float(t) for t in theta))
+def _oe_score(x, theta):
+    return _oe_loglik_and_score(x, *(float(t) for t in theta))
 
 
 def oe_gamma_model():
@@ -154,9 +146,8 @@ def _zb_sf(x, theta):
         return np.where(x <= 0.0, 1.0, special.gammaincc(a, rho * np.maximum(x, 0.0)))
 
 
-def _zb_initial_guess(data):
+def _zb_initial_guess(x):
     # gamma method of moments
-    x = _check_positive_data(data)
     mean = float(np.mean(x))
     var = float(np.var(x, ddof=1)) if x.size > 1 else mean ** 2
     var = max(var, 1e-12)
@@ -164,9 +155,8 @@ def _zb_initial_guess(data):
     return np.array([a0, a0 / mean])
 
 
-def _zb_score(data, theta):
+def _zb_score(x, theta):
     a, rho = float(theta[0]), float(theta[1])
-    x = _check_positive_data(data)
     n = x.size
     sum_x = float(np.sum(x))
     sum_lx = float(np.sum(np.log(x)))
@@ -243,7 +233,7 @@ def _weibull_sf(x, theta):
 
 def _weibull_initial_guess(data):
     # least squares of ln(-ln(1-p_i)) on ln x_(i), the standard rank heuristic
-    x = np.sort(_check_positive_data(data))
+    x = np.sort(data)
     n = x.size
     if n == 1:
         return np.array([1.0, 1.0 / x[0]])
@@ -256,9 +246,8 @@ def _weibull_initial_guess(data):
     return np.array([k0, lam0])
 
 
-def _weibull_score(data, theta):
+def _weibull_score(x, theta):
     k, lam = float(theta[0]), float(theta[1])
-    x = _check_positive_data(data)
     n = x.size
     lx = np.log(lam * x)
     # exploratory starts can push (lam*x)^k past the float range; inf is

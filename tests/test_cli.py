@@ -354,6 +354,15 @@ class TestExitCodesAndIo:
         _, direct, _ = run_cli(capsys, "gof", "--model", "m6")
         assert target.read_text() == direct
 
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--model", "m6")
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddsgamma", "fit", "--model", "m6"],
+            capture_output=True, env=CHILD_ENV)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+        assert proc.stderr == err.encode() == b""
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "oddsgamma.cli"],

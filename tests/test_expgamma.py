@@ -33,6 +33,27 @@ class TestConstruction:
     def test_support(self):
         assert OEGammaDist(1.0, 1.0, 1.0).support == (0.0, math.inf)
 
+    @pytest.mark.parametrize("kind, params", [
+        (np.float32, (0.5, 0.75, 2.0)),
+        (np.int64, (2, 1, 3)),
+        (np.float64, (0.131, 0.179, 0.539)),
+    ], ids=["float32", "int64", "float64"])
+    def test_numpy_scalar_parameters(self, kind, params):
+        # stored as Python floats, so the law is the float-parameter law
+        # bit for bit
+        a, b, lam = (kind(v) for v in params)
+        fa, fb, flam = (float(v) for v in (a, b, lam))
+        x = np.array([0.05, 0.7, 3.0, 25.0])
+        oe = OEGammaDist(a, b, lam)
+        family = GammaRatioDist(a, b, make_exponential(flam))
+        for d in (oe, family):
+            assert all(type(v) is float for v in (d.alpha, d.beta))
+        assert type(oe.lam) is float
+        assert np.array_equal(oe.log_pdf(x), OEGammaDist(fa, fb, flam).log_pdf(x))
+        assert np.array_equal(
+            family.log_pdf(x),
+            GammaRatioDist(fa, fb, make_exponential(flam)).log_pdf(x))
+
 
 class TestClosedFormSubclass:
     """The exponential-base law is the family over Exp(lam) and overrides

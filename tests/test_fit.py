@@ -79,8 +79,10 @@ def _flat_coordinate_model():
 
 class TestLocationToy:
     def test_mle_is_sample_mean(self):
+        # mean 6 sd 1 keeps every draw inside the positive data that
+        # mle_fit accepts
         rng = np.random.default_rng(101)
-        data = rng.normal(2.5, 1.0, size=400)
+        data = rng.normal(6.0, 1.0, size=400)
         res = mle_fit(_location_model(), data)
         assert res.converged
         assert res.theta_hat[0] == pytest.approx(float(np.mean(data)), rel=1e-8)

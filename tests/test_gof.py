@@ -91,6 +91,11 @@ class TestValidation:
         with pytest.raises(DataError, match="probability value out of \\(0,1\\) at index 1"):
             cramer_von_mises([0.5, bad, 0.7])
 
+    def test_message_prints_the_plain_number(self):
+        with pytest.raises(DataError) as err:
+            anderson_darling(np.array([0.5, 1.0]))
+        assert str(err.value) == "probability value out of (0,1) at index 1: 1.0"
+
     def test_modified_needs_two_values(self):
         with pytest.raises(DataError, match="requires at least 2 values"):
             anderson_darling([0.5], modified=True)

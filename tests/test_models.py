@@ -11,7 +11,19 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from oddsgamma import DataError, get_model, list_models
+from oddsgamma import (
+    DataError,
+    get_model,
+    gof_report,
+    list_models,
+    mle_fit,
+    oe_loglik_and_score,
+    standard_errors,
+)
+from oddsgamma import data as data_module
+from oddsgamma import expgamma as expgamma_module
+from oddsgamma import fit as fit_module
+from oddsgamma import gof as gof_module
 from oddsgamma.expgamma import OEGammaDist
 from oddsgamma.family import GammaRatioDist
 from oddsgamma.base import make_exponential
@@ -257,19 +269,60 @@ class TestAnalyticScores:
 
 
 class TestDataValidation:
+    """Observations are validated once, where they enter: mle_fit,
+    standard_errors, gof_report and oe_loglik_and_score. The model
+    callables take the validated array as given."""
+
+    ENTRIES = {
+        "mle_fit": (lambda x: mle_fit(get_model("m2"), x), "mle_fit"),
+        "standard_errors": (
+            lambda x: standard_errors(get_model("m2"), x, (1.0, 1.0, 1.0)), "standard_errors"),
+        "gof_report": (
+            lambda x: gof_report(get_model("m2"), x, (1.0, 1.0, 1.0), -1.0), "gof_report"),
+        "oe_loglik_and_score": (
+            lambda x: oe_loglik_and_score(x, 1.0, 1.0, 1.0), "log-likelihood"),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("bad", [
+        [], [np.nan, 1.0], [np.inf, 1.0], [0.0, 1.0], [-1.0, 2.0, 3.0],
+    ], ids=["empty", "nan", "inf", "zero", "negative"])
+    def test_bad_data_raises_at_each_entry(self, entry, bad):
+        call, name = self.ENTRIES[entry]
+        message = (f"{name} requires at least one observation" if not bad
+                   else "observations must be finite and strictly positive")
+        with pytest.raises(DataError) as err:
+            call(np.array(bad))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
     def test_empty_data_rejected(self, alias):
         model = get_model(alias)
-        with pytest.raises(DataError, match="at least one observation"):
-            model.initial_guess(np.array([]))
+        with pytest.raises(DataError, match="mle_fit requires at least one observation"):
+            mle_fit(model, np.array([]))
 
     @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
     def test_nonpositive_data_rejected(self, alias):
         model = get_model(alias)
         with pytest.raises(DataError, match="finite and strictly positive"):
-            model.initial_guess(np.array([1.0, -2.0, 3.0]))
+            mle_fit(model, np.array([1.0, -2.0, 3.0]))
 
     def test_score_rejects_nan(self):
-        model = get_model("m1")
+        # the score takes its data as given; standard_errors, which
+        # calls it, rejects the data first
         with pytest.raises(DataError, match="finite and strictly positive"):
-            model.analytic_score(np.array([1.0, np.nan]), (1.0, 1.0))
+            standard_errors(get_model("m1"), np.array([1.0, np.nan]), (1.0, 1.0))
+
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
+    def test_one_validation_per_fit(self, flood_values, monkeypatch, alias):
+        calls = []
+
+        def counted(data, entry, check=data_module._positive_observations):
+            calls.append(entry)
+            return check(data, entry)
+
+        for module in (fit_module, gof_module, expgamma_module):
+            monkeypatch.setattr(module, "_positive_observations", counted)
+        res = mle_fit(get_model(alias), flood_values)
+        assert res.converged
+        assert calls == ["mle_fit"]
