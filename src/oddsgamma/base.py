@@ -39,9 +39,10 @@ class BaseDistribution:
         Inverse survival: s -> x with sf(x) = s. Derived from quantile
         when omitted.
     log_isf : callable, optional
-        Inverse survival in log space: log s -> x with sf(x) = s, for
-        survival levels below double range. The family uses it for odds
-        that underflow; without it such odds are mapped in linear space.
+        Inverse survival in log space: log s -> x with sf(x) = s,
+        accurate at every level, not only below double range. The family
+        maps every draw and every underflowing odds value through it;
+        without it both are mapped in linear space.
     tail_rate : float, optional
         Exponential decay rate of sf at the upper end of the support,
         when known. Consumers use it for moment-generating domains.

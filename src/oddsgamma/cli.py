@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .data import load_csv, wheaton
+from .data import _positive_observations, load_csv, wheaton
 from .errors import DataError, NumericalError
 from .expgamma import OEGammaDist
 from .fit import mle_fit
@@ -163,9 +163,8 @@ def _kv_tsv(pairs):
 _STATS = ("loglik", "aic", "aicc", "bic", "hqic", "a_squared", "w_squared")
 
 
-def _fit_row(model, dataset):
-    """Fit one model and assemble a report row of rounded numbers."""
-    values = np.asarray(dataset.values, dtype=float)
+def _fit_row(model, values):
+    """Fit one model to values and assemble a report row of rounded numbers."""
     result = mle_fit(model, values)
     report = gof_report(model, values, result.theta_hat, result.loglik)
     display = model.display_params(result.theta_hat, result.std_errors)
@@ -216,11 +215,13 @@ def _cmd_compare(args):
         raise _UsageError("--model must select at least one model")
     models = [_get_model_or_usage(nm) for nm in names]
     dataset = _load_data(args)
+    # the data are the same for every model: a data error is not a row
+    values = _positive_observations(dataset.values, "compare")
     rows = []
     any_failed = False
     for model in models:
         try:
-            row, result = _fit_row(model, dataset)
+            row, result = _fit_row(model, values)
             if not result.converged:
                 any_failed = True
         except (NumericalError, ValueError) as exc:
@@ -328,7 +329,7 @@ def _cmd_moments(args):
 def _cmd_gof(args):
     model = _get_model_or_usage(args.model)
     dataset = _load_data(args)
-    row, result = _fit_row(model, dataset)
+    row, result = _fit_row(model, dataset.values)
     doc = {"model": model.name, "data": dataset.name, "n": dataset.n, "k": row["k"],
            **{k: row[k] for k in _STATS}, "converged": result.converged}
     if args.format == "json":

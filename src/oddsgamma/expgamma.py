@@ -3,12 +3,12 @@
 With an Exp(lam) base the odds transform collapses to
 w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1). OEGammaDist is
 the GammaRatioDist over that base and overrides only what has a closed
-form here: the odds, the log-density, the sampler, and the double-sum
-expansions whose inner terms are available analytically, which makes
-them fast enough to push to very deep truncations. Everything else
-(cdf, pdf and hazard through the odds and log-density, quantiles with
-their log-space deep tail, the memoised quadrature moments, mgf, cf,
-entropy and tau) is the family's own code. ``as_family()`` builds the
+form here: the odds, the log-density, and the double-sum expansions
+whose inner terms are available analytically, which makes them fast
+enough to push to very deep truncations. Everything else (cdf, sf, pdf,
+hazard, quantiles, the sampler through the base's exact log_isf, the
+memoised quadrature moments, mgf, cf, entropy, tau and the series'
+argument checks) is the family's own code. ``as_family()`` builds the
 same law through the generic construction, as an independent reference.
 
 The entropy expansion is evaluated exactly as displayed even though it
@@ -31,13 +31,14 @@ from .family import (
     GammaRatioDist,
     SeriesResult,
     _as_float_array,
-    _log_gamma_variates,
+    _renyi_result,
     _restore,
-    _running_binomial,
     _set_positive_param,
+    _signed_binomial,
     _sum_shells,
     _truncate_inner,
     _validate_order,
+    _validate_renyi_order,
 )
 from .specfun import digamma, log_gamma
 
@@ -109,20 +110,6 @@ class OEGammaDist(GammaRatioDist):
         out = np.where(below, -np.inf, out)
         return _restore(out, scalar)
 
-    def sample(self, n, rng=None):
-        """n draws via the gamma representation: X = log(1 + 1/T)/lam
-        with T ~ Gamma(alpha, rate beta).
-
-        T is drawn in log space and mapped as softplus(-ln T)/lam, so
-        draws of T below double range keep their exact law.
-        """
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"sample size must be >= 0, got {n}")
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        log_t = _log_gamma_variates(rng, self.alpha, n) - math.log(self.beta)
-        return np.logaddexp(0.0, -log_t) / self.lam
-
     # -- expansions specific to the exponential base ----------------------
 
     def _sum_analytic_shells(self, ctrl, terms_of):
@@ -131,8 +118,9 @@ class OEGammaDist(GammaRatioDist):
         After rewriting the signed binomial, the inner coefficient is
         C(k+alpha+j, j) > 0, so each shell is a positive series scaled
         by (-1)^k. logs is the log of that coefficient times the shared
-        prefactor, and K = k + alpha + j.
+        prefactor and lam, and K = k + alpha + j.
         """
+        ctrl = ctrl or DEFAULT_CONTROL
         a = self.alpha
         j = np.arange(ctrl.j_max, dtype=float)
         log_j_fact = special.gammaln(j + 1.0)
@@ -146,6 +134,7 @@ class OEGammaDist(GammaRatioDist):
                 + special.gammaln(kk + 1.0)
                 - log_j_fact
                 - special.gammaln(k + a + 1.0)
+                + math.log(self.lam)
             )
             with np.errstate(over="ignore", under="ignore"):
                 terms = terms_of(kk, logs)
@@ -163,36 +152,28 @@ class OEGammaDist(GammaRatioDist):
         (thousands of terms) are routinely needed and cheap here.
         """
         m = _validate_order(m, "moment_series")
-        log_lam, lg_m = math.log(self.lam), log_gamma(m + 1.0)
+        lg_m = log_gamma(m + 1.0)
         return self._sum_analytic_shells(
-            ctrl or DEFAULT_CONTROL,
-            lambda kk, logs: np.exp(logs + log_lam + lg_m - (m + 1.0) * np.log(self.lam * kk)),
+            ctrl, lambda kk, logs: np.exp(logs + lg_m - (m + 1.0) * np.log(self.lam * kk))
         )
 
     def mgf_series(self, t, ctrl=None):
         """Double-sum mgf: inner terms end in 1/(lam K - t), t < alpha lam."""
         t = float(t)
-        if t >= self.alpha * self.lam:
-            raise DivergenceError(
-                f"mgf undefined for t >= alpha * lam = {self.alpha * self.lam:.6g}, "
-                f"got t = {t:.6g}"
-            )
-        log_lam = math.log(self.lam)
+        self._check_mgf_domain(t)
         return self._sum_analytic_shells(
-            ctrl or DEFAULT_CONTROL,
-            lambda kk, logs: np.exp(logs + log_lam - np.log(self.lam * kk - t)),
+            ctrl, lambda kk, logs: np.exp(logs - np.log(self.lam * kk - t))
         )
 
     def cf_series(self, t, ctrl=None):
         """Double-sum characteristic function; value is complex."""
         t = float(t)
-        log_lam = math.log(self.lam)
 
         def terms_of(kk, logs):
             lam_kk = self.lam * kk
-            return np.exp(logs + log_lam) * (lam_kk + 1j * t) / (lam_kk * lam_kk + t * t)
+            return np.exp(logs) * (lam_kk + 1j * t) / (lam_kk * lam_kk + t * t)
 
-        return self._sum_analytic_shells(ctrl or DEFAULT_CONTROL, terms_of)
+        return self._sum_analytic_shells(ctrl, terms_of)
 
     def renyi_series(self, eta, ctrl=None):
         """Entropy double sum evaluated exactly as displayed.
@@ -203,61 +184,46 @@ class OEGammaDist(GammaRatioDist):
         exceeds 1e-3 the diagnostic records it. The quadrature value is
         the authoritative one.
         """
-        eta = float(eta)
-        if not (eta > 0.0) or eta == 1.0:
-            raise ValueError(f"renyi order must be positive and != 1, got {eta}")
+        eta = _validate_renyi_order(eta, "renyi_series")
         ctrl = ctrl or DEFAULT_CONTROL
         a, b, lam = self.alpha, self.beta, self.lam
-        log_eta = math.log(eta)
         j = np.arange(float(ctrl.j_max))
 
         def inner(k):
             log_pref = (
                 eta * math.log(lam)
-                + k * log_eta
+                + k * math.log(eta)
                 + (eta * a + k) * math.log(b)
                 - log_gamma(k + 1.0)
                 - eta * log_gamma(a)
             )
-            with np.errstate(over="ignore", under="ignore"):
-                pref = float(np.exp(log_pref))
-            if not math.isfinite(pref):
+            coef = _signed_binomial(k, log_pref, eta * (a - 1.0) + k, ctrl.j_max)
+            if not math.isfinite(coef[0]):
                 return math.nan, 0, False, (
                     f"shell k={k} prefactor overflowed; the display is not "
                     f"summable at these parameters"
                 )
-            sign_k = -1.0 if k % 2 else 1.0
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = (
-                    sign_k * pref * (-1.0) ** j
-                    * _running_binomial(eta * (a - 1.0) + k, ctrl.j_max)
-                    / (lam * (a + k + j))
-                )
+                terms = coef / (lam * (a + k + j))
             return *_truncate_inner(terms, ctrl), None
 
-        raw = _sum_shells(inner, ctrl)
-        if not math.isfinite(raw.value) or raw.value <= 0.0:
-            diag = raw.diagnostic or (
-                f"summed value {raw.value:.6g} has no logarithm; the display "
-                f"is inconsistent at these parameters"
-            )
-            return SeriesResult(math.nan, raw.terms_used, False, diag)
-        value = math.log(raw.value) / (1.0 - eta)
-        diag = raw.diagnostic
+        result = _renyi_result(_sum_shells(inner, ctrl), eta)
+        if math.isnan(result.value):
+            return result
         try:
             quad = self.renyi_entropy(eta)
         except (DivergenceError, NumericalError) as exc:
             note = f"quadrature cross-check unavailable: {exc}"
-            diag = f"{diag}; {note}" if diag else note
         else:
-            gap = abs(value - quad)
-            if gap > 1e-3:
-                note = (
-                    f"series value {value:.6g} differs from the quadrature "
-                    f"entropy {quad:.6g} by {gap:.3g}; prefer the quadrature value"
-                )
-                diag = f"{diag}; {note}" if diag else note
-        return SeriesResult(value, raw.terms_used, raw.converged, diag)
+            gap = abs(result.value - quad)
+            if not gap > 1e-3:
+                return result
+            note = (
+                f"series value {result.value:.6g} differs from the quadrature "
+                f"entropy {quad:.6g} by {gap:.3g}; prefer the quadrature value"
+            )
+        diag = f"{result.diagnostic}; {note}" if result.diagnostic else note
+        return SeriesResult(result.value, result.terms_used, result.converged, diag)
 
 
 def oe_loglik_and_score(data, alpha, beta, lam):

@@ -2,7 +2,7 @@
 
 A GammaRatioDist feeds the survival odds w(x) = (1 - G1(x))/G1(x) of a
 base distribution through the upper tail of a Gamma(alpha, rate beta):
-H(x) = Q(alpha, beta * w(x)). Closed forms cover cdf/pdf/hazard/quantile
+H(x) = Q(alpha, beta * w(x)). Closed forms cover cdf/sf/pdf/hazard/quantile
 and exact sampling; expectations (moments, mgf, cf, entropy) are
 computed by adaptive quadrature in probability space with divergence
 detection. The family's double-series expansions are exposed as formal
@@ -227,6 +227,36 @@ def _running_binomial(s, n):
     return np.cumprod(np.concatenate(([1.0], (s - (j - 1.0)) / j)))
 
 
+def _signed_binomial(k, log_pref, s, n):
+    """(-1)^(k+j) e^{log_pref} C(s, j) for j = 0..n-1: the coefficient of
+    a shell's inner terms; inf or nan entries where e^{log_pref} overflows."""
+    sign_k = -1.0 if k % 2 else 1.0
+    j = np.arange(float(n))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return sign_k * float(np.exp(log_pref)) * (-1.0) ** j * _running_binomial(s, n)
+
+
+def _validate_renyi_order(eta, who):
+    """eta as a float; ValueError unless eta > 0 and eta != 1."""
+    eta = float(eta)
+    if not eta > 0.0 or eta == 1.0:
+        raise ValueError(f"{who} requires eta > 0, eta != 1, got {eta}")
+    return eta
+
+
+def _renyi_result(raw, eta):
+    """The order-eta entropy log(S)/(1 - eta) of a summed series raw;
+    nan, not converged, where S is not a positive finite number."""
+    if not math.isfinite(raw.value) or raw.value <= 0.0:
+        diag = raw.diagnostic or (
+            f"summed value {raw.value:.6g} is not a positive finite number, "
+            "so it has no logarithm"
+        )
+        return SeriesResult(math.nan, raw.terms_used, False, diag)
+    value = math.log(raw.value) / (1.0 - eta)
+    return SeriesResult(value, raw.terms_used, raw.converged, raw.diagnostic)
+
+
 def _validate_order(m, who):
     if isinstance(m, float) and not m.is_integer():
         raise ValueError(f"{who} requires integer order, got {m}")
@@ -340,19 +370,22 @@ class GammaRatioDist:
             val = np.exp(self.log_pdf(x_arr))
         return _restore(val, scalar)
 
-    def hazard(self, x):
-        """h(x) / (1 - H(x)) with the survival computed as P(alpha, beta w).
+    def sf(self, x):
+        """Survival 1 - H(x) = P(alpha, beta * w(x)), which keeps its digits
+        where cdf rounds to 1; 1 below the support, 0 at its top."""
+        x_arr, scalar = _as_float_array(x)
+        w = np.asarray(self.odds(x_arr), dtype=float)
+        with np.errstate(over="ignore", under="ignore"):
+            val = special.gammainc(self.alpha, self.beta * w)
+        return _restore(val, scalar)
 
-        The lower regularized gamma is the numerically dominant branch
-        near the upper end of the support, where 1 - H underflows first.
-        """
+    def hazard(self, x):
+        """h(x) / (1 - H(x)) with the survival taken from sf."""
         x_arr, scalar = _as_float_array(x)
         lo, hi = self.base.support
         if not np.all((x_arr > lo) & (x_arr < hi)):
             raise ValueError("hazard requires x strictly inside the support")
-        w = np.asarray(self.odds(x_arr), dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            surv = special.gammainc(self.alpha, self.beta * w)
+        surv = self.sf(x_arr)
         if np.any(surv < 1e-300):
             raise NumericalError(
                 "hazard overflow: 1 - cdf fell below 1e-300 "
@@ -428,25 +461,26 @@ class GammaRatioDist:
         x = self._x_from_w(w, log_w)
         return float(x[0]) if scalar else x
 
-    def sample(self, n, rng):
+    def sample(self, n, rng=None):
         """n independent draws, exact in law: X = w^{-1}(T), T ~ Gamma.
 
-        rng is a numpy Generator or an integer seed. T with shape alpha
-        and rate beta has P(T >= w(x)) = Q(alpha, beta w(x)) = H(x), so
+        rng is a numpy Generator, a seed or None. T with shape alpha and
+        rate beta has P(T >= w(x)) = Q(alpha, beta w(x)) = H(x), so
         mapping T back through the odds inverts the construction without
-        any quantile iteration. T is drawn in log space; draws below
-        double range map through the base's log_isf, or, for a base
-        without one, as T = tiny.
+        any quantile iteration. T is drawn in log space and mapped through
+        the base's log_isf at ln sf = -softplus(-ln T), or, for a base
+        without one, through the odds inverse with T floored at tiny.
         """
         n = int(n)
         if n < 0:
-            raise ValueError(f"sample requires n >= 0, got {n}")
+            raise ValueError(f"sample size must be >= 0, got {n}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         log_t = _log_gamma_variates(rng, self.alpha, n) - math.log(self.beta)
+        if self.base.log_isf is not None:
+            return np.asarray(self.base.log_isf(-np.logaddexp(0.0, -log_t)), dtype=float)
         with np.errstate(under="ignore"):
-            t = np.exp(log_t)
-        return self._x_from_w(np.maximum(t, _TINY), log_t)
+            return self._x_from_w(np.maximum(np.exp(log_t), _TINY))
 
     # ---------------- quadrature expectations ----------------
 
@@ -606,9 +640,7 @@ class GammaRatioDist:
         eta must be positive and different from 1 (the Shannon limit is
         out of scope).
         """
-        eta = float(eta)
-        if not eta > 0.0 or eta == 1.0:
-            raise ValueError(f"renyi_entropy requires eta > 0, eta != 1, got {eta}")
+        eta = _validate_renyi_order(eta, "renyi_entropy")
         p = eta - 1.0
 
         def f(x):
@@ -639,13 +671,8 @@ class GammaRatioDist:
         aborts the whole evaluation via the note channel, unless the
         truncation stopped before it.
         """
-        sign_k = -1.0 if k % 2 else 1.0
-        with np.errstate(over="ignore"):
-            pref = sign_k * float(np.exp(log_pref))
-        j = np.arange(float(ctrl.j_max))
-        r = r_of_j(j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = pref * (-1.0) ** j * _running_binomial(s_binom, ctrl.j_max)
+        r = r_of_j(np.arange(float(ctrl.j_max)))
+        coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
             tau = self.tau(m, eta, r[start:start + _TAU_BLOCK])
@@ -770,11 +797,9 @@ class GammaRatioDist:
         """Formal expansion of the order-eta entropy via tau functionals.
 
         The result's value is the transformed entropy log(S)/(1 - eta),
-        nan when the inner sum is not positive or not evaluable.
+        nan when the inner sum is not a positive finite number.
         """
-        eta = float(eta)
-        if not eta > 0.0 or eta == 1.0:
-            raise ValueError(f"renyi_series requires eta > 0, eta != 1, got {eta}")
+        eta = _validate_renyi_order(eta, "renyi_series")
         ctrl = ctrl or DEFAULT_CONTROL
         a, b = self.alpha, self.beta
 
@@ -790,14 +815,7 @@ class GammaRatioDist:
                 log_pref, eta * (a - 1.0) + k,
             )
 
-        raw = _sum_shells(inner, ctrl)
-        if math.isnan(raw.value) or raw.value <= 0.0:
-            diag = raw.diagnostic or (
-                f"inner sum evaluated to {raw.value:.6g}, not a positive number"
-            )
-            return SeriesResult(math.nan, raw.terms_used, False, diag)
-        value = math.log(raw.value) / (1.0 - eta)
-        return SeriesResult(value, raw.terms_used, raw.converged, raw.diagnostic)
+        return _renyi_result(_sum_shells(inner, ctrl), eta)
 
     def cdf_series(self, x, ctrl=None):
         """Formal power-in-G1 expansion of the cdf; diagnostic path only.

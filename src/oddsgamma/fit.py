@@ -224,7 +224,7 @@ def mle_fit(model, data):
     phi, ll, g, iters, converged = best
     theta_hat = np.exp(phi)
     warnings_out = []
-    se = _log_coordinate_std_errors(model, x, phi, warnings_out)
+    se = _log_coordinate_std_errors(model, x, phi, g, warnings_out)
     grad_sup = np.max(np.abs(g))
     for name, t in zip(model.param_names, theta_hat):
         if not 1e-300 < t < 1e300:
@@ -247,16 +247,15 @@ def mle_fit(model, data):
     )
 
 
-def _log_coordinate_std_errors(model, data, phi, sink):
+def _log_coordinate_std_errors(model, data, phi, g, sink):
     """Standard errors of theta = exp(phi) by the delta method.
 
-    diag(g) - H, from the log-coordinate gradient g and Hessian H, is
+    diag(g) - H, from the log-coordinate gradient g at phi and Hessian H, is
     exactly diag(theta) I diag(theta) for the original-scale observed
     information I at any point, so theta_i * sqrt((diag(g) - H)^-1_ii)
     is the original-scale standard error, and no product of two theta
     entries (which overflows near the float range) is ever formed.
     """
-    _, g = _grad_phi(model, data, phi)
     info = np.diag(g) - _hess_phi(model, data, phi)
     if not np.all(np.isfinite(info)):
         sink.append("observed information contains non-finite entries; standard errors unreliable")
@@ -294,4 +293,5 @@ def standard_errors(model, data, theta_hat, warnings_out=None):
             raise ValueError(f"standard_errors needs {name} finite and > 0, got {t}")
     phi = np.log(theta)
     sink = warnings_out if warnings_out is not None else []
-    return _log_coordinate_std_errors(model, x, phi, sink)
+    _, g = _grad_phi(model, x, phi)
+    return _log_coordinate_std_errors(model, x, phi, g, sink)

@@ -36,7 +36,9 @@ def info_criteria(loglik, k, n):
     """(AIC, AICc, BIC, HQIC) for a fit with k parameters on n points.
 
     AIC = 2k - 2l; AICc = AIC + 2k(k+1)/(n-k-1); BIC = k ln n - 2l;
-    HQIC = 2k ln(ln n) - 2l. Smaller is better.
+    HQIC = 2k ln(ln n) - 2l. Smaller is better. Too few observations
+    for AICc (n <= k + 1) or HQIC (n < 3) raise DataError; a negative k
+    raises ValueError.
     """
     loglik = float(loglik)
     k = int(k)
@@ -44,9 +46,9 @@ def info_criteria(loglik, k, n):
     if k < 0:
         raise ValueError(f"parameter count must be >= 0, got {k}")
     if n <= k + 1:
-        raise ValueError(f"AICc undefined for n <= k + 1 (n={n}, k={k})")
+        raise DataError(f"AICc undefined for n <= k + 1 (n={n}, k={k})")
     if n < 3:
-        raise ValueError(f"HQIC undefined for n < 3 (n={n})")
+        raise DataError(f"HQIC undefined for n < 3 (n={n})")
     aic = 2.0 * k - 2.0 * loglik
     aicc = aic + 2.0 * k * (k + 1.0) / (n - k - 1.0)
     bic = k * math.log(n) - 2.0 * loglik

@@ -77,22 +77,13 @@ class FittableModel:
 
 # -- proposed model: survival-odds gamma on an exponential base ----------
 
-def _oe_log_pdf(x, theta):
-    a, b, lam = (float(t) for t in theta)
-    return OEGammaDist(a, b, lam).log_pdf(np.asarray(x, dtype=float))
+def _oe_method(name):
+    """The model callable (x, theta) -> OEGammaDist(*theta).name(x)."""
+    def call(x, theta):
+        a, b, lam = (float(t) for t in theta)
+        return getattr(OEGammaDist(a, b, lam), name)(np.asarray(x, dtype=float))
 
-
-def _oe_cdf(x, theta):
-    a, b, lam = (float(t) for t in theta)
-    return OEGammaDist(a, b, lam).cdf(np.asarray(x, dtype=float))
-
-
-def _oe_sf(x, theta):
-    # P(alpha, beta w(x)), the survival OEGammaDist.hazard uses
-    a, b, lam = (float(t) for t in theta)
-    w = OEGammaDist(a, b, lam).odds(np.asarray(x, dtype=float))
-    with np.errstate(over="ignore", under="ignore"):
-        return special.gammainc(a, b * w)
+    return call
 
 
 def _oe_initial_guess(x):
@@ -109,9 +100,9 @@ def oe_gamma_model():
         name="oe-gamma",
         k=3,
         param_names=("alpha", "beta", "lambda"),
-        log_pdf=_oe_log_pdf,
-        cdf=_oe_cdf,
-        sf=_oe_sf,
+        log_pdf=_oe_method("log_pdf"),
+        cdf=_oe_method("cdf"),
+        sf=_oe_method("sf"),
         initial_guess=_oe_initial_guess,
         analytic_score=_oe_score,
     )

@@ -338,12 +338,23 @@ class TestExitCodesAndIo:
         assert code == 65
         assert err.startswith("data error: cannot read")
 
-    def test_negative_observations_are_data_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "gof", "compare"])
+    def test_negative_observations_are_data_error(self, capsys, tmp_path, command):
         p = tmp_path / "neg.csv"
         p.write_text("1.0\n-3.0\n2.0\n")
-        code, _, err = run_cli(capsys, "fit", "--model", "m2", "--data", str(p))
+        code, out, err = run_cli(capsys, command, "--model", "m2", "--data", str(p))
         assert code == 65
-        assert "strictly positive" in err
+        assert out == ""
+        assert err == "data error: observations must be finite and strictly positive\n"
+
+    def test_too_few_observations_for_gof_are_data_error(self, capsys, tmp_path):
+        # the fit itself succeeds on two points; the criteria cannot
+        p = tmp_path / "two.csv"
+        p.write_text("2.0\n5.5\n")
+        code, out, err = run_cli(capsys, "gof", "--model", "m6", "--data", str(p))
+        assert code == 65
+        assert out == ""
+        assert err == "data error: AICc undefined for n <= k + 1 (n=2, k=2)\n"
 
     def test_out_redirects_everything(self, capsys, tmp_path):
         target = tmp_path / "report.json"

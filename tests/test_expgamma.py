@@ -60,7 +60,7 @@ class TestClosedFormSubclass:
     only what has a closed form there."""
 
     OWN = {
-        "odds", "log_pdf", "sample",
+        "odds", "log_pdf",
         "moment_series", "mgf_series", "cf_series", "renyi_series",
         "_sum_analytic_shells", "as_family",
     }
@@ -189,6 +189,15 @@ class TestQuantileSample:
         b = d.sample(64, np.random.default_rng(9))
         assert np.array_equal(a, b)
         assert np.all(a > 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.131, 2.0])
+    def test_sample_is_the_family_sampler(self, alpha):
+        # the generic sampler maps every draw through the exponential
+        # base's exact log_isf, which is the closed form softplus(-ln T)/lam
+        d = OEGammaDist(alpha, 0.179, 0.539)
+        ours = d.sample(20_000, np.random.default_rng(21))
+        generic = d.as_family().sample(20_000, np.random.default_rng(21))
+        assert np.array_equal(ours, generic)
 
     def test_sample_pinned_stream(self):
         draws = OEGammaDist(*M2_PARAMS).sample(5, np.random.default_rng(7))
@@ -406,7 +415,7 @@ class TestMgfCfEntropy:
 
     def test_mgf_series_domain_and_honesty(self):
         d = OEGammaDist(2.0, 1.0, 1.0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="alpha \\* tail_rate = 2"):
             d.mgf_series(2.5)
         r = d.mgf_series(0.5, SeriesControl(40, 2000, 1e-8))
         if r.converged:

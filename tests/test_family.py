@@ -147,6 +147,35 @@ class TestHazard:
             dist(1.0, 1.0, 1.0).hazard(700.0)
 
 
+class TestSurvival:
+    def test_support_ends_and_nan(self):
+        d = dist(0.131, 0.179, 0.539)
+        assert d.sf(0.0) == 1.0 and d.sf(-2.0) == 1.0
+        assert d.sf(math.inf) == 0.0
+        assert math.isnan(d.sf(math.nan))
+        got = d.sf(np.array([-1.0, 0.0, np.inf, np.nan]))
+        assert got[:3].tolist() == [1.0, 1.0, 0.0] and np.isnan(got[3])
+
+    def test_is_one_minus_cdf_in_the_head(self):
+        # where cdf < 1/2 the subtraction 1 - cdf loses nothing
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            a, b, lam = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=3))
+            d = dist(a, b, lam)
+            x = rng.uniform(0.0, 20.0, 50) / lam
+            c = d.cdf(x)
+            head = c < 0.5
+            assert np.all(np.abs(d.sf(x[head]) - (1.0 - c[head])) <= 1e-14), (a, b, lam)
+
+    def test_model_m2_is_the_law_sf(self):
+        from oddsgamma import get_model
+
+        theta = (0.131, 0.179, 0.539)
+        x = np.array([-1.0, 0.0, 0.3, 5.0, 27.0, 600.0, np.inf, np.nan])
+        assert np.array_equal(
+            get_model("m2").sf(x, theta), OEGammaDist(*theta).sf(x), equal_nan=True)
+
+
 class TestQuantile:
     def test_closed_value(self):
         assert dist(1.0, 1.0, 1.0).quantile(math.exp(-1.0)) == pytest.approx(
@@ -599,6 +628,25 @@ class TestRenyi:
             d.renyi_entropy(1.0)
         with pytest.raises(ValueError):
             d.renyi_entropy(-0.5)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, 1.0, math.nan])
+    def test_one_order_rule(self, eta):
+        # the quadrature entropy and both series reject an order by one
+        # rule, naming the entry point
+        d = OEGammaDist(1.0, 1.0, 1.0)
+        messages = {}
+        for who, call in [
+            ("renyi_entropy", d.renyi_entropy),
+            ("renyi_series", d.renyi_series),
+            ("renyi_series", d.as_family().renyi_series),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                call(eta)
+            messages.setdefault(who, set()).add(str(exc.value))
+        assert messages == {
+            who: {f"{who} requires eta > 0, eta != 1, got {eta}"}
+            for who in ("renyi_entropy", "renyi_series")
+        }
 
     def test_series_is_honest(self):
         d = dist(2.0, 1.0, 1.0)
