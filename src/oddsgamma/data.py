@@ -44,12 +44,17 @@ class Dataset:
 
 def _positive_observations(data, entry):
     """The one observation rule: data as a non-empty 1-D float array of
-    finite values > 0. entry names the caller in the empty-data message.
+    finite values > 0 (a scalar is one observation). entry names the
+    caller in the shape and empty-data messages.
 
-    The public fit, standard-error, GoF and score entry points call this
-    once; everything they pass observations on to takes them as given.
+    The public fit, likelihood, standard-error, GoF and score entry
+    points call this once; everything they pass observations on to
+    takes them as given.
     """
-    x = np.asarray(data, dtype=float).ravel()
+    x = np.asarray(data, dtype=float)
+    if x.ndim > 1:
+        raise DataError(f"{entry} takes a 1-D sequence of observations, got shape {x.shape}")
+    x = x.ravel()
     if x.size == 0:
         raise DataError(f"{entry} requires at least one observation")
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):

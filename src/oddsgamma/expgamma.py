@@ -40,7 +40,7 @@ from .family import (
     _validate_order,
     _validate_renyi_order,
 )
-from .specfun import digamma, log_gamma
+from .specfun import _sq_trigamma, digamma, log_gamma
 
 __all__ = ["OEGammaDist", "oe_loglik_and_score"]
 
@@ -239,24 +239,44 @@ def oe_loglik_and_score(data, alpha, beta, lam):
     unless the observations are finite and strictly positive.
     """
     x = _positive_observations(data, "log-likelihood")
-    return _oe_loglik_and_score(x, alpha, beta, lam)
+    return _oe_loglik_and_score(x, alpha, beta, lam)[:2]
 
 
 def _oe_loglik_and_score(x, alpha, beta, lam):
-    """oe_loglik_and_score on x, a 1-D float array already validated."""
+    """oe_loglik_and_score on x, a 1-D float array already validated,
+    plus the Hessian in log coordinates (a, b, l) = log(alpha, beta, lam).
+
+    With y = lam x, w = 1/expm1(y) and d_alpha the gradient's alpha
+    component, each entry is written in those coordinates:
+
+      H_aa = -n alpha^2 psi'(alpha) + alpha d_alpha     H_ab = n alpha
+      H_bb = -beta sum w                                H_al = -alpha (sum y + sum y w)
+      H_bl = beta sum y w (1 + w)
+      H_ll = (alpha+1) sum y^2 w(1+w) - beta sum y^2 w(1+w)(1+2w)
+             - alpha sum y - (alpha+1) sum y w + beta sum y w (1+w)
+
+    (the n of lam^2 d2/dlam2 and of lam d/dlam cancel), so no entry is a
+    product of two parameters, which overflows at the alpha -> 0,
+    beta -> inf ridge.
+    """
     if not (alpha > 0.0 and beta > 0.0 and lam > 0.0):
         raise ValueError("alpha, beta, lam must all be strictly positive")
     n = x.size
     y = lam * x
-    # a tiny lam makes w and x w^2 overflow; the fit rejects inf
+    # a tiny lam makes w overflow; the fit rejects inf. y w = y/expm1(y)
+    # lies in (0, 1], so the sums below stay finite while w does
     with np.errstate(over="ignore", under="ignore"):
         w = 1.0 / np.expm1(y)
         l1m = _log1mexp(y)
-        xw = x * w
         sum_w = float(np.sum(w))
-        sum_xw = float(np.sum(xw))
-        sum_xw1w = float(np.sum(xw * (1.0 + w)))
+        yw = y * w
+        yw1w = yw * (1.0 + w)
+        sum_yw = float(np.sum(yw))
+        sum_yw1w = float(np.sum(yw1w))
+        sum_y2w1w = float(np.sum(y * yw1w))
+        sum_y2w1w12w = float(np.sum(y * yw1w * (1.0 + 2.0 * w)))
     sum_x = float(np.sum(x))
+    sum_y = float(np.sum(y))
     sum_l1m = float(np.sum(l1m))
     ll = (
         n * (math.log(lam) + alpha * math.log(beta) - log_gamma(alpha))
@@ -266,10 +286,18 @@ def _oe_loglik_and_score(x, alpha, beta, lam):
     )
     d_alpha = n * math.log(beta) - n * digamma(alpha) - lam * sum_x - sum_l1m
     d_beta = n * alpha / beta - sum_w
-    d_lam = (
-        n / lam
-        - alpha * sum_x
-        - (alpha + 1.0) * sum_xw
-        + beta * sum_xw1w
+    d_lam = (n - alpha * sum_y - (alpha + 1.0) * sum_yw + beta * sum_yw1w) / lam
+    h_aa = -n * _sq_trigamma(alpha) + alpha * d_alpha
+    h_ab = n * alpha
+    h_al = -alpha * (sum_y + sum_yw)
+    h_bb = -beta * sum_w
+    h_bl = beta * sum_yw1w
+    h_ll = (
+        (alpha + 1.0) * sum_y2w1w
+        - beta * sum_y2w1w12w
+        - alpha * sum_y
+        - (alpha + 1.0) * sum_yw
+        + beta * sum_yw1w
     )
-    return ll, np.array([d_alpha, d_beta, d_lam])
+    hess = np.array([[h_aa, h_ab, h_al], [h_ab, h_bb, h_bl], [h_al, h_bl, h_ll]])
+    return ll, np.array([d_alpha, d_beta, d_lam]), hess

@@ -13,8 +13,12 @@ whose parameter runs to 1e300 or 1e-300 is never reported converged.
 The settings below are fixed. Everything is deterministic: same model
 and data give a bit-identical FitResult.
 
-Standard errors come from the same log-coordinate Hessian that Newton
-uses, mapped to the original scale by the delta method; a
+The log-coordinate Hessian is analytic where the model supplies it
+(every shipped model's score does, from the same pass over the data
+as its gradient) and differenced from the gradient otherwise. Each
+accepted Newton point keeps its Hessian, so the next step and the
+standard errors reuse it. Standard errors come from that same Hessian,
+mapped to the original scale by the delta method; a
 non-positive-definite Hessian falls back to a pseudo-inverse and says
 so in the result's warnings.
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _positive_observations
-from .errors import DataError, FitError
+from .errors import FitError
 
 __all__ = ["FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
 
@@ -72,10 +76,16 @@ class FitResult:
 
 
 def negative_log_lik(model, data, theta):
-    """-sum(log_pdf); +inf signals a rejected parameter point."""
-    x = np.asarray(data, dtype=float).ravel()
-    if x.size == 0:
-        raise DataError("negative_log_lik requires at least one observation")
+    """-sum(log_pdf); +inf signals a rejected parameter point.
+
+    Observations that are not a 1-D sequence of finite positive values
+    raise DataError.
+    """
+    return _negative_log_lik(model, _positive_observations(data, "negative_log_lik"), theta)
+
+
+def _negative_log_lik(model, x, theta):
+    """negative_log_lik on observations already validated."""
     theta = np.asarray(theta, dtype=float)
     if not (np.all(np.isfinite(theta)) and np.all(theta > 0.0)):
         return math.inf
@@ -86,30 +96,36 @@ def negative_log_lik(model, data, theta):
 
 
 def _loglik(model, data, theta):
-    return -negative_log_lik(model, data, theta)
+    return -_negative_log_lik(model, data, theta)
 
 
 def _grad_phi(model, data, phi):
-    """Log-likelihood and its gradient in log-parameter coordinates."""
+    """Log-likelihood, gradient and Hessian in log-parameter coordinates.
+
+    The Hessian is the model's own where its score returns one, else
+    None (see _hess_phi).
+    """
     with np.errstate(over="ignore"):
         theta = np.exp(phi)
+    rejected = -math.inf, np.zeros_like(phi), None
     if not np.all(np.isfinite(theta)):
-        return -math.inf, np.zeros_like(phi)
+        return rejected
     if model.analytic_score is not None:
         try:
-            ll, g_theta = model.analytic_score(data, theta)
+            ll, g_theta, *hess = model.analytic_score(data, theta)
         except (ValueError, FloatingPointError):
-            return -math.inf, np.zeros_like(phi)
+            return rejected
         ll = float(ll)
         if not math.isfinite(ll):
-            return -math.inf, np.zeros_like(phi)
+            return rejected
         # an exploratory point far out can overflow to inf; the caller
         # rejects the non-finite step
         with np.errstate(over="ignore"):
-            return ll, np.asarray(g_theta, dtype=float) * theta
+            g = np.asarray(g_theta, dtype=float) * theta
+        return ll, g, np.asarray(hess[0], dtype=float) if hess else None
     ll = _loglik(model, data, theta)
     if not math.isfinite(ll):
-        return -math.inf, np.zeros_like(phi)
+        return rejected
     g = np.empty_like(phi)
     h = _FD_STEP
     for i in range(phi.size):
@@ -119,19 +135,20 @@ def _grad_phi(model, data, phi):
             _loglik(model, data, np.exp(phi + e))
             - _loglik(model, data, np.exp(phi - e))
         ) / (2.0 * h)
-    return ll, g
+    return ll, g, None
 
 
 def _hess_phi(model, data, phi):
-    """Hessian in log coordinates by central differences of the gradient."""
+    """Hessian in log coordinates by central differences of the gradient,
+    for a model whose score returns no Hessian (2p gradient calls)."""
     p = phi.size
     H = np.empty((p, p))
     h = _HESS_STEP
     for i in range(p):
         e = np.zeros(p)
         e[i] = h
-        _, gp = _grad_phi(model, data, phi + e)
-        _, gm = _grad_phi(model, data, phi - e)
+        gp = _grad_phi(model, data, phi + e)[1]
+        gm = _grad_phi(model, data, phi - e)[1]
         H[:, i] = (gp - gm) / (2.0 * h)
     return 0.5 * (H + H.T)
 
@@ -155,38 +172,41 @@ def _ascent_step(H, g):
 
 def _run_start(model, data, theta0):
     """Modified Newton (see _ascent_step) with step halving from one
-    start. Returns (phi, ll, g, iterations, converged), or None if the
-    start is not finite."""
+    start. Returns (phi, ll, g, iterations, converged, H), H the
+    Hessian at phi or None where the model gives none and none was
+    differenced there, or None if the start is not finite."""
     theta0 = np.asarray(theta0, dtype=float)
     if not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
         return None
     phi = np.log(theta0)
-    ll, g = _grad_phi(model, data, phi)
+    ll, g, H = _grad_phi(model, data, phi)
     if not math.isfinite(ll):
         return None
     grad_ok = lambda: np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
     for iters in range(1, _MAX_ITERATIONS + 1):
+        if H is None:
+            H = _hess_phi(model, data, phi)
         try:
-            step = _ascent_step(_hess_phi(model, data, phi), g)
+            step = _ascent_step(H, g)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
             break
         for halving in range(_MAX_HALVINGS + 1):
             cand = phi - 0.5**halving * step
-            ll_new, g_new = _grad_phi(model, data, cand)
+            ll_new, g_new, H_new = _grad_phi(model, data, cand)
             if math.isfinite(ll_new) and ll_new > ll:
                 break
         else:  # no halving improves the likelihood
             break
         delta = ll_new - ll
-        phi, ll, g = cand, ll_new, g_new
+        phi, ll, g, H = cand, ll_new, g_new, H_new
         if delta <= _LL_TOL * max(1.0, abs(ll)) and grad_ok():
-            return phi, ll, g, iters, True
+            return phi, ll, g, iters, True, H
     else:  # iteration budget spent
-        return phi, ll, g, iters, False
+        return phi, ll, g, iters, False, H
     # no step ascends from here: converged only if the gradient test holds
-    return phi, ll, g, iters, grad_ok()
+    return phi, ll, g, iters, grad_ok(), H
 
 
 def _starts(model, data):
@@ -221,10 +241,10 @@ def mle_fit(model, data):
             f"no start produced a finite likelihood for model {model.name}: "
             + "; ".join(failures)
         )
-    phi, ll, g, iters, converged = best
+    phi, ll, g, iters, converged, H = best
     theta_hat = np.exp(phi)
     warnings_out = []
-    se = _log_coordinate_std_errors(model, x, phi, g, warnings_out)
+    se = _log_coordinate_std_errors(model, x, phi, g, H, warnings_out)
     grad_sup = np.max(np.abs(g))
     for name, t in zip(model.param_names, theta_hat):
         if not 1e-300 < t < 1e300:
@@ -247,16 +267,19 @@ def mle_fit(model, data):
     )
 
 
-def _log_coordinate_std_errors(model, data, phi, g, sink):
+def _log_coordinate_std_errors(model, data, phi, g, H, sink):
     """Standard errors of theta = exp(phi) by the delta method.
 
     diag(g) - H, from the log-coordinate gradient g at phi and Hessian H, is
     exactly diag(theta) I diag(theta) for the original-scale observed
     information I at any point, so theta_i * sqrt((diag(g) - H)^-1_ii)
     is the original-scale standard error, and no product of two theta
-    entries (which overflows near the float range) is ever formed.
+    entries (which overflows near the float range) is ever formed. H is
+    differenced here where it is None.
     """
-    info = np.diag(g) - _hess_phi(model, data, phi)
+    if H is None:
+        H = _hess_phi(model, data, phi)
+    info = np.diag(g) - H
     if not np.all(np.isfinite(info)):
         sink.append("observed information contains non-finite entries; standard errors unreliable")
         info = np.where(np.isfinite(info), info, 0.0)
@@ -279,8 +302,9 @@ def _log_coordinate_std_errors(model, data, phi, g, sink):
 def standard_errors(model, data, theta_hat, warnings_out=None):
     """Square roots of the inverse observed-information diagonal.
 
-    The information is differenced in log coordinates, as in the fit,
-    and mapped to the original scale by the delta method. A Hessian that
+    The information is the log-coordinate Hessian of the fit, analytic
+    where the model supplies it and differenced otherwise, mapped to the
+    original scale by the delta method. A Hessian that
     is not positive definite is inverted by pseudo-inverse and reported
     through warnings_out (a list, appended in place). Observations that
     are not finite and positive raise DataError, and a theta_hat entry
@@ -293,5 +317,5 @@ def standard_errors(model, data, theta_hat, warnings_out=None):
             raise ValueError(f"standard_errors needs {name} finite and > 0, got {t}")
     phi = np.log(theta)
     sink = warnings_out if warnings_out is not None else []
-    _, g = _grad_phi(model, x, phi)
-    return _log_coordinate_std_errors(model, x, phi, g, sink)
+    _, g, H = _grad_phi(model, x, phi)
+    return _log_coordinate_std_errors(model, x, phi, g, H, sink)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .expgamma import OEGammaDist, _oe_loglik_and_score
+from .specfun import _sq_trigamma
 
 __all__ = [
     "FittableModel",
@@ -38,7 +39,14 @@ class FittableModel:
     criteria, which can exceed the optimized dimension when displayed
     parameters are redundant. initial_guess maps data to a starting
     theta, and analytic_score, when present, maps (data, theta) to
-    (loglik, gradient). Both receive the data as mle_fit or
+    (loglik, gradient) or (loglik, gradient, H), the gradient taken with
+    respect to theta. The optional H is the Hessian with respect to
+    phi = log theta, d2 loglik / d phi_i d phi_j, which the fit uses for
+    its Newton steps and standard errors in place of differencing the
+    gradient. Write each of its entries in log coordinates, never as the
+    product theta_i theta_j d2 loglik / d theta_i d theta_j: that product
+    overflows where a parameter runs toward 1e300 while the entry itself
+    stays finite. Both callables receive the data as mle_fit or
     standard_errors validated them (a non-empty 1-D float array of
     finite values > 0) and do not check them again.
     report_params expands the optimized vector into display rows of
@@ -158,7 +166,11 @@ def _zb_score(x, theta):
     )
     d_a = n * math.log(rho) - n * special.psi(a) + sum_lx
     d_rho = n * a / rho - sum_x
-    return ll, np.array([d_a, d_rho])
+    # Hessian in (log alpha, log rho); rho^2 d2/drho2 + rho d/drho = -rho sum x
+    h_aa = -n * _sq_trigamma(a) + a * d_a
+    h_ar = n * a
+    h_rr = -rho * sum_x
+    return ll, np.array([d_a, d_rho]), np.array([[h_aa, h_ar], [h_ar, h_rr]])
 
 
 def _zb_report(theta, std_errors):
@@ -241,16 +253,23 @@ def _weibull_score(x, theta):
     k, lam = float(theta[0]), float(theta[1])
     n = x.size
     lx = np.log(lam * x)
+    u = k * lx  # log t, t = (lam x)^k
     # exploratory starts can push (lam*x)^k past the float range; inf is
     # fine, the fit rejects the non-finite point
     with np.errstate(over="ignore"):
-        t = np.exp(k * lx)
+        t = np.exp(u)
         sum_t = float(np.sum(t))
         sum_t_lx = float(np.sum(t * lx))
+        sum_tu1u = float(np.sum(t * u * (1.0 + u)))
+        sum_t1u = float(np.sum(t * (1.0 + u)))
     ll = n * (math.log(k) + k * math.log(lam)) + (k - 1.0) * float(np.sum(np.log(x))) - sum_t
     d_k = n / k + float(np.sum(lx)) - sum_t_lx
     d_lam = (k / lam) * (n - sum_t)
-    return ll, np.array([d_k, d_lam])
+    # Hessian in (log k, log lam): d u / d log k = u and d u / d log lam = k
+    h_kk = float(np.sum(u)) - sum_tu1u
+    h_kl = k * (n - sum_t1u)
+    h_ll = -k * k * sum_t
+    return ll, np.array([d_k, d_lam]), np.array([[h_kk, h_kl], [h_kl, h_ll]])
 
 
 def weibull_model():

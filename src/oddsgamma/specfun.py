@@ -1,5 +1,6 @@
-"""Gamma-function primitives: log-gamma, digamma, the regularized
-incomplete gamma pair and its inverses.
+"""Gamma-function primitives: log-gamma, digamma, the trigamma term of
+the fitted models' Hessians, the regularized incomplete gamma pair and
+its inverses.
 
 These are the innermost kernels of the package, on scipy.special with
 one exception. Q(a, x), behind the family's cdf and reg_upper_gamma,
@@ -53,6 +54,14 @@ def digamma(a):
     if not a > 0.0:
         raise ValueError(f"digamma requires a > 0, got {a}")
     return float(special.psi(a))
+
+
+def _sq_trigamma(a):
+    """a^2 psi'(a) for a > 0, the trigamma term of a log-coordinate
+    Hessian, as 1 + a^2 psi'(a + 1) (DLMF 5.15.5), which stays finite as
+    a -> 0 where psi'(a) ~ 1/a^2 overflows. psi'(q) is the Hurwitz zeta
+    function zeta(2, q)."""
+    return 1.0 + a * a * float(special.zeta(2.0, a + 1.0))
 
 
 def reg_upper_gamma(a, x):

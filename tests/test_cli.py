@@ -21,6 +21,7 @@ import pytest
 from scipy import special
 
 import oddsgamma
+from oddsgamma import fit
 from oddsgamma.cli import main
 from oddsgamma.expgamma import OEGammaDist
 
@@ -99,6 +100,15 @@ class TestCompare:
         assert order == ["oe-gamma", "weibull", "zb-gamma-exp"]
         aics = [r["aic"] for r in doc["models"]]
         assert aics == sorted(aics)
+
+    def test_no_hessian_is_differenced(self, capsys, monkeypatch):
+        # every shipped score returns its log-coordinate Hessian
+        def differenced(*args):
+            raise AssertionError("compare differenced a Hessian")
+
+        monkeypatch.setattr(fit, "_hess_phi", differenced)
+        code, _, _ = run_cli(capsys, "compare")
+        assert code == 0
 
     def test_tsv_table_shape(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--format", "tsv")

@@ -7,6 +7,8 @@ analytic score is validated against central finite differences of its
 own log-likelihood.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -20,6 +22,7 @@ from oddsgamma import (
     oe_loglik_and_score,
     standard_errors,
 )
+from oddsgamma.fit import negative_log_lik
 from oddsgamma import data as data_module
 from oddsgamma import expgamma as expgamma_module
 from oddsgamma import fit as fit_module
@@ -251,7 +254,7 @@ class TestAnalyticScores:
     @pytest.mark.parametrize("alias,theta", CASES)
     def test_loglik_consistent_with_log_pdf(self, flood_values, alias, theta):
         model = get_model(alias)
-        ll, _ = model.analytic_score(flood_values, np.asarray(theta))
+        ll = model.analytic_score(flood_values, np.asarray(theta))[0]
         assert ll == pytest.approx(
             float(np.sum(model.log_pdf(flood_values, theta))), rel=1e-12)
 
@@ -262,10 +265,98 @@ class TestAnalyticScores:
         def ll_only(t):
             return model.analytic_score(flood_values, t)[0]
 
-        _, grad = model.analytic_score(flood_values, np.asarray(theta))
+        grad = model.analytic_score(flood_values, np.asarray(theta))[1]
         fd = _fd_gradient(ll_only, theta)
         scale = max(1.0, float(np.max(np.abs(grad))))
         assert np.max(np.abs(grad - fd)) / scale <= 1e-6
+
+
+def _m2_h_ll_sign_slip(x, theta, H):
+    """H with + beta sum y w (1 + w), the last term of H_ll, written
+    with a minus."""
+    _, beta, lam = theta
+    y = lam * x
+    w = 1.0 / np.expm1(y)
+    out = H.copy()
+    out[2, 2] -= 2.0 * beta * float(np.sum(y * w * (1.0 + w)))
+    return out
+
+
+def _m6_h_kl_sign_slip(x, theta, H):
+    """H with H_kl = k (n - sum t (1 + u)) written as k (n + sum t (1 + u))."""
+    k, lam = theta
+    u = k * np.log(lam * x)
+    out = H.copy()
+    out[0, 1] = out[1, 0] = k * (x.size + float(np.sum(np.exp(u) * (1.0 + u))))
+    return out
+
+
+class TestAnalyticHessians:
+    """Each shipped score returns the Hessian in log coordinates,
+    phi = log theta, from its one pass over the data. It must match
+    central differences of the log-coordinate gradient theta * score,
+    a one-sign slip in an entry must fail that check (in the style of
+    acceptance criterion 8), and every entry stays finite where a
+    parameter sits near the float limits, where the product
+    theta_i theta_j d2 loglik / d theta_i d theta_j overflows."""
+
+    BOX = {
+        "m1": ((0.1, 3.0), (0.01, 1.0)),
+        "m2": ((0.1, 3.0), (0.05, 2.0), (0.05, 2.0)),
+        "m6": ((0.3, 3.0), (0.01, 1.0)),
+    }
+
+    @staticmethod
+    def _fd_hessian(model, data, theta, h=1e-5):
+        phi = np.log(theta)
+
+        def g_phi(p):
+            t = np.exp(p)
+            return t * model.analytic_score(data, t)[1]
+
+        out = np.empty((phi.size, phi.size))
+        for i in range(phi.size):
+            e = np.zeros(phi.size)
+            e[i] = h
+            out[:, i] = (g_phi(phi + e) - g_phi(phi - e)) / (2.0 * h)
+        return out
+
+    SLIPS = {"m2": _m2_h_ll_sign_slip, "m6": _m6_h_kl_sign_slip}
+
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
+    def test_matches_differenced_gradient(self, flood_values, alias):
+        model = get_model(alias)
+        slip = self.SLIPS.get(alias)
+        rng = np.random.default_rng(1414)
+        errors = []
+        for _ in range(50):
+            theta = np.array([rng.uniform(lo, hi) for lo, hi in self.BOX[alias]])
+            H = model.analytic_score(flood_values, theta)[2]
+            fd = self._fd_hessian(model, flood_values, theta)
+            scale = max(1.0, float(np.max(np.abs(fd))))
+            rel = float(np.max(np.abs(H - fd))) / scale
+            if not rel <= 1e-6:
+                errors.append(f"off by rel {rel:.2e} at {theta.round(4).tolist()}")
+            if not np.array_equal(H, H.T):
+                errors.append(f"not symmetric at {theta.round(4).tolist()}")
+            if slip is not None:
+                typo = slip(flood_values, theta, H)
+                if not float(np.max(np.abs(typo - fd))) / scale > 1e-5:
+                    errors.append(f"sign slip not detected at {theta.round(4).tolist()}")
+        assert not errors, "; ".join(errors)
+
+    @pytest.mark.parametrize("alias,theta", [
+        ("m1", (0.84, 1e300)),
+        ("m1", (0.84, 1e-300)),
+        ("m2", (0.131, 1e300, 0.539)),
+        ("m2", (1e-300, 0.179, 0.539)),
+        ("m2", (0.131, 0.179, 1e-300)),
+        ("m6", (0.9, 1e-300)),
+    ])
+    def test_entries_finite_near_float_limits(self, flood_values, alias, theta):
+        ll, _, H = get_model(alias).analytic_score(flood_values, np.asarray(theta))
+        assert np.isfinite(ll)
+        assert np.all(np.isfinite(H)), H
 
 
 class TestDataValidation:
@@ -281,6 +372,9 @@ class TestDataValidation:
             lambda x: gof_report(get_model("m2"), x, (1.0, 1.0, 1.0), -1.0), "gof_report"),
         "oe_loglik_and_score": (
             lambda x: oe_loglik_and_score(x, 1.0, 1.0, 1.0), "log-likelihood"),
+        "negative_log_lik": (
+            lambda x: negative_log_lik(get_model("m2"), x, (1.0, 1.0, 1.0)),
+            "negative_log_lik"),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRIES))
@@ -294,6 +388,14 @@ class TestDataValidation:
         with pytest.raises(DataError) as err:
             call(np.array(bad))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_two_dimensional_data_raises_at_each_entry(self, entry):
+        call, name = self.ENTRIES[entry]
+        with pytest.raises(DataError) as err:
+            call(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert str(err.value) == (
+            f"{name} takes a 1-D sequence of observations, got shape (2, 2)")
 
     @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
     def test_empty_data_rejected(self, alias):
@@ -325,4 +427,18 @@ class TestDataValidation:
             monkeypatch.setattr(module, "_positive_observations", counted)
         res = mle_fit(get_model(alias), flood_values)
         assert res.converged
+        assert calls == ["mle_fit"]
+
+    def test_one_validation_per_differenced_fit(self, flood_values, monkeypatch):
+        # without a score the fit differences negative_log_lik's kernel,
+        # which takes the data as mle_fit validated them
+        calls = []
+
+        def counted(data, entry, check=data_module._positive_observations):
+            calls.append(entry)
+            return check(data, entry)
+
+        monkeypatch.setattr(fit_module, "_positive_observations", counted)
+        model = dataclasses.replace(get_model("m6"), analytic_score=None)
+        assert mle_fit(model, flood_values).converged
         assert calls == ["mle_fit"]
