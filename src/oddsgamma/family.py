@@ -19,7 +19,7 @@ from scipy import special
 
 from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
-from .quadrature import windowed_quad
+from .quadrature import _windows_diverge, windowed_quad
 from .specfun import (
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
@@ -234,6 +234,14 @@ def _signed_binomial(k, log_pref, s, n):
     j = np.arange(float(n))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return sign_k * float(np.exp(log_pref)) * (-1.0) ** j * _running_binomial(s, n)
+
+
+def _tau_note(k, j, m, eta, r):
+    """The note that aborts a series at its first non-integrable tau."""
+    return (
+        f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, r={r:.6g}), "
+        "which is not integrable; the printed expansion is formal at these parameters"
+    )
 
 
 def _validate_renyi_order(eta, who):
@@ -504,19 +512,9 @@ class GammaRatioDist:
             raise DivergenceError(f"{what}: {next(d for d in details if d)}")
         return h.value + t.value
 
-    def tau(self, m, eta, r):
-        """Integral of x^m g1(x)^eta G1(x)^r dG1 over the support.
-
-        The building block of the family's moment expansions. Evaluated
-        in u = G1(x) with windowed adaptive quadrature at both ends,
-        absolute tolerance 1e-10. r may be a 1-D array: one
-        vector-valued quadrature then gives the integral for every
-        entry, nan where it is not integrable. For a scalar r detected
-        non-integrability raises a DivergenceError naming (m, eta, r).
-        """
-        m = _validate_order(m, "tau")
-        eta = float(eta)
-        r_vec = np.atleast_1d(np.asarray(r, dtype=float))
+    def _tau_integrands(self, m, eta, r_vec):
+        """tau's head and tail integrands, over u = G1(x) and s = 1 - G1(x)
+        in (0, 1/2], one column per entry of the 1-D array r_vec."""
         base = self.base
 
         def integrand(x, u):
@@ -531,8 +529,24 @@ class GammaRatioDist:
                     val *= (x**m)[:, None]
             return val
 
-        h = windowed_quad(lambda u: integrand(base.quantile(u), u), 0.0, 0.5, abs_tol=_QUAD_TOL)
-        t = windowed_quad(lambda s: integrand(base.isf(s), 1.0 - s), 0.0, 0.5, abs_tol=_QUAD_TOL)
+        return (lambda u: integrand(base.quantile(u), u),
+                lambda s: integrand(base.isf(s), 1.0 - s))
+
+    def tau(self, m, eta, r):
+        """Integral of x^m g1(x)^eta G1(x)^r dG1 over the support.
+
+        The building block of the family's moment expansions. Evaluated
+        in u = G1(x) with windowed adaptive quadrature at both ends,
+        absolute tolerance 1e-10. r may be a 1-D array: one
+        vector-valued quadrature then gives the integral for every
+        entry, nan where it is not integrable. For a scalar r detected
+        non-integrability raises a DivergenceError naming (m, eta, r).
+        """
+        m = _validate_order(m, "tau")
+        eta = float(eta)
+        head, tail = self._tau_integrands(m, eta, np.atleast_1d(np.asarray(r, dtype=float)))
+        h = windowed_quad(head, 0.0, 0.5, abs_tol=_QUAD_TOL)
+        t = windowed_quad(tail, 0.0, 0.5, abs_tol=_QUAD_TOL)
         diverged = h.diverged | t.diverged
         if np.ndim(r) == 0:
             if diverged[0]:
@@ -669,9 +683,17 @@ class GammaRatioDist:
         r_of_j(j)), with tau taken for a block of j at once and truncated
         by _truncate_inner. The first j whose tau is not integrable
         aborts the whole evaluation via the note channel, unless the
-        truncation stopped before it.
+        truncation stopped before it. No truncation stops before j = 0,
+        so column j = 0 is ruled on first, from the expanding windows of
+        its own quadrature alone (no sliver, no other columns): where
+        they already diverge the shell aborts at j = 0 without
+        integrating a block. Both series' r grows with j, so column 0 is
+        the most singular one, and that is where their shells abort.
         """
         r = r_of_j(np.arange(float(ctrl.j_max)))
+        if any(_windows_diverge(f, 0.0, 0.5, _QUAD_TOL)[0]
+               for f in self._tau_integrands(m, eta, r[:1])):
+            return 0.0, 1, False, _tau_note(k, 0, m, eta, r[0])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
@@ -686,14 +708,7 @@ class GammaRatioDist:
                     return partial, used, True, None
             if bad.size:
                 jb = start + int(bad[0])
-                return (
-                    0.0,
-                    jb + 1,
-                    False,
-                    f"term (k={k}, j={jb}) needs tau(m={m}, eta={eta:.6g}, "
-                    f"r={r[jb]:.6g}), which is not integrable; the printed "
-                    "expansion is formal at these parameters",
-                )
+                return 0.0, jb + 1, False, _tau_note(k, jb, m, eta, r[jb])
         return partial, used, False, None
 
     def moment_series(self, m, ctrl=None):

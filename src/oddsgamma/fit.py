@@ -174,7 +174,12 @@ def _run_start(model, data, theta0):
     """Modified Newton (see _ascent_step) with step halving from one
     start. Returns (phi, ll, g, iterations, converged, H), H the
     Hessian at phi or None where the model gives none and none was
-    differenced there, or None if the start is not finite."""
+    differenced there, or None if the start is not finite.
+
+    A full step that does not raise the loglik, but changes it by no
+    more than the loglik tolerance, ends the start converged where the
+    gradient test holds: the same test as for an accepted step, so no
+    halvings are spent chasing rounding at the optimum."""
     theta0 = np.asarray(theta0, dtype=float)
     if not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
         return None
@@ -183,6 +188,7 @@ def _run_start(model, data, theta0):
     if not math.isfinite(ll):
         return None
     grad_ok = lambda: np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
+    ll_tol = lambda: _LL_TOL * max(1.0, abs(ll))
     for iters in range(1, _MAX_ITERATIONS + 1):
         if H is None:
             H = _hess_phi(model, data, phi)
@@ -197,11 +203,13 @@ def _run_start(model, data, theta0):
             ll_new, g_new, H_new = _grad_phi(model, data, cand)
             if math.isfinite(ll_new) and ll_new > ll:
                 break
+            if halving == 0 and abs(ll_new - ll) <= ll_tol() and grad_ok():
+                return phi, ll, g, iters, True, H
         else:  # no halving improves the likelihood
             break
         delta = ll_new - ll
         phi, ll, g, H = cand, ll_new, g_new, H_new
-        if delta <= _LL_TOL * max(1.0, abs(ll)) and grad_ok():
+        if delta <= ll_tol() and grad_ok():
             return phi, ll, g, iters, True, H
     else:  # iteration budget spent
         return phi, ll, g, iters, False, H

@@ -170,6 +170,49 @@ class WindowedResult:
     detail: str
 
 
+def _windows(a, b):
+    """(lo, hi) of the expanding windows toward a, outermost first: the
+    window d spans a + (b - a) * 10^-d to the edge of window d - 1."""
+    edges = [a + (b - a) * 10.0 ** (-d) for d in _WINDOW_DEPTHS]
+    return edges, [b] + edges[:-1]
+
+
+def _cauchy_test(windows, abs_tol):
+    """The window check, per component of windows (windows x components).
+
+    Returns (running, nonfinite, cauchy): the windows' sum, where it is
+    not finite, and where the two innermost increments fail to shrink
+    while still above the floor.
+    """
+    increments = np.abs(windows[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = windows.sum(axis=0)
+    floor = np.maximum(abs_tol, 1e-14 * np.maximum(np.abs(running), 1.0))
+    last, second, third = increments[-1], increments[-2], increments[-3]
+    nonfinite = ~np.isfinite(running)
+    cauchy = (
+        ~nonfinite & (last > floor) & (last >= 0.95 * second) & (second >= 0.95 * third)
+    )
+    return running, nonfinite, cauchy
+
+
+def _windows_diverge(f, a, b, abs_tol):
+    """windowed_quad's window verdict alone, per component: True where
+    the windows already show divergence. The sliver is not integrated,
+    so False does not rule out a non-finite sliver.
+
+    Each window gets the same nodes, tolerance share and panel budget
+    as in windowed_quad, so a component's window integrals, and hence
+    its verdict, equal those of a windowed_quad run on that component
+    alone.
+    """
+    los, his = _windows(a, b)
+    pieces = adaptive_quad(f, np.array(los), np.array(his), abs_tol=abs_tol,
+                           max_panels=_MAX_PANELS)
+    _, nonfinite, cauchy = _cauchy_test(pieces.reshape(len(los), -1), abs_tol)
+    return nonfinite | cauchy
+
+
 def windowed_quad(f, a, b, abs_tol=1e-10):
     """Integrate f over (a, b) with a possible singularity at a.
 
@@ -183,14 +226,14 @@ def windowed_quad(f, a, b, abs_tol=1e-10):
     adaptive run; f may be vector valued, and the verdict is then made
     per component.
     """
-    width = b - a
-    if not width > 0.0:
+    if not b - a > 0.0:
         return WindowedResult(0.0, False, "")
-    edges = [a + width * 10.0 ** (-d) for d in _WINDOW_DEPTHS]
+    los, his = _windows(a, b)
     # pull the singular endpoint in by one ulp: panel nodes this close
     # can otherwise round exactly onto the singularity
-    los = edges + [float(np.nextafter(a, edges[-1]))]
-    his = [b] + edges
+    inner = los[-1]
+    los.append(float(np.nextafter(a, inner)))
+    his.append(inner)
 
     # per-window work bound: integrands evaluated this close to an
     # endpoint can carry cancellation noise above the tolerance, and the
@@ -199,17 +242,9 @@ def windowed_quad(f, a, b, abs_tol=1e-10):
                            max_panels=_MAX_PANELS)
     vector = pieces.ndim == 2
     pieces = pieces.reshape(len(los), -1)
-    windows, closing = pieces[:-1], pieces[-1]
-    increments = np.abs(windows[1:])
+    running, nonfinite, cauchy = _cauchy_test(pieces[:-1], abs_tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        running = windows.sum(axis=0)
-        value = running + closing
-    floor = np.maximum(abs_tol, 1e-14 * np.maximum(np.abs(running), 1.0))
-    last, second, third = increments[-1], increments[-2], increments[-3]
-    nonfinite = ~np.isfinite(running)
-    cauchy = (
-        ~nonfinite & (last > floor) & (last >= 0.95 * second) & (second >= 0.95 * third)
-    )
+        value = running + pieces[-1]
     # a component that fails a window check reports the windows' sum alone
     value = np.where(nonfinite | cauchy, running, value)
     diverged = nonfinite | cauchy | ~np.isfinite(value)
@@ -218,10 +253,11 @@ def windowed_quad(f, a, b, abs_tol=1e-10):
         if nonfinite[i]:
             details[i] = "non-finite window increment"
         elif cauchy[i]:
+            third, second, last = np.abs(pieces[-4:-1, i])
             details[i] = (
                 "window increments near the lower endpoint fail the "
-                f"Cauchy criterion (last three: {third[i]:.3e}, {second[i]:.3e}, "
-                f"{last[i]:.3e})"
+                f"Cauchy criterion (last three: {third:.3e}, {second:.3e}, "
+                f"{last:.3e})"
             )
         else:
             details[i] = "non-finite endpoint sliver"

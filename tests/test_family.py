@@ -18,6 +18,7 @@ from oddsgamma import (
     OEGammaDist,
     SeriesControl,
     make_exponential,
+    quadrature,
 )
 from oddsgamma.family import _running_binomial, _truncate_inner
 
@@ -728,6 +729,12 @@ class TestBatchedTauInner:
         ((0.6, 0.05, 1.0), 0, 1, 0.0, lambda j: j - 1.6, DEFAULT_CONTROL, None),
         # an entropy shell's binomial C(eta (alpha - 1) + k, j)
         ((0.6, 0.05, 1.3), 1, 0, 1.0, lambda j: j - 0.5, DEFAULT_CONTROL, 2.0),
+        # r growing with j, as in both series, and column j = 0 not
+        # integrable, so the windows of that column alone decide: a
+        # moment shell of order 1, r = j - alpha - k - 1 ...
+        ((0.6, 0.05, 1.0), 1, 1, 0.0, lambda j: j - 2.6, DEFAULT_CONTROL, None),
+        # ... and an order-2 entropy shell, r = j - eta (alpha + 1) - k
+        ((0.6, 0.05, 1.3), 0, 0, 1.0, lambda j: j - 3.2, DEFAULT_CONTROL, 2.0),
     ])
     def test_matches_scalar_loop(self, prm, k, m, eta, r_of_j, ctrl, renyi_eta):
         d = dist(*prm)
@@ -742,6 +749,86 @@ class TestBatchedTauInner:
         # each tau carries the quadrature's absolute tolerance, and the
         # batched run refines its shared panels further than a scalar one
         assert got[0] == pytest.approx(want[0], rel=1e-10, abs=0.0)
+
+
+# three points of the benchmark's series design (seed 101, ops 0, 1, 4)
+# and the r of each series' aborting term, pinned from the block path
+# run without the j = 0 window probe
+SERIES_DESIGN_PINS = [
+    ((0.1424794840723003, 0.14194181322263508, 1.1988089867236236),
+     [-2.14248, -3.14248, -2.28496]),
+    ((0.45542855490186324, 0.6520044250425144, 0.6901259619132698),
+     [-2.45543, -3.45543, -2.91086]),
+    ((0.8162849940598352, 0.3416106640508418, 0.9617457502925538),
+     [-2.81628, -3.81628, -3.63257]),
+]
+
+
+def _series_op(d):
+    return [d.moment_series(1), d.moment_series(2), d.renyi_series(2.0)]
+
+
+class TestSeriesDesignPins:
+    """moment_series(1), moment_series(2) and renyi_series(2) at design
+    points of the benchmark's series workload: every one aborts at the
+    j = 0 term of one shell, after the shells before it ran to j_max."""
+
+    @pytest.mark.parametrize("prm, r0", SERIES_DESIGN_PINS)
+    def test_pinned_results(self, prm, r0):
+        results = _series_op(dist(*prm))
+        terms = [(1, 200), (2, 200), (0, 1)]
+        tau_args = [(1, 1, 0), (2, 2, 0), (0, 0, 1)]  # (k, m, eta) of the aborting shell
+        for res, used, r, (k, m, eta) in zip(results, terms, r0, tau_args):
+            assert math.isnan(res.value)
+            assert res.terms_used == used
+            assert res.converged is False
+            assert res.diagnostic == (
+                f"term (k={k}, j=0) needs tau(m={m}, eta={eta}, r={r}), which is not "
+                "integrable; the printed expansion is formal at these parameters"
+            )
+
+
+class TestSeriesWork:
+    """Integrand values (nodes times columns) counted through the module
+    global quadrature.adaptive_quad, which every tau quadrature and the
+    j = 0 window probe call: a deterministic count that shows a
+    regression noisy timings hide."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        engine = quadrature.adaptive_quad
+        seen = []  # (smallest node, value shape) per integrand call
+
+        def counted(f, *args, **kwargs):
+            def g(x):
+                y = f(x)
+                seen.append((x.min(), y.shape))
+                return y
+            return engine(g, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", counted)
+        return seen
+
+    def test_aborting_shell_evaluates_one_column_and_no_sliver(self, calls):
+        prm = SERIES_DESIGN_PINS[0][0]
+        d = dist(*prm)
+        a = d.alpha
+        # the k = 1 shell of moment_series(1), r = j - alpha - 2
+        out = d._tau_inner(1, DEFAULT_CONTROL, 1, 0.0, lambda j: j - a - 2.0, -0.7, a)
+        assert out[:3] == (0.0, 1, False)
+        assert calls
+        for x_min, shape in calls:
+            assert shape[1:] == (1,)
+            # the innermost window of (0, 1/2] starts at 0.5e-12; the
+            # sliver below it is never integrated
+            assert x_min >= 0.5e-12
+
+    def test_series_op_value_count(self, calls):
+        # measured 921,975 values at this point; bound 10% above. Without
+        # the probe the three aborting shells integrate 200 columns each
+        # and the op takes 4,668,000.
+        _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
+        assert sum(math.prod(shape) for _, shape in calls) <= 1_014_000
 
 
 class TestInnerTruncation:
