@@ -181,8 +181,8 @@ class OEGammaDist(GammaRatioDist):
         The displayed inner denominator drops the eta scaling that
         direct integration of the density^eta produces, so the summed
         value generally disagrees with renyi_entropy(); when the gap
-        exceeds 1e-3 the diagnostic records it. The quadrature value is
-        the authoritative one.
+        exceeds 1e-3 the result is not converged and the diagnostic
+        records the gap. The quadrature value is the authoritative one.
         """
         eta = _validate_renyi_order(eta, "renyi_series")
         ctrl = ctrl or DEFAULT_CONTROL
@@ -210,6 +210,7 @@ class OEGammaDist(GammaRatioDist):
         result = _renyi_result(_sum_shells(inner, ctrl), eta)
         if math.isnan(result.value):
             return result
+        converged = result.converged
         try:
             quad = self.renyi_entropy(eta)
         except (DivergenceError, NumericalError) as exc:
@@ -218,12 +219,13 @@ class OEGammaDist(GammaRatioDist):
             gap = abs(result.value - quad)
             if not gap > 1e-3:
                 return result
+            converged = False
             note = (
                 f"series value {result.value:.6g} differs from the quadrature "
                 f"entropy {quad:.6g} by {gap:.3g}; prefer the quadrature value"
             )
         diag = f"{result.diagnostic}; {note}" if result.diagnostic else note
-        return SeriesResult(result.value, result.terms_used, result.converged, diag)
+        return SeriesResult(result.value, result.terms_used, converged, diag)
 
 
 def oe_loglik_and_score(data, alpha, beta, lam):

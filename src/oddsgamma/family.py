@@ -4,10 +4,11 @@ A GammaRatioDist feeds the survival odds w(x) = (1 - G1(x))/G1(x) of a
 base distribution through the upper tail of a Gamma(alpha, rate beta):
 H(x) = Q(alpha, beta * w(x)). Closed forms cover cdf/sf/pdf/hazard/quantile
 and exact sampling; expectations (moments, mgf, cf, entropy) are
-computed by adaptive quadrature in probability space with divergence
-detection. The family's double-series expansions are exposed as formal
-evaluators that report their own convergence honestly; quadrature is
-authoritative whenever the two disagree.
+computed by a tanh-sinh rule on the quantile map, whose nodes are
+inverted once per distribution, with divergence detection. The family's
+double-series expansions are exposed as formal evaluators that report
+their own convergence honestly; quadrature is authoritative whenever
+the two disagree.
 """
 
 import math
@@ -19,7 +20,7 @@ from scipy import special
 
 from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
-from .quadrature import _windows_diverge, windowed_quad
+from .quadrature import _windows_diverge, tanh_sinh, tanh_sinh_levels, windowed_quad
 from .specfun import (
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
@@ -33,7 +34,7 @@ __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]
 
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
-_QUAD_TOL = 0.5e-10  # per half-axis; the two halves add to 1e-10
+_QUAD_TOL = 0.5e-10  # tau's, per half-axis; the two halves add to 1e-10
 # inner terms j per tau quadrature; deeper shells go in j-ordered blocks
 _TAU_BLOCK = 256
 # shell-over-shell growth factor that fires a series' divergence flag
@@ -291,13 +292,16 @@ class GammaRatioDist:
 
     alpha and beta are finite reals > 0 (numpy scalars included), stored
     as Python floats. Raw moments from moment_quadrature are memoised per
-    instance, so the central and standardized moments reuse them.
+    instance, so the central and standardized moments reuse them, and so
+    are the abscissae of the quadrature nodes, so every expectation on
+    one instance inverts the gamma once per level.
     """
 
     alpha: float
     beta: float
     base: BaseDistribution
     _raw_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _abscissae: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -492,25 +496,38 @@ class GammaRatioDist:
 
     # ---------------- quadrature expectations ----------------
 
-    def _expect(self, f, what, per_component=False):
-        """E f(X) in probability space, split at the median.
+    def _nodes(self, level):
+        """(head, tail) abscissae of the tanh-sinh nodes that level adds:
+        quantile(s) and quantile_sf(s) for s = tanh_sinh_levels(level),
+        nan where the map has left the open support. Memoised per
+        instance, so each level's gamma inverse runs once."""
+        memo = self._abscissae
+        if level not in memo:
+            s = tanh_sinh_levels(level)
+            lo, hi = self.support
+            memo[level] = tuple(np.where((x > lo) & (x < hi), x, np.nan)
+                                for x in (self.quantile(s), self.quantile_sf(s)))
+        return memo[level]
 
-        The head integrates f(quantile(u)) du on (0, 1/2], the tail
-        f(quantile_sf(s)) ds on (0, 1/2], each with expanding windows
-        toward its singular endpoint, so a non-integrable expectation
-        raises DivergenceError naming what. f may be vector valued, one
-        column per component, and the result is then an array; with
-        per_component nothing is raised and the result is (value,
-        details), details[i] saying why component i diverged, or "".
+    def _expect(self, f, what, per_component=False):
+        """E f(X) = integral of f(quantile(u)) du over (0, 1), by
+        quadrature.tanh_sinh split at the median: the head maps its
+        nodes through quantile(u), the tail through quantile_sf(1 - u).
+
+        A non-integrable expectation raises DivergenceError, and one the
+        nodes cannot resolve NumericalError, each naming what. f may be
+        vector valued, one column per component, and the result is then
+        an array; with per_component nothing is raised and the result is
+        (value, errors), errors[i] the exception component i would
+        raise, or None.
         """
-        h = windowed_quad(lambda u: f(self.quantile(u)), 0.0, 0.5, abs_tol=_QUAD_TOL)
-        t = windowed_quad(lambda s: f(self.quantile_sf(s)), 0.0, 0.5, abs_tol=_QUAD_TOL)
-        details = [a or b for a, b in zip(np.atleast_1d(t.detail), np.atleast_1d(h.detail))]
+        value, errors = tanh_sinh(f, self._nodes)
         if per_component:
-            return h.value + t.value, details
-        if any(details):
-            raise DivergenceError(f"{what}: {next(d for d in details if d)}")
-        return h.value + t.value
+            return value, errors
+        err = next((e for e in errors if e is not None), None)
+        if err is not None:
+            raise type(err)(f"{what}: {err}")
+        return value
 
     def _tau_integrands(self, m, eta, r_vec):
         """tau's head and tail integrands, over u = G1(x) and s = 1 - G1(x)
@@ -558,12 +575,12 @@ class GammaRatioDist:
         return np.where(diverged, np.nan, h.value + t.value)
 
     def moment_quadrature(self, m):
-        """Raw moment E X^m by adaptive quadrature; the authoritative path.
+        """Raw moment E X^m by quadrature; the authoritative path.
 
         A miss integrates every order from min(m, 1) to max(m, 4) in one
         vector-valued pass and memoises each order that converged; a
         divergent order is not memoised, so it raises DivergenceError
-        every time.
+        every time (NumericalError where the nodes cannot resolve it).
         """
         return self._raw_moment(_validate_order(m, "moment_quadrature"))
 
@@ -573,15 +590,17 @@ class GammaRatioDist:
         if m not in memo:
             orders = range(min(m, 1), max(m, top, 4) + 1)
             powers = np.array(orders, dtype=float)
-            values, details = self._expect(
+            values, errors = self._expect(
                 lambda x: x[:, None] ** powers, "raw moments", per_component=True
             )
-            for k, value, detail in zip(orders, values, details):
-                if not detail:
+            for k, value, err in zip(orders, values, errors):
+                if err is None:
                     memo.setdefault(k, float(value))
             if m not in memo:
-                detail = details[m - orders[0]]
-                raise DivergenceError(f"moment of order {m} does not exist: {detail}")
+                err = errors[m - orders[0]]
+                if isinstance(err, DivergenceError):
+                    raise DivergenceError(f"moment of order {m} does not exist: {err}")
+                raise NumericalError(f"moment of order {m}: {err}")
         return memo[m]
 
     def central_moment_quadrature(self, m):
@@ -621,7 +640,10 @@ class GammaRatioDist:
 
         When the base advertises an exponential tail rate the domain
         t < alpha * tail_rate is enforced analytically; otherwise the
-        windowed integration detects divergence adaptively.
+        quadrature's divergence verdict decides. Close below that rate
+        the integrand's tail is nearly non-integrable, and the
+        quadrature raises NumericalError rather than return a truncated
+        sum.
         """
         t = float(t)
         if t == 0.0:
@@ -632,7 +654,7 @@ class GammaRatioDist:
             with np.errstate(over="ignore", under="ignore"):
                 return np.exp(t * x)
 
-        return self._expect(f, f"mgf({t:.6g}) integral diverges")
+        return self._expect(f, f"mgf({t:.6g})")
 
     def cf(self, t):
         """Characteristic function as the pair (E cos tX, E sin tX)."""

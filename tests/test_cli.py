@@ -271,6 +271,15 @@ class TestMoments:
         assert doc["moments"]["m2"] == float(f"{dist.moment_quadrature(2):.10g}")
         assert set(doc) == {"params", "moments", "skewness", "kurtosis"}
 
+    def test_ten_digits_round_to_the_mpmath_side(self, capsys):
+        # mpmath (30 digits, quadrature over ln T with X = log1p(1/T)/lam,
+        # T ~ Gamma(alpha, rate beta)) gives kurtosis 12.800840415090023
+        # here, a hair above the rounding midpoint of the tenth digit
+        code, out, _ = run_cli(capsys, "moments", "--params", "2.14548,0.900244,2.82175",
+                               "--order", "4")
+        assert code == 0
+        assert '"kurtosis": 12.80084042\n' in out
+
     def test_entropy_block(self, capsys):
         _, out, _ = run_cli(capsys, "moments", "--params", "1,1,1", "--eta", "2")
         doc = json.loads(out)
@@ -414,17 +423,21 @@ class TestExitCodesAndIo:
 
 class TestImportCost:
     """scipy.optimize costs about a third of a second to import, and no
-    command loads it: the fits are Newton iterations in numpy."""
+    command loads it: the fits are Newton iterations in numpy. Nor does
+    any command load scipy.integrate: the expectations run on the
+    package's own tanh-sinh rule."""
 
     PROBE = """\
 import contextlib, io, json, sys
 import oddsgamma
-report = {"import": "scipy.optimize" in sys.modules}
+report = {"import": "scipy.optimize" in sys.modules,
+          "import_integrate": "scipy.integrate" in sys.modules}
 from oddsgamma.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    report[argv[0]] = [code, "scipy.optimize" in sys.modules]
+    report[argv[0]] = [code, "scipy.optimize" in sys.modules,
+                       "scipy.integrate" in sys.modules]
 print(json.dumps(report))
 """
 
@@ -443,5 +456,6 @@ print(json.dumps(report))
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["import"] is False
+        assert report["import_integrate"] is False
         for argv in commands:
-            assert report[argv[0]] == [0, False], argv[0]
+            assert report[argv[0]] == [0, False, False], argv[0]

@@ -285,6 +285,13 @@ class TestMoments:
         assert d.moment_quadrature(1) == pytest.approx(12.2464364547, rel=1e-9)
         assert d.moment_quadrature(2) == pytest.approx(341.4000743, rel=1e-8)
 
+    def test_fourth_moment_near_a_rounding_midpoint(self):
+        # mpmath, 30 digits: quadrature over ln T of (log1p(1/T)/lam)^4
+        # against the Gamma(alpha, rate beta) density of T
+        d = OEGammaDist(2.08247, 0.915075, 3.15294)
+        assert d.moment_quadrature(4) == pytest.approx(
+            0.0072225043985041087291, rel=1e-13, abs=0.0)
+
     def test_shape_coefficients(self):
         d = OEGammaDist(*M2_PARAMS)
         assert d.general_coefficient(3) == pytest.approx(2.119350618, rel=1e-8)
@@ -434,14 +441,16 @@ class TestMgfCfEntropy:
 
     def test_renyi_series_reports_gap(self):
         # the printed display's eta-independent exponent makes the series
-        # disagree with the quadrature entropy; the diagnostic must say so
-        # even when the sum itself converged
+        # disagree with the quadrature entropy; the diagnostic must say so,
+        # and the flag must not claim convergence, even when the sum itself
+        # met its tail criterion
         d = OEGammaDist(1.0, 1.0, 1.0)
         r = d.renyi_series(2.0, SeriesControl(40, 2000, 1e-8))
         gap = abs(r.value - d.renyi_entropy(2.0))
         if gap > 1e-3:
             assert r.diagnostic
             assert "quadrature" in r.diagnostic
+            assert not r.converged
 
     def test_renyi_monte_carlo(self):
         # E h^(eta-1)(X) = integral of h^eta; eta = 0.5
@@ -457,14 +466,18 @@ class TestMgfCfEntropy:
 
 class TestSeriesPins:
     """Pinned (value, terms_used, converged) cells of the exponential-base
-    expansions: the counts and flags fix where each inner sum stopped."""
+    expansions: the counts and flags fix where each inner sum stopped.
+    The entropy display sums to a value 1.2 to 5 nats from the quadrature
+    entropy in each pinned cell (3.94756, 0.250603, -0.395715, 1.0268),
+    so none of them is converged, whether or not its shells met the tail
+    criterion, and each diagnostic names the gap."""
 
     @pytest.mark.parametrize("prm, ctrl, eta, value, terms, converged", [
         ((0.131, 0.179, 0.539), SeriesControl(60, 2000, 1e-6), 0.5,
-         2.7248021949778645, (4, 1090), True),
+         2.7248021949778645, (4, 1090), False),
         ((2.5, 1.0, 1.0), SeriesControl(40, 2000, 1e-8), 0.5,
-         -4.308290285642284, (7, 919), True),
-        ((2.5, 1.0, 1.0), SeriesControl(), 2.0, 4.560777339655881, (12, 17), True),
+         -4.308290285642284, (7, 919), False),
+        ((2.5, 1.0, 1.0), SeriesControl(), 2.0, 4.560777339655881, (12, 17), False),
         ((0.6, 0.05, 1.0), SeriesControl(), 0.5, -0.8670399106815463, (5, 200), False),
     ])
     def test_renyi_series(self, prm, ctrl, eta, value, terms, converged):
@@ -472,6 +485,7 @@ class TestSeriesPins:
         assert r.value == pytest.approx(value, rel=1e-13)
         assert r.terms_used == terms
         assert r.converged is converged
+        assert "prefer the quadrature value" in r.diagnostic
 
     def test_moment_mgf_cf_series(self):
         d = OEGammaDist(0.6, 0.05, 1.0)

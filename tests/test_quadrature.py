@@ -1,6 +1,7 @@
-"""Adaptive quadrature: exactness on polynomials, hard oscillatory and
+"""Quadrature engines: exactness on polynomials, hard oscillatory and
 singular integrands against closed forms, divergence detection, and
-vector-valued integrands against per-component scalar runs."""
+vector-valued integrands against per-component scalar runs, for the
+adaptive Gauss-Legendre engine and for the tanh-sinh rule."""
 
 import math
 
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from oddsgamma.quadrature import WindowedResult, adaptive_quad, windowed_quad
+from oddsgamma import DivergenceError, NumericalError
+from oddsgamma.quadrature import (
+    WindowedResult,
+    adaptive_quad,
+    tanh_sinh,
+    tanh_sinh_levels,
+    windowed_quad,
+)
 
 
 class TestAdaptiveQuad:
@@ -123,3 +131,73 @@ class TestWindowedQuad:
         # component can move, within the tolerance, from its scalar value
         for got, r in zip(stacked.value, singles):
             assert got == pytest.approx(r.value, rel=1e-12, abs=1e-10)
+
+
+def unit_map(level):
+    """The quantile map of U(0, 1): head u = s, tail u = 1 - s."""
+    s = tanh_sinh_levels(level)
+    return s, 1.0 - s
+
+
+class TestTanhSinh:
+    @pytest.mark.parametrize("f, ref", [
+        (lambda x: x**-0.5, 2.0),
+        (lambda x: x**-0.9, 10.0),
+        (np.log, -1.0),
+        (lambda x: np.log(x) ** 2 / np.sqrt(x), 16.0),
+        (np.exp, math.e - 1.0),
+    ])
+    def test_endpoint_singularities_to_relative_accuracy(self, f, ref):
+        value, errors = tanh_sinh(f, unit_map)
+        assert errors == [None]
+        assert isinstance(value, float)
+        assert value == pytest.approx(ref, rel=2e-15)
+
+    def test_components_settle_alone(self):
+        # each component reports the sum of the level at which it settled,
+        # so stacking it with others does not move it
+        fs = [lambda x: x**-0.5, np.exp, lambda x: np.cos(40.0 * x)]
+        values, errors = tanh_sinh(lambda x: np.stack([f(x) for f in fs], -1), unit_map)
+        assert errors == [None] * 3
+        assert values.tolist() == [tanh_sinh(f, unit_map)[0] for f in fs]
+        assert values[2] == pytest.approx(math.sin(40.0) / 40.0, rel=1e-13)
+
+    def test_non_integrable_power_is_divergent(self):
+        # e^-230 x^-1.2, formed in logs so the outermost values stay finite
+        values, errors = tanh_sinh(
+            lambda x: np.stack([np.exp(-1.2 * np.log(x) - 230.0), x**-0.5], -1), unit_map)
+        assert isinstance(errors[0], DivergenceError)
+        assert "(u)^-1.2 as u -> 0, which is not integrable" in str(errors[0])
+        assert errors[1] is None
+        assert values[1] == pytest.approx(2.0, rel=2e-15)
+
+    def test_overflow_is_divergent(self):
+        _, errors = tanh_sinh(lambda x: np.exp(1.0 / x), unit_map)
+        assert isinstance(errors[0], DivergenceError)
+        assert "not finite" in str(errors[0])
+
+    def test_part_beyond_the_nodes_is_bounded(self):
+        # integrable, but x^-0.999 leaves about 500 beyond the last node
+        _, errors = tanh_sinh(lambda x: x**-0.999, unit_map)
+        assert isinstance(errors[0], NumericalError)
+        assert not isinstance(errors[0], DivergenceError)
+        assert "unsummed" in str(errors[0])
+
+    def test_nan_abscissae_end_their_side(self):
+        # a map that leaves the support below u = 1e-100: those nodes and
+        # every node beyond them are left out, and the integrand never
+        # sees them
+        seen = []
+
+        def cut_map(level):
+            head, tail = unit_map(level)
+            return np.where(head < 1e-100, np.nan, head), tail
+
+        def f(x):
+            seen.append(x)
+            return x**-0.5
+
+        value, errors = tanh_sinh(f, cut_map)
+        assert errors == [None]
+        assert value == pytest.approx(2.0, rel=1e-15)
+        assert all(np.isfinite(x).all() and x.min() >= 1e-100 for x in seen)

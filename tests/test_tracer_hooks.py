@@ -72,10 +72,13 @@ def test_scalar_quantiles_reach_the_scalar_inverses(tracer):
 
 
 def test_moment_quadrature_counted(tracer):
+    # the moment pass runs on the tanh-sinh rule, which the tracer does
+    # not wrap; the inverses it does wrap see one point per node and side
     d = OEGammaDist(2.0, 1.0, 3.0)
     tracer.begin_op(0)
     d.moment_quadrature(1)
     tracer.end_op(True)
+    nodes = 2 * sum(quadrature.tanh_sinh_levels(level).size for level in d._abscissae)
+    assert nodes > 0
     assert tracer.totals["family.moment_quadrature.calls"] == 1
-    assert tracer.totals["quadrature.windowed.calls"] == 2
-    assert tracer.totals["quadrature.panels"] > 0
+    assert tracer.totals["specfun.inverse.points"] == nodes
