@@ -42,7 +42,12 @@ class BaseDistribution:
         Inverse survival in log space: log s -> x with sf(x) = s,
         accurate at every level, not only below double range. The family
         maps every draw and every underflowing odds value through it;
-        without it both are mapped in linear space.
+        without it both are mapped in linear space, and at small alpha
+        the deep upper tail is then out of reach: odds that underflow
+        to 0 map to x = inf, so the expectations raise where the
+        truncated mass is tiny (with the exponential base stripped of
+        log_isf, moment_quadrature(2) raises NumericalError at
+        alpha = 0.05).
     tail_rate : float, optional
         Exponential decay rate of sf at the upper end of the support,
         when known. Consumers use it for moment-generating domains.

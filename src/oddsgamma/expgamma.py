@@ -264,22 +264,23 @@ def _oe_loglik_and_score(x, alpha, beta, lam):
     if not (alpha > 0.0 and beta > 0.0 and lam > 0.0):
         raise ValueError("alpha, beta, lam must all be strictly positive")
     n = x.size
-    y = lam * x
+    # one row per summed term, reduced in one call; each row sum of the
+    # C-contiguous buffer is the 1-D sum of that row, bit for bit
+    terms = np.empty((8, n))
+    x_row, y, l1m, w, yw, yw1w, y2w1w, y2w1w12w = terms
+    x_row[:] = x
+    np.multiply(lam, x, out=y)
     # a tiny lam makes w overflow; the fit rejects inf. y w = y/expm1(y)
     # lies in (0, 1], so the sums below stay finite while w does
     with np.errstate(over="ignore", under="ignore"):
-        w = 1.0 / np.expm1(y)
-        l1m = _log1mexp(y)
-        sum_w = float(np.sum(w))
-        yw = y * w
-        yw1w = yw * (1.0 + w)
-        sum_yw = float(np.sum(yw))
-        sum_yw1w = float(np.sum(yw1w))
-        sum_y2w1w = float(np.sum(y * yw1w))
-        sum_y2w1w12w = float(np.sum(y * yw1w * (1.0 + 2.0 * w)))
-    sum_x = float(np.sum(x))
-    sum_y = float(np.sum(y))
-    sum_l1m = float(np.sum(l1m))
+        np.divide(1.0, np.expm1(y), out=w)
+        l1m[:] = _log1mexp(y)
+        np.multiply(y, w, out=yw)
+        np.multiply(yw, 1.0 + w, out=yw1w)
+        np.multiply(y, yw1w, out=y2w1w)
+        np.multiply(y2w1w, 1.0 + 2.0 * w, out=y2w1w12w)
+    (sum_x, sum_y, sum_l1m, sum_w, sum_yw, sum_yw1w, sum_y2w1w,
+     sum_y2w1w12w) = terms.sum(axis=1).tolist()
     ll = (
         n * (math.log(lam) + alpha * math.log(beta) - log_gamma(alpha))
         - alpha * lam * sum_x

@@ -1,15 +1,22 @@
 """Maximum-likelihood fitting over FittableModel descriptors.
 
-Positivity is enforced by optimizing over log-parameters. The engine
-is Newton-Raphson with step halving, on the eigenvalue-modified Hessian
-wherever the Hessian is not negative definite, so every step ascends.
-Convergence is tested on the gradient measured in log coordinates,
-theta * d loglik / d theta, which does not change when the data are
-rescaled. A start that finds no ascending step away from a stationary
-point ends not converged. Five deterministic starts (the model's
-initial guess plus cyclic coordinate perturbations) guard against
-ridge-shaped likelihoods, and the best final likelihood wins. A fit
-whose parameter runs to 1e300 or 1e-300 is never reported converged.
+A model whose likelihood equations reduce to one scalar equation
+supplies exact_mle (m1 and m6 solve their shape equations); mle_fit
+takes its root, evaluates the score there once, and reports the fit
+converged only where the solve met its tolerance and the gradient
+test below holds. iterations then counts solver steps.
+
+Every other model (m2 and user models) is fitted by Newton-Raphson in
+log-parameters, which enforces positivity, with step halving, on the
+eigenvalue-modified Hessian wherever the Hessian is not negative
+definite, so every step ascends. Convergence is tested on the gradient
+measured in log coordinates, theta * d loglik / d theta, which does
+not change when the data are rescaled. A start that finds no
+ascending step away from a stationary point ends not converged. Five
+deterministic starts (the model's initial guess plus cyclic
+coordinate perturbations) guard against ridge-shaped likelihoods, and
+the best final likelihood wins. On either path a fit whose parameter
+runs to 1e300 or 1e-300 is never reported converged.
 The settings below are fixed. Everything is deterministic: same model
 and data give a bit-identical FitResult.
 
@@ -187,7 +194,6 @@ def _run_start(model, data, theta0):
     ll, g, H = _grad_phi(model, data, phi)
     if not math.isfinite(ll):
         return None
-    grad_ok = lambda: np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
     ll_tol = lambda: _LL_TOL * max(1.0, abs(ll))
     for iters in range(1, _MAX_ITERATIONS + 1):
         if H is None:
@@ -203,18 +209,23 @@ def _run_start(model, data, theta0):
             ll_new, g_new, H_new = _grad_phi(model, data, cand)
             if math.isfinite(ll_new) and ll_new > ll:
                 break
-            if halving == 0 and abs(ll_new - ll) <= ll_tol() and grad_ok():
+            if halving == 0 and abs(ll_new - ll) <= ll_tol() and _grad_ok(g, ll):
                 return phi, ll, g, iters, True, H
         else:  # no halving improves the likelihood
             break
         delta = ll_new - ll
         phi, ll, g, H = cand, ll_new, g_new, H_new
-        if delta <= ll_tol() and grad_ok():
+        if delta <= ll_tol() and _grad_ok(g, ll):
             return phi, ll, g, iters, True, H
     else:  # iteration budget spent
         return phi, ll, g, iters, False, H
     # no step ascends from here: converged only if the gradient test holds
-    return phi, ll, g, iters, grad_ok(), H
+    return phi, ll, g, iters, _grad_ok(g, ll), H
+
+
+def _grad_ok(g, ll):
+    """The gradient half of the convergence test."""
+    return np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
 
 
 def _starts(model, data):
@@ -230,28 +241,18 @@ def _starts(model, data):
 
 
 def mle_fit(model, data):
-    """Maximize the likelihood; deterministic multi-start Newton descent.
+    """Maximize the likelihood: the model's exact_mle where it has one,
+    else deterministic multi-start Newton ascent.
 
     Observations that are not finite and positive raise DataError.
     """
     x = _positive_observations(data, "mle_fit")
-    best = None
-    failures = []
-    for idx, theta0 in enumerate(_starts(model, x)):
-        outcome = _run_start(model, x, theta0)
-        if outcome is None:
-            failures.append(f"start {idx} at {np.asarray(theta0).tolist()} was not finite")
-            continue
-        if best is None or outcome[1] > best[1]:
-            best = outcome
-    if best is None:
-        raise FitError(
-            f"no start produced a finite likelihood for model {model.name}: "
-            + "; ".join(failures)
-        )
-    phi, ll, g, iters, converged, H = best
-    theta_hat = np.exp(phi)
     warnings_out = []
+    if model.exact_mle is not None:
+        phi, ll, g, iters, converged, H = _solve_exact(model, x, warnings_out)
+    else:
+        phi, ll, g, iters, converged, H = _multi_start(model, x)
+    theta_hat = np.exp(phi)
     se = _log_coordinate_std_errors(model, x, phi, g, H, warnings_out)
     grad_sup = np.max(np.abs(g))
     for name, t in zip(model.param_names, theta_hat):
@@ -273,6 +274,42 @@ def mle_fit(model, data):
         grad_sup_norm=float(grad_sup),
         warnings=tuple(warnings_out),
     )
+
+
+def _solve_exact(model, x, sink):
+    """The model's exact_mle and one score pass at its root, in the
+    shape of a _run_start outcome; its note goes to sink."""
+    theta, iters, note = model.exact_mle(x)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.log(theta)
+    ll, g, H = _grad_phi(model, x, phi)
+    if not math.isfinite(ll):
+        raise FitError(
+            f"the likelihood equations of model {model.name} gave theta "
+            f"{theta.tolist()}, where the likelihood is not finite"
+        )
+    if note is not None:
+        sink.append(note)
+    return phi, ll, g, iters, note is None and _grad_ok(g, ll), H
+
+
+def _multi_start(model, x):
+    """The best _run_start outcome over the deterministic starts."""
+    best = None
+    failures = []
+    for idx, theta0 in enumerate(_starts(model, x)):
+        outcome = _run_start(model, x, theta0)
+        if outcome is None:
+            failures.append(f"start {idx} at {np.asarray(theta0).tolist()} was not finite")
+            continue
+        if best is None or outcome[1] > best[1]:
+            best = outcome
+    if best is None:
+        raise FitError(
+            f"no start produced a finite likelihood for model {model.name}: "
+            + "; ".join(failures)
+        )
+    return best
 
 
 def _log_coordinate_std_errors(model, data, phi, g, H, sink):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .expgamma import OEGammaDist, _oe_loglik_and_score
-from .specfun import _sq_trigamma
+from .specfun import _log_minus_digamma, _sq_trigamma
 
 __all__ = [
     "FittableModel",
@@ -46,9 +46,15 @@ class FittableModel:
     gradient. Write each of its entries in log coordinates, never as the
     product theta_i theta_j d2 loglik / d theta_i d theta_j: that product
     overflows where a parameter runs toward 1e300 while the entry itself
-    stays finite. Both callables receive the data as mle_fit or
-    standard_errors validated them (a non-empty 1-D float array of
-    finite values > 0) and do not check them again.
+    stays finite. exact_mle, when present, maps data to
+    (theta, iterations, note): the maximum-likelihood theta solved
+    directly (for a family whose likelihood equations reduce to one
+    scalar equation), the solver steps it took, and None where the solve
+    met its tolerance or else a warning that says why not. mle_fit then
+    uses it in place of the multi-start Newton ascent. Every callable
+    receives the data as mle_fit or standard_errors validated them (a
+    non-empty 1-D float array of finite values > 0) and does not check
+    them again.
     report_params expands the optimized vector into display rows of
     (name, value, std_error) so redundant parameterizations can show
     their conventional split.
@@ -63,6 +69,7 @@ class FittableModel:
     initial_guess: Callable
     analytic_score: Optional[Callable] = None
     report_params: Optional[Callable] = None
+    exact_mle: Optional[Callable] = None
 
     def __post_init__(self):
         if self.k < len(self.param_names):
@@ -81,6 +88,33 @@ class FittableModel:
             (nm, float(v), float(se))
             for nm, v, se in zip(self.param_names, theta, std_errors)
         ]
+
+
+# -- one-dimensional likelihood equations ----------------------------------
+
+_SOLVE_TOL = 1e-12  # relative shape step that ends a shape-equation solve
+_SOLVE_STEPS = 100
+_EQUAL_DATA_SHAPE = 1e6  # shape reported where the MLE does not exist
+
+
+def _equal_data_note(name):
+    """The warning for data whose shape equation has no root."""
+    return (f"{name} runs to infinity because every observation is equal; "
+            f"theta is reported at {name} = {_EQUAL_DATA_SHAPE:g}")
+
+
+def _unsolved_note(name, steps):
+    return f"the {name} equation did not meet its tolerance in {steps} steps"
+
+
+def _log_offsets(x):
+    """(z, top, spread): z = log x - top with top = max(log x), so every
+    exp(z) lies in (0, 1] at any data scale, and spread = -mean(z) >= 0,
+    0 exactly where every observation is equal."""
+    lx = np.log(x)
+    top = float(np.max(lx))
+    z = lx - top
+    return z, top, -float(np.mean(z))
 
 
 # -- proposed model: survival-odds gamma on an exponential base ----------
@@ -173,6 +207,32 @@ def _zb_score(x, theta):
     return ll, np.array([d_a, d_rho]), np.array([[h_aa, h_ar], [h_ar, h_rr]])
 
 
+def _zb_exact_mle(x):
+    """The gamma MLE from its shape equation log a - psi(a) = s, with
+    s = log mean(x) - mean(log x) > 0 unless every observation is equal
+    (Choi & Wette 1969: one root), then rho = a / mean(x). Minka's
+    generalized Newton ("Estimating a Gamma distribution", 2002) fits
+    c0 + c1/a to the left side at each step, from his closed-form
+    approximation to the root. s and log mean(x) are formed from
+    log x - max(log x), so no sum overflows at any data scale."""
+    z, top, spread = _log_offsets(x)
+    log_mean = math.log(float(np.mean(np.exp(z))))  # log mean(x) - top
+    s = log_mean + spread
+    rate = lambda a: math.exp(math.log(a) - top - log_mean)
+    if not s > 0.0:
+        a = _EQUAL_DATA_SHAPE
+        return np.array([a, rate(a)]), 0, _equal_data_note("alpha")
+    a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for step in range(1, _SOLVE_STEPS + 1):
+        inv = 1.0 / a + (_log_minus_digamma(a) - s) / (a - _sq_trigamma(a))
+        if not (math.isfinite(inv) and inv > 0.0):
+            break
+        a, prev = 1.0 / inv, a
+        if abs(a - prev) <= _SOLVE_TOL * a:
+            return np.array([a, rate(a)]), step, None
+    return np.array([a, rate(a)]), step, _unsolved_note("gamma shape", step)
+
+
 def _zb_report(theta, std_errors):
     a, rho = float(theta[0]), float(theta[1])
     se_a, se_rho = float(std_errors[0]), float(std_errors[1])
@@ -203,6 +263,7 @@ def zb_gamma_exp_model():
         initial_guess=_zb_initial_guess,
         analytic_score=_zb_score,
         report_params=_zb_report,
+        exact_mle=_zb_exact_mle,
     )
 
 
@@ -272,6 +333,46 @@ def _weibull_score(x, theta):
     return ll, np.array([d_k, d_lam]), np.array([[h_kk, h_kl], [h_kl, h_ll]])
 
 
+def _weibull_exact_mle(x):
+    """The Weibull MLE from its shape equation (Farnum & Booth 1997)
+
+      G(k) = sum w z / sum w - 1/k + D = 0,   w = exp(k z),
+
+    with z = log x - max(log x) <= 0 and D = -mean(z), so every w lies
+    in (0, 1] and no power overflows at any data scale. G' is the
+    w-weighted variance of z plus 1/k^2 > 0, and G rises from -inf to
+    D > 0 (D = 0 only where every observation is equal), so the root is
+    unique; G(1/D) <= 0 brackets it from below. Newton runs from
+    Menon's estimate pi / (sqrt 6 sd(log x)) and falls back to bisection
+    (to doubling while no upper bracket is known) wherever its step
+    leaves the bracket. Then rate^-k = mean(x^k)."""
+    z, top, spread = _log_offsets(x)
+    if not spread > 0.0:
+        return np.array([_EQUAL_DATA_SHAPE, math.exp(-top)]), 0, _equal_data_note("shape")
+    lo, hi = 1.0 / spread, math.inf
+    k = max(lo, math.pi / (math.sqrt(6.0) * float(np.std(z))))
+    note = None
+    for step in range(1, _SOLVE_STEPS + 1):
+        w = np.exp(k * z)
+        sw = float(np.sum(w))
+        z_mean = float(w @ z) / sw
+        g = z_mean - 1.0 / k + spread
+        if g < 0.0:
+            lo = k
+        elif g > 0.0:
+            hi = k
+        new = k - g / (float(w @ (z * z)) / sw - z_mean * z_mean + 1.0 / (k * k))
+        if not lo <= new <= hi:
+            new = 2.0 * k if hi == math.inf else 0.5 * (lo + hi)
+        k, prev = new, k
+        if abs(k - prev) <= _SOLVE_TOL * k:
+            break
+    else:
+        note = _unsolved_note("Weibull shape", step)
+    rate = math.exp(-top - math.log(float(np.mean(np.exp(k * z)))) / k)
+    return np.array([k, rate]), step, note
+
+
 def weibull_model():
     """Two-parameter Weibull with cdf 1 - exp(-(lam*x)^k) (shape, rate)."""
     return FittableModel(
@@ -283,6 +384,7 @@ def weibull_model():
         sf=_weibull_sf,
         initial_guess=_weibull_initial_guess,
         analytic_score=_weibull_score,
+        exact_mle=_weibull_exact_mle,
     )
 
 

@@ -1,6 +1,6 @@
-"""Gamma-function primitives: log-gamma, digamma, the trigamma term of
-the fitted models' Hessians, the regularized incomplete gamma pair and
-its inverses.
+"""Gamma-function primitives: log-gamma, digamma, log a - psi(a) for the
+gamma shape equation, the trigamma term of the fitted models' Hessians,
+the regularized incomplete gamma pair and its inverses.
 
 These are the innermost kernels of the package, on scipy.special with
 one exception. Q(a, x), behind the family's cdf and reg_upper_gamma,
@@ -54,6 +54,24 @@ def digamma(a):
     if not a > 0.0:
         raise ValueError(f"digamma requires a > 0, got {a}")
     return float(special.psi(a))
+
+
+# B_2k / 2k, k = 1..7: the coefficients of a^-2k in log a - psi(a)
+_LOG_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def _log_minus_digamma(a):
+    """log a - psi(a) for a > 0. From a = 10 on, where the two terms
+    cancel, it is the asymptotic series 1/(2a) + sum_k B_2k / (2k a^2k)
+    (DLMF 5.11.2) through k = 7, whose next term is below 1e-15 of the
+    sum there."""
+    if a < 10.0:
+        return math.log(a) - float(special.psi(a))
+    r = 1.0 / (a * a)
+    tail = 0.0
+    for c in reversed(_LOG_DIGAMMA_SERIES):
+        tail = (tail + c) * r
+    return 0.5 / a + tail
 
 
 def _sq_trigamma(a):

@@ -116,6 +116,38 @@ class TestExpRateToy:
         assert res.std_errors[0] == pytest.approx(
             res.theta_hat[0] / np.sqrt(10_000.0), rel=1e-5)
 
+    def test_exact_mle_replaces_the_starts(self):
+        # a model that solves its own likelihood equation is scored
+        # once, at its root, and reports the solver's step count
+        rng = np.random.default_rng(11)
+        data = rng.exponential(scale=3.0, size=400)
+        calls = []
+
+        def exact(x):
+            calls.append(x.size)
+            return np.array([1.0 / float(np.mean(x))]), 0, None
+
+        res = mle_fit(dataclasses.replace(_exp_rate_model(), exact_mle=exact), data)
+        assert calls == [400]
+        assert res.converged and res.warnings == () and res.iterations == 0
+        assert res.theta_hat[0] == pytest.approx(1.0 / float(np.mean(data)), rel=1e-15)
+        # the toy's score returns no Hessian, so the information is differenced
+        assert res.std_errors[0] == pytest.approx(res.theta_hat[0] / 20.0, rel=1e-6)
+
+    def test_exact_mle_note_is_not_converged(self):
+        data = np.array([0.5, 1.0, 2.0])
+        model = dataclasses.replace(
+            _exp_rate_model(), exact_mle=lambda x: (np.array([1.0]), 7, "gave up"))
+        res = mle_fit(model, data)
+        assert not res.converged and res.iterations == 7
+        assert res.warnings[0] == "gave up"
+
+    def test_exact_mle_off_the_support_raises(self):
+        model = dataclasses.replace(
+            _exp_rate_model(), exact_mle=lambda x: (np.array([np.inf]), 1, None))
+        with pytest.raises(FitError, match="likelihood equations of model exp-rate-toy"):
+            mle_fit(model, np.array([1.0, 2.0]))
+
     def test_deterministic_reruns(self):
         rng = np.random.default_rng(9)
         data = rng.exponential(scale=1.0, size=500)
@@ -228,12 +260,61 @@ def _resample(seed):
 def test_bootstrap_fits_leak_no_runtime_warning(seed):
     # resamples of the flood fit on which exploratory optimizer points
     # overflow in the scores and the gradient map; on seed 580 m2 runs
-    # beta to the float limit, where the information can overflow
+    # beta to the float limit, where the information can overflow. m1
+    # and m6 run both their shape equation and the Newton engine
     data = _resample(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for alias in ("m1", "m2", "m6"):
-            assert np.isfinite(mle_fit(get_model(alias), data).loglik)
+            model = get_model(alias)
+            for m in (model, dataclasses.replace(model, exact_mle=None)):
+                assert np.isfinite(mle_fit(m, data).loglik)
+
+
+class TestShapeEquations:
+    """m1 and m6 fit by solving one scalar equation for the shape: the
+    gamma equation log a - psi(a) = log mean(x) - mean(log x) and the
+    Weibull equation sum x^k log x / sum x^k - 1/k = mean(log x)."""
+
+    # 40-digit roots of the two equations on the Wheaton data, from
+    # mpmath.findroot at 50 digits (rate: a / mean(x) and mean(x^k)^(-1/k))
+    ORACLE = {
+        "m1": (0.8382682148538920488101389233442461949281,
+               0.06868705072206694799889517876142446004846),
+        "m6": (0.9011661228398728380245946082123150211301,
+               0.08596832096426048349960137148063139194471),
+    }
+
+    @pytest.mark.parametrize("alias", ["m1", "m6"])
+    def test_wheaton_roots_match_mpmath(self, fits, alias):
+        res = fits[alias][0]
+        assert res.theta_hat == pytest.approx(self.ORACLE[alias], rel=1e-13, abs=0.0)
+        assert res.converged and res.iterations <= 6
+
+    @pytest.mark.parametrize("alias", ["m1", "m6"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_roots_scale_with_the_data(self, fits, flood_values, alias, scale):
+        res = mle_fit(get_model(alias), flood_values * scale)
+        got = (res.theta_hat[0], res.theta_hat[1] * scale)
+        assert got == pytest.approx(fits[alias][0].theta_hat, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alias", ["m1", "m6"])
+    def test_newton_engine_reaches_the_root(self, fits, flood_values, alias):
+        newton = mle_fit(dataclasses.replace(get_model(alias), exact_mle=None), flood_values)
+        res = fits[alias][0]
+        assert newton.theta_hat == pytest.approx(res.theta_hat, rel=1e-8)
+        assert res.loglik >= newton.loglik - 1e-12 * abs(newton.loglik)
+
+    @pytest.mark.parametrize("alias, name", [("m1", "alpha"), ("m6", "shape")])
+    @pytest.mark.parametrize("data", [[2.0, 2.0, 2.0], [3.0]])
+    def test_equal_observations_name_the_boundary(self, alias, name, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mle_fit(get_model(alias), data)
+        assert not res.converged
+        assert all(np.isfinite(res.theta_hat)) and np.isfinite(res.loglik)
+        assert res.warnings[0].startswith(
+            f"{name} runs to infinity because every observation is equal")
 
 
 def _negative_definite(H):
@@ -275,11 +356,14 @@ class TestModifiedNewton:
 
     @pytest.mark.parametrize("seed", [None, 8, 69, 180])
     def test_fits_converge_without_simplex(self, flood_values, seed):
-        # on each data set plain Newton stalls on some start
+        # on each data set plain Newton stalls on some start; m1 and m6
+        # also run through the Newton engine, without their exact_mle
         data = flood_values if seed is None else _resample(seed)
         for alias in ("m1", "m2", "m6"):
-            res = mle_fit(get_model(alias), data)
-            assert res.converged, (alias, res.warnings)
+            model = get_model(alias)
+            for m in (model, dataclasses.replace(model, exact_mle=None)):
+                res = mle_fit(m, data)
+                assert res.converged, (alias, m.exact_mle, res.warnings)
 
     def test_no_start_ends_on_a_saddle(self):
         # plain Newton takes starts 0 and 1 of this resample to a saddle
@@ -294,13 +378,14 @@ class TestModifiedNewton:
 
     def test_wheaton_work_count(self, flood_values, monkeypatch):
         # a deterministic count of likelihood evaluations shows a
-        # regression that noisy timings hide; measured m1 36, m2 51,
-        # m6 37 (124 in all), each bound 10% above. Every shipped score
-        # returns its Hessian, so nothing is differenced, and a start
-        # whose gradient test holds ends when the full step fails,
+        # regression that noisy timings hide; measured m1 1, m2 51,
+        # m6 1 (53 in all), each bound 10% above. m1 and m6 solve their
+        # shape equations and score once at the root. Every shipped
+        # score returns its Hessian, so nothing is differenced, and a
+        # start whose gradient test holds ends when the full step fails,
         # without the halvings.
         monkeypatch.setattr(fit, "_hess_phi", _no_differencing)
-        bounds = {"m1": 39, "m2": 56, "m6": 40}
+        bounds = {"m1": 1, "m2": 56, "m6": 1}
         calls = []
         for alias in bounds:
             model = get_model(alias)
@@ -311,7 +396,7 @@ class TestModifiedNewton:
 
             mle_fit(dataclasses.replace(model, analytic_score=counted), flood_values)
             assert calls.count(alias) <= bounds[alias]
-        assert len(calls) <= 136
+        assert len(calls) <= 58
 
 
 class TestScaleFreeConvergence:

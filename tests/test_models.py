@@ -439,6 +439,7 @@ class TestDataValidation:
             return check(data, entry)
 
         monkeypatch.setattr(fit_module, "_positive_observations", counted)
-        model = dataclasses.replace(get_model("m6"), analytic_score=None)
+        model = dataclasses.replace(get_model("m6"), analytic_score=None,
+                                    exact_mle=None)
         assert mle_fit(model, flood_values).converged
         assert calls == ["mle_fit"]

@@ -11,6 +11,7 @@ import scipy.special as sp
 from oddsgamma import OEGammaDist
 from oddsgamma.specfun import (
     _lgam1p,
+    _log_minus_digamma,
     _reg_upper_gamma_vec,
     digamma,
     inv_reg_lower_gamma,
@@ -50,6 +51,24 @@ class TestDigamma:
 
     def test_half(self):
         assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), rel=1e-13)
+
+
+class TestLogMinusDigamma:
+    # log a - psi(a) from mpmath at 40 digits; 9.5 is the last point
+    # below the asymptotic series, 10 the first on it
+    PINS = {
+        0.01: 95.95571527188058312944498,
+        1.0: 0.5772156649015328606065121,
+        9.5: 0.05355392220354561742446492,
+        10.0: 0.05083250392732457637053529,
+        37.5: 0.0133925883800267191324501,
+        1e3: 0.0005000833333250000039682498,
+        1e8: 5.000000008333333333333333e-9,
+    }
+
+    @pytest.mark.parametrize("a", sorted(PINS))
+    def test_against_mpmath(self, a):
+        assert _log_minus_digamma(a) == pytest.approx(self.PINS[a], rel=1e-14, abs=0.0)
 
 
 class TestRegularizedGamma:
