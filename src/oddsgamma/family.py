@@ -20,7 +20,7 @@ from scipy import special
 
 from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
-from .quadrature import _windows_diverge, tanh_sinh, tanh_sinh_levels, windowed_quad
+from .quadrature import tanh_sinh, tanh_sinh_levels
 from .specfun import (
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
@@ -32,9 +32,11 @@ from .specfun import (
 
 __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]
 
+# perfbench/tracing.py patches this name; nothing in the library calls it
+windowed_quad = None
+
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
-_QUAD_TOL = 0.5e-10  # tau's, per half-axis; the two halves add to 1e-10
 # inner terms j per tau quadrature; deeper shells go in j-ordered blocks
 _TAU_BLOCK = 256
 # shell-over-shell growth factor that fires a series' divergence flag
@@ -496,6 +498,11 @@ class GammaRatioDist:
 
     # ---------------- quadrature expectations ----------------
 
+    def _inside(self, x):
+        """x, nan where it has left the open support."""
+        lo, hi = self.support
+        return np.where((x > lo) & (x < hi), x, np.nan)
+
     def _nodes(self, level):
         """(head, tail) abscissae of the tanh-sinh nodes that level adds:
         quantile(s) and quantile_sf(s) for s = tanh_sinh_levels(level),
@@ -504,10 +511,14 @@ class GammaRatioDist:
         memo = self._abscissae
         if level not in memo:
             s = tanh_sinh_levels(level)
-            lo, hi = self.support
-            memo[level] = tuple(np.where((x > lo) & (x < hi), x, np.nan)
-                                for x in (self.quantile(s), self.quantile_sf(s)))
+            memo[level] = (self._inside(self.quantile(s)), self._inside(self.quantile_sf(s)))
         return memo[level]
+
+    def _base_nodes(self, level):
+        """The same on the base's own quantile map, u = G1(x):
+        base.quantile(s) and base.isf(s)."""
+        s = tanh_sinh_levels(level)
+        return self._inside(self.base.quantile(s)), self._inside(self.base.isf(s))
 
     def _expect(self, f, what, per_component=False):
         """E f(X) = integral of f(quantile(u)) du over (0, 1), by
@@ -529,50 +540,50 @@ class GammaRatioDist:
             raise type(err)(f"{what}: {err}")
         return value
 
-    def _tau_integrands(self, m, eta, r_vec):
-        """tau's head and tail integrands, over u = G1(x) and s = 1 - G1(x)
-        in (0, 1/2], one column per entry of the 1-D array r_vec."""
-        base = self.base
-
-        def integrand(x, u):
-            with np.errstate(
-                divide="ignore", over="ignore", under="ignore", invalid="ignore"
-            ):
-                val = np.multiply.outer(np.log(u), r_vec)
-                if eta != 0.0:
-                    val += (eta * np.asarray(base.log_pdf(x), dtype=float))[:, None]
-                np.exp(val, out=val)
-                if m:
-                    val *= (x**m)[:, None]
-            return val
-
-        return (lambda u: integrand(base.quantile(u), u),
-                lambda s: integrand(base.isf(s), 1.0 - s))
-
     def tau(self, m, eta, r):
         """Integral of x^m g1(x)^eta G1(x)^r dG1 over the support.
 
         The building block of the family's moment expansions. Evaluated
-        in u = G1(x) with windowed adaptive quadrature at both ends,
-        absolute tolerance 1e-10. r may be a 1-D array: one
-        vector-valued quadrature then gives the integral for every
-        entry, nan where it is not integrable. For a scalar r detected
-        non-integrability raises a DivergenceError naming (m, eta, r).
+        in u = G1(x) by quadrature.tanh_sinh over the base's own quantile
+        map, to 1e-13 of the integral of its magnitude, relative, per
+        entry of r. The integrand is formed in logs, exp(r ln G1 +
+        eta ln g1 + m ln|x|) times sign(x)^m, because G1^r alone
+        overflows at outer nodes where the product is finite. r may be a
+        1-D array: one vector-valued quadrature then gives the integral
+        for every entry, nan where it is not integrable or the nodes
+        cannot resolve it. For a scalar r a non-integrable tau raises
+        DivergenceError naming (m, eta, r), and an unresolved one
+        NumericalError.
         """
         m = _validate_order(m, "tau")
         eta = float(eta)
-        head, tail = self._tau_integrands(m, eta, np.atleast_1d(np.asarray(r, dtype=float)))
-        h = windowed_quad(head, 0.0, 0.5, abs_tol=_QUAD_TOL)
-        t = windowed_quad(tail, 0.0, 0.5, abs_tol=_QUAD_TOL)
-        diverged = h.diverged | t.diverged
+        r_vec = np.atleast_1d(np.asarray(r, dtype=float))
+        base = self.base
+        signed = m % 2 == 1 and base.support[0] < 0.0
+
+        def integrand(x):
+            with np.errstate(
+                divide="ignore", over="ignore", under="ignore", invalid="ignore"
+            ):
+                val = np.multiply.outer(np.log(base.cdf(x)), r_vec)
+                if eta != 0.0:
+                    val += (eta * np.asarray(base.log_pdf(x), dtype=float))[:, None]
+                if m:
+                    val += (m * np.log(np.abs(x)))[:, None]
+                np.exp(val, out=val)
+                if signed:
+                    val *= np.sign(x)[:, None]
+            return val
+
+        value, errors = tanh_sinh(integrand, self._base_nodes)
         if np.ndim(r) == 0:
-            if diverged[0]:
-                raise DivergenceError(
-                    f"tau(m={m}, eta={eta:.6g}, r={float(r):.6g}) is not integrable: "
-                    f"{h.detail[0] or t.detail[0]}"
-                )
-            return float(h.value[0] + t.value[0])
-        return np.where(diverged, np.nan, h.value + t.value)
+            what = f"tau(m={m}, eta={eta:.6g}, r={float(r):.6g})"
+            if isinstance(errors[0], DivergenceError):
+                raise DivergenceError(f"{what} is not integrable: {errors[0]}")
+            if errors[0] is not None:
+                raise NumericalError(f"{what} could not be resolved: {errors[0]}")
+            return float(value[0])
+        return np.where([e is not None for e in errors], np.nan, value)
 
     def moment_quadrature(self, m):
         """Raw moment E X^m by quadrature; the authoritative path.
@@ -703,18 +714,16 @@ class GammaRatioDist:
 
         Terms are (-1)^(k+j) exp(log_pref) C(s_binom, j) tau(m, eta,
         r_of_j(j)), with tau taken for a block of j at once and truncated
-        by _truncate_inner. The first j whose tau is not integrable
-        aborts the whole evaluation via the note channel, unless the
-        truncation stopped before it. No truncation stops before j = 0,
-        so column j = 0 is ruled on first, from the expanding windows of
-        its own quadrature alone (no sliver, no other columns): where
-        they already diverge the shell aborts at j = 0 without
-        integrating a block. Both series' r grows with j, so column 0 is
-        the most singular one, and that is where their shells abort.
+        by _truncate_inner. The first j whose tau is nan aborts the whole
+        evaluation via the note channel, unless the truncation stopped
+        before it. No truncation stops before j = 0, so column j = 0 is
+        ruled on first, by a tau of that column alone: where it is nan
+        the shell aborts at j = 0 without integrating a block. Both
+        series' r grows with j, so column 0 is the most singular one, and
+        that is where their shells abort.
         """
         r = r_of_j(np.arange(float(ctrl.j_max)))
-        if any(_windows_diverge(f, 0.0, 0.5, _QUAD_TOL)[0]
-               for f in self._tau_integrands(m, eta, r[:1])):
+        if np.isnan(self.tau(m, eta, r[:1])[0]):
             return 0.0, 1, False, _tau_note(k, 0, m, eta, r[0])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
@@ -883,13 +892,10 @@ class GammaRatioDist:
 
         def inner(k):
             log_pref = (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a)
-            sign_k = -1.0 if k % 2 else 1.0
+            coef = _signed_binomial(k, log_pref, a + k - 1.0, ctrl.j_max)
             expo = j - a - k
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = (
-                    sign_k * (-1.0) ** j * _running_binomial(a + k - 1.0, ctrl.j_max)
-                    / expo * np.exp(log_pref + expo * ln_g)
-                )
+                terms = coef / expo * np.exp(expo * ln_g)
             return *_truncate_inner(terms, ctrl), None
 
         return _sum_shells(inner, ctrl)
