@@ -239,12 +239,15 @@ def _signed_binomial(k, log_pref, s, n):
         return sign_k * float(np.exp(log_pref)) * (-1.0) ** j * _running_binomial(s, n)
 
 
-def _tau_note(k, j, m, eta, r):
-    """The note that aborts a series at its first non-integrable tau."""
-    return (
-        f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, r={r:.6g}), "
-        "which is not integrable; the printed expansion is formal at these parameters"
-    )
+def _tau_note(k, j, m, eta, r, err):
+    """The note that aborts a series at its first nan tau, whose
+    quadrature verdict is err: not integrable where that is a
+    DivergenceError, else not resolved."""
+    term = f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, r={r:.6g}), "
+    if isinstance(err, DivergenceError):
+        return term + ("which is not integrable; the printed expansion is formal "
+                       "at these parameters")
+    return term + f"which could not be resolved ({err}); the series stops there"
 
 
 def _validate_renyi_order(eta, who):
@@ -540,7 +543,7 @@ class GammaRatioDist:
             raise type(err)(f"{what}: {err}")
         return value
 
-    def tau(self, m, eta, r):
+    def tau(self, m, eta, r, errors_out=None):
         """Integral of x^m g1(x)^eta G1(x)^r dG1 over the support.
 
         The building block of the family's moment expansions. Evaluated
@@ -551,9 +554,11 @@ class GammaRatioDist:
         overflows at outer nodes where the product is finite. r may be a
         1-D array: one vector-valued quadrature then gives the integral
         for every entry, nan where it is not integrable or the nodes
-        cannot resolve it. For a scalar r a non-integrable tau raises
-        DivergenceError naming (m, eta, r), and an unresolved one
-        NumericalError.
+        cannot resolve it; errors_out (a list, extended in place), when
+        given, then receives each entry's verdict: None, or the
+        DivergenceError or NumericalError that made it nan. For a scalar
+        r a non-integrable tau raises DivergenceError naming (m, eta, r),
+        and an unresolved one NumericalError.
         """
         m = _validate_order(m, "tau")
         eta = float(eta)
@@ -583,6 +588,8 @@ class GammaRatioDist:
             if errors[0] is not None:
                 raise NumericalError(f"{what} could not be resolved: {errors[0]}")
             return float(value[0])
+        if errors_out is not None:
+            errors_out.extend(errors)
         return np.where([e is not None for e in errors], np.nan, value)
 
     def moment_quadrature(self, m):
@@ -723,12 +730,14 @@ class GammaRatioDist:
         that is where their shells abort.
         """
         r = r_of_j(np.arange(float(ctrl.j_max)))
-        if np.isnan(self.tau(m, eta, r[:1])[0]):
-            return 0.0, 1, False, _tau_note(k, 0, m, eta, r[0])
+        errors = []
+        if np.isnan(self.tau(m, eta, r[:1], errors_out=errors)[0]):
+            return 0.0, 1, False, _tau_note(k, 0, m, eta, r[0], errors[0])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
-            tau = self.tau(m, eta, r[start:start + _TAU_BLOCK])
+            errors = []
+            tau = self.tau(m, eta, r[start:start + _TAU_BLOCK], errors_out=errors)
             bad = np.flatnonzero(np.isnan(tau))
             good = bad[0] if bad.size else tau.size
             with np.errstate(over="ignore", invalid="ignore"):
@@ -739,7 +748,7 @@ class GammaRatioDist:
                     return partial, used, True, None
             if bad.size:
                 jb = start + int(bad[0])
-                return 0.0, jb + 1, False, _tau_note(k, jb, m, eta, r[jb])
+                return 0.0, jb + 1, False, _tau_note(k, jb, m, eta, r[jb], errors[bad[0]])
         return partial, used, False, None
 
     def moment_series(self, m, ctrl=None):

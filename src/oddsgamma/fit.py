@@ -1,12 +1,14 @@
 """Maximum-likelihood fitting over FittableModel descriptors.
 
-A model whose likelihood equations reduce to one scalar equation
-supplies exact_mle (m1 and m6 solve their shape equations); mle_fit
-takes its root, evaluates the score there once, and reports the fit
-converged only where the solve met its tolerance and the gradient
-test below holds. iterations then counts solver steps.
+Every shipped model supplies exact_mle, a solver of its likelihood
+equations reduced to one dimension: m1 and m6 solve their shape
+equations and m2 maximizes its profile likelihood in lambda. mle_fit
+takes the solver's theta, evaluates the score there once, and reports
+the fit converged only where the solver gave no note and the gradient
+test below holds; a solver's advisory warning is reported without
+clearing converged. iterations then counts solver steps.
 
-Every other model (m2 and user models) is fitted by Newton-Raphson in
+A user model without exact_mle is fitted by Newton-Raphson in
 log-parameters, which enforces positivity, with step halving, on the
 eigenvalue-modified Hessian wherever the Hessian is not negative
 definite, so every step ascends. Convergence is tested on the gradient
@@ -14,9 +16,10 @@ measured in log coordinates, theta * d loglik / d theta, which does
 not change when the data are rescaled. A start that finds no
 ascending step away from a stationary point ends not converged. Five
 deterministic starts (the model's initial guess plus cyclic
-coordinate perturbations) guard against ridge-shaped likelihoods, and
-the best final likelihood wins. On either path a fit whose parameter
-runs to 1e300 or 1e-300 is never reported converged.
+coordinate perturbations) guard against ridge-shaped likelihoods; the
+best final likelihood wins, and among starts whose likelihoods agree
+to the loglik tolerance, the smallest gradient. On either path a fit
+whose parameter runs to 1e300 or 1e-300 is never reported converged.
 The settings below are fixed. Everything is deterministic: same model
 and data give a bit-identical FitResult.
 
@@ -241,8 +244,8 @@ def _starts(model, data):
 
 
 def mle_fit(model, data):
-    """Maximize the likelihood: the model's exact_mle where it has one,
-    else deterministic multi-start Newton ascent.
+    """Maximize the likelihood: the model's exact_mle where it has one
+    (every shipped model), else deterministic multi-start Newton ascent.
 
     Observations that are not finite and positive raise DataError.
     """
@@ -278,8 +281,8 @@ def mle_fit(model, data):
 
 def _solve_exact(model, x, sink):
     """The model's exact_mle and one score pass at its root, in the
-    shape of a _run_start outcome; its note goes to sink."""
-    theta, iters, note = model.exact_mle(x)
+    shape of a _run_start outcome; its note and advisory go to sink."""
+    theta, iters, note, *advisory = model.exact_mle(x)
     theta = np.asarray(theta, dtype=float)
     phi = np.log(theta)
     ll, g, H = _grad_phi(model, x, phi)
@@ -288,13 +291,15 @@ def _solve_exact(model, x, sink):
             f"the likelihood equations of model {model.name} gave theta "
             f"{theta.tolist()}, where the likelihood is not finite"
         )
-    if note is not None:
-        sink.append(note)
+    sink.extend(w for w in (note, *advisory) if w is not None)
     return phi, ll, g, iters, note is None and _grad_ok(g, ll), H
 
 
 def _multi_start(model, x):
-    """The best _run_start outcome over the deterministic starts."""
+    """The best _run_start outcome over the deterministic starts: the
+    highest loglik, and among starts whose logliks agree to the loglik
+    tolerance the smallest gradient sup-norm, so that rounding in the
+    last digits of two equal optima does not pick the less converged."""
     best = None
     failures = []
     for idx, theta0 in enumerate(_starts(model, x)):
@@ -302,7 +307,12 @@ def _multi_start(model, x):
         if outcome is None:
             failures.append(f"start {idx} at {np.asarray(theta0).tolist()} was not finite")
             continue
-        if best is None or outcome[1] > best[1]:
+        if best is None:
+            best = outcome
+        elif abs(outcome[1] - best[1]) <= _LL_TOL * max(1.0, abs(best[1])):
+            if np.max(np.abs(outcome[2])) < np.max(np.abs(best[2])):
+                best = outcome
+        elif outcome[1] > best[1]:
             best = outcome
     if best is None:
         raise FitError(

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .expgamma import OEGammaDist, _oe_loglik_and_score
+from .expgamma import OEGammaDist, _log1mexp, _oe_loglik_and_score
 from .specfun import _log_minus_digamma, _sq_trigamma
 
 __all__ = [
@@ -47,11 +47,16 @@ class FittableModel:
     product theta_i theta_j d2 loglik / d theta_i d theta_j: that product
     overflows where a parameter runs toward 1e300 while the entry itself
     stays finite. exact_mle, when present, maps data to
-    (theta, iterations, note): the maximum-likelihood theta solved
-    directly (for a family whose likelihood equations reduce to one
-    scalar equation), the solver steps it took, and None where the solve
-    met its tolerance or else a warning that says why not. mle_fit then
-    uses it in place of the multi-start Newton ascent. Every callable
+    (theta, iterations, note) or (theta, iterations, note, advisory):
+    the maximum-likelihood theta solved directly (for a family whose
+    likelihood equations reduce to one dimension), the solver steps it
+    took, and None where the solve met its tolerance or else a warning
+    that says why not, which leaves the fit not converged. advisory is
+    None or a warning that does not: the fit stays converged where the
+    note is None and the gradient test holds, and the warning is
+    reported beside it (m2 says so where its likelihood is higher at a
+    boundary than at the interior maximum theta). mle_fit then uses
+    exact_mle in place of the multi-start Newton ascent. Every callable
     receives the data as mle_fit or standard_errors validated them (a
     non-empty 1-D float array of finite values > 0) and does not check
     them again.
@@ -107,6 +112,19 @@ def _unsolved_note(name, steps):
     return f"the {name} equation did not meet its tolerance in {steps} steps"
 
 
+def _minka_start(s):
+    """Minka's closed-form approximation to the root a of the gamma
+    shape equation log a - psi(a) = s > 0, elementwise."""
+    return (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+
+
+def _minka_step(a, s):
+    """One generalized Newton step of Minka ("Estimating a Gamma
+    distribution", 2002) on log a - psi(a) = s, elementwise: it fits
+    c0 + c1/a to the left side at a and returns the root of the fit."""
+    return 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / (a - _sq_trigamma(a)))
+
+
 def _log_offsets(x):
     """(z, top, spread): z = log x - top with top = max(log x), so every
     exp(z) lies in (0, 1] at any data scale, and spread = -mean(z) >= 0,
@@ -136,6 +154,145 @@ def _oe_score(x, theta):
     return _oe_loglik_and_score(x, *(float(t) for t in theta))
 
 
+_PROFILE_POINTS = 64  # scan grid over log lam
+_PROFILE_PAD = 6.0  # how far the scan reaches past the data's lam scales, in log lam
+# Minka's and Newton's steps converge quadratically: a step this small
+# leaves an error near its square
+_SCAN_TOL = 1e-4  # relative alpha step that ends a grid point's solve
+_PROFILE_STEP_TOL = 1e-7  # log lam step that ends the Newton refinement
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
+    """(loglik, alpha, log beta): the m2 likelihood maximized over alpha
+    and beta at fixed lam, elementwise over an array lam.
+
+    At fixed lam the odds w = 1/expm1(lam x) are constants, and the
+    likelihood is the gamma likelihood of w times a Jacobian free of
+    alpha and beta, so (alpha, beta | lam) is the gamma MLE of w:
+    alpha solves log alpha - psi(alpha) = s = log mean(w) - mean(log w)
+    (one root, Choi & Wette 1969) and beta = alpha / mean(w), and the
+    loglik is n log lam - sum log(1 - e^-lam x) + n (alpha log alpha -
+    alpha - lnGamma(alpha) - alpha s). Both means are formed from
+    log w = -lam x - log(1 - e^-lam x), so none underflows past the odds
+    underflow. Minka's steps run from a (his closed form where a is
+    None) until none moves alpha by more than tol relative."""
+    lam = np.asarray(lam, dtype=float)
+    y = lam[..., None] * x
+    l1m = _log1mexp(y)
+    log_w = -y - l1m
+    top = np.max(log_w, axis=-1)
+    log_mean_w = np.log(np.mean(np.exp(log_w - top[..., None]), axis=-1)) + top
+    s = log_mean_w - np.mean(log_w, axis=-1)
+    a = _minka_start(s) if a is None else a
+    for _ in range(_SOLVE_STEPS):
+        a, prev = _minka_step(a, s), a
+        if not np.any(np.abs(a - prev) > tol * a):  # nan counts as done
+            break
+    n = x.size
+    ll = (n * np.log(lam) - np.sum(l1m, axis=-1)
+          + n * (a * np.log(a) - a - special.gammaln(a) - a * s))
+    return ll, a, np.log(a) - log_mean_w
+
+
+def _oe_exact_mle(x):
+    """The m2 MLE by its one-dimensional profile likelihood in lam (see
+    _oe_profile), as (theta, steps, note, advisory).
+
+    The profile is scanned on a grid of log lam that reaches 6 past the
+    data's own scales, so it moves with them when the data are
+    rescaled: from lam max x = e^-6 to where both lam min x and
+    lam (mean x - min x) are e^6 or more. Newton in
+    log lam then refines the best interior local maximum of the scan,
+    inside the bracket of its two neighbours. Its gradient is the lam
+    entry of the m2 score at (alpha(lam), beta(lam), lam), since the
+    score in alpha and beta vanishes there, and its curvature the Schur
+    complement of the score's log-coordinate Hessian; a step that
+    leaves the bracket, or meets a curvature that is not negative,
+    bisects instead. steps counts the Newton iterations.
+
+    As lam -> inf with alpha lam and log(beta) / lam held, the law tends
+    to the shifted exponential mu + Exp(kappa) (Cheng & Iles, JRSS B 52,
+    1990), whose MLE is mu = min x and kappa = 1 / (mean x - min x), with
+    loglik n (log kappa - 1). Where that beats the interior maximum,
+    theta stays the interior stationary point and the advisory says by
+    how much. The scan ends where beta leaves the float range. Where it
+    has no interior maximum, the note names the end the likelihood rises
+    toward and theta is the scan point at that end: the highest scanned
+    lam (or the last where beta is a float) or the lowest."""
+    n = x.size
+    x_min = float(np.min(x))
+    spread = float(np.mean(x - x_min))
+    if not spread > 0.0:
+        a, lam = _EQUAL_DATA_SHAPE, 1.0 / x_min
+        return np.array([a, a * math.expm1(1.0), lam]), 0, _equal_data_note("alpha"), None
+    kappa = 1.0 / spread
+    limit_ll = n * (math.log(kappa) - 1.0)
+    limit = (f"the shifted exponential mu + Exp(kappa), mu = min x = {x_min:.6g} and "
+             f"kappa = 1/(mean x - min x) = {kappa:.6g}, with loglik {limit_ll:.10g}")
+    u = np.linspace(-math.log(float(np.max(x))) - _PROFILE_PAD,  # log lam
+                    -math.log(min(x_min, spread)) + _PROFILE_PAD, _PROFILE_POINTS)
+    ll, a, log_b = _oe_profile(x, np.exp(u), tol=_SCAN_TOL)
+    ok = np.isfinite(ll) & (log_b < _LOG_FLOAT_MAX)
+    m = _PROFILE_POINTS if ok.all() else int(np.argmin(ok))
+    ll, a, log_b, u = ll[:m], a[:m], log_b[:m], u[:m]
+    inner = (ll[1:-1] > ll[:-2]) & (ll[1:-1] >= ll[2:])
+    if not inner.any():
+        if ll[-1] < ll[0]:
+            k, note = 0, ("the likelihood rises toward its lambda -> 0 boundary; theta is "
+                          "reported at the lowest scanned lambda")
+        elif m < _PROFILE_POINTS:
+            k, note = -1, ("the likelihood still rises where beta leaves the float range; "
+                           "theta is reported at the last scanned lambda where beta is a float")
+        else:
+            k, note = -1, (f"the likelihood rises toward its lambda -> inf boundary, {limit}; "
+                           "theta is reported at the highest scanned lambda, "
+                           f"{limit_ll - ll[-1]:.3g} below that")
+        return np.array([a[k], math.exp(log_b[k]), math.exp(u[k])]), 0, note, None
+    k = 1 + int(np.argmax(np.where(inner, ll[1:-1], -np.inf)))
+    lo, hi, a = float(u[k - 1]), float(u[k + 1]), a[k]
+    # Newton starts at the vertex of the parabola through the three points
+    bend = ll[k - 1] - 2.0 * ll[k] + ll[k + 1]
+    v = float(u[k])
+    if -math.inf < bend < 0.0:
+        v += 0.25 * (hi - lo) * float(ll[k - 1] - ll[k + 1]) / bend
+    last = None  # the last profiled point where beta is a float
+    note = _unsolved_note("lambda profile", _SOLVE_STEPS)
+    for step in range(1, _SOLVE_STEPS + 1):
+        lam = math.exp(v)
+        ll_v, a, lb = _oe_profile(x, lam, a)
+        if not lb < _LOG_FLOAT_MAX:  # step back to where beta is a float
+            hi, v = v, 0.5 * (lo + v)
+            continue
+        last = ll_v, a, lb, v
+        _, g, H = _oe_loglik_and_score(x, float(a), math.exp(lb), lam)
+        grad = lam * g[2]
+        # d log(alpha, beta) / d log lam = -slope along the profile
+        slope = np.linalg.solve(H[:2, :2], H[:2, 2])
+        curv = H[2, 2] - H[2, :2] @ slope
+        if grad > 0.0:
+            lo = v
+        elif grad < 0.0:
+            hi = v
+        new = v - grad / curv if curv < 0.0 else math.nan
+        newton = lo <= new <= hi
+        if not newton:
+            new = 0.5 * (lo + hi)
+        v, prev = new, v
+        a = a * math.exp(slope[0] * (prev - v))  # Minka's next start
+        if abs(v - prev) <= (_PROFILE_STEP_TOL if newton else _SOLVE_TOL):
+            note = None
+            break
+    # a last step past the float range falls back to the last point inside it
+    end = _oe_profile(x, math.exp(v), a) + (v,)
+    ll_hat, a, lb, v = end if end[2] < _LOG_FLOAT_MAX or last is None else last
+    advisory = None
+    if limit_ll > ll_hat:
+        advisory = (f"the likelihood is higher at the lambda -> inf boundary, {limit}, "
+                    f"{limit_ll - ll_hat:.3g} above this interior stationary point")
+    return np.array([float(a), math.exp(lb), math.exp(v)]), step, note, advisory
+
+
 def oe_gamma_model():
     """The proposed three-parameter model (odds-gamma, exponential base)."""
     return FittableModel(
@@ -147,6 +304,7 @@ def oe_gamma_model():
         sf=_oe_method("sf"),
         initial_guess=_oe_initial_guess,
         analytic_score=_oe_score,
+        exact_mle=_oe_exact_mle,
     )
 
 
@@ -222,12 +380,12 @@ def _zb_exact_mle(x):
     if not s > 0.0:
         a = _EQUAL_DATA_SHAPE
         return np.array([a, rate(a)]), 0, _equal_data_note("alpha")
-    a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    a = float(_minka_start(s))
     for step in range(1, _SOLVE_STEPS + 1):
-        inv = 1.0 / a + (_log_minus_digamma(a) - s) / (a - _sq_trigamma(a))
-        if not (math.isfinite(inv) and inv > 0.0):
+        new = float(_minka_step(a, s))
+        if not (math.isfinite(new) and new > 0.0):
             break
-        a, prev = 1.0 / inv, a
+        a, prev = new, a
         if abs(a - prev) <= _SOLVE_TOL * a:
             return np.array([a, rate(a)]), step, None
     return np.array([a, rate(a)]), step, _unsolved_note("gamma shape", step)

@@ -61,25 +61,28 @@ _LOG_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 3276
 
 
 def _log_minus_digamma(a):
-    """log a - psi(a) for a > 0. From a = 10 on, where the two terms
-    cancel, it is the asymptotic series 1/(2a) + sum_k B_2k / (2k a^2k)
-    (DLMF 5.11.2) through k = 7, whose next term is below 1e-15 of the
-    sum there."""
-    if a < 10.0:
-        return math.log(a) - float(special.psi(a))
-    r = 1.0 / (a * a)
+    """log a - psi(a) for a > 0, elementwise. From a = 10 on, where the
+    two terms cancel, it is the asymptotic series 1/(2a) + sum_k B_2k /
+    (2k a^2k) (DLMF 5.11.2) through k = 7, whose next term is below
+    1e-15 of the sum there."""
+    a = np.asarray(a, dtype=float)
+    small = a < 10.0
+    near = np.where(small, a, 1.0)
+    far = np.where(small, 10.0, a)
+    r = 1.0 / (far * far)
     tail = 0.0
     for c in reversed(_LOG_DIGAMMA_SERIES):
         tail = (tail + c) * r
-    return 0.5 / a + tail
+    return np.where(small, np.log(near) - special.psi(near), 0.5 / far + tail)[()]
 
 
 def _sq_trigamma(a):
-    """a^2 psi'(a) for a > 0, the trigamma term of a log-coordinate
-    Hessian, as 1 + a^2 psi'(a + 1) (DLMF 5.15.5), which stays finite as
-    a -> 0 where psi'(a) ~ 1/a^2 overflows. psi'(q) is the Hurwitz zeta
-    function zeta(2, q)."""
-    return 1.0 + a * a * float(special.zeta(2.0, a + 1.0))
+    """a^2 psi'(a) for a > 0, elementwise, the trigamma term of a
+    log-coordinate Hessian, as 1 + a^2 psi'(a + 1) (DLMF 5.15.5), which
+    stays finite as a -> 0 where psi'(a) ~ 1/a^2 overflows. psi'(q) is
+    the Hurwitz zeta function zeta(2, q)."""
+    a = np.asarray(a, dtype=float)
+    return (1.0 + a * a * special.zeta(2.0, a + 1.0))[()]
 
 
 def reg_upper_gamma(a, x):

@@ -371,6 +371,26 @@ class TestBatchedTau:
         assert not isinstance(info.value, DivergenceError)
         assert np.isnan(d.tau(1, 0, [-1.99])).all()
 
+    def test_vector_verdicts_tell_divergent_from_unresolved(self):
+        # r = -2 diverges, r = -1.99 is integrable but unresolved (above)
+        errors = []
+        got = dist(0.6, 1.0, self.LAM).tau(1, 0, [-2.0, -1.99, 0.4], errors_out=errors)
+        assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+        assert isinstance(errors[0], DivergenceError)
+        assert isinstance(errors[1], NumericalError)
+        assert not isinstance(errors[1], DivergenceError)
+        assert errors[2] is None
+
+    def test_unresolved_series_term_is_not_called_divergent(self):
+        # tau(1, 0, -1.97) of this law is integrable (closed form 34.3)
+        # but its integrand grows like u^-0.97, too fast for the nodes
+        res = GammaRatioDist(0.97, 1.0, make_exponential(1.0)).moment_series(1)
+        assert not res.converged and res.terms_used == (0, 1)
+        assert res.diagnostic.startswith(
+            "term (k=0, j=0) needs tau(m=1, eta=0, r=-1.97), which could not be resolved (")
+        assert res.diagnostic.endswith("unsummed, above 1e-13 of 34.3); the series stops there")
+        assert "not integrable" not in res.diagnostic
+
 
 class TestMoments:
     def test_order_zero_normalization(self):

@@ -16,7 +16,7 @@ import pytest
 from scipy import special
 
 from oddsgamma import DataError, FitError, OEGammaDist, get_model, mle_fit
-from oddsgamma import fit
+from oddsgamma import fit, models
 from oddsgamma.fit import FitResult, negative_log_lik, standard_errors
 from oddsgamma.models import FittableModel
 
@@ -166,6 +166,35 @@ class TestExpRateToy:
         assert np.exp(phi[0]) == pytest.approx(full.theta_hat[0], rel=1e-9)
 
 
+class TestStartTieBreak:
+    def test_equal_logliks_keep_the_smaller_gradient(self, monkeypatch):
+        # two starts of the exp-rate toy end on the same optimum, their
+        # logliks one ulp apart: the less converged one, one ulp higher,
+        # must not win on that ulp
+        ll = -1234.5
+        outcomes = {
+            1.0: (np.log([0.5]), ll, np.array([1e-9]), 3, True, np.array([[-400.0]])),
+            2.0: (np.log([0.5000001]), np.nextafter(ll, 0.0), np.array([1e-7]), 3, True,
+                  np.array([[-400.0]])),
+        }
+        monkeypatch.setattr(fit, "_run_start",
+                            lambda model, data, theta0: outcomes.get(float(theta0[0])))
+        res = mle_fit(_exp_rate_model(), np.array([1.0, 3.0]))
+        assert res.theta_hat == (0.5,)
+        assert res.loglik == ll and res.grad_sup_norm == 1e-9
+
+    def test_higher_loglik_beyond_the_tolerance_wins(self, monkeypatch):
+        ll = -1234.5
+        outcomes = {
+            1.0: (np.log([0.5]), ll, np.array([1e-9]), 3, True, np.array([[-400.0]])),
+            2.0: (np.log([0.7]), ll + 1e-6, np.array([1e-7]), 3, True, np.array([[-400.0]])),
+        }
+        monkeypatch.setattr(fit, "_run_start",
+                            lambda model, data, theta0: outcomes.get(float(theta0[0])))
+        res = mle_fit(_exp_rate_model(), np.array([1.0, 3.0]))
+        assert res.theta_hat == pytest.approx((0.7,), rel=1e-15)
+
+
 class TestDegenerateInformation:
     def test_flat_coordinate_yields_pseudo_inverse_warnings(self):
         rng = np.random.default_rng(3)
@@ -274,38 +303,44 @@ def test_bootstrap_fits_leak_no_runtime_warning(seed):
 class TestShapeEquations:
     """m1 and m6 fit by solving one scalar equation for the shape: the
     gamma equation log a - psi(a) = log mean(x) - mean(log x) and the
-    Weibull equation sum x^k log x / sum x^k - 1/k = mean(log x)."""
+    Weibull equation sum x^k log x / sum x^k - 1/k = mean(log x). m2
+    maximizes its profile likelihood in lambda (TestProfileLikelihood)."""
 
-    # 40-digit roots of the two equations on the Wheaton data, from
-    # mpmath.findroot at 50 digits (rate: a / mean(x) and mean(x^k)^(-1/k))
+    # 40-digit roots of the likelihood equations on the Wheaton data,
+    # from mpmath.findroot at 50 digits (m1 and m6 rate: a / mean(x) and
+    # mean(x^k)^(-1/k); m2 on all three score components)
     ORACLE = {
         "m1": (0.8382682148538920488101389233442461949281,
                0.06868705072206694799889517876142446004846),
+        "m2": (0.1313110251889018577676353094076345903075,
+               0.1791008499466630322722259850243735435541,
+               0.5389212836407889283950853517582349118088),
         "m6": (0.9011661228398728380245946082123150211301,
                0.08596832096426048349960137148063139194471),
     }
 
-    @pytest.mark.parametrize("alias", ["m1", "m6"])
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
     def test_wheaton_roots_match_mpmath(self, fits, alias):
         res = fits[alias][0]
         assert res.theta_hat == pytest.approx(self.ORACLE[alias], rel=1e-13, abs=0.0)
-        assert res.converged and res.iterations <= 6
+        assert res.converged and res.iterations <= 6 and res.warnings == ()
 
-    @pytest.mark.parametrize("alias", ["m1", "m6"])
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
     def test_roots_scale_with_the_data(self, fits, flood_values, alias, scale):
         res = mle_fit(get_model(alias), flood_values * scale)
-        got = (res.theta_hat[0], res.theta_hat[1] * scale)
-        assert got == pytest.approx(fits[alias][0].theta_hat, rel=1e-13, abs=0.0)
+        got = np.array(res.theta_hat)
+        got[-1] *= scale  # the rate is the last parameter of every model
+        assert tuple(got) == pytest.approx(fits[alias][0].theta_hat, rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("alias", ["m1", "m6"])
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
     def test_newton_engine_reaches_the_root(self, fits, flood_values, alias):
         newton = mle_fit(dataclasses.replace(get_model(alias), exact_mle=None), flood_values)
         res = fits[alias][0]
         assert newton.theta_hat == pytest.approx(res.theta_hat, rel=1e-8)
         assert res.loglik >= newton.loglik - 1e-12 * abs(newton.loglik)
 
-    @pytest.mark.parametrize("alias, name", [("m1", "alpha"), ("m6", "shape")])
+    @pytest.mark.parametrize("alias, name", [("m1", "alpha"), ("m2", "alpha"), ("m6", "shape")])
     @pytest.mark.parametrize("data", [[2.0, 2.0, 2.0], [3.0]])
     def test_equal_observations_name_the_boundary(self, alias, name, data):
         with warnings.catch_warnings():
@@ -315,6 +350,119 @@ class TestShapeEquations:
         assert all(np.isfinite(res.theta_hat)) and np.isfinite(res.loglik)
         assert res.warnings[0].startswith(
             f"{name} runs to infinity because every observation is equal")
+
+
+def _ridge_op(op):
+    """The 72 draws of flood-bootstrap op (seed, index): the Wheaton m2
+    fit sampled through numpy's gamma generator with default_rng(op).
+    On ops (103, 4), (106, 9) and (11, 58) one of the five Newton starts
+    climbs the alpha -> 0, beta -> inf ridge."""
+    a, b, lam = 0.131311028817586, 0.17910085290278077, 0.5389212676467791
+    t = np.random.default_rng(list(op)).gamma(a, 1.0 / b, 72)
+    return np.log1p(1.0 / t) / lam
+
+
+def _limit_loglik(x):
+    """Loglik of the shifted exponential min x + Exp(kappa) at its MLE
+    kappa = 1/(mean x - min x): the m2 likelihood's lambda -> inf limit."""
+    x = np.asarray(x, dtype=float)
+    return x.size * (np.log(1.0 / np.mean(x - x.min())) - 1.0)
+
+
+class TestProfileLikelihood:
+    """m2 maximizes its profile likelihood in lambda: at fixed lambda,
+    (alpha, beta) is the gamma MLE of the odds w = 1/expm1(lambda x).
+    A scan over log lambda and Newton on the best interior maximum find
+    the fit, which is compared with the lambda -> inf limit, the shifted
+    exponential min x + Exp(1/(mean x - min x))."""
+
+    # logliks the five-start Newton engine reached on these resamples:
+    # interior maxima that the lambda -> inf limit beats by 0.04 to 0.39
+    ENGINE_LOGLIK = {17: -259.6236303136484, 23: -244.08806045224193,
+                     24: -244.81238252113167, 38: -258.53201605670876,
+                     40: -252.9443421664378}
+
+    ADVISORY = "the likelihood is higher at the lambda -> inf boundary, the shifted exponential"
+
+    def test_never_below_a_converged_newton_engine(self):
+        model = get_model("m2")
+        for seed in range(40):
+            data = _resample(seed)
+            newton = mle_fit(_newton_engine(model), data)
+            if newton.converged:
+                res = mle_fit(model, data)
+                assert res.loglik >= newton.loglik - 1e-9 * abs(newton.loglik), seed
+
+    @pytest.mark.parametrize("seed", sorted(ENGINE_LOGLIK))
+    def test_boundary_above_the_interior_maximum_is_advised(self, seed):
+        data = _resample(seed)
+        res = mle_fit(get_model("m2"), data)
+        want = self.ENGINE_LOGLIK[seed]
+        assert res.loglik >= want - 1e-9 * abs(want)
+        assert res.converged
+        (advisory,) = res.warnings
+        assert advisory.startswith(self.ADVISORY)
+        gap = _limit_loglik(data) - res.loglik
+        assert 0.04 < gap < 0.39
+        assert advisory.endswith(f", {gap:.3g} above this interior stationary point")
+
+    @pytest.mark.parametrize("op, mu, kappa, steps", [
+        ((103, 4), "0.193249", "0.0871604", 3),
+        ((106, 9), "0.107439", "0.0675132", 3),
+        ((11, 58), "0.0788303", "0.0831032", 4),
+    ])
+    def test_flood_ridge_op_names_the_boundary_in_few_steps(self, op, mu, kappa, steps):
+        data = _ridge_op(op)
+        res = mle_fit(get_model("m2"), data)
+        assert res.converged and res.iterations <= steps
+        (advisory,) = res.warnings
+        assert advisory.startswith(
+            f"{self.ADVISORY} mu + Exp(kappa), mu = min x = {mu} and "
+            f"kappa = 1/(mean x - min x) = {kappa}, "
+            f"with loglik {_limit_loglik(data):.10g}")
+
+    def test_engine_float_limit_resample_keeps_an_interior_maximum(self):
+        # the Newton engine runs beta to the float limit on this resample
+        # (TestParameterSpaceEdge); the profile has an interior maximum
+        data = _resample(580)
+        res = mle_fit(get_model("m2"), data)
+        assert res.converged and res.iterations <= 4
+        assert res.theta_hat[1] < 1e300
+        (advisory,) = res.warnings
+        assert advisory.startswith(self.ADVISORY)
+        assert 0.38 < _limit_loglik(data) - res.loglik < 0.39
+
+    def test_no_interior_maximum_is_a_named_boundary(self):
+        # a shifted exponential sample: the profile rises to the end of
+        # the scan, and the fit names the limit without a Newton step
+        data = 1.0 + np.random.default_rng(0).exponential(1.0, 72)
+        res = mle_fit(get_model("m2"), data)
+        assert not res.converged and res.iterations == 0
+        note, unconverged = res.warnings
+        assert note.startswith(
+            "the likelihood rises toward its lambda -> inf boundary, the shifted exponential")
+        gap = _limit_loglik(data) - res.loglik
+        assert 0.0 < gap < 0.5
+        assert note.endswith(f"theta is reported at the highest scanned lambda, {gap:.3g} below that")
+        assert unconverged.startswith("optimizer did not meet both convergence criteria")
+
+    def test_rise_toward_zero_lambda_is_named(self):
+        data = 1.0 / np.random.default_rng(0).gamma(3.0, 1.0, 72)
+        res = mle_fit(get_model("m2"), data)
+        assert not res.converged and res.iterations == 0
+        assert res.warnings[0].startswith("the likelihood rises toward its lambda -> 0 boundary")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_beta_past_the_float_range_is_named(self, seed):
+        # data far from 0: beta ~ e^(lambda min x) leaves the float range
+        # while the profile still rises, which ends the scan there
+        data = 1000.0 + np.random.default_rng(seed).gamma(2.0, 1.0, 72)
+        res = mle_fit(get_model("m2"), data)
+        assert not res.converged and res.iterations == 0
+        assert res.warnings[0] == (
+            "the likelihood still rises where beta leaves the float range; "
+            "theta is reported at the last scanned lambda where beta is a float")
+        assert all(np.isfinite(res.theta_hat)) and np.isfinite(res.loglik)
 
 
 def _negative_definite(H):
@@ -378,25 +526,28 @@ class TestModifiedNewton:
 
     def test_wheaton_work_count(self, flood_values, monkeypatch):
         # a deterministic count of likelihood evaluations shows a
-        # regression that noisy timings hide; measured m1 1, m2 51,
-        # m6 1 (53 in all), each bound 10% above. m1 and m6 solve their
-        # shape equations and score once at the root. Every shipped
-        # score returns its Hessian, so nothing is differenced, and a
-        # start whose gradient test holds ends when the full step fails,
-        # without the halvings.
+        # regression that noisy timings hide; measured m1 1, m2 4, m6 1
+        # (6 in all), each bound 10% above. m1 and m6 solve their shape
+        # equations and score once at the root; m2 scores once per
+        # profile Newton step (3 here) and once at the root, where its
+        # five Newton starts took 51. Every shipped score returns its
+        # Hessian, so nothing is differenced.
         monkeypatch.setattr(fit, "_hess_phi", _no_differencing)
-        bounds = {"m1": 1, "m2": 56, "m6": 1}
         calls = []
-        for alias in bounds:
-            model = get_model(alias)
-
-            def counted(data, theta, score=model.analytic_score):
+        scores = {"m1": "_zb_score", "m2": "_oe_loglik_and_score", "m6": "_weibull_score"}
+        for alias, name in scores.items():
+            def counted(*args, score=getattr(models, name), alias=alias):
                 calls.append(alias)
-                return score(data, theta)
+                return score(*args)
 
-            mle_fit(dataclasses.replace(model, analytic_score=counted), flood_values)
+            monkeypatch.setattr(models, name, counted)
+        bounds = {"m1": 1, "m2": 4, "m6": 1}
+        steps = {}
+        for alias in bounds:
+            steps[alias] = mle_fit(get_model(alias), flood_values).iterations
             assert calls.count(alias) <= bounds[alias]
-        assert len(calls) <= 58
+        assert len(calls) <= 6
+        assert steps["m2"] <= 3
 
 
 class TestScaleFreeConvergence:
@@ -418,11 +569,21 @@ class TestScaleFreeConvergence:
             unit.loglik - flood_values.size * np.log(scale), rel=1e-9)
 
 
+def _newton_engine(model):
+    """The model fitted by the multi-start Newton engine that serves
+    user models, without its own exact_mle."""
+    return dataclasses.replace(model, exact_mle=None)
+
+
 class TestParameterSpaceEdge:
+    """The Newton engine names a parameter that runs to the float edge.
+    m2's own profile solver keeps an interior maximum on these data
+    (TestProfileLikelihood), so they run the engine."""
+
     def test_beta_at_float_limit_is_named_and_not_converged(self):
         # on this resample the best m2 start runs beta toward the float
         # limit, where the likelihood keeps rising
-        res = mle_fit(get_model("m2"), _resample(580))
+        res = mle_fit(_newton_engine(get_model("m2")), _resample(580))
         assert res.theta_hat[1] >= 1e300
         assert not res.converged
         edge = [w for w in res.warnings if "edge of the parameter space" in w]
@@ -430,13 +591,10 @@ class TestParameterSpaceEdge:
 
     @pytest.mark.parametrize("op", [(103, 4), (106, 9), (11, 58)])
     def test_ridge_start_ends_early_and_names_beta(self, op):
-        # parametric-bootstrap draws from the Wheaton m2 fit, made from
-        # numpy's gamma generator with default_rng(op); on each, one m2
-        # start climbs the alpha -> 0, beta -> inf ridge and wins on
+        # on each of these flood-bootstrap ops (_ridge_op) one m2 start
+        # climbs the alpha -> 0, beta -> inf ridge and wins on
         # likelihood; it must end early, not converged, with beta named
-        a, b, lam = 0.131311028817586, 0.17910085290278077, 0.5389212676467791
-        t = np.random.default_rng(list(op)).gamma(a, 1.0 / b, 72)
-        res = mle_fit(get_model("m2"), np.log1p(1.0 / t) / lam)
+        res = mle_fit(_newton_engine(get_model("m2")), _ridge_op(op))
         assert not res.converged
         edge = [w for w in res.warnings if "edge of the parameter space" in w]
         assert len(edge) == 1 and edge[0].startswith("beta = ")

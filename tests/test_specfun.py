@@ -12,6 +12,7 @@ from oddsgamma import OEGammaDist
 from oddsgamma.specfun import (
     _lgam1p,
     _log_minus_digamma,
+    _sq_trigamma,
     _reg_upper_gamma_vec,
     digamma,
     inv_reg_lower_gamma,
@@ -69,6 +70,16 @@ class TestLogMinusDigamma:
     @pytest.mark.parametrize("a", sorted(PINS))
     def test_against_mpmath(self, a):
         assert _log_minus_digamma(a) == pytest.approx(self.PINS[a], rel=1e-14, abs=0.0)
+
+    def test_elementwise_over_an_array(self):
+        # the profile scan of m2 takes a whole grid of shapes at once,
+        # on both sides of the switch to the series
+        a = np.array(sorted(self.PINS))
+        got = _log_minus_digamma(a)
+        assert got.shape == a.shape
+        np.testing.assert_allclose(got, [self.PINS[v] for v in a], rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(got, [_log_minus_digamma(v) for v in a])
+        np.testing.assert_array_equal(_sq_trigamma(a), [_sq_trigamma(v) for v in a])
 
 
 class TestRegularizedGamma:
