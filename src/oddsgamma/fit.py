@@ -9,17 +9,14 @@ test below holds; a solver's advisory warning is reported without
 clearing converged. iterations then counts solver steps.
 
 A user model without exact_mle is fitted by Newton-Raphson in
-log-parameters, which enforces positivity, with step halving, on the
-eigenvalue-modified Hessian wherever the Hessian is not negative
-definite, so every step ascends. Convergence is tested on the gradient
-measured in log coordinates, theta * d loglik / d theta, which does
-not change when the data are rescaled. A start that finds no
-ascending step away from a stationary point ends not converged. Five
-deterministic starts (the model's initial guess plus cyclic
-coordinate perturbations) guard against ridge-shaped likelihoods; the
-best final likelihood wins, and among starts whose likelihoods agree
-to the loglik tolerance, the smallest gradient. On either path a fit
-whose parameter runs to 1e300 or 1e-300 is never reported converged.
+log-parameters, which enforces positivity, from the model's initial
+guess, with step halving, on the eigenvalue-modified Hessian wherever
+the Hessian is not negative definite, so every step ascends.
+Convergence is tested on the gradient measured in log coordinates,
+theta * d loglik / d theta, which does not change when the data are
+rescaled. A fit that finds no ascending step away from a stationary
+point ends not converged. On either path a fit whose parameter runs to
+1e300 or 1e-300 is never reported converged.
 The settings below are fixed. Everything is deterministic: same model
 and data give a bit-identical FitResult.
 
@@ -55,11 +52,10 @@ class _LazyOptimize:
 optimize = _LazyOptimize()
 
 
-_MAX_ITERATIONS = 500  # Newton iterations per start
+_MAX_ITERATIONS = 500  # Newton iterations
 _LL_TOL = 1e-10  # relative loglik change that ends Newton, with _GRAD_TOL
 _GRAD_TOL = 1e-6  # log-coordinate gradient sup-norm relative to max(1, |ll|)
 _MAX_HALVINGS = 40
-_N_STARTS = 5
 _FD_STEP = 1e-6  # central-difference gradient step (log scale)
 _HESS_STEP = 1e-4  # differencing step for the Hessian of the gradient
 
@@ -184,19 +180,20 @@ def _run_start(model, data, theta0):
     """Modified Newton (see _ascent_step) with step halving from one
     start. Returns (phi, ll, g, iterations, converged, H), H the
     Hessian at phi or None where the model gives none and none was
-    differenced there, or None if the start is not finite.
+    differenced there. A start with no finite likelihood raises FitError.
 
     A full step that does not raise the loglik, but changes it by no
     more than the loglik tolerance, ends the start converged where the
     gradient test holds: the same test as for an accepted step, so no
     halvings are spent chasing rounding at the optimum."""
     theta0 = np.asarray(theta0, dtype=float)
-    if not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
-        return None
-    phi = np.log(theta0)
-    ll, g, H = _grad_phi(model, data, phi)
+    ll = -math.inf
+    if np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0):
+        phi = np.log(theta0)
+        ll, g, H = _grad_phi(model, data, phi)
     if not math.isfinite(ll):
-        return None
+        raise FitError(f"the initial guess {theta0.tolist()} of model {model.name} "
+                       "gives no finite likelihood")
     ll_tol = lambda: _LL_TOL * max(1.0, abs(ll))
     for iters in range(1, _MAX_ITERATIONS + 1):
         if H is None:
@@ -231,21 +228,9 @@ def _grad_ok(g, ll):
     return np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
 
 
-def _starts(model, data):
-    theta0 = np.asarray(model.initial_guess(data), dtype=float)
-    out = [theta0.copy()]
-    factors = (0.25, 0.5, 2.0, 4.0)
-    p = theta0.size
-    for i in range(1, _N_STARTS):
-        t = theta0.copy()
-        t[(i - 1) % p] *= factors[(i - 1) % len(factors)]
-        out.append(t)
-    return out
-
-
 def mle_fit(model, data):
     """Maximize the likelihood: the model's exact_mle where it has one
-    (every shipped model), else deterministic multi-start Newton ascent.
+    (every shipped model), else Newton ascent from its initial guess.
 
     Observations that are not finite and positive raise DataError.
     """
@@ -254,7 +239,7 @@ def mle_fit(model, data):
     if model.exact_mle is not None:
         phi, ll, g, iters, converged, H = _solve_exact(model, x, warnings_out)
     else:
-        phi, ll, g, iters, converged, H = _multi_start(model, x)
+        phi, ll, g, iters, converged, H = _run_start(model, x, model.initial_guess(x))
     theta_hat = np.exp(phi)
     se = _log_coordinate_std_errors(model, x, phi, g, H, warnings_out)
     grad_sup = np.max(np.abs(g))
@@ -293,33 +278,6 @@ def _solve_exact(model, x, sink):
         )
     sink.extend(w for w in (note, *advisory) if w is not None)
     return phi, ll, g, iters, note is None and _grad_ok(g, ll), H
-
-
-def _multi_start(model, x):
-    """The best _run_start outcome over the deterministic starts: the
-    highest loglik, and among starts whose logliks agree to the loglik
-    tolerance the smallest gradient sup-norm, so that rounding in the
-    last digits of two equal optima does not pick the less converged."""
-    best = None
-    failures = []
-    for idx, theta0 in enumerate(_starts(model, x)):
-        outcome = _run_start(model, x, theta0)
-        if outcome is None:
-            failures.append(f"start {idx} at {np.asarray(theta0).tolist()} was not finite")
-            continue
-        if best is None:
-            best = outcome
-        elif abs(outcome[1] - best[1]) <= _LL_TOL * max(1.0, abs(best[1])):
-            if np.max(np.abs(outcome[2])) < np.max(np.abs(best[2])):
-                best = outcome
-        elif outcome[1] > best[1]:
-            best = outcome
-    if best is None:
-        raise FitError(
-            f"no start produced a finite likelihood for model {model.name}: "
-            + "; ".join(failures)
-        )
-    return best
 
 
 def _log_coordinate_std_errors(model, data, phi, g, H, sink):

@@ -56,7 +56,7 @@ class FittableModel:
     note is None and the gradient test holds, and the warning is
     reported beside it (m2 says so where its likelihood is higher at a
     boundary than at the interior maximum theta). mle_fit then uses
-    exact_mle in place of the multi-start Newton ascent. Every callable
+    exact_mle in place of the Newton ascent from initial_guess. Every callable
     receives the data as mle_fit or standard_errors validated them (a
     non-empty 1-D float array of finite values > 0) and does not check
     them again.
@@ -100,6 +100,7 @@ class FittableModel:
 _SOLVE_TOL = 1e-12  # relative shape step that ends a shape-equation solve
 _SOLVE_STEPS = 100
 _EQUAL_DATA_SHAPE = 1e6  # shape reported where the MLE does not exist
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _equal_data_note(name):
@@ -112,17 +113,42 @@ def _unsolved_note(name, steps):
     return f"the {name} equation did not meet its tolerance in {steps} steps"
 
 
-def _minka_start(s):
-    """Minka's closed-form approximation to the root a of the gamma
-    shape equation log a - psi(a) = s > 0, elementwise."""
-    return (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+def _rate(name, log_rate):
+    """(exp(log_rate), None), or past the float range the largest float
+    and a note that says so."""
+    if log_rate < _LOG_FLOAT_MAX:
+        return math.exp(log_rate), None
+    big = np.finfo(float).max
+    return big, (f"{name} = exp({log_rate:.6g}) lies past the float range; "
+                 f"theta is reported at {name} = {big:.6g}")
 
 
-def _minka_step(a, s):
-    """One generalized Newton step of Minka ("Estimating a Gamma
-    distribution", 2002) on log a - psi(a) = s, elementwise: it fits
-    c0 + c1/a to the left side at a and returns the root of the fit."""
-    return 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / (a - _sq_trigamma(a)))
+def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
+    """(a, steps, solved): the root a of the gamma shape equation
+    log a - psi(a) = s, elementwise, by Minka's generalized Newton
+    ("Estimating a Gamma distribution", 2002), which fits c0 + c1/a to
+    the left side at a and steps to the root of the fit. It starts from
+    a (Minka's closed form where a is None) and stops once no step moves
+    a by more than tol relative; solved is False where the step budget
+    ran out first.
+
+    The root exists exactly where s > 0 (Choi & Wette 1969: then it is
+    unique). s is 0 for an equal sample, and rounding can push s of a
+    nearly equal one below 0, where the closed form would hand psi' a
+    huge negative argument; a is nan there. The step's slope
+    a - a^2 psi'(a) is below -1/2 for every a > 0 (psi'(a) > 1/a +
+    1/(2a^2)), and is held there: from a ~ 1e16 on, rounding would
+    make it 0."""
+    s = np.where(np.asarray(s, dtype=float) > 0.0, s, np.nan)[()]
+    if a is None:
+        a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for step in range(1, _SOLVE_STEPS + 1):
+        slope = np.minimum(a - _sq_trigamma(a), -0.5)
+        a, prev = 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / slope), a
+        moved = np.abs(a - prev) > tol * a  # false for nan
+        if not np.any(moved):
+            break
+    return a, step, not np.any(moved)
 
 
 def _log_offsets(x):
@@ -160,7 +186,10 @@ _PROFILE_PAD = 6.0  # how far the scan reaches past the data's lam scales, in lo
 # leaves an error near its square
 _SCAN_TOL = 1e-4  # relative alpha step that ends a grid point's solve
 _PROFILE_STEP_TOL = 1e-7  # log lam step that ends the Newton refinement
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# the loglik's alpha terms, of size n alpha log alpha, cancel to a
+# rounding error near n alpha log(alpha) 2.2e-16, about 5e-6 n at this
+# alpha; the scan leaves out points past it
+_MAX_PROFILE_SHAPE = 1e9
 
 
 def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
@@ -175,8 +204,8 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     loglik is n log lam - sum log(1 - e^-lam x) + n (alpha log alpha -
     alpha - lnGamma(alpha) - alpha s). Both means are formed from
     log w = -lam x - log(1 - e^-lam x), so none underflows past the odds
-    underflow. Minka's steps run from a (his closed form where a is
-    None) until none moves alpha by more than tol relative."""
+    underflow. _gamma_shape solves for alpha from a, to tol; all three
+    are nan where the odds are equal to rounding (s <= 0)."""
     lam = np.asarray(lam, dtype=float)
     y = lam[..., None] * x
     l1m = _log1mexp(y)
@@ -184,11 +213,7 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     top = np.max(log_w, axis=-1)
     log_mean_w = np.log(np.mean(np.exp(log_w - top[..., None]), axis=-1)) + top
     s = log_mean_w - np.mean(log_w, axis=-1)
-    a = _minka_start(s) if a is None else a
-    for _ in range(_SOLVE_STEPS):
-        a, prev = _minka_step(a, s), a
-        if not np.any(np.abs(a - prev) > tol * a):  # nan counts as done
-            break
+    a = _gamma_shape(s, a, tol)[0]
     n = x.size
     ll = (n * np.log(lam) - np.sum(l1m, axis=-1)
           + n * (a * np.log(a) - a - special.gammaln(a) - a * s))
@@ -216,31 +241,42 @@ def _oe_exact_mle(x):
     1990), whose MLE is mu = min x and kappa = 1 / (mean x - min x), with
     loglik n (log kappa - 1). Where that beats the interior maximum,
     theta stays the interior stationary point and the advisory says by
-    how much. The scan ends where beta leaves the float range. Where it
-    has no interior maximum, the note names the end the likelihood rises
-    toward and theta is the scan point at that end: the highest scanned
-    lam (or the last where beta is a float) or the lowest."""
+    how much. The scan keeps its first run of points where beta is a
+    float and alpha is at most 1e9. Where it has no interior maximum,
+    the note names the end the likelihood rises toward and theta is the
+    scan point at that end: the highest scanned lam (or the last where
+    beta is a float) or the lowest (where alpha is at most 1e9). Where
+    no point is kept, theta is the one for equal data."""
     n = x.size
     x_min = float(np.min(x))
     spread = float(np.mean(x - x_min))
+    equal = np.array([_EQUAL_DATA_SHAPE, _EQUAL_DATA_SHAPE * math.expm1(1.0), 1.0 / x_min])
     if not spread > 0.0:
-        a, lam = _EQUAL_DATA_SHAPE, 1.0 / x_min
-        return np.array([a, a * math.expm1(1.0), lam]), 0, _equal_data_note("alpha"), None
+        return equal, 0, _equal_data_note("alpha"), None
     kappa = 1.0 / spread
     limit_ll = n * (math.log(kappa) - 1.0)
     limit = (f"the shifted exponential mu + Exp(kappa), mu = min x = {x_min:.6g} and "
              f"kappa = 1/(mean x - min x) = {kappa:.6g}, with loglik {limit_ll:.10g}")
-    u = np.linspace(-math.log(float(np.max(x))) - _PROFILE_PAD,  # log lam
-                    -math.log(min(x_min, spread)) + _PROFILE_PAD, _PROFILE_POINTS)
+    u_max = min(-math.log(min(x_min, spread)) + _PROFILE_PAD, _LOG_FLOAT_MAX)  # lam a float
+    u = np.linspace(min(-math.log(float(np.max(x))) - _PROFILE_PAD, u_max), u_max,  # log lam
+                    _PROFILE_POINTS)
     ll, a, log_b = _oe_profile(x, np.exp(u), tol=_SCAN_TOL)
-    ok = np.isfinite(ll) & (log_b < _LOG_FLOAT_MAX)
-    m = _PROFILE_POINTS if ok.all() else int(np.argmin(ok))
-    ll, a, log_b, u = ll[:m], a[:m], log_b[:m], u[:m]
+    # alpha grows toward low lam for nearly equal data, up to where the
+    # odds are equal to rounding (alpha nan)
+    ok = np.isfinite(ll) & (log_b < _LOG_FLOAT_MAX) & (a <= _MAX_PROFILE_SHAPE)
+    if not ok.any():
+        return equal, 0, (f"alpha passes {_MAX_PROFILE_SHAPE:g} at every scanned lambda where "
+                          f"beta is a float; theta is reported at alpha = "
+                          f"{_EQUAL_DATA_SHAPE:g}"), None
+    first = int(np.argmax(ok))
+    m = _PROFILE_POINTS if ok[first:].all() else first + int(np.argmin(ok[first:]))
+    ll, a, log_b, u = ll[first:m], a[first:m], log_b[first:m], u[first:m]
     inner = (ll[1:-1] > ll[:-2]) & (ll[1:-1] >= ll[2:])
     if not inner.any():
         if ll[-1] < ll[0]:
             k, note = 0, ("the likelihood rises toward its lambda -> 0 boundary; theta is "
-                          "reported at the lowest scanned lambda")
+                          "reported at the lowest scanned lambda"
+                          + (f" where alpha is at most {_MAX_PROFILE_SHAPE:g}" if first else ""))
         elif m < _PROFILE_POINTS:
             k, note = -1, ("the likelihood still rises where beta leaves the float range; "
                            "theta is reported at the last scanned lambda where beta is a float")
@@ -368,27 +404,19 @@ def _zb_score(x, theta):
 def _zb_exact_mle(x):
     """The gamma MLE from its shape equation log a - psi(a) = s, with
     s = log mean(x) - mean(log x) > 0 unless every observation is equal
-    (Choi & Wette 1969: one root), then rho = a / mean(x). Minka's
-    generalized Newton ("Estimating a Gamma distribution", 2002) fits
-    c0 + c1/a to the left side at each step, from his closed-form
-    approximation to the root. s and log mean(x) are formed from
-    log x - max(log x), so no sum overflows at any data scale."""
+    (Choi & Wette 1969: one root), solved by _gamma_shape, then
+    rho = a / mean(x). s and log mean(x) are formed from
+    log x - max(log x), so no sum overflows at any data scale. A rho
+    past the float range is reported at the largest float, with a note."""
     z, top, spread = _log_offsets(x)
     log_mean = math.log(float(np.mean(np.exp(z))))  # log mean(x) - top
     s = log_mean + spread
-    rate = lambda a: math.exp(math.log(a) - top - log_mean)
+    a, step, solved = _gamma_shape(s)
+    note = None if solved else _unsolved_note("gamma shape", step)
     if not s > 0.0:
-        a = _EQUAL_DATA_SHAPE
-        return np.array([a, rate(a)]), 0, _equal_data_note("alpha")
-    a = float(_minka_start(s))
-    for step in range(1, _SOLVE_STEPS + 1):
-        new = float(_minka_step(a, s))
-        if not (math.isfinite(new) and new > 0.0):
-            break
-        a, prev = new, a
-        if abs(a - prev) <= _SOLVE_TOL * a:
-            return np.array([a, rate(a)]), step, None
-    return np.array([a, rate(a)]), step, _unsolved_note("gamma shape", step)
+        a, step, note = _EQUAL_DATA_SHAPE, 0, _equal_data_note("alpha")
+    rate, past = _rate("rho", math.log(a) - top - log_mean)
+    return np.array([a, rate]), step, past or note
 
 
 def _zb_report(theta, std_errors):
@@ -473,7 +501,7 @@ def _weibull_score(x, theta):
     n = x.size
     lx = np.log(lam * x)
     u = k * lx  # log t, t = (lam x)^k
-    # exploratory starts can push (lam*x)^k past the float range; inf is
+    # exploratory Newton points can push (lam*x)^k past the float range; inf is
     # fine, the fit rejects the non-finite point
     with np.errstate(over="ignore"):
         t = np.exp(u)
@@ -506,7 +534,8 @@ def _weibull_exact_mle(x):
     leaves the bracket. Then rate^-k = mean(x^k)."""
     z, top, spread = _log_offsets(x)
     if not spread > 0.0:
-        return np.array([_EQUAL_DATA_SHAPE, math.exp(-top)]), 0, _equal_data_note("shape")
+        rate, past = _rate("rate", -top)
+        return np.array([_EQUAL_DATA_SHAPE, rate]), 0, past or _equal_data_note("shape")
     lo, hi = 1.0 / spread, math.inf
     k = max(lo, math.pi / (math.sqrt(6.0) * float(np.std(z))))
     note = None
@@ -527,8 +556,8 @@ def _weibull_exact_mle(x):
             break
     else:
         note = _unsolved_note("Weibull shape", step)
-    rate = math.exp(-top - math.log(float(np.mean(np.exp(k * z)))) / k)
-    return np.array([k, rate]), step, note
+    rate, past = _rate("rate", -top - math.log(float(np.mean(np.exp(k * z)))) / k)
+    return np.array([k, rate]), step, past or note
 
 
 def weibull_model():

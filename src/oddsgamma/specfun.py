@@ -80,9 +80,11 @@ def _sq_trigamma(a):
     """a^2 psi'(a) for a > 0, elementwise, the trigamma term of a
     log-coordinate Hessian, as 1 + a^2 psi'(a + 1) (DLMF 5.15.5), which
     stays finite as a -> 0 where psi'(a) ~ 1/a^2 overflows. psi'(q) is
-    the Hurwitz zeta function zeta(2, q)."""
+    the Hurwitz zeta function zeta(2, q). The product is taken as
+    a * (a psi'(a + 1)), whose inner factor stays near 1, so it stays
+    finite up to a ~ 1.8e308 where a * a would overflow."""
     a = np.asarray(a, dtype=float)
-    return (1.0 + a * a * special.zeta(2.0, a + 1.0))[()]
+    return (1.0 + a * (a * special.zeta(2.0, a + 1.0)))[()]
 
 
 def reg_upper_gamma(a, x):

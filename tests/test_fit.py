@@ -9,16 +9,29 @@ integration checks.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import oddsgamma
 from oddsgamma import DataError, FitError, OEGammaDist, get_model, mle_fit
 from oddsgamma import fit, models
 from oddsgamma.fit import FitResult, negative_log_lik, standard_errors
 from oddsgamma.models import FittableModel
+
+
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(oddsgamma.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def _location_model():
@@ -154,45 +167,6 @@ class TestExpRateToy:
         first = mle_fit(_exp_rate_model(), data)
         second = mle_fit(_exp_rate_model(), data)
         assert first == second  # frozen dataclass, field-by-field equality
-
-    def test_single_start_suffices_here(self):
-        rng = np.random.default_rng(10)
-        data = rng.exponential(scale=1.0, size=300)
-        full = mle_fit(_exp_rate_model(), data)
-        model = _exp_rate_model()
-        # the first start alone, the model's initial guess
-        phi, _, _, _, converged, _ = fit._run_start(model, data, model.initial_guess(data))
-        assert converged
-        assert np.exp(phi[0]) == pytest.approx(full.theta_hat[0], rel=1e-9)
-
-
-class TestStartTieBreak:
-    def test_equal_logliks_keep_the_smaller_gradient(self, monkeypatch):
-        # two starts of the exp-rate toy end on the same optimum, their
-        # logliks one ulp apart: the less converged one, one ulp higher,
-        # must not win on that ulp
-        ll = -1234.5
-        outcomes = {
-            1.0: (np.log([0.5]), ll, np.array([1e-9]), 3, True, np.array([[-400.0]])),
-            2.0: (np.log([0.5000001]), np.nextafter(ll, 0.0), np.array([1e-7]), 3, True,
-                  np.array([[-400.0]])),
-        }
-        monkeypatch.setattr(fit, "_run_start",
-                            lambda model, data, theta0: outcomes.get(float(theta0[0])))
-        res = mle_fit(_exp_rate_model(), np.array([1.0, 3.0]))
-        assert res.theta_hat == (0.5,)
-        assert res.loglik == ll and res.grad_sup_norm == 1e-9
-
-    def test_higher_loglik_beyond_the_tolerance_wins(self, monkeypatch):
-        ll = -1234.5
-        outcomes = {
-            1.0: (np.log([0.5]), ll, np.array([1e-9]), 3, True, np.array([[-400.0]])),
-            2.0: (np.log([0.7]), ll + 1e-6, np.array([1e-7]), 3, True, np.array([[-400.0]])),
-        }
-        monkeypatch.setattr(fit, "_run_start",
-                            lambda model, data, theta0: outcomes.get(float(theta0[0])))
-        res = mle_fit(_exp_rate_model(), np.array([1.0, 3.0]))
-        assert res.theta_hat == pytest.approx((0.7,), rel=1e-15)
 
 
 class TestDegenerateInformation:
@@ -340,6 +314,34 @@ class TestShapeEquations:
         assert newton.theta_hat == pytest.approx(res.theta_hat, rel=1e-8)
         assert res.loglik >= newton.loglik - 1e-12 * abs(newton.loglik)
 
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
+    def test_newton_engine_reaches_the_root_on_resamples(self, alias):
+        # one Newton start, from the model's initial guess, suffices on
+        # the flood-bootstrap traffic
+        model = get_model(alias)
+        for seed in range(40):
+            data = _resample(seed)
+            newton = mle_fit(_newton_engine(model), data)
+            assert newton.converged, (seed, newton.warnings)
+            want = mle_fit(model, data).loglik
+            assert newton.loglik == pytest.approx(want, rel=1e-9, abs=0.0), seed
+
+    @pytest.mark.parametrize("alias, name, data", [
+        # two nearly equal observations near 1e-294, whose gamma rate
+        # a / mean(x) passes the largest float, and subnormal data
+        ("m1", "rho", 1e-297 * (1000.0 + np.random.default_rng(2).random(2) * 1e-3)),
+        ("m6", "rate", 1e-315 * (1.0 + np.random.default_rng(0).random(20))),
+    ])
+    def test_rate_past_the_float_range_is_named(self, alias, name, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mle_fit(get_model(alias), data)
+        assert not res.converged
+        assert res.warnings[0].startswith(f"{name} = exp(")
+        assert res.warnings[0].endswith("lies past the float range; theta is reported at "
+                                        f"{name} = 1.79769e+308")
+        assert np.isfinite(res.loglik)
+
     @pytest.mark.parametrize("alias, name", [("m1", "alpha"), ("m2", "alpha"), ("m6", "shape")])
     @pytest.mark.parametrize("data", [[2.0, 2.0, 2.0], [3.0]])
     def test_equal_observations_name_the_boundary(self, alias, name, data):
@@ -355,8 +357,8 @@ class TestShapeEquations:
 def _ridge_op(op):
     """The 72 draws of flood-bootstrap op (seed, index): the Wheaton m2
     fit sampled through numpy's gamma generator with default_rng(op).
-    On ops (103, 4), (106, 9) and (11, 58) one of the five Newton starts
-    climbs the alpha -> 0, beta -> inf ridge."""
+    On op (106, 9) Newton from the m2 initial guess climbs the
+    alpha -> 0, beta -> inf ridge."""
     a, b, lam = 0.131311028817586, 0.17910085290278077, 0.5389212676467791
     t = np.random.default_rng(list(op)).gamma(a, 1.0 / b, 72)
     return np.log1p(1.0 / t) / lam
@@ -422,8 +424,8 @@ class TestProfileLikelihood:
             f"with loglik {_limit_loglik(data):.10g}")
 
     def test_engine_float_limit_resample_keeps_an_interior_maximum(self):
-        # the Newton engine runs beta to the float limit on this resample
-        # (TestParameterSpaceEdge); the profile has an interior maximum
+        # the profile has an interior maximum here, which Newton from the
+        # initial guess also reaches (TestParameterSpaceEdge)
         data = _resample(580)
         res = mle_fit(get_model("m2"), data)
         assert res.converged and res.iterations <= 4
@@ -452,6 +454,17 @@ class TestProfileLikelihood:
         assert not res.converged and res.iterations == 0
         assert res.warnings[0].startswith("the likelihood rises toward its lambda -> 0 boundary")
 
+    def test_rise_toward_the_shape_limit_is_named(self):
+        # nearly equal data: alpha grows past 1e9 toward low lambda, where
+        # the scan stops, and the likelihood still rises there
+        data = 10.0 * (1.0 + np.random.default_rng(0).random(72) * 1e-5)
+        res = mle_fit(get_model("m2"), data)
+        assert not res.converged and res.iterations == 0
+        assert res.warnings[0] == (
+            "the likelihood rises toward its lambda -> 0 boundary; theta is reported at the "
+            "lowest scanned lambda where alpha is at most 1e+09")
+        assert res.theta_hat[0] <= 1e9 and np.isfinite(res.loglik)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_beta_past_the_float_range_is_named(self, seed):
         # data far from 0: beta ~ e^(lambda min x) leaves the float range
@@ -464,6 +477,36 @@ class TestProfileLikelihood:
             "theta is reported at the last scanned lambda where beta is a float")
         assert all(np.isfinite(res.theta_hat)) and np.isfinite(res.loglik)
 
+    @pytest.mark.parametrize("data", [
+        "3.0 * (1 + 1e-8 * np.random.default_rng(0).random(72))",
+        "[3.0, 3.0 * (1 + 1e-12)]",
+    ])
+    def test_nearly_equal_data_return_at_once(self, data):
+        # the odds of nearly equal data are equal to rounding at low lambda,
+        # where the shape equation has no root and a solve that tries one
+        # runs for minutes; a child process bounds a regression by its
+        # timeout instead of hanging the suite
+        code = ("import numpy as np; from oddsgamma import get_model, mle_fit; "
+                f"res = mle_fit(get_model('m2'), {data}); "
+                "print(res.converged); print(res.warnings[0])")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              env=_CHILD_ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == (
+            "False\nalpha passes 1e+09 at every scanned lambda where beta is a float; "
+            "theta is reported at alpha = 1e+06\n")
+
+    def test_data_near_the_float_floor_leak_no_warning(self):
+        # the scan grid of log lambda stops at the float range: data with
+        # a minimum of 9.8e-311 asked for lambda = exp(719)
+        data = 1e-300 * np.random.default_rng(0).gamma(0.2, 1.0, 72)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mle_fit(get_model("m2"), data)
+        assert not res.converged
+        assert res.warnings[0].startswith("lambda = ")
+        assert res.warnings[0].endswith(" ran to the edge of the parameter space")
+
 
 def _negative_definite(H):
     try:
@@ -471,6 +514,13 @@ def _negative_definite(H):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _rescaled(theta, i, factor):
+    """theta with entry i multiplied by factor."""
+    theta = np.array(theta, dtype=float)
+    theta[i] *= factor
+    return theta
 
 
 def _no_differencing(*args):
@@ -483,18 +533,19 @@ class TestModifiedNewton:
     stalling and ending the start not converged."""
 
     def test_weibull_rate_times_four_start_converges(self, flood_values):
-        # start 4 scales the rate by 4; its first plain Newton step lands
-        # where the Hessian is indefinite and the plain step descends
+        # from the initial guess with its rate scaled by 4, the first plain
+        # Newton step lands where the Hessian is indefinite and the plain
+        # step descends
         model = get_model("m6")
-        starts = fit._starts(model, flood_values)
-        _, ll4, _, _, converged, _ = fit._run_start(model, flood_values, starts[4])
+        guess = model.initial_guess(flood_values)
+        _, ll4, _, _, converged, _ = fit._run_start(model, flood_values, _rescaled(guess, 1, 4.0))
         assert converged
-        ll0 = fit._run_start(model, flood_values, starts[0])[1]
+        ll0 = fit._run_start(model, flood_values, guess)[1]
         assert ll4 == pytest.approx(ll0, abs=1e-9)
 
     def test_step_at_plain_newton_stall_point_ascends(self, flood_values, monkeypatch):
         model = get_model("m6")
-        theta0 = fit._starts(model, flood_values)[4]
+        theta0 = _rescaled(model.initial_guess(flood_values), 1, 4.0)
         with monkeypatch.context() as m:
             m.setattr(fit, "_ascent_step", np.linalg.solve)
             _, _, g, _, converged, H = fit._run_start(model, flood_values, theta0)
@@ -514,11 +565,15 @@ class TestModifiedNewton:
                 assert res.converged, (alias, m.exact_mle, res.warnings)
 
     def test_no_start_ends_on_a_saddle(self):
-        # plain Newton takes starts 0 and 1 of this resample to a saddle
-        # point (loglik -256.32, one Hessian eigenvalue +0.16)
+        # plain Newton takes the initial guess of this resample, and the
+        # guess with alpha scaled by 1/4, to a saddle point (loglik
+        # -256.32, one Hessian eigenvalue +0.16)
         model = get_model("m2")
         data = _resample(5)
-        for theta0 in fit._starts(model, data):
+        guess = model.initial_guess(data)
+        starts = [guess] + [_rescaled(guess, i, f)
+                            for i, f in ((0, 0.25), (1, 0.5), (2, 2.0), (0, 4.0))]
+        for theta0 in starts:
             _, ll, _, _, converged, H = fit._run_start(model, data, theta0)
             assert converged
             assert _negative_definite(H)
@@ -570,8 +625,8 @@ class TestScaleFreeConvergence:
 
 
 def _newton_engine(model):
-    """The model fitted by the multi-start Newton engine that serves
-    user models, without its own exact_mle."""
+    """The model fitted by the Newton engine that serves user models,
+    from its initial guess, without its own exact_mle."""
     return dataclasses.replace(model, exact_mle=None)
 
 
@@ -581,24 +636,28 @@ class TestParameterSpaceEdge:
     (TestProfileLikelihood), so they run the engine."""
 
     def test_beta_at_float_limit_is_named_and_not_converged(self):
-        # on this resample the best m2 start runs beta toward the float
-        # limit, where the likelihood keeps rising
-        res = mle_fit(_newton_engine(get_model("m2")), _resample(580))
+        # on this flood-bootstrap op (_ridge_op) Newton from the m2
+        # initial guess climbs the alpha -> 0, beta -> inf ridge, where the
+        # likelihood keeps rising; it must end early, not converged, with
+        # beta named
+        res = mle_fit(_newton_engine(get_model("m2")), _ridge_op((106, 9)))
+        assert not res.converged
         assert res.theta_hat[1] >= 1e300
-        assert not res.converged
-        edge = [w for w in res.warnings if "edge of the parameter space" in w]
-        assert len(edge) == 1 and edge[0].startswith("beta = ")
-
-    @pytest.mark.parametrize("op", [(103, 4), (106, 9), (11, 58)])
-    def test_ridge_start_ends_early_and_names_beta(self, op):
-        # on each of these flood-bootstrap ops (_ridge_op) one m2 start
-        # climbs the alpha -> 0, beta -> inf ridge and wins on
-        # likelihood; it must end early, not converged, with beta named
-        res = mle_fit(_newton_engine(get_model("m2")), _ridge_op(op))
-        assert not res.converged
         edge = [w for w in res.warnings if "edge of the parameter space" in w]
         assert len(edge) == 1 and edge[0].startswith("beta = ")
         assert res.iterations <= 100
+
+    @pytest.mark.parametrize("data", [_resample(580), _ridge_op((103, 4)), _ridge_op((11, 58))],
+                             ids=["resample-580", "op-103-4", "op-11-58"])
+    def test_engine_reaches_the_profile_maximum_off_the_ridge(self, data):
+        # on these data the initial guess climbs to the interior maximum
+        # that the profile solver finds, not to the ridge
+        model = get_model("m2")
+        res = mle_fit(_newton_engine(model), data)
+        want = mle_fit(model, data).loglik
+        assert res.converged
+        assert res.loglik == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert res.theta_hat[1] < 1e300
 
 
 class TestNegativeLogLik:
@@ -633,10 +692,8 @@ class TestFailureModes:
         )
         with pytest.raises(FitError) as err:
             mle_fit(broken, np.array([1.0, 2.0]))
-        msg = str(err.value)
-        assert msg.startswith("no start produced a finite likelihood for model always-nan")
-        assert "start 0 at [1.0] was not finite" in msg
-        assert "start 4" in msg
+        assert str(err.value) == (
+            "the initial guess [1.0] of model always-nan gives no finite likelihood")
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_standard_errors_reject_theta_outside_the_space(self, flood_values, bad):

@@ -82,6 +82,25 @@ class TestLogMinusDigamma:
         np.testing.assert_array_equal(_sq_trigamma(a), [_sq_trigamma(v) for v in a])
 
 
+class TestSqTrigamma:
+    # a^2 psi'(a) from mpmath at 60 digits; past a ~ 1.3e154 the form
+    # 1 + a * a * psi'(a + 1) overflows in a * a
+    PINS = {
+        0.01: 1.000162121352831322012336,
+        1.0: 1.644934066848226436472415,
+        1e8: 100000000.5000000016666667,
+        1e155: 1e155,
+        1e300: 1e300,
+    }
+
+    @pytest.mark.parametrize("a", sorted(PINS))
+    def test_against_mpmath(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sq_trigamma(a)
+        assert got == pytest.approx(self.PINS[a], rel=1e-14, abs=0.0)
+
+
 class TestRegularizedGamma:
     def test_complement(self):
         for a in (0.131, 1.0, 4.2):
