@@ -647,6 +647,23 @@ class TestParameterSpaceEdge:
         assert len(edge) == 1 and edge[0].startswith("beta = ")
         assert res.iterations <= 100
 
+    # the start (index, factor: _rescaled of the m2 initial guess) from
+    # which Newton climbs the ridge on each flood-bootstrap op (_ridge_op)
+    _RIDGE_STARTS = {(103, 4): (2, 2.0), (106, 9): (2, 1.0), (11, 58): (0, 0.25)}
+
+    @pytest.mark.parametrize("op", list(_RIDGE_STARTS))
+    def test_ridge_start_ends_early_and_names_beta(self, op):
+        # a model whose initial guess is the ridge start must end early,
+        # not converged, with beta named
+        data = _ridge_op(op)
+        model = _newton_engine(get_model("m2"))
+        start = _rescaled(model.initial_guess(data), *self._RIDGE_STARTS[op])
+        res = mle_fit(dataclasses.replace(model, initial_guess=lambda d: start), data)
+        assert not res.converged
+        edge = [w for w in res.warnings if "edge of the parameter space" in w]
+        assert len(edge) == 1 and edge[0].startswith("beta = ")
+        assert res.iterations <= 100
+
     @pytest.mark.parametrize("data", [_resample(580), _ridge_op((103, 4)), _ridge_op((11, 58))],
                              ids=["resample-580", "op-103-4", "op-11-58"])
     def test_engine_reaches_the_profile_maximum_off_the_ridge(self, data):
