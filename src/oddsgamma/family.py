@@ -297,9 +297,10 @@ class GammaRatioDist:
 
     alpha and beta are finite reals > 0 (numpy scalars included), stored
     as Python floats. Raw moments from moment_quadrature are memoised per
-    instance, so the central and standardized moments reuse them, and so
-    are the abscissae of the quadrature nodes, so every expectation on
-    one instance inverts the gamma once per level.
+    instance, so the central and standardized moments reuse them. So are
+    the abscissae of the quadrature nodes, on the quantile map and on the
+    base's own, so on one instance every expectation inverts the gamma,
+    and every tau functional maps through the base, once per level.
     """
 
     alpha: float
@@ -307,6 +308,7 @@ class GammaRatioDist:
     base: BaseDistribution
     _raw_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _abscissae: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_abscissae: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -519,9 +521,13 @@ class GammaRatioDist:
 
     def _base_nodes(self, level):
         """The same on the base's own quantile map, u = G1(x):
-        base.quantile(s) and base.isf(s)."""
-        s = tanh_sinh_levels(level)
-        return self._inside(self.base.quantile(s)), self._inside(self.base.isf(s))
+        base.quantile(s) and base.isf(s), memoised per instance in a
+        dict of its own."""
+        memo = self._base_abscissae
+        if level not in memo:
+            s = tanh_sinh_levels(level)
+            memo[level] = (self._inside(self.base.quantile(s)), self._inside(self.base.isf(s)))
+        return memo[level]
 
     def _expect(self, f, what, per_component=False):
         """E f(X) = integral of f(quantile(u)) du over (0, 1), by

@@ -154,11 +154,41 @@ def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
 def _log_offsets(x):
     """(z, top, spread): z = log x - top with top = max(log x), so every
     exp(z) lies in (0, 1] at any data scale, and spread = -mean(z) >= 0,
-    0 exactly where every observation is equal."""
-    lx = np.log(x)
-    top = float(np.max(lx))
-    z = lx - top
+    0 exactly where every observation is equal. Within a factor 2 of
+    max x, z is log1p of (x - max x) / max x, whose difference is exact,
+    so nearly equal data keep every digit of their spread."""
+    x_max = np.max(x)
+    top = float(np.log(x_max))
+    d = (x - x_max) / x_max
+    z = np.where(d > -0.5, np.log1p(d), np.log(x) - top)
     return z, top, -float(np.mean(z))
+
+
+# 1/k! for k = 17 down to 2: the Taylor series of expm1(y) - y, whose
+# terms past y^17 fall below 1e-17 of its sum within |y| < 1/2
+_EXPM1MX_SERIES = 1.0 / np.array([float(math.factorial(k)) for k in range(17, 1, -1)])
+
+
+def _shape_statistic(z):
+    """(s, c) over the last axis of z <= 0: c = log mean(e^z), formed as
+    log1p(mean(expm1(z))) so that a mean near 1 keeps its digits, and the
+    gamma shape statistic s = c - mean(z) >= 0, 0 exactly where every z
+    is equal. Where s falls below 1/16 of -mean(z), that difference has
+    cancelled, and s is formed instead as mean(expm1(y) - y), y = z - c:
+    every term is >= 0 (by its Taylor series within |y| < 1/2, where the
+    difference would cancel), and an error d in c moves the mean only by
+    about d^2/2."""
+    c = np.log1p(np.mean(np.expm1(z), axis=-1))
+    spread = -np.mean(z, axis=-1)
+    s = c + spread
+    low = s < spread / 16.0
+    if np.any(low):
+        y = z - c[..., None]
+        terms = np.expm1(y) - y
+        small = np.abs(y) < 0.5
+        terms[small] = np.polyval(_EXPM1MX_SERIES, y[small]) * y[small] ** 2
+        s = np.where(low, np.mean(terms, axis=-1), s)
+    return s, c
 
 
 # -- proposed model: survival-odds gamma on an exponential base ----------
@@ -203,16 +233,17 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     (one root, Choi & Wette 1969) and beta = alpha / mean(w), and the
     loglik is n log lam - sum log(1 - e^-lam x) + n (alpha log alpha -
     alpha - lnGamma(alpha) - alpha s). Both means are formed from
-    log w = -lam x - log(1 - e^-lam x), so none underflows past the odds
-    underflow. _gamma_shape solves for alpha from a, to tol; all three
+    log w = -lam x - log(1 - e^-lam x) by _shape_statistic, so none
+    underflows past the odds underflow and nearly equal odds keep the
+    digits of s. _gamma_shape solves for alpha from a, to tol; all three
     are nan where the odds are equal to rounding (s <= 0)."""
     lam = np.asarray(lam, dtype=float)
     y = lam[..., None] * x
     l1m = _log1mexp(y)
     log_w = -y - l1m
     top = np.max(log_w, axis=-1)
-    log_mean_w = np.log(np.mean(np.exp(log_w - top[..., None]), axis=-1)) + top
-    s = log_mean_w - np.mean(log_w, axis=-1)
+    s, log_mean_w = _shape_statistic(log_w - top[..., None])
+    log_mean_w += top
     a = _gamma_shape(s, a, tol)[0]
     n = x.size
     ll = (n * np.log(lam) - np.sum(l1m, axis=-1)
@@ -406,11 +437,11 @@ def _zb_exact_mle(x):
     s = log mean(x) - mean(log x) > 0 unless every observation is equal
     (Choi & Wette 1969: one root), solved by _gamma_shape, then
     rho = a / mean(x). s and log mean(x) are formed from
-    log x - max(log x), so no sum overflows at any data scale. A rho
+    log x - max(log x) by _shape_statistic, so no sum overflows at any
+    data scale and nearly equal data keep the digits of s. A rho
     past the float range is reported at the largest float, with a note."""
-    z, top, spread = _log_offsets(x)
-    log_mean = math.log(float(np.mean(np.exp(z))))  # log mean(x) - top
-    s = log_mean + spread
+    z, top, _ = _log_offsets(x)
+    s, log_mean = (float(v) for v in _shape_statistic(z))  # log mean(x) - top
     a, step, solved = _gamma_shape(s)
     note = None if solved else _unsolved_note("gamma shape", step)
     if not s > 0.0:

@@ -1,6 +1,7 @@
 """Generic survival-odds gamma family: closed-form anchors, quadrature
 against independent integration, series honesty, and sampling law."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -992,6 +993,27 @@ class TestSeriesWork:
         # adaptive Gauss-Legendre engine before took 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
         assert sum(math.prod(shape) for shapes in runs for shape in shapes) <= 259_690
+
+    def test_series_op_maps_each_level_through_the_base_once(self, runs):
+        # every tau of the op, the j = 0 probes included, reads the
+        # base's abscissae from one memo per distribution
+        a, b, lam = SERIES_DESIGN_PINS[0][0]
+        base = make_exponential(lam)
+        calls = {"quantile": [], "isf": []}
+
+        def counted(name):
+            def call(s):
+                calls[name].append(len(s))
+                return getattr(base, name)(s)
+            return call
+
+        d = GammaRatioDist(a, b, dataclasses.replace(
+            base, quantile=counted("quantile"), isf=counted("isf")))
+        _series_op(d)
+        assert len(runs) > 3  # many tau quadratures share the memo
+        levels = [quadrature.tanh_sinh_levels(level).size for level in sorted(d._base_abscissae)]
+        assert len(levels) == 3
+        assert calls == {"quantile": levels, "isf": levels}
 
 
 class TestInnerTruncation:

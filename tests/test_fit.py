@@ -342,6 +342,26 @@ class TestShapeEquations:
                                         f"{name} = 1.79769e+308")
         assert np.isfinite(res.loglik)
 
+    # 60-digit mpmath roots of log a - psi(a) = s on the float data
+    # 3 (1 + spread U(72)), U from default_rng(0): m1's alpha, with
+    # s = log mean(x) - mean(log x), and the m2 profile's alpha at
+    # lambda = 1, with s = log mean(w) - mean(log w), w = 1/expm1(x)
+    NEARLY_EQUAL = {
+        1e-4: (1145757030.196544540949776, 114935789.7182713492452701),
+        1e-6: (11456453535395.03842188662, 1149341783718.361405393374),
+        1e-8: (114564424650620718.6928202, 11493416323373156.30575058),
+        1e-10: (1145643787497640172658.135, 114934118143961639026.3454),
+    }
+
+    @pytest.mark.parametrize("spread", sorted(NEARLY_EQUAL))
+    def test_nearly_equal_data_keep_the_shape_statistic(self, spread):
+        # s ~ spread^2 / 24 is the small difference of two terms of size
+        # spread; formed as that difference it rounds to 0 near 1e-8
+        x = 3.0 * (1.0 + spread * np.random.default_rng(0).random(72))
+        want_m1, want_m2 = self.NEARLY_EQUAL[spread]
+        assert mle_fit(get_model("m1"), x).theta_hat[0] == pytest.approx(want_m1, rel=1e-6)
+        assert float(models._oe_profile(x, np.array(1.0))[1]) == pytest.approx(want_m2, rel=1e-6)
+
     @pytest.mark.parametrize("alias, name", [("m1", "alpha"), ("m2", "alpha"), ("m6", "shape")])
     @pytest.mark.parametrize("data", [[2.0, 2.0, 2.0], [3.0]])
     def test_equal_observations_name_the_boundary(self, alias, name, data):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oddsgamma import DivergenceError, NumericalError
-from oddsgamma.quadrature import tanh_sinh, tanh_sinh_levels
+from oddsgamma.quadrature import _ts_new, tanh_sinh, tanh_sinh_levels
 
 
 def unit_map(level):
@@ -87,3 +87,35 @@ class TestTanhSinh:
         assert errors == [None]
         assert value == pytest.approx(2.0, rel=1e-15)
         assert all(np.isfinite(x).all() and x.min() >= 1e-100 for x in seen)
+
+    def test_cut_moving_inward_drops_summed_nodes(self):
+        # the head map leaves the support below u = 1e-100 (the level-0
+        # cut) and, not monotone, at the level-1 node t = 7/16 as well,
+        # inside that cut: the level-0 nodes beyond it, summed at level
+        # 0, drop out at level 1, and the integrand never sees a node at
+        # or beyond it
+        hole = 3  # the level-1 node t = 7/16
+        seen = []
+
+        def hole_map(level):
+            head, tail = unit_map(level)
+            head = np.where(head < 1e-100, np.nan, head)
+            if level == 1:
+                head[hole] = np.nan
+            return head, tail
+
+        def f(x):
+            seen.append(x)
+            return x**-0.5
+
+        value, errors = tanh_sinh(f, hole_map)
+        # the level-1 grid steps t by 1/16 and keeps the head's t < 7/16
+        h = 1.0 / 16.0
+        t, s, w = (np.concatenate([a, b]) for a, b in zip(_ts_new(0), _ts_new(1)))
+        head = t < (2 * hole + 1) * h
+        rule = h * (np.sum(w[head] * s[head] ** -0.5) + np.sum(w * (1.0 - s) ** -0.5))
+        assert value == pytest.approx(rule, rel=1e-15)
+        assert isinstance(errors[0], NumericalError) and "unsummed" in str(errors[0])
+        assert len(seen) == 2
+        s_hole = _ts_new(1)[1][hole]
+        assert np.isfinite(seen[1]).all() and seen[1].min() > s_hole
