@@ -110,14 +110,14 @@ def make_exponential(lam):
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)) or not np.all(np.isfinite(u)):
+        if not ((u >= 0.0) & (u <= 1.0)).all():  # false for nan too
             raise ValueError("quantile requires u in [0, 1]")
         with np.errstate(divide="ignore"):
             return -np.log1p(-u) / lam
 
     def isf(s):
         s = np.asarray(s, dtype=float)
-        if np.any((s < 0.0) | (s > 1.0)) or not np.all(np.isfinite(s)):
+        if not ((s >= 0.0) & (s <= 1.0)).all():  # false for nan too
             raise ValueError("isf requires s in [0, 1]")
         with np.errstate(divide="ignore"):
             return -np.log(s) / lam

@@ -95,20 +95,40 @@ class OEGammaDist(GammaRatioDist):
         return _restore(w, scalar)
 
     def log_pdf(self, x):
+        """ln lam + alpha ln beta - ln Gamma(alpha) - alpha y
+        - (alpha+1) ln(1 - e^-y) - beta w at y = lam x, from one
+        w = 1/expm1(y) per point: 1 + w = 1/(1 - e^-y), so
+        ln(1 - e^-y) = -log1p(w), to a few ulps wherever w is finite.
+        It overflows only where y is subnormal; there expm1(y) = y, so
+        ln(1 - e^-y) = ln y and beta w = beta / y, and where y rounds to
+        0 the density is 0. -inf for x <= 0, nan for nan.
+        """
         x_arr, scalar = _as_float_array(x)
-        below = x_arr <= 0.0  # false for nan, which falls through as nan
-        y = self.lam * np.where(below, 1.0, x_arr)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = (
-                math.log(self.lam)
-                + self.alpha * math.log(self.beta)
-                - log_gamma(self.alpha)
-                - self.alpha * y
-                - (self.alpha + 1.0) * _log1mexp(y)
-                - self.beta * (1.0 / np.expm1(y))
-            )
-        out = np.where(below, -np.inf, out)
-        return _restore(out, scalar)
+        # false for nan, which falls through as nan; 1-d so the updates
+        # below stay in place for a scalar too
+        below = np.atleast_1d(x_arr <= 0.0)
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            y = self.lam * np.where(below, 1.0, x_arr)
+            w = np.expm1(y)
+            np.divide(1.0, w, out=w)
+            out = np.log1p(w)
+            out *= self.alpha + 1.0
+            over = w == np.inf
+            if over.any():
+                y_over = y[over]
+                out[over] = np.where(
+                    y_over > 0.0,
+                    -(self.alpha + 1.0) * np.log(y_over) - self.beta / y_over,
+                    -np.inf,
+                )
+                w[over] = 0.0
+            y *= self.alpha
+            out -= y
+            w *= self.beta
+            out -= w
+            out += math.log(self.lam) + self.alpha * math.log(self.beta) - log_gamma(self.alpha)
+        out[below] = -np.inf
+        return _restore(out.reshape(x_arr.shape), scalar)
 
     # -- expansions specific to the exponential base ----------------------
 

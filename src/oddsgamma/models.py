@@ -232,21 +232,27 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     alpha solves log alpha - psi(alpha) = s = log mean(w) - mean(log w)
     (one root, Choi & Wette 1969) and beta = alpha / mean(w), and the
     loglik is n log lam - sum log(1 - e^-lam x) + n (alpha log alpha -
-    alpha - lnGamma(alpha) - alpha s). Both means are formed from
-    log w = -lam x - log(1 - e^-lam x) by _shape_statistic, so none
-    underflows past the odds underflow and nearly equal odds keep the
-    digits of s. _gamma_shape solves for alpha from a, to tol; all three
-    are nan where the odds are equal to rounding (s <= 0)."""
+    alpha - lnGamma(alpha) - alpha s). Both means are formed by
+    _shape_statistic from z = log w - log w(x_min), so none underflows
+    past the odds underflow, and z is taken from the differences
+    d = x - x_min, exact for nearly equal data, so nearly equal odds keep
+    the digits of s: with a_min = lam x_min, 1 - e^-lam x =
+    (1 - e^-a_min)(1 + r), r = -expm1(-lam d)/expm1(a_min), so
+    z = -lam d - log1p(r).
+    _gamma_shape solves for alpha from a, to tol; all three are nan where
+    the odds are equal to rounding (s <= 0)."""
     lam = np.asarray(lam, dtype=float)
-    y = lam[..., None] * x
-    l1m = _log1mexp(y)
-    log_w = -y - l1m
-    top = np.max(log_w, axis=-1)
-    s, log_mean_w = _shape_statistic(log_w - top[..., None])
-    log_mean_w += top
+    x_min = np.min(x)
+    a_min = lam * x_min
+    lam_d = lam[..., None] * (x - x_min)
+    with np.errstate(over="ignore"):
+        log1p_r = np.log1p(-np.expm1(-lam_d) / np.expm1(a_min)[..., None])
+    l1m_min = _log1mexp(a_min)
+    s, log_mean_w = _shape_statistic(-lam_d - log1p_r)
+    log_mean_w -= a_min + l1m_min
     a = _gamma_shape(s, a, tol)[0]
     n = x.size
-    ll = (n * np.log(lam) - np.sum(l1m, axis=-1)
+    ll = (n * (np.log(lam) - l1m_min) - np.sum(log1p_r, axis=-1)
           + n * (a * np.log(a) - a - special.gammaln(a) - a * s))
     return ll, a, np.log(a) - log_mean_w
 

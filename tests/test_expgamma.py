@@ -2,6 +2,7 @@
 generic path, the corrected analytic score, and the tail law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,42 @@ class TestClosedForms:
             assert math.isnan(f(math.nan)), f.__name__
             got = f(np.array([math.nan, 1.0, 0.0]))
             assert np.isnan(got[0]) and got[1] == f(1.0) and got[2] == f(0.0), f.__name__
+
+    # x = 2y at lam = 1/2, for y = lam x in {Y0 - 1 ulp, Y0, Y0 + 1 ulp,
+    # 1e-300, 1e-8, ln 2, 36, 700, 710, 750, 1e4}: Y0 = 5.56268464626801e-309
+    # is the least y where w = 1/expm1(y) is finite, and expm1 overflows
+    # past 709.78 and w underflows past 745. Log densities by 40-digit
+    # mpmath on these floats, of ln lam + alpha ln beta - ln Gamma(alpha)
+    # - alpha y - (alpha+1) ln(-expm1(-y)) - beta / expm1(y)
+    LOG_PDF_X = [1.1125369292536007e-308, 1.1125369292536017e-308, 1.1125369292536027e-308,
+                 2e-300, 2e-8, 2.0 * LN2, 72.0, 1400.0, 1420.0, 1500.0, 2e4]
+    LOG_PDF_PINS = {
+        (0.131, 0.179, 0.5): [
+            -3.2178707114035453391e+307, -3.2178707114035424811e+307,
+            -3.217870711403539623e+307, -1.7899999999999998796e+299,
+            -17899981.965454393986, -2.3745971401613716069, -7.6047443207213169158,
+            -94.588744320721320675, -95.898744320721320728, -101.13874432072132094,
+            -1312.8887443207213702],
+        (2.0, 1e-3, 0.5): [
+            -1.7976931348623159452e+305, -1.7976931348623143485e+305,
+            -1.7976931348623127518e+305, -9.9999999999999999576e+296,
+            -99959.246115511667946, -13.816510557964273947, -86.508657738524218676,
+            -1414.5086577385242194, -1434.5086577385242194, -1514.5086577385242194,
+            -20014.508657738524219],
+    }
+
+    @pytest.mark.parametrize("prm", sorted(LOG_PDF_PINS))
+    def test_log_pdf_against_mpmath(self, prm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = OEGammaDist(*prm)
+            got = d.log_pdf(np.array(self.LOG_PDF_X))
+            one = [d.log_pdf(x) for x in self.LOG_PDF_X]
+            edges = d.log_pdf(np.array([-1.0, 0.0, math.nan, math.inf]))
+        want = np.array(self.LOG_PDF_PINS[prm])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+        assert one == got.tolist()
+        assert edges[0] == edges[1] == edges[3] == -math.inf and math.isnan(edges[2])
 
     def test_pdf_at_log_two(self):
         assert OEGammaDist(1.0, 1.0, 1.0).pdf(LN2) == pytest.approx(

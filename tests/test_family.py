@@ -244,6 +244,18 @@ class TestQuantile:
             with pytest.raises(ValueError, match=f"{name} requires 0 < {var} < 1"):
                 f(bad)
 
+    @pytest.mark.parametrize("prm", [(0.131, 0.179, 0.539), (0.01, 1.0, 1.0), (3.2, 2.5, 0.8)])
+    def test_scalar_levels_match_the_array_path_into_the_deep_tail(self, prm):
+        # below about s = 1e-40 at the flood fit the odds underflow and x
+        # comes from the base's log_isf; scalars take their own branch
+        levels = np.logspace(-300.0, math.log10(0.999), 121)
+        for d in (dist(*prm), OEGammaDist(*prm)):
+            for name in ("quantile_sf", "quantile"):
+                f, q = getattr(d, name), levels
+                got = np.array([f(float(v)) for v in q])
+                assert np.array_equal(got, f(q)), (prm, name)
+                assert all(type(f(float(v))) is float for v in q[:3])
+
     def test_zero_dim_input_gives_a_float(self):
         d = dist(0.5, 1.0, 1.0)
         for f in (d.quantile, d.quantile_sf):
@@ -252,7 +264,45 @@ class TestQuantile:
             assert got == f(0.3)
 
 
+def _plain_log_gamma_variates(rng, alpha, n):
+    """Marsaglia-Tsang with the log test alone, no squeeze: the reference
+    stream for family._log_gamma_variates."""
+    log_boost = None
+    a = alpha
+    if alpha < 1.0:
+        with np.errstate(divide="ignore"):
+            log_boost = np.log(rng.random(n)) / alpha
+        a = alpha + 1.0
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        z = rng.standard_normal(todo.size)
+        v = (1.0 + c * z) ** 3
+        u = rng.random(todo.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(v))
+        out[todo[accept]] = d * v[accept]
+        todo = todo[~accept]
+    out = np.log(out)
+    if log_boost is not None:
+        out += log_boost
+    return out
+
+
 class TestSampling:
+    @pytest.mark.parametrize("alpha", [0.05, 0.131, 0.46, 0.96, 1.0, 1.5, 6.0])
+    def test_squeeze_keeps_the_stream(self, alpha):
+        # a changed accepted set would shift every later draw by O(1)
+        for seed in (0, 17):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = family._log_gamma_variates(rng, alpha, 50_000)
+            want = _plain_log_gamma_variates(ref_rng, alpha, 50_000)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_empty(self):
         out = dist(1.0, 1.0, 1.0).sample(0, np.random.default_rng(0))
         assert len(out) == 0

@@ -359,8 +359,8 @@ class TestShapeEquations:
         # spread; formed as that difference it rounds to 0 near 1e-8
         x = 3.0 * (1.0 + spread * np.random.default_rng(0).random(72))
         want_m1, want_m2 = self.NEARLY_EQUAL[spread]
-        assert mle_fit(get_model("m1"), x).theta_hat[0] == pytest.approx(want_m1, rel=1e-6)
-        assert float(models._oe_profile(x, np.array(1.0))[1]) == pytest.approx(want_m2, rel=1e-6)
+        assert mle_fit(get_model("m1"), x).theta_hat[0] == pytest.approx(want_m1, rel=1e-12)
+        assert float(models._oe_profile(x, np.array(1.0))[1]) == pytest.approx(want_m2, rel=1e-12)
 
     @pytest.mark.parametrize("alias, name", [("m1", "alpha"), ("m2", "alpha"), ("m6", "shape")])
     @pytest.mark.parametrize("data", [[2.0, 2.0, 2.0], [3.0]])
