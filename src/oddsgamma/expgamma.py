@@ -294,7 +294,14 @@ def _oe_loglik_and_score(x, alpha, beta, lam):
     # lies in (0, 1], so the sums below stay finite while w does
     with np.errstate(over="ignore", under="ignore"):
         np.divide(1.0, np.expm1(y), out=w)
-        l1m[:] = _log1mexp(y)
+        # ln(1 - e^-y) = -log1p(w), and ln y where y is subnormal and w
+        # overflows, as in OEGammaDist.log_pdf
+        np.log1p(w, out=l1m)
+        np.negative(l1m, out=l1m)
+        over = np.flatnonzero(w == np.inf)
+        if over.size:
+            with np.errstate(divide="ignore"):
+                l1m.put(over, np.log(y.take(over)))
         np.multiply(y, w, out=yw)
         np.multiply(yw, 1.0 + w, out=yw1w)
         np.multiply(y, yw1w, out=y2w1w)

@@ -141,7 +141,12 @@ def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
     make it 0."""
     s = np.where(np.asarray(s, dtype=float) > 0.0, s, np.nan)[()]
     if a is None:
-        a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        # (3 - s + r) / (12 s) with r = sqrt((s - 3)^2 + 24 s), which is
+        # 2 / (r + s - 3): each form where it does not cancel, and r by
+        # hypot, so a large s neither overflows nor rounds a to 0
+        r = np.hypot(s - 3.0, np.sqrt(24.0 * s))
+        big = s > 3.0
+        a = np.where(big, 2.0, 3.0 - s + r) / np.where(big, r + s - 3.0, 12.0 * s)
     for step in range(1, _SOLVE_STEPS + 1):
         slope = np.minimum(a - _sq_trigamma(a), -0.5)
         a, prev = 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / slope), a
@@ -160,7 +165,7 @@ def _log_offsets(x):
     x_max = np.max(x)
     top = float(np.log(x_max))
     d = (x - x_max) / x_max
-    z = np.where(d > -0.5, np.log1p(d), np.log(x) - top)
+    z = np.where(d > -0.5, np.log1p(np.maximum(d, -0.5)), np.log(x) - top)
     return z, top, -float(np.mean(z))
 
 

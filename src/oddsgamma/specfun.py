@@ -4,17 +4,21 @@ the regularized incomplete gamma pair and its inverses.
 
 These are the innermost kernels of the package, on scipy.special with
 one exception. Q(a, x), behind the family's cdf and reg_upper_gamma,
-is _reg_upper_gamma_vec: on the inputs where scipy's gammaincc takes
-its igamc_series branch (DiDonato & Morris, ACM TOMS 12, 1986; DLMF
-8.7.3), that is 0 < x <= 1.1 and a <= 1.21, it evaluates the same
-series in numpy. scipy recomputes the shape-only constants
-ln Gamma(1+a) and ln Gamma(a) for every element there, about 1.5 us a
-point at a < 1, ten times its cost elsewhere; here they are computed
-once per call. Every other input, x = 0, inf and nan included, goes to
-special.gammaincc unchanged, so each input has exactly one path and
-the branch rule is scipy's own. ln Gamma(1+a) comes from a Taylor
-series in zeta values, as in cephes, because special.gammaln(1 + a)
-loses the digits of a small a that 1 + a rounds away.
+is _reg_upper_gamma_vec, which keeps scipy's gammaincc algorithm
+(DiDonato & Morris, ACM TOMS 12, 1986) and its branch rule but
+evaluates both of its power series, the ones it takes at 0 < x <= 1.1,
+in numpy: igamc_series (DLMF 8.7.3, Q directly) and 1 - igam_series
+(DLMF 8.7.1, Q = 1 - P). scipy recomputes the shape-only constants,
+ln Gamma(a) among them, for every element there, at 3 to 4 us a point
+on igamc_series and 60 to 110 ns on igam_series (on 1e5 points, a 2-core
+x86 VM); here they are computed once per call, and the two take about
+70 and 15 to 26 ns a point. x > 1.1 (a continued fraction or an
+asymptotic series in scipy) and x = 0, inf and nan go to
+special.gammaincc, and so do the igam_series points of a call with few
+of them, where scipy is cheaper.
+ln Gamma(1+a) comes from a Taylor series in zeta values, as in cephes,
+because special.gammaln(1 + a) loses the digits of a small a that
+1 + a rounds away.
 
 The inverses are scipy's gammainccinv/gammaincinv, which implement
 DiDonato & Morris (ACM TOMS 12, 1986) and keep relative accuracy in
@@ -139,15 +143,23 @@ _inv_reg_upper_gamma_vec = special.gammainccinv
 _inv_reg_lower_gamma_vec = special.gammaincinv
 
 
-# scipy's igamc_series branch needs x <= 1.1 and, above x = 0.5,
-# 1.1 x >= a, so no x takes it once a > 1.21
-_SERIES_MAX_A = 1.1 * 1.1
-# sum_n (-x)^n / (n! (a + n)): at x = 1.1 term 24 is below 1e-23 of the sum
-_SERIES_N = np.arange(1.0, 25.0)
+# scipy's gammaincc takes one of its two power series at 0 < x <= 1.1
+# and a continued fraction or an asymptotic series above
+_SERIES_MAX_X = 1.1
+# igamc_series needs 1.1 x >= a above x = 0.5, so no x takes it past this
+_IGAMC_MAX_A = _SERIES_MAX_X * _SERIES_MAX_X
 _EULER = 0.5772156649015329
 _MACHEP = 2.0 ** -53
 # zeta(n) for n = 2..41, the Taylor coefficients of ln Gamma(1+t) times n
 _ZETA = tuple(float(z) for z in special.zeta(np.arange(2.0, 42.0)))
+# With fewer points than this the igam_series branch goes to scipy,
+# whose per-point cost is then below the fixed cost of the numpy
+# series' calls: on a 2-core x86 VM the two broke even at 512 to 1024
+# points (scipy 50 to 100 ns a point over a in [0.131, 20]). The
+# igamc_series branch has no cutoff: scipy takes 2.5 to 7 us a point
+# there, and one path for every point keeps the scalar reg_upper_gamma
+# equal to the array kernel.
+_MIN_IGAM_POINTS = 768
 
 
 def _lgam1p_taylor(t):
@@ -180,36 +192,112 @@ def _lgam1p(a):
 def _reg_upper_gamma_vec(a, x):
     """Q(a, x) elementwise over an array x for one shape a > 0, unvalidated.
 
-    Where scipy takes its igamc_series branch (0 < x <= 1.1, with
-    -0.4/ln x >= a for x <= 0.5 and 1.1 x >= a above) this evaluates
-    Q = -expm1(a ln x - ln Gamma(1+a)) - x^a/Gamma(a) sum_{n=1..24}
-    (-x)^n/(n! (a+n)) with the shape constants computed once; all other
-    x go to special.gammaincc. nan gives nan, as scipy does.
+    Each 0 < x <= 1.1 takes the power series scipy's gammaincc takes
+    there, by scipy's rule, evaluated in numpy with the shape constants
+    computed once per call: _igamc_series where x >= exp(-0.4/a) for
+    x <= 0.5 and 1.1 x >= a above (only at a <= 1.21), _igam_complement
+    elsewhere. Points are gathered and scattered by index. Every other
+    x, 0, inf and nan included, goes to special.gammaincc, and so do the
+    _igam_complement points when there are fewer than _MIN_IGAM_POINTS
+    of them. The two evaluations of Q differ by up to about 4e-15
+    relative, so an igam_series point's value can depend on how many
+    points share its call; an igamc_series point's cannot. nan gives
+    nan, as scipy does.
     """
-    x = np.asarray(x, dtype=float)
-    if not a <= _SERIES_MAX_A:
+    # converted to float only past the early exit, which a small call
+    # takes at a > 1.21 with scipy's cost alone
+    x = np.asarray(x)
+    has_igamc = a <= _IGAMC_MAX_A
+    if not has_igamc and x.size < _MIN_IGAM_POINTS:
         return special.gammaincc(a, x)
-    x1 = np.atleast_1d(x)
-    # -0.4/ln x >= a  <=>  x >= exp(-0.4/a) for 0 < x < 1
+    flat = x.astype(float, copy=False).ravel()
+    near = (flat > 0.0) & (flat <= _SERIES_MAX_X)
+    far = np.flatnonzero(~near)
+    near = np.flatnonzero(near)
+    xs = flat.take(near)
+    out = np.empty(flat.shape)
+    # -0.4/ln x >= a  <=>  x >= exp(-0.4/a) for 0 < x < 1; up to
+    # a = 0.55 every x in (0.5, 1.1] has 1.1 x >= a
     x_lo = max(math.exp(-0.4 / a), math.ulp(0.0))
-    series = np.where(x1 <= 0.5, x1 >= x_lo, (x1 <= 1.1) & (1.1 * x1 >= a))
-    if not series.any():
-        return special.gammaincc(a, x)
-    # x = 0 is scipy's immediate exit, so the series points cost it nothing
-    out = special.gammaincc(a, np.where(series, 0.0, x1))
-    xs = x1[series]
-    neg_x = -xs
-    term = np.ones_like(xs)
-    total = np.zeros_like(xs)
-    a_ln_x = a * np.log(xs)
+    wide = a > 0.5 * _SERIES_MAX_X
+    # the largest x that takes igam_series
+    x_top = min(a / _SERIES_MAX_X, _SERIES_MAX_X) if wide else x_lo
     with np.errstate(under="ignore"):
-        # summed in cephes' order, which keeps the result within a few
-        # ulp of scipy's where the two terms of Q cancel
-        for n, a_n in zip(_SERIES_N, a + _SERIES_N):
-            term *= neg_x / n
-            total += term / a_n
-        out[series] = (
-            -np.expm1(a_ln_x - _lgam1p(a))
-            - np.exp(a_ln_x - special.gammaln(a)) * total
-        )
+        if has_igamc:
+            igamc = xs >= x_lo
+            if wide:
+                # above x = 0.5, 1.1 x >= a implies x >= x_lo
+                igamc &= (xs <= 0.5) | (xs * _SERIES_MAX_X >= a)
+            pick = np.flatnonzero(igamc)
+            if pick.size:
+                out.put(near.take(pick), _igamc_series(a, xs.take(pick)))
+            pick = np.flatnonzero(~igamc)
+            near, xs = near.take(pick), xs.take(pick)
+        if near.size < _MIN_IGAM_POINTS:
+            far = np.concatenate([far, near])
+        else:
+            out.put(near, _igam_complement(a, xs, x_top))
+    if far.size:
+        out.put(far, special.gammaincc(a, flat.take(far)))
     return out.reshape(x.shape)
+
+
+def _igamc_series(a, x):
+    """Q(a, x) = -expm1(a ln x - ln Gamma(1+a)) - x^a/Gamma(a)
+    sum_{n>=1} (-x)^n/(n! (a+n)) (DLMF 8.7.3), scipy's igamc_series,
+    for a <= 1.21 and 0 < x <= 1.1, overwriting x. Every x sums the
+    terms that cephes' stopping rule takes at x = 1.1, in cephes' order,
+    which keeps the result within a few ulp of scipy's where the two
+    terms of Q cancel, and makes it a function of a and x alone.
+    """
+    fac, term, top_sum, n_max = 1.0, 1.0, 0.0, 0
+    while abs(term) > _MACHEP * abs(top_sum):
+        n_max += 1
+        fac *= -_SERIES_MAX_X / n_max
+        term = fac / (a + n_max)
+        top_sum += term
+    neg_x = np.negative(x)
+    term = np.ones_like(x)
+    total = np.zeros_like(x)
+    step = np.empty_like(x)
+    for n in range(1, n_max + 1):
+        np.divide(neg_x, n, out=step)
+        term *= step
+        np.divide(term, a + n, out=step)
+        total += step
+    np.log(x, out=x)
+    x *= a
+    lead = np.subtract(x, _lgam1p(a), out=neg_x)
+    np.expm1(lead, out=lead)
+    x -= special.gammaln(a)
+    np.exp(x, out=x)
+    x *= total
+    x += lead
+    return np.negative(x, out=x)
+
+
+def _igam_complement(a, x, x_top):
+    """Q(a, x) = 1 - P(a, x), P = x^a e^-x/Gamma(a) sum_{n>=0}
+    x^n/(a (a+1)...(a+n)) (DLMF 8.7.1), scipy's 1 - igam_series, for
+    0 < x <= x_top <= 1.1 where P is below about 0.7, overwriting x.
+    The sum is taken by Horner, its coefficients built once, up to the
+    term that falls below 2^-53 at x_top.
+    """
+    coef, term = [1.0 / a], 1.0
+    while term > _MACHEP:
+        r = a + len(coef)
+        coef.append(coef[-1] / r)
+        term *= x_top / r
+    total = np.full_like(x, coef[-1])
+    for c in reversed(coef[:-1]):
+        total *= x
+        total += c
+    # formed as cephes forms it: ln Gamma(a + 1) = ln Gamma(a) + ln a
+    # would cost digits at small a, and _lgam1p its own truncation
+    log_p = np.log(x)
+    log_p *= a
+    log_p -= x
+    log_p -= special.gammaln(a)
+    np.exp(log_p, out=x)
+    x *= total
+    return np.subtract(1.0, x, out=x)

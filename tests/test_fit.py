@@ -274,6 +274,18 @@ def test_bootstrap_fits_leak_no_runtime_warning(seed):
                 assert np.isfinite(mle_fit(m, data).loglik)
 
 
+def test_fits_across_five_hundred_decades_leak_no_runtime_warning():
+    # the m2 profile scan meets shape statistics up to 1.3e302 here,
+    # where squaring s - 3 in the shape equation's start overflowed and
+    # the start rounded to 0; m1 and m6 took log1p(-1) on a discarded
+    # branch. Each fit keeps its converged flag
+    data = [1e-200, 1.0, 1e100]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alias in ("m1", "m2", "m6"):
+            assert mle_fit(get_model(alias), data).converged, alias
+
+
 class TestShapeEquations:
     """m1 and m6 fit by solving one scalar equation for the shape: the
     gamma equation log a - psi(a) = log mean(x) - mean(log x) and the

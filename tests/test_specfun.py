@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from oddsgamma import OEGammaDist
+from oddsgamma import OEGammaDist, specfun
 from oddsgamma.specfun import (
     _lgam1p,
     _log_minus_digamma,
@@ -215,9 +215,49 @@ LGAM1P = {
 }
 
 
+# Q(a, x) on the igam_series side of that branch's edges, as (x, Q)
+# pairs pinned offline with mpmath at 40 digits: gammainc(a, x, inf,
+# regularized=True) on the exact binary values of the floats. x is the
+# float below exp(-0.4/a) at a <= 0.5, the largest x with 1.1 x < a at
+# 0.6 <= a <= 1.2, and 1.1 and 1e-300 above a = 1.21, where every
+# x <= 1.1 takes igam_series.
+Q_IGAM_EDGES = {
+    0.001: [(1.9151695967140055e-174, 0.3292934744095541)],
+    0.01: [(4.248354255291588e-18, 0.3258547535172789)],
+    0.131: [(0.04719652016133999, 0.290421599502961)],
+    0.5: [(0.4493289641172215, 0.343141824951321)],
+    0.6: [(0.5454545454545453, 0.35763129912295755)],
+    0.9: [(0.818181818181818, 0.3939415766389408)],
+    1.0: [(0.909090909090909, 0.40289032152913307)],
+    1.2: [(1.0909090909090906, 0.4179247642278878)],
+    1.5: [(1.1, 0.5319483712104883), (1e-300, 1.0)],
+    3.0: [(1.1, 0.9004162814033052), (1e-300, 1.0)],
+    20.0: [(1.1, 1.0), (1e-300, 1.0)],
+}
+
+
+@pytest.fixture
+def scipy_inputs(monkeypatch):
+    """The x arrays that special.gammaincc receives while a test runs."""
+    seen = []
+    gammaincc = sp.gammaincc
+
+    def spy(a, x):
+        seen.append(np.array(x, dtype=float))
+        return gammaincc(a, x)
+
+    monkeypatch.setattr(specfun.special, "gammaincc", spy)
+    return seen
+
+
+def _series_points(seen):
+    x = np.concatenate(seen) if seen else np.empty(0)
+    return x[(x > 0.0) & (x <= 1.1)]
+
+
 class TestUpperGammaKernel:
-    """_reg_upper_gamma_vec: scipy's igamc_series branch in numpy, scipy
-    everywhere else."""
+    """_reg_upper_gamma_vec: scipy's two power series at 0 < x <= 1.1 in
+    numpy, scipy everywhere else."""
 
     @pytest.mark.parametrize("a", EDGE_SHAPES)
     def test_branch_edges_against_mpmath(self, a):
@@ -263,6 +303,54 @@ class TestUpperGammaKernel:
         for d in (oe, oe.as_family()):
             want = _reg_upper_gamma_vec(d.alpha, d.beta * d.odds(x))
             assert np.array_equal(d.cdf(x), want)
+
+    @pytest.mark.parametrize("a", sorted(Q_IGAM_EDGES))
+    def test_igam_branch_edges_against_mpmath(self, a, monkeypatch, scipy_inputs):
+        # one point takes the numpy series once the cutoff is 1
+        monkeypatch.setattr(specfun, "_MIN_IGAM_POINTS", 1)
+        xs, refs = np.array(Q_IGAM_EDGES[a]).T
+        got = _reg_upper_gamma_vec(a, xs)
+        assert _series_points(scipy_inputs).size == 0
+        for x, q, ref in zip(xs, got, refs):
+            assert q == pytest.approx(ref, rel=1e-13, abs=0.0), (a, x)
+
+    def test_series_points_never_reach_scipy(self, scipy_inputs):
+        # at every shape here each nonempty series branch of the grid
+        # holds at least _MIN_IGAM_POINTS points, so only x > 1.1 and
+        # the exact edges are left to scipy
+        xs = np.concatenate([np.geomspace(1e-300, 1e3, 2000), np.linspace(1e-3, 1.1, 1000),
+                             [0.0, np.inf, np.nan]])
+        for a in (1e-4, 0.01, 0.131, 0.5, 0.6, 0.9, 1.2, 1.5, 3.0, 20.0):
+            _reg_upper_gamma_vec(a, xs)
+            assert _series_points(scipy_inputs).size == 0, a
+        assert len(scipy_inputs) == 10
+
+    def test_small_igam_branch_goes_to_scipy(self, scipy_inputs):
+        # below the cutoff the igam_series points are cheaper in scipy
+        xs = np.geomspace(1e-3, 1.1, specfun._MIN_IGAM_POINTS - 1)
+        got = _reg_upper_gamma_vec(3.0, xs)
+        assert _series_points(scipy_inputs).size == xs.size
+        assert np.array_equal(got, sp.gammaincc(3.0, xs))
+
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0])
+    def test_scalar_matches_array(self, a):
+        # an igamc_series point has one path at any call size; a single
+        # igam_series point goes to scipy and a large call's to numpy,
+        # and the two stay within the dense grid's bound
+        xs = np.geomspace(1e-6, 1.1, 2 * specfun._MIN_IGAM_POINTS)
+        got = _reg_upper_gamma_vec(a, xs)
+        one = np.array([reg_upper_gamma(a, x) for x in xs])
+        igamc = (a <= 1.21) & (xs >= math.exp(-0.4 / a)) & ((xs <= 0.5) | (1.1 * xs >= a))
+        assert np.array_equal(got[igamc], one[igamc])
+        assert np.all(np.abs(got - one) <= 4e-15 * one), a
+
+    def test_numpy_series_raise_no_runtime_warning(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MIN_IGAM_POINTS", 1)
+        xs = np.concatenate([[5e-324, 1e-300], np.geomspace(1e-12, 1.1, 400)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0, 1e300):
+                _reg_upper_gamma_vec(a, xs)
 
     def test_lgam1p_against_mpmath(self):
         # cephes' truncation of the Taylor series, kept so that Q matches
