@@ -57,7 +57,7 @@ def _positive_observations(data, entry):
     x = x.ravel()
     if x.size == 0:
         raise DataError(f"{entry} requires at least one observation")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    if not np.isfinite(x).all() or (x <= 0.0).any():
         raise DataError("observations must be finite and strictly positive")
     return x
 

@@ -48,16 +48,12 @@ _LN2 = math.log(2.0)
 
 
 def _log1mexp(y):
-    """log(1 - e^{-y}) for y > 0, switching formula at y = ln 2."""
+    """log(1 - e^{-y}) for y > 0, switching formula at y = ln 2. Both
+    forms are taken at every y; the one not kept can only divide by
+    zero, which is ignored."""
     y = np.asarray(y, dtype=float)
-    small = y <= _LN2
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            small,
-            np.log(-np.expm1(-np.where(small, y, 1.0))),
-            np.log1p(-np.exp(-np.where(small, 1.0, y))),
-        )
-    return out
+        return np.where(y <= _LN2, np.log(-np.expm1(-y)), np.log1p(-np.exp(-y)))
 
 
 @dataclass(frozen=True)
@@ -308,9 +304,12 @@ def _oe_loglik_and_score(x, alpha, beta, lam):
         np.multiply(y2w1w, 1.0 + 2.0 * w, out=y2w1w12w)
     (sum_x, sum_y, sum_l1m, sum_w, sum_yw, sum_yw1w, sum_y2w1w,
      sum_y2w1w12w) = terms.sum(axis=1).tolist()
+    alpha_lam_sum_x = alpha * lam * sum_x
+    if alpha_lam_sum_x == math.inf:  # alpha lam overflows where lam nears the float edge
+        alpha_lam_sum_x = alpha * (lam * sum_x)
     ll = (
         n * (math.log(lam) + alpha * math.log(beta) - log_gamma(alpha))
-        - alpha * lam * sum_x
+        - alpha_lam_sum_x
         - (alpha + 1.0) * sum_l1m
         - beta * sum_w
     )

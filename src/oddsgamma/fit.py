@@ -114,7 +114,7 @@ def _grad_phi(model, data, phi):
     with np.errstate(over="ignore"):
         theta = np.exp(phi)
     rejected = -math.inf, np.zeros_like(phi), None
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         return rejected
     if model.analytic_score is not None:
         try:
@@ -225,7 +225,7 @@ def _run_start(model, data, theta0):
 
 def _grad_ok(g, ll):
     """The gradient half of the convergence test."""
-    return np.max(np.abs(g)) <= _GRAD_TOL * max(1.0, abs(ll))
+    return np.abs(g).max() <= _GRAD_TOL * max(1.0, abs(ll))
 
 
 def mle_fit(model, data):
@@ -242,7 +242,7 @@ def mle_fit(model, data):
         phi, ll, g, iters, converged, H = _run_start(model, x, model.initial_guess(x))
     theta_hat = np.exp(phi)
     se = _log_coordinate_std_errors(model, x, phi, g, H, warnings_out)
-    grad_sup = np.max(np.abs(g))
+    grad_sup = np.abs(g).max()
     for name, t in zip(model.param_names, theta_hat):
         if not 1e-300 < t < 1e300:
             converged = False
@@ -293,7 +293,7 @@ def _log_coordinate_std_errors(model, data, phi, g, H, sink):
     if H is None:
         H = _hess_phi(model, data, phi)
     info = np.diag(g) - H
-    if not np.all(np.isfinite(info)):
+    if not np.isfinite(info).all():
         sink.append("observed information contains non-finite entries; standard errors unreliable")
         info = np.where(np.isfinite(info), info, 0.0)
     try:
@@ -305,7 +305,7 @@ def _log_coordinate_std_errors(model, data, phi, g, H, sink):
         )
         cov = np.linalg.pinv(info)
     diag = np.diag(cov).copy()
-    if np.any(diag <= 0.0):
+    if (diag <= 0.0).any():
         sink.append("non-positive variance estimate on at least one coordinate")
         diag = np.abs(diag)
     with np.errstate(over="ignore"):  # inf for a parameter near the float limit

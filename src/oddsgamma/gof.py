@@ -69,7 +69,7 @@ def _validated_sorted(u):
 
 def _safe_log(v, side):
     clipped = np.maximum(v, _LOG_FLOOR)
-    if np.any(v < _LOG_FLOOR):
+    if (v < _LOG_FLOOR).any():
         _warnings.warn(
             f"{side} probability below {_LOG_FLOOR:g} clamped before taking logs",
             RuntimeWarning,
@@ -90,16 +90,31 @@ def _w2_plain(z):
     return float(np.sum((z - grid) ** 2) + 1.0 / (12.0 * n))
 
 
+def _a2_modified(z):
+    """A-squared of standardized values times 1 + 0.75/n + 2.25/n^2."""
+    n = z.size
+    return _a2_plain(z) * (1.0 + 0.75 / n + 2.25 / n ** 2)
+
+
+def _w2_modified(z):
+    """W-squared of standardized values times 1 + 0.5/n."""
+    return _w2_plain(z) * (1.0 + 0.5 / z.size)
+
+
 def _normal_standardized(z):
-    """Map through the normal quantile, standardize, map back."""
+    """Map through the normal quantile, standardize, map back. The mean
+    and the deviation (ddof = 1) are formed as np.mean and np.std form
+    them, bit for bit, with the deviations from the mean taken once."""
     n = z.size
     if n < 2:
         raise DataError("the modified EDF variant requires at least 2 values")
     y = special.ndtri(z)
-    s = float(np.std(y, ddof=1))
+    y -= np.add.reduce(y) / n
+    s = math.sqrt(np.add.reduce(y * y) / (n - 1))
     if not s > 0.0:
         raise DataError("degenerate probability values: zero variance after transform")
-    return np.sort(special.ndtr((y - float(np.mean(y))) / s))
+    y /= s
+    return np.sort(special.ndtr(y))
 
 
 def anderson_darling(u, modified=False):
@@ -111,9 +126,7 @@ def anderson_darling(u, modified=False):
     """
     z = _validated_sorted(u)
     if modified:
-        n = z.size
-        z = _normal_standardized(z)
-        return _a2_plain(z) * (1.0 + 0.75 / n + 2.25 / n ** 2)
+        return _a2_modified(_normal_standardized(z))
     return _a2_plain(z)
 
 
@@ -125,9 +138,7 @@ def cramer_von_mises(u, modified=False):
     """
     z = _validated_sorted(u)
     if modified:
-        n = z.size
-        z = _normal_standardized(z)
-        return _w2_plain(z) * (1.0 + 0.5 / n)
+        return _w2_modified(_normal_standardized(z))
     return _w2_plain(z)
 
 
@@ -149,20 +160,22 @@ def gof_report(model, data, theta_hat, loglik):
     """Build a GofReport from a fitted model.
 
     The EDF statistics use the modified (standardized + multiplied)
-    variant; see the module docstring. Observations that are not finite
-    and positive raise DataError.
+    variant; see the module docstring. The PIT values are validated,
+    sorted and standardized once for both statistics. Observations that
+    are not finite and positive raise DataError.
     """
     x = _positive_observations(data, "gof_report")
     theta = np.asarray(theta_hat, dtype=float)
     u = np.asarray(model.cdf(np.sort(x), theta), dtype=float)
     aic, aicc, bic, hqic = info_criteria(loglik, model.k, x.size)
+    z = _normal_standardized(_validated_sorted(u))
     return GofReport(
         aic=aic,
         aicc=aicc,
         bic=bic,
         hqic=hqic,
-        a_squared=anderson_darling(u, modified=True),
-        w_squared=cramer_von_mises(u, modified=True),
+        a_squared=_a2_modified(z),
+        w_squared=_w2_modified(z),
         n=int(x.size),
         k=int(model.k),
     )

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .expgamma import OEGammaDist, _log1mexp, _oe_loglik_and_score
+from .expgamma import _LN2, OEGammaDist, _log1mexp, _oe_loglik_and_score
 from .specfun import _log_minus_digamma, _sq_trigamma
 
 __all__ = [
@@ -151,9 +151,9 @@ def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
         slope = np.minimum(a - _sq_trigamma(a), -0.5)
         a, prev = 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / slope), a
         moved = np.abs(a - prev) > tol * a  # false for nan
-        if not np.any(moved):
+        if not moved.any():
             break
-    return a, step, not np.any(moved)
+    return a, step, not moved.any()
 
 
 def _log_offsets(x):
@@ -182,17 +182,19 @@ def _shape_statistic(z):
     cancelled, and s is formed instead as mean(expm1(y) - y), y = z - c:
     every term is >= 0 (by its Taylor series within |y| < 1/2, where the
     difference would cancel), and an error d in c moves the mean only by
-    about d^2/2."""
-    c = np.log1p(np.mean(np.expm1(z), axis=-1))
-    spread = -np.mean(z, axis=-1)
+    about d^2/2. Each mean is np.add.reduce / n, np.mean's bits without
+    its Python wrapper."""
+    n = z.shape[-1]
+    c = np.log1p(np.add.reduce(np.expm1(z), axis=-1) / n)
+    spread = -np.add.reduce(z, axis=-1) / n
     s = c + spread
     low = s < spread / 16.0
-    if np.any(low):
+    if low.any():
         y = z - c[..., None]
         terms = np.expm1(y) - y
         small = np.abs(y) < 0.5
         terms[small] = np.polyval(_EXPM1MX_SERIES, y[small]) * y[small] ** 2
-        s = np.where(low, np.mean(terms, axis=-1), s)
+        s = np.where(low, np.add.reduce(terms, axis=-1) / n, s)[()]
     return s, c
 
 
@@ -246,10 +248,10 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     z = -lam d - log1p(r).
     _gamma_shape solves for alpha from a, to tol; all three are nan where
     the odds are equal to rounding (s <= 0)."""
-    lam = np.asarray(lam, dtype=float)
-    x_min = np.min(x)
+    lam = np.asarray(lam, dtype=float)[()]
+    x_min = x.min()
     a_min = lam * x_min
-    lam_d = lam[..., None] * (x - x_min)
+    lam_d = np.multiply.outer(lam, x - x_min)
     with np.errstate(over="ignore"):
         log1p_r = np.log1p(-np.expm1(-lam_d) / np.expm1(a_min)[..., None])
     l1m_min = _log1mexp(a_min)
@@ -257,7 +259,7 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     log_mean_w -= a_min + l1m_min
     a = _gamma_shape(s, a, tol)[0]
     n = x.size
-    ll = (n * (np.log(lam) - l1m_min) - np.sum(log1p_r, axis=-1)
+    ll = (n * (np.log(lam) - l1m_min) - np.add.reduce(log1p_r, axis=-1)
           + n * (a * np.log(a) - a - special.gammaln(a) - a * s))
     return ll, a, np.log(a) - log_mean_w
 
@@ -288,17 +290,34 @@ def _oe_exact_mle(x):
     the note names the end the likelihood rises toward and theta is the
     scan point at that end: the highest scanned lam (or the last where
     beta is a float) or the lowest (where alpha is at most 1e9). Where
-    no point is kept, theta is the one for equal data."""
+    no point is kept, theta is the one for equal data.
+
+    lam scales as 1/x. Where the scan would reach past the float range
+    (min x or mean x - min x below about 2e-306) and max x < 1/2, the
+    profile is solved on the data scaled by the power of two that moves
+    max x into [1/2, 1), which is exact. lam is reported through _rate:
+    past the float range it is the largest float, with a note."""
     n = x.size
     x_min = float(np.min(x))
     spread = float(np.mean(x - x_min))
-    equal = np.array([_EQUAL_DATA_SHAPE, _EQUAL_DATA_SHAPE * math.expm1(1.0), 1.0 / x_min])
+    lam, past = _rate("lambda", -math.log(x_min))
+    equal = np.array([_EQUAL_DATA_SHAPE, _EQUAL_DATA_SHAPE * math.expm1(1.0), lam])
     if not spread > 0.0:
-        return equal, 0, _equal_data_note("alpha"), None
-    kappa = 1.0 / spread
-    limit_ll = n * (math.log(kappa) - 1.0)
-    limit = (f"the shifted exponential mu + Exp(kappa), mu = min x = {x_min:.6g} and "
-             f"kappa = 1/(mean x - min x) = {kappa:.6g}, with loglik {limit_ll:.10g}")
+        return equal, 0, past or _equal_data_note("alpha"), None
+    mu, kappa = x_min, 1.0 / spread
+    shift = 0
+    if -math.log(min(x_min, spread)) + _PROFILE_PAD > _LOG_FLOAT_MAX:
+        shift = max(0, -math.frexp(float(np.max(x)))[1])
+        x = np.ldexp(x, shift)
+        x_min = math.ldexp(x_min, shift)
+        spread = float(np.mean(x - x_min))
+    # log lam and the loglik of the data exceed the solve's by log_scale
+    # and n log_scale
+    log_scale = shift * _LN2
+    limit_ll = n * (math.log(1.0 / spread) - 1.0)
+    limit = (f"the shifted exponential mu + Exp(kappa), mu = min x = {mu:.6g} and "
+             f"kappa = 1/(mean x - min x) = {kappa:.6g}, with loglik "
+             f"{limit_ll + n * log_scale:.10g}")
     u_max = min(-math.log(min(x_min, spread)) + _PROFILE_PAD, _LOG_FLOAT_MAX)  # lam a float
     u = np.linspace(min(-math.log(float(np.max(x))) - _PROFILE_PAD, u_max), u_max,  # log lam
                     _PROFILE_POINTS)
@@ -326,7 +345,8 @@ def _oe_exact_mle(x):
             k, note = -1, (f"the likelihood rises toward its lambda -> inf boundary, {limit}; "
                            "theta is reported at the highest scanned lambda, "
                            f"{limit_ll - ll[-1]:.3g} below that")
-        return np.array([a[k], math.exp(log_b[k]), math.exp(u[k])]), 0, note, None
+        lam, past = _rate("lambda", u[k] + log_scale)
+        return np.array([a[k], math.exp(log_b[k]), lam]), 0, past or note, None
     k = 1 + int(np.argmax(np.where(inner, ll[1:-1], -np.inf)))
     lo, hi, a = float(u[k - 1]), float(u[k + 1]), a[k]
     # Newton starts at the vertex of the parabola through the three points
@@ -368,7 +388,8 @@ def _oe_exact_mle(x):
     if limit_ll > ll_hat:
         advisory = (f"the likelihood is higher at the lambda -> inf boundary, {limit}, "
                     f"{limit_ll - ll_hat:.3g} above this interior stationary point")
-    return np.array([float(a), math.exp(lb), math.exp(v)]), step, note, advisory
+    lam, past = _rate("lambda", v + log_scale)
+    return np.array([float(a), math.exp(lb), lam]), step, past or note, advisory
 
 
 def oe_gamma_model():

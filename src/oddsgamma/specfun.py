@@ -65,12 +65,14 @@ _LOG_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 3276
 
 
 def _log_minus_digamma(a):
-    """log a - psi(a) for a > 0, elementwise. From a = 10 on, where the
-    two terms cancel, it is the asymptotic series 1/(2a) + sum_k B_2k /
-    (2k a^2k) (DLMF 5.11.2) through k = 7, whose next term is below
-    1e-15 of the sum there."""
-    a = np.asarray(a, dtype=float)
+    """log a - psi(a) for a > 0, elementwise, a numpy scalar for a
+    scalar. From a = 10 on, where the two terms cancel, it is the
+    asymptotic series 1/(2a) + sum_k B_2k / (2k a^2k) (DLMF 5.11.2)
+    through k = 7, whose next term is below 1e-15 of the sum there."""
+    a = np.asarray(a, dtype=float)[()]
     small = a < 10.0
+    if small.all():  # false for nan
+        return np.log(a) - special.psi(a)
     near = np.where(small, a, 1.0)
     far = np.where(small, 10.0, a)
     r = 1.0 / (far * far)
@@ -81,14 +83,15 @@ def _log_minus_digamma(a):
 
 
 def _sq_trigamma(a):
-    """a^2 psi'(a) for a > 0, elementwise, the trigamma term of a
-    log-coordinate Hessian, as 1 + a^2 psi'(a + 1) (DLMF 5.15.5), which
-    stays finite as a -> 0 where psi'(a) ~ 1/a^2 overflows. psi'(q) is
-    the Hurwitz zeta function zeta(2, q). The product is taken as
-    a * (a psi'(a + 1)), whose inner factor stays near 1, so it stays
-    finite up to a ~ 1.8e308 where a * a would overflow."""
-    a = np.asarray(a, dtype=float)
-    return (1.0 + a * (a * special.zeta(2.0, a + 1.0)))[()]
+    """a^2 psi'(a) for a > 0, elementwise, a numpy scalar for a scalar:
+    the trigamma term of a log-coordinate Hessian, as 1 + a^2 psi'(a + 1)
+    (DLMF 5.15.5), which stays finite as a -> 0 where psi'(a) ~ 1/a^2
+    overflows. psi'(q) is the Hurwitz zeta function zeta(2, q). The
+    product is taken as a * (a psi'(a + 1)), whose inner factor stays
+    near 1, so it stays finite up to a ~ 1.8e308 where a * a would
+    overflow."""
+    a = np.asarray(a, dtype=float)[()]
+    return 1.0 + a * (a * special.zeta(2.0, a + 1.0))
 
 
 def reg_upper_gamma(a, x):

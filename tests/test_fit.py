@@ -9,6 +9,7 @@ integration checks.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -209,6 +210,51 @@ class TestFloodFits:
         assert again.loglik == res.loglik
 
 
+class TestPinnedDigits:
+    """theta_hat, loglik, std_errors and iterations of the flood fits to
+    every digit repr prints: a speed-up must keep them all, and a change
+    that moves one fails here and must say why."""
+
+    PINS = {
+        "wheaton": (
+            ("m1", (0.8382682148538914, 0.06868705072206689), -251.34435950468648,
+             (0.12106558872930388, 0.013288181168587015), 4),
+            ("m2", (0.1313110251889018, 0.17910084994666398, 0.5389212836407896),
+             -249.51497222439093,
+             (0.053241137118434576, 0.06972089068339957, 0.25077590365870817), 3),
+            ("m6", (0.901166122839873, 0.08596832096426049), -251.49864044754122,
+             (0.08555727025379219, 0.011837460153171192), 4),
+        ),
+        (4242, 1): (
+            ("m1", (0.9038314885189533, 0.0777193169937793), -248.40624252558638,
+             (0.13143809744771073, 0.014851223281849027), 4),
+            ("m2", (0.1412431941611933, 0.25976751031583284, 0.5479959262408197),
+             -245.58347398638304,
+             (0.0639430086247223, 0.10264730539927722, 0.27905267197721206), 3),
+            ("m6", (0.9426839180303197, 0.08828205434970124), -248.4502583595944,
+             (0.08824512233751967, 0.011621978030623743), 4),
+        ),
+        (4242, 2): (
+            ("m1", (0.8509833029568303, 0.060216146947166906), -262.0375487239109,
+             (0.12307256225066807, 0.011619855772569087), 4),
+            ("m2", (0.09832496246837392, 0.23479566945506203, 0.6613060116559634),
+             -261.06379744053976,
+             (0.06722080280603669, 0.11429381533693617, 0.5007408977187452), 3),
+            ("m6", (0.8940230236921735, 0.07479800605442286), -261.9034696915601,
+             (0.08217752551120885, 0.010402352724078068), 5),
+        ),
+    }
+
+    @pytest.mark.parametrize("data", list(PINS), ids=["wheaton", "op-4242-1", "op-4242-2"])
+    def test_fit_digits(self, flood_values, data):
+        # the resamples are the draws of flood-bootstrap ops (4242, 1) and (4242, 2)
+        x = flood_values if data == "wheaton" else _ridge_op(data)
+        for alias, *pinned in self.PINS[data]:
+            res = mle_fit(get_model(alias), x)
+            got = (res.theta_hat, res.loglik, res.std_errors, res.iterations)
+            assert repr(got) == repr(tuple(pinned)), alias
+
+
 class TestStandardErrors:
     @staticmethod
     def _gamma_oracle(n, a, rho):
@@ -253,6 +299,10 @@ class TestStandardErrors:
                               warnings_out=warnings_out)
         np.testing.assert_allclose(got, want, rtol=1e-6)
         assert warnings_out == []
+
+
+# data below the normal float range, whose rates pass the largest float
+SUBNORMAL = 1e-315 * (1.0 + np.random.default_rng(0).random(20))
 
 
 def _resample(seed):
@@ -340,9 +390,13 @@ class TestShapeEquations:
 
     @pytest.mark.parametrize("alias, name, data", [
         # two nearly equal observations near 1e-294, whose gamma rate
-        # a / mean(x) passes the largest float, and subnormal data
+        # a / mean(x) passes the largest float, and subnormal data, plain
+        # and equal
         ("m1", "rho", 1e-297 * (1000.0 + np.random.default_rng(2).random(2) * 1e-3)),
-        ("m6", "rate", 1e-315 * (1.0 + np.random.default_rng(0).random(20))),
+        ("m6", "rate", SUBNORMAL),
+        ("m1", "rho", SUBNORMAL),
+        ("m2", "lambda", SUBNORMAL),
+        ("m2", "lambda", [1e-315] * 3),
     ])
     def test_rate_past_the_float_range_is_named(self, alias, name, data):
         with warnings.catch_warnings():
@@ -527,6 +581,20 @@ class TestProfileLikelihood:
         assert proc.stdout == (
             "False\nalpha passes 1e+09 at every scanned lambda where beta is a float; "
             "theta is reported at alpha = 1e+06\n")
+
+    def test_subnormal_data_are_solved_at_a_float_scale(self):
+        # lambda ~ 1/x is past the float range; alpha and beta are
+        # scale-free, so they are those of the data moved into [1/2, 1)
+        # by a power of two, where the profile is solved
+        shift = -math.frexp(float(np.max(SUBNORMAL)))[1]
+        theta, steps, note, advisory = models._oe_exact_mle(SUBNORMAL)
+        scaled = models._oe_exact_mle(np.ldexp(SUBNORMAL, shift))
+        assert tuple(theta[:2]) == tuple(scaled[0][:2]) and steps == scaled[1]
+        assert theta[2] == np.finfo(float).max
+        assert note == (f"lambda = exp({math.log(scaled[0][2]) + shift * math.log(2.0):.6g}) "
+                        "lies past the float range; theta is reported at lambda = 1.79769e+308")
+        gap = scaled[3].rsplit(", ", 1)[1]  # "0.0496 above this interior ..."
+        assert advisory.endswith(gap)
 
     def test_data_near_the_float_floor_leak_no_warning(self):
         # the scan grid of log lambda stops at the float range: data with

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oddsgamma import DataError, gof_report, info_criteria
+from oddsgamma import DataError, get_model, gof_report, info_criteria, mle_fit
 from oddsgamma.expgamma import OEGammaDist
 from oddsgamma.gof import GofReport, anderson_darling, cramer_von_mises
 
@@ -158,12 +158,27 @@ class TestGofReport:
         aic, aicc, bic, hqic = info_criteria(res.loglik, rep.k, rep.n)
         assert (rep.aic, rep.aicc, rep.bic, rep.hqic) == (aic, aicc, bic, hqic)
 
+    @pytest.mark.parametrize("alias", ["m1", "m2", "m6"])
+    def test_edf_statistics_are_the_public_functions(self, flood_values, alias):
+        # gof_report standardizes the PIT values once for both statistics;
+        # each must keep the bits of its public function, on the flood
+        # data and on 20 seeded resamples of the m2 fit
+        model = get_model(alias)
+        samples = [flood_values] + [
+            OEGammaDist(0.131, 0.179, 0.539).sample(72, np.random.default_rng(seed))
+            for seed in range(20)]
+        for x in samples:
+            res = mle_fit(model, x)
+            rep = gof_report(model, x, res.theta_hat, res.loglik)
+            u = model.cdf(np.sort(x), np.array(res.theta_hat))
+            assert rep.a_squared == anderson_darling(u, modified=True)
+            assert rep.w_squared == cramer_von_mises(u, modified=True)
+
     def test_reported_k_is_model_k(self, fits):
         assert fits["m1"][1].k == 3  # displayed parameters, not optimized ones
         assert fits["m6"][1].k == 2
 
     def test_empty_data_rejected(self, fits):
-        from oddsgamma import get_model
         with pytest.raises(DataError, match="gof_report requires at least one"):
             gof_report(get_model("m2"), np.array([]), (1.0, 1.0, 1.0), -1.0)
 

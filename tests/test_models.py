@@ -30,6 +30,7 @@ from oddsgamma import gof as gof_module
 from oddsgamma.expgamma import OEGammaDist
 from oddsgamma.family import GammaRatioDist
 from oddsgamma.base import make_exponential
+from oddsgamma import models
 from oddsgamma.models import (
     FittableModel,
     MODEL_ALIASES,
@@ -37,6 +38,7 @@ from oddsgamma.models import (
     weibull_model,
     zb_gamma_exp_model,
 )
+from oddsgamma.specfun import _log_minus_digamma
 
 
 class TestRegistry:
@@ -206,6 +208,29 @@ class TestProposedModel:
         a0, b0, lam0 = oe_gamma_model().initial_guess(flood_values)
         assert (a0, b0) == (0.5, 1.0)
         assert lam0 == pytest.approx(1.0 / np.median(flood_values), rel=1e-12)
+
+
+class TestScalarSolves:
+    """The fits solve one shape, and profile one lambda, at a time: a
+    scalar comes back as numpy scalars with the bits of a one-entry
+    array."""
+
+    @pytest.mark.parametrize("a", [1e-300, 0.01, 0.5, 9.999, 10.0, 1e8, np.nan])
+    def test_gamma_shape_scalar_is_its_array_entry(self, a):
+        s = float(_log_minus_digamma(a))
+        got, steps, solved = models._gamma_shape(s)
+        entry, array_steps, array_solved = models._gamma_shape(np.array([s]))
+        assert type(got) is np.float64
+        assert got.tobytes() == entry[0].tobytes()
+        assert (steps, solved) == (array_steps, array_solved)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.5389212676467791, 3.0, 50.0])
+    def test_oe_profile_scalar_is_its_array_entry(self, flood_values, lam):
+        got = models._oe_profile(flood_values, lam)
+        entries = models._oe_profile(flood_values, np.array([lam]))
+        for value, entry in zip(got, entries):
+            assert np.ndim(value) == 0 and entry.shape == (1,)
+            assert np.float64(value).tobytes() == entry[0].tobytes()
 
 
 class TestSurvival:

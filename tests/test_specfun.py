@@ -82,6 +82,22 @@ class TestLogMinusDigamma:
         np.testing.assert_array_equal(_sq_trigamma(a), [_sq_trigamma(v) for v in a])
 
 
+class TestScalarArguments:
+    # the fits call both helpers on one shape at a time; a scalar comes
+    # back as a numpy scalar with the bits of its entry in an array, here
+    # one that straddles the switch to the series at a = 10
+    POINTS = (1e-300, 0.01, 0.5, 9.999, 10.0, 1e8, math.nan)
+
+    @pytest.mark.parametrize("f", [_log_minus_digamma, _sq_trigamma])
+    def test_scalar_is_its_array_entry(self, f):
+        entries = f(np.array(self.POINTS))
+        for a, entry in zip(self.POINTS, entries):
+            got = f(a)
+            assert type(got) is np.float64, a
+            assert got.tobytes() == entry.tobytes(), a
+            assert f(np.array(a)).tobytes() == entry.tobytes(), a
+
+
 class TestSqTrigamma:
     # a^2 psi'(a) from mpmath at 60 digits; past a ~ 1.3e154 the form
     # 1 + a * a * psi'(a + 1) overflows in a * a
