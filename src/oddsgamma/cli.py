@@ -40,16 +40,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the largest 10-digit value inside the float range: 10 digits of a
+# float above it round to 1.797693135e+308, which parses as inf
+_EDGE10 = 1.797693134e308
+
+
+def _digits10(f):
+    """A finite f to 10 significant digits, toward zero past _EDGE10."""
+    return f"{f:.10g}" if abs(f) <= _EDGE10 else f"{math.copysign(_EDGE10, f):.10g}"
+
+
 def _round10(v):
     f = float(v)
     if not math.isfinite(f):
         return None
-    return float(f"{f:.10g}")
+    return float(_digits10(f))
 
 
 def _fmt10(v):
     f = float(v)
-    return f"{f:.10g}" if math.isfinite(f) else "nan"
+    return _digits10(f) if math.isfinite(f) else "nan"
 
 
 def _build_parser():

@@ -779,7 +779,7 @@ class GammaRatioDist:
 
     # ---------------- formal series evaluators ----------------
 
-    def _tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom):
+    def _tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom, memo=None):
         """One k-shell of a tau-based double sum.
 
         Terms are (-1)^(k+j) exp(log_pref) C(s_binom, j) tau(m, eta,
@@ -791,16 +791,34 @@ class GammaRatioDist:
         the shell aborts at j = 0 without integrating a block. Both
         series' r grows with j, so column 0 is the most singular one, and
         that is where their shells abort.
+
+        memo maps an exact float r to its column's (tau, verdict) at this
+        (m, eta); the probe and each block integrate, in one tau call,
+        only the r they lack. A column's tau does not depend on the
+        columns integrated with it, so a memoised column is the one a
+        fresh block would give. A series passes one memo to all its
+        shells; None gives the shell its own.
         """
+        memo = {} if memo is None else memo
+
+        def columns(r_block):
+            keys = r_block.tolist()
+            missing = [key for key in keys if key not in memo]
+            if missing:
+                errors = []
+                values = self.tau(m, eta, np.array(missing), errors_out=errors)
+                memo.update(zip(missing, zip(values.tolist(), errors)))
+            tau, errors = zip(*(memo[key] for key in keys))
+            return np.array(tau), errors
+
         r = r_of_j(np.arange(float(ctrl.j_max)))
-        errors = []
-        if np.isnan(self.tau(m, eta, r[:1], errors_out=errors)[0]):
+        tau, errors = columns(r[:1])
+        if np.isnan(tau[0]):
             return 0.0, 1, False, _tau_note(k, 0, m, eta, r[0], errors[0])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
-            errors = []
-            tau = self.tau(m, eta, r[start:start + _TAU_BLOCK], errors_out=errors)
+            tau, errors = columns(r[start:start + _TAU_BLOCK])
             bad = np.flatnonzero(np.isnan(tau))
             good = bad[0] if bad.size else tau.size
             with np.errstate(over="ignore", invalid="ignore"):
@@ -820,15 +838,21 @@ class GammaRatioDist:
         Mirrors the tau-based expansion term for term; the quadrature
         path is authoritative. converged=False results carry a
         diagnostic (shell growth, non-integrable tau, or truncation).
+        Shell k's column j takes tau at r = (j - k) - (alpha + 1), formed
+        from the integer offset j - k so that shell k + 1's column j + 1
+        is shell k's column j bit for bit; the shells share one tau
+        memo, so each r is integrated once per evaluation.
         """
         m = _validate_order(m, "moment_series")
         ctrl = ctrl or DEFAULT_CONTROL
         a, b = self.alpha, self.beta
+        memo = {}
 
         def inner(k):
             log_pref = (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a)
             return self._tau_inner(
-                k, ctrl, m, 0.0, lambda j: j - a - k - 1.0, log_pref, a + k - 1.0
+                k, ctrl, m, 0.0, lambda j: (j - k) - (a + 1.0), log_pref, a + k - 1.0,
+                memo=memo,
             )
 
         return _sum_shells(inner, ctrl)
@@ -915,11 +939,15 @@ class GammaRatioDist:
         """Formal expansion of the order-eta entropy via tau functionals.
 
         The result's value is the transformed entropy log(S)/(1 - eta),
-        nan when the inner sum is not a positive finite number.
+        nan when the inner sum is not a positive finite number. Shell
+        k's column j takes tau at r = (j - k) - eta (alpha + 1), formed
+        from the integer offset j - k, and the shells share one tau
+        memo, as in moment_series.
         """
         eta = _validate_renyi_order(eta, "renyi_series")
         ctrl = ctrl or DEFAULT_CONTROL
         a, b = self.alpha, self.beta
+        memo = {}
 
         def inner(k):
             log_pref = (
@@ -929,8 +957,8 @@ class GammaRatioDist:
                 - eta * log_gamma(a)
             )
             return self._tau_inner(
-                k, ctrl, 0, eta - 1.0, lambda j: j - eta * (a + 1.0) - k,
-                log_pref, eta * (a - 1.0) + k,
+                k, ctrl, 0, eta - 1.0, lambda j: (j - k) - eta * (a + 1.0),
+                log_pref, eta * (a - 1.0) + k, memo=memo,
             )
 
         return _renyi_result(_sum_shells(inner, ctrl), eta)

@@ -22,10 +22,12 @@ from scipy import special
 
 import oddsgamma
 from oddsgamma import fit
-from oddsgamma.cli import main
+from oddsgamma.cli import _fmt10, _round10, main
 from oddsgamma.expgamma import OEGammaDist
 
 M2 = "0.131,0.179,0.539"
+# tests/test_fit.py's SUBNORMAL: m6 reports its rate at the float edge
+SUBNORMAL = 1e-315 * (1.0 + np.random.default_rng(0).random(20))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # child interpreters import the oddsgamma these tests import, also when
 # pytest put it on sys.path itself (pyproject's pythonpath = ["src"])
@@ -142,6 +144,53 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", "--model", ",")
         assert code == 64
         assert "at least one model" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestFloatEdge:
+    """Ten digits of a float near the top of the range can round to
+    1.797693135e+308, which parses as inf; the output prints the nearest
+    ten-digit value toward zero instead."""
+
+    EDGE = "1.797693134e+308"
+
+    @pytest.fixture
+    def csv(self, tmp_path):
+        p = tmp_path / "subnormal.csv"
+        p.write_text("".join(f"{v}\n" for v in SUBNORMAL.tolist()))
+        return str(p)
+
+    @pytest.mark.parametrize("v, text", [
+        (sys.float_info.max, EDGE),
+        (-sys.float_info.max, "-" + EDGE),
+        (1.7976931345e308, EDGE),
+        (1.797693134e308, EDGE),
+        (1.7976931334e308, "1.797693133e+308"),
+    ])
+    def test_ten_digits_stay_finite(self, v, text):
+        assert _fmt10(v) == text
+        assert _round10(v) == float(text)
+
+    def test_fit(self, capsys, csv):
+        code, out, _ = run_cli(capsys, "fit", "--model", "m6", "--data", csv)
+        assert code == 2
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["params"]["rate"] == float(self.EDGE)
+        _, out, _ = run_cli(capsys, "fit", "--model", "m6", "--data", csv, "--format", "tsv")
+        assert f"param.rate\t{self.EDGE}\n" in out
+
+    def test_compare(self, capsys, csv):
+        code, out, _ = run_cli(capsys, "compare", "--data", csv)
+        assert code == 2
+        doc = json.loads(out, parse_constant=_reject_constant)
+        [row] = [r for r in doc["models"] if r["model"] == "weibull"]
+        assert row["params"]["rate"] == float(self.EDGE)
+        _, out, _ = run_cli(capsys, "compare", "--data", csv, "--format", "tsv")
+        [row] = [ln.split("\t") for ln in out.splitlines() if ln.startswith("weibull\t")]
+        assert row[-2].endswith(f";rate={self.EDGE}")
 
 
 class TestCurves:
@@ -432,7 +481,7 @@ import contextlib, io, json, sys
 import oddsgamma
 report = {"import": "scipy.optimize" in sys.modules,
           "import_integrate": "scipy.integrate" in sys.modules}
-from oddsgamma.cli import main
+from oddsgamma.cli import _fmt10, _round10, main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)

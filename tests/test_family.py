@@ -1039,10 +1039,30 @@ class TestSeriesWork:
         assert 0 < n <= 2 * quadrature.tanh_sinh_levels(0).size
 
     def test_series_op_value_count(self, runs):
-        # measured 236,082 values at this point; bound 10% above. The
-        # adaptive Gauss-Legendre engine before took 921,975.
+        # measured 156,898 values in 8 tanh_sinh runs at this point; bound
+        # 10% above. Before the shells shared their tau columns it took
+        # 236,082 in 9 runs, and the adaptive Gauss-Legendre engine
+        # before that 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
-        assert sum(math.prod(shape) for shapes in runs for shape in shapes) <= 259_690
+        assert sum(math.prod(shape) for shapes in runs for shape in shapes) <= 172_588
+        assert len(runs) <= 8
+
+    @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
+    def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
+        # shell 1's columns j >= 1 are shell 0's columns j - 1
+        shell_runs = {}
+        tau_inner = GammaRatioDist._tau_inner
+
+        def spy(self, k, *args, **kwargs):
+            start = len(runs)
+            out = tau_inner(self, k, *args, **kwargs)
+            shell_runs[k] = runs[start:]
+            return out
+
+        monkeypatch.setattr(GammaRatioDist, "_tau_inner", spy)
+        assert dist(*prm).moment_series(2).terms_used == (2, 200)
+        assert shell_runs[1]
+        assert all(columns == 1 for shapes in shell_runs[1] for _, columns in shapes)
 
     def test_series_op_maps_each_level_through_the_base_once(self, runs):
         # every tau of the op, the j = 0 probes included, reads the
@@ -1064,6 +1084,69 @@ class TestSeriesWork:
         levels = [quadrature.tanh_sinh_levels(level).size for level in sorted(d._base_abscissae)]
         assert len(levels) == 3
         assert calls == {"quantile": levels, "isf": levels}
+
+
+# 7 x 4 x 3 points over alpha 0.1-6, beta 0.05-5, lambda 0.5-2
+SERIES_GRID = [
+    (a, b, lam)
+    for a in (0.1, 0.25, 0.5, 1.0, 1.5, 3.0, 6.0)
+    for b in (0.05, 0.3, 1.0, 5.0)
+    for lam in (0.5, 1.0, 2.0)
+]
+
+
+class TestSharedTauColumns:
+    """The shells of one series evaluation share a memo of tau columns.
+    Each column settles alone in tanh_sinh, so a memoised column is the
+    one a fresh block would integrate, bit for bit."""
+
+    @staticmethod
+    def _shells(d):
+        # (k, m, eta, r_of_j, log_pref, s_binom) of moment_series(2)'s
+        # shells 0 and 1 and of renyi_series(2)'s shell 0
+        a, b = d.alpha, d.beta
+
+        def moment(k):
+            log_pref = (a + k) * math.log(b) - math.lgamma(k + 1.0) - math.lgamma(a)
+            return k, 2, 0.0, lambda j: (j - k) - (a + 1.0), log_pref, a + k - 1.0
+
+        renyi = (0, 0, 1.0, lambda j: j - 2.0 * (a + 1.0),
+                 2.0 * a * math.log(b) - 2.0 * math.lgamma(a), 2.0 * (a - 1.0))
+        return moment(0), moment(1), renyi
+
+    @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
+    def test_prefilled_memo_gives_the_fresh_shell(self, prm):
+        d = dist(*prm)
+        ctrl = DEFAULT_CONTROL
+        (k0, *shell0), (k1, *shell1), (kr, *renyi) = self._shells(d)
+        # moment_series(2)'s shell 1 after shell 0 filled the memo
+        memo = {}
+        d._tau_inner(k0, ctrl, *shell0, memo=memo)
+        assert len(memo) == ctrl.j_max
+        assert d._tau_inner(k1, ctrl, *shell1, memo=memo) == d._tau_inner(k1, ctrl, *shell1)
+        # renyi_series(2)'s shell 0 with every column integrated in one tau
+        m, eta, r_of_j = renyi[:3]
+        r = r_of_j(np.arange(float(ctrl.j_max)))
+        errors = []
+        values = d.tau(m, eta, r, errors_out=errors)
+        memo = dict(zip(r.tolist(), zip(values.tolist(), errors)))
+        assert d._tau_inner(kr, ctrl, *renyi, memo=memo) == d._tau_inner(kr, ctrl, *renyi)
+        assert len(memo) == ctrl.j_max
+
+    def test_grid_results_equal_unshared_shells(self, monkeypatch):
+        shared = {prm: _series_op(dist(*prm)) for prm in SERIES_GRID}
+        tau_inner = GammaRatioDist._tau_inner
+
+        def unshared(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom, memo=None):
+            return tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom)
+
+        monkeypatch.setattr(GammaRatioDist, "_tau_inner", unshared)
+        for prm, results in shared.items():
+            for got, want in zip(results, _series_op(dist(*prm))):
+                assert (got.converged, got.terms_used, got.diagnostic) == (
+                    want.converged, want.terms_used, want.diagnostic), prm
+                assert got.value == want.value or math.isnan(got.value) and math.isnan(
+                    want.value), prm
 
 
 class TestInnerTruncation:
