@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .base import BaseDistribution, make_exponential
 from .data import _positive_observations
@@ -40,7 +39,7 @@ from .family import (
     _validate_order,
     _validate_renyi_order,
 )
-from .specfun import _sq_trigamma, digamma, log_gamma
+from .specfun import _sq_trigamma, digamma, log_gamma, special
 
 __all__ = ["OEGammaDist", "oe_loglik_and_score"]
 

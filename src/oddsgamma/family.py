@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
@@ -28,6 +27,7 @@ from .specfun import (
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
     log_gamma,
+    special,
 )
 
 __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]

@@ -37,19 +37,13 @@ import numpy as np
 
 from .data import _positive_observations
 from .errors import FitError
+from .specfun import _Deferred
 
 __all__ = ["FitResult", "mle_fit", "negative_log_lik", "standard_errors"]
 
 
 # Nothing in the library calls this; perfbench/tracing.py patches fit.optimize.minimize.
-class _LazyOptimize:
-    def __getattr__(self, name):
-        from scipy import optimize as module
-
-        return getattr(module, name)
-
-
-optimize = _LazyOptimize()
+optimize = _Deferred("scipy.optimize")
 
 
 _MAX_ITERATIONS = 500  # Newton iterations

@@ -16,10 +16,10 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import _positive_observations
 from .errors import DataError
+from .specfun import special
 
 __all__ = [
     "GofReport",

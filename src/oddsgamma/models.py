@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .expgamma import _LN2, OEGammaDist, _log1mexp, _oe_loglik_and_score
-from .specfun import _log_minus_digamma, _sq_trigamma
+from .specfun import _log_minus_digamma, _sq_trigamma, special
 
 __all__ = [
     "FittableModel",
@@ -151,9 +150,11 @@ def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
         slope = np.minimum(a - _sq_trigamma(a), -0.5)
         a, prev = 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / slope), a
         moved = np.abs(a - prev) > tol * a  # false for nan
-        if not moved.any():
+        # a 0-d moved by truthiness: .any() on a numpy scalar costs about 2.5 us
+        moved = moved.any() if moved.ndim else moved
+        if not moved:
             break
-    return a, step, not moved.any()
+    return a, step, not moved
 
 
 def _log_offsets(x):

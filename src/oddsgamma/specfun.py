@@ -29,12 +29,20 @@ quantiles, which validate their arguments themselves.
 A root below double range comes back as 0 or a subnormal number. The
 callers that need such roots take them in log space instead (see
 GammaRatioDist._x_of_levels).
+
+scipy.special is loaded on first use, through one handle: `special`
+below, which family, expgamma, models and gof import from here. Its
+import costs about half a second, and `import oddsgamma` and the
+sample command never need it. The handle imports the module at its
+first attribute lookup and keeps each name it has looked up, so a
+later lookup is an instance attribute. fit's `optimize` is the same
+kind of handle on scipy.optimize, which no command loads.
 """
 
+import importlib
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "log_gamma",
@@ -44,6 +52,22 @@ __all__ = [
     "inv_reg_upper_gamma",
     "inv_reg_lower_gamma",
 ]
+
+
+class _Deferred:
+    """A module imported at the first attribute lookup; each name looked
+    up is kept on the handle, where it can also be patched."""
+
+    def __init__(self, module_name):
+        self._module_name = module_name
+
+    def __getattr__(self, name):
+        value = getattr(importlib.import_module(self._module_name), name)
+        setattr(self, name, value)
+        return value
+
+
+special = _Deferred("scipy.special")
 
 
 def log_gamma(a):
@@ -71,7 +95,8 @@ def _log_minus_digamma(a):
     through k = 7, whose next term is below 1e-15 of the sum there."""
     a = np.asarray(a, dtype=float)[()]
     small = a < 10.0
-    if small.all():  # false for nan
+    # a 0-d small by truthiness: .all() on a numpy scalar costs about 2.5 us
+    if small.all() if small.ndim else small:  # false for nan
         return np.log(a) - special.psi(a)
     near = np.where(small, a, 1.0)
     far = np.where(small, 10.0, a)
@@ -142,8 +167,14 @@ def inv_reg_lower_gamma(a, s):
     return float(special.gammaincinv(a, s))
 
 
-_inv_reg_upper_gamma_vec = special.gammainccinv
-_inv_reg_lower_gamma_vec = special.gammaincinv
+def _inv_reg_upper_gamma_vec(a, p):
+    """inv_reg_upper_gamma elementwise, unvalidated."""
+    return special.gammainccinv(a, p)
+
+
+def _inv_reg_lower_gamma_vec(a, s):
+    """inv_reg_lower_gamma elementwise, unvalidated."""
+    return special.gammaincinv(a, s)
 
 
 # scipy's gammaincc takes one of its two power series at 0 < x <= 1.1
@@ -153,8 +184,24 @@ _SERIES_MAX_X = 1.1
 _IGAMC_MAX_A = _SERIES_MAX_X * _SERIES_MAX_X
 _EULER = 0.5772156649015329
 _MACHEP = 2.0 ** -53
-# zeta(n) for n = 2..41, the Taylor coefficients of ln Gamma(1+t) times n
-_ZETA = tuple(float(z) for z in special.zeta(np.arange(2.0, 42.0)))
+# zeta(n) for n = 2..41, the Taylor coefficients of ln Gamma(1+t) times n,
+# each correctly rounded (special.zeta's values, and 40-digit mpmath's)
+_ZETA = (
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+    1.03692775514337, 1.0173430619844492, 1.008349277381923,
+    1.0040773561979444, 1.0020083928260821, 1.000994575127818,
+    1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+    1.0000612481350588, 1.000030588236307, 1.0000152822594086,
+    1.0000076371976379, 1.000003817293265, 1.0000019082127165,
+    1.0000009539620338, 1.0000004769329869, 1.0000002384505027,
+    1.000000119219926, 1.000000059608189, 1.0000000298035034,
+    1.0000000149015549, 1.0000000074507118, 1.000000003725334,
+    1.0000000018626598, 1.0000000009313275, 1.0000000004656628,
+    1.000000000232831, 1.0000000001164155, 1.0000000000582077,
+    1.0000000000291038, 1.000000000014552, 1.000000000007276,
+    1.000000000003638, 1.000000000001819, 1.0000000000009095,
+    1.0000000000004547,
+)
 # With fewer points than this the igam_series branch goes to scipy,
 # whose per-point cost is then below the fixed cost of the numpy
 # series' calls: on a 2-core x86 VM the two broke even at 512 to 1024

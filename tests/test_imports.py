@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and none
+imports scipy when it is itself imported.
 
 Each module under src/oddsgamma is parsed with the standard library's
 ast; every name an import statement binds must appear as a name in the
-module's code, or be re-exported through its __all__.
+module's code, or be re-exported through its __all__. scipy is loaded
+on first use, through specfun's handles, so no import statement that
+runs at module import (outside a function body) names scipy.
 """
 
 import ast
@@ -63,3 +66,40 @@ def test_detects_an_unused_import():
     )
     kept = _used_names(tree) | _exported_names(tree)
     assert {n for n in _imported_names(tree) if n not in kept} == {"PI"}
+
+
+def _import_time_scipy_imports(tree):
+    """The lines of import statements naming scipy that run when the
+    module is imported: every one outside a function body."""
+    lines, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import_at_module_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _import_time_scipy_imports(tree)
+    assert not lines, f"{path.name} imports scipy at module import, lines {lines}"
+
+
+def test_detects_a_module_level_scipy_import():
+    tree = ast.parse(
+        "import numpy\nfrom scipy import special\n"
+        "if True:\n    import scipy.optimize as opt\n"
+        "class C:\n    from scipy.integrate import quad\n"
+        "def f():\n    from scipy import stats\n"
+    )
+    assert _import_time_scipy_imports(tree) == [2, 4, 6]

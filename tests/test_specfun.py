@@ -266,6 +266,34 @@ def scipy_inputs(monkeypatch):
     return seen
 
 
+class TestDeferredSpecial:
+    """scipy.special is one handle, imported at its first lookup; a name
+    patched on it is seen by every module that calls scipy.special."""
+
+    def test_one_handle(self):
+        from oddsgamma import expgamma, family, gof, models
+
+        for module in (expgamma, family, gof, models):
+            assert module.special is specfun.special, module.__name__
+
+    def test_lookup_is_the_module_attribute(self):
+        assert specfun.special.gammaincc is sp.gammaincc
+        assert "gammaincc" in vars(specfun.special)
+
+    def test_fit_optimize_is_the_same_kind_of_handle(self):
+        from oddsgamma import fit
+        import scipy.optimize
+
+        assert type(fit.optimize) is type(specfun.special)
+        assert fit.optimize.minimize is scipy.optimize.minimize
+
+    def test_patch_reaches_other_modules(self, scipy_inputs):
+        from oddsgamma import get_model
+
+        get_model("m1").sf(np.array([500.0, 5000.0]), (0.8, 0.05))
+        assert [x.tolist() for x in scipy_inputs] == [[25.0, 250.0]]
+
+
 def _series_points(seen):
     x = np.concatenate(seen) if seen else np.empty(0)
     return x[(x > 0.0) & (x <= 1.1)]
@@ -379,6 +407,18 @@ class TestUpperGammaKernel:
         ref = LGAM1P[1e-08]
         assert _lgam1p(1e-8) == pytest.approx(ref, rel=1e-15)
         assert abs(sp.gammaln(1.0 + 1e-8) - ref) > 1e-9 * abs(ref)
+
+    def test_zeta_literals_are_scipys(self):
+        # _ZETA[n - 2] = zeta(n), the Taylor coefficients behind _lgam1p
+        n = np.arange(2.0, 42.0)
+        assert len(specfun._ZETA) == n.size
+        assert np.array_equal(specfun._ZETA, sp.zeta(n))
+
+    def test_zeta_literals_are_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n, zeta_n in enumerate(specfun._ZETA, start=2):
+                assert zeta_n == float(mpmath.zeta(n)), n
 
 # deep-tail grid: flat regions are where an absolute residual criterion lies
 TAIL_SHAPES = [0.05, 0.131, 0.5, 1.0, 2.0, 7.3, 50.0]
