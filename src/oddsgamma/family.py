@@ -8,7 +8,11 @@ computed by a tanh-sinh rule on the quantile map, whose nodes are
 inverted once per distribution, with divergence detection. The family's
 double-series expansions are exposed as formal evaluators that report
 their own convergence honestly; quadrature is authoritative whenever
-the two disagree.
+the two disagree. The mgf and cf series, sums over orders m of
+t^m/m! times the order-m moment expansion, are formal at every
+parameter: their order-0 component needs tau(0, 0, -(alpha + 1)), the
+integral of u^-(alpha+1) over (0, 1), which diverges for every base and
+every alpha > 0.
 """
 
 import math
@@ -23,6 +27,7 @@ from .quadrature import tanh_sinh, tanh_sinh_levels
 from .specfun import (
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
+    _reg_lower_gamma_vec,
     _reg_upper_gamma_vec,
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
@@ -441,7 +446,7 @@ class GammaRatioDist:
         x_arr, scalar = _as_float_array(x)
         w = np.asarray(self.odds(x_arr), dtype=float)
         with np.errstate(over="ignore", under="ignore"):
-            val = special.gammainc(self.alpha, self.beta * w)
+            val = _reg_lower_gamma_vec(self.alpha, self.beta * w)
         return _restore(val, scalar)
 
     def hazard(self, x):
@@ -882,58 +887,30 @@ class GammaRatioDist:
         return SeriesResult(value, used, True, "")
 
     def mgf_series(self, t, ctrl=None):
-        """Formal triple-sum mgf: sum over orders of t^m/m! times the
-        moment expansion. Inherits every component's honesty flags."""
+        """Formal triple-sum mgf: sum over orders m of t^m/m! times the
+        moment expansion. Formal at every parameter: the order-0
+        component's (k = 0, j = 0) term needs tau(0, 0, -(alpha + 1)),
+        the integral of u^-(alpha+1) over (0, 1), which diverges for
+        every base and every alpha > 0, so the result is that
+        component's failure, with a nan value."""
         t = float(t)
         ctrl = ctrl or DEFAULT_CONTROL
         self._check_mgf_domain(t)
-        return self._exp_series(t, ctrl, complex_arg=False)
+        return self._exp_series(ctrl)
 
     def cf_series(self, t, ctrl=None):
-        """Formal triple-sum characteristic function; value is complex."""
-        return self._exp_series(float(t), ctrl or DEFAULT_CONTROL, complex_arg=True)
+        """Formal triple-sum characteristic function, formal at every
+        parameter for the reason mgf_series gives: the order-0
+        component fails, and the value is nan."""
+        float(t)  # a t that is not a real number raises, as in mgf_series
+        return self._exp_series(ctrl or DEFAULT_CONTROL)
 
-    def _exp_series(self, t, ctrl, complex_arg):
-        factor = 1j * t if complex_arg else t
-        total = 0.0j if complex_arg else 0.0
-        fac = 1.0 + 0.0j if complex_arg else 1.0  # factor^m / m!
-        k_used = 0
-        j_used = 0
-        small_run = 0
-        components_ok = True
-        first_bad = ""
-        m_used = 0
-        for m in range(171):
-            if m > 0:
-                fac *= factor / m
-            part = self.moment_series(m, ctrl)
-            if math.isnan(part.value):
-                return SeriesResult(
-                    math.nan, (part.terms_used[0], part.terms_used[1]), False,
-                    f"order-{m} component failed: {part.diagnostic}",
-                )
-            if not part.converged and components_ok:
-                components_ok = False
-                first_bad = f"order-{m} component: {part.diagnostic}"
-            term = fac * part.value
-            total += term
-            m_used = m + 1
-            k_used = max(k_used, part.terms_used[0])
-            j_used = max(j_used, part.terms_used[1])
-            if abs(term) <= ctrl.tail_tol * max(abs(total), _TINY):
-                small_run += 1
-                if small_run >= 3 and m >= 1:
-                    break
-            else:
-                small_run = 0
-        else:
-            return SeriesResult(
-                total, (k_used, j_used), False,
-                f"exponential series cap reached after {m_used} orders",
-            )
-        if not components_ok:
-            return SeriesResult(total, (k_used, j_used), False, first_bad)
-        return SeriesResult(total, (k_used, j_used), True, "")
+    def _exp_series(self, ctrl):
+        """The order-0 verdict that ends every order sum of the mgf/cf."""
+        part = self.moment_series(0, ctrl)
+        return SeriesResult(
+            math.nan, part.terms_used, False, f"order-0 component failed: {part.diagnostic}"
+        )
 
     def renyi_series(self, eta, ctrl=None):
         """Formal expansion of the order-eta entropy via tau functionals.

@@ -14,7 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expgamma import _LN2, OEGammaDist, _log1mexp, _oe_loglik_and_score
-from .specfun import _log_minus_digamma, _sq_trigamma, special
+from .specfun import (
+    _log_minus_digamma,
+    _reg_lower_gamma_vec,
+    _reg_upper_gamma_vec,
+    _sq_trigamma,
+    special,
+)
 
 __all__ = [
     "FittableModel",
@@ -427,14 +433,14 @@ def _zb_cdf(x, theta):
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
         # np.maximum keeps nan, and x <= 0 is false for it: nan gives nan
-        return np.where(x <= 0.0, 0.0, special.gammainc(a, rho * np.maximum(x, 0.0)))
+        return np.where(x <= 0.0, 0.0, _reg_lower_gamma_vec(a, rho * np.maximum(x, 0.0)))
 
 
 def _zb_sf(x, theta):
     a, rho = float(theta[0]), float(theta[1])
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
-        return np.where(x <= 0.0, 1.0, special.gammaincc(a, rho * np.maximum(x, 0.0)))
+        return np.where(x <= 0.0, 1.0, _reg_upper_gamma_vec(a, rho * np.maximum(x, 0.0)))
 
 
 def _zb_initial_guess(x):

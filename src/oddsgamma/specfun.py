@@ -3,8 +3,13 @@ gamma shape equation, the trigamma term of the fitted models' Hessians,
 the regularized incomplete gamma pair and its inverses.
 
 These are the innermost kernels of the package, on scipy.special with
-one exception. Q(a, x), behind the family's cdf and reg_upper_gamma,
-is _reg_upper_gamma_vec, which keeps scipy's gammaincc algorithm
+one exception. This is the only module that calls scipy's incomplete
+gamma (gammainc and gammaincc): GammaRatioDist's cdf and sf, the m1
+gamma model's cdf and sf, and reg_upper_gamma/reg_lower_gamma take Q
+and P from _reg_upper_gamma_vec and _reg_lower_gamma_vec here, so a new
+kernel for either is a change to this module alone.
+
+Q(a, x) is _reg_upper_gamma_vec, which keeps scipy's gammaincc algorithm
 (DiDonato & Morris, ACM TOMS 12, 1986) and its branch rule but
 evaluates both of its power series, the ones it takes at 0 < x <= 1.1,
 in numpy: igamc_series (DLMF 8.7.3, Q directly) and 1 - igam_series
@@ -138,7 +143,7 @@ def reg_lower_gamma(a, x):
         raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
     if not x >= 0.0:
         raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
-    return float(special.gammainc(a, x))
+    return float(_reg_lower_gamma_vec(a, x))
 
 
 def inv_reg_upper_gamma(a, p):
@@ -165,6 +170,11 @@ def inv_reg_lower_gamma(a, s):
     if not (0.0 <= s < 1.0):
         raise ValueError(f"inv_reg_lower_gamma requires 0 <= s < 1, got {s}")
     return float(special.gammaincinv(a, s))
+
+
+def _reg_lower_gamma_vec(a, x):
+    """reg_lower_gamma elementwise, unvalidated."""
+    return special.gammainc(a, x)
 
 
 def _inv_reg_upper_gamma_vec(a, p):

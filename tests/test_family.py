@@ -323,6 +323,21 @@ class TestSampling:
         assert stat.pvalue > 0.01, prm
 
 
+def logistic_base():
+    """Standard logistic base, G1 = expit, whose support is the real line."""
+    return BaseDistribution(
+        name="logistic",
+        cdf=special.expit,
+        pdf=lambda x: special.expit(x) * special.expit(-x),
+        log_pdf=lambda x: -np.logaddexp(0.0, x) - np.logaddexp(0.0, -x),
+        quantile=special.logit,
+        support=(-math.inf, math.inf),
+        params=(),
+        sf=lambda x: special.expit(-np.asarray(x, dtype=float)),
+        isf=lambda s: -special.logit(s),
+    )
+
+
 class TestTau:
     def test_total_probability(self):
         assert dist(1.0, 1.0, 1.0).tau(0, 0, 0.0) == pytest.approx(1.0, rel=1e-10)
@@ -343,20 +358,9 @@ class TestTau:
             dist(1.0, 1.0, 1.0).tau(1, 0, -2.131)
 
     def test_support_below_zero_keeps_the_sign(self):
-        # standard logistic base: x = logit(u), so tau(m, 0, r) is the
-        # integral of logit(u)^m u^r over (0, 1)
-        base = BaseDistribution(
-            name="logistic",
-            cdf=special.expit,
-            pdf=lambda x: special.expit(x) * special.expit(-x),
-            log_pdf=lambda x: -np.logaddexp(0.0, x) - np.logaddexp(0.0, -x),
-            quantile=special.logit,
-            support=(-math.inf, math.inf),
-            params=(),
-            sf=lambda x: special.expit(-np.asarray(x, dtype=float)),
-            isf=lambda s: -special.logit(s),
-        )
-        d = GammaRatioDist(1.0, 1.0, base)
+        # x = logit(u), so tau(m, 0, r) is the integral of logit(u)^m u^r
+        # over (0, 1)
+        d = GammaRatioDist(1.0, 1.0, logistic_base())
         assert d.tau(1, 0, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert d.tau(1, 0, 1.0) == pytest.approx(0.5, rel=1e-13)
         assert d.tau(2, 0, 0.0) == pytest.approx(math.pi**2 / 3.0, rel=1e-13)
@@ -805,6 +809,69 @@ class TestMgfCf:
     def test_mgf_series_respects_domain(self):
         with pytest.raises(DivergenceError):
             dist(2.0, 1.0, 1.0).mgf_series(2.0)
+
+
+class TestExpSeriesVerdict:
+    """The generic mgf/cf series sum t^m/m! times the order-m moment
+    expansion, and the order-0 one's (k = 0, j = 0) term needs
+    tau(0, 0, -(alpha + 1)), the integral of u^-(alpha+1) over (0, 1),
+    which diverges for every base and alpha > 0. So every evaluation is
+    that component's verdict, reached with one tau call."""
+
+    @pytest.fixture
+    def tau_calls(self, monkeypatch):
+        calls = []
+        tau = GammaRatioDist.tau
+
+        def spy(self, m, eta, r, errors_out=None):
+            calls.append((m, eta, np.atleast_1d(r).tolist()))
+            return tau(self, m, eta, r, errors_out=errors_out)
+
+        monkeypatch.setattr(GammaRatioDist, "tau", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make_base",
+        [lambda: make_exponential(1.0), lomax_base, lambda: scaled_lomax_base(3.0),
+         logistic_base],
+        ids=["exponential", "lomax", "lomax3", "logistic"],
+    )
+    @pytest.mark.parametrize("alpha", [1e-3, 0.131, 2.0, 30.0])
+    def test_every_evaluation_is_the_order_zero_verdict(self, tau_calls, make_base, alpha):
+        base = make_base()
+        d = GammaRatioDist(alpha, 0.7, base)
+        part = d.moment_series(0)
+        note = f"order-0 component failed: {part.diagnostic}"
+        assert part.diagnostic
+        for method, t in ((d.mgf_series, -0.3), (d.mgf_series, 0.01), (d.cf_series, 2.0)):
+            tau_calls.clear()
+            if method == d.mgf_series and t >= alpha * (base.tail_rate or math.inf):
+                with pytest.raises(DivergenceError, match="mgf undefined"):
+                    method(t)
+                assert tau_calls == []
+                continue
+            r = method(t)
+            assert math.isnan(r.value)
+            assert (r.terms_used, r.converged, r.diagnostic) == (part.terms_used, False, note)
+            assert tau_calls == [(0, 0.0, [-(alpha + 1.0)])]
+
+    def test_pinned_verdict(self):
+        r = dist(2.0, 1.0, 1.0).cf_series(1.0)
+        assert math.isnan(r.value)
+        assert r.terms_used == (0, 1)
+        assert not r.converged
+        assert r.diagnostic == (
+            "order-0 component failed: term (k=0, j=0) needs tau(m=0, eta=0, r=-3), "
+            "which is not integrable; the printed expansion is formal at these parameters"
+        )
+
+    def test_bad_arguments_raise(self):
+        d = dist(2.0, 1.0, 1.0)
+        for method in (d.mgf_series, d.cf_series):
+            with pytest.raises(ValueError):
+                method("half")
+            with pytest.raises(TypeError):
+                method(1j)
 
 
 class TestRenyi:

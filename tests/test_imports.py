@@ -5,7 +5,9 @@ Each module under src/oddsgamma is parsed with the standard library's
 ast; every name an import statement binds must appear as a name in the
 module's code, or be re-exported through its __all__. scipy is loaded
 on first use, through specfun's handles, so no import statement that
-runs at module import (outside a function body) names scipy.
+runs at module import (outside a function body) names scipy. scipy's
+incomplete gamma, gammainc and gammaincc, is named in specfun alone, so
+a new kernel for it is a change to that module only.
 """
 
 import ast
@@ -103,3 +105,39 @@ def test_detects_a_module_level_scipy_import():
         "def f():\n    from scipy import stats\n"
     )
     assert _import_time_scipy_imports(tree) == [2, 4, 6]
+
+
+INCOMPLETE_GAMMA = {"gammainc", "gammaincc"}
+
+
+def _incomplete_gamma_uses(tree):
+    """The lines that name gammainc or gammaincc, as an attribute or an
+    imported name."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in INCOMPLETE_GAMMA:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+            alias.name in INCOMPLETE_GAMMA for alias in node.names
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_incomplete_gamma_only_in_specfun(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _incomplete_gamma_uses(tree)
+    if path.name == "specfun.py":
+        assert lines, "specfun.py no longer calls scipy's incomplete gamma"
+    else:
+        assert not lines, f"{path.name} calls scipy's incomplete gamma, lines {lines}"
+
+
+def test_detects_an_incomplete_gamma_use():
+    tree = ast.parse(
+        "from .specfun import special\nq = special.gammaincc(1.0, 2.0)\n"
+        "def f():\n    from scipy.special import gammainc\n"
+        "p = special.gammaincinv(1.0, 0.5)\n"
+    )
+    assert _incomplete_gamma_uses(tree) == [2, 4]

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from oddsgamma import OEGammaDist, specfun
+from oddsgamma import OEGammaDist, get_model, specfun
 from oddsgamma.specfun import (
     _lgam1p,
     _log_minus_digamma,
     _sq_trigamma,
+    _reg_lower_gamma_vec,
     _reg_upper_gamma_vec,
     digamma,
     inv_reg_lower_gamma,
@@ -347,6 +348,32 @@ class TestUpperGammaKernel:
         for d in (oe, oe.as_family()):
             want = _reg_upper_gamma_vec(d.alpha, d.beta * d.odds(x))
             assert np.array_equal(d.cdf(x), want)
+
+    def test_survivals_and_m1_go_through_the_pair(self):
+        # the family's sf and m1's cdf are scipy's P bit for bit; m1's
+        # sf is the Q kernel, within its bound of scipy's Q
+        x = np.concatenate([np.geomspace(0.01, 60.0, 200), [-1.0, 0.0, np.inf, np.nan]])
+        d = OEGammaDist(0.131, 0.179, 0.539).as_family()
+        want = sp.gammainc(d.alpha, d.beta * d.odds(x))
+        assert np.array_equal(d.sf(x), want, equal_nan=True)
+        m1 = get_model("m1")
+        for a, rho in ((0.84, 0.0687), (0.131, 2.0), (1.2, 0.05), (3.0, 0.5)):
+            g = rho * np.maximum(x, 0.0)
+            cdf = np.where(x <= 0.0, 0.0, sp.gammainc(a, g))
+            assert np.array_equal(m1.cdf(x, (a, rho)), cdf, equal_nan=True)
+            sf = m1.sf(x, (a, rho))
+            want = np.where(x <= 0.0, 1.0, _reg_upper_gamma_vec(a, g))
+            assert np.array_equal(sf, want, equal_nan=True)
+            ref = np.where(x <= 0.0, 1.0, sp.gammaincc(a, g))
+            pos = ref > 0.0
+            assert np.all(np.abs(sf[pos] - ref[pos]) <= 4e-15 * ref[pos]), (a, rho)
+
+    def test_lower_kernel_is_scipys(self):
+        xs = np.concatenate([np.geomspace(1e-300, 1e3, 500), [0.0, np.inf, np.nan]])
+        for a in (1e-4, 0.131, 1.2, 20.0):
+            assert np.array_equal(_reg_lower_gamma_vec(a, xs), sp.gammainc(a, xs),
+                                  equal_nan=True)
+            assert reg_lower_gamma(a, 0.3) == float(sp.gammainc(a, 0.3))
 
     @pytest.mark.parametrize("a", sorted(Q_IGAM_EDGES))
     def test_igam_branch_edges_against_mpmath(self, a, monkeypatch, scipy_inputs):
