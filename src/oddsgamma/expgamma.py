@@ -38,6 +38,7 @@ from .family import (
     _truncate_inner,
     _validate_order,
     _validate_renyi_order,
+    _validate_t,
 )
 from .specfun import _sq_trigamma, digamma, log_gamma, special
 
@@ -174,7 +175,7 @@ class OEGammaDist(GammaRatioDist):
 
     def mgf_series(self, t, ctrl=None):
         """Double-sum mgf: inner terms end in 1/(lam K - t), t < alpha lam."""
-        t = float(t)
+        t = _validate_t(t, "mgf_series")
         self._check_mgf_domain(t)
         return self._sum_analytic_shells(
             ctrl, lambda kk, logs: np.exp(logs - np.log(self.lam * kk - t))
@@ -182,7 +183,7 @@ class OEGammaDist(GammaRatioDist):
 
     def cf_series(self, t, ctrl=None):
         """Double-sum characteristic function; value is complex."""
-        t = float(t)
+        t = _validate_t(t, "cf_series")
 
         def terms_of(kk, logs):
             lam_kk = self.lam * kk

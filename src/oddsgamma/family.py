@@ -52,9 +52,11 @@ _DIVERGENCE_RATIO = 10.0
 class SeriesControl:
     """Truncation and honesty knobs for the formal series evaluators.
 
-    k_max and j_max are term counts: shells k = 0..k_max-1 with inner
-    terms j = 0..j_max-1 are eligible. tail_tol is the relative size at
-    which trailing terms count as negligible.
+    k_max and j_max are term counts, integers >= 1: shells
+    k = 0..k_max-1 with inner terms j = 0..j_max-1 are eligible.
+    tail_tol, in (0, 1), is the relative size at which trailing terms
+    count as negligible; at 1 or more a shell as large as the sum
+    would pass as a converged tail.
     """
 
     k_max: int = 60
@@ -62,12 +64,12 @@ class SeriesControl:
     tail_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be at least 1, got {self.j_max}")
-        if not self.tail_tol > 0.0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
+        for name in ("k_max", "j_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -305,6 +307,14 @@ def _validate_renyi_order(eta, who):
     return eta
 
 
+def _validate_t(t, who):
+    """t as a float; ValueError unless it is finite."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"{who} requires a finite t, got t = {t}")
+    return t
+
+
 def _renyi_result(raw, eta):
     """The order-eta entropy log(S)/(1 - eta) of a summed series raw;
     nan, not converged, where S is not a positive finite number."""
@@ -383,10 +393,9 @@ class GammaRatioDist:
     def cdf(self, x):
         """H(x) = Q(alpha, beta * w(x)); 0 below the support, 1 at its top.
 
-        Q is specfun's one upper incomplete gamma; nan gives nan. Where
-        beta * w(x) <= 1.1 the value can differ in the last digits (up
-        to about 4e-15 relative) with the number of points in the call,
-        which decides whether Q's power series runs in numpy or scipy.
+        Q is specfun's one upper incomplete gamma; nan gives nan. Each
+        point's value depends on x alone, not on the other points of
+        the call.
         """
         x_arr, scalar = _as_float_array(x)
         w = np.asarray(self.odds(x_arr), dtype=float)
@@ -731,7 +740,7 @@ class GammaRatioDist:
         quadrature raises NumericalError rather than return a truncated
         sum.
         """
-        t = float(t)
+        t = _validate_t(t, "mgf")
         if t == 0.0:
             return 1.0
         self._check_mgf_domain(t)
@@ -744,7 +753,7 @@ class GammaRatioDist:
 
     def cf(self, t):
         """Characteristic function as the pair (E cos tX, E sin tX)."""
-        t = float(t)
+        t = _validate_t(t, "cf")
         if t == 0.0:
             return (1.0, 0.0)
 
@@ -893,7 +902,7 @@ class GammaRatioDist:
         the integral of u^-(alpha+1) over (0, 1), which diverges for
         every base and every alpha > 0, so the result is that
         component's failure, with a nan value."""
-        t = float(t)
+        t = _validate_t(t, "mgf_series")
         ctrl = ctrl or DEFAULT_CONTROL
         self._check_mgf_domain(t)
         return self._exp_series(ctrl)
@@ -902,7 +911,7 @@ class GammaRatioDist:
         """Formal triple-sum characteristic function, formal at every
         parameter for the reason mgf_series gives: the order-0
         component fails, and the value is nan."""
-        float(t)  # a t that is not a real number raises, as in mgf_series
+        _validate_t(t, "cf_series")
         return self._exp_series(ctrl or DEFAULT_CONTROL)
 
     def _exp_series(self, ctrl):

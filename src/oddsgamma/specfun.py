@@ -19,8 +19,8 @@ on igamc_series and 60 to 110 ns on igam_series (on 1e5 points, a 2-core
 x86 VM); here they are computed once per call, and the two take about
 70 and 15 to 26 ns a point. x > 1.1 (a continued fraction or an
 asymptotic series in scipy) and x = 0, inf and nan go to
-special.gammaincc, and so do the igam_series points of a call with few
-of them, where scipy is cheaper.
+special.gammaincc. A point's route depends on a and x alone, never on
+the size of its call, so a scalar Q equals the array kernel's bit for bit.
 ln Gamma(1+a) comes from a Taylor series in zeta values, as in cephes,
 because special.gammaln(1 + a) loses the digits of a small a that
 1 + a rounds away.
@@ -212,14 +212,6 @@ _ZETA = (
     1.000000000003638, 1.000000000001819, 1.0000000000009095,
     1.0000000000004547,
 )
-# With fewer points than this the igam_series branch goes to scipy,
-# whose per-point cost is then below the fixed cost of the numpy
-# series' calls: on a 2-core x86 VM the two broke even at 512 to 1024
-# points (scipy 50 to 100 ns a point over a in [0.131, 20]). The
-# igamc_series branch has no cutoff: scipy takes 2.5 to 7 us a point
-# there, and one path for every point keeps the scalar reg_upper_gamma
-# equal to the array kernel.
-_MIN_IGAM_POINTS = 768
 
 
 def _lgam1p_taylor(t):
@@ -257,20 +249,12 @@ def _reg_upper_gamma_vec(a, x):
     computed once per call: _igamc_series where x >= exp(-0.4/a) for
     x <= 0.5 and 1.1 x >= a above (only at a <= 1.21), _igam_complement
     elsewhere. Points are gathered and scattered by index. Every other
-    x, 0, inf and nan included, goes to special.gammaincc, and so do the
-    _igam_complement points when there are fewer than _MIN_IGAM_POINTS
-    of them. The two evaluations of Q differ by up to about 4e-15
-    relative, so an igam_series point's value can depend on how many
-    points share its call; an igamc_series point's cannot. nan gives
-    nan, as scipy does.
+    x, 0, inf and nan included, goes to special.gammaincc. The route is
+    a function of (a, x) alone, so a point's value does not depend on
+    the call that carries it. nan gives nan, as scipy does.
     """
-    # converted to float only past the early exit, which a small call
-    # takes at a > 1.21 with scipy's cost alone
-    x = np.asarray(x)
-    has_igamc = a <= _IGAMC_MAX_A
-    if not has_igamc and x.size < _MIN_IGAM_POINTS:
-        return special.gammaincc(a, x)
-    flat = x.astype(float, copy=False).ravel()
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
     near = (flat > 0.0) & (flat <= _SERIES_MAX_X)
     far = np.flatnonzero(~near)
     near = np.flatnonzero(near)
@@ -283,7 +267,7 @@ def _reg_upper_gamma_vec(a, x):
     # the largest x that takes igam_series
     x_top = min(a / _SERIES_MAX_X, _SERIES_MAX_X) if wide else x_lo
     with np.errstate(under="ignore"):
-        if has_igamc:
+        if a <= _IGAMC_MAX_A:
             igamc = xs >= x_lo
             if wide:
                 # above x = 0.5, 1.1 x >= a implies x >= x_lo
@@ -293,9 +277,7 @@ def _reg_upper_gamma_vec(a, x):
                 out.put(near.take(pick), _igamc_series(a, xs.take(pick)))
             pick = np.flatnonzero(~igamc)
             near, xs = near.take(pick), xs.take(pick)
-        if near.size < _MIN_IGAM_POINTS:
-            far = np.concatenate([far, near])
-        else:
+        if near.size:
             out.put(near, _igam_complement(a, xs, x_top))
     if far.size:
         out.put(far, special.gammaincc(a, flat.take(far)))

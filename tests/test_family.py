@@ -751,6 +751,17 @@ class TestMomentSeries:
             SeriesControl(k_max=0, j_max=10, tail_tol=1e-10)
         with pytest.raises(ValueError):
             SeriesControl(k_max=10, j_max=10, tail_tol=-1.0)
+        # term counts are integers; a tail_tol of 1 or more calls a shell
+        # as large as the sum a converged tail
+        for bad in (math.nan, 200.5, 60.0, True, "60"):
+            with pytest.raises(ValueError, match="k_max must be at least 1 and an integer"):
+                SeriesControl(k_max=bad)
+            with pytest.raises(ValueError, match="j_max must be at least 1 and an integer"):
+                SeriesControl(j_max=bad)
+        for bad in (0.0, 1.0, 2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\)"):
+                SeriesControl(tail_tol=bad)
+        assert SeriesControl(k_max=np.int64(5), j_max=1, tail_tol=0.5).k_max == 5
 
     def test_default_control_exists(self):
         assert DEFAULT_CONTROL.k_max >= 1
@@ -758,6 +769,15 @@ class TestMomentSeries:
 
 
 class TestMgfCf:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_a_value_error(self, t):
+        # not a divergence: the integrand is never formed
+        oe = OEGammaDist(0.6, 0.05, 1.0)
+        for d in (oe, oe.as_family()):
+            for name in ("mgf", "cf", "mgf_series", "cf_series"):
+                with pytest.raises(ValueError, match=f"{name} requires a finite t"):
+                    getattr(d, name)(t)
+
     def test_mgf_at_zero(self):
         assert dist(0.131, 0.179, 0.539).mgf(0.0) == 1.0
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from oddsgamma import OEGammaDist, get_model, specfun
+from oddsgamma import OEGammaDist, get_model, specfun, wheaton
 from oddsgamma.specfun import (
     _lgam1p,
     _log_minus_digamma,
@@ -329,12 +329,15 @@ class TestUpperGammaKernel:
         assert np.isnan(_reg_upper_gamma_vec(a, np.nan))
 
     def test_no_runtime_warning_escapes(self):
-        xs = np.concatenate([[0.0, 5e-324, 1e-300, np.inf, np.nan],
-                             np.geomspace(1e-12, 50.0, 400)])
+        edges = [0.0, 5e-324, 1e-300, np.inf, np.nan]
+        xs = np.concatenate([edges, np.geomspace(1e-12, 50.0, 400)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0):
                 _reg_upper_gamma_vec(a, xs)
+                for x in edges:
+                    _reg_upper_gamma_vec(a, x)
+                    _reg_upper_gamma_vec(a, np.array([x]))
 
     def test_keeps_shape(self):
         xs = np.full((2, 3), 0.3)
@@ -376,9 +379,7 @@ class TestUpperGammaKernel:
             assert reg_lower_gamma(a, 0.3) == float(sp.gammainc(a, 0.3))
 
     @pytest.mark.parametrize("a", sorted(Q_IGAM_EDGES))
-    def test_igam_branch_edges_against_mpmath(self, a, monkeypatch, scipy_inputs):
-        # one point takes the numpy series once the cutoff is 1
-        monkeypatch.setattr(specfun, "_MIN_IGAM_POINTS", 1)
+    def test_igam_branch_edges_against_mpmath(self, a, scipy_inputs):
         xs, refs = np.array(Q_IGAM_EDGES[a]).T
         got = _reg_upper_gamma_vec(a, xs)
         assert _series_points(scipy_inputs).size == 0
@@ -386,42 +387,52 @@ class TestUpperGammaKernel:
             assert q == pytest.approx(ref, rel=1e-13, abs=0.0), (a, x)
 
     def test_series_points_never_reach_scipy(self, scipy_inputs):
-        # at every shape here each nonempty series branch of the grid
-        # holds at least _MIN_IGAM_POINTS points, so only x > 1.1 and
-        # the exact edges are left to scipy
+        # scipy receives exactly the points above 1.1 and the exact
+        # edges, whether the grid comes in one call or in calls of 72
+        # points or of one
         xs = np.concatenate([np.geomspace(1e-300, 1e3, 2000), np.linspace(1e-3, 1.1, 1000),
                              [0.0, np.inf, np.nan]])
-        for a in (1e-4, 0.01, 0.131, 0.5, 0.6, 0.9, 1.2, 1.5, 3.0, 20.0):
-            _reg_upper_gamma_vec(a, xs)
-            assert _series_points(scipy_inputs).size == 0, a
-        assert len(scipy_inputs) == 10
-
-    def test_small_igam_branch_goes_to_scipy(self, scipy_inputs):
-        # below the cutoff the igam_series points are cheaper in scipy
-        xs = np.geomspace(1e-3, 1.1, specfun._MIN_IGAM_POINTS - 1)
-        got = _reg_upper_gamma_vec(3.0, xs)
-        assert _series_points(scipy_inputs).size == xs.size
-        assert np.array_equal(got, sp.gammaincc(3.0, xs))
+        far = xs[~((xs > 0.0) & (xs <= 1.1))]
+        for size in (xs.size, 72, 1):
+            for a in (1e-4, 0.01, 0.131, 0.5, 0.6, 0.9, 1.2, 1.5, 3.0, 20.0):
+                scipy_inputs.clear()
+                for i in range(0, xs.size, size):
+                    _reg_upper_gamma_vec(a, xs[i:i + size])
+                seen = np.concatenate(scipy_inputs)
+                assert np.array_equal(seen, far, equal_nan=True), (a, size)
 
     @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0])
     def test_scalar_matches_array(self, a):
-        # an igamc_series point has one path at any call size; a single
-        # igam_series point goes to scipy and a large call's to numpy,
-        # and the two stay within the dense grid's bound
-        xs = np.geomspace(1e-6, 1.1, 2 * specfun._MIN_IGAM_POINTS)
+        xs = np.geomspace(1e-6, 1.1, 1536)
         got = _reg_upper_gamma_vec(a, xs)
         one = np.array([reg_upper_gamma(a, x) for x in xs])
-        igamc = (a <= 1.21) & (xs >= math.exp(-0.4 / a)) & ((xs <= 0.5) | (1.1 * xs >= a))
-        assert np.array_equal(got[igamc], one[igamc])
-        assert np.all(np.abs(got - one) <= 4e-15 * one), a
+        assert np.array_equal(got, one), a
 
-    def test_numpy_series_raise_no_runtime_warning(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_MIN_IGAM_POINTS", 1)
-        xs = np.concatenate([[5e-324, 1e-300], np.geomspace(1e-12, 1.1, 400)])
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 20.0])
+    def test_chunked_calls_match_one_call(self, a):
+        # 767 and 768 straddle the size at which the 1 - P series once
+        # moved from scipy to numpy
+        xs = np.concatenate([np.geomspace(1e-8, 5.0, 1531), [0.0, 0.5, 1.1, np.inf, np.nan]])
+        whole = _reg_upper_gamma_vec(a, xs)
+        for size in (1, 7, 72, 767, 768):
+            parts = [_reg_upper_gamma_vec(a, xs[i:i + size]) for i in range(0, xs.size, size)]
+            assert np.array_equal(np.concatenate(parts), whole, equal_nan=True), (a, size)
+
+    def test_wheaton_cdf_does_not_depend_on_its_call(self):
+        x = np.asarray(wheaton().values)
+        d = OEGammaDist(0.131, 0.179, 0.539)
+        padded = d.cdf(np.concatenate([x, np.full(800, 200.0)]))
+        assert np.array_equal(d.cdf(x), padded[:x.size])
+
+    def test_numpy_series_raise_no_runtime_warning(self):
+        edges = [5e-324, 1e-300]
+        xs = np.concatenate([edges, np.geomspace(1e-12, 1.1, 400)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0, 1e300):
                 _reg_upper_gamma_vec(a, xs)
+                for x in edges:
+                    _reg_upper_gamma_vec(a, x)
 
     def test_lgam1p_against_mpmath(self):
         # cephes' truncation of the Taylor series, kept so that Q matches
