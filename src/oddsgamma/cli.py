@@ -165,6 +165,19 @@ def _json(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_list_last(doc):
+    """_json(doc) for a doc whose last entry is a long list of numbers.
+    indent=2 sends every number through json's pure-Python encoder; this
+    writes the list with the C encoder, one number on a line by its
+    separator, inside the frame indent=2 gives it: the same bytes."""
+    *head, (key, values) = doc.items()
+    if not values:
+        return _json(doc)
+    frame = json.dumps(dict(head), indent=2)[:-2]  # drop the closing "\n}"
+    items = json.dumps(values, separators=(",\n    ", ": "))[1:-1]
+    return f"{frame},\n  {json.dumps(key)}: [\n    {items}\n  ]\n}}\n"
+
+
 def _kv_tsv(pairs):
     return "".join(f"{k}\t{v}\n" for k, v in pairs)
 
@@ -298,7 +311,7 @@ def _cmd_sample(args):
             "n": args.n,
             "values": [_round10(v) for v in draws],
         }
-        _emit(args, _json(doc))
+        _emit(args, _json_list_last(doc))
     else:
         _emit(args, "".join(_fmt10(v) + "\n" for v in draws))
     return EXIT_OK

@@ -15,6 +15,7 @@ integral of u^-(alpha+1) over (0, 1), which diverges for every base and
 every alpha > 0.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -42,6 +43,8 @@ windowed_quad = None
 
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
+# exp(v) rounds to 0 for every v <= -750, below log(2^-1075) = -745.13
+_EXP_ZERO = -750.0
 # inner terms j per tau quadrature; deeper shells go in j-ordered blocks
 _TAU_BLOCK = 256
 # shell-over-shell growth factor that fires a series' divergence flag
@@ -357,7 +360,8 @@ class GammaRatioDist:
     instance, so the central and standardized moments reuse them. So are
     the abscissae of the quadrature nodes, on the quantile map and on the
     base's own, so on one instance every expectation inverts the gamma,
-    and every tau functional maps through the base, once per level.
+    and every tau functional maps through the base, once per level; and
+    the base's logs at the latter, which the tau functionals share.
     """
 
     alpha: float
@@ -366,6 +370,7 @@ class GammaRatioDist:
     _raw_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _abscissae: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _base_abscissae: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_logs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -628,7 +633,12 @@ class GammaRatioDist:
         map, to 1e-13 of the integral of its magnitude, relative, per
         entry of r. The integrand is formed in logs, exp(r ln G1 +
         eta ln g1 + m ln|x|) times sign(x)^m, because G1^r alone
-        overflows at outer nodes where the product is finite. r may be a
+        overflows at outer nodes where the product is finite. Every tau
+        run on an instance meets the same nodes at a level, so ln G1,
+        ln g1 and ln|x| there are memoised per instance and level, next
+        to the base's abscissae: the base is evaluated once per level,
+        and each run forms only its outer product with r, its addends
+        and one exp, one row per entry of r. r may be a
         1-D array: one vector-valued quadrature then gives the integral
         for every entry, nan where it is not integrable or the nodes
         cannot resolve it; errors_out (a list, extended in place), when
@@ -643,19 +653,31 @@ class GammaRatioDist:
         base = self.base
         signed = m % 2 == 1 and base.support[0] < 0.0
 
+        levels = itertools.count()
+
         def integrand(x):
-            with np.errstate(
-                divide="ignore", over="ignore", under="ignore", invalid="ignore"
-            ):
-                val = np.multiply.outer(np.log(base.cdf(x)), r_vec)
-                if eta != 0.0:
-                    val += (eta * np.asarray(base.log_pdf(x), dtype=float))[:, None]
-                if m:
-                    val += (m * np.log(np.abs(x)))[:, None]
-                np.exp(val, out=val)
-                if signed:
-                    val *= np.sign(x)[:, None]
-            return val
+            # tanh_sinh calls it once per level, from level 0 on, at
+            # nodes that depend on the level and the base alone, with
+            # numpy's floating-point warnings off
+            logs = self._base_logs.setdefault(next(levels), {})
+            if "cdf" not in logs:
+                logs["cdf"] = np.log(base.cdf(x))
+            val = np.multiply.outer(r_vec, logs["cdf"])
+            if eta != 0.0:
+                if "pdf" not in logs:
+                    logs["pdf"] = np.asarray(base.log_pdf(x), dtype=float)
+                val += eta * logs["pdf"]
+            if m:
+                if "abs" not in logs:
+                    logs["abs"] = np.log(np.abs(x))
+                val += m * logs["abs"]
+            # exp is 0 at and below _EXP_ZERO, where numpy's exp is slow:
+            # those entries skip it and are set to 0
+            np.exp(val, out=val, where=val > _EXP_ZERO)
+            np.maximum(val, 0.0, out=val)
+            if signed:
+                val *= np.sign(x)
+            return val.T
 
         value, errors = tanh_sinh(integrand, self._base_nodes)
         if np.ndim(r) == 0:
@@ -667,7 +689,10 @@ class GammaRatioDist:
             return float(value[0])
         if errors_out is not None:
             errors_out.extend(errors)
-        return np.where([e is not None for e in errors], np.nan, value)
+        failed = [i for i, e in enumerate(errors) if e is not None]
+        if failed:
+            value[failed] = np.nan
+        return value
 
     def moment_quadrature(self, m):
         """Raw moment E X^m by quadrature; the authoritative path.
@@ -822,7 +847,7 @@ class GammaRatioDist:
                 errors = []
                 values = self.tau(m, eta, np.array(missing), errors_out=errors)
                 memo.update(zip(missing, zip(values.tolist(), errors)))
-            tau, errors = zip(*(memo[key] for key in keys))
+            tau, errors = zip(*map(memo.__getitem__, keys))
             return np.array(tau), errors
 
         r = r_of_j(np.arange(float(ctrl.j_max)))

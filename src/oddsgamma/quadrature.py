@@ -9,15 +9,22 @@ have only algebraic or logarithmic endpoint singularities, which the
 double-exponential substitution u = 1/(1 + e^{-pi sinh t}) integrates
 at a rate exp(-c/h) in the step h (Takahasi & Mori 1974; Mori &
 Sugihara 2001). Each level halves h and evaluates and sums only the
-nodes it adds: the sums of earlier levels are kept, and re-summed only
-where a cut moves inward past their nodes. A component is accepted
-when two successive levels agree to 1e-13 of the integral of its
-magnitude, so the answer is accurate relative to its own size at
-every scale. The divergence verdict comes from the outermost nodes:
-the local power law of the integrand there says whether the part
-beyond them is integrable and bounds its size. The integrand may be
-vector valued, one column per component, with a value and a verdict
-per component.
+nodes it adds. Their values go into one buffer, a row per component
+and the levels side by side, which grows only when a level does not
+fit: at first to room for levels 0-2, where the moments settle, never
+to the ten-level cap. Each level's sums are kept, and an earlier level
+is re-summed from the buffer only where a cut moves inward past its
+nodes. A level costs a fixed number of numpy calls whatever the number
+of components: one call of the integrand, a copy into the buffer, the
+weighted row sums of each side, and array operations for the edge
+power law and the verdict; an exception is built only for a component
+that fails. A component is accepted when two successive levels agree
+to 1e-13 of the integral of its magnitude, so the answer is accurate
+relative to its own size at every scale. The divergence verdict comes
+from the outermost nodes: the local power law of the integrand there
+says whether the part beyond them is integrable and bounds its size.
+The integrand may be vector valued, one column per component, with a
+value and a verdict per component.
 """
 
 import functools
@@ -68,22 +75,65 @@ def tanh_sinh_levels(level):
     return _ts_new(level)[1]
 
 
-def _level_sums(level, y):
-    """Rows 0 and 1: the sum and the sum of magnitudes of w y per row of
-    y, the level's values at its first y.shape[1] nodes, one C-contiguous
-    row per component."""
-    terms = _ts_new(level)[2][:y.shape[1]] * y
-    return np.array([terms.sum(axis=1), np.abs(terms).sum(axis=1)])
+def _level_sums(w, y, n_head, out):
+    """out[side, 0] and out[side, 1]: the sum and the sum of magnitudes
+    of w y over each side's nodes, the first n_head columns of y and
+    the rest, per row of y, one row per component. Each row is summed
+    alone, so that a component's sums do not depend on the others."""
+    terms = np.multiply(w, y, order="C")
+    np.add.reduce(terms[:, :n_head], axis=1, out=out[0, 0])
+    np.add.reduce(terms[:, n_head:], axis=1, out=out[1, 0])
+    if terms.size and terms.view(np.int64).min() >= 0:
+        # no term has its sign bit set: each is its own magnitude
+        out[:, 1] = out[:, 0]
+        return
+    np.abs(terms, out=terms)
+    np.add.reduce(terms[:, :n_head], axis=1, out=out[0, 1])
+    np.add.reduce(terms[:, n_head:], axis=1, out=out[1, 1])
 
 
-def _grid_node(ys, i, level):
-    """(s, values) at index i of the level's grid of t = i h, read from
-    the level that added that node: level - v for i = 2^v times odd,
-    level 0 where v >= level. Values past the level's kept nodes are nan."""
-    v = min((i & -i).bit_length() - 1 if i else level, level)
-    src, idx = level - v, i >> (v + (v < level))
-    y = ys[src]
-    return _ts_new(src)[1][idx], y[:, idx] if idx < y.shape[1] else np.full(len(y), np.nan)
+@functools.lru_cache(maxsize=256)
+def _edges(level, m_head, m_tail):
+    """The nodes of the edge power law for sides that keep the first
+    m_head and m_tail nodes of the level's grid t = i h: (nodes, s_k,
+    log_s). nodes holds (side, source level, index) for the outermost
+    node of each side, i = m - 1, then for the node 1/2 further in:
+    the level that added it, level - v for i = 2^v times odd, level 0
+    where v >= level, and its index among that level's nodes. A side
+    that keeps no node reads i = -1, the grid's last node, which it does
+    not keep either, so tanh_sinh reads nan there. s_k is s at each
+    side's outermost node, log_s the law's step log(s_k / s_j)."""
+    size = int(_TS_T_MAX / 2.0 ** -(level + 3)) + 1
+    outer = [m - 1 for m in (m_head, m_tail)]
+    nodes, s = [], []
+    for q, i in enumerate(outer + [max(i - 2 ** (level + 2), 0) for i in outer]):
+        i %= size
+        v = min((i & -i).bit_length() - 1 if i else level, level)
+        nodes.append((q % 2, level - v, i >> (v + (v < level))))
+        s.append(_ts_new(level - v)[1][nodes[-1][2]])
+    s_k = np.array(s[:2])
+    log_s = np.array([math.log(s[0] / s[2]), math.log(s[1] / s[3])])
+    for a in (s_k, log_s):
+        a.flags.writeable = False
+    return tuple(nodes), s_k, log_s
+
+
+def _failure(i, total, p, bound, s_k, tol, scale):
+    """The exception of component i, which failed the level's verdict:
+    a non-finite sum, or the first side whose power law diverges or
+    leaves too much beyond its outermost node."""
+    if not math.isfinite(total[i]):
+        return DivergenceError("the integrand is not finite at every node")
+    side = 0 if p[i, 0] <= -1.0 or not bound[i, 0] <= tol[i] else 1
+    name, power = _TS_SIDES[side], p[i, side]
+    if power <= -1.0:
+        return DivergenceError(
+            f"the integrand grows like ({name})^{power:.3g} as {name} -> 0, "
+            "which is not integrable")
+    return NumericalError(
+        f"the integrand behaves like ({name})^{power:.3g} beyond the last node at "
+        f"{name} = {s_k[side]:.3g}, which leaves up to {bound[i, side]:.3g} unsummed, "
+        f"above {_TS_TOL:g} of {scale[i]:.3g}")
 
 
 def tanh_sinh(f, abscissae):
@@ -94,100 +144,128 @@ def tanh_sinh(f, abscissae):
     for s = tanh_sinh_levels(level), nan where the map has left the
     support; such a node and every node farther out on its side are
     left out. f maps a 1-D array of abscissae to one value per node,
-    shape (n,), or to R components, shape (n, R), once per level.
+    shape (n,), or to R components, shape (n, R), once per level from
+    level 0 on: the level's kept head nodes, then its kept tail nodes.
+    It runs with numpy's floating-point warnings off, as a value that
+    is not finite is the verdict's to judge.
 
     Level n steps t by 2^-(n+3), and f sees and the rule sums only the
-    nodes it adds; an earlier level is re-summed only when a nan moves
-    its side's cut inward past that level's kept nodes. A component is
-    accepted at the first level whose sum agrees with the level before
-    to 1e-13 of the integral of its magnitude, and reports that sum, so
-    its value does not depend on the other components. At each side's
-    outermost node the integrand behaves like s^p: a non-finite sum or
-    p <= -1 is a DivergenceError, and a part beyond the nodes,
-    s|f|/(1 + p), above 1e-13 of that integral a NumericalError, as is
-    a component still unsettled after ten levels.
+    nodes it adds. One buffer holds the values of both sides, one row
+    per component, level after level; it grows only when a level does
+    not fit, to room for every node through that level (through level 2
+    at first). An earlier level is re-summed from it only when a nan
+    moves its side's cut inward past that level's kept nodes. A
+    component is accepted at the first level whose sum agrees with the
+    level before to 1e-13 of the integral of its magnitude, and reports
+    that sum, so its value does not depend on the other components. At
+    each side's outermost node the integrand behaves like s^p: a
+    non-finite sum or p <= -1 is a DivergenceError, and a part beyond
+    the nodes, s|f|/(1 + p), above 1e-13 of that integral a
+    NumericalError, as is a component still unsettled after ten levels.
+
+    A level costs a fixed number of numpy calls whatever R is: the
+    sums, the edge power law and the verdict are array operations over
+    the components, and an exception is built only for a component that
+    fails.
 
     Returns (value, errors): a float, or an array of R for a
     vector-valued f, and per component None or the exception saying why
     it failed.
     """
     cut = [math.inf, math.inf]
-    # per side and level: the values at the level's kept nodes, one
-    # C-contiguous row per component so that its sums do not depend on
-    # the other components, and their _level_sums; acc[side] adds those
-    ys, sums = ([], []), ([], [])
+    # per level: the buffer columns where its head and tail values
+    # start, and how many of each are kept (t below the cut)
+    starts, kept = [], []
     for level in range(_TS_LEVELS):
         h = 2.0 ** -(level + 3)
         t_new = _ts_new(level)[0]
-        xs = abscissae(level)
-        moved = [False, False]
-        for side, x in enumerate(xs):
-            bad = t_new[~np.isfinite(x)]
-            if bad.size and bad[0] < cut[side]:
-                cut[side], moved[side] = bad[0], True
-        n = [int(np.searchsorted(t_new, c)) for c in cut]
-        # values that overflow are the divergence verdict's to judge
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(f(np.concatenate([xs[0][:n[0]], xs[1][:n[1]]])), dtype=float)
-        if level == 0:
-            vector = vals.ndim == 2
-            r = vals.shape[1] if vector else 1
-            value, errors, todo = np.zeros(r), [None] * r, np.ones(r, dtype=bool)
-            acc = [np.zeros((2, r))] * 2
-        vals = vals.reshape(-1, r).T
-        size = int(_TS_T_MAX / h) + 1  # the level's grid is t = i h, i < size
-        old, edges = [], []
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for side, c in enumerate(cut):
-                lo = n[0] if side else 0
-                ys[side].append(np.ascontiguousarray(vals[:, lo:lo + n[side]]))
-                sums[side].append(_level_sums(level, ys[side][-1]))
-                if moved[side]:
-                    # re-sum each earlier level whose kept nodes reach
-                    # past the cut, which has moved inward
-                    for lv, y in enumerate(ys[side][:-1]):
-                        m = int(np.searchsorted(_ts_new(lv)[0], c))
-                        if m < y.shape[1]:
-                            ys[side][lv] = np.ascontiguousarray(y[:, :m])
-                            sums[side][lv] = _level_sums(lv, ys[side][lv])
-                    acc[side] = sum(sums[side][:-1], np.zeros((2, r)))
-                old.append(acc[side][0])
-                acc[side] = acc[side] + sums[side][-1]
-                # the outermost node k h < c is read against the node j
-                # at 1/2 further in for the power law s^p there
-                m = size if c == math.inf else min(size, round(c / h))
-                k, j = m - 1, max(m - 1 - round(0.5 / h), 0)
-                (s_k, y_k), (s_j, y_j) = (_grid_node(ys[side], i % size, level) for i in (k, j))
-                edges.append((s_k, math.log(s_k / s_j), y_k, y_j))
+        head, tail = abscissae(level)
+        n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
+        x = np.concatenate((head[:n[0]], tail[:n[1]]))
+        moved = []
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            # a side's first non-finite node moves its cut inward to it
+            for side, xs in enumerate((head, tail)):
+                finite = np.isfinite(xs[:n[side]])
+                if not finite.all():
+                    n[side] = int(finite.argmin())
+                    cut[side] = float(t_new[n[side]])
+                    moved.append(side)
+            x = np.concatenate((head[:n[0]], tail[:n[1]]))
+        # values that are not finite are the divergence verdict's to judge
+        with np.errstate(all="ignore"):
+            y = np.asarray(f(x), dtype=float)
+            if level == 0:
+                vector = y.ndim == 2
+                r = y.shape[1] if vector else 1
+                value, errors, todo = np.zeros(r), [None] * r, np.ones(r, dtype=bool)
+                # per level, side and component, the sum and the sum of
+                # magnitudes of its kept terms; acc their running totals
+                sums, acc = np.empty((_TS_LEVELS, 2, 2, r)), np.zeros((2, 2, r))
+                buf, used = None, 0
+            cols = n[0] + n[1]
+            if buf is None or used + cols > buf.shape[1]:
+                # room for every node of both sides through this level,
+                # or at first through level 2, where the moments settle
+                room = sum(_ts_new(lv)[0].size for lv in range(max(level, 2) + 1))
+                grown = np.empty((r, 2 * room))
+                if used:
+                    grown[:, :used] = buf[:, :used]
+                buf = grown
+            vals = buf[:, used:used + cols]
+            vals[...] = y.reshape(-1, r).T
+            del y  # the level's values live on in the buffer only
+            starts.append((used, used + n[0]))
+            kept.append(n)
+            used += cols
+            w = _ts_new(level)[2]
+            _level_sums(np.concatenate((w[:n[0]], w[:n[1]])), vals, n[0], sums[level])
+            prev = total if level else None
+            for side in moved:
+                # re-sum each earlier level whose kept nodes reach past
+                # the cut, which has moved inward
+                resum = False
+                for lv in range(level):
+                    m = int(np.searchsorted(_ts_new(lv)[0], cut[side]))
+                    if m < kept[lv][side]:
+                        kept[lv][side], resum = m, True
+                        col = starts[lv][side]
+                        part = np.empty((2, 2, r))
+                        _level_sums(_ts_new(lv)[2][:m], buf[:, col:col + m], m, part)
+                        sums[lv, side] = part[0]
+                if resum:
+                    acc[side] = sum(sums[:level, side], np.zeros((2, r)))
+                    prev = 2.0 * h * (acc[0, 0] + acc[1, 0])
+            acc += sums[level]
+            level_totals = h * (acc[0] + acc[1])
+            total, scale = level_totals[0], level_totals[1]
             # the level before summed the grid's even nodes, at step 2h
-            total, scale = h * (acc[0] + acc[1])
-            diff = np.abs(total - 2.0 * h * (old[0] + old[1]))
-            s_k, log_s, y_k, y_j = (np.array(a) for a in zip(*edges))
-            yk = np.abs(y_k)
-            p = np.log(yk / np.abs(y_j)) / log_s[:, None]
-            bound = np.where(yk == 0.0, 0.0, s_k[:, None] * yk / (1.0 + p))
-        tol = _TS_TOL * scale
-        free = todo & np.isfinite(total)
-        for i in (todo & ~free).nonzero()[0]:
-            errors[i] = DivergenceError("the integrand is not finite at every node")
-        for side, name in enumerate(_TS_SIDES):
-            grows = free & (p[side] <= -1.0)
-            left = free & ~grows & ~(bound[side] <= tol)
-            for i in grows.nonzero()[0]:
-                errors[i] = DivergenceError(
-                    f"the integrand grows like ({name})^{p[side, i]:.3g} as {name} -> 0, "
-                    "which is not integrable")
-            for i in left.nonzero()[0]:
-                errors[i] = NumericalError(
-                    f"the integrand behaves like ({name})^{p[side, i]:.3g} beyond the last "
-                    f"node at {name} = {s_k[side]:.3g}, which leaves up to "
-                    f"{bound[side, i]:.3g} unsummed, above {_TS_TOL:g} of {scale[i]:.3g}")
-            free &= ~(grows | left)
-        value = np.where(todo, total, value)
-        todo = free & ~(diff <= tol) if level else free
-        if not todo.any():
+            diff = np.abs(total - prev) if level else None
+            # the outermost node k h < cut of each side is read against
+            # the node j at 1/2 further in for the power law s^p there;
+            # columns k head, k tail, j head, j tail, nan past the kept nodes
+            size = int(_TS_T_MAX / h) + 1
+            on_grid = [size if c == math.inf else min(size, round(c / h)) for c in cut]
+            nodes, s_k, log_s = _edges(level, *on_grid)
+            at = [starts[src][side] + idx if idx < kept[src][side] else -1
+                  for side, src, idx in nodes]
+            edge = np.abs(buf[:, at])
+            if -1 in at:
+                edge[:, [q for q, col in enumerate(at) if col < 0]] = np.nan
+            p = np.log(edge[:, :2] / edge[:, 2:]) / log_s
+            bound = np.where(edge[:, :2] == 0.0, 0.0, s_k * edge[:, :2] / (1.0 + p))
+            tol = _TS_TOL * scale
+            ok = ((bound <= tol[:, None]) & ~(p <= -1.0)).all(axis=1) & np.isfinite(total)
+        np.copyto(value, total, where=todo)
+        if np.count_nonzero(ok) < r:
+            for i in np.flatnonzero(todo & ~ok):
+                errors[i] = _failure(i, total, p, bound, s_k, tol, scale)
+            todo &= ok
+        if level:
+            todo &= ~(diff <= tol)
+        if not np.count_nonzero(todo):
             break
-    for i in todo.nonzero()[0]:
+    for i in np.flatnonzero(todo):
         errors[i] = NumericalError(
             f"tanh-sinh levels still differ by {diff[i]:.3g} after {_TS_LEVELS} "
             f"levels, above {_TS_TOL:g} of {scale[i]:.3g}")

@@ -27,6 +27,19 @@ def fits(flood_values):
     return out
 
 
+@pytest.fixture
+def avx512_bits():
+    """Skip where numpy lacks its AVX-512 kernels for exp, log and pow:
+    value bits pinned as literals are those kernels' bits, and numpy's
+    fallback to the C library may differ in the last bit."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("AVX512_SKX", False):
+        pytest.skip("bits pinned with numpy's AVX-512 kernels")
+
+
 def pytest_configure(config):
     config._criterion_lines = []
 

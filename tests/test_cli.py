@@ -22,7 +22,7 @@ from scipy import special
 
 import oddsgamma
 from oddsgamma import fit
-from oddsgamma.cli import _fmt10, _round10, main
+from oddsgamma.cli import _fmt10, _json_list_last, _round10, main
 from oddsgamma.expgamma import OEGammaDist
 
 M2 = "0.131,0.179,0.539"
@@ -296,6 +296,24 @@ class TestSample:
                                "--n", "0", "--format", "tsv")
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    def test_output_is_the_indented_dump(self, capsys, n):
+        # the bytes json.dumps(indent=2) and a _fmt10 line per value give
+        draws = OEGammaDist(0.131, 0.179, 0.539).sample(n, np.random.default_rng(5))
+        doc = {"model": "oe-gamma", "seed": 5, "n": n,
+               "values": [_round10(v) for v in draws]}
+        for fmt, want in (("json", json.dumps(doc, indent=2) + "\n"),
+                          ("tsv", "".join(_fmt10(v) + "\n" for v in draws))):
+            _, out, _ = run_cli(capsys, "sample", "--model", "m2", "--params", M2,
+                                "--n", str(n), "--seed", "5", "--format", fmt)
+            assert out == want, fmt
+
+    def test_edge_values_are_the_indented_dump(self):
+        values = [None, 1e16, 12345678901.0, 1e-5, -0.0, 1.797693134e308, 5e-324]
+        for seed in (None, 7):
+            doc = {"model": "oe-gamma", "seed": seed, "n": len(values), "values": values}
+            assert _json_list_last(doc) == json.dumps(doc, indent=2) + "\n"
 
     def test_negative_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--model", "m2", "--params", M2,

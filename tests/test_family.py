@@ -2,6 +2,7 @@
 against independent integration, series honesty, and sampling law."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -1126,13 +1127,37 @@ class TestSeriesWork:
         assert 0 < n <= 2 * quadrature.tanh_sinh_levels(0).size
 
     def test_series_op_value_count(self, runs):
-        # measured 156,898 values in 8 tanh_sinh runs at this point; bound
-        # 10% above. Before the shells shared their tau columns it took
-        # 236,082 in 9 runs, and the adaptive Gauss-Legendre engine
-        # before that 921,975.
+        # exactly the nodes the bit-identical results need: 156,898
+        # values in 8 tanh_sinh runs. Before the shells shared their tau
+        # columns it took 236,082 in 9 runs, and the adaptive
+        # Gauss-Legendre engine before that 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
-        assert sum(math.prod(shape) for shapes in runs for shape in shapes) <= 172_588
-        assert len(runs) <= 8
+        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 156_898
+        assert len(runs) == 8
+
+    def test_series_op_evaluates_the_base_once_per_level(self, runs):
+        # every tau of the op reads log G1 (and log g1) at a level's
+        # nodes from one memo per distribution: the base's cdf runs once
+        # per level reached (3), where each integrand call ran it (15)
+        a, b, lam = SERIES_DESIGN_PINS[0][0]
+        base = make_exponential(lam)
+        calls = {"cdf": 0, "log_pdf": 0}
+
+        def counted(name):
+            def call(x):
+                calls[name] += 1
+                return getattr(base, name)(x)
+            return call
+
+        d = GammaRatioDist(a, b, dataclasses.replace(
+            base, cdf=counted("cdf"), log_pdf=counted("log_pdf")))
+        results = _series_op(d)
+        assert sum(len(shapes) for shapes in runs) == 15
+        assert len(d._base_abscissae) == 3
+        assert calls["cdf"] == 3
+        assert 0 < calls["log_pdf"] <= calls["cdf"]
+        assert [(r.terms_used, r.diagnostic) for r in results] == [
+            (r.terms_used, r.diagnostic) for r in _series_op(dist(a, b, lam))]
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
@@ -1234,6 +1259,46 @@ class TestSharedTauColumns:
                     want.converged, want.terms_used, want.diagnostic), prm
                 assert got.value == want.value or math.isnan(got.value) and math.isnan(
                     want.value), prm
+
+
+class TestSeriesGolden:
+    """Digests of series results and tau columns, pinned from the
+    engine's output: a change to the quadrature's bookkeeping or to how
+    tau forms its integrand must leave every bit and verdict in place."""
+
+    def test_series_results_digest(self):
+        # all 261 results (every one nan today): value bits, converged,
+        # terms_used and diagnostic
+        digest = hashlib.sha256()
+        points = SERIES_GRID + [prm for prm, _ in SERIES_DESIGN_PINS]
+        results = [res for prm in points for res in _series_op(dist(*prm))]
+        assert len(results) == 261
+        for res in results:
+            digest.update(repr((float(res.value).hex(), res.converged, res.terms_used,
+                                res.diagnostic)).encode())
+        assert digest.hexdigest() == (
+            "3c93d19623ccb8cb4fffd9f19757cf959cfccb6890836292dc94f6420b3fb59a")
+
+    @pytest.mark.usefixtures("avx512_bits")
+    def test_tau_columns_digest(self):
+        # 200-column tau blocks over the same points and a logistic base
+        # (whose odd powers of x take the sign path): value bits and the
+        # type and message of every verdict
+        digest = hashlib.sha256()
+        points = SERIES_GRID + [prm for prm, _ in SERIES_DESIGN_PINS]
+        cases = [dist(*prm) for prm in points]
+        cases += [GammaRatioDist(a, 1.0, logistic_base()) for a in (0.131, 0.5, 2.0, 30.0)]
+        j = np.arange(200.0)
+        for d in cases:
+            a = d.alpha
+            for m, eta, r in ((1, 0.0, j - (a + 1.0)), (2, 0.0, j - (a + 1.0)),
+                              (0, 1.0, j - 2.0 * (a + 1.0)), (3, 0.5, j - a)):
+                errors = []
+                values = d.tau(m, eta, r, errors_out=errors)
+                verdicts = [None if e is None else (type(e).__name__, str(e)) for e in errors]
+                digest.update(repr(([v.hex() for v in values.tolist()], verdicts)).encode())
+        assert digest.hexdigest() == (
+            "b1a58dc0fe6abf0f3cb3c1964c7c8a484212bf55367fc568fecc2e5f1e61fe37")
 
 
 class TestInnerTruncation:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oddsgamma import DivergenceError, NumericalError
+from oddsgamma import DivergenceError, NumericalError, OEGammaDist
 from oddsgamma.quadrature import _ts_new, tanh_sinh, tanh_sinh_levels
 
 
@@ -119,3 +119,91 @@ class TestTanhSinh:
         assert len(seen) == 2
         s_hole = _ts_new(1)[1][hole]
         assert np.isfinite(seen[1]).all() and seen[1].min() > s_hole
+
+
+def _hole_map(level):
+    """unit_map with the head cut below u = 1e-100 and, at level 1, at
+    the node t = 7/16 inside that cut as well."""
+    head, tail = unit_map(level)
+    head = np.where(head < 1e-100, np.nan, head)
+    if level == 1:
+        head[3] = np.nan
+    return head, tail
+
+
+def _verdicts(errors):
+    return [None if e is None else (type(e).__name__, str(e)) for e in errors]
+
+
+@pytest.mark.usefixtures("avx512_bits")
+class TestGoldenPanel:
+    """Value bits (float.hex) and every verdict's type and message, pinned
+    from the engine's output: the rule's bookkeeping may change, its
+    results may not."""
+
+    @pytest.mark.parametrize("f, abscissae, value, verdicts", [
+        (lambda x: x**-0.5, unit_map, "0x1.0000000000000p+1", [None]),
+        (np.log, unit_map, "-0x1.0000000000000p+0", [None]),
+        (lambda x: np.stack([x**-0.5, np.exp(x), np.cos(40.0 * x)], -1), unit_map,
+         ["0x1.0000000000000p+1", "0x1.b7e151628aed3p+0", "0x1.3132c719b98b6p-6"],
+         [None, None, None]),
+        # a cut that moves inward at level 1
+        (lambda x: x**-0.5, _hole_map, "0x1.14276efbd0436p+0",
+         [("NumericalError", "the integrand behaves like (u)^-0.5 beyond the last node at "
+           "u = 0.23, which leaves up to 0.96 unsummed, above 1e-13 of 1.08")]),
+        # a divergent power between two integrable components
+        (lambda x: np.stack([x**-0.5, np.exp(-1.2 * np.log(x) - 230.0), np.exp(x)], -1),
+         unit_map,
+         ["0x1.0000000000000p+1", "0x1.42f24aef445edp-143", "0x1.b7e151628aed3p+0"],
+         [None, ("DivergenceError", "the integrand grows like (u)^-1.2 as u -> 0, which is "
+                 "not integrable"), None]),
+        (lambda x: x**-1.2, unit_map, "inf",
+         [("DivergenceError", "the integrand is not finite at every node")]),
+        # a part beyond the last node
+        (lambda x: x**-0.999, unit_map, "0x1.ea8d633db4682p+8",
+         [("NumericalError", "the integrand behaves like (u)^-0.999 beyond the last node at "
+           "u = 6.13e-276, which leaves up to 531 unsummed, above 1e-13 of 491")]),
+    ])
+    def test_rule(self, f, abscissae, value, verdicts):
+        got, errors = tanh_sinh(f, abscissae)
+        if isinstance(value, list):
+            assert [v.hex() for v in got.tolist()] == value
+        else:
+            assert isinstance(got, float) and got.hex() == value
+        assert _verdicts(errors) == verdicts
+
+    def test_ten_level_exhaustion(self):
+        d = OEGammaDist(0.131, 0.179, 0.539)
+        got, errors = d._expect(
+            lambda x: np.stack((np.cos(100.0 * x), np.sin(100.0 * x)), -1), "cf",
+            per_component=True)
+        assert [v.hex() for v in got.tolist()] == ["-0x1.7dc1f69f70250p-16",
+                                                   "0x1.1dfa02057dd20p-15"]
+        assert _verdicts(errors) == [
+            ("NumericalError", f"tanh-sinh levels still differ by {diff} after 10 levels, "
+             "above 1e-13 of 0.637") for diff in ("8.16e-06", "4.02e-05")]
+        with pytest.raises(NumericalError) as info:
+            d.cf(100)
+        assert str(info.value) == (
+            "cf(100): tanh-sinh levels still differ by 8.16e-06 after 10 levels, "
+            "above 1e-13 of 0.637")
+
+    # raw moments 1-4, renyi_entropy(0.5) and renyi_entropy(2) of
+    # OEGammaDist(alpha, 0.179, 0.539)
+    @pytest.mark.parametrize("alpha, values", [
+        (1e-3, ["0x1.cf4ac6025ebc7p+10", "0x1.a3b26466f748bp+22", "0x1.1d27381c0be76p+35",
+                "0x1.025225fdbcd1dp+48", "0x1.1d2a62333f99bp+3", "0x1.06df478074a9ep+3"]),
+        (0.05, ["0x1.18866e19bf311p+5", "0x1.44784426ef729p+11", "0x1.1a26b3376190ep+18",
+                "0x1.472b113036d03p+25", "0x1.3dd9fef9bbf1bp+2", "0x1.08116ea6856d8p+2"]),
+        (0.131, ["0x1.87e2ceb432c02p+3", "0x1.55666b455681ep+8", "0x1.c49462005a095p+13",
+                 "0x1.90898f9bcbcbbp+19", "0x1.f9497f91fd022p+1", "0x1.79e8e5760305bp+1"]),
+        (2.0, ["0x1.18513a1645467p-2", "0x1.449c1ac1d0430p-3", "0x1.a5e45b5c548dcp-3",
+               "0x1.00e7570ebe215p-1", "0x1.ec8b18fea477bp-4", "-0x1.ccfcd8c81b51fp-1"]),
+        (30.0, ["0x1.760d4bf2eb177p-7", "0x1.1af6e255a1e16p-13", "0x1.bbdb294b71728p-20",
+                "0x1.6965e34e5d89ep-26", "-0x1.2281d384fe0f4p+2", "-0x1.3c2f7372368cap+2"]),
+    ])
+    def test_functionals(self, alpha, values):
+        d = OEGammaDist(alpha, 0.179, 0.539)
+        got = [d.moment_quadrature(m) for m in (1, 2, 3, 4)]
+        got += [d.renyi_entropy(0.5), d.renyi_entropy(2.0)]
+        assert [v.hex() for v in got] == values
