@@ -71,7 +71,7 @@ class SeriesControl:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
-        if not 0.0 < self.tail_tol < 1.0:
+        if not (isinstance(self.tail_tol, numbers.Real) and 0.0 < self.tail_tol < 1.0):
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
 
 
@@ -276,19 +276,15 @@ def _truncate_inner(terms, ctrl):
     return csum[-1].item(), int(terms.size), False
 
 
-def _running_binomial(s, n):
-    """C(s, j) for j = 0..n-1 as the running product of (s - j + 1)/j."""
-    j = np.arange(1.0, n)
-    return np.cumprod(np.concatenate(([1.0], (s - (j - 1.0)) / j)))
-
-
 def _signed_binomial(k, log_pref, s, n):
     """(-1)^(k+j) e^{log_pref} C(s, j) for j = 0..n-1: the coefficient of
-    a shell's inner terms; inf or nan entries where e^{log_pref} overflows."""
+    a shell's inner terms, C(s, j) the running product of (s - j + 1)/j;
+    inf or nan entries where e^{log_pref} overflows."""
     sign_k = -1.0 if k % 2 else 1.0
     j = np.arange(float(n))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return sign_k * float(np.exp(log_pref)) * (-1.0) ** j * _running_binomial(s, n)
+        binom = np.cumprod(np.concatenate(([1.0], (s - (j[1:] - 1.0)) / j[1:])))
+        return sign_k * float(np.exp(log_pref)) * (-1.0) ** j * binom
 
 
 def _tau_note(k, j, m, eta, r, err):
@@ -300,6 +296,16 @@ def _tau_note(k, j, m, eta, r, err):
         return term + ("which is not integrable; the printed expansion is formal "
                        "at these parameters")
     return term + f"which could not be resolved ({err}); the series stops there"
+
+
+def _tau_table(ctrl, c):
+    """(r, tau, verdicts, done): the tau columns of one series
+    evaluation at the integer offsets o = j - k in [1 - k_max, j_max),
+    index o + k_max - 1, at r = float(o) - c. _tau_inner fills a column's
+    value and done flag the first time a shell asks for it, and its
+    verdict, the error that made it nan, where it is nan."""
+    r = np.arange(1.0 - ctrl.k_max, ctrl.j_max) - c
+    return r, np.empty(r.size), [None] * r.size, np.zeros(r.size, dtype=bool)
 
 
 def _validate_renyi_order(eta, who):
@@ -818,58 +824,63 @@ class GammaRatioDist:
 
     # ---------------- formal series evaluators ----------------
 
-    def _tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom, memo=None):
+    def _tau_inner(self, k, ctrl, m, eta, log_pref, s_binom, table):
         """One k-shell of a tau-based double sum.
 
-        Terms are (-1)^(k+j) exp(log_pref) C(s_binom, j) tau(m, eta,
-        r_of_j(j)), with tau taken for a block of j at once and truncated
-        by _truncate_inner. The first j whose tau is nan aborts the whole
-        evaluation via the note channel, unless the truncation stopped
-        before it. No truncation stops before j = 0, so column j = 0 is
-        ruled on first, by a tau of that column alone: where it is nan
-        the shell aborts at j = 0 without integrating a block. Both
-        series' r grows with j, so column 0 is the most singular one, and
-        that is where their shells abort.
-
-        memo maps an exact float r to its column's (tau, verdict) at this
-        (m, eta); the probe and each block integrate, in one tau call,
-        only the r they lack. A column's tau does not depend on the
-        columns integrated with it, so a memoised column is the one a
-        fresh block would give. A series passes one memo to all its
-        shells; None gives the shell its own.
+        Terms are (-1)^(k+j) exp(log_pref) C(s_binom, j) times column j,
+        the table's column at offset j - k (see _tau_table), truncated by
+        _truncate_inner. A block of j asks tau, in one call, only for the
+        offsets the table lacks, and reads its values back by slicing.
+        The first j whose tau is nan aborts the whole evaluation via the
+        note channel, unless the truncation stopped before it. No
+        truncation stops before j = 0, so column j = 0 is ruled on first,
+        alone: where it is nan the shell aborts without integrating a
+        block. Both series' r grows with j, so column 0 is the most
+        singular one, and that is where their shells abort.
         """
-        memo = {} if memo is None else memo
+        r, values, verdicts, done = table
+        first = ctrl.k_max - 1 - k  # the table index of this shell's j = 0
 
-        def columns(r_block):
-            keys = r_block.tolist()
-            missing = [key for key in keys if key not in memo]
-            if missing:
+        def columns(start, stop):
+            i, n = first + start, first + min(stop, ctrl.j_max)
+            todo = np.flatnonzero(~done[i:n]) + i
+            if todo.size:
                 errors = []
-                values = self.tau(m, eta, np.array(missing), errors_out=errors)
-                memo.update(zip(missing, zip(values.tolist(), errors)))
-            tau, errors = zip(*map(memo.__getitem__, keys))
-            return np.array(tau), errors
+                values[todo] = self.tau(m, eta, r[todo], errors_out=errors)
+                done[todo] = True
+                for t in np.flatnonzero(np.isnan(values[todo])):
+                    verdicts[todo[t]] = errors[t]
+            return values[i:n]
 
-        r = r_of_j(np.arange(float(ctrl.j_max)))
-        tau, errors = columns(r[:1])
-        if np.isnan(tau[0]):
-            return 0.0, 1, False, _tau_note(k, 0, m, eta, r[0], errors[0])
+        if np.isnan(columns(0, 1)[0]):
+            return 0.0, 1, False, _tau_note(k, 0, m, eta, r[first], verdicts[first])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
-            tau, errors = columns(r[start:start + _TAU_BLOCK])
+            tau = columns(start, start + _TAU_BLOCK)
             bad = np.flatnonzero(np.isnan(tau))
             good = bad[0] if bad.size else tau.size
             with np.errstate(over="ignore", invalid="ignore"):
                 terms = np.concatenate((terms, coef[start:start + good] * tau[:good]))
-            if terms.size:
-                partial, used, ok = _truncate_inner(terms, ctrl)
-                if ok:
-                    return partial, used, True, None
+            partial, used, ok = _truncate_inner(terms, ctrl)
+            if ok:
+                return partial, used, True, None
             if bad.size:
-                jb = start + int(bad[0])
-                return 0.0, jb + 1, False, _tau_note(k, jb, m, eta, r[jb], errors[bad[0]])
+                j = start + int(bad[0])
+                note = _tau_note(k, j, m, eta, r[first + j], verdicts[first + j])
+                return 0.0, j + 1, False, note
         return partial, used, False, None
+
+    def _tau_series(self, ctrl, m, eta, c, shell):
+        """The double sum behind moment_series and renyi_series: shell k,
+        with (log_pref, s_binom) = shell(k), has terms (-1)^(k+j)
+        exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c). Column j of
+        shell k is the column at offset j - k of one table, which every
+        shell of the evaluation reads, so each offset is integrated once.
+        """
+        table = _tau_table(ctrl, c)
+        return _sum_shells(
+            lambda k: self._tau_inner(k, ctrl, m, eta, *shell(k), table), ctrl)
 
     def moment_series(self, m, ctrl=None):
         """Formal double-sum expansion of the raw moment of order m.
@@ -877,24 +888,16 @@ class GammaRatioDist:
         Mirrors the tau-based expansion term for term; the quadrature
         path is authoritative. converged=False results carry a
         diagnostic (shell growth, non-integrable tau, or truncation).
-        Shell k's column j takes tau at r = (j - k) - (alpha + 1), formed
-        from the integer offset j - k so that shell k + 1's column j + 1
-        is shell k's column j bit for bit; the shells share one tau
-        memo, so each r is integrated once per evaluation.
+        Shell k's column j takes tau at r = (j - k) - (alpha + 1), the
+        table column at the integer offset j - k (see _tau_series).
         """
         m = _validate_order(m, "moment_series")
-        ctrl = ctrl or DEFAULT_CONTROL
         a, b = self.alpha, self.beta
-        memo = {}
 
-        def inner(k):
-            log_pref = (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a)
-            return self._tau_inner(
-                k, ctrl, m, 0.0, lambda j: (j - k) - (a + 1.0), log_pref, a + k - 1.0,
-                memo=memo,
-            )
+        def shell(k):
+            return (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a), a + k - 1.0
 
-        return _sum_shells(inner, ctrl)
+        return self._tau_series(ctrl or DEFAULT_CONTROL, m, 0.0, a + 1.0, shell)
 
     def central_moment_series(self, m, ctrl=None):
         """Binomial recombination of series raw moments (all-series path).
@@ -951,28 +954,18 @@ class GammaRatioDist:
 
         The result's value is the transformed entropy log(S)/(1 - eta),
         nan when the inner sum is not a positive finite number. Shell
-        k's column j takes tau at r = (j - k) - eta (alpha + 1), formed
-        from the integer offset j - k, and the shells share one tau
-        memo, as in moment_series.
+        k's column j takes tau at r = (j - k) - eta (alpha + 1), the
+        table column at the integer offset j - k, as in moment_series.
         """
         eta = _validate_renyi_order(eta, "renyi_series")
-        ctrl = ctrl or DEFAULT_CONTROL
         a, b = self.alpha, self.beta
-        memo = {}
 
-        def inner(k):
-            log_pref = (
-                k * math.log(eta)
-                + (eta * a + k) * math.log(b)
-                - log_gamma(k + 1.0)
-                - eta * log_gamma(a)
-            )
-            return self._tau_inner(
-                k, ctrl, 0, eta - 1.0, lambda j: (j - k) - eta * (a + 1.0),
-                log_pref, eta * (a - 1.0) + k, memo=memo,
-            )
+        def shell(k):
+            log_pref = k * math.log(eta) + (eta * a + k) * math.log(b) - log_gamma(k + 1.0)
+            return log_pref - eta * log_gamma(a), eta * (a - 1.0) + k
 
-        return _renyi_result(_sum_shells(inner, ctrl), eta)
+        raw = self._tau_series(ctrl or DEFAULT_CONTROL, 0, eta - 1.0, eta * (a + 1.0), shell)
+        return _renyi_result(raw, eta)
 
     def cdf_series(self, x, ctrl=None):
         """Formal power-in-G1 expansion of the cdf; diagnostic path only.

@@ -23,7 +23,7 @@ from oddsgamma import (
     make_exponential,
     quadrature,
 )
-from oddsgamma.family import _running_binomial, _truncate_inner
+from oddsgamma.family import _signed_binomial, _tau_table, _truncate_inner
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -759,7 +759,7 @@ class TestMomentSeries:
                 SeriesControl(k_max=bad)
             with pytest.raises(ValueError, match="j_max must be at least 1 and an integer"):
                 SeriesControl(j_max=bad)
-        for bad in (0.0, 1.0, 2.0, math.inf, math.nan):
+        for bad in (0.0, 1.0, 2.0, math.inf, math.nan, "0.1", None, 1j):
             with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\)"):
                 SeriesControl(tail_tol=bad)
         assert SeriesControl(k_max=np.int64(5), j_max=1, tail_tol=0.5).k_max == 5
@@ -983,13 +983,14 @@ def _loop_truncate(terms, ctrl):
     return partial, len(terms), False
 
 
-def _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, s_binom):
-    """The scalar j loop _tau_inner once ran: one tau quadrature per term."""
+def _loop_tau_inner(d, k, ctrl, m, eta, c, log_pref, s_binom):
+    """The scalar j loop _tau_inner once ran: one tau quadrature per term,
+    at r = (j - k) - c."""
     pref = (-1.0 if k % 2 else 1.0) * float(np.exp(log_pref))
     binom = _loop_binomial(s_binom, ctrl.j_max)
     partial, small_run = 0.0, 0
     for j in range(ctrl.j_max):
-        r = r_of_j(j)
+        r = float(j - k) - c
         try:
             tau_val = d.tau(m, eta, r)
         except DivergenceError:
@@ -1010,43 +1011,65 @@ def _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, s_binom):
     return partial, ctrl.j_max, False, None
 
 
+def _poison_tau(monkeypatch, r_bad):
+    """Make GammaRatioDist.tau rule the column at r_bad not integrable,
+    for a scalar r and inside a block alike."""
+    tau = GammaRatioDist.tau
+
+    def poisoned(self, m, eta, r, errors_out=None):
+        if np.ndim(r) == 0:
+            if r == r_bad:
+                raise DivergenceError("poisoned column")
+            return tau(self, m, eta, r)
+        errors = []
+        values = tau(self, m, eta, r, errors_out=errors)
+        for i in np.flatnonzero(r == r_bad):
+            values[i], errors[i] = np.nan, DivergenceError("poisoned column")
+        errors_out.extend(errors)
+        return values
+
+    monkeypatch.setattr(GammaRatioDist, "tau", poisoned)
+
+
 class TestBatchedTauInner:
     """_tau_inner asks tau for blocks of j at once; it must keep the
     scalar loop's stop, term count and first-non-integrable-j note."""
 
-    # renyi_eta: None for a moment shell, whose binomial is C(alpha + k - 1, j)
-    @pytest.mark.parametrize("prm, k, m, eta, r_of_j, ctrl, renyi_eta", [
-        # the binomial C(1, j) ends at j = 1, so the sum stops at j = 3,
-        # before tau(0, 0, r) stops being integrable at j = 5
-        ((2.0, 1.0, 1.0), 0, 0, 0.0, lambda j: 3.5 - j, DEFAULT_CONTROL, None),
-        # not integrable at j = 3, with no stop before it
-        ((0.6, 0.05, 1.0), 1, 0, 0.0, lambda j: 1.5 - j, DEFAULT_CONTROL, None),
+    # shell k's column j is tau(m, eta, (j - k) - c); renyi_eta: None
+    # for a moment shell, whose binomial is C(alpha + k - 1, j); poison:
+    # a column j that tau is made to rule not integrable, or None
+    @pytest.mark.parametrize("prm, k, m, eta, c, ctrl, renyi_eta, poison", [
         # j_max = 2000: stops at j = 310, in the second block of j
-        ((0.6, 0.05, 1.3), 0, 0, 1.0, lambda j: j - 0.5,
-         SeriesControl(j_max=2000, tail_tol=1e-7), None),
-        # j_max = 2000: not integrable at j = 302, in the second block
-        ((0.6, 0.05, 1.3), 2, 0, 1.0, lambda j: 300.5 - j, SeriesControl(j_max=2000), None),
+        ((0.6, 0.05, 1.3), 0, 0, 1.0, 0.5, SeriesControl(j_max=2000, tail_tol=1e-7), None,
+         None),
+        # j_max = 2000: not integrable at j = 300, inside the second block
+        ((0.6, 0.05, 1.3), 0, 0, 1.0, 0.5, SeriesControl(j_max=2000), None, 300),
         # a moment shell at the default control, run to j_max
-        ((0.6, 0.05, 1.0), 0, 1, 0.0, lambda j: j - 1.6, DEFAULT_CONTROL, None),
+        ((0.6, 0.05, 1.0), 0, 1, 0.0, 1.6, DEFAULT_CONTROL, None, None),
         # an entropy shell's binomial C(eta (alpha - 1) + k, j)
-        ((0.6, 0.05, 1.3), 1, 0, 1.0, lambda j: j - 0.5, DEFAULT_CONTROL, 2.0),
-        # r growing with j, as in both series, and column j = 0 not
-        # integrable, so a tau of that column alone decides: a
-        # moment shell of order 1, r = j - alpha - k - 1 ...
-        ((0.6, 0.05, 1.0), 1, 1, 0.0, lambda j: j - 2.6, DEFAULT_CONTROL, None),
+        ((0.6, 0.05, 1.3), 1, 0, 1.0, -0.5, DEFAULT_CONTROL, 2.0, None),
+        # column j = 0 not integrable, so a tau of that column alone
+        # decides: a moment shell of order 1, r = j - alpha - k - 1 ...
+        ((0.6, 0.05, 1.0), 1, 1, 0.0, 1.6, DEFAULT_CONTROL, None, None),
         # ... and an order-2 entropy shell, r = j - eta (alpha + 1) - k
-        ((0.6, 0.05, 1.3), 0, 0, 1.0, lambda j: j - 3.2, DEFAULT_CONTROL, 2.0),
+        ((0.6, 0.05, 1.3), 0, 0, 1.0, 3.2, DEFAULT_CONTROL, 2.0, None),
     ])
-    def test_matches_scalar_loop(self, prm, k, m, eta, r_of_j, ctrl, renyi_eta):
+    def test_matches_scalar_loop(self, monkeypatch, prm, k, m, eta, c, ctrl, renyi_eta,
+                                 poison):
         d = dist(*prm)
+        if poison is not None:
+            _poison_tau(monkeypatch, float(poison - k) - c)
         log_pref = 0.3 * k - 0.7
         if renyi_eta is None:
             s_binom = d.alpha + k - 1.0
         else:
             s_binom = renyi_eta * (d.alpha - 1.0) + k
-        got = d._tau_inner(k, ctrl, m, eta, r_of_j, log_pref, s_binom)
-        want = _loop_tau_inner(d, k, ctrl, m, eta, r_of_j, log_pref, s_binom)
+        got = d._tau_inner(k, ctrl, m, eta, log_pref, s_binom, _tau_table(ctrl, c))
+        want = _loop_tau_inner(d, k, ctrl, m, eta, c, log_pref, s_binom)
         assert got[1:] == want[1:]
+        if poison is not None:
+            assert got[1] == poison + 1
+            assert f"(k={k}, j={poison})" in got[3] and "not integrable" in got[3]
         # each column of a block settles alone, so its tau is the scalar
         # one; the partial sums add the same terms in another order
         assert got[0] == pytest.approx(want[0], rel=1e-10, abs=0.0)
@@ -1118,8 +1141,9 @@ class TestSeriesWork:
         prm = SERIES_DESIGN_PINS[0][0]
         d = dist(*prm)
         a = d.alpha
-        # the k = 1 shell of moment_series(1), r = j - alpha - 2
-        out = d._tau_inner(1, DEFAULT_CONTROL, 1, 0.0, lambda j: j - a - 2.0, -0.7, a)
+        # the k = 1 shell of moment_series(1), r = (j - 1) - (alpha + 1)
+        ctrl = DEFAULT_CONTROL
+        out = d._tau_inner(1, ctrl, 1, 0.0, -0.7, a, _tau_table(ctrl, a + 1.0))
         assert out[:3] == (0.0, 1, False)
         assert len(runs) == 1
         [(n, columns)] = runs[0]
@@ -1208,49 +1232,92 @@ SERIES_GRID = [
 
 
 class TestSharedTauColumns:
-    """The shells of one series evaluation share a memo of tau columns.
-    Each column settles alone in tanh_sinh, so a memoised column is the
-    one a fresh block would integrate, bit for bit."""
+    """The shells of one series evaluation share one table of tau
+    columns, addressed by the integer offset j - k. Each column settles
+    alone in tanh_sinh, so a column in the table is the one a fresh
+    block would integrate, bit for bit."""
 
     @staticmethod
     def _shells(d):
-        # (k, m, eta, r_of_j, log_pref, s_binom) of moment_series(2)'s
+        # (k, m, eta, c, log_pref, s_binom) of moment_series(2)'s
         # shells 0 and 1 and of renyi_series(2)'s shell 0
         a, b = d.alpha, d.beta
 
         def moment(k):
             log_pref = (a + k) * math.log(b) - math.lgamma(k + 1.0) - math.lgamma(a)
-            return k, 2, 0.0, lambda j: (j - k) - (a + 1.0), log_pref, a + k - 1.0
+            return k, 2, 0.0, a + 1.0, log_pref, a + k - 1.0
 
-        renyi = (0, 0, 1.0, lambda j: j - 2.0 * (a + 1.0),
+        renyi = (0, 0, 1.0, 2.0 * (a + 1.0),
                  2.0 * a * math.log(b) - 2.0 * math.lgamma(a), 2.0 * (a - 1.0))
         return moment(0), moment(1), renyi
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_prefilled_memo_gives_the_fresh_shell(self, prm):
+        # the memo is the evaluation's column table
         d = dist(*prm)
         ctrl = DEFAULT_CONTROL
-        (k0, *shell0), (k1, *shell1), (kr, *renyi) = self._shells(d)
-        # moment_series(2)'s shell 1 after shell 0 filled the memo
-        memo = {}
-        d._tau_inner(k0, ctrl, *shell0, memo=memo)
-        assert len(memo) == ctrl.j_max
-        assert d._tau_inner(k1, ctrl, *shell1, memo=memo) == d._tau_inner(k1, ctrl, *shell1)
+
+        def shell(k, m, eta, c, log_pref, s_binom, table=None):
+            table = _tau_table(ctrl, c) if table is None else table
+            return d._tau_inner(k, ctrl, m, eta, log_pref, s_binom, table)
+
+        shell0, shell1, renyi = self._shells(d)
+        # moment_series(2)'s shell 1 after shell 0 filled the table
+        table = _tau_table(ctrl, shell0[3])
+        shell(*shell0, table)
+        done = table[3]
+        assert done.sum() == ctrl.j_max and done[ctrl.k_max - 1:].all()
+        assert shell(*shell1, table) == shell(*shell1)
         # renyi_series(2)'s shell 0 with every column integrated in one tau
-        m, eta, r_of_j = renyi[:3]
-        r = r_of_j(np.arange(float(ctrl.j_max)))
+        r, values, verdicts, done = table = _tau_table(ctrl, renyi[3])
         errors = []
-        values = d.tau(m, eta, r, errors_out=errors)
-        memo = dict(zip(r.tolist(), zip(values.tolist(), errors)))
-        assert d._tau_inner(kr, ctrl, *renyi, memo=memo) == d._tau_inner(kr, ctrl, *renyi)
-        assert len(memo) == ctrl.j_max
+        values[:] = d.tau(renyi[1], renyi[2], r, errors_out=errors)
+        verdicts[:] = errors
+        done[:] = True
+        assert shell(*renyi, table) == shell(*renyi)
+
+    def test_no_offset_reaches_tau_twice(self, monkeypatch):
+        seen = []
+        tau = GammaRatioDist.tau
+
+        def spy(self, m, eta, r, errors_out=None):
+            seen[-1].extend(np.atleast_1d(r).tolist())
+            return tau(self, m, eta, r, errors_out)
+
+        monkeypatch.setattr(GammaRatioDist, "tau", spy)
+        wide = SeriesControl(j_max=600)
+        for prm, _ in SERIES_DESIGN_PINS:
+            d = dist(*prm)
+            for evaluate in (lambda: d.moment_series(1), lambda: d.moment_series(2),
+                             lambda: d.moment_series(2, wide), lambda: d.renyi_series(2.0)):
+                seen.append([])
+                evaluate()
+                assert len(seen[-1]) == len(set(seen[-1]))
+        # moment_series(2) at j_max = 600, in three blocks: shell 0's 600
+        # columns, and shell 1's and shell 2's probes, the only offsets
+        # they lack
+        assert [len(r) for r in seen[2::4]] == [602, 602, 602]
+
+    def test_table_r_is_each_shells_r_bit_for_bit(self):
+        # column j of shell k sits at offset j - k; its r is the one the
+        # shell would form from j and k, (j - k) - c, in every bit
+        ctrl = SeriesControl(k_max=7, j_max=300)
+        j = np.arange(float(ctrl.j_max))
+        for c in (0.1 + 1.0, 2.0 * (0.1 + 1.0), 0.45542855490186324 + 1.0,
+                  1.9 * (0.8162849940598352 + 1.0)):
+            r = _tau_table(ctrl, c)[0]
+            assert r.size == ctrl.k_max - 1 + ctrl.j_max
+            for k in range(ctrl.k_max):
+                first = ctrl.k_max - 1 - k
+                assert r[first:first + ctrl.j_max].tobytes() == ((j - k) - c).tobytes()
 
     def test_grid_results_equal_unshared_shells(self, monkeypatch):
         shared = {prm: _series_op(dist(*prm)) for prm in SERIES_GRID}
         tau_inner = GammaRatioDist._tau_inner
 
-        def unshared(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom, memo=None):
-            return tau_inner(self, k, ctrl, m, eta, r_of_j, log_pref, s_binom)
+        def unshared(self, k, ctrl, m, eta, log_pref, s_binom, table):
+            fresh = (table[0],) + _tau_table(ctrl, 0.0)[1:]
+            return tau_inner(self, k, ctrl, m, eta, log_pref, s_binom, fresh)
 
         monkeypatch.setattr(GammaRatioDist, "_tau_inner", unshared)
         for prm, results in shared.items():
@@ -1307,7 +1374,9 @@ class TestInnerTruncation:
 
     @pytest.mark.parametrize("s", [-1.6, -0.869, 0.4, 3.0, 7.25])
     def test_running_binomial_matches_loop(self, s):
-        assert _running_binomial(s, 300).tolist() == _loop_binomial(s, 300)
+        # flipping the sign (-1)^j back is exact
+        binom = _signed_binomial(0, 0.0, s, 300) * (-1.0) ** np.arange(300.0)
+        assert binom.tolist() == _loop_binomial(s, 300)
 
     @pytest.mark.parametrize("ctrl", [
         DEFAULT_CONTROL, SeriesControl(tail_tol=1e-6), SeriesControl(tail_tol=1e-3),
@@ -1316,8 +1385,8 @@ class TestInnerTruncation:
         rng = np.random.default_rng(5)
         j = np.arange(400.0)
         cases = [
-            (-1.0) ** j * _running_binomial(-0.4, 400) / (j + 0.6) * 0.9**j,
-            (-1.0) ** j * _running_binomial(2.5, 400) / (j - 3.5),
+            _signed_binomial(0, 0.0, -0.4, 400) / (j + 0.6) * 0.9**j,
+            _signed_binomial(0, 0.0, 2.5, 400) / (j - 3.5),
             rng.standard_normal(400) * np.exp(-0.2 * j),
             rng.standard_normal(400),
             np.array([3.0]),
