@@ -83,11 +83,16 @@ class SeriesResult:
     """Outcome of a truncated series evaluation.
 
     value is the partial sum reached (complex for the characteristic
-    function; nan when a term could not be evaluated at all). converged
-    is True only when the last retained shell fell below tail_tol
-    relative to the partial sum and no divergence flag fired. diagnostic
-    explains any failure; a converged result may still carry a note when
-    an independent cross-check disagrees with the summed value.
+    function; nan when a term could not be evaluated at all). terms_used
+    is (k, j): k the number of shells summed into value, and j the most
+    inner terms any one shell reached, the term that aborted a shell
+    included; a shell whose sum could not change the verdict (see
+    GammaRatioDist._tau_series) sums none.
+    converged is True only when the last retained shell fell below
+    tail_tol relative to the partial sum and no divergence flag fired.
+    diagnostic explains any failure; a converged result may still carry
+    a note when an independent cross-check disagrees with the summed
+    value.
     """
 
     value: float
@@ -309,10 +314,12 @@ def _tau_table(ctrl, c):
 
 
 def _validate_renyi_order(eta, who):
-    """eta as a float; ValueError unless eta > 0 and eta != 1."""
+    """eta as a float; ValueError unless eta is finite, eta > 0 and eta != 1."""
     eta = float(eta)
     if not eta > 0.0 or eta == 1.0:
         raise ValueError(f"{who} requires eta > 0, eta != 1, got {eta}")
+    if eta == math.inf:
+        raise ValueError(f"{who} requires a finite eta, got eta = {eta}")
     return eta
 
 
@@ -651,11 +658,17 @@ class GammaRatioDist:
         given, then receives each entry's verdict: None, or the
         DivergenceError or NumericalError that made it nan. For a scalar
         r a non-integrable tau raises DivergenceError naming (m, eta, r),
-        and an unresolved one NumericalError.
+        and an unresolved one NumericalError. A non-finite eta or entry
+        of r raises ValueError.
         """
         m = _validate_order(m, "tau")
         eta = float(eta)
+        if not math.isfinite(eta):
+            raise ValueError(f"tau requires a finite eta, got eta = {eta}")
         r_vec = np.atleast_1d(np.asarray(r, dtype=float))
+        if not np.isfinite(r_vec).all():
+            bad = float(r_vec[~np.isfinite(r_vec)][0])
+            raise ValueError(f"tau requires a finite r, got r = {bad}")
         base = self.base
         signed = m % 2 == 1 and base.support[0] < 0.0
 
@@ -838,26 +851,15 @@ class GammaRatioDist:
         block. Both series' r grows with j, so column 0 is the most
         singular one, and that is where their shells abort.
         """
-        r, values, verdicts, done = table
+        r, _, verdicts, _ = table
         first = ctrl.k_max - 1 - k  # the table index of this shell's j = 0
-
-        def columns(start, stop):
-            i, n = first + start, first + min(stop, ctrl.j_max)
-            todo = np.flatnonzero(~done[i:n]) + i
-            if todo.size:
-                errors = []
-                values[todo] = self.tau(m, eta, r[todo], errors_out=errors)
-                done[todo] = True
-                for t in np.flatnonzero(np.isnan(values[todo])):
-                    verdicts[todo[t]] = errors[t]
-            return values[i:n]
-
-        if np.isnan(columns(0, 1)[0]):
+        if np.isnan(self._tau_columns(m, eta, table, first, first + 1)[0]):
             return 0.0, 1, False, _tau_note(k, 0, m, eta, r[first], verdicts[first])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
-            tau = columns(start, start + _TAU_BLOCK)
+            stop = min(start + _TAU_BLOCK, ctrl.j_max)
+            tau = self._tau_columns(m, eta, table, first + start, first + stop)
             bad = np.flatnonzero(np.isnan(tau))
             good = bad[0] if bad.size else tau.size
             with np.errstate(over="ignore", invalid="ignore"):
@@ -871,16 +873,45 @@ class GammaRatioDist:
                 return 0.0, j + 1, False, note
         return partial, used, False, None
 
+    def _tau_columns(self, m, eta, table, i, n):
+        """Table entries i:n of tau(m, eta, r), after integrating, in one
+        tau call, the entries not yet done (see _tau_table)."""
+        r, values, verdicts, done = table
+        todo = np.flatnonzero(~done[i:n]) + i
+        if todo.size:
+            errors = []
+            values[todo] = self.tau(m, eta, r[todo], errors_out=errors)
+            done[todo] = True
+            for t in np.flatnonzero(np.isnan(values[todo])):
+                verdicts[todo[t]] = errors[t]
+        return values[i:n]
+
     def _tau_series(self, ctrl, m, eta, c, shell):
         """The double sum behind moment_series and renyi_series: shell k,
         with (log_pref, s_binom) = shell(k), has terms (-1)^(k+j)
         exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c). Column j of
         shell k is the column at offset j - k of one table, which every
         shell of the evaluation reads, so each offset is integrated once.
+
+        No shell before k = 1 can end the sum with a value (see
+        _sum_shells). So shell 0's own column 0 is ruled on first, as its
+        shell would, then shell 1's column 0, offset -1, alone; where that
+        is nan the evaluation ends at shell 1's note, and shell 0
+        contributes 0 from 0 terms without integrating a block. A nan
+        later in shell 0, whose note would have come first, is then not
+        looked for.
         """
         table = _tau_table(ctrl, c)
-        return _sum_shells(
-            lambda k: self._tau_inner(k, ctrl, m, eta, *shell(k), table), ctrl)
+        zero = ctrl.k_max - 1  # the table index of offset 0
+
+        def inner(k):
+            if (k == 0 and ctrl.k_max > 1
+                    and not np.isnan(self._tau_columns(m, eta, table, zero, zero + 1)[0])
+                    and np.isnan(self._tau_columns(m, eta, table, zero - 1, zero)[0])):
+                return 0.0, 0, False, None
+            return self._tau_inner(k, ctrl, m, eta, *shell(k), table)
+
+        return _sum_shells(inner, ctrl)
 
     def moment_series(self, m, ctrl=None):
         """Formal double-sum expansion of the raw moment of order m.

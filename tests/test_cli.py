@@ -365,6 +365,11 @@ class TestMoments:
         assert err.startswith("numerical error:")
         assert "eta != 1" in err
 
+    def test_infinite_eta_is_not_a_divergence(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--params", "2,1,3", "--eta", "inf")
+        assert code == 70 and out == ""
+        assert err == "numerical error: renyi_entropy requires a finite eta, got eta = inf\n"
+
     def test_order_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--params", "1,1,1", "--order", "0")
         assert code == 64

@@ -358,6 +358,16 @@ class TestTau:
         with pytest.raises(DivergenceError, match=r"tau\(m=1, eta=0, r=-2\.131\)"):
             dist(1.0, 1.0, 1.0).tau(1, 0, -2.131)
 
+    @pytest.mark.parametrize("eta, r, bad", [
+        (math.nan, -0.5, "eta = nan"), (math.inf, -0.5, "eta = inf"),
+        (0.0, math.nan, "r = nan"), (0.0, [-0.5, math.nan], "r = nan"),
+        (0.0, [0.5, -math.inf, math.inf], "r = -inf"),
+    ])
+    def test_non_finite_arguments_raise(self, eta, r, bad):
+        # not a divergence verdict, nor a 0 or nan column
+        with pytest.raises(ValueError, match=f"^tau requires a finite .*, got {bad}$"):
+            dist(1.0, 1.0, 1.0).tau(1, eta, r, errors_out=[])
+
     def test_support_below_zero_keeps_the_sign(self):
         # x = logit(u), so tau(m, 0, r) is the integral of logit(u)^m u^r
         # over (0, 1)
@@ -950,6 +960,19 @@ class TestRenyi:
             for who in ("renyi_entropy", "renyi_series")
         }
 
+    def test_infinite_order_is_rejected(self):
+        # not a divergence verdict from the quadrature or the series
+        d = OEGammaDist(2.0, 1.0, 3.0)
+        for who, call in [
+            ("renyi_entropy", d.renyi_entropy),
+            ("renyi_entropy", d.as_family().renyi_entropy),
+            ("renyi_series", d.renyi_series),
+            ("renyi_series", d.as_family().renyi_series),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                call(math.inf)
+            assert str(exc.value) == f"{who} requires a finite eta, got eta = inf"
+
     def test_series_is_honest(self):
         d = dist(2.0, 1.0, 1.0)
         r = d.renyi_series(2.0, SeriesControl(k_max=40, j_max=2000, tail_tol=1e-8))
@@ -1096,12 +1119,14 @@ def _series_op(d):
 class TestSeriesDesignPins:
     """moment_series(1), moment_series(2) and renyi_series(2) at design
     points of the benchmark's series workload: every one aborts at the
-    j = 0 term of one shell, after the shells before it ran to j_max."""
+    j = 0 term of one shell. moment_series(2)'s shells before it ran to
+    j_max; moment_series(1)'s shell 0 sums nothing, because shell 1's
+    j = 0 column is ruled not integrable before shell 0's blocks."""
 
     @pytest.mark.parametrize("prm, r0", SERIES_DESIGN_PINS)
     def test_pinned_results(self, prm, r0):
         results = _series_op(dist(*prm))
-        terms = [(1, 200), (2, 200), (0, 1)]
+        terms = [(1, 1), (2, 200), (0, 1)]
         tau_args = [(1, 1, 0), (2, 2, 0), (0, 0, 1)]  # (k, m, eta) of the aborting shell
         for res, used, r, (k, m, eta) in zip(results, terms, r0, tau_args):
             assert math.isnan(res.value)
@@ -1111,6 +1136,44 @@ class TestSeriesDesignPins:
                 f"term (k={k}, j=0) needs tau(m={m}, eta={eta}, r={r}), which is not "
                 "integrable; the printed expansion is formal at these parameters"
             )
+
+    @pytest.mark.parametrize("prm, r0", SERIES_DESIGN_PINS)
+    def test_short_controls(self, prm, r0):
+        d = dist(*prm)
+        # one shell: there is no shell 1 column to rule on, so shell 0
+        # sums to j_max
+        one = SeriesControl(k_max=1)
+        res = d.moment_series(1, one)
+        assert math.isfinite(res.value) and res.converged is False
+        assert res.terms_used == (1, 200)
+        assert res.diagnostic == "k_max=1 shells consumed before the tail criterion was met"
+        # two shells: shell 1's j = 0 column ends it, and shell 0 sums
+        # nothing; for moment_series(2) that column is integrable, so
+        # both shells sum to j_max
+        two = SeriesControl(k_max=2, j_max=50)
+        res = d.moment_series(1, two)
+        assert math.isnan(res.value) and res.converged is False
+        assert res.terms_used == (1, 1)
+        assert res.diagnostic.startswith(
+            f"term (k=1, j=0) needs tau(m=1, eta=0, r={r0[0]}), which is not integrable")
+        res = d.moment_series(2, two)
+        assert math.isfinite(res.value) and res.terms_used == (2, 50)
+        assert res.diagnostic == "k_max=2 shells consumed before the tail criterion was met"
+
+    @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
+    def test_first_moment_integrates_no_block(self, monkeypatch, prm):
+        # moment_series(1) asks tau for shell 0's column 0 and then for
+        # shell 1's column 0, one column a call, and for nothing else
+        seen = []
+        tau = GammaRatioDist.tau
+
+        def spy(self, m, eta, r, errors_out=None):
+            seen.append(np.size(r))
+            return tau(self, m, eta, r, errors_out)
+
+        monkeypatch.setattr(GammaRatioDist, "tau", spy)
+        assert dist(*prm).moment_series(1).terms_used == (1, 1)
+        assert seen == [1, 1]
 
 
 class TestSeriesWork:
@@ -1151,18 +1214,19 @@ class TestSeriesWork:
         assert 0 < n <= 2 * quadrature.tanh_sinh_levels(0).size
 
     def test_series_op_value_count(self, runs):
-        # exactly the nodes the bit-identical results need: 156,898
-        # values in 8 tanh_sinh runs. Before the shells shared their tau
-        # columns it took 236,082 in 9 runs, and the adaptive
-        # Gauss-Legendre engine before that 921,975.
+        # exactly the nodes the bit-identical results need: 78,890
+        # values in 7 tanh_sinh runs. Before shell 1's j = 0 column was
+        # ruled on ahead of shell 0's blocks it took 156,898 in 8 runs,
+        # before the shells shared their tau columns 236,082 in 9, and
+        # on the adaptive Gauss-Legendre engine before that 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
-        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 156_898
-        assert len(runs) == 8
+        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 78_890
+        assert len(runs) == 7
 
     def test_series_op_evaluates_the_base_once_per_level(self, runs):
         # every tau of the op reads log G1 (and log g1) at a level's
         # nodes from one memo per distribution: the base's cdf runs once
-        # per level reached (3), where each integrand call ran it (15)
+        # per level reached (3), where each integrand call ran it (12)
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
         calls = {"cdf": 0, "log_pdf": 0}
@@ -1176,7 +1240,7 @@ class TestSeriesWork:
         d = GammaRatioDist(a, b, dataclasses.replace(
             base, cdf=counted("cdf"), log_pdf=counted("log_pdf")))
         results = _series_op(d)
-        assert sum(len(shapes) for shapes in runs) == 15
+        assert sum(len(shapes) for shapes in runs) == 12
         assert len(d._base_abscissae) == 3
         assert calls["cdf"] == 3
         assert 0 < calls["log_pdf"] <= calls["cdf"]
@@ -1185,20 +1249,24 @@ class TestSeriesWork:
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
-        # shell 1's columns j >= 1 are shell 0's columns j - 1
+        # shell 1's columns j >= 1 are shell 0's columns j - 1, and its
+        # probe, column 0, is ruled on alone before shell 0 runs, right
+        # after shell 0's own probe
         shell_runs = {}
         tau_inner = GammaRatioDist._tau_inner
 
         def spy(self, k, *args, **kwargs):
             start = len(runs)
+            shell_runs.setdefault("before", runs[:start])
             out = tau_inner(self, k, *args, **kwargs)
             shell_runs[k] = runs[start:]
             return out
 
         monkeypatch.setattr(GammaRatioDist, "_tau_inner", spy)
         assert dist(*prm).moment_series(2).terms_used == (2, 200)
-        assert shell_runs[1]
-        assert all(columns == 1 for shapes in shell_runs[1] for _, columns in shapes)
+        assert len(shell_runs["before"]) == 2
+        assert all(columns == 1 for shapes in shell_runs["before"] for _, columns in shapes)
+        assert shell_runs[1] == []
 
     def test_series_op_maps_each_level_through_the_base_once(self, runs):
         # every tau of the op, the j = 0 probes included, reads the
@@ -1333,18 +1401,31 @@ class TestSeriesGolden:
     engine's output: a change to the quadrature's bookkeeping or to how
     tau forms its integrand must leave every bit and verdict in place."""
 
-    def test_series_results_digest(self):
-        # all 261 results (every one nan today): value bits, converged,
-        # terms_used and diagnostic
-        digest = hashlib.sha256()
+    @pytest.fixture(scope="class")
+    def results(self):
         points = SERIES_GRID + [prm for prm, _ in SERIES_DESIGN_PINS]
         results = [res for prm in points for res in _series_op(dist(*prm))]
         assert len(results) == 261
+        return results
+
+    def test_series_results_digest(self, results):
+        # all 261 results (every one nan today): value bits, converged
+        # and diagnostic, which skipping a shell whose sum cannot change
+        # the verdict must leave in place
+        digest = hashlib.sha256()
         for res in results:
-            digest.update(repr((float(res.value).hex(), res.converged, res.terms_used,
+            digest.update(repr((float(res.value).hex(), res.converged,
                                 res.diagnostic)).encode())
         assert digest.hexdigest() == (
-            "3c93d19623ccb8cb4fffd9f19757cf959cfccb6890836292dc94f6420b3fb59a")
+            "750e87b14d314d5ad379253d31844eefaec46d7aa3808b2ad0d745f048f9b6be")
+
+    def test_series_terms_digest(self, results):
+        # terms_used of the same 261 results
+        digest = hashlib.sha256()
+        for res in results:
+            digest.update(repr(res.terms_used).encode())
+        assert digest.hexdigest() == (
+            "0b866a1c8dcc7c5ab26392ce88d4aeae818732bdd12688e486dcb71b4e0337f1")
 
     @pytest.mark.usefixtures("avx512_bits")
     def test_tau_columns_digest(self):
