@@ -14,4 +14,4 @@ class DivergenceError(NumericalError):
 
 
 class FitError(NumericalError):
-    """No optimizer start produced a usable maximum."""
+    """A fit produced no usable maximum."""

@@ -42,29 +42,28 @@ class FittableModel:
     cdf rounds to 1. Every parameter is positive, because the fit works
     in log coordinates. k is the parameter count reported to information
     criteria, which can exceed the optimized dimension when displayed
-    parameters are redundant. initial_guess maps data to a starting
-    theta, and analytic_score, when present, maps (data, theta) to
-    (loglik, gradient) or (loglik, gradient, H), the gradient taken with
-    respect to theta. The optional H is the Hessian with respect to
-    phi = log theta, d2 loglik / d phi_i d phi_j, which the fit uses for
-    its Newton steps and standard errors in place of differencing the
-    gradient. Write each of its entries in log coordinates, never as the
+    parameters are redundant.
+
+    A model is fitted only through its own likelihood equations, so
+    analytic_score and exact_mle are required. analytic_score maps
+    (data, theta) to (loglik, gradient, H), the gradient taken with
+    respect to theta and H the Hessian with respect to phi = log theta,
+    d2 loglik / d phi_i d phi_j, from which the fit takes its standard
+    errors. Write each entry of H in log coordinates, never as the
     product theta_i theta_j d2 loglik / d theta_i d theta_j: that product
     overflows where a parameter runs toward 1e300 while the entry itself
-    stays finite. exact_mle, when present, maps data to
-    (theta, iterations, note) or (theta, iterations, note, advisory):
-    the maximum-likelihood theta solved directly (for a family whose
-    likelihood equations reduce to one dimension), the solver steps it
-    took, and None where the solve met its tolerance or else a warning
-    that says why not, which leaves the fit not converged. advisory is
-    None or a warning that does not: the fit stays converged where the
-    note is None and the gradient test holds, and the warning is
-    reported beside it (m2 says so where its likelihood is higher at a
-    boundary than at the interior maximum theta). mle_fit then uses
-    exact_mle in place of the Newton ascent from initial_guess. Every callable
-    receives the data as mle_fit or standard_errors validated them (a
-    non-empty 1-D float array of finite values > 0) and does not check
-    them again.
+    stays finite. exact_mle maps data to (theta, iterations, note) or
+    (theta, iterations, note, advisory): the maximum-likelihood theta
+    solved directly (for a family whose likelihood equations reduce to
+    one dimension), the solver steps it took, and None where the solve
+    met its tolerance or else a warning that says why not, which leaves
+    the fit not converged. advisory is None or a warning that does not:
+    the fit stays converged where the note is None and the gradient test
+    holds, and the warning is reported beside it (m2 says so where its
+    likelihood is higher at a boundary than at the interior maximum
+    theta). Every callable receives the data as mle_fit or
+    standard_errors validated them (a non-empty 1-D float array of
+    finite values > 0) and does not check them again.
     report_params expands the optimized vector into display rows of
     (name, value, std_error) so redundant parameterizations can show
     their conventional split.
@@ -76,10 +75,9 @@ class FittableModel:
     log_pdf: Callable
     cdf: Callable
     sf: Callable
-    initial_guess: Callable
-    analytic_score: Optional[Callable] = None
+    analytic_score: Callable
+    exact_mle: Callable
     report_params: Optional[Callable] = None
-    exact_mle: Optional[Callable] = None
 
     def __post_init__(self):
         if self.k < len(self.param_names):
@@ -214,10 +212,6 @@ def _oe_method(name):
         return getattr(OEGammaDist(a, b, lam), name)(np.asarray(x, dtype=float))
 
     return call
-
-
-def _oe_initial_guess(x):
-    return np.array([0.5, 1.0, 1.0 / float(np.median(x))])
 
 
 def _oe_score(x, theta):
@@ -408,7 +402,6 @@ def oe_gamma_model():
         log_pdf=_oe_method("log_pdf"),
         cdf=_oe_method("cdf"),
         sf=_oe_method("sf"),
-        initial_guess=_oe_initial_guess,
         analytic_score=_oe_score,
         exact_mle=_oe_exact_mle,
     )
@@ -441,15 +434,6 @@ def _zb_sf(x, theta):
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
         return np.where(x <= 0.0, 1.0, _reg_upper_gamma_vec(a, rho * np.maximum(x, 0.0)))
-
-
-def _zb_initial_guess(x):
-    # gamma method of moments
-    mean = float(np.mean(x))
-    var = float(np.var(x, ddof=1)) if x.size > 1 else mean ** 2
-    var = max(var, 1e-12)
-    a0 = max(mean * mean / var, 1e-3)
-    return np.array([a0, a0 / mean])
 
 
 def _zb_score(x, theta):
@@ -516,7 +500,6 @@ def zb_gamma_exp_model():
         log_pdf=_zb_log_pdf,
         cdf=_zb_cdf,
         sf=_zb_sf,
-        initial_guess=_zb_initial_guess,
         analytic_score=_zb_score,
         report_params=_zb_report,
         exact_mle=_zb_exact_mle,
@@ -551,27 +534,12 @@ def _weibull_sf(x, theta):
         return np.where(x <= 0.0, 1.0, np.exp(-((lam * np.maximum(x, 0.0)) ** k)))
 
 
-def _weibull_initial_guess(data):
-    # least squares of ln(-ln(1-p_i)) on ln x_(i), the standard rank heuristic
-    x = np.sort(data)
-    n = x.size
-    if n == 1:
-        return np.array([1.0, 1.0 / x[0]])
-    p = (np.arange(1, n + 1) - 0.5) / n
-    y = np.log(-np.log1p(-p))
-    z = np.log(x)
-    slope, intercept = np.polyfit(z, y, 1)
-    k0 = max(float(slope), 1e-2)
-    lam0 = math.exp(float(intercept) / k0)
-    return np.array([k0, lam0])
-
-
 def _weibull_score(x, theta):
     k, lam = float(theta[0]), float(theta[1])
     n = x.size
     lx = np.log(lam * x)
     u = k * lx  # log t, t = (lam x)^k
-    # exploratory Newton points can push (lam*x)^k past the float range; inf is
+    # a theta far from the fit can push (lam*x)^k past the float range; inf is
     # fine, the fit rejects the non-finite point
     with np.errstate(over="ignore"):
         t = np.exp(u)
@@ -639,7 +607,6 @@ def weibull_model():
         log_pdf=_weibull_log_pdf,
         cdf=_weibull_cdf,
         sf=_weibull_sf,
-        initial_guess=_weibull_initial_guess,
         analytic_score=_weibull_score,
         exact_mle=_weibull_exact_mle,
     )

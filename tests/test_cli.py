@@ -21,7 +21,6 @@ import pytest
 from scipy import special
 
 import oddsgamma
-from oddsgamma import fit
 from oddsgamma.cli import _fmt10, _json_list_last, _round10, main
 from oddsgamma.expgamma import OEGammaDist
 
@@ -102,15 +101,6 @@ class TestCompare:
         assert order == ["oe-gamma", "weibull", "zb-gamma-exp"]
         aics = [r["aic"] for r in doc["models"]]
         assert aics == sorted(aics)
-
-    def test_no_hessian_is_differenced(self, capsys, monkeypatch):
-        # every shipped score returns its log-coordinate Hessian
-        def differenced(*args):
-            raise AssertionError("compare differenced a Hessian")
-
-        monkeypatch.setattr(fit, "_hess_phi", differenced)
-        code, _, _ = run_cli(capsys, "compare")
-        assert code == 0
 
     def test_tsv_table_shape(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--format", "tsv")

@@ -7,7 +7,6 @@ analytic score is validated against central finite differences of its
 own log-likelihood.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -80,8 +79,17 @@ class TestDescriptor:
                 log_pdf=lambda x, t: x,
                 cdf=lambda x, t: x,
                 sf=lambda x, t: 1.0 - x,
-                initial_guess=lambda d: np.ones(2),
+                analytic_score=lambda x, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+                exact_mle=lambda x: (np.ones(2), 0, None),
             )
+
+    @pytest.mark.parametrize("missing", ["analytic_score", "exact_mle"])
+    def test_likelihood_equations_are_required(self, missing):
+        fields = dict(name="bare", k=1, param_names=("a",), log_pdf=None, cdf=None, sf=None,
+                      analytic_score=None, exact_mle=None)
+        del fields[missing]
+        with pytest.raises(TypeError, match=missing):
+            FittableModel(**fields)
 
     def test_n_free_and_k(self):
         assert oe_gamma_model().n_free == 3
@@ -140,14 +148,6 @@ class TestZbGammaExp:
         got = zb_gamma_exp_model().log_pdf(np.array([np.nan, 1.0, 0.0]), self.THETA)
         assert np.isnan(got[0]) and np.isfinite(got[1]) and got[2] == -np.inf
 
-    def test_initial_guess_moment_match(self, flood_values):
-        a0, rho0 = zb_gamma_exp_model().initial_guess(flood_values)
-        assert a0 > 0 and rho0 > 0
-        mean = flood_values.mean()
-        var = flood_values.var(ddof=1)
-        assert a0 == pytest.approx(mean * mean / var, rel=1e-12)
-        assert rho0 == pytest.approx(a0 / mean, rel=1e-12)
-
 
 class TestWeibull:
     THETA = (0.9, 0.086)
@@ -177,16 +177,6 @@ class TestWeibull:
         got = weibull_model().log_pdf(np.array([np.nan, 1.0, 0.0]), self.THETA)
         assert np.isnan(got[0]) and np.isfinite(got[1]) and got[2] == -np.inf
 
-    def test_initial_guess_rank_regression(self, flood_values):
-        k0, lam0 = weibull_model().initial_guess(flood_values)
-        assert 0.5 < k0 < 2.0
-        assert 0.01 < lam0 < 1.0
-
-    def test_initial_guess_single_point(self):
-        k0, lam0 = weibull_model().initial_guess([4.0])
-        assert k0 == 1.0
-        assert lam0 == pytest.approx(0.25)
-
 
 class TestProposedModel:
     THETA = (0.131, 0.179, 0.539)
@@ -203,11 +193,6 @@ class TestProposedModel:
                                  make_exponential(self.THETA[2]))
         ref = np.array([generic.cdf(v) for v in x])
         assert np.allclose(ours, ref, rtol=1e-11)
-
-    def test_initial_guess_uses_median_rate(self, flood_values):
-        a0, b0, lam0 = oe_gamma_model().initial_guess(flood_values)
-        assert (a0, b0) == (0.5, 1.0)
-        assert lam0 == pytest.approx(1.0 / np.median(flood_values), rel=1e-12)
 
 
 class TestScalarSolves:
@@ -452,19 +437,4 @@ class TestDataValidation:
             monkeypatch.setattr(module, "_positive_observations", counted)
         res = mle_fit(get_model(alias), flood_values)
         assert res.converged
-        assert calls == ["mle_fit"]
-
-    def test_one_validation_per_differenced_fit(self, flood_values, monkeypatch):
-        # without a score the fit differences negative_log_lik's kernel,
-        # which takes the data as mle_fit validated them
-        calls = []
-
-        def counted(data, entry, check=data_module._positive_observations):
-            calls.append(entry)
-            return check(data, entry)
-
-        monkeypatch.setattr(fit_module, "_positive_observations", counted)
-        model = dataclasses.replace(get_model("m6"), analytic_score=None,
-                                    exact_mle=None)
-        assert mle_fit(model, flood_values).converged
         assert calls == ["mle_fit"]
