@@ -26,6 +26,7 @@ from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
 from .quadrature import tanh_sinh, tanh_sinh_levels
 from .specfun import (
+    _MAP_BLOCK,
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
     _reg_lower_gamma_vec,
@@ -171,40 +172,53 @@ def _log_gamma_variates(rng, alpha, n):
         a = alpha + 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    # each step below is the plain expression's, bit for bit, done in
-    # place: new arrays cost page faults on the scale of the arithmetic
     out = todo = None
     m = n
     while m:
+        # drawn whole and in this order, so the stream does not depend
+        # on the blocks the arithmetic runs in
         z = rng.standard_normal(m)
-        v = c * z
-        v += 1.0
-        v **= 3
         u = rng.random(m)
-        squeeze = z * z
-        squeeze *= squeeze
-        squeeze *= -0.0331
-        squeeze += 1.0
-        accept = u < squeeze
-        rest = np.flatnonzero(~accept)
-        z_rest, v_rest = z[rest], v[rest]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept[rest] = (v_rest > 0.0) & (
-                np.log(u[rest]) < 0.5 * z_rest * z_rest + d - d * v_rest + d * np.log(v_rest)
-            )
-        v *= d
+        accept = np.empty(m, dtype=bool)
+        for start in range(0, m, _MAP_BLOCK):
+            block = slice(start, start + _MAP_BLOCK)
+            _marsaglia_tsang_block(z[block], u[block], accept[block], c, d)
         if out is None:
             # the first pass fills every slot; those it rejected are redrawn
-            out = v
+            out = z
             todo = np.flatnonzero(~accept)
         else:
-            out[todo[accept]] = v[accept]
+            out[todo[accept]] = z[accept]
             todo = todo[~accept]
         m = todo.size
     np.log(out, out=out)
     if log_boost is not None:
         out += log_boost
     return out
+
+
+def _marsaglia_tsang_block(z, u, accept, c, d):
+    """One block of _log_gamma_variates' candidates: accept[i] is the
+    verdict on candidate i, and z is overwritten with the candidate
+    d*v. Each step is the plain expression's, bit for bit, done in
+    place, so a block's temporaries stay in cache."""
+    squeeze = z * z
+    squeeze *= squeeze
+    squeeze *= -0.0331
+    squeeze += 1.0
+    np.less(u, squeeze, out=accept)
+    rest = np.flatnonzero(~accept)
+    z_rest = z[rest]
+    v = z
+    v *= c
+    v += 1.0
+    v **= 3
+    v_rest = v[rest]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accept[rest] = (v_rest > 0.0) & (
+            np.log(u[rest]) < 0.5 * z_rest * z_rest + d - d * v_rest + d * np.log(v_rest)
+        )
+    v *= d
 
 
 def _sum_shells(inner, ctrl):

@@ -20,6 +20,7 @@ from oddsgamma import (
     oe_loglik_and_score,
     wheaton,
 )
+from oddsgamma.specfun import _MAP_BLOCK
 
 LN2 = math.log(2.0)
 M2_PARAMS = (0.131, 0.179, 0.539)
@@ -143,6 +144,25 @@ class TestClosedForms:
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
         assert one == got.tolist()
         assert edges[0] == edges[1] == edges[3] == -math.inf and math.isnan(edges[2])
+
+    @pytest.mark.parametrize("prm", [M2_PARAMS, (0.961, 0.5, 0.8), (1.504, 1.2, 1.5)])
+    def test_maps_do_not_depend_on_their_blocks(self, prm):
+        # a call of more than two blocks, with the edges shuffled in (the
+        # log-density's overflow branch at subnormal x among them),
+        # against calls that split its blocks and one call per edge
+        d = OEGammaDist(*prm)
+        edges = np.array([-1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 1500.0, 1e308,
+                          math.inf, math.nan])
+        x = np.concatenate([d.sample(2 * _MAP_BLOCK + 1000, 3), np.repeat(edges, 50)])
+        np.random.default_rng(1).shuffle(x)
+        at_edges = np.flatnonzero(np.isin(x, edges) | np.isnan(x))
+        for f in (d.cdf, d.log_pdf):
+            whole = f(x)
+            for size in (_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1):
+                parts = [f(x[i:i + size]) for i in range(0, x.size, size)]
+                assert np.array_equal(np.concatenate(parts), whole, equal_nan=True), (f, size)
+            one = [f(v) for v in x[at_edges]]
+            assert np.array_equal(one, whole[at_edges], equal_nan=True), f
 
     def test_pdf_at_log_two(self):
         assert OEGammaDist(1.0, 1.0, 1.0).pdf(LN2) == pytest.approx(

@@ -304,6 +304,36 @@ class TestSampling:
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("alpha", [0.131, 0.96, 1.5])
+    def test_blocks_keep_the_plain_stream(self, alpha):
+        # the candidates' arithmetic runs in blocks; more than two blocks
+        # of draws are the plain sampler's, bit for bit
+        n = 2 * family._MAP_BLOCK + 3
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = family._log_gamma_variates(rng, alpha, n)
+        assert np.array_equal(got, _plain_log_gamma_variates(ref_rng, alpha, n))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # sha256 of the draws' float64 bytes, pinned from the sampler before
+    # its arithmetic ran in blocks: 200,003 draws cross six block edges
+    STREAM_DIGESTS = {
+        0.131: "59ffa4dccf7e4158e4e7b5e899f2af6d175a4417bc2fecdd96b046044cb57605",
+        0.96: "f38b234fbac20d1a9b76834ec17ba1aef74579c39ec558f5083602544a63f415",
+        1.5: "96ac94395e25b64ef2ce37ebe9d947d14cc0220c684574e8d16b5696a96cf563",
+    }
+
+    @pytest.mark.usefixtures("avx512_bits")
+    @pytest.mark.parametrize("alpha", sorted(STREAM_DIGESTS))
+    def test_stream_digest(self, alpha):
+        got = family._log_gamma_variates(np.random.default_rng(8), alpha, 200_003)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.STREAM_DIGESTS[alpha]
+
+    @pytest.mark.usefixtures("avx512_bits")
+    def test_oe_sample_digest(self):
+        got = OEGammaDist(0.131, 0.179, 0.539).sample(200_003, 7)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "379914ddbb834aee275b15f0b7dac40331986168a58ceba0869f9aa376218726")
+
     def test_empty(self):
         out = dist(1.0, 1.0, 1.0).sample(0, np.random.default_rng(0))
         assert len(out) == 0

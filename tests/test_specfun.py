@@ -10,6 +10,7 @@ import scipy.special as sp
 
 from oddsgamma import OEGammaDist, get_model, specfun, wheaton
 from oddsgamma.specfun import (
+    _MAP_BLOCK,
     _lgam1p,
     _log_minus_digamma,
     _sq_trigamma,
@@ -417,6 +418,15 @@ class TestUpperGammaKernel:
         for size in (1, 7, 72, 767, 768):
             parts = [_reg_upper_gamma_vec(a, xs[i:i + size]) for i in range(0, xs.size, size)]
             assert np.array_equal(np.concatenate(parts), whole, equal_nan=True), (a, size)
+        # a call of more than two blocks, every route's points and the
+        # exact edges shuffled together, in calls that split its blocks
+        pick = np.random.default_rng(0).integers(0, xs.size, 2 * _MAP_BLOCK + 1000)
+        long = _reg_upper_gamma_vec(a, xs[pick])
+        assert np.array_equal(long, whole[pick], equal_nan=True), a
+        for size in (_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1):
+            parts = [_reg_upper_gamma_vec(a, xs[pick[i:i + size]])
+                     for i in range(0, pick.size, size)]
+            assert np.array_equal(np.concatenate(parts), long, equal_nan=True), (a, size)
 
     def test_wheaton_cdf_does_not_depend_on_its_call(self):
         x = np.asarray(wheaton().values)
