@@ -34,7 +34,6 @@ from .specfun import (
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
     log_gamma,
-    special,
 )
 
 __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]
@@ -579,7 +578,7 @@ class GammaRatioDist:
     def _log_odds_of_level(self, s):
         """ln(g/beta) with P(alpha, g) = s, to O(g), for odds below double range."""
         with np.errstate(divide="ignore"):
-            log_g = (np.log(s) + special.gammaln(self.alpha + 1.0)) / self.alpha
+            log_g = (np.log(s) + log_gamma(self.alpha + 1.0)) / self.alpha
         return log_g - math.log(self.beta)
 
     def sample(self, n, rng=None):

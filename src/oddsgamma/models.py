@@ -19,6 +19,7 @@ from .specfun import (
     _reg_lower_gamma_vec,
     _reg_upper_gamma_vec,
     _sq_trigamma,
+    log_gamma,
     special,
 )
 
@@ -417,7 +418,7 @@ def _zb_log_pdf(x, theta):
     x = np.asarray(x, dtype=float)
     below = x <= 0.0  # false for nan, which falls through as nan
     xs = np.where(below, 1.0, x)
-    out = a * math.log(rho) - special.gammaln(a) + (a - 1.0) * np.log(xs) - rho * xs
+    out = a * math.log(rho) - log_gamma(a) + (a - 1.0) * np.log(xs) - rho * xs
     return np.where(below, -np.inf, out)
 
 
@@ -442,7 +443,7 @@ def _zb_score(x, theta):
     sum_x = float(np.sum(x))
     sum_lx = float(np.sum(np.log(x)))
     ll = (
-        n * (a * math.log(rho) - special.gammaln(a))
+        n * (a * math.log(rho) - log_gamma(a))
         + (a - 1.0) * sum_lx
         - rho * sum_x
     )

@@ -2,51 +2,70 @@
 gamma shape equation, the trigamma term of the fitted models' Hessians,
 the regularized incomplete gamma pair and its inverses.
 
-These are the innermost kernels of the package, on scipy.special with
-one exception. This is the only module that calls scipy's incomplete
-gamma (gammainc and gammaincc): GammaRatioDist's cdf and sf, the m1
-gamma model's cdf and sf, and reg_upper_gamma/reg_lower_gamma take Q
-and P from _reg_upper_gamma_vec and _reg_lower_gamma_vec here, so a new
-kernel for either is a change to this module alone.
+These are the innermost kernels of the package. ln Gamma and the
+incomplete gamma pair outside scipy's uniform asymptotic window are the
+package's own up to a = 170; digamma, the trigamma term, the inverses,
+that window and x > 1.1 above a = 170 are scipy.special's. This is the
+only module that calls scipy's incomplete gamma (gammainc and
+gammaincc): GammaRatioDist's cdf and sf, the m1 gamma model's cdf and
+sf, and reg_upper_gamma/reg_lower_gamma take Q and P from
+_reg_upper_gamma_vec and _reg_lower_gamma_vec here, both one kernel,
+_reg_gamma.
 
-Q(a, x) is _reg_upper_gamma_vec, which keeps scipy's gammaincc algorithm
-(DiDonato & Morris, ACM TOMS 12, 1986) and its branch rule but
-evaluates both of its power series, the ones it takes at 0 < x <= 1.1,
-in numpy: igamc_series (DLMF 8.7.3, Q directly) and 1 - igam_series
-(DLMF 8.7.1, Q = 1 - P). scipy recomputes the shape-only constants,
-ln Gamma(a) among them, for every element there, at 4 to 6.5 us a
-point on igamc_series and 80 to 130 ns on igam_series (on 1e5 points,
-a 2-core x86 VM); here they are computed once per block of _MAP_BLOCK
-(32,768) points, and the two take about 60 to 80 and 20 to 30 ns a
-point. x > 1.1 (a continued fraction or an asymptotic series in scipy)
-and x = 0, inf and nan go to special.gammaincc. A large call runs in
-blocks whose temporaries stay in a core's L2 cache, as do the family's
-sampler arithmetic and OEGammaDist.log_pdf. A point's route depends on
-a and x alone, never on the size of its call or on its block, so a
-scalar Q equals the array kernel's bit for bit.
-ln Gamma(1+a) comes from a Taylor series in zeta values, as in cephes,
-because special.gammaln(1 + a) loses the digits of a small a that
-1 + a rounds away.
+ln Gamma(a) (log_gamma, _log_gamma) is the zeta series of ln Gamma(2 + t)
+(DLMF 5.7.3) below a = 10, through Gamma(a) = Gamma(1 + a)/a below 3/2
+and the recurrence above, and Stirling's series (DLMF 5.11.1) from 10
+on: within 4e-16 max(1, |ln Gamma(a)|) of 40-digit mpmath on
+[5e-324, 1e6], where scipy's gammaln overflows below about 1e-308.
+
+Q(a, x) and P(a, x) follow scipy's branch rule (DiDonato & Morris, ACM
+TOMS 12, 1986), route by route (see _reg_gamma):
+- 0 < x <= 1.1: scipy's two power series, igamc_series (DLMF 8.7.3, Q
+  directly) and igam_series (DLMF 8.7.1, P directly), in numpy. scipy
+  recomputes the shape-only constants for every element there, at 4 to
+  6.5 us a point on igamc_series (on 1e5 points, a 2-core x86 VM); here
+  they are computed once per shape.
+- x > 1.1 with x >= a: Legendre's continued fraction (DLMF 8.9.2), by
+  backward recurrence over a term count fixed by (a, x); P takes the
+  igam series instead up to x = 8, where that needs fewer terms.
+- 1.1 < x < a: the igam series, summed forward.
+- x^a e^-x/Gamma(a), the prefactor of the last two, is a product of
+  powers and exponentials that rounds no exponent of size a ln x or x,
+  so Q and P stay within 4e-15 of 40-digit mpmath where scipy, which
+  rounds that exponent, is off by up to 1.4e-14.
+- scipy's uniform asymptotic window (20 < a < 200 with |x - a| < 0.3 a;
+  Temme's expansion) and every x > 1.1 above a = 170, where Gamma(a)
+  overflows, stay with special.gammaincc and special.gammainc.
+- x = 0, inf and nan are exact.
+A large call runs in blocks of _MAP_BLOCK (32,768) points, whose
+temporaries stay in a core's L2 cache, as do the family's sampler
+arithmetic and OEGammaDist.log_pdf. A point's route and term count
+depend on a and x alone, never on the size of its call or on its
+block, so a scalar Q or P equals the array kernel's bit for bit.
 
 The inverses are scipy's gammainccinv/gammaincinv, which implement
 DiDonato & Morris (ACM TOMS 12, 1986) and keep relative accuracy in
-both tails. The scalar forms validate their arguments and return
-floats; the unvalidated elementwise forms serve the family's array
-quantiles, which validate their arguments themselves.
+both tails. The scalar forms validate their arguments, a finite shape
+a > 0 among them, and return floats; the unvalidated elementwise forms
+serve the family's array quantiles, which validate their arguments
+themselves.
 
 A root below double range comes back as 0 or a subnormal number. The
 callers that need such roots take them in log space instead (see
 GammaRatioDist._x_of_levels).
 
 scipy.special is loaded on first use, through one handle: `special`
-below, which family, expgamma, models and gof import from here. Its
-import costs about half a second, and `import oddsgamma` and the
-sample command never need it. The handle imports the module at its
-first attribute lookup and keeps each name it has looked up, so a
-later lookup is an instance attribute. fit's `optimize` is the same
-kind of handle on scipy.optimize, which no command loads.
+below, which expgamma, models and gof import from here. Its import
+costs about half a second, and `import oddsgamma`, the sample command
+and the curves command of m1, m2 and m6 need it only for an m1 shape
+above 20 with a point in scipy's window. The handle
+imports the module at its first attribute lookup and keeps each name it
+has looked up, so a later lookup is an instance attribute. fit's
+`optimize` is the same kind of handle on scipy.optimize, which no
+command loads.
 """
 
+import functools
 import importlib
 import math
 
@@ -79,10 +98,10 @@ special = _Deferred("scipy.special")
 
 
 def log_gamma(a):
-    """ln Gamma(a) for a > 0."""
+    """ln Gamma(a) for a > 0, in house: see _log_gamma."""
     if not a > 0.0:
         raise ValueError(f"log_gamma requires a > 0, got {a}")
-    return float(special.gammaln(a))
+    return _log_gamma(float(a))
 
 
 def digamma(a):
@@ -127,14 +146,18 @@ def _sq_trigamma(a):
     return 1.0 + a * (a * special.zeta(2.0, a + 1.0))
 
 
+def _check_shape(name, a):
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"{name} requires a > 0 and finite, got {a}")
+
+
 def reg_upper_gamma(a, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a).
 
     Q(a, 0) = 1 and Q decreases to 0 as x grows; Q + P = 1 with
     reg_lower_gamma.
     """
-    if not a > 0.0:
-        raise ValueError(f"reg_upper_gamma requires a > 0, got {a}")
+    _check_shape("reg_upper_gamma", a)
     if not x >= 0.0:
         raise ValueError(f"reg_upper_gamma requires x >= 0, got {x}")
     return float(_reg_upper_gamma_vec(a, x))
@@ -142,8 +165,7 @@ def reg_upper_gamma(a, x):
 
 def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) = 1 - Q(a, x)."""
-    if not a > 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
+    _check_shape("reg_lower_gamma", a)
     if not x >= 0.0:
         raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
     return float(_reg_lower_gamma_vec(a, x))
@@ -155,8 +177,7 @@ def inv_reg_upper_gamma(a, p):
     Q(a, x) = Gamma(a, x)/Gamma(a) is the regularized upper incomplete
     gamma function.
     """
-    if not a > 0.0:
-        raise ValueError(f"inv_reg_upper_gamma requires a > 0, got {a}")
+    _check_shape("inv_reg_upper_gamma", a)
     if not (0.0 < p <= 1.0):
         raise ValueError(f"inv_reg_upper_gamma requires 0 < p <= 1, got {p}")
     return float(special.gammainccinv(a, p))
@@ -168,16 +189,20 @@ def inv_reg_lower_gamma(a, s):
     P = 1 - Q is the regularized lower incomplete gamma function. Small
     s keeps relative accuracy, so upper-tail quantiles do too.
     """
-    if not a > 0.0:
-        raise ValueError(f"inv_reg_lower_gamma requires a > 0, got {a}")
+    _check_shape("inv_reg_lower_gamma", a)
     if not (0.0 <= s < 1.0):
         raise ValueError(f"inv_reg_lower_gamma requires 0 <= s < 1, got {s}")
     return float(special.gammaincinv(a, s))
 
 
+def _reg_upper_gamma_vec(a, x):
+    """reg_upper_gamma elementwise, unvalidated."""
+    return _reg_gamma(a, x, True)
+
+
 def _reg_lower_gamma_vec(a, x):
     """reg_lower_gamma elementwise, unvalidated."""
-    return special.gammainc(a, x)
+    return _reg_gamma(a, x, False)
 
 
 def _inv_reg_upper_gamma_vec(a, p):
@@ -191,17 +216,32 @@ def _inv_reg_lower_gamma_vec(a, s):
 
 
 # scipy's gammaincc takes one of its two power series at 0 < x <= 1.1
-# and a continued fraction or an asymptotic series above
+# and a continued fraction or the igam series above
 _SERIES_MAX_X = 1.1
 # points per block of a large pointwise map: a block's float64
 # temporaries stay in a core's L2 cache
 _MAP_BLOCK = 32_768
 # igamc_series needs 1.1 x >= a above x = 0.5, so no x takes it past this
 _IGAMC_MAX_A = _SERIES_MAX_X * _SERIES_MAX_X
+# scipy's uniform asymptotic window (Temme's expansion) starts above here
+_WINDOW_MIN_A = 20.0
+# P takes the igam series up to here even where x >= a: its terms, up to
+# about 45, cost less than the continued fraction's and no complement
+_P_SERIES_MAX_X = 8.0
+# the x > 1.1 routes serve shapes up to here, where Gamma(a), a float up
+# to a = 171.6, gives _prefactor its form
+_FAR_MAX_A = 170.0
+# the continued fraction runs in Python floats up to this many points,
+# where that costs less than its numpy loop's fixed cost of 3 calls a term
+_CF_LOOP_MAX = 64
+# the forward power series sum their terms as a (terms, points) array up
+# to this many points, where that costs less than their numpy loop
+_ACCUMULATE_MAX = 2048
 _EULER = 0.5772156649015329
+_HALF_LOG_2PI = 0.9189385332046728
 _MACHEP = 2.0 ** -53
-# zeta(n) for n = 2..41, the Taylor coefficients of ln Gamma(1+t) times n,
-# each correctly rounded (special.zeta's values, and 40-digit mpmath's)
+# zeta(n) for n = 2..31, each correctly rounded (special.zeta's values,
+# and 40-digit mpmath's)
 _ZETA = (
     1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
     1.03692775514337, 1.0173430619844492, 1.008349277381923,
@@ -213,148 +253,464 @@ _ZETA = (
     1.000000119219926, 1.000000059608189, 1.0000000298035034,
     1.0000000149015549, 1.0000000074507118, 1.000000003725334,
     1.0000000018626598, 1.0000000009313275, 1.0000000004656628,
-    1.000000000232831, 1.0000000001164155, 1.0000000000582077,
-    1.0000000000291038, 1.000000000014552, 1.000000000007276,
-    1.000000000003638, 1.000000000001819, 1.0000000000009095,
-    1.0000000000004547,
 )
+# (zeta(n) - 1)/n for n = 2..31, the coefficients of (-t)^n in
+# ln Gamma(2 + t); at |t| <= 1/2 the n-th term falls like 4^-n
+_LGAM2P = tuple((z - 1.0) / n for n, z in enumerate(_ZETA, start=2))
+# B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for ln Gamma(a)
+# (DLMF 5.11.1); at a = 10 the next term is below 2e-18
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
 
 
-def _lgam1p_taylor(t):
-    """ln Gamma(1 + t) = -gamma t + sum_{n>=2} zeta(n) (-t)^n / n, |t| <= 1/2.
-
-    Summed term by term to n = 41 with cephes' stopping rule, so the
-    value matches the one scipy's gammaincc uses internally, truncation
-    included: just inside |t| = 1/2 that costs up to 9e-14 relative.
-    """
-    res = -_EULER * t
-    t_pow = -t
-    for n, zeta_n in enumerate(_ZETA, start=2):
-        t_pow *= -t
-        term = zeta_n * t_pow / n
-        res += term
-        if abs(term) < _MACHEP * abs(res):
-            break
-    return res
+def _lgam2p(t):
+    """ln Gamma(2 + t) = (1 - gamma) t + sum_{n>=2} (zeta(n) - 1) (-t)^n / n
+    for |t| <= 1/2 (DLMF 5.7.3 with ln(1 + t) moved to the left), whose
+    terms fall like (t/2)^n, so 30 of them are complete to rounding,
+    where those of the zeta series of ln Gamma(1 + t) fall like t^n."""
+    u = -t
+    h = 0.0
+    for c in reversed(_LGAM2P):
+        h = h * u + c
+    return (1.0 - _EULER) * t + h * t * t
 
 
 def _lgam1p(a):
     """ln Gamma(1 + a) for 0 < a < 3/2, accurate to the last digits as a
-    goes to 0, where special.gammaln(1 + a) loses the digits of a that
-    1 + a rounds away."""
+    goes to 0, where ln Gamma(1 + a) taken at the float 1 + a loses the
+    digits of a that 1 + a rounds away. scipy's igamc_series takes it
+    from the zeta-series of ln Gamma(1 + t) cut at 40 terms, which costs
+    up to 9e-14 relative just inside |t| = 1/2, and up to 3e-14 in Q."""
     if a <= 0.5:
-        return _lgam1p_taylor(a)
-    return math.log(a) + _lgam1p_taylor(a - 1.0)
+        return _lgam2p(a) - math.log1p(a)
+    return _lgam2p(a - 1.0)
 
 
-def _reg_upper_gamma_vec(a, x):
-    """Q(a, x) elementwise over an array x for one shape a > 0, unvalidated.
+def _gamma_shift(a):
+    """(t, m) with Gamma(a) = Gamma(2 + t) m and |t| <= 1/2, for 1.5 <= a:
+    m is the product of a - 1, ..., 2 + t, each difference exact."""
+    m = 1.0
+    while a >= 2.5:
+        a -= 1.0
+        m *= a
+    return a - 2.0, m
 
-    Each 0 < x <= 1.1 takes the power series scipy's gammaincc takes
-    there, by scipy's rule, evaluated in numpy: _igamc_series where
-    x >= exp(-0.4/a) for x <= 0.5 and 1.1 x >= a above (only at
-    a <= 1.21), _igam_complement elsewhere. Every other x, 0, inf and
-    nan included, goes to special.gammaincc. The points run in blocks
-    of _MAP_BLOCK, which stay in cache: each block is classified once
-    and each of its routes gathers and scatters its points through one
-    index array. The route is a function of (a, x) alone, so a point's
-    value does not depend on the call or the block that carries it.
-    nan gives nan, as scipy does.
+
+def _stirling_tail(a):
+    """ln Gamma(a) - (a - 1/2) ln a + a - ln(2 pi)/2 for a >= 10."""
+    r = 1.0 / (a * a)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * r + c
+    return s / a
+
+
+def _log_gamma(a):
+    """ln Gamma(a) for a > 0, a float, unvalidated: _lgam2p below a = 10,
+    through Gamma(a) = Gamma(1 + a)/a and Gamma(1 + a) = Gamma(2 + a)/(1 + a)
+    below 3/2 and the recurrence above, and Stirling's series from 10 on.
+    Within 4e-16 max(1, |ln Gamma(a)|) of 40-digit mpmath on
+    [5e-324, 1e6], subnormal shapes included."""
+    if a < 0.5:
+        return _lgam2p(a) - math.log1p(a) - math.log(a)
+    if a < 1.5:
+        return _lgam2p(a - 1.0) - math.log(a)
+    if a < 10.0:
+        t, m = _gamma_shift(a)
+        return _lgam2p(t) + math.log(m)
+    if a == math.inf:
+        return a
+    return (a - 0.5) * math.log(a) - a + _HALF_LOG_2PI + _stirling_tail(a)
+
+
+def _inv_gamma(a):
+    """1/Gamma(a) for 0 < a <= 171, by the forms of _log_gamma with one
+    exp of |ln Gamma(2 + t)| <= 0.3: a few ulp up to a = 20, and one
+    rounding more for each further factor of the recurrence; finite at
+    subnormal a."""
+    if a < 0.5:
+        return a * (1.0 + a) * math.exp(-_lgam2p(a))
+    if a < 1.5:
+        return a * math.exp(-_lgam2p(a - 1.0))
+    t, m = _gamma_shift(a)
+    return math.exp(-_lgam2p(t)) / m
+
+
+def _igam_terms(a, x_top):
+    """The igam series' term count: 1 + the n at which x^n/((a+1)...(a+n))
+    falls below 2^-53 at x = x_top."""
+    n, term = 1, 1.0
+    while term > _MACHEP:
+        term *= x_top / (a + n)
+        n += 1
+    return n
+
+
+class _Shape:
+    """The constants that Q(a, .) and P(a, .) take for one shape a, each
+    computed at its first use; _shape keeps those of the last few shapes,
+    as a fit's goodness-of-fit and the curves command call the pair
+    several times at one shape."""
+
+    def __init__(self, a):
+        self.a = a
+        self.log_gamma = _log_gamma(a)
+        # -0.4/ln x >= a  <=>  x >= exp(-0.4/a) for 0 < x < 1; up to
+        # a = 0.55 every x in (0.5, 1.1] has 1.1 x >= a
+        self.x_lo = max(math.exp(-0.4 / a), math.ulp(0.0))
+        self.wide = a > 0.5 * _SERIES_MAX_X
+        # an x > 1.1 with |x - a|/a below this goes to scipy: its window
+        # 20 < a < 200, |x - a| < 0.3 a, and every x above a = 170
+        if a > _FAR_MAX_A:
+            self.window = math.inf
+        else:
+            self.window = 0.3 if a > _WINDOW_MIN_A else 0.0
+        self._cf = []
+
+    @functools.cached_property
+    def igamc_terms(self):
+        """igamc_series' term count: the terms cephes' stopping rule takes
+        at x = 1.1, summed for every x."""
+        a = self.a
+        fac, term, top_sum, n_max = 1.0, 1.0, 0.0, 0
+        while abs(term) > _MACHEP * abs(top_sum):
+            n_max += 1
+            fac *= -_SERIES_MAX_X / n_max
+            term = fac / (a + n_max)
+            top_sum += term
+        return n_max
+
+    @functools.cached_property
+    def lgam1p(self):
+        return _lgam1p(self.a)
+
+    @functools.cached_property
+    def upper_coefs(self):
+        """_igam_near's coefficients, to the largest x <= 1.1 that takes
+        the igam series for Q."""
+        a = self.a
+        x_top = min(a / _SERIES_MAX_X, _SERIES_MAX_X) if self.wide else self.x_lo
+        coef = [1.0 / a]
+        for n in range(1, _igam_terms(a, x_top)):
+            coef.append(coef[-1] / (a + n))
+        return coef
+
+    @functools.cached_property
+    def near_terms(self):
+        """_igam_p's term count for P at x <= 1.1."""
+        return _igam_terms(self.a, _SERIES_MAX_X)
+
+    @functools.cached_property
+    def far_top(self):
+        """The largest x > 1.1 below a outside the window."""
+        return 0.7 * self.a if self.window else self.a
+
+    @functools.cached_property
+    def q_far_terms(self):
+        """_igam_p's term count for Q above x = 1.1: where the terms fall
+        below 2^-53 at far_top."""
+        return _igam_terms(self.a, self.far_top)
+
+    @functools.cached_property
+    def p_far_terms(self):
+        """The same for P, which takes the series up to x = 8 as well."""
+        return _igam_terms(self.a, max(_P_SERIES_MAX_X, self.far_top))
+
+    @functools.cached_property
+    def inv_gamma(self):
+        return _inv_gamma(self.a)
+
+    @functools.cached_property
+    def inv_gamma1(self):
+        """1/Gamma(1 + a), which stays near 1 at subnormal a, where 1/a
+        overflows."""
+        a = self.a
+        return (1.0 + a) * math.exp(-_lgam2p(a)) if a < 0.5 else self.inv_gamma / a
+
+    def cf_coefs(self, n):
+        """[(j (a - j), 2j + 1 - a) for j = n..1]: the elements of Legendre's
+        continued fraction, last first; a count m takes the last m."""
+        cf = self._cf
+        if len(cf) < n:
+            j = np.arange(float(n), len(cf), -1.0)
+            cf[:0] = zip((j * (self.a - j)).tolist(), ((2.0 * j + 1.0) - self.a).tolist())
+        return cf[-n:]
+
+
+_shape = functools.lru_cache(maxsize=16)(_Shape)
+
+
+def _reg_gamma(a, x, upper):
+    """Q(a, x) = Gamma(a, x)/Gamma(a) where upper, else P(a, x) = 1 - Q,
+    elementwise over an array x for one shape a > 0, unvalidated. Each
+    route gives Q or P without cancellation, and the other as 1 minus it
+    where that is at least about 0.3.
+
+    The routes follow scipy's gammaincc and gammainc (DiDonato & Morris,
+    ACM TOMS 12, 1986) and their branch rule:
+    - 0 < x <= 1.1: P by the igam series (_igam_p); Q by _igamc_series
+      where x >= exp(-0.4/a) for x <= 0.5 and 1.1 x >= a above (only at
+      a <= 1.21), else 1 - P with P by scipy's form of the igam series
+      (_igam_near);
+    - x > 1.1 with x >= a: Q by Legendre's continued fraction
+      (_legendre, DLMF 8.9.2), except for P up to x = 8;
+    - 1.1 < x < a, and for P x <= 8: P by the igam series (_igam_p,
+      DLMF 8.7.1);
+    - scipy's uniform asymptotic window (20 < a <= 170 with
+      |x - a| < 0.3 a, by scipy's own rule), and every x > 1.1 at
+      a > 170, where Gamma(a) overflows: special.gammaincc or
+      special.gammainc;
+    - x = 0, inf and nan: exact, Q = 1, 0 and nan; x < 0 gives nan.
+    Each route's term count is a function of (a, x) alone, and so is the
+    route, never the size of the call or the block that carries a point:
+    a scalar equals its entry in an array bit for bit. The points run
+    in blocks of _MAP_BLOCK, which stay in cache: each block is
+    classified once and each of its routes gathers and scatters its
+    points through one index array.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty(flat.shape)
-    # -0.4/ln x >= a  <=>  x >= exp(-0.4/a) for 0 < x < 1; up to
-    # a = 0.55 every x in (0.5, 1.1] has 1.1 x >= a
-    x_lo = max(math.exp(-0.4 / a), math.ulp(0.0))
-    wide = a > 0.5 * _SERIES_MAX_X
-    # the largest x that takes igam_series
-    x_top = min(a / _SERIES_MAX_X, _SERIES_MAX_X) if wide else x_lo
-    # no route overflows, as 0 <= Q <= 1; only the test 1.1 x >= a
+    k = _shape(a)
+    cf = []
+    # no route overflows, as 0 <= Q, P <= 1; only the test 1.1 x >= a
     # below does, for an x past max/1.1, which is not near
     with np.errstate(under="ignore", over="ignore"):
         for start in range(0, flat.size, _MAP_BLOCK):
-            xb = flat[start:start + _MAP_BLOCK]
-            ob = out[start:start + _MAP_BLOCK]
-            near = (xb > 0.0) & (xb <= _SERIES_MAX_X)
-            _route(ob, xb, ~near, lambda v: special.gammaincc(a, v))
-            if a <= _IGAMC_MAX_A:
-                igamc = xb >= x_lo
-                igamc &= near
-                if wide:
-                    # above x = 0.5, 1.1 x >= a implies x >= x_lo
-                    igamc &= (xb <= 0.5) | (xb * _SERIES_MAX_X >= a)
-                _route(ob, xb, igamc, lambda v: _igamc_series(a, v))
-                # igamc lies inside near; the rest of near takes igam_series
-                near ^= igamc
-            _route(ob, xb, near, lambda v: _igam_complement(a, v, x_top))
+            block = slice(start, start + _MAP_BLOCK)
+            cf.append(start + _gamma_block(k, flat[block], out[block], upper))
+        # the continued fraction's points of every block run together, as
+        # its recurrence costs a few numpy calls a step however few they are
+        cf = np.concatenate([np.empty(0, np.intp), *cf])
+        for start in range(0, cf.size, _MAP_BLOCK):
+            idx = cf[start:start + _MAP_BLOCK]
+            out.put(idx, _legendre(k, flat.take(idx), upper))
     return out.reshape(x.shape)
+
+
+def _gamma_block(k, x, out, upper):
+    """One block of _reg_gamma: out takes every point of x but those of
+    the continued fraction, whose indices it returns."""
+    a = k.a
+    near = (x > 0.0) & (x <= _SERIES_MAX_X)
+    far = (x > _SERIES_MAX_X) & (x < math.inf)
+    _route(out, x, ~(near | far), lambda v: _exact(v, upper))
+    if not upper:
+        _route(out, x, near, lambda v: _igam_p(k, v, k.near_terms))
+    else:
+        if a <= _IGAMC_MAX_A:
+            igamc = x >= k.x_lo
+            igamc &= near
+            if k.wide:
+                # above x = 0.5, 1.1 x >= a implies x >= x_lo
+                igamc &= (x <= 0.5) | (x * _SERIES_MAX_X >= a)
+            _route(out, x, igamc, lambda v: _igamc_series(k, v))
+            # igamc lies inside near; the rest of near takes igam_series
+            near ^= igamc
+        _route(out, x, near, lambda v: _complement(_igam_near(k, v)))
+    if k.window:
+        scipy_far = np.abs(x - a) / a < k.window
+        scipy_far &= far
+        gamma = special.gammaincc if upper else special.gammainc
+        _route(out, x, scipy_far, lambda v: gamma(a, v))
+        far ^= scipy_far
+    cf = x >= a
+    if not upper:
+        cf &= x > _P_SERIES_MAX_X
+    cf &= far
+    far ^= cf
+    _route(out, x, far,
+           lambda v: _igam_p(k, v, k.q_far_terms if upper else k.p_far_terms, upper))
+    return cf.nonzero()[0]
 
 
 def _route(out, x, mask, kernel):
     """out[i] = kernel(x[i]) where mask, through one index array."""
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]
     if idx.size:
         out.put(idx, kernel(x.take(idx)))
 
 
-def _igamc_series(a, x):
+def _complement(v):
+    """1 - v, in place."""
+    return np.subtract(1.0, v, out=v)
+
+
+def _exact(x, upper):
+    """Q or P at x = 0, inf and nan, and nan below 0."""
+    q = np.where(x == 0.0, 1.0, np.where(x == math.inf, 0.0, math.nan))
+    return q if upper else _complement(q)
+
+
+def _igamc_series(k, x):
     """Q(a, x) = -expm1(a ln x - ln Gamma(1+a)) - x^a/Gamma(a)
     sum_{n>=1} (-x)^n/(n! (a+n)) (DLMF 8.7.3), scipy's igamc_series,
-    for a <= 1.21 and 0 < x <= 1.1, overwriting x; one call takes one
-    block of _reg_upper_gamma_vec's points. Every x sums the
+    for a <= 1.21 and 0 < x <= 1.1, overwriting x. Every x sums the
     terms that cephes' stopping rule takes at x = 1.1, in cephes' order,
-    which keeps the result within a few ulp of scipy's where the two
-    terms of Q cancel, and makes it a function of a and x alone.
+    so the result is a function of a and x alone. ln Gamma(1+a) and
+    1/Gamma(a) are taken to a few ulp, where scipy loses up to 3e-14 of
+    Q to them. Up to _ACCUMULATE_MAX points the terms are one
+    multiply.accumulate and the sum one add.accumulate down a (terms,
+    points) array, both sequential along it, so each point meets the
+    loop's operations in the loop's order: the same bits at a fraction
+    of the loop's cost per call.
     """
-    fac, term, top_sum, n_max = 1.0, 1.0, 0.0, 0
-    while abs(term) > _MACHEP * abs(top_sum):
-        n_max += 1
-        fac *= -_SERIES_MAX_X / n_max
-        term = fac / (a + n_max)
-        top_sum += term
-    neg_x = np.negative(x)
-    term = np.ones_like(x)
-    total = np.zeros_like(x)
-    step = np.empty_like(x)
-    for n in range(1, n_max + 1):
-        np.divide(neg_x, n, out=step)
-        term *= step
-        np.divide(term, a + n, out=step)
-        total += step
+    a, n_max = k.a, k.igamc_terms
+    if x.size <= _ACCUMULATE_MAX:
+        n = np.arange(1.0, n_max + 1.0)[:, None]
+        terms = np.empty((n_max + 1, x.size))
+        terms[0] = 0.0
+        np.multiply.accumulate(np.divide(np.negative(x), n), axis=0, out=terms[1:])
+        terms[1:] /= a + n
+        total = np.add.accumulate(terms, axis=0)[-1]
+        neg_x = np.empty_like(x)
+    else:
+        neg_x = np.negative(x)
+        term = np.ones_like(x)
+        total = np.zeros_like(x)
+        step = np.empty_like(x)
+        for n in range(1, n_max + 1):
+            np.divide(neg_x, n, out=step)
+            term *= step
+            np.divide(term, a + n, out=step)
+            total += step
     np.log(x, out=x)
     x *= a
-    lead = np.subtract(x, _lgam1p(a), out=neg_x)
+    lead = np.subtract(x, k.lgam1p, out=neg_x)
     np.expm1(lead, out=lead)
-    x -= special.gammaln(a)
+    # x^a/Gamma(a) with |a ln x| <= 0.4 at x <= 0.5 and <= 0.12 above
     np.exp(x, out=x)
+    x *= k.inv_gamma
     x *= total
     x += lead
     return np.negative(x, out=x)
 
 
-def _igam_complement(a, x, x_top):
-    """Q(a, x) = 1 - P(a, x), P = x^a e^-x/Gamma(a) sum_{n>=0}
-    x^n/(a (a+1)...(a+n)) (DLMF 8.7.1), scipy's 1 - igam_series, for
-    0 < x <= x_top <= 1.1 where P is below about 0.7, overwriting x.
-    The sum is taken by Horner, its coefficients built once per call (one
-    block), up to the term that falls below 2^-53 at x_top.
+def _igam_near(k, x):
+    """P(a, x) = x^a e^-x/Gamma(a) sum_{n>=0} x^n/(a (a+1)...(a+n))
+    (DLMF 8.7.1), scipy's igam_series, for Q's igam route at 0 < x <= 1.1,
+    where P is below about 0.7, overwriting x. The sum is taken by Horner
+    over coefficients built once per shape, and the prefactor as cephes
+    forms it, exp(a ln x - x - ln Gamma(a)): of the cdf's routes this one
+    takes the most points at small shapes, where it costs less than
+    _igam_p's forward sum and _prefactor's powers.
     """
-    coef, term = [1.0 / a], 1.0
-    while term > _MACHEP:
-        r = a + len(coef)
-        coef.append(coef[-1] / r)
-        term *= x_top / r
+    coef = k.upper_coefs
     total = np.full_like(x, coef[-1])
     for c in reversed(coef[:-1]):
         total *= x
         total += c
-    # formed as cephes forms it: ln Gamma(a + 1) = ln Gamma(a) + ln a
-    # would cost digits at small a, and _lgam1p its own truncation
     log_p = np.log(x)
-    log_p *= a
+    log_p *= k.a
     log_p -= x
-    log_p -= special.gammaln(a)
+    log_p -= k.log_gamma
     np.exp(log_p, out=x)
     x *= total
-    return np.subtract(1.0, x, out=x)
+    return x
+
+
+def _prefactor(k, x, lower):
+    """x^a e^-x g for x > 0, with g = 1/Gamma(a + 1) where lower, else
+    1/Gamma(a). Up to a = 170 it is f (f g) with f = x^(a/2) e^(-x/2):
+    unlike exp(a ln x - x - ln Gamma(a)) it rounds no exponent of size
+    a ln x or x, and no factor overflows; it is within a few ulp at
+    a <= 20, where g is. Past x = 1490, where e^(-x/2) is 0, x^(a/2) is
+    taken at 2048 and stays finite. Above a = 170, where g underflows
+    and only P at x <= 1.1 comes here, it is that exp."""
+    if k.a > _FAR_MAX_A:
+        d = np.log(x)
+        d *= k.a
+        d -= x
+        d -= k.log_gamma + math.log(k.a)
+        return np.exp(d, out=d)
+    d = np.power(np.minimum(x, 2048.0), 0.5 * k.a)
+    d *= np.exp(-0.5 * x)
+    f = d * (k.inv_gamma1 if lower else k.inv_gamma)
+    d *= f
+    return d
+
+
+def _cf_terms(k, x):
+    """The continued fraction's term count at each x >= a, x > 1.1
+    outside the window: the ceiling of 8 + 36.6/sqrt(x) + 88.8/x
+    + 22.2 (a/x) min(1, a/20). It exceeds by six terms or more the count
+    past which no depth up to 400 moves the value by half an ulp, on
+    6,760 points with a from 1e-4 to 170 and x from the route's edge to
+    1e3 times it; that count is jagged, up to 111 at x = 1.1 (median
+    87), 39 at x = 3 to 5 and 8 above x = 30, and near x = a it rises
+    with a, to about 25 at the window's edge. On 30,000 more such points
+    one value lies an ulp from the depth-400 one, the rest within half
+    an ulp. No count reaches 255, the most a byte holds."""
+    s = 1.0 / np.sqrt(x)
+    n = 88.8 * s
+    n += 36.6
+    n *= s
+    n += 8.0 + 22.2 * k.a * min(1.0, k.a / _WINDOW_MIN_A) / x
+    return np.ceil(n).astype(np.intp)
+
+
+def _legendre(k, x, upper):
+    """Q(a, x) = x^a e^-x/Gamma(a) / (x + 1 - a - 1 (1 - a)/(x + 3 - a -
+    2 (2 - a)/(x + 5 - a - ...))), Legendre's continued fraction (DLMF
+    8.9.2, in its even contraction), for x >= a and x > 1.1, or
+    P = 1 - Q where not upper. The fraction is summed from its tail, by
+    backward recurrence, over a term count fixed by (a, x) (_cf_terms).
+    The points run sorted by count, so that each step of the recurrence
+    works on the slice of the points that have reached it; up to
+    _CF_LOOP_MAX points it runs in Python floats, whose additions and
+    divisions are numpy's on each point in the same order, so the bits
+    are the array loop's."""
+    terms = _cf_terms(k, x)
+    coefs = k.cf_coefs(int(terms.max()))
+    d0 = 1.0 - k.a
+    frac = np.empty_like(x)
+    if x.size <= _CF_LOOP_MAX:
+        for i, (xi, n) in enumerate(zip(x.tolist(), terms.tolist())):
+            t = 0.0
+            for c, d in coefs[-n:]:
+                t = c / (xi + d + t)
+            frac[i] = 1.0 / (xi + d0 + t)
+    else:
+        # a stable sort of one byte a point is a radix sort
+        order = np.argsort(terms.astype(np.uint8), kind="stable")
+        xs = x[order]
+        # the points from first[j] on have a count of len(coefs) - j or more
+        first = np.searchsorted(terms[order], np.arange(len(coefs), 0, -1))
+        t = np.zeros_like(xs)
+        den = np.empty_like(xs)
+        for m, (c, d) in zip(first.tolist(), coefs):
+            np.add(xs[m:], d, out=den[m:])
+            den[m:] += t[m:]
+            np.divide(c, den[m:], out=t[m:])
+        np.add(xs, d0, out=den)
+        den += t
+        frac[order] = np.divide(1.0, den, out=den)
+    q = _prefactor(k, x, False)
+    q *= frac
+    return q if upper else _complement(q)
+
+
+def _igam_p(k, x, terms, upper=False):
+    """P(a, x) = x^a e^-x/Gamma(a + 1) sum_{n>=0} x^n/((a+1)...(a+n))
+    (DLMF 8.7.1), or Q = 1 - P where upper: for P at x <= 8 and for
+    1.1 < x < a outside the window. The sum runs forward, as scipy's
+    igam_series runs it, over a term count fixed by a and the route;
+    its terms, unlike Horner's coefficients, do not underflow at large
+    a. Up to _ACCUMULATE_MAX points the terms and their sum are
+    accumulated down a (terms, points) array, as in _igamc_series."""
+    if x.size <= _ACCUMULATE_MAX:
+        steps = np.empty((terms, x.size))
+        steps[0] = 1.0
+        np.divide(x, k.a + np.arange(1.0, terms)[:, None], out=steps[1:])
+        np.multiply.accumulate(steps[1:], axis=0, out=steps[1:])
+        total = np.add.accumulate(steps, axis=0)[-1]
+    else:
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        step = np.empty_like(x)
+        for n in range(1, terms):
+            np.divide(x, k.a + n, out=step)
+            term *= step
+            total += term
+    total *= _prefactor(k, x, True)
+    return _complement(total) if upper else total

@@ -486,12 +486,15 @@ class TestExitCodesAndIo:
 class TestImportCost:
     """scipy.special costs about half a second to import, and neither
     `import oddsgamma` nor the sample command loads it (nor any scipy
-    module); the other commands load it at their first special-function
-    call, and print the same bytes as in an interpreter that had it
-    loaded before. scipy.optimize costs about a third of a second, and no
-    command loads it: the fits are Newton iterations in numpy. Nor does
-    any command load scipy.integrate: the expectations run on the
-    package's own tanh-sinh rule."""
+    module), nor does curves for m1, m2 or m6: lnGamma and the
+    incomplete gamma pair outside scipy's uniform asymptotic window
+    (a > 20 with x near a) are the package's own. The other commands
+    load it at their first special-function call, and print the same
+    bytes as in an interpreter that had it loaded before. scipy.optimize
+    costs about a third of a second, and no command loads it: the fits
+    are Newton iterations in numpy. Nor does any command load
+    scipy.integrate: the expectations run on the package's own tanh-sinh
+    rule."""
 
     PROBE = """\
 import contextlib, io, json, sys
@@ -499,24 +502,29 @@ WATCHED = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate")
 def loaded():
     return [name for name in WATCHED if name in sys.modules]
 import oddsgamma
-report = {"import": loaded()}
+report = {"import": loaded(), "runs": []}
 from oddsgamma.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
-    report[argv[0]] = [code, loaded(), out.getvalue()]
+    report["runs"].append([code, loaded(), out.getvalue()])
 print(json.dumps(report))
 """
 
-    # sample first: every later command loads scipy.special
+    # sample and curves first: every later command loads scipy.special
     COMMANDS = [
         ["sample", "--params", M2, "--n", "10", "--seed", "1"],
+        ["curves", "--model", "m1", "--params", "0.84,0.0687", "--grid", "0.1:60:200"],
+        ["curves", "--params", M2, "--grid", "0.1:30:200"],
+        ["curves", "--model", "m6", "--params", "0.9,0.086", "--grid", "0.1:60:200"],
         ["moments", "--params", "1,1,1", "--order", "2"],
         ["curves", "--params", M2, "--grid", "0.5:5:4"],
         ["compare"],
         ["fit", "--model", "m2"],
         ["gof", "--model", "m6"],
     ]
+    IDS = ["sample", "curves-m1", "curves-m2", "curves-m6", "moments", "curves", "compare",
+           "fit", "gof"]
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -524,7 +532,8 @@ print(json.dumps(report))
             [sys.executable, "-c", self.PROBE, json.dumps(self.COMMANDS)],
             capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+        report = json.loads(proc.stdout)
+        return dict(report, **dict(zip(self.IDS, report["runs"])))
 
     def test_import_loads_no_scipy(self, report):
         assert report["import"] == []
@@ -532,15 +541,21 @@ print(json.dumps(report))
     def test_sample_loads_no_scipy(self, report):
         assert report["sample"][:2] == [0, []]
 
-    def test_no_command_loads_optimize(self, report):
-        for argv in self.COMMANDS:
-            code, loaded, _ = report[argv[0]]
-            assert code == 0, argv[0]
-            assert "scipy.optimize" not in loaded, argv[0]
-            assert "scipy.integrate" not in loaded, argv[0]
+    @pytest.mark.parametrize("run", ["curves-m1", "curves-m2", "curves-m6"])
+    def test_curves_loads_no_scipy_special(self, report, run):
+        code, loaded, out = report[run]
+        assert code == 0 and out.startswith("x\tpdf\tcdf\thazard\n")
+        assert "scipy.special" not in loaded, run
 
-    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
-    def test_output_matches_a_preloaded_scipy(self, capsys, report, argv):
+    def test_no_command_loads_optimize(self, report):
+        for run in self.IDS:
+            code, loaded, _ = report[run]
+            assert code == 0, run
+            assert "scipy.optimize" not in loaded, run
+            assert "scipy.integrate" not in loaded, run
+
+    @pytest.mark.parametrize("run, argv", list(zip(IDS, COMMANDS)), ids=IDS)
+    def test_output_matches_a_preloaded_scipy(self, capsys, report, run, argv):
         assert "scipy.special" in sys.modules
         code, out, _ = run_cli(capsys, *argv)
-        assert [code, out] == [report[argv[0]][0], report[argv[0]][2]]
+        assert [code, out] == [report[run][0], report[run][2]]

@@ -189,14 +189,18 @@ class TestGoldenPanel:
             "above 1e-13 of 0.637")
 
     # raw moments 1-4, renyi_entropy(0.5) and renyi_entropy(2) of
-    # OEGammaDist(alpha, 0.179, 0.539)
+    # OEGammaDist(alpha, 0.179, 0.539); renyi_entropy(2) at alpha = 0.05
+    # and both entropies at 0.131 moved by an ulp with the in-house
+    # ln Gamma and incomplete gamma, each within 1.03 ulp of 40-digit
+    # mpmath (an integral over T = beta w(X) ~ Gamma(alpha, 1)) before
+    # and after
     @pytest.mark.parametrize("alpha, values", [
         (1e-3, ["0x1.cf4ac6025ebc7p+10", "0x1.a3b26466f748bp+22", "0x1.1d27381c0be76p+35",
                 "0x1.025225fdbcd1dp+48", "0x1.1d2a62333f99bp+3", "0x1.06df478074a9ep+3"]),
         (0.05, ["0x1.18866e19bf311p+5", "0x1.44784426ef729p+11", "0x1.1a26b3376190ep+18",
-                "0x1.472b113036d03p+25", "0x1.3dd9fef9bbf1bp+2", "0x1.08116ea6856d8p+2"]),
+                "0x1.472b113036d03p+25", "0x1.3dd9fef9bbf1bp+2", "0x1.08116ea6856d7p+2"]),
         (0.131, ["0x1.87e2ceb432c02p+3", "0x1.55666b455681ep+8", "0x1.c49462005a095p+13",
-                 "0x1.90898f9bcbcbbp+19", "0x1.f9497f91fd022p+1", "0x1.79e8e5760305bp+1"]),
+                 "0x1.90898f9bcbcbbp+19", "0x1.f9497f91fd023p+1", "0x1.79e8e5760305cp+1"]),
         (2.0, ["0x1.18513a1645467p-2", "0x1.449c1ac1d0430p-3", "0x1.a5e45b5c548dcp-3",
                "0x1.00e7570ebe215p-1", "0x1.ec8b18fea477bp-4", "-0x1.ccfcd8c81b51fp-1"]),
         (30.0, ["0x1.760d4bf2eb177p-7", "0x1.1af6e255a1e16p-13", "0x1.bbdb294b71728p-20",

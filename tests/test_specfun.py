@@ -1,8 +1,10 @@
 """Special-function layer: values against independent references and
 inverse round trips including deep tails."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,26 @@ class TestLogGamma:
 
     def test_half_integer_closed_form(self):
         assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
+
+    # mpmath.loggamma at 40 digits: below about 1e-308 scipy's gammaln
+    # overflows to inf
+    @pytest.mark.parametrize("a, ref", [(1e-310, 713.8013788281542),
+                                        (5e-324, 744.4400719213812)])
+    def test_subnormal_shape(self, a, ref):
+        assert log_gamma(a) == pytest.approx(ref, rel=1e-15)
+
+    def test_oe_log_pdf_at_a_subnormal_shape(self):
+        # ln h = -ln Gamma(alpha) + alpha ln w + ln(1 + w) - w with
+        # w = 1/expm1(x) at alpha = 1e-310, beta = lambda = 1, from mpmath
+        got = OEGammaDist(1e-310, 1.0, 1.0).log_pdf(np.array([0.01, 0.5, 2.0, 10.0]))
+        ref = [-808.69204614077371387, -714.41012078112377481, -713.8124830130349717,
+               -713.8013788291848043]
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_rejects_bad_shape(self):
+        for a in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="requires a > 0"):
+                log_gamma(a)
 
 
 class TestDigamma:
@@ -147,6 +169,15 @@ class TestRegularizedGamma:
             reg_upper_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_gamma(-2.0, 1.0)
+
+    @pytest.mark.parametrize("f, arg", [(reg_upper_gamma, 1.0), (reg_lower_gamma, 1.0),
+                                        (inv_reg_upper_gamma, 0.5), (inv_reg_lower_gamma, 0.5)])
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_shape_that_is_not_finite(self, f, arg, a):
+        # Q(inf, 1) was nan with a RuntimeWarning, and P(inf, 1) was 0.0
+        # where scipy's Q is 1
+        with pytest.raises(ValueError, match="requires a > 0 and finite"):
+            f(a, arg)
 
 
 
@@ -256,16 +287,26 @@ Q_IGAM_EDGES = {
 
 @pytest.fixture
 def scipy_inputs(monkeypatch):
-    """The x arrays that special.gammaincc receives while a test runs."""
+    """The x arrays that special.gammaincc and special.gammainc receive
+    while a test runs."""
     seen = []
-    gammaincc = sp.gammaincc
+    for name in ("gammaincc", "gammainc"):
+        def spy(a, x, f=getattr(sp, name)):
+            seen.append(np.array(x, dtype=float))
+            return f(a, x)
 
-    def spy(a, x):
-        seen.append(np.array(x, dtype=float))
-        return gammaincc(a, x)
-
-    monkeypatch.setattr(specfun.special, "gammaincc", spy)
+        monkeypatch.setattr(specfun.special, name, spy)
     return seen
+
+
+def _scipy_served(a, x):
+    """The points the kernel leaves to scipy: x > 1.1 inside scipy's
+    uniform asymptotic window (20 < a, |x - a| < 0.3 a), and every
+    x > 1.1 above a = 170."""
+    far = (x > 1.1) & (x < np.inf)
+    if a > 170.0:
+        return far
+    return far & (np.abs(x - a) / a < 0.3) if a > 20.0 else far & False
 
 
 class TestDeferredSpecial:
@@ -273,9 +314,9 @@ class TestDeferredSpecial:
     patched on it is seen by every module that calls scipy.special."""
 
     def test_one_handle(self):
-        from oddsgamma import expgamma, family, gof, models
+        from oddsgamma import expgamma, gof, models
 
-        for module in (expgamma, family, gof, models):
+        for module in (expgamma, gof, models):
             assert module.special is specfun.special, module.__name__
 
     def test_lookup_is_the_module_attribute(self):
@@ -292,8 +333,9 @@ class TestDeferredSpecial:
     def test_patch_reaches_other_modules(self, scipy_inputs):
         from oddsgamma import get_model
 
-        get_model("m1").sf(np.array([500.0, 5000.0]), (0.8, 0.05))
-        assert [x.tolist() for x in scipy_inputs] == [[25.0, 250.0]]
+        # rho x = 40 lies in scipy's window at a = 40, and 400 does not
+        get_model("m1").sf(np.array([500.0, 5000.0]), (40.0, 0.08))
+        assert [x.tolist() for x in scipy_inputs] == [[40.0]]
 
 
 def _series_points(seen):
@@ -301,9 +343,13 @@ def _series_points(seen):
     return x[(x > 0.0) & (x <= 1.1)]
 
 
+PAIR = [_reg_upper_gamma_vec, _reg_lower_gamma_vec]
+
+
 class TestUpperGammaKernel:
-    """_reg_upper_gamma_vec: scipy's two power series at 0 < x <= 1.1 in
-    numpy, scipy everywhere else."""
+    """The incomplete gamma pair: scipy's power series at 0 < x <= 1.1,
+    Legendre's continued fraction and the igam series above, in numpy;
+    scipy only in its uniform asymptotic window and above a = 170."""
 
     @pytest.mark.parametrize("a", EDGE_SHAPES)
     def test_branch_edges_against_mpmath(self, a):
@@ -314,37 +360,53 @@ class TestUpperGammaKernel:
             assert reg_upper_gamma(a, x) == q, (a, x)
 
     def test_dense_grid_matches_scipy(self):
+        # scipy is the reference where Q takes scipy's algorithm,
+        # 1 - igam_series at x <= 1.1. Elsewhere the reference is the
+        # mpmath table (TestGammaTable): above x = 1.1, where scipy is
+        # 4e-15 to 1.4e-14 off, and on the igamc_series route, whose
+        # x^a/Gamma(a) and ln Gamma(1 + a) the kernel takes to a few ulp,
+        # where scipy loses up to 6e-15 at a = 1e-4 and, cutting a zeta
+        # series at 40 terms, up to 3e-14 at a = 1/2.
         xs = np.concatenate([np.geomspace(1e-300, 1e3, 2000), np.linspace(1e-3, 1.1, 1000)])
+        xs = xs[xs <= 1.1]
         for a in np.geomspace(1e-4, 20.0, 200):
-            got = _reg_upper_gamma_vec(a, xs)
-            ref = sp.gammaincc(a, xs)
+            igamc = (xs >= math.exp(-0.4 / a)) & ((xs <= 0.5) | (1.1 * xs >= a))
+            x = xs[~igamc] if a <= 1.21 else xs
+            got = _reg_upper_gamma_vec(a, x)
+            ref = sp.gammaincc(a, x)
             pos = ref > 0.0
             rel = np.abs(got[pos] - ref[pos]) / ref[pos]
-            assert rel.max() <= 4e-15, (a, xs[pos][np.argmax(rel)])
+            assert rel.max(initial=0.0) <= 4e-15, (a, x[pos][np.argmax(rel)])
             assert np.array_equal(got[~pos], ref[~pos]), a
 
-    @pytest.mark.parametrize("a", [1e-4, 0.131, 1.0, 1.2, 3.0])
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 1.0, 1.2, 3.0, 40.0, 300.0])
     def test_exact_edges(self, a):
-        got = _reg_upper_gamma_vec(a, np.array([0.0, np.inf, np.nan]))
-        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
+        edges = np.array([0.0, np.inf, np.nan, -1.0])
+        q, p = (f(a, edges) for f in PAIR)
+        assert q[0] == 1.0 and q[1] == 0.0 and np.isnan(q[2:]).all()
+        assert p[0] == 0.0 and p[1] == 1.0 and np.isnan(p[2:]).all()
         assert np.isnan(_reg_upper_gamma_vec(a, np.nan))
+        assert np.isnan(_reg_lower_gamma_vec(a, np.nan))
 
     def test_no_runtime_warning_escapes(self):
         edges = [0.0, 5e-324, 1e-300, np.inf, np.nan]
-        xs = np.concatenate([edges, np.geomspace(1e-12, 50.0, 400)])
+        xs = np.concatenate([edges, np.geomspace(1e-12, 1e3, 400)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0):
-                _reg_upper_gamma_vec(a, xs)
-                for x in edges:
-                    _reg_upper_gamma_vec(a, x)
-                    _reg_upper_gamma_vec(a, np.array([x]))
+            for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0, 40.0, 170.0, 300.0):
+                for f in PAIR:
+                    f(a, xs)
+                    for x in edges:
+                        f(a, x)
+                        f(a, np.array([x]))
 
     def test_keeps_shape(self):
         xs = np.full((2, 3), 0.3)
-        assert _reg_upper_gamma_vec(0.1, xs).shape == (2, 3)
-        assert np.ndim(_reg_upper_gamma_vec(0.1, 0.3)) == 0
-        assert float(_reg_upper_gamma_vec(0.1, 0.3)) == reg_upper_gamma(0.1, 0.3)
+        for f, g in zip(PAIR, (reg_upper_gamma, reg_lower_gamma)):
+            assert f(0.1, xs).shape == (2, 3)
+            assert np.ndim(f(0.1, 0.3)) == 0
+            assert float(f(0.1, 0.3)) == g(0.1, 0.3)
+            assert f(0.1, np.empty((0, 2))).shape == (0, 2)
 
     def test_cdf_goes_through_the_kernel(self):
         x = np.geomspace(0.01, 60.0, 200)
@@ -354,30 +416,27 @@ class TestUpperGammaKernel:
             assert np.array_equal(d.cdf(x), want)
 
     def test_survivals_and_m1_go_through_the_pair(self):
-        # the family's sf and m1's cdf are scipy's P bit for bit; m1's
-        # sf is the Q kernel, within its bound of scipy's Q
+        # the family's sf and m1's cdf are the kernel's P, m1's sf its Q
         x = np.concatenate([np.geomspace(0.01, 60.0, 200), [-1.0, 0.0, np.inf, np.nan]])
         d = OEGammaDist(0.131, 0.179, 0.539).as_family()
-        want = sp.gammainc(d.alpha, d.beta * d.odds(x))
+        want = _reg_lower_gamma_vec(d.alpha, d.beta * d.odds(x))
         assert np.array_equal(d.sf(x), want, equal_nan=True)
         m1 = get_model("m1")
         for a, rho in ((0.84, 0.0687), (0.131, 2.0), (1.2, 0.05), (3.0, 0.5)):
             g = rho * np.maximum(x, 0.0)
-            cdf = np.where(x <= 0.0, 0.0, sp.gammainc(a, g))
+            cdf = np.where(x <= 0.0, 0.0, _reg_lower_gamma_vec(a, g))
             assert np.array_equal(m1.cdf(x, (a, rho)), cdf, equal_nan=True)
-            sf = m1.sf(x, (a, rho))
-            want = np.where(x <= 0.0, 1.0, _reg_upper_gamma_vec(a, g))
-            assert np.array_equal(sf, want, equal_nan=True)
-            ref = np.where(x <= 0.0, 1.0, sp.gammaincc(a, g))
-            pos = ref > 0.0
-            assert np.all(np.abs(sf[pos] - ref[pos]) <= 4e-15 * ref[pos]), (a, rho)
+            sf = np.where(x <= 0.0, 1.0, _reg_upper_gamma_vec(a, g))
+            assert np.array_equal(m1.sf(x, (a, rho)), sf, equal_nan=True)
 
-    def test_lower_kernel_is_scipys(self):
+    def test_lower_kernel_leaves_scipy_only_the_window(self):
         xs = np.concatenate([np.geomspace(1e-300, 1e3, 500), [0.0, np.inf, np.nan]])
-        for a in (1e-4, 0.131, 1.2, 20.0):
-            assert np.array_equal(_reg_lower_gamma_vec(a, xs), sp.gammainc(a, xs),
-                                  equal_nan=True)
-            assert reg_lower_gamma(a, 0.3) == float(sp.gammainc(a, 0.3))
+        for a in (1e-4, 0.131, 1.2, 20.0, 40.0, 170.0, 300.0):
+            served = _scipy_served(a, xs)
+            for f, ref in zip(PAIR, (sp.gammaincc, sp.gammainc)):
+                got = f(a, xs)
+                assert np.array_equal(got[served], ref(a, xs[served])), a
+            assert reg_lower_gamma(a, 0.3) == float(_reg_lower_gamma_vec(a, 0.3))
 
     @pytest.mark.parametrize("a", sorted(Q_IGAM_EDGES))
     def test_igam_branch_edges_against_mpmath(self, a, scipy_inputs):
@@ -388,45 +447,50 @@ class TestUpperGammaKernel:
             assert q == pytest.approx(ref, rel=1e-13, abs=0.0), (a, x)
 
     def test_series_points_never_reach_scipy(self, scipy_inputs):
-        # scipy receives exactly the points above 1.1 and the exact
-        # edges, whether the grid comes in one call or in calls of 72
-        # points or of one
-        xs = np.concatenate([np.geomspace(1e-300, 1e3, 2000), np.linspace(1e-3, 1.1, 1000),
-                             [0.0, np.inf, np.nan]])
-        far = xs[~((xs > 0.0) & (xs <= 1.1))]
-        for size in (xs.size, 72, 1):
-            for a in (1e-4, 0.01, 0.131, 0.5, 0.6, 0.9, 1.2, 1.5, 3.0, 20.0):
-                scipy_inputs.clear()
-                for i in range(0, xs.size, size):
-                    _reg_upper_gamma_vec(a, xs[i:i + size])
-                seen = np.concatenate(scipy_inputs)
-                assert np.array_equal(seen, far, equal_nan=True), (a, size)
+        # scipy receives exactly the points of its window and those above
+        # a = 170 past x = 1.1, for Q and for P, whether the grid comes in
+        # one call or in calls of 72 points, of two or of one
+        grid = np.concatenate([np.geomspace(1e-300, 1e3, 2000), np.linspace(1e-3, 1.1, 1000),
+                               [0.0, np.inf, np.nan]])
+        for size in (grid.size, 72, 2, 1):
+            # calls of one or two points take every third point
+            xs = grid if size > 2 else grid[::3]
+            for a in (1e-4, 0.131, 0.9, 1.2, 3.0, 20.0, 40.0, 300.0):
+                want = xs[_scipy_served(a, xs)]
+                for f in PAIR:
+                    scipy_inputs.clear()
+                    for i in range(0, xs.size, size):
+                        f(a, xs[i:i + size])
+                    seen = np.concatenate(scipy_inputs) if scipy_inputs else np.empty(0)
+                    assert np.array_equal(seen, want), (a, size, f.__name__)
 
-    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0])
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 40.0])
     def test_scalar_matches_array(self, a):
-        xs = np.geomspace(1e-6, 1.1, 1536)
-        got = _reg_upper_gamma_vec(a, xs)
-        one = np.array([reg_upper_gamma(a, x) for x in xs])
-        assert np.array_equal(got, one), a
+        xs = np.geomspace(1e-6, 1e3, 1536)
+        for f, g in zip(PAIR, (reg_upper_gamma, reg_lower_gamma)):
+            got = f(a, xs)
+            one = np.array([g(a, x) for x in xs])
+            assert np.array_equal(got, one), (a, g.__name__)
 
-    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 20.0])
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 20.0, 40.0])
     def test_chunked_calls_match_one_call(self, a):
-        # 767 and 768 straddle the size at which the 1 - P series once
-        # moved from scipy to numpy
-        xs = np.concatenate([np.geomspace(1e-8, 5.0, 1531), [0.0, 0.5, 1.1, np.inf, np.nan]])
-        whole = _reg_upper_gamma_vec(a, xs)
-        for size in (1, 7, 72, 767, 768):
-            parts = [_reg_upper_gamma_vec(a, xs[i:i + size]) for i in range(0, xs.size, size)]
-            assert np.array_equal(np.concatenate(parts), whole, equal_nan=True), (a, size)
-        # a call of more than two blocks, every route's points and the
-        # exact edges shuffled together, in calls that split its blocks
-        pick = np.random.default_rng(0).integers(0, xs.size, 2 * _MAP_BLOCK + 1000)
-        long = _reg_upper_gamma_vec(a, xs[pick])
-        assert np.array_equal(long, whole[pick], equal_nan=True), a
-        for size in (_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1):
-            parts = [_reg_upper_gamma_vec(a, xs[pick[i:i + size]])
-                     for i in range(0, pick.size, size)]
-            assert np.array_equal(np.concatenate(parts), long, equal_nan=True), (a, size)
+        # chunks of 1 and 2 run the continued fraction in Python floats
+        # and the series as accumulations, as 72 does for most shapes; the
+        # whole grid runs them as numpy loops
+        xs = np.concatenate([np.geomspace(1e-8, 1e3, 1531), [0.0, 0.5, 1.1, np.inf, np.nan]])
+        for f in PAIR:
+            whole = f(a, xs)
+            for size in (1, 2, 7, 72, 767, 768):
+                parts = [f(a, xs[i:i + size]) for i in range(0, xs.size, size)]
+                assert np.array_equal(np.concatenate(parts), whole, equal_nan=True), (a, size)
+            # a call of more than two blocks, every route's points and the
+            # exact edges shuffled together, in calls that split its blocks
+            pick = np.random.default_rng(0).integers(0, xs.size, 2 * _MAP_BLOCK + 1000)
+            long = f(a, xs[pick])
+            assert np.array_equal(long, whole[pick], equal_nan=True), a
+            for size in (_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1):
+                parts = [f(a, xs[pick[i:i + size]]) for i in range(0, pick.size, size)]
+                assert np.array_equal(np.concatenate(parts), long, equal_nan=True), (a, size)
 
     def test_wheaton_cdf_does_not_depend_on_its_call(self):
         x = np.asarray(wheaton().values)
@@ -440,15 +504,14 @@ class TestUpperGammaKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in (1e-300, 1e-4, 0.131, 0.9, 1.2, 5.0, 1e300):
-                _reg_upper_gamma_vec(a, xs)
-                for x in edges:
-                    _reg_upper_gamma_vec(a, x)
+                for f in PAIR:
+                    f(a, xs)
+                    for x in edges:
+                        f(a, x)
 
     def test_lgam1p_against_mpmath(self):
-        # cephes' truncation of the Taylor series, kept so that Q matches
-        # scipy, costs up to 9e-14 relative just past a = 1/2
         for a, ref in LGAM1P.items():
-            assert _lgam1p(a) == pytest.approx(ref, rel=1e-13, abs=1e-300), a
+            assert _lgam1p(a) == pytest.approx(ref, rel=2e-16, abs=1e-300), a
 
     def test_lgam1p_beats_gammaln_at_small_shape(self):
         # gammaln(1 + a) loses the digits of a that 1 + a rounds away
@@ -457,8 +520,8 @@ class TestUpperGammaKernel:
         assert abs(sp.gammaln(1.0 + 1e-8) - ref) > 1e-9 * abs(ref)
 
     def test_zeta_literals_are_scipys(self):
-        # _ZETA[n - 2] = zeta(n), the Taylor coefficients behind _lgam1p
-        n = np.arange(2.0, 42.0)
+        # _ZETA[n - 2] = zeta(n), the Taylor coefficients behind _lgam2p
+        n = np.arange(2.0, 32.0)
         assert len(specfun._ZETA) == n.size
         assert np.array_equal(specfun._ZETA, sp.zeta(n))
 
@@ -467,6 +530,125 @@ class TestUpperGammaKernel:
         with mpmath.workdps(40):
             for n, zeta_n in enumerate(specfun._ZETA, start=2):
                 assert zeta_n == float(mpmath.zeta(n)), n
+
+
+# 40-digit mpmath values of Q, P and ln Gamma: tests/make_gamma_table.py
+GAMMA_TABLE = json.loads((Path(__file__).parent / "data" / "gamma_table.json").read_text())
+_TINY = 2.2250738585072014e-308
+
+
+def _rel_error(got, ref):
+    """|got - ref| / ref, with ref floored at the smallest normal float,
+    below which a result keeps its absolute, not its relative, digits."""
+    return abs(got - ref) / max(ref, _TINY)
+
+
+class TestGammaTable:
+    """The pair and ln Gamma against the table. Where the kernel computes
+    Q and P itself the ceiling is 4e-15, which scipy's Q misses by up to
+    1.4e-14 above x = 1.1 and 3e-14 at a = 1/2 below. Where scipy
+    computes them, x > 1.1 above a = 170, it is scipy's own error, from
+    its rounded exponent a ln x - x - ln Gamma(a) or its Lanczos factor
+    (x/(a + 6.02))^a: up to 2^-51 (a + |ln v|)."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        rows = {}
+        for a, x, q, p in GAMMA_TABLE["gamma"]:
+            rows.setdefault(a, []).append((x, float(q), float(p)))
+        return rows
+
+    def test_grid_crosses_both_edges(self, cells):
+        for a, rows in cells.items():
+            xs = [x for x, _, _ in rows]
+            assert min(xs) <= 1.1 < max(xs), a
+            assert min(xs) < a <= max(xs) or a > 20.0, a
+
+    def test_pair_within_ceilings(self, cells):
+        for a, rows in cells.items():
+            xs, qs, ps = (np.array(col) for col in zip(*rows))
+            for f, refs in zip(PAIR, (qs, ps)):
+                got = f(a, xs)
+                for x, v, ref in zip(xs, got, refs):
+                    ceiling = 4e-15
+                    if a > 170.0 and x > 1.1:
+                        ceiling = max(ceiling, 2.0 ** -51 * (a - math.log(max(ref, _TINY))))
+                    assert _rel_error(v, ref) <= ceiling, (f.__name__, a, x, v, ref)
+
+    def test_log_gamma_within_1e15(self):
+        for a, ref in GAMMA_TABLE["log_gamma"]:
+            ref = float(ref)
+            assert abs(log_gamma(a) - ref) <= 1e-15 * max(1.0, abs(ref)), a
+
+
+def _backward_cf(a, x, n):
+    """Legendre's continued fraction for Q(a, x) Gamma(a) e^x x^-a, n terms
+    deep, summed from its tail."""
+    t = 0.0
+    for j in range(n, 0, -1):
+        t = j * (a - j) / (x + (2 * j + 1 - a) + t)
+    return 1.0 / (x + 1.0 - a + t)
+
+
+def _forward_series(a, x, n):
+    """1 + sum_{j=1}^{n-1} x^j/((a+1)...(a+j)), the igam series' sum."""
+    term = total = 1.0
+    for j in range(1, n):
+        term *= x / (a + j)
+        total += term
+    return total
+
+
+def _within_an_ulp(short, deep):
+    return abs(short - deep) <= math.ulp(deep)
+
+
+class TestTermCounts:
+    """Each route's term count against the same recurrence 40 terms
+    deeper: the terms the count leaves out move the value by at most an
+    ulp."""
+
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.0, 1.5, 3.7, 9.5, 19.9, 20.5, 50.0,
+                                   100.0, 170.0])
+    def test_continued_fraction(self, a):
+        edge = 1.3 * a if a > 20.0 else max(a, 1.1)
+        edge = math.nextafter(edge, math.inf)
+        xs = np.array([edge * f for f in (1.0, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 20.0, 1e3)])
+        terms = specfun._cf_terms(specfun._shape(a), xs)
+        for x, n in zip(xs.tolist(), terms.tolist()):
+            assert _within_an_ulp(_backward_cf(a, x, n), _backward_cf(a, x, n + 40)), (a, x, n)
+
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 20.0, 40.0, 170.0])
+    def test_igam_series(self, a):
+        # each count is taken at its route's largest x: 1.1 for P; above
+        # 1.1, a, or the window's edge, or for P 8 if larger; and the last
+        # x <= 1.1 off the igamc_series route for Q
+        k = specfun._shape(a)
+        top = 0.7 * a if a > 20.0 else a
+        tops = [(1.1, k.near_terms), (top, k.q_far_terms), (max(8.0, top), k.p_far_terms)]
+        for x, n in tops:
+            assert _within_an_ulp(_forward_series(a, x, n), _forward_series(a, x, n + 40)), (a, x)
+        # Q's igam route sums by Horner
+        coef = list(k.upper_coefs)
+        q_top = min(a / 1.1, 1.1) if a > 0.55 else max(math.exp(-0.4 / a), 5e-324)
+        deeper = coef[:]
+        for _ in range(40):
+            deeper.append(deeper[-1] / (a + len(deeper)))
+        assert _within_an_ulp(np.polyval(coef[::-1], q_top), np.polyval(deeper[::-1], q_top)), a
+
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2])
+    def test_igamc_series(self, a):
+        n = specfun._shape(a).igamc_terms
+
+        def total(m):
+            term, s = 1.0, 0.0
+            for j in range(1, m + 1):
+                term *= -1.1 / j
+                s += term / (a + j)
+            return s
+
+        assert _within_an_ulp(total(n), total(n + 40)), a
+
 
 # deep-tail grid: flat regions are where an absolute residual criterion lies
 TAIL_SHAPES = [0.05, 0.131, 0.5, 1.0, 2.0, 7.3, 50.0]
