@@ -40,7 +40,7 @@ from .family import (
     _validate_renyi_order,
     _validate_t,
 )
-from .specfun import _MAP_BLOCK, _sq_trigamma, digamma, log_gamma, special
+from .specfun import _MAP_BLOCK, _log_gamma_vec, _sq_trigamma, digamma, log_gamma
 
 __all__ = ["OEGammaDist", "oe_loglik_and_score"]
 
@@ -50,7 +50,11 @@ _LN2 = math.log(2.0)
 def _log1mexp(y):
     """log(1 - e^{-y}) for y > 0, switching formula at y = ln 2. Both
     forms are taken at every y; the one not kept can only divide by
-    zero, which is ignored."""
+    zero, which is ignored. A scalar y > 0 takes only its own form, by
+    the same ufuncs."""
+    if np.ndim(y) == 0 and y > 0.0:
+        y = float(y)
+        return np.log(-np.expm1(-y)) if y <= _LN2 else np.log1p(-np.exp(-y))
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(y <= _LN2, np.log(-np.expm1(-y)), np.log1p(-np.exp(-y)))
@@ -153,7 +157,7 @@ class OEGammaDist(GammaRatioDist):
         ctrl = ctrl or DEFAULT_CONTROL
         a = self.alpha
         j = np.arange(ctrl.j_max, dtype=float)
-        log_j_fact = special.gammaln(j + 1.0)
+        log_j_fact = _log_gamma_vec(j + 1.0)
 
         def inner(k):
             kk = k + a + j
@@ -161,9 +165,9 @@ class OEGammaDist(GammaRatioDist):
                 (k + a) * math.log(self.beta)
                 - log_gamma(k + 1.0)
                 - log_gamma(a)
-                + special.gammaln(kk + 1.0)
+                + _log_gamma_vec(kk + 1.0)
                 - log_j_fact
-                - special.gammaln(k + a + 1.0)
+                - log_gamma(k + a + 1.0)
                 + math.log(self.lam)
             )
             with np.errstate(over="ignore", under="ignore"):

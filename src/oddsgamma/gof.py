@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import _positive_observations
 from .errors import DataError
-from .specfun import special
 
 __all__ = [
     "GofReport",
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _LOG_FLOOR = 1e-300
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def info_criteria(loglik, k, n):
@@ -81,13 +81,13 @@ def _a2_plain(z):
     n = z.size
     coeff = 2.0 * np.arange(1, n + 1) - 1.0
     logs = _safe_log(z, "lower") + _safe_log(1.0 - z[::-1], "upper")
-    return float(-n - np.sum(coeff * logs) / n)
+    return float(-n - np.add.reduce(coeff * logs) / n)
 
 
 def _w2_plain(z):
     n = z.size
     grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return float(np.sum((z - grid) ** 2) + 1.0 / (12.0 * n))
+    return float(np.add.reduce((z - grid) ** 2) + 1.0 / (12.0 * n))
 
 
 def _a2_modified(z):
@@ -101,6 +101,27 @@ def _w2_modified(z):
     return _w2_plain(z) * (1.0 + 0.5 / z.size)
 
 
+def _ndtri(p):
+    """The standard normal quantile at each p in (0, 1) of a 1-d array:
+    Wichura's AS 241 (Appl. Statist. 37, 1988), about 1e-16 relative, as
+    the standard library's NormalDist.inv_cdf computes it (in C where it
+    can). statistics is imported at the first call, not with the
+    package."""
+    from statistics import NormalDist
+
+    return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, p.size)
+
+
+def _ndtr(y):
+    """The standard normal cdf at each y of a 1-d array, by cephes' rule:
+    1/2 + erf(y/sqrt(2))/2 for |y| < 1, and erfc(|y|/sqrt(2))/2 or 1 minus
+    it beyond, so the lower tail keeps its relative digits."""
+    erf, erfc = math.erf, math.erfc
+    return np.array([0.5 + 0.5 * erf(x) if -_SQRT1_2 < x < _SQRT1_2
+                     else 0.5 * erfc(-x) if x < 0.0 else 1.0 - 0.5 * erfc(x)
+                     for x in (y * _SQRT1_2).tolist()])
+
+
 def _normal_standardized(z):
     """Map through the normal quantile, standardize, map back. The mean
     and the deviation (ddof = 1) are formed as np.mean and np.std form
@@ -108,13 +129,13 @@ def _normal_standardized(z):
     n = z.size
     if n < 2:
         raise DataError("the modified EDF variant requires at least 2 values")
-    y = special.ndtri(z)
+    y = _ndtri(z)
     y -= np.add.reduce(y) / n
     s = math.sqrt(np.add.reduce(y * y) / (n - 1))
     if not s > 0.0:
         raise DataError("degenerate probability values: zero variance after transform")
     y /= s
-    return np.sort(special.ndtr(y))
+    return np.sort(_ndtr(y))
 
 
 def anderson_darling(u, modified=False):

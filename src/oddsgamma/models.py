@@ -15,12 +15,14 @@ import numpy as np
 
 from .expgamma import _LN2, OEGammaDist, _log1mexp, _oe_loglik_and_score
 from .specfun import (
-    _log_minus_digamma,
+    _log_gamma_vec,
     _reg_lower_gamma_vec,
     _reg_upper_gamma_vec,
+    _shape_floats,
+    _shape_terms,
     _sq_trigamma,
+    digamma,
     log_gamma,
-    special,
 )
 
 __all__ = [
@@ -142,8 +144,12 @@ def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
     huge negative argument; a is nan there. The step's slope
     a - a^2 psi'(a) is below -1/2 for every a > 0 (psi'(a) > 1/a +
     1/(2a^2)), and is held there: from a ~ 1e16 on, rounding would
-    make it 0."""
-    s = np.where(np.asarray(s, dtype=float) > 0.0, s, np.nan)[()]
+    make it 0. A scalar s runs in Python floats, with the array steps'
+    operations in their order, so it equals its entry in an array bit
+    for bit."""
+    if np.ndim(s) == 0:
+        return _gamma_shape_float(float(s), a, tol)
+    s = np.where(np.asarray(s, dtype=float) > 0.0, s, np.nan)
     if a is None:
         # (3 - s + r) / (12 s) with r = sqrt((s - 3)^2 + 24 s), which is
         # 2 / (r + s - 3): each form where it does not cancel, and r by
@@ -152,14 +158,32 @@ def _gamma_shape(s, a=None, tol=_SOLVE_TOL):
         big = s > 3.0
         a = np.where(big, 2.0, 3.0 - s + r) / np.where(big, r + s - 3.0, 12.0 * s)
     for step in range(1, _SOLVE_STEPS + 1):
-        slope = np.minimum(a - _sq_trigamma(a), -0.5)
-        a, prev = 1.0 / (1.0 / a + (_log_minus_digamma(a) - s) / slope), a
+        log_minus, trig = _shape_terms(a)
+        slope = np.minimum(a - (1.0 + trig), -0.5)
+        a, prev = 1.0 / (1.0 / a + (log_minus - s) / slope), a
         moved = np.abs(a - prev) > tol * a  # false for nan
-        # a 0-d moved by truthiness: .any() on a numpy scalar costs about 2.5 us
-        moved = moved.any() if moved.ndim else moved
+        if not moved.any():
+            break
+    return a, step, not moved.any()
+
+
+def _gamma_shape_float(s, a, tol):
+    """_gamma_shape at a float s, in Python floats."""
+    if not s > 0.0:
+        s = math.nan
+    if a is None:
+        r = float(np.hypot(s - 3.0, math.sqrt(24.0 * s)))
+        a = 2.0 / (r + s - 3.0) if s > 3.0 else (3.0 - s + r) / (12.0 * s)
+    else:
+        a = float(a)
+    for step in range(1, _SOLVE_STEPS + 1):
+        log_minus, trig = _shape_floats(a)
+        slope = min(a - (1.0 + trig), -0.5)
+        a, prev = 1.0 / (1.0 / a + (log_minus - s) / slope), a
+        moved = abs(a - prev) > tol * a  # false for nan
         if not moved:
             break
-    return a, step, not moved
+    return np.float64(a), step, not moved
 
 
 def _log_offsets(x):
@@ -168,11 +192,11 @@ def _log_offsets(x):
     0 exactly where every observation is equal. Within a factor 2 of
     max x, z is log1p of (x - max x) / max x, whose difference is exact,
     so nearly equal data keep every digit of their spread."""
-    x_max = np.max(x)
+    x_max = np.maximum.reduce(x)
     top = float(np.log(x_max))
     d = (x - x_max) / x_max
     z = np.where(d > -0.5, np.log1p(np.maximum(d, -0.5)), np.log(x) - top)
-    return z, top, -float(np.mean(z))
+    return z, top, -float(np.add.reduce(z) / z.size)
 
 
 # 1/k! for k = 17 down to 2: the Taylor series of expm1(y) - y, whose
@@ -195,7 +219,8 @@ def _shape_statistic(z):
     spread = -np.add.reduce(z, axis=-1) / n
     s = c + spread
     low = s < spread / 16.0
-    if low.any():
+    # a 0-d low by truthiness: .any() on a numpy scalar costs about 2.5 us
+    if low.any() if low.ndim else low:
         y = z - c[..., None]
         terms = np.expm1(y) - y
         small = np.abs(y) < 0.5
@@ -251,7 +276,7 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     _gamma_shape solves for alpha from a, to tol; all three are nan where
     the odds are equal to rounding (s <= 0)."""
     lam = np.asarray(lam, dtype=float)[()]
-    x_min = x.min()
+    x_min = np.minimum.reduce(x)
     a_min = lam * x_min
     lam_d = np.multiply.outer(lam, x - x_min)
     with np.errstate(over="ignore"):
@@ -262,7 +287,7 @@ def _oe_profile(x, lam, a=None, tol=_SOLVE_TOL):
     a = _gamma_shape(s, a, tol)[0]
     n = x.size
     ll = (n * (np.log(lam) - l1m_min) - np.add.reduce(log1p_r, axis=-1)
-          + n * (a * np.log(a) - a - special.gammaln(a) - a * s))
+          + n * (a * np.log(a) - a - _log_gamma_vec(a) - a * s))
     return ll, a, np.log(a) - log_mean_w
 
 
@@ -300,8 +325,8 @@ def _oe_exact_mle(x):
     max x into [1/2, 1), which is exact. lam is reported through _rate:
     past the float range it is the largest float, with a note."""
     n = x.size
-    x_min = float(np.min(x))
-    spread = float(np.mean(x - x_min))
+    x_min = float(np.minimum.reduce(x))
+    spread = float(np.add.reduce(x - x_min) / n)
     lam, past = _rate("lambda", -math.log(x_min))
     equal = np.array([_EQUAL_DATA_SHAPE, _EQUAL_DATA_SHAPE * math.expm1(1.0), lam])
     if not spread > 0.0:
@@ -312,7 +337,7 @@ def _oe_exact_mle(x):
         shift = max(0, -math.frexp(float(np.max(x)))[1])
         x = np.ldexp(x, shift)
         x_min = math.ldexp(x_min, shift)
-        spread = float(np.mean(x - x_min))
+        spread = float(np.add.reduce(x - x_min) / n)
     # log lam and the loglik of the data exceed the solve's by log_scale
     # and n log_scale
     log_scale = shift * _LN2
@@ -440,14 +465,14 @@ def _zb_sf(x, theta):
 def _zb_score(x, theta):
     a, rho = float(theta[0]), float(theta[1])
     n = x.size
-    sum_x = float(np.sum(x))
-    sum_lx = float(np.sum(np.log(x)))
+    sum_x = float(np.add.reduce(x))
+    sum_lx = float(np.add.reduce(np.log(x)))
     ll = (
         n * (a * math.log(rho) - log_gamma(a))
         + (a - 1.0) * sum_lx
         - rho * sum_x
     )
-    d_a = n * math.log(rho) - n * special.psi(a) + sum_lx
+    d_a = n * math.log(rho) - n * digamma(a) + sum_lx
     d_rho = n * a / rho - sum_x
     # Hessian in (log alpha, log rho); rho^2 d2/drho2 + rho d/drho = -rho sum x
     h_aa = -n * _sq_trigamma(a) + a * d_a
@@ -544,15 +569,16 @@ def _weibull_score(x, theta):
     # fine, the fit rejects the non-finite point
     with np.errstate(over="ignore"):
         t = np.exp(u)
-        sum_t = float(np.sum(t))
-        sum_t_lx = float(np.sum(t * lx))
-        sum_tu1u = float(np.sum(t * u * (1.0 + u)))
-        sum_t1u = float(np.sum(t * (1.0 + u)))
-    ll = n * (math.log(k) + k * math.log(lam)) + (k - 1.0) * float(np.sum(np.log(x))) - sum_t
-    d_k = n / k + float(np.sum(lx)) - sum_t_lx
+        sum_t = float(np.add.reduce(t))
+        sum_t_lx = float(np.add.reduce(t * lx))
+        sum_tu1u = float(np.add.reduce(t * u * (1.0 + u)))
+        sum_t1u = float(np.add.reduce(t * (1.0 + u)))
+    ll = (n * (math.log(k) + k * math.log(lam)) + (k - 1.0) * float(np.add.reduce(np.log(x)))
+          - sum_t)
+    d_k = n / k + float(np.add.reduce(lx)) - sum_t_lx
     d_lam = (k / lam) * (n - sum_t)
     # Hessian in (log k, log lam): d u / d log k = u and d u / d log lam = k
-    h_kk = float(np.sum(u)) - sum_tu1u
+    h_kk = float(np.add.reduce(u)) - sum_tu1u
     h_kl = k * (n - sum_t1u)
     h_ll = -k * k * sum_t
     return ll, np.array([d_k, d_lam]), np.array([[h_kk, h_kl], [h_kl, h_ll]])
@@ -578,16 +604,17 @@ def _weibull_exact_mle(x):
     lo, hi = 1.0 / spread, math.inf
     k = max(lo, math.pi / (math.sqrt(6.0) * float(np.std(z))))
     note = None
+    z_sq = z * z
     for step in range(1, _SOLVE_STEPS + 1):
         w = np.exp(k * z)
-        sw = float(np.sum(w))
+        sw = float(np.add.reduce(w))
         z_mean = float(w @ z) / sw
         g = z_mean - 1.0 / k + spread
         if g < 0.0:
             lo = k
         elif g > 0.0:
             hi = k
-        new = k - g / (float(w @ (z * z)) / sw - z_mean * z_mean + 1.0 / (k * k))
+        new = k - g / (float(w @ z_sq) / sw - z_mean * z_mean + 1.0 / (k * k))
         if not lo <= new <= hi:
             new = 2.0 * k if hi == math.inf else 0.5 * (lo + hi)
         k, prev = new, k
@@ -595,7 +622,7 @@ def _weibull_exact_mle(x):
             break
     else:
         note = _unsolved_note("Weibull shape", step)
-    rate, past = _rate("rate", -top - math.log(float(np.mean(np.exp(k * z)))) / k)
+    rate, past = _rate("rate", -top - math.log(float(np.add.reduce(np.exp(k * z)) / z.size)) / k)
     return np.array([k, rate]), step, past or note
 
 

@@ -105,45 +105,27 @@ def log_gamma(a):
 
 
 def digamma(a):
-    """d/da ln Gamma(a) for a > 0."""
+    """psi(a) = d/da ln Gamma(a) for a > 0, in house: see _digamma."""
     if not a > 0.0:
         raise ValueError(f"digamma requires a > 0, got {a}")
-    return float(special.psi(a))
-
-
-# B_2k / 2k, k = 1..7: the coefficients of a^-2k in log a - psi(a)
-_LOG_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+    return _digamma(float(a))
 
 
 def _log_minus_digamma(a):
     """log a - psi(a) for a > 0, elementwise, a numpy scalar for a
-    scalar. From a = 10 on, where the two terms cancel, it is the
-    asymptotic series 1/(2a) + sum_k B_2k / (2k a^2k) (DLMF 5.11.2)
-    through k = 7, whose next term is below 1e-15 of the sum there."""
-    a = np.asarray(a, dtype=float)[()]
-    small = a < 10.0
-    # a 0-d small by truthiness: .all() on a numpy scalar costs about 2.5 us
-    if small.all() if small.ndim else small:  # false for nan
-        return np.log(a) - special.psi(a)
-    near = np.where(small, a, 1.0)
-    far = np.where(small, 10.0, a)
-    r = 1.0 / (far * far)
-    tail = 0.0
-    for c in reversed(_LOG_DIGAMMA_SERIES):
-        tail = (tail + c) * r
-    return np.where(small, np.log(near) - special.psi(near), 0.5 / far + tail)[()]
+    scalar: the left side of the gamma shape equation (see
+    _shape_terms)."""
+    return _shape_terms(a)[0]
 
 
 def _sq_trigamma(a):
     """a^2 psi'(a) for a > 0, elementwise, a numpy scalar for a scalar:
     the trigamma term of a log-coordinate Hessian, as 1 + a^2 psi'(a + 1)
     (DLMF 5.15.5), which stays finite as a -> 0 where psi'(a) ~ 1/a^2
-    overflows. psi'(q) is the Hurwitz zeta function zeta(2, q). The
-    product is taken as a * (a psi'(a + 1)), whose inner factor stays
-    near 1, so it stays finite up to a ~ 1.8e308 where a * a would
-    overflow."""
-    a = np.asarray(a, dtype=float)[()]
-    return 1.0 + a * (a * special.zeta(2.0, a + 1.0))
+    overflows (see _shape_terms)."""
+    if np.ndim(a) == 0:
+        return np.float64(1.0 + _shape_floats(float(a))[1])
+    return 1.0 + _shape_terms(a)[1]
 
 
 def _check_shape(name, a):
@@ -257,6 +239,11 @@ _ZETA = (
 # (zeta(n) - 1)/n for n = 2..31, the coefficients of (-t)^n in
 # ln Gamma(2 + t); at |t| <= 1/2 the n-th term falls like 4^-n
 _LGAM2P = tuple((z - 1.0) / n for n, z in enumerate(_ZETA, start=2))
+# their even- and odd-order pairs, highest first: _lgam2p sums the two
+# halves by Horner in t^2, which takes half as many numpy calls over an
+# array as one sum in t
+_LGAM2P_PAIRS = tuple(zip(_LGAM2P[-2::-2], _LGAM2P[::-2]))
+_LGAM2P_COLUMNS = np.array(_LGAM2P_PAIRS)[:, :, None]
 # B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for ln Gamma(a)
 # (DLMF 5.11.1); at a = 10 the next term is below 2e-18
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
@@ -269,10 +256,12 @@ def _lgam2p(t):
     terms fall like (t/2)^n, so 30 of them are complete to rounding,
     where those of the zeta series of ln Gamma(1 + t) fall like t^n."""
     u = -t
-    h = 0.0
-    for c in reversed(_LGAM2P):
-        h = h * u + c
-    return (1.0 - _EULER) * t + h * t * t
+    v = u * u
+    even = odd = 0.0
+    for c_even, c_odd in _LGAM2P_PAIRS:
+        even = even * v + c_even
+        odd = odd * v + c_odd
+    return (1.0 - _EULER) * t + (even + u * odd) * t * t
 
 
 def _lgam1p(a):
@@ -310,17 +299,77 @@ def _log_gamma(a):
     through Gamma(a) = Gamma(1 + a)/a and Gamma(1 + a) = Gamma(2 + a)/(1 + a)
     below 3/2 and the recurrence above, and Stirling's series from 10 on.
     Within 4e-16 max(1, |ln Gamma(a)|) of 40-digit mpmath on
-    [5e-324, 1e6], subnormal shapes included."""
+    [5e-324, 1e6], subnormal shapes included. Its logs are numpy's, so
+    _log_gamma_vec, which takes the same steps, has its bits."""
     if a < 0.5:
-        return _lgam2p(a) - math.log1p(a) - math.log(a)
+        return _lgam2p(a) - float(np.log1p(a)) - float(np.log(a))
     if a < 1.5:
-        return _lgam2p(a - 1.0) - math.log(a)
+        return _lgam2p(a - 1.0) - float(np.log(a))
     if a < 10.0:
         t, m = _gamma_shift(a)
-        return _lgam2p(t) + math.log(m)
+        return _lgam2p(t) + float(np.log(m))
     if a == math.inf:
         return a
-    return (a - 0.5) * math.log(a) - a + _HALF_LOG_2PI + _stirling_tail(a)
+    return (a - 0.5) * float(np.log(a)) - a + _HALF_LOG_2PI + _stirling_tail(a)
+
+
+def _log_gamma_vec(a):
+    """_log_gamma elementwise over an array of a > 0, a numpy scalar for
+    a scalar. Each point takes _log_gamma's steps in their order, so it
+    has their bits: the points below 10 share one Horner sum of _lgam2p,
+    the rest Stirling's series."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return np.float64(_log_gamma(float(a)))
+    flat = a.ravel()
+    out = np.empty(flat.shape)
+    low = flat < 10.0
+    _route(out, flat, low, _log_gamma_low)
+    _route(out, flat, ~low, _log_gamma_high)  # nan and inf too
+    return out.reshape(a.shape)
+
+
+def _log_gamma_low(a):
+    """_log_gamma at 0 < a < 10 over an array."""
+    near = a < 1.5
+    tiny = a < 0.5
+    # _gamma_shift: the factors a - 1, ..., a - j >= 1.5 of m, exact, and
+    # t = a - j - 2
+    factors = a - _GAMMA_SHIFT_ROWS
+    shifted = factors >= 1.5
+    m = np.multiply.accumulate(np.where(shifted, factors, 1.0), axis=0)[-1]
+    t = a - np.add.reduce(shifted, axis=0, dtype=float)
+    t -= np.where(near, np.where(tiny, 0.0, 1.0), 2.0)
+    u = -t
+    v = u * u
+    halves = np.zeros((2, a.size))
+    for c in _LGAM2P_COLUMNS:
+        halves *= v
+        halves += c
+    h = halves[0] + u * halves[1]
+    h *= t
+    h *= t
+    lg = (1.0 - _EULER) * t
+    lg += h
+    np.subtract(lg, np.log1p(a), out=lg, where=tiny)
+    # - ln a below 3/2, + ln m above, as lg - (-ln m)
+    log = np.log(np.where(near, a, m))
+    np.negative(log, out=log, where=~near)
+    lg -= log
+    return lg
+
+
+def _log_gamma_high(a):
+    """_log_gamma from a = 10 on, and at inf and nan, over an array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 1.0 / (a * a)
+        tail = np.zeros_like(a)
+        for c in reversed(_STIRLING):
+            tail *= r
+            tail += c
+        tail /= a
+        lg = (a - 0.5) * np.log(a) - a + _HALF_LOG_2PI + tail
+    return np.where(a == math.inf, a, lg)
 
 
 def _inv_gamma(a):
@@ -334,6 +383,139 @@ def _inv_gamma(a):
         return a * math.exp(-_lgam2p(a - 1.0))
     t, m = _gamma_shift(a)
     return math.exp(-_lgam2p(t)) / m
+
+
+# zeta(n) - 1 for n = 2..31, the coefficients of -(-t)^(n-1) in psi(2 + t)
+_PSI2P = tuple(z - 1.0 for z in _ZETA)
+# B_2k, k = 1..9: b psi'(b) = 1 + 1/(2b) + sum_k B_2k b^-2k (DLMF 5.15.8)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+                    43867 / 798)
+# B_2k / 2k: log b - psi(b) = 1/(2b) + sum_k B_2k / (2k b^2k) (DLMF 5.11.2);
+# from b = 10 on the next term of either series is below 1e-17 of its sum
+_LOG_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12,
+                       -3617 / 8160, 43867 / 14364)
+# the rows j = 1..8 of _log_gamma_low's factors a - j: a < 10 takes at
+# most 8 steps of the recurrence down to t = a - j - 2 < 1/2
+_GAMMA_SHIFT_ROWS = np.arange(1.0, 9.0)[:, None]
+# the shape terms shift a to a + n >= 10, n <= 10, before the series
+_SHIFT_TO = 10.0
+_SHIFTS = tuple(float(k) for k in range(9, -1, -1))
+# rows k = 9..0 of _shape_terms' table a + k, in the order they are summed
+_SHIFT_ROWS = np.array(_SHIFTS)[:, None]
+# below this n/a overflows; there 1/a, in the sum, outweighs log1p(n/a)
+_NO_OVERFLOW_A = 16.0 / float(np.finfo(float).max)
+_SHAPE_PAIRS = tuple(zip(_LOG_DIGAMMA_SERIES[-2::-1], _TRIGAMMA_SERIES[-2::-1]))
+# the coefficient pairs of both series, highest order first, as columns
+_SHAPE_SERIES = np.array([_LOG_DIGAMMA_SERIES[::-1], _TRIGAMMA_SERIES[::-1]]).T[:, :, None]
+
+
+def _psi2p(t):
+    """psi(2 + t) = 1 - gamma + t sum_{n>=2} (zeta(n) - 1) (-t)^(n-2) for
+    |t| <= 1/2, the derivative of _lgam2p's series."""
+    u = -t
+    h = 0.0
+    for c in reversed(_PSI2P):
+        h = h * u + c
+    return (1.0 - _EULER) + h * t
+
+
+def _digamma(a):
+    """psi(a) for a > 0, a float, unvalidated, by _log_gamma's steps:
+    _psi2p below a = 10, through psi(a) = psi(a + 1) - 1/a below 3/2 and
+    the recurrence psi(a) = psi(a - 1) + 1/(a - 1) above, whose terms are
+    all positive there, and the asymptotic series (DLMF 5.11.2) from 10
+    on. -inf at subnormal a, where -1/a overflows."""
+    if a < 0.5:
+        return _psi2p(a) - 1.0 / (1.0 + a) - 1.0 / a
+    if a < 1.5:
+        return _psi2p(a - 1.0) - 1.0 / a
+    if a < 10.0:
+        s = 0.0
+        while a >= 2.5:
+            a -= 1.0
+            s += 1.0 / a
+        return _psi2p(a - 2.0) + s
+    if a == math.inf:
+        return a
+    r = 1.0 / (a * a)
+    h = 0.0
+    for c in reversed(_LOG_DIGAMMA_SERIES):
+        h = h * r + c
+    return math.log(a) - (0.5 / a + r * h)
+
+
+def _shape_terms(a):
+    """(log a - psi(a), a^2 psi'(a + 1)) for a > 0, elementwise, numpy
+    scalars for a scalar: the two shape terms of a Minka step, from one
+    shift. Below 10, a moves to b = a + n >= 10 by the recurrences
+    psi(a) = psi(b) - sum_{k<n} 1/(a + k) and
+    psi'(a + 1) = psi'(b) + sum_{0<k<n} 1/(a + k)^2, and
+    log a - psi(a) = (log b - psi(b)) + sum_{k<n} 1/(a + k) - log1p(n/a),
+    whose terms cancel about ten times less than log a and psi(a) do
+    near a = 10; psi'(b) and log b - psi(b) are the asymptotic series
+    (DLMF 5.15.8, 5.11.2). From 10 on, n = 0 and
+    a^2 psi'(a + 1) = a^2 psi'(a) - 1 = a - 1/2 + a^2 sum_k B_2k a^-2k-1.
+    The reciprocals are a (10, points) table, summed from k = 9 down with
+    zeros where a + k >= 10; a scalar runs in Python floats through
+    _shape_floats, whose operations and log1p are the table's, so it
+    equals its entry in an array bit for bit."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return tuple(np.float64(v) for v in _shape_floats(float(a)))
+    flat = a.ravel()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        table = flat + _SHIFT_ROWS
+        shift = table < _SHIFT_TO
+        n = np.add.reduce(shift, axis=0, dtype=float)
+        # 1/(a + k) where a + k < 10, else 0
+        np.divide(shift, table, out=table)
+        recip = np.add.accumulate(table, axis=0)[-1]
+        table *= table
+        recip_sq = np.add.accumulate(table[:-1], axis=0)[-1]
+        ib = 1.0 / (flat + n)
+        r = ib * ib
+        # both series by one Horner sum, a row each
+        h = np.empty((2, flat.size))
+        h[:] = _SHAPE_SERIES[0]
+        for c in _SHAPE_SERIES[1:]:
+            h *= r
+            h += c
+        log_minus = recip - np.log1p(n / np.maximum(flat, _NO_OVERFLOW_A))
+        log_minus += 0.5 * ib + r * h[0]
+        q = ib * h[1]
+        trig = np.where(flat < _SHIFT_TO,
+                        flat * (flat * (recip_sq + ib * (1.0 + ib * (0.5 + q)))),
+                        (flat - 0.5) + q)
+    return log_minus.reshape(a.shape), trig.reshape(a.shape)
+
+
+def _shape_floats(a):
+    """_shape_terms at a float a, in Python floats."""
+    recip = recip_sq = n = log1p = 0.0
+    if a < _SHIFT_TO:
+        # the table's rows: k = n - 1, ..., 0 with a + k < 10
+        k = _SHIFTS[0]
+        while not a + k < _SHIFT_TO:
+            k -= 1.0
+        n = k + 1.0
+        while k:
+            v = 1.0 / (a + k)
+            recip += v
+            recip_sq += v * v
+            k -= 1.0
+        recip += 1.0 / a
+        log1p = float(np.log1p(n / max(a, _NO_OVERFLOW_A)))
+    ib = 1.0 / (a + n)
+    r = ib * ib
+    h0, h1 = _LOG_DIGAMMA_SERIES[-1], _TRIGAMMA_SERIES[-1]
+    for c0, c1 in _SHAPE_PAIRS:
+        h0 = h0 * r + c0
+        h1 = h1 * r + c1
+    log_minus = (recip - log1p) + (0.5 * ib + r * h0)
+    q = ib * h1
+    if a < _SHIFT_TO:
+        return log_minus, a * (a * (recip_sq + ib * (1.0 + ib * (0.5 + q))))
+    return log_minus, (a - 0.5) + q
 
 
 def _igam_terms(a, x_top):
@@ -365,7 +547,7 @@ class _Shape:
             self.window = math.inf
         else:
             self.window = 0.3 if a > _WINDOW_MIN_A else 0.0
-        self._cf = []
+        self._cf = ([], [])
 
     @functools.cached_property
     def igamc_terms(self):
@@ -428,13 +610,16 @@ class _Shape:
         return (1.0 + a) * math.exp(-_lgam2p(a)) if a < 0.5 else self.inv_gamma / a
 
     def cf_coefs(self, n):
-        """[(j (a - j), 2j + 1 - a) for j = n..1]: the elements of Legendre's
-        continued fraction, last first; a count m takes the last m."""
-        cf = self._cf
-        if len(cf) < n:
-            j = np.arange(float(n), len(cf), -1.0)
-            cf[:0] = zip((j * (self.a - j)).tolist(), ((2.0 * j + 1.0) - self.a).tolist())
-        return cf[-n:]
+        """([j (a - j)], [2j + 1 - a]) for j = n..1: the elements of
+        Legendre's continued fraction, last first, as two lists, which
+        cost less to build than one list of pairs; a count m takes the
+        last m of each."""
+        c, d = self._cf
+        if len(c) < n:
+            j = np.arange(float(n), len(c), -1.0)
+            c[:0] = (j * (self.a - j)).tolist()
+            d[:0] = ((2.0 * j + 1.0) - self.a).tolist()
+        return c[-n:], d[-n:]
 
 
 _shape = functools.lru_cache(maxsize=16)(_Shape)
@@ -649,6 +834,12 @@ def _cf_terms(k, x):
     return np.ceil(n).astype(np.intp)
 
 
+def _cf_count(k, x):
+    """_cf_terms at one float x > 1.1, by its operations in Python floats."""
+    s = 1.0 / math.sqrt(x)
+    return math.ceil((88.8 * s + 36.6) * s + (8.0 + 22.2 * k.a * min(1.0, k.a / _WINDOW_MIN_A) / x))
+
+
 def _legendre(k, x, upper):
     """Q(a, x) = x^a e^-x/Gamma(a) / (x + 1 - a - 1 (1 - a)/(x + 3 - a -
     2 (2 - a)/(x + 5 - a - ...))), Legendre's continued fraction (DLMF
@@ -660,22 +851,25 @@ def _legendre(k, x, upper):
     _CF_LOOP_MAX points it runs in Python floats, whose additions and
     divisions are numpy's on each point in the same order, so the bits
     are the array loop's."""
-    terms = _cf_terms(k, x)
-    coefs = k.cf_coefs(int(terms.max()))
     d0 = 1.0 - k.a
     frac = np.empty_like(x)
     if x.size <= _CF_LOOP_MAX:
-        for i, (xi, n) in enumerate(zip(x.tolist(), terms.tolist())):
+        xs = x.tolist()
+        terms = [_cf_count(k, xi) for xi in xs]
+        cs, ds = k.cf_coefs(max(terms))
+        for i, (xi, n) in enumerate(zip(xs, terms)):
             t = 0.0
-            for c, d in coefs[-n:]:
+            for c, d in zip(cs[-n:], ds[-n:]):
                 t = c / (xi + d + t)
             frac[i] = 1.0 / (xi + d0 + t)
     else:
+        terms = _cf_terms(k, x)
+        coefs = zip(*k.cf_coefs(int(terms.max())))
         # a stable sort of one byte a point is a radix sort
         order = np.argsort(terms.astype(np.uint8), kind="stable")
         xs = x[order]
-        # the points from first[j] on have a count of len(coefs) - j or more
-        first = np.searchsorted(terms[order], np.arange(len(coefs), 0, -1))
+        # the points from first[j] on have a count of max(terms) - j or more
+        first = np.searchsorted(terms[order], np.arange(terms.max(), 0, -1))
         t = np.zeros_like(xs)
         den = np.empty_like(xs)
         for m, (c, d) in zip(first.tolist(), coefs):

@@ -486,15 +486,16 @@ class TestExitCodesAndIo:
 class TestImportCost:
     """scipy.special costs about half a second to import, and neither
     `import oddsgamma` nor the sample command loads it (nor any scipy
-    module), nor does curves for m1, m2 or m6: lnGamma and the
-    incomplete gamma pair outside scipy's uniform asymptotic window
-    (a > 20 with x near a) are the package's own. The other commands
-    load it at their first special-function call, and print the same
-    bytes as in an interpreter that had it loaded before. scipy.optimize
-    costs about a third of a second, and no command loads it: the fits
-    are Newton iterations in numpy. Nor does any command load
-    scipy.integrate: the expectations run on the package's own tanh-sinh
-    rule."""
+    module), nor do curves for m1, m2 or m6, compare, fit and gof:
+    lnGamma, psi, the trigamma term, the normal cdf and quantile, and
+    the incomplete gamma pair outside scipy's uniform asymptotic window
+    (a > 20 with x near a) are the package's own. moments and the other
+    curves load it at their first inverse of the incomplete gamma, and
+    every command prints the same bytes as in an interpreter that had it
+    loaded before. scipy.optimize costs about a third of a second, and no
+    command loads it: the fits are Newton iterations in numpy. Nor does
+    any command load scipy.integrate: the expectations run on the
+    package's own tanh-sinh rule."""
 
     PROBE = """\
 import contextlib, io, json, sys
@@ -511,20 +512,21 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
-    # sample and curves first: every later command loads scipy.special
+    # moments first loads scipy.special, for the inverse of the
+    # incomplete gamma: every command ahead of it runs without it
     COMMANDS = [
         ["sample", "--params", M2, "--n", "10", "--seed", "1"],
         ["curves", "--model", "m1", "--params", "0.84,0.0687", "--grid", "0.1:60:200"],
         ["curves", "--params", M2, "--grid", "0.1:30:200"],
         ["curves", "--model", "m6", "--params", "0.9,0.086", "--grid", "0.1:60:200"],
-        ["moments", "--params", "1,1,1", "--order", "2"],
-        ["curves", "--params", M2, "--grid", "0.5:5:4"],
         ["compare"],
         ["fit", "--model", "m2"],
         ["gof", "--model", "m6"],
+        ["moments", "--params", "1,1,1", "--order", "2"],
+        ["curves", "--params", M2, "--grid", "0.5:5:4"],
     ]
-    IDS = ["sample", "curves-m1", "curves-m2", "curves-m6", "moments", "curves", "compare",
-           "fit", "gof"]
+    IDS = ["sample", "curves-m1", "curves-m2", "curves-m6", "compare", "fit", "gof",
+           "moments", "curves"]
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -545,6 +547,12 @@ print(json.dumps(report))
     def test_curves_loads_no_scipy_special(self, report, run):
         code, loaded, out = report[run]
         assert code == 0 and out.startswith("x\tpdf\tcdf\thazard\n")
+        assert "scipy.special" not in loaded, run
+
+    @pytest.mark.parametrize("run", ["compare", "fit", "gof"])
+    def test_fits_load_no_scipy_special(self, report, run):
+        code, loaded, out = report[run]
+        assert code == 0 and out, run
         assert "scipy.special" not in loaded, run
 
     def test_no_command_loads_optimize(self, report):

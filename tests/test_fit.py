@@ -329,29 +329,29 @@ class TestPinnedDigits:
 
     PINS = {
         "wheaton": (
-            ("m1", (0.8382682148538914, 0.06868705072206689), -251.34435950468648,
-             (0.12106558872930388, 0.013288181168587015), 4),
-            ("m2", (0.1313110251889018, 0.17910084994666398, 0.5389212836407896),
-             -249.51497222439093,
-             (0.053241137118434576, 0.06972089068339957, 0.25077590365870817), 3),
+            ("m1", (0.8382682148538917, 0.06868705072206695), -251.34435950468648,
+             (0.12106558872930392, 0.013288181168587022), 4),
+            ("m2", (0.13131102518890234, 0.17910084994666278, 0.5389212836407866),
+             -249.514972224391,
+             (0.053241137118434395, 0.06972089068339873, 0.250775903658705), 3),
             ("m6", (0.901166122839873, 0.08596832096426049), -251.49864044754122,
              (0.08555727025379219, 0.011837460153171192), 4),
         ),
         (4242, 1): (
-            ("m1", (0.9038314885189533, 0.0777193169937793), -248.40624252558638,
-             (0.13143809744771073, 0.014851223281849027), 4),
-            ("m2", (0.1412431941611933, 0.25976751031583284, 0.5479959262408197),
-             -245.58347398638304,
-             (0.0639430086247223, 0.10264730539927722, 0.27905267197721206), 3),
+            ("m1", (0.9038314885189535, 0.0777193169937793), -248.40624252558644,
+             (0.13143809744771076, 0.014851223281849027), 4),
+            ("m2", (0.14124319416119357, 0.2597675103158326, 0.5479959262408184),
+             -245.58347398638307,
+             (0.063943008624722, 0.10264730539927693, 0.27905267197720957), 3),
             ("m6", (0.9426839180303197, 0.08828205434970124), -248.4502583595944,
              (0.08824512233751967, 0.011621978030623743), 4),
         ),
         (4242, 2): (
-            ("m1", (0.8509833029568303, 0.060216146947166906), -262.0375487239109,
-             (0.12307256225066807, 0.011619855772569087), 4),
-            ("m2", (0.09832496246837392, 0.23479566945506203, 0.6613060116559634),
-             -261.06379744053976,
-             (0.06722080280603669, 0.11429381533693617, 0.5007408977187452), 3),
+            ("m1", (0.8509833029568299, 0.06021614694716685), -262.0375487239109,
+             (0.12307256225066797, 0.011619855772569073), 4),
+            ("m2", (0.09832496246837413, 0.23479566945506192, 0.6613060116559616),
+             -261.0637974405397,
+             (0.06722080280603666, 0.11429381533693606, 0.5007408977187428), 3),
             ("m6", (0.8940230236921735, 0.07479800605442286), -261.9034696915601,
              (0.08217752551120885, 0.010402352724078068), 5),
         ),

@@ -7,14 +7,47 @@ is pinned by frozen flood-study values computed once and kept as a
 regression anchor.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oddsgamma import DataError, get_model, gof_report, info_criteria, mle_fit
+from oddsgamma import DataError, get_model, gof, gof_report, info_criteria, mle_fit
 from oddsgamma.expgamma import OEGammaDist
 from oddsgamma.gof import GofReport, anderson_darling, cramer_von_mises
+
+# 40-digit mpmath values of the normal quantile and cdf, with their
+# ceilings: tests/make_gamma_table.py
+TABLE = json.loads((Path(__file__).parent / "data" / "gamma_table.json").read_text())
+_TINY = 2.2250738585072014e-308
+
+
+class TestNormalTable:
+    """The normal quantile (Wichura's AS 241, as the standard library
+    evaluates it) and cdf (erf/erfc by cephes' rule) that the modified
+    EDF statistics use, against the table within its stored ceilings."""
+
+    def test_quantile(self):
+        p, refs = (np.array(col, dtype=float) for col in zip(*TABLE["ndtri"]))
+        got = gof._ndtri(p)
+        # relative, and absolute at p = 1/2, where the quantile is 0
+        err = np.abs(got - refs) / np.where(refs == 0.0, 1.0, np.abs(refs))
+        assert err.max() <= TABLE["ceilings"]["ndtri"], p[err.argmax()]
+        assert got[p == 0.5].tolist() == [0.0]
+
+    def test_cdf(self):
+        # rounding y / sqrt(2) moves erfc(|y| / sqrt(2)) by about y^2 ulp;
+        # the table reaches y = -38, where Phi is subnormal
+        y, refs = (np.array(col, dtype=float) for col in zip(*TABLE["ndtr"]))
+        got = gof._ndtr(y)
+        err = np.abs(got - refs) / (np.maximum(1.0, y * y) * np.maximum(refs, _TINY))
+        assert err.max() <= TABLE["ceilings"]["ndtr"], y[err.argmax()]
+
+    def test_cdf_inverts_the_quantile(self):
+        p = np.concatenate([np.geomspace(1e-12, 0.5, 50), 1.0 - np.geomspace(1e-12, 0.5, 50)])
+        np.testing.assert_allclose(gof._ndtr(gof._ndtri(p)), p, rtol=1e-12, atol=0.0)
 
 
 class TestInfoCriteria:

@@ -14,6 +14,7 @@ from oddsgamma import OEGammaDist, get_model, specfun, wheaton
 from oddsgamma.specfun import (
     _MAP_BLOCK,
     _lgam1p,
+    _log_gamma_vec,
     _log_minus_digamma,
     _sq_trigamma,
     _reg_lower_gamma_vec,
@@ -311,13 +312,15 @@ def _scipy_served(a, x):
 
 class TestDeferredSpecial:
     """scipy.special is one handle, imported at its first lookup; a name
-    patched on it is seen by every module that calls scipy.special."""
+    patched on it is seen by every module that calls scipy.special, which
+    is specfun alone: ln Gamma, psi, the trigamma term and the normal cdf
+    and quantile are the package's own."""
 
     def test_one_handle(self):
-        from oddsgamma import expgamma, gof, models
+        from oddsgamma import expgamma, family, gof, models
 
-        for module in (expgamma, gof, models):
-            assert module.special is specfun.special, module.__name__
+        for module in (expgamma, family, gof, models):
+            assert not hasattr(module, "special"), module.__name__
 
     def test_lookup_is_the_module_attribute(self):
         assert specfun.special.gammaincc is sp.gammaincc
@@ -532,7 +535,9 @@ class TestUpperGammaKernel:
                 assert zeta_n == float(mpmath.zeta(n)), n
 
 
-# 40-digit mpmath values of Q, P and ln Gamma: tests/make_gamma_table.py
+# 40-digit mpmath values of Q, P, ln Gamma, psi, the shape terms and the
+# normal cdf and quantile, with the ceilings of the last five rows:
+# tests/make_gamma_table.py
 GAMMA_TABLE = json.loads((Path(__file__).parent / "data" / "gamma_table.json").read_text())
 _TINY = 2.2250738585072014e-308
 
@@ -576,9 +581,101 @@ class TestGammaTable:
                     assert _rel_error(v, ref) <= ceiling, (f.__name__, a, x, v, ref)
 
     def test_log_gamma_within_1e15(self):
-        for a, ref in GAMMA_TABLE["log_gamma"]:
+        shapes = np.array([a for a, _ in GAMMA_TABLE["log_gamma"]])
+        for a, got, (_, ref) in zip(shapes, _log_gamma_vec(shapes), GAMMA_TABLE["log_gamma"]):
             ref = float(ref)
-            assert abs(log_gamma(a) - ref) <= 1e-15 * max(1.0, abs(ref)), a
+            assert got == log_gamma(a), a
+            assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), a
+
+
+def _table_rows(name):
+    """(arguments, references) of one table row, references as floats,
+    +-inf past the float range."""
+    args, refs = zip(*GAMMA_TABLE[name])
+    return np.array(args), np.array([float(r) for r in refs])
+
+
+def _within(got, refs, ceiling, scale):
+    """Where got misses its reference by more than ceiling * scale, as
+    (argument index, got, reference); an infinite reference asks for
+    the infinity of its sign."""
+    bad = []
+    for i, (v, ref, sc) in enumerate(zip(got, refs, scale)):
+        ok = v == ref if math.isinf(ref) else abs(v - ref) <= ceiling * sc
+        if not ok:
+            bad.append((i, v, ref))
+    return bad
+
+
+class TestShapeTable:
+    """psi, log a - psi(a) and a^2 psi'(a + 1) against the table on
+    [5e-324, 1e6], each within its stored ceiling (see
+    tests/make_gamma_table.py), no looser than scipy.special's error on
+    the same shapes."""
+
+    CEILINGS = GAMMA_TABLE["ceilings"]
+
+    def test_digamma(self):
+        a, refs = _table_rows("digamma")
+        got = [specfun._digamma(v) for v in a.tolist()]
+        scale = np.maximum(1.0, np.abs(refs))
+        assert _within(got, refs, self.CEILINGS["digamma"], scale) == []
+        assert [digamma(v) for v in a.tolist()] == got
+
+    def test_log_minus_digamma(self):
+        a, refs = _table_rows("log_minus_digamma")
+        got = _log_minus_digamma(a)
+        scale = np.maximum(np.abs(refs), _TINY)
+        assert _within(got, refs, self.CEILINGS["log_minus_digamma"], scale) == []
+
+    def test_sq_trigamma(self):
+        # the table holds a^2 psi'(a + 1), which _sq_trigamma adds to 1;
+        # a^2 underflows below a ~ 1e-154
+        a, refs = _table_rows("sq_trigamma1")
+        got = specfun._shape_terms(a)[1]
+        scale = np.maximum(np.abs(refs), _TINY) + 5e-324 / self.CEILINGS["sq_trigamma1"]
+        assert _within(got, refs, self.CEILINGS["sq_trigamma1"], scale) == []
+        np.testing.assert_array_equal(_sq_trigamma(a), 1.0 + got)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-320, 4e-309, 1e-308, 1e300])
+    def test_float_edges_raise_no_warning(self, a):
+        # 1/a overflows below about 5.6e-309, where psi and log a - psi(a)
+        # are past the float range too; n/a for n <= 10 overflows below
+        # about 1.8e-307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalars = (specfun._digamma(a), _log_minus_digamma(a), _sq_trigamma(a))
+            arrays = (_log_minus_digamma(np.array([a, 1.0])), _sq_trigamma(np.array([a, 1.0])))
+        psi, log_minus, sq = scalars
+        assert arrays[0][0] == log_minus and arrays[1][0] == sq
+        if a > 1.0:
+            # log a - psi(a) = 1/(2a) + 1/(12 a^2) + ..., and a^2 psi'(a)
+            # = a + 1/2 + 1/(6a) + ...
+            assert psi == pytest.approx(math.log(a), rel=1e-16)
+            assert (log_minus, sq) == (0.5 / a, a)
+            return
+        # psi(a) = -1/a - gamma + O(a), and a^2 psi'(a) = 1 + O(a^2)
+        assert sq == 1.0
+        if a < 1.0 / np.finfo(float).max:
+            assert (psi, log_minus) == (-np.inf, np.inf)
+        else:
+            assert psi == pytest.approx(-1.0 / a, rel=1e-15)
+            assert log_minus == pytest.approx(1.0 / a, rel=1e-15)
+
+    def test_scalars_are_their_array_entries(self):
+        # the fits run these one shape at a time in Python floats, and
+        # the profile scan over an array: both take the same steps
+        a = np.concatenate([np.geomspace(5e-324, 1e300, 2000),
+                            [0.5, 1.4999999999999998, 1.5, 2.5, 9.999999999999998, 10.0,
+                             np.nan, np.inf]])
+        log_minus, trig = specfun._shape_terms(a)
+        log_gamma_values = _log_gamma_vec(a[np.isfinite(a)])
+        for i, v in enumerate(a.tolist()):
+            got = specfun._shape_terms(v)
+            assert got[0].tobytes() == log_minus[i].tobytes(), v
+            assert got[1].tobytes() == trig[i].tobytes(), v
+        for v, entry in zip(a[np.isfinite(a)].tolist(), log_gamma_values):
+            assert np.float64(specfun._log_gamma(v)).tobytes() == entry.tobytes(), v
 
 
 def _backward_cf(a, x, n):
