@@ -8,7 +8,9 @@ normal-transform standardized variant with small-sample multipliers
 their sample mean and deviation, mapped back, then the classical forms
 scaled by 1 + 0.75/n + 2.25/n^2 for A-squared and 1 + 0.5/n for
 W-squared). The report builder uses the modified variant, which is the
-convention the reference flood study's printed values follow.
+convention the reference flood study's printed values follow. The
+normal quantile and cdf are the standard library's (_ndtri, _ndtr), so
+no statistic here loads scipy.
 """
 
 import math
@@ -113,13 +115,13 @@ def _ndtri(p):
 
 
 def _ndtr(y):
-    """The standard normal cdf at each y of a 1-d array, by cephes' rule:
-    1/2 + erf(y/sqrt(2))/2 for |y| < 1, and erfc(|y|/sqrt(2))/2 or 1 minus
-    it beyond, so the lower tail keeps its relative digits."""
-    erf, erfc = math.erf, math.erfc
-    return np.array([0.5 + 0.5 * erf(x) if -_SQRT1_2 < x < _SQRT1_2
-                     else 0.5 * erfc(-x) if x < 0.0 else 1.0 - 0.5 * erfc(x)
-                     for x in (y * _SQRT1_2).tolist()])
+    """The standard normal cdf at each y of a 1-d array, as
+    erfc(-y/sqrt(2))/2: the lower tail keeps its relative digits, and
+    above y = 0, where erfc(-y/sqrt(2)) = 2 - erfc(y/sqrt(2)) lies in
+    (1, 2), so does the rest. math.erfc runs over the points in C."""
+    out = np.fromiter(map(math.erfc, (y * -_SQRT1_2).tolist()), float, y.size)
+    out *= 0.5
+    return out
 
 
 def _normal_standardized(z):

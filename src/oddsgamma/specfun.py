@@ -1,22 +1,30 @@
-"""Gamma-function primitives: log-gamma, digamma, log a - psi(a) for the
-gamma shape equation, the trigamma term of the fitted models' Hessians,
-the regularized incomplete gamma pair and its inverses.
+"""Gamma-function primitives: log-gamma over scalars and arrays, digamma,
+log a - psi(a) for the gamma shape equation, the trigamma term of the
+fitted models' Hessians, the regularized incomplete gamma pair and its
+inverses.
 
-These are the innermost kernels of the package. ln Gamma and the
-incomplete gamma pair outside scipy's uniform asymptotic window are the
-package's own up to a = 170; digamma, the trigamma term, the inverses,
-that window and x > 1.1 above a = 170 are scipy.special's. This is the
-only module that calls scipy's incomplete gamma (gammainc and
-gammaincc): GammaRatioDist's cdf and sf, the m1 gamma model's cdf and
-sf, and reg_upper_gamma/reg_lower_gamma take Q and P from
-_reg_upper_gamma_vec and _reg_lower_gamma_vec here, both one kernel,
-_reg_gamma.
+These are the innermost kernels of the package. ln Gamma, digamma, the
+shape terms and the incomplete gamma pair outside scipy's uniform
+asymptotic window are the package's own; only the inverses, that window
+and x > 1.1 above a = 170 are scipy.special's. This is the only module
+that calls scipy.special: GammaRatioDist's cdf and sf, the m1 gamma
+model's cdf and sf, and reg_upper_gamma/reg_lower_gamma take Q and P
+from _reg_upper_gamma_vec and _reg_lower_gamma_vec here, both one
+kernel, _reg_gamma.
 
-ln Gamma(a) (log_gamma, _log_gamma) is the zeta series of ln Gamma(2 + t)
-(DLMF 5.7.3) below a = 10, through Gamma(a) = Gamma(1 + a)/a below 3/2
-and the recurrence above, and Stirling's series (DLMF 5.11.1) from 10
-on: within 4e-16 max(1, |ln Gamma(a)|) of 40-digit mpmath on
-[5e-324, 1e6], where scipy's gammaln overflows below about 1e-308.
+ln Gamma(a) (log_gamma, _log_gamma, and _log_gamma_vec over an array,
+with the same bits) is the zeta series of ln Gamma(2 + t) (DLMF 5.7.3)
+below a = 10, through Gamma(a) = Gamma(1 + a)/a below 3/2 and the
+recurrence above, and Stirling's series (DLMF 5.11.1) from 10 on:
+within 4e-16 max(1, |ln Gamma(a)|) of 40-digit mpmath on [5e-324, 1e6],
+where scipy's gammaln overflows below about 1e-308. digamma(a) takes
+the same steps with the series' derivative and the asymptotic series
+DLMF 5.11.2, within 2.5e-16 max(1, |psi(a)|) there, as scipy's psi is.
+The shape equation's log a - psi(a) and the Hessians' a^2 psi'(a) share
+one shift of a to 10 or more (_shape_terms), within 2.1e-15 and 4e-16
+relative; a scalar runs in Python floats with the array path's
+operations and logs. tests/make_gamma_table.py tables each against
+mpmath, with its ceiling.
 
 Q(a, x) and P(a, x) follow scipy's branch rule (DiDonato & Morris, ACM
 TOMS 12, 1986), route by route (see _reg_gamma):
@@ -55,10 +63,10 @@ callers that need such roots take them in log space instead (see
 GammaRatioDist._x_of_levels).
 
 scipy.special is loaded on first use, through one handle: `special`
-below, which expgamma, models and gof import from here. Its import
-costs about half a second, and `import oddsgamma`, the sample command
-and the curves command of m1, m2 and m6 need it only for an m1 shape
-above 20 with a point in scipy's window. The handle
+below. Its import costs about half a second, and `import oddsgamma`,
+the sample, compare, fit and gof commands and the curves command of m1,
+m2 and m6 need it only for an m1 shape above 20 with a point in scipy's
+window. The handle
 imports the module at its first attribute lookup and keeps each name it
 has looked up, so a later lookup is an instance attribute. fit's
 `optimize` is the same kind of handle on scipy.optimize, which no
@@ -213,6 +221,9 @@ _P_SERIES_MAX_X = 8.0
 # the x > 1.1 routes serve shapes up to here, where Gamma(a), a float up
 # to a = 171.6, gives _prefactor its form
 _FAR_MAX_A = 170.0
+# j and 2j + 1 for j = 255..1: no continued fraction takes more terms
+_CF_J = np.arange(255.0, 0.0, -1.0)
+_CF_2J1 = 2.0 * _CF_J + 1.0
 # the continued fraction runs in Python floats up to this many points,
 # where that costs less than its numpy loop's fixed cost of 3 calls a term
 _CF_LOOP_MAX = 64
@@ -316,7 +327,7 @@ def _log_gamma(a):
 def _log_gamma_vec(a):
     """_log_gamma elementwise over an array of a > 0, a numpy scalar for
     a scalar. Each point takes _log_gamma's steps in their order, so it
-    has their bits: the points below 10 share one Horner sum of _lgam2p,
+    has their bits: the points below 10 share _lgam2p's two Horner sums,
     the rest Stirling's series."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
@@ -334,12 +345,14 @@ def _log_gamma_low(a):
     near = a < 1.5
     tiny = a < 0.5
     # _gamma_shift: the factors a - 1, ..., a - j >= 1.5 of m, exact, and
-    # t = a - j - 2
-    factors = a - _GAMMA_SHIFT_ROWS
-    shifted = factors >= 1.5
-    m = np.multiply.accumulate(np.where(shifted, factors, 1.0), axis=0)[-1]
-    t = a - np.add.reduce(shifted, axis=0, dtype=float)
-    t -= np.where(near, np.where(tiny, 0.0, 1.0), 2.0)
+    # t = a - j - 2; the profile scan's shapes need none
+    t = a - np.where(near, np.where(tiny, 0.0, 1.0), 2.0)
+    m = 1.0
+    if np.maximum.reduce(a) >= 2.5:
+        factors = a - _GAMMA_SHIFT_ROWS
+        shifted = factors >= 1.5
+        m = np.multiply.accumulate(np.where(shifted, factors, 1.0), axis=0)[-1]
+        t -= np.add.reduce(shifted, axis=0, dtype=float)
     u = -t
     v = u * u
     halves = np.zeros((2, a.size))
@@ -353,9 +366,9 @@ def _log_gamma_low(a):
     lg += h
     np.subtract(lg, np.log1p(a), out=lg, where=tiny)
     # - ln a below 3/2, + ln m above, as lg - (-ln m)
-    log = np.log(np.where(near, a, m))
-    np.negative(log, out=log, where=~near)
-    lg -= log
+    log_term = np.log(np.where(near, a, m))
+    np.negative(log_term, out=log_term, where=~near)
+    lg -= log_term
     return lg
 
 
@@ -404,8 +417,9 @@ _SHIFTS = tuple(float(k) for k in range(9, -1, -1))
 _SHIFT_ROWS = np.array(_SHIFTS)[:, None]
 # below this n/a overflows; there 1/a, in the sum, outweighs log1p(n/a)
 _NO_OVERFLOW_A = 16.0 / float(np.finfo(float).max)
+# the coefficient pairs of both series below the highest order, highest
+# first, for _shape_floats, and all of them as columns for _shape_terms
 _SHAPE_PAIRS = tuple(zip(_LOG_DIGAMMA_SERIES[-2::-1], _TRIGAMMA_SERIES[-2::-1]))
-# the coefficient pairs of both series, highest order first, as columns
 _SHAPE_SERIES = np.array([_LOG_DIGAMMA_SERIES[::-1], _TRIGAMMA_SERIES[::-1]]).T[:, :, None]
 
 
@@ -452,7 +466,7 @@ def _shape_terms(a):
     psi'(a + 1) = psi'(b) + sum_{0<k<n} 1/(a + k)^2, and
     log a - psi(a) = (log b - psi(b)) + sum_{k<n} 1/(a + k) - log1p(n/a),
     whose terms cancel about ten times less than log a and psi(a) do
-    near a = 10; psi'(b) and log b - psi(b) are the asymptotic series
+    near a = 8; psi'(b) and log b - psi(b) are the asymptotic series
     (DLMF 5.15.8, 5.11.2). From 10 on, n = 0 and
     a^2 psi'(a + 1) = a^2 psi'(a) - 1 = a - 1/2 + a^2 sum_k B_2k a^-2k-1.
     The reciprocals are a (10, points) table, summed from k = 9 down with
@@ -494,15 +508,14 @@ def _shape_floats(a):
     recip = recip_sq = n = log1p = 0.0
     if a < _SHIFT_TO:
         # the table's rows: k = n - 1, ..., 0 with a + k < 10
-        k = _SHIFTS[0]
-        while not a + k < _SHIFT_TO:
-            k -= 1.0
-        n = k + 1.0
-        while k:
+        first = 0
+        while not a + _SHIFTS[first] < _SHIFT_TO:
+            first += 1
+        n = 10.0 - first
+        for k in _SHIFTS[first:-1]:
             v = 1.0 / (a + k)
             recip += v
             recip_sq += v * v
-            k -= 1.0
         recip += 1.0 / a
         log1p = float(np.log1p(n / max(a, _NO_OVERFLOW_A)))
     ib = 1.0 / (a + n)
@@ -616,9 +629,10 @@ class _Shape:
         last m of each."""
         c, d = self._cf
         if len(c) < n:
-            j = np.arange(float(n), len(c), -1.0)
+            new = slice(_CF_J.size - n, _CF_J.size - len(c))
+            j = _CF_J[new]
             c[:0] = (j * (self.a - j)).tolist()
-            d[:0] = ((2.0 * j + 1.0) - self.a).tolist()
+            d[:0] = (_CF_2J1[new] - self.a).tolist()
         return c[-n:], d[-n:]
 
 

@@ -26,8 +26,8 @@ _TINY = 2.2250738585072014e-308
 
 class TestNormalTable:
     """The normal quantile (Wichura's AS 241, as the standard library
-    evaluates it) and cdf (erf/erfc by cephes' rule) that the modified
-    EDF statistics use, against the table within its stored ceilings."""
+    evaluates it) and cdf (erfc(-y/sqrt(2))/2) that the modified EDF
+    statistics use, against the table within its stored ceilings."""
 
     def test_quantile(self):
         p, refs = (np.array(col, dtype=float) for col in zip(*TABLE["ndtri"]))
@@ -38,7 +38,7 @@ class TestNormalTable:
         assert got[p == 0.5].tolist() == [0.0]
 
     def test_cdf(self):
-        # rounding y / sqrt(2) moves erfc(|y| / sqrt(2)) by about y^2 ulp;
+        # rounding y / sqrt(2) moves erfc(-y / sqrt(2)) by about y^2 ulp;
         # the table reaches y = -38, where Phi is subnormal
         y, refs = (np.array(col, dtype=float) for col in zip(*TABLE["ndtr"]))
         got = gof._ndtr(y)
