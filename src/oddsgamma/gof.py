@@ -105,10 +105,10 @@ def _w2_modified(z):
 
 def _ndtri(p):
     """The standard normal quantile at each p in (0, 1) of a 1-d array:
-    Wichura's AS 241 (Appl. Statist. 37, 1988), about 1e-16 relative, as
-    the standard library's NormalDist.inv_cdf computes it (in C where it
-    can). statistics is imported at the first call, not with the
-    package."""
+    Wichura's AS 241 (Appl. Statist. 37, 1988), as the standard
+    library's NormalDist.inv_cdf computes it (in C where it can), within
+    6e-16 relative. statistics is imported at the first call, not with
+    the package."""
     from statistics import NormalDist
 
     return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, p.size)

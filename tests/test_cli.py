@@ -489,10 +489,10 @@ class TestImportCost:
     module), nor do curves for m1, m2 or m6, compare, fit and gof:
     lnGamma, psi, the trigamma term, the normal cdf and quantile, and
     the incomplete gamma pair outside scipy's uniform asymptotic window
-    (a > 20 with x near a) are the package's own. moments and the other
-    curves load it at their first inverse of the incomplete gamma, and
-    every command prints the same bytes as in an interpreter that had it
-    loaded before. scipy.optimize costs about a third of a second, and no
+    (a > 20 with x near a) are the package's own. moments loads it at its
+    first inverse of the incomplete gamma, and every command prints the
+    same bytes as in an interpreter that had it loaded before.
+    scipy.optimize costs about a third of a second, and no
     command loads it: the fits are Newton iterations in numpy. Nor does
     any command load scipy.integrate: the expectations run on the
     package's own tanh-sinh rule."""
