@@ -26,7 +26,6 @@ from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
 from .quadrature import tanh_sinh, tanh_sinh_levels
 from .specfun import (
-    _MAP_BLOCK,
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
     _reg_lower_gamma_vec,
@@ -143,81 +142,20 @@ def _log_sf_of_log_odds(log_w):
 def _log_gamma_variates(rng, alpha, n):
     """Logs of n Gamma(alpha, 1) draws from a numpy Generator.
 
-    Squeeze-rejection sampler (Marsaglia-Tsang, ACM TOMS 26, 2000):
-    d = a - 1/3, c = 1/sqrt(9d), accept d*(1+c*z)^3 when ln u < z^2/2
-    + d - d*v + d*ln v. Their squeeze u < 1 - 0.0331 z^4 is tested
-    first and the two logs are taken only for the candidates it leaves
-    (8.3% of them). The squeeze lies inside the acceptance region for
-    every d >= 2/3, by at least 5e-4 in u away from z = 0, where both
-    bounds tend to 1 and only a u within the log test's own rounding
-    (about 1e-16 d) of 1 could tell them apart. So it accepts only
-    candidates the log test accepts too; the normals and uniforms are
-    drawn in the same order and the accepted values are the same d*v,
-    so the draws are those of the log test alone. Shapes below 1
-    are boosted through Gamma(alpha+1) times an independent uniform to
-    the power 1/alpha, added in log space, ln G = ln G(alpha+1) +
-    ln(U)/alpha, because U^(1/alpha) underflows for a sizeable share of
-    draws once alpha is small.
+    The draws are numpy's standard_gamma. Shapes below 1 are boosted
+    through Gamma(alpha+1) times an independent uniform to the power
+    1/alpha, added in log space, ln G = ln G(alpha+1) + ln(U)/alpha,
+    because U^(1/alpha) underflows for a sizeable share of draws once
+    alpha is small; the uniforms are drawn first.
     """
-    if n == 0:
-        return np.empty(0)
-    log_boost = None
-    a = alpha
-    if alpha < 1.0:
-        log_boost = rng.random(n)
-        with np.errstate(divide="ignore"):
-            np.log(log_boost, out=log_boost)
-        log_boost /= alpha
-        a = alpha + 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = todo = None
-    m = n
-    while m:
-        # drawn whole and in this order, so the stream does not depend
-        # on the blocks the arithmetic runs in
-        z = rng.standard_normal(m)
-        u = rng.random(m)
-        accept = np.empty(m, dtype=bool)
-        for start in range(0, m, _MAP_BLOCK):
-            block = slice(start, start + _MAP_BLOCK)
-            _marsaglia_tsang_block(z[block], u[block], accept[block], c, d)
-        if out is None:
-            # the first pass fills every slot; those it rejected are redrawn
-            out = z
-            todo = np.flatnonzero(~accept)
-        else:
-            out[todo[accept]] = z[accept]
-            todo = todo[~accept]
-        m = todo.size
-    np.log(out, out=out)
-    if log_boost is not None:
-        out += log_boost
+    if alpha >= 1.0:
+        return np.log(rng.standard_gamma(alpha, n))
+    with np.errstate(divide="ignore"):
+        log_boost = np.log(rng.random(n))
+    log_boost /= alpha
+    out = np.log(rng.standard_gamma(alpha + 1.0, n))
+    out += log_boost
     return out
-
-
-def _marsaglia_tsang_block(z, u, accept, c, d):
-    """One block of _log_gamma_variates' candidates: accept[i] is the
-    verdict on candidate i, and z is overwritten with the candidate
-    d*v. Each step is the plain expression's, bit for bit, done in
-    place, so a block's temporaries stay in cache."""
-    squeeze = z * z
-    squeeze *= squeeze
-    squeeze *= -0.0331
-    squeeze += 1.0
-    np.less(u, squeeze, out=accept)
-    rest = np.flatnonzero(~accept)
-    z_rest = z[rest]
-    v = z
-    v *= c
-    v += 1.0
-    v **= 3
-    v_rest = v[rest]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accept[rest] = (v_rest > 0.0) & (
-            np.log(u[rest]) < 0.5 * z_rest * z_rest + d - d * v_rest + d * np.log(v_rest)
-        )
-    v *= d
 
 
 def _sum_shells(inner, ctrl):
@@ -591,9 +529,8 @@ class GammaRatioDist:
         the base's log_isf at ln sf = -softplus(-ln T), or, for a base
         without one, through the odds inverse with T floored at tiny.
         """
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"sample size must be >= 0, got {n}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"sample size must be an integer >= 0, got {n!r}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         log_t = _log_gamma_variates(rng, self.alpha, n)

@@ -262,8 +262,8 @@ class TestSample:
         code, out, _ = run_cli(capsys, "sample", "--model", "m2", "--params", M2,
                                "--n", "5", "--seed", "7", "--format", "tsv")
         assert code == 0
-        assert out == ("6.510803697\n0.7279619261\n0.7046974722\n"
-                       "19.46995316\n15.73755529\n")
+        assert out == ("6.510803697\n0.2626997416\n2.764806457\n"
+                       "17.64432171\n16.64565365\n")
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "sample", "--model", "m2", "--params", M2,

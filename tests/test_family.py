@@ -25,6 +25,8 @@ from oddsgamma import (
 )
 from oddsgamma.family import _signed_binomial, _tau_table, _truncate_inner
 
+from streams import numpy_sample
+
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -265,74 +267,24 @@ class TestQuantile:
             assert got == f(0.3)
 
 
-def _plain_log_gamma_variates(rng, alpha, n):
-    """Marsaglia-Tsang with the log test alone, no squeeze: the reference
-    stream for family._log_gamma_variates."""
-    log_boost = None
-    a = alpha
-    if alpha < 1.0:
-        with np.errstate(divide="ignore"):
-            log_boost = np.log(rng.random(n)) / alpha
-        a = alpha + 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        z = rng.standard_normal(todo.size)
-        v = (1.0 + c * z) ** 3
-        u = rng.random(todo.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(v))
-        out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
-    out = np.log(out)
-    if log_boost is not None:
-        out += log_boost
-    return out
-
-
 class TestSampling:
-    @pytest.mark.parametrize("alpha", [0.05, 0.131, 0.46, 0.96, 1.0, 1.5, 6.0])
-    def test_squeeze_keeps_the_stream(self, alpha):
-        # a changed accepted set would shift every later draw by O(1)
-        for seed in (0, 17):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = family._log_gamma_variates(rng, alpha, 50_000)
-            want = _plain_log_gamma_variates(ref_rng, alpha, 50_000)
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("alpha", [0.131, 0.96, 1.5])
-    def test_blocks_keep_the_plain_stream(self, alpha):
-        # the candidates' arithmetic runs in blocks; more than two blocks
-        # of draws are the plain sampler's, bit for bit
-        n = 2 * family._MAP_BLOCK + 3
+    @pytest.mark.parametrize("alpha", [0.05, 0.131, 0.96, 1.0, 1.5, 6.0])
+    @pytest.mark.parametrize("generic", [False, True], ids=["oe", "family"])
+    def test_sample_is_numpys_gamma_stream(self, alpha, generic):
+        # bit for bit on every CPU: the same calls on the same generator,
+        # then ln T - ln beta through the base's log_isf
+        d = OEGammaDist(alpha, 0.179, 0.539)
+        if generic:
+            d = d.as_family()
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = family._log_gamma_variates(rng, alpha, n)
-        assert np.array_equal(got, _plain_log_gamma_variates(ref_rng, alpha, n))
+        assert np.array_equal(d.sample(100_000, rng), numpy_sample(d, ref_rng, 100_000))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    # sha256 of the draws' float64 bytes, pinned from the sampler before
-    # its arithmetic ran in blocks: 200,003 draws cross six block edges
-    STREAM_DIGESTS = {
-        0.131: "59ffa4dccf7e4158e4e7b5e899f2af6d175a4417bc2fecdd96b046044cb57605",
-        0.96: "f38b234fbac20d1a9b76834ec17ba1aef74579c39ec558f5083602544a63f415",
-        1.5: "96ac94395e25b64ef2ce37ebe9d947d14cc0220c684574e8d16b5696a96cf563",
-    }
-
-    @pytest.mark.usefixtures("avx512_bits")
-    @pytest.mark.parametrize("alpha", sorted(STREAM_DIGESTS))
-    def test_stream_digest(self, alpha):
-        got = family._log_gamma_variates(np.random.default_rng(8), alpha, 200_003)
-        assert hashlib.sha256(got.tobytes()).hexdigest() == self.STREAM_DIGESTS[alpha]
-
-    @pytest.mark.usefixtures("avx512_bits")
-    def test_oe_sample_digest(self):
-        got = OEGammaDist(0.131, 0.179, 0.539).sample(200_003, 7)
-        assert hashlib.sha256(got.tobytes()).hexdigest() == (
-            "379914ddbb834aee275b15f0b7dac40331986168a58ceba0869f9aa376218726")
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_size_must_be_an_integer(self, n):
+        # refused, not coerced: int(n) would draw 2 for 2.5 and 1 for True
+        with pytest.raises(ValueError, match="sample size must be an integer >= 0"):
+            dist(1.0, 1.0, 1.0).sample(n, np.random.default_rng(0))
 
     def test_empty(self):
         out = dist(1.0, 1.0, 1.0).sample(0, np.random.default_rng(0))
@@ -346,7 +298,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("prm", [(0.131, 0.179, 0.539), (2.0, 1.0, 1.0)])
     def test_ks_sanity(self, prm):
-        # covers both the boosted sub-1 shape path and the squeeze path
+        # covers both the boosted sub-1 shape path and the direct one
         d = dist(*prm)
         draws = d.sample(20_000, np.random.default_rng(42))
         assert np.all(draws > 0.0)

@@ -27,10 +27,12 @@ except ImportError:  # the mpmath checks skip
     mpmath = None
 
 import oddsgamma
-from oddsgamma import DataError, FitError, OEGammaDist, get_model, mle_fit
+from oddsgamma import DataError, FitError, get_model, mle_fit
 from oddsgamma import models
 from oddsgamma.fit import FitResult, negative_log_lik, standard_errors
 from oddsgamma.models import FittableModel
+
+from streams import flood_resample
 
 
 _CHILD_ENV = {
@@ -430,16 +432,12 @@ class TestStandardErrors:
 SUBNORMAL = 1e-315 * (1.0 + np.random.default_rng(0).random(20))
 
 
-def _resample(seed):
-    return OEGammaDist(0.131, 0.179, 0.539).sample(72, np.random.default_rng(seed))
-
-
 @pytest.mark.parametrize("seed", [8, 9, 23, 117, 120, 173, 580])
 def test_bootstrap_fits_leak_no_runtime_warning(seed):
     # resamples of the flood fit on which the scores overflow at points
     # away from the fit; on seed 580 the m2 likelihood rises along the
     # beta -> inf ridge
-    data = _resample(seed)
+    data = flood_resample(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for alias in ("m1", "m2", "m6"):
@@ -578,7 +576,7 @@ class TestProfileLikelihood:
 
     @pytest.mark.parametrize("seed", sorted(ENGINE_LOGLIK))
     def test_boundary_above_the_interior_maximum_is_advised(self, seed):
-        data = _resample(seed)
+        data = flood_resample(seed)
         res = mle_fit(get_model("m2"), data)
         want = self.ENGINE_LOGLIK[seed]
         assert res.loglik >= want - 1e-9 * abs(want)
@@ -607,7 +605,7 @@ class TestProfileLikelihood:
     def test_engine_float_limit_resample_keeps_an_interior_maximum(self):
         # the profile has an interior maximum here, which scipy.optimize
         # also reaches (test_scipy_minimize_reaches_the_fit)
-        data = _resample(580)
+        data = flood_resample(580)
         res = mle_fit(get_model("m2"), data)
         assert res.converged and res.iterations <= 4
         assert res.theta_hat[1] < 1e300
@@ -731,7 +729,7 @@ def test_scipy_minimize_reaches_the_fit(flood_values, alias):
     # TestProfileLikelihood) and the ridge ops, where the m2 likelihood
     # has a higher limit than the interior maximum the fit reports
     model = get_model(alias)
-    data = ([flood_values] + [_resample(seed) for seed in (*range(40), 69, 180, 580)]
+    data = ([flood_values] + [flood_resample(seed) for seed in (*range(40), 69, 180, 580)]
             + [_ridge_op(op) for op in ((103, 4), (106, 9), (11, 58))])
     h = 1e-5
     for i, x in enumerate(data):
