@@ -3,9 +3,11 @@
 A GammaRatioDist feeds the survival odds w(x) = (1 - G1(x))/G1(x) of a
 base distribution through the upper tail of a Gamma(alpha, rate beta):
 H(x) = Q(alpha, beta * w(x)). Closed forms cover cdf/sf/pdf/hazard/quantile
-and exact sampling; expectations (moments, mgf, cf, entropy) are
-computed by a tanh-sinh rule on the quantile map, whose nodes are
-inverted once per distribution, with divergence detection. The family's
+and exact sampling. Expectations (moments, mgf, cf, entropy) are
+computed by a tanh-sinh rule on the gamma scale, with divergence
+detection: T = beta * w(X) is Gamma(alpha, 1), and a closed-form map of
+(0, 1) onto T with its density as node weights replaces the quantile
+map, so no expectation inverts the incomplete gamma. The family's
 double-series expansions are exposed as formal evaluators that report
 their own convergence honestly; quadrature is authoritative whenever
 the two disagree. The mgf and cf series, sums over orders m of
@@ -15,6 +17,7 @@ integral of u^-(alpha+1) over (0, 1), which diverges for every base and
 every alpha > 0.
 """
 
+import functools
 import itertools
 import math
 import numbers
@@ -30,6 +33,7 @@ from .specfun import (
     _inv_reg_upper_gamma_vec,
     _reg_lower_gamma_vec,
     _reg_upper_gamma_vec,
+    _stirling_tail,
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
     log_gamma,
@@ -264,6 +268,75 @@ def _tau_table(ctrl, c):
     return r, np.empty(r.size), [None] * r.size, np.zeros(r.size, dtype=bool)
 
 
+@functools.cache
+def _level_logit(level):
+    """(v, ln u, ln v, z) at the nodes tanh_sinh's level adds, the head
+    nodes u = s and then the tail nodes 1 - u = s, with v = 1 - u and
+    z = ln(u/v), each formed from s without a cancellation."""
+    s = tanh_sinh_levels(level)
+    log_s, log_c = np.log(s), np.log1p(-s)
+    log_u, log_v = np.concatenate((log_s, log_c)), np.concatenate((log_c, log_s))
+    out = np.concatenate((1.0 - s, s)), log_u, log_v, log_u - log_v
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _gamma_scale(alpha, level):
+    """(ln T, ln weight) at the nodes of _level_logit(level): T = T(u) a
+    closed-form monotone map of (0, 1) onto (0, inf) and weight the
+    Gamma(alpha, 1) density times dT/du, so that E g(T) is the integral
+    of g(T(u)) weight(u) du over (0, 1).
+
+    T = u^(1/alpha) (C + a ln(1 + e^q)), q = (z - z0)/b and z = ln(u/v),
+    v = 1 - u, with C = Gamma(1 + alpha)^(1/alpha). As u -> 0 it is the
+    gamma law's own head, (u Gamma(1 + alpha))^(1/alpha), where the
+    weight tends to 1, and as v -> 0 it grows like (a/b) ln(1/v), as the
+    gamma law's tail does. Below alpha = 10, a = b = 1 and z0 = -ln alpha;
+    from 10 on the second term carries the bulk, a Gamma(alpha, 1) law
+    that is nearly normal: b = sqrt(alpha), slope a/b = 0.6 sqrt(alpha)
+    and T(1/2) = alpha - 1/3, its median. The map is one analytic
+    function of z across u = 1/2, so the head and tail halves form one
+    trapezoid rule. The weight is formed in logs, with alpha ln T =
+    ln u + alpha ln(C + a ln(1 + e^q)) taken apart and its constant
+    free of cancellation: alpha ln C against ln Gamma(1 + alpha) below
+    alpha = 10, and Stirling's series for ln Gamma(alpha) above.
+    """
+    v, log_u, log_v, z = _level_logit(level)
+    a, b, z0, c, const = _scale_constants(alpha)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        y = np.logaddexp(0.0, (z - z0) / b)
+        e = a * y + c
+        log_t = log_u / alpha + np.log(e)
+        # dlnT/dz; -expm1(-y) = e^q/(1 + e^q)
+        slope = v / alpha - (a / b) * np.expm1(-y) / e
+        if alpha < 10.0:
+            log_weight = alpha * np.log1p(y / c) - np.exp(log_t)
+        else:
+            d = (a * y + (c - alpha)) / alpha
+            log_weight = alpha * (np.log1p(d) - d) - e * np.expm1(log_u / alpha)
+        log_weight += np.log(slope) - log_v + const
+    return log_t, log_weight
+
+
+@functools.lru_cache(maxsize=64)
+def _scale_constants(alpha):
+    """(a, b, z0, C, const) of _gamma_scale's map and weight at alpha,
+    const the weight's constant: alpha ln C - ln Gamma(alpha) below
+    alpha = 10, where a = 1, through ln Gamma(1 + alpha) - ln alpha, and
+    alpha ln alpha - alpha - ln Gamma(alpha) from 10 on, by Stirling's
+    series."""
+    c = math.exp(log_gamma(1.0 + alpha) / alpha)
+    if alpha < 10.0:
+        const = alpha * math.log(c) - log_gamma(1.0 + alpha) + math.log(alpha)
+        return 1.0, 1.0, -math.log(alpha), c, const
+    b = math.sqrt(alpha)
+    a = 0.6 * alpha
+    z0 = -b * math.log(math.expm1((alpha - 1.0 / 3.0 - c * 0.5 ** (1.0 / alpha)) / a))
+    const = 0.5 * math.log(alpha / (2.0 * math.pi)) - _stirling_tail(alpha)
+    return a, b, z0, c, const
+
+
 def _validate_renyi_order(eta, who):
     """eta as a float; ValueError unless eta is finite, eta > 0 and eta != 1."""
     eta = float(eta)
@@ -322,10 +395,11 @@ class GammaRatioDist:
     alpha and beta are finite reals > 0 (numpy scalars included), stored
     as Python floats. Raw moments from moment_quadrature are memoised per
     instance, so the central and standardized moments reuse them. So are
-    the abscissae of the quadrature nodes, on the quantile map and on the
-    base's own, so on one instance every expectation inverts the gamma,
-    and every tau functional maps through the base, once per level; and
-    the base's logs at the latter, which the tau functionals share.
+    the quadrature nodes, the gamma-scale abscissae and weights of the
+    expectations and the abscissae of the base's own quantile map, so on
+    one instance every expectation maps its nodes, and every tau
+    functional maps through the base, once per level; and the base's
+    logs at the latter, which the tau functionals share.
     """
 
     alpha: float
@@ -548,20 +622,35 @@ class GammaRatioDist:
         return np.where((x > lo) & (x < hi), x, np.nan)
 
     def _nodes(self, level):
-        """(head, tail) abscissae of the tanh-sinh nodes that level adds:
-        quantile(s) and quantile_sf(s) for s = tanh_sinh_levels(level),
-        nan where the map has left the open support. Memoised per
-        instance, so each level's gamma inverse runs once."""
+        """(head, tail, head weights, tail weights) of the tanh-sinh nodes
+        that level adds, on the gamma scale: T = beta w(X) is
+        Gamma(alpha, 1) for any base, so E f(X) = E f(x(T)) with
+        x(T) = _x_from_w(T/beta). The abscissae are x(T(u)) at u = s on
+        the head and at 1 - u = s on the tail, s = tanh_sinh_levels(level),
+        for the closed-form map T(u) of _gamma_scale, and the weights are
+        its gamma density times dT/du; no gamma inverse is called. A node
+        is nan where x has left the open support or its weight is below
+        the normal range, where it adds nothing but a 0 * inf. Memoised
+        per instance."""
         memo = self._abscissae
         if level not in memo:
-            s = tanh_sinh_levels(level)
-            memo[level] = (self._inside(self.quantile(s)), self._inside(self.quantile_sf(s)))
+            log_t, log_weight = _gamma_scale(self.alpha, level)
+            log_w = log_t - math.log(self.beta)
+            with np.errstate(over="ignore", under="ignore"):
+                w = np.exp(log_w)
+                weight = np.exp(log_weight)
+            x = self._inside(self._x_from_w(w, log_w if self.base.log_isf is not None else None))
+            x[~(weight >= _TINY)] = np.nan
+            n = x.size // 2
+            memo[level] = (x[:n], x[n:], weight[:n], weight[n:])
         return memo[level]
 
     def _base_nodes(self, level):
-        """The same on the base's own quantile map, u = G1(x):
-        base.quantile(s) and base.isf(s), memoised per instance in a
-        dict of its own."""
+        """(head, tail) abscissae of the tanh-sinh nodes that level adds
+        on the base's own quantile map, u = G1(x): base.quantile(s) and
+        base.isf(s) for s = tanh_sinh_levels(level), nan where the map
+        has left the open support, with no weights; memoised per
+        instance in a dict of its own."""
         memo = self._base_abscissae
         if level not in memo:
             s = tanh_sinh_levels(level)
@@ -569,9 +658,9 @@ class GammaRatioDist:
         return memo[level]
 
     def _expect(self, f, what, per_component=False):
-        """E f(X) = integral of f(quantile(u)) du over (0, 1), by
-        quadrature.tanh_sinh split at the median: the head maps its
-        nodes through quantile(u), the tail through quantile_sf(1 - u).
+        """E f(X) = integral of f(x(T(u))) weight(u) du over (0, 1), by
+        quadrature.tanh_sinh on the gamma-scale nodes of _nodes, split at
+        u = 1/2.
 
         A non-integrable expectation raises DivergenceError, and one the
         nodes cannot resolve NumericalError, each naming what. f may be
@@ -761,29 +850,40 @@ class GammaRatioDist:
     def renyi_entropy(self, eta):
         """Entropy of order eta: log(integral of h^eta) / (1 - eta).
 
-        The integral is E h^{eta-1}(X), computed in probability space.
-        eta must be positive and different from 1 (the Shannon limit is
-        out of scope).
+        With L = ln h(X) and p = eta - 1 the integral is E e^{pL}, taken
+        on the gamma scale as e^c (1 + E expm1(pL - c)), c the value of
+        pL at the node u = 1/2. The entropy is then
+        -(c + log1p(E expm1(pL - c)))/p, in which nothing cancels as
+        eta -> 1, where e^{pL} rounds to 1 at every node, nor where the
+        integral is far from 1. eta must be positive and different from
+        1 (the Shannon limit is out of scope).
         """
         eta = _validate_renyi_order(eta, "renyi_entropy")
         p = eta - 1.0
+        shift = []
 
         def f(x):
+            p_log_h = p * self.log_pdf(x)
+            if not shift:
+                # the first call is level 0's, whose first node is u = 1/2
+                first = float(p_log_h[0]) if p_log_h.size else 0.0
+                shift.append(first if math.isfinite(first) else 0.0)
             with np.errstate(over="ignore", under="ignore"):
-                return np.exp(p * self.log_pdf(x))
+                return np.expm1(p_log_h - shift[0])
 
         try:
-            integral = self._expect(f, f"renyi_entropy(eta={eta:.6g})")
+            mean = self._expect(f, f"renyi_entropy(eta={eta:.6g})")
         except DivergenceError as exc:
             raise DivergenceError(
                 f"renyi entropy undefined for eta={eta:.6g}: "
                 "the integral of h^eta diverges"
             ) from exc
-        if not integral > 0.0:
+        if not mean > -1.0:
             raise NumericalError(
-                f"renyi_entropy(eta={eta:.6g}): integral evaluated to {integral:.3g}"
+                f"renyi_entropy(eta={eta:.6g}): integral evaluated to "
+                f"{1.0 + mean:.3g} times e^{shift[0]:.6g}"
             )
-        return math.log(integral) / (1.0 - eta)
+        return -(shift[0] + math.log1p(mean)) / p
 
     # ---------------- formal series evaluators ----------------
 

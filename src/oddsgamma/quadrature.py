@@ -1,21 +1,25 @@
-"""The package's one quadrature engine: a tanh-sinh rule on a quantile
-map.
+"""The package's one quadrature engine: a tanh-sinh rule on a map of
+(0, 1).
 
-tanh_sinh integrates f(x(u)) du over (0, 1) for a quantile map x, split
-at the median: the head maps its nodes through x(u) and the tail
-through x(1 - u), so neither side loses digits to 1 - u. On that map
-the expectations of the family and the tau functionals of its series
-have only algebraic or logarithmic endpoint singularities, which the
-double-exponential substitution u = 1/(1 + e^{-pi sinh t}) integrates
-at a rate exp(-c/h) in the step h (Takahasi & Mori 1974; Mori &
-Sugihara 2001). Each level halves h and evaluates and sums only the
-nodes it adds. Their values go into one buffer, a row per component
-and the levels side by side, which grows only when a level does not
-fit: at first to room for levels 0-2, where the moments settle, never
-to the ten-level cap. Each level's sums are kept, and an earlier level
-is re-summed from the buffer only where a cut moves inward past its
-nodes. A level costs a fixed number of numpy calls whatever the number
-of components: one call of the integrand, a copy into the buffer, the
+tanh_sinh integrates f(x(u)) q(u) du over (0, 1) for a map x and
+weights q, split at u = 1/2: the head maps its nodes through x(u) and
+the tail through x(1 - u), so neither side loses digits to 1 - u. The
+map and the weights come from the caller, level by level. The tau
+functionals of the family's series take the base's quantile map with
+q = 1; the family's expectations take a closed-form map of u onto the
+gamma scale, with the gamma density times its Jacobian as q. On both
+the integrands have only algebraic or logarithmic endpoint
+singularities, which the double-exponential substitution
+u = 1/(1 + e^{-pi sinh t}) integrates at a rate exp(-c/h) in the step
+h (Takahasi & Mori 1974; Mori & Sugihara 2001). Each level halves h
+and evaluates and sums only the nodes it adds. Their values f q go
+into one buffer, a row per component and the levels side by side,
+which grows only when a level does not fit: at first to room for
+levels 0-2, where the moments settle, never to the ten-level cap. Each
+level's sums are kept, and an earlier level is re-summed from the
+buffer only where a cut moves inward past its nodes. A level costs a
+fixed number of numpy calls whatever the number of components: one
+call of f, a copy into the buffer and its product with q, the
 weighted row sums of each side, and array operations for the edge
 power law and the verdict; an exception is built only for a component
 that fails. A component is accepted when two successive levels agree
@@ -137,17 +141,19 @@ def _failure(i, total, p, bound, s_k, tol, scale):
 
 
 def tanh_sinh(f, abscissae):
-    """Integrate f(x(u)) du over (0, 1) by the tanh-sinh rule, split at
-    the median.
+    """Integrate f(x(u)) q(u) du over (0, 1) by the tanh-sinh rule,
+    split at u = 1/2.
 
     abscissae(level) returns (head, tail): x at u = s and at 1 - u = s
     for s = tanh_sinh_levels(level), nan where the map has left the
     support; such a node and every node farther out on its side are
-    left out. f maps a 1-D array of abscissae to one value per node,
-    shape (n,), or to R components, shape (n, R), once per level from
-    level 0 on: the level's kept head nodes, then its kept tail nodes.
-    It runs with numpy's floating-point warnings off, as a value that
-    is not finite is the verdict's to judge.
+    left out. It may return (head, tail, head weights, tail weights),
+    q at the same nodes, which multiply f's values; without them q = 1,
+    and "the integrand" below is f q. f maps a 1-D array of abscissae
+    to one value per node, shape (n,), or to R components, shape (n, R),
+    once per level from level 0 on: the level's kept head nodes, then
+    its kept tail nodes. It runs with numpy's floating-point warnings
+    off, as a value that is not finite is the verdict's to judge.
 
     Level n steps t by 2^-(n+3), and f sees and the rule sums only the
     nodes it adds. One buffer holds the values of both sides, one row
@@ -179,7 +185,7 @@ def tanh_sinh(f, abscissae):
     for level in range(_TS_LEVELS):
         h = 2.0 ** -(level + 3)
         t_new = _ts_new(level)[0]
-        head, tail = abscissae(level)
+        head, tail, *weights = abscissae(level)
         n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
         x = np.concatenate((head[:n[0]], tail[:n[1]]))
         moved = []
@@ -215,6 +221,8 @@ def tanh_sinh(f, abscissae):
             vals = buf[:, used:used + cols]
             vals[...] = y.reshape(-1, r).T
             del y  # the level's values live on in the buffer only
+            if weights:
+                vals *= np.concatenate((weights[0][:n[0]], weights[1][:n[1]]))
             starts.append((used, used + n[0]))
             kept.append(n)
             used += cols

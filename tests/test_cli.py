@@ -486,11 +486,12 @@ class TestExitCodesAndIo:
 class TestImportCost:
     """scipy.special costs about half a second to import, and neither
     `import oddsgamma` nor the sample command loads it (nor any scipy
-    module), nor do curves for m1, m2 or m6, compare, fit and gof:
-    lnGamma, psi, the trigamma term, the normal cdf and quantile, and
-    the incomplete gamma pair outside scipy's uniform asymptotic window
-    (a > 20 with x near a) are the package's own. moments loads it at its
-    first inverse of the incomplete gamma, and every command prints the
+    module), nor do curves for m1, m2 or m6, compare, fit, gof and
+    moments: lnGamma, psi, the trigamma term, the normal cdf and
+    quantile, and the incomplete gamma pair outside scipy's uniform
+    asymptotic window (a > 20 with x near a) are the package's own, and
+    the moments and entropies take their nodes on the gamma scale,
+    without an inverse of the incomplete gamma. Every command prints the
     same bytes as in an interpreter that had it loaded before.
     scipy.optimize costs about a third of a second, and no
     command loads it: the fits are Newton iterations in numpy. Nor does
@@ -512,8 +513,8 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
-    # moments first loads scipy.special, for the inverse of the
-    # incomplete gamma: every command ahead of it runs without it
+    # one interpreter runs them all in turn, so each command's loaded
+    # modules include those of the commands before it
     COMMANDS = [
         ["sample", "--params", M2, "--n", "10", "--seed", "1"],
         ["curves", "--model", "m1", "--params", "0.84,0.0687", "--grid", "0.1:60:200"],
@@ -522,7 +523,7 @@ print(json.dumps(report))
         ["compare"],
         ["fit", "--model", "m2"],
         ["gof", "--model", "m6"],
-        ["moments", "--params", "1,1,1", "--order", "2"],
+        ["moments", "--params", "2,1,3", "--order", "4", "--eta", "2"],
         ["curves", "--params", M2, "--grid", "0.5:5:4"],
     ]
     IDS = ["sample", "curves-m1", "curves-m2", "curves-m6", "compare", "fit", "gof",
@@ -554,6 +555,12 @@ print(json.dumps(report))
         code, loaded, out = report[run]
         assert code == 0 and out, run
         assert "scipy.special" not in loaded, run
+
+    def test_moments_loads_no_scipy_special(self, report):
+        # raw moments 1-4 and the order-2 entropy on gamma-scale nodes
+        code, loaded, out = report["moments"]
+        assert code == 0 and '"renyi_entropy"' in out
+        assert "scipy.special" not in loaded
 
     def test_no_command_loads_optimize(self, report):
         for run in self.IDS:

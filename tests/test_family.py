@@ -3,7 +3,9 @@ against independent integration, series honesty, and sampling law."""
 
 import dataclasses
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from oddsgamma.family import _signed_binomial, _tau_table, _truncate_inner
 from streams import numpy_sample
 
 EULER_GAMMA = 0.5772156649015329
+# 40-digit mpmath raw moments, entropies and mgf values with their
+# ceilings: tests/make_moment_table.py
+MOMENT_TABLE = json.loads((Path(__file__).parent / "data" / "moment_table.json").read_text())
 
 
 def dist(alpha, beta, lam):
@@ -602,28 +607,44 @@ class TestMomentMemo:
         for key, want in self.ONE_PASS_PINS.items():
             assert got[key] == pytest.approx(want, rel=1e-9), key
 
-    def test_inverse_work_per_payload(self, monkeypatch):
-        # a deterministic work counter: the node maps' gamma inverses
-        # for one moments payload. The moment and Renyi passes share the
-        # memoised abscissae of tanh-sinh levels 0 and 1, 98 nodes a side,
-        # so the payload inverts 196 points; the bound is that plus 10%
-        from oddsgamma import family
-
-        points = []
-        for attr in ("_inv_reg_upper_gamma_vec", "_inv_reg_lower_gamma_vec"):
-            inverse = getattr(family, attr)
-
-            def counted(a, p, inverse=inverse):
-                points.append(np.size(p))
-                return inverse(a, p)
-
-            monkeypatch.setattr(family, attr, counted)
-        d = OEGammaDist(2.0, 1.0, 3.0)
+    @staticmethod
+    def payload(d):
         [d.moment_quadrature(m) for m in (1, 2, 3, 4)]
         d.general_coefficient(3)
         d.general_coefficient(4)
         d.renyi_entropy(2.0)
-        assert 0 < sum(points) <= 216
+
+    def test_payload_inverts_no_gamma(self, monkeypatch):
+        # the expectations take their nodes on the gamma scale: neither
+        # pass calls an inverse of the incomplete gamma
+        from oddsgamma import family
+
+        calls = []
+        for attr in ("_inv_reg_upper_gamma_vec", "_inv_reg_lower_gamma_vec",
+                     "inv_reg_upper_gamma", "inv_reg_lower_gamma"):
+            monkeypatch.setattr(family, attr, lambda *args, attr=attr: calls.append(attr))
+        self.payload(OEGammaDist(2.0, 1.0, 3.0))
+        assert calls == []
+
+    def test_payload_integrand_values(self, monkeypatch):
+        # a deterministic work counter: the moment and Renyi passes each
+        # settle at tanh-sinh level 1, on the 49 + 49 nodes of each of
+        # levels 0 and 1, so the integrands see 392 values
+        from oddsgamma import family
+
+        sizes = []
+        engine = family.tanh_sinh
+
+        def counted(f, abscissae):
+            def g(x):
+                sizes.append(x.size)
+                return f(x)
+
+            return engine(g, abscissae)
+
+        monkeypatch.setattr(family, "tanh_sinh", counted)
+        self.payload(OEGammaDist(2.0, 1.0, 3.0))
+        assert sizes == [98, 98, 98, 98]
 
 
 def scaled_lomax_base(c):
@@ -722,6 +743,34 @@ class TestTanhSinhExpectations:
             assert value == pytest.approx(edge_ref, rel=1e-9, abs=0.0)
         if inner_ref is not None:
             assert d.mgf(0.9 * rate) == pytest.approx(inner_ref, rel=1e-12, abs=0.0)
+
+
+class TestMomentTable:
+    """Raw moments 1-4, renyi_entropy(2) and mgf(alpha lam / 2) of
+    OEGammaDist against the 40-digit mpmath table, alpha from 1e-3 to
+    200, each within the table's stored ceiling: relative, the entropy's
+    relative to max(1, |entropy|)."""
+
+    CEILINGS = MOMENT_TABLE["ceilings"]
+    ALPHAS = sorted({row[0] for row in MOMENT_TABLE["cells"]})
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_within_ceilings(self, alpha):
+        misses = []
+        for row in MOMENT_TABLE["cells"]:
+            if row[0] != alpha:
+                continue
+            a, b, lam = row[:3]
+            m1, m2, m3, m4, renyi2, mgf = (float(v) for v in row[3:])
+            d = OEGammaDist(a, b, lam)
+            checks = [("moments", d.moment_quadrature(m), want, abs(want))
+                      for m, want in enumerate((m1, m2, m3, m4), 1)]
+            checks.append(("renyi2", d.renyi_entropy(2.0), renyi2, max(1.0, abs(renyi2))))
+            checks.append(("mgf", d.mgf(a * lam / 2.0), mgf, abs(mgf)))
+            for name, got, want, scale in checks:
+                if not abs(got - want) <= self.CEILINGS[name] * scale:
+                    misses.append((name, a, b, lam, got, want))
+        assert misses == []
 
 
 class TestMomentSeries:
@@ -954,6 +1003,28 @@ class TestRenyi:
             with pytest.raises(ValueError) as exc:
                 call(math.inf)
             assert str(exc.value) == f"{who} requires a finite eta, got eta = inf"
+
+    # 40-digit mpmath: log(E h^(eta - 1))/(1 - eta) at the float eta,
+    # the expectation an integral over s = ln T with T = beta w(X) ~
+    # Gamma(alpha, 1) and h(X) = f_T(T) lam T (1 + T/beta)
+    NEAR_ONE = {
+        (0.131, 0.179, 0.539): {
+            1 - 1e-9: 3.4616583672134861679, 1 + 1e-9: 3.4616583658025016248,
+            1 - 1e-6: 3.4616590720005718961, 1 + 1e-6: 3.4616576610160672527,
+        },
+        (2.0, 1.0, 3.0): {
+            1 - 1e-9: -0.94418095839208921208, 1 + 1e-9: -0.94418095933799878007,
+            1 - 1e-6: -0.94418048590991320388, 1 + 1e-6: -0.94418143181945540921,
+        },
+    }
+
+    @pytest.mark.parametrize("prm", list(NEAR_ONE))
+    def test_near_order_one(self, prm):
+        # log(E h^(eta-1))/(1 - eta) cancels as eta -> 1 unless the
+        # integrand is expm1 of (eta - 1) ln h
+        d = OEGammaDist(*prm)
+        for eta, want in self.NEAR_ONE[prm].items():
+            assert d.renyi_entropy(eta) == pytest.approx(want, rel=1e-12, abs=0.0), eta
 
     def test_series_is_honest(self):
         d = dist(2.0, 1.0, 1.0)
