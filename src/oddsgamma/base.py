@@ -1,9 +1,9 @@
 """Baseline distribution bundles consumed by the odds-gamma family.
 
 A BaseDistribution packages the callables the family construction needs:
-cdf, pdf, log-pdf, quantile, parameter values, and (optionally)
-tail-accurate survival-side companions. All callables accept scalars or
-numpy arrays.
+cdf, log-pdf, quantile, parameter values and the survival side, derived
+from the rest where the base does not supply its own tail-accurate maps.
+All callables accept scalars or numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -18,36 +18,34 @@ __all__ = ["BaseDistribution", "make_exponential"]
 class BaseDistribution:
     """Capability bundle for a continuous baseline on an interval support.
 
+    name, cdf, log_pdf, quantile, support and params are required; the
+    four survival-side maps are derived when omitted.
+
     Parameters
     ----------
     name : str
         Identifier used in diagnostics.
-    cdf, pdf, log_pdf, quantile : callable
-        The usual maps; quantile takes u in (0, 1).
+    cdf, log_pdf, quantile : callable
+        The usual maps; quantile takes u in [0, 1].
     support : (float, float)
         Open interval of positive density; endpoints may be infinite.
     params : tuple of float
         Baseline parameter values, in a fixed documented order.
-    sf : callable, optional
-        Survival function 1 - cdf evaluated without cancellation. When
-        omitted it is derived from cdf (loses accuracy deep in the tail).
-    log_sf : callable, optional
-        Log of the survival function, finite where sf underflows. The
-        family's log-density forms the log odds from it; without it they
-        come from log(sf).
-    isf : callable, optional
-        Inverse survival: s -> x with sf(x) = s. Derived from quantile
-        when omitted.
-    log_isf : callable, optional
-        Inverse survival in log space: log s -> x with sf(x) = s,
-        accurate at every level, not only below double range. The family
-        maps every draw and every underflowing odds value through it;
-        without it both are mapped in linear space, and at small alpha
-        the deep upper tail is then out of reach: odds that underflow
-        to 0 map to x = inf, so the expectations raise where the
-        truncated mass is tiny (with the exponential base stripped of
-        log_isf, moment_quadrature(2) raises NumericalError at
-        alpha = 0.05).
+    sf, isf, log_sf, log_isf : callable, optional
+        sf(x) = 1 - cdf(x), isf(s) = x with sf(x) = s, and their log-space
+        forms ln sf(x) and ln s -> x. Derived as 1 - cdf, quantile(1 - s),
+        log(sf), and quantile(-expm1(ln s)) above ln s = -ln 2 and
+        isf(exp(ln s)) at or below it. The family forms the log odds from
+        log_sf and maps every draw, quadrature node and quantile through
+        log_isf. The derived maps lose the deep upper tail: 1 - cdf
+        cancels there, and once ln s < -745 exp(ln s) rounds to 0, where
+        the derived log_isf returns isf(0), the top of the support. At
+        small alpha the family's upper tail lies there, so draws read the
+        top of the support and expectations can raise (with the
+        exponential base's log_isf replaced by the derived one,
+        moment_quadrature(2) raises NumericalError at alpha = 0.05). A
+        base whose deep tail matters supplies its own maps, accurate at
+        every level.
     tail_rate : float, optional
         Exponential decay rate of sf at the upper end of the support,
         when known. Consumers use it for moment-generating domains.
@@ -55,7 +53,6 @@ class BaseDistribution:
 
     name: str
     cdf: Callable
-    pdf: Callable
     log_pdf: Callable
     quantile: Callable
     support: Tuple[float, float]
@@ -70,10 +67,36 @@ class BaseDistribution:
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
-        if self.sf is None:
-            object.__setattr__(self, "sf", lambda x: 1.0 - self.cdf(x))
-        if self.isf is None:
-            object.__setattr__(self, "isf", lambda s: self.quantile(1.0 - np.asarray(s)))
+        derived = {
+            "sf": lambda x: 1.0 - self.cdf(x),
+            "isf": lambda s: self.quantile(1.0 - np.asarray(s)),
+            "log_sf": lambda x: _log_of(self.sf(x)),
+            "log_isf": lambda log_s: _isf_of_log(self, log_s),
+        }
+        for name, default in derived.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+
+
+def _log_of(s):
+    """log(s), -inf where s is 0: the derived log_sf."""
+    with np.errstate(divide="ignore"):
+        return np.log(s)
+
+
+def _isf_of_log(base, log_s):
+    """The derived log_isf: base.quantile(1 - s) above ln s = -ln 2 and
+    base.isf(s) at or below it, with 1 - s = -expm1(ln s)."""
+    log_s = np.asarray(log_s, dtype=float)
+    upper = log_s > np.log(0.5)
+    lower = ~upper
+    out = np.empty(log_s.shape)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if upper.any():
+            out[upper] = base.quantile(-np.expm1(log_s[upper]))
+        if lower.any():
+            out[lower] = base.isf(np.exp(log_s[lower]))
+    return out
 
 
 def make_exponential(lam):
@@ -100,10 +123,6 @@ def make_exponential(lam):
     def log_sf(x):
         return -lam * np.maximum(np.asarray(x, dtype=float), 0.0)
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, lam * np.exp(-lam * np.maximum(x, 0.0)))
-
     def log_pdf(x):
         x = np.asarray(x, dtype=float)
         return np.where(x <= 0.0, -np.inf, np.log(lam) - lam * x)
@@ -128,7 +147,6 @@ def make_exponential(lam):
     return BaseDistribution(
         name="exponential",
         cdf=cdf,
-        pdf=pdf,
         log_pdf=log_pdf,
         quantile=quantile,
         support=(0.0, np.inf),

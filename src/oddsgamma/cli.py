@@ -302,6 +302,8 @@ def _cmd_sample(args):
     theta = _parse_params(args.params, model)
     if args.n < 0:
         raise _UsageError("--n must be >= 0")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     dist = OEGammaDist(*theta)
     draws = dist.sample(args.n, np.random.default_rng(args.seed))
     if args.format == "json":

@@ -6,9 +6,11 @@ the GammaRatioDist over that base and overrides only what has a closed
 form here: the odds, the log-density, and the double-sum expansions
 whose inner terms are available analytically, which makes them fast
 enough to push to very deep truncations. Everything else (cdf, sf, pdf,
-hazard, quantiles, the sampler through the base's exact log_isf, the
-memoised quadrature moments, mgf, cf, entropy, tau and the series'
-argument checks) is the family's own code. ``as_family()`` builds the
+hazard, the quantiles and the sampler, the memoised quadrature moments,
+mgf, cf, entropy, tau and the series' argument checks) is the family's
+own code. The quantiles, the draws and the quadrature nodes all map
+back to x through the base's exact log_isf, -ln(s)/lam, which reaches
+survival levels below double range. ``as_family()`` builds the
 same law through the generic construction, as an independent reference.
 
 The entropy expansion is evaluated exactly as displayed even though it

@@ -45,7 +45,6 @@ __all__ = ["GammaRatioDist", "SeriesControl", "SeriesResult"]
 windowed_quad = None
 
 _TINY = np.finfo(float).tiny
-_LOG_TINY = math.log(_TINY)
 # exp(v) rounds to 0 for every v <= -750, below log(2^-1075) = -745.13
 _EXP_ZERO = -750.0
 # inner terms j per tau quadrature; deeper shells go in j-ordered blocks
@@ -453,8 +452,8 @@ class GammaRatioDist:
         ln h = ln g1 - 2 ln G1 + alpha ln beta - ln Gamma(alpha)
              + (alpha - 1) ln w - beta w, with G1 clamped away from 0 so
         the support edges land on the correct -inf limit. ln w takes the
-        base's log_sf when it has one, so it stays finite where sf
-        underflows.
+        base's log_sf, so it stays finite where sf underflows when the
+        base supplies its own.
         """
         x_arr, scalar = _as_float_array(x)
         base = self.base
@@ -464,9 +463,7 @@ class GammaRatioDist:
         ):
             c = np.maximum(np.asarray(base.cdf(x_arr), dtype=float), _TINY)
             s = np.asarray(base.sf(x_arr), dtype=float)
-            ln_s = np.asarray(
-                np.log(s) if base.log_sf is None else base.log_sf(x_arr), dtype=float
-            )
+            ln_s = np.asarray(base.log_sf(x_arr), dtype=float)
             ln_c = np.log(c)
             out = (
                 np.asarray(base.log_pdf(x_arr), dtype=float)
@@ -519,27 +516,11 @@ class GammaRatioDist:
 
     # ---------------- inverses and sampling ----------------
 
-    def _x_from_w(self, w, log_w=None):
-        """Map an array of odds values back to the base scale on the
-        accurate side.
-
-        Where log_w, the log of the odds (given only for a base with a
-        log_isf), lies below double range, x comes from log space:
-        sf = w/(1 + w), so ln sf = -softplus(-ln w).
-        """
-        out = np.empty(w.shape)
-        big = w > 1.0
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            if big.any():
-                out[big] = self.base.quantile(1.0 / (1.0 + w[big]))
-            small = ~big
-            if small.any():
-                out[small] = self.base.isf(w[small] / (1.0 + w[small]))
-        if log_w is not None:
-            deep = log_w < _LOG_TINY
-            if deep.any():
-                out[deep] = self.base.log_isf(_log_sf_of_log_odds(log_w[deep]))
-        return out
+    def _x_of_log_odds(self, log_w):
+        """x with odds w(x) = e^log_w, an array: the base's log_isf at
+        ln sf = ln(w/(1 + w)) = -softplus(-ln w). Every draw, quadrature
+        node and quantile is mapped back to the base scale here."""
+        return np.asarray(self.base.log_isf(_log_sf_of_log_odds(log_w)), dtype=float)
 
     def quantile(self, p):
         """Inverse cdf; |cdf(quantile(p)) - p| <= 1e-9 on (0, 1).
@@ -560,32 +541,29 @@ class GammaRatioDist:
         """x with cdf(x) = p and 1 - cdf(x) = s, through beta * w(x) = g.
 
         g solves Q(alpha, g) = p where upper holds, P(alpha, g) = s
-        elsewhere; a scalar goes to the scalar inverses and gives a float.
-        Odds g/beta below double range are taken in log space when the
-        base has a log_isf: P(alpha, g) = g^alpha/Gamma(alpha+1) (1 +
-        O(g)) gives ln g = (ln s + ln Gamma(alpha+1))/alpha to O(g).
+        elsewhere; a scalar goes to the scalar inverses, cheaper on one
+        level than the masked array path, and gives a float.
+        Odds g/beta below double range are taken from the level instead:
+        P(alpha, g) = g^alpha/Gamma(alpha+1) (1 + O(g)) gives ln g =
+        (ln s + ln Gamma(alpha+1))/alpha to O(g).
         """
-        base = self.base
         if scalar:
-            g = inv_reg_upper_gamma(self.alpha, p) if upper else inv_reg_lower_gamma(self.alpha, s)
-            w = g / self.beta
-            if w < _TINY and base.log_isf is not None:
-                log_w = self._log_odds_of_level(s)
-                if log_w < _LOG_TINY:
-                    return float(base.log_isf(_log_sf_of_log_odds(np.array([log_w])))[0])
-            # the array path's arithmetic on one float, without its masks
-            with np.errstate(divide="ignore", over="ignore", under="ignore"):
-                return float(base.quantile(1.0 / (1.0 + w)) if w > 1.0 else base.isf(w / (1.0 + w)))
-        g = np.empty(p.shape)
-        if upper.any():
-            g[upper] = _inv_reg_upper_gamma_vec(self.alpha, p[upper])
-        if not upper.all():
-            g[~upper] = _inv_reg_lower_gamma_vec(self.alpha, s[~upper])
+            g = np.array([inv_reg_upper_gamma(self.alpha, p) if upper
+                          else inv_reg_lower_gamma(self.alpha, s)])
+            s = np.array([s])
+        else:
+            g = np.empty(p.shape)
+            if upper.any():
+                g[upper] = _inv_reg_upper_gamma_vec(self.alpha, p[upper])
+            if not upper.all():
+                g[~upper] = _inv_reg_lower_gamma_vec(self.alpha, s[~upper])
         w = g / self.beta
-        log_w = None
-        if base.log_isf is not None and (w < _TINY).any():
-            log_w = self._log_odds_of_level(s)
-        return self._x_from_w(w, log_w)
+        log_w = np.log(np.maximum(w, _TINY))
+        deep = w < _TINY
+        if deep.any():
+            log_w[deep] = self._log_odds_of_level(s[deep])
+        x = self._x_of_log_odds(log_w)
+        return float(x[0]) if scalar else x
 
     def _log_odds_of_level(self, s):
         """ln(g/beta) with P(alpha, g) = s, to O(g), for odds below double range."""
@@ -600,8 +578,7 @@ class GammaRatioDist:
         rate beta has P(T >= w(x)) = Q(alpha, beta w(x)) = H(x), so
         mapping T back through the odds inverts the construction without
         any quantile iteration. T is drawn in log space and mapped through
-        the base's log_isf at ln sf = -softplus(-ln T), or, for a base
-        without one, through the odds inverse with T floored at tiny.
+        the base's log_isf at ln sf = -softplus(-ln T).
         """
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"sample size must be an integer >= 0, got {n!r}")
@@ -609,10 +586,7 @@ class GammaRatioDist:
             rng = np.random.default_rng(rng)
         log_t = _log_gamma_variates(rng, self.alpha, n)
         log_t -= math.log(self.beta)
-        if self.base.log_isf is not None:
-            return np.asarray(self.base.log_isf(_log_sf_of_log_odds(log_t)), dtype=float)
-        with np.errstate(under="ignore"):
-            return self._x_from_w(np.maximum(np.exp(log_t), _TINY))
+        return self._x_of_log_odds(log_t)
 
     # ---------------- quadrature expectations ----------------
 
@@ -625,21 +599,19 @@ class GammaRatioDist:
         """(head, tail, head weights, tail weights) of the tanh-sinh nodes
         that level adds, on the gamma scale: T = beta w(X) is
         Gamma(alpha, 1) for any base, so E f(X) = E f(x(T)) with
-        x(T) = _x_from_w(T/beta). The abscissae are x(T(u)) at u = s on
-        the head and at 1 - u = s on the tail, s = tanh_sinh_levels(level),
-        for the closed-form map T(u) of _gamma_scale, and the weights are
-        its gamma density times dT/du; no gamma inverse is called. A node
-        is nan where x has left the open support or its weight is below
-        the normal range, where it adds nothing but a 0 * inf. Memoised
-        per instance."""
+        x(T) = _x_of_log_odds(ln T - ln beta). The abscissae are x(T(u))
+        at u = s on the head and at 1 - u = s on the tail,
+        s = tanh_sinh_levels(level), for the closed-form map T(u) of
+        _gamma_scale, and the weights are its gamma density times dT/du;
+        no gamma inverse is called. A node is nan where x has left the
+        open support or its weight is below the normal range, where it
+        adds nothing but a 0 * inf. Memoised per instance."""
         memo = self._abscissae
         if level not in memo:
             log_t, log_weight = _gamma_scale(self.alpha, level)
-            log_w = log_t - math.log(self.beta)
             with np.errstate(over="ignore", under="ignore"):
-                w = np.exp(log_w)
                 weight = np.exp(log_weight)
-            x = self._inside(self._x_from_w(w, log_w if self.base.log_isf is not None else None))
+            x = self._inside(self._x_of_log_odds(log_t - math.log(self.beta)))
             x[~(weight >= _TINY)] = np.nan
             n = x.size // 2
             memo[level] = (x[:n], x[n:], weight[:n], weight[n:])

@@ -53,20 +53,19 @@ kernel's bit for bit.
 
 The inverses are scipy's gammainccinv/gammaincinv, which implement
 DiDonato & Morris (ACM TOMS 12, 1986) and keep relative accuracy in
-both tails. The scalar forms validate their arguments, a finite shape
-a > 0 among them, and return floats; the unvalidated elementwise forms
-serve the family's array quantiles, which validate their arguments
-themselves.
-
-A root below double range comes back as 0 or a subnormal number. The
-callers that need such roots take them in log space instead (see
-GammaRatioDist._x_of_levels).
+both tails. Their only callers are GammaRatioDist.quantile and
+quantile_sf: a scalar level takes the scalar forms, which validate
+their arguments, a finite shape a > 0 among them, and return floats,
+and an array of levels the unvalidated elementwise forms, the family
+having validated the levels itself. A root below double range comes
+back as 0 or a subnormal number, and the family takes the odds of such
+a level in log space instead (see GammaRatioDist._x_of_levels).
 
 scipy.special is loaded on first use, through one handle: `special`
 below. Its import costs about half a second, and `import oddsgamma`,
-the sample, compare, fit and gof commands and the curves command of m1,
-m2 and m6 need it only for an m1 shape above 20 with a point in scipy's
-window. The handle
+the sample, compare, moments, fit and gof commands and the curves
+command of m1, m2 and m6 need it only for an m1 shape above 20 with a
+point in scipy's window. The handle
 imports the module at its first attribute lookup and keeps each name it
 has looked up, so a later lookup is an instance attribute. fit's
 `optimize` is the same kind of handle on scipy.optimize, which no
@@ -117,13 +116,6 @@ def digamma(a):
     if not a > 0.0:
         raise ValueError(f"digamma requires a > 0, got {a}")
     return _digamma(float(a))
-
-
-def _log_minus_digamma(a):
-    """log a - psi(a) for a > 0, elementwise, a numpy scalar for a
-    scalar: the left side of the gamma shape equation (see
-    _shape_terms)."""
-    return _shape_terms(a)[0]
 
 
 def _sq_trigamma(a):

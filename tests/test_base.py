@@ -18,18 +18,16 @@ class TestExponentialFactory:
     def test_cdf_pdf_closed_forms(self, exp07):
         x = np.array([0.3, 1.3, 5.0])
         assert np.allclose(exp07.cdf(x), -np.expm1(-0.7 * x), rtol=1e-15)
-        assert np.allclose(exp07.pdf(x), 0.7 * np.exp(-0.7 * x), rtol=1e-15)
         assert np.allclose(exp07.log_pdf(x), math.log(0.7) - 0.7 * x, rtol=1e-15)
 
     def test_outside_support(self, exp07):
         assert exp07.cdf(-1.0) == 0.0
-        assert exp07.pdf(-1.0) == 0.0
         assert exp07.log_pdf(-1.0) == -math.inf
         assert exp07.sf(-1.0) == 1.0
 
     def test_nan_in_nan_out(self, exp07):
         # nan fails the x <= 0 test as it fails x > 0: no support-edge value
-        for f in (exp07.cdf, exp07.sf, exp07.pdf, exp07.log_pdf):
+        for f in (exp07.cdf, exp07.sf, exp07.log_pdf):
             assert math.isnan(f(math.nan)), f
             got = f(np.array([math.nan, 1.0, -1.0]))
             assert np.isnan(got[0]) and np.isfinite(got[1]), f
@@ -72,9 +70,6 @@ class TestBundleDefaults:
         fields = dict(
             name="toy",
             cdf=lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0),
-            pdf=lambda x: np.where(
-                (np.asarray(x) > 0.0) & (np.asarray(x) < 1.0), 1.0, 0.0
-            ),
             log_pdf=lambda x: np.where(
                 (np.asarray(x) > 0.0) & (np.asarray(x) < 1.0), 0.0, -np.inf
             ),
@@ -90,6 +85,17 @@ class TestBundleDefaults:
         assert float(d.sf(0.25)) == pytest.approx(0.75, rel=1e-15)
         assert float(d.isf(0.25)) == pytest.approx(0.75, rel=1e-15)
         assert d.tail_rate is None
+
+    def test_derived_log_sf_and_log_isf(self):
+        d = self._minimal()
+        assert float(d.log_sf(0.25)) == pytest.approx(math.log(0.75), rel=1e-15)
+        assert float(d.log_sf(1.0)) == -math.inf
+        # above ln s = -ln 2 through quantile(1 - s), at or below it
+        # through isf(s); below double range s rounds to 0, the top
+        levels = np.log([0.75, 0.5, 0.25, 1e-300]).tolist() + [-1e4]
+        got = d.log_isf(np.array(levels))
+        np.testing.assert_allclose(got, [0.25, 0.5, 0.75, 1.0, 1.0], rtol=1e-15)
+        assert [float(d.log_isf(v)) for v in levels] == got.tolist()
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError, match="empty support"):

@@ -311,6 +311,14 @@ class TestSample:
         assert code == 64
         assert "--n must be >= 0" in err
 
+    def test_negative_seed_rejected(self, capsys):
+        # numpy refuses a negative seed; it is the caller's error, not a
+        # numerical one
+        code, _, err = run_cli(capsys, "sample", "--model", "m2", "--params", M2,
+                               "--n", "3", "--seed=-1")
+        assert code == 64
+        assert "--seed must be >= 0" in err
+
     def test_competitor_model_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--model", "m6",
                                "--params", "1,1", "--n", "3")

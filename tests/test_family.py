@@ -310,13 +310,22 @@ class TestSampling:
         stat = scipy.stats.kstest(draws, lambda x: d.cdf(x))
         assert stat.pvalue > 0.01, prm
 
+    @pytest.mark.parametrize("alpha", [0.131, 2.0])
+    def test_ks_on_a_base_without_log_isf(self, alpha):
+        # draws go through the base's derived log_isf: quantile where
+        # the survival level is above 1/2, isf at or below it
+        d = GammaRatioDist(alpha, 1.0, logistic_base())
+        draws = d.sample(200_000, np.random.default_rng(3))
+        assert np.all(np.isfinite(draws))
+        stat = scipy.stats.kstest(draws, lambda x: d.cdf(x))
+        assert stat.pvalue > 0.01, alpha
+
 
 def logistic_base():
     """Standard logistic base, G1 = expit, whose support is the real line."""
     return BaseDistribution(
         name="logistic",
         cdf=special.expit,
-        pdf=lambda x: special.expit(x) * special.expit(-x),
         log_pdf=lambda x: -np.logaddexp(0.0, x) - np.logaddexp(0.0, -x),
         quantile=special.logit,
         support=(-math.inf, math.inf),
@@ -497,7 +506,6 @@ def lomax_base():
     return BaseDistribution(
         name="lomax",
         cdf=lambda x: np.asarray(x, dtype=float) / (1.0 + np.asarray(x, dtype=float)),
-        pdf=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
         log_pdf=lambda x: -2.0 * np.log1p(np.asarray(x, dtype=float)),
         quantile=lambda u: np.asarray(u, dtype=float) / (1.0 - np.asarray(u, dtype=float)),
         support=(0.0, math.inf),
@@ -652,7 +660,6 @@ def scaled_lomax_base(c):
     return BaseDistribution(
         name="lomax",
         cdf=lambda x: np.asarray(x, dtype=float) / (c + np.asarray(x, dtype=float)),
-        pdf=lambda x: c / (c + np.asarray(x, dtype=float)) ** 2,
         log_pdf=lambda x: math.log(c) - 2.0 * np.log(c + np.asarray(x, dtype=float)),
         quantile=lambda u: c * np.asarray(u, dtype=float) / (1.0 - np.asarray(u, dtype=float)),
         support=(0.0, math.inf),

@@ -177,8 +177,8 @@ class TestGoldenPanel:
         got, errors = d._expect(
             lambda x: np.stack((np.cos(100.0 * x), np.sin(100.0 * x)), -1), "cf",
             per_component=True)
-        assert [v.hex() for v in got.tolist()] == ["-0x1.7dc1f6a0ac9a0p-16",
-                                                   "0x1.1dfa02060fffbp-15"]
+        assert [v.hex() for v in got.tolist()] == ["-0x1.7dc1f6a0a74c0p-16",
+                                                   "0x1.1dfa020615b47p-15"]
         assert _verdicts(errors) == [
             ("NumericalError", f"tanh-sinh levels still differ by {diff} after 10 levels, "
              f"above 1e-13 of {scale}") for diff, scale in (("8.47e-06", "0.636"),
@@ -193,7 +193,7 @@ class TestGoldenPanel:
     # OEGammaDist(alpha, 0.179, 0.539), from the gamma-scale nodes. In
     # ulps from 45-digit mpmath (integrals over s = ln T, T = beta w(X)
     # ~ Gamma(alpha, 1)) the moments are within 1.7 and the entropies
-    # within 19, the rounding of log_pdf, whose terms alpha ln beta and
+    # within 18, the rounding of log_pdf, whose terms alpha ln beta and
     # ln Gamma(alpha) reach 10^2 at alpha = 30
     @pytest.mark.parametrize("alpha, values", [
         (1e-3, ["0x1.cf4ac6025ebc8p+10", "0x1.a3b26466f748bp+22", "0x1.1d27381c0be78p+35",
@@ -202,10 +202,10 @@ class TestGoldenPanel:
                 "0x1.472b113036d05p+25", "0x1.3dd9fef9bbf1bp+2", "0x1.08116ea6856d7p+2"]),
         (0.131, ["0x1.87e2ceb432c01p+3", "0x1.55666b455681cp+8", "0x1.c49462005a095p+13",
                  "0x1.90898f9bcbcbap+19", "0x1.f9497f91fd023p+1", "0x1.79e8e5760305cp+1"]),
-        (2.0, ["0x1.18513a1645467p-2", "0x1.449c1ac1d042fp-3", "0x1.a5e45b5c548dcp-3",
-               "0x1.00e7570ebe215p-1", "0x1.ec8b18fea4780p-4", "-0x1.ccfcd8c81b521p-1"]),
-        (30.0, ["0x1.760d4bf2eb176p-7", "0x1.1af6e255a1e16p-13", "0x1.bbdb294b71726p-20",
-                "0x1.6965e34e5d89ep-26", "-0x1.2281d384fe0fep+2", "-0x1.3c2f7372368d3p+2"]),
+        (2.0, ["0x1.18513a1645467p-2", "0x1.449c1ac1d0430p-3", "0x1.a5e45b5c548ddp-3",
+               "0x1.00e7570ebe215p-1", "0x1.ec8b18fea4780p-4", "-0x1.ccfcd8c81b520p-1"]),
+        (30.0, ["0x1.760d4bf2eb177p-7", "0x1.1af6e255a1e16p-13", "0x1.bbdb294b71726p-20",
+                "0x1.6965e34e5d89ep-26", "-0x1.2281d384fe0fdp+2", "-0x1.3c2f7372368d2p+2"]),
     ])
     def test_functionals(self, alpha, values):
         d = OEGammaDist(alpha, 0.179, 0.539)

@@ -15,7 +15,7 @@ from oddsgamma.specfun import (
     _MAP_BLOCK,
     _lgam1p,
     _log_gamma_vec,
-    _log_minus_digamma,
+    _shape_terms,
     _sq_trigamma,
     _reg_lower_gamma_vec,
     _reg_upper_gamma_vec,
@@ -28,6 +28,12 @@ from oddsgamma.specfun import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def _log_minus_digamma(a):
+    """log a - psi(a), the left side of the gamma shape equation: the
+    first of specfun's shape terms."""
+    return _shape_terms(a)[0]
 
 
 class TestLogGamma:
