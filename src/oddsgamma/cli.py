@@ -282,7 +282,7 @@ def _cmd_curves(args):
         pdf = np.where(inside, np.exp(lp), 0.0)
         cdf = np.where(inside, np.asarray(model.cdf(x, theta), dtype=float), 0.0)
         sf = np.asarray(model.sf(x, theta), dtype=float)
-        hazard = np.where(inside, pdf / np.maximum(sf, 1e-300), 0.0)
+        hazard = np.where(inside, np.where(sf > 0.0, pdf / sf, np.nan), 0.0)
     lines = ["x\tpdf\tcdf\thazard\n"]
     for xi, pi, ci, hi in zip(x, pdf, cdf, hazard):
         lines.append(f"{_fmt10(xi)}\t{_fmt10(pi)}\t{_fmt10(ci)}\t{_fmt10(hi)}\n")

@@ -3,14 +3,15 @@
 With an Exp(lam) base the odds transform collapses to
 w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1). OEGammaDist is
 the GammaRatioDist over that base and overrides only what has a closed
-form here: the odds, the log-density, and the double-sum expansions
-whose inner terms are available analytically, which makes them fast
-enough to push to very deep truncations. Everything else (cdf, sf, pdf,
-hazard, the quantiles and the sampler, the memoised quadrature moments,
-mgf, cf, entropy, tau and the series' argument checks) is the family's
-own code. The quantiles, the draws and the quadrature nodes all map
-back to x through the base's exact log_isf, -ln(s)/lam, which reaches
-survival levels below double range. ``as_family()`` builds the
+form here: the odds, the log-density, and the raw-moment and entropy
+double sums, whose inner terms are available analytically, which makes
+them fast enough to push to very deep truncations. Everything else
+(cdf, sf, pdf, hazard, the quantiles and the sampler, the memoised
+quadrature moments, mgf, cf, entropy, tau, the mgf and cf series, which
+are formal at every parameter, and the series' argument checks) is the
+family's own code. The quantiles, the draws and the quadrature nodes
+all map back to x through the base's exact log_isf, -ln(s)/lam, which
+reaches survival levels below double range. ``as_family()`` builds the
 same law through the generic construction, as an independent reference.
 
 The entropy expansion is evaluated exactly as displayed even though it
@@ -40,7 +41,6 @@ from .family import (
     _truncate_inner,
     _validate_order,
     _validate_renyi_order,
-    _validate_t,
 )
 from .specfun import _MAP_BLOCK, _log_gamma_vec, _sq_trigamma, digamma, log_gamma
 
@@ -148,16 +148,20 @@ class OEGammaDist(GammaRatioDist):
 
     # -- expansions specific to the exponential base ----------------------
 
-    def _sum_analytic_shells(self, ctrl, terms_of):
-        """Double sum whose k-shell inner terms are terms_of(K, logs).
+    def moment_series(self, m, ctrl=None):
+        """Double-sum raw moment of order m.
 
         After rewriting the signed binomial, the inner coefficient is
-        C(k+alpha+j, j) > 0, so each shell is a positive series scaled
-        by (-1)^k. logs is the log of that coefficient times the shared
-        prefactor and lam, and K = k + alpha + j.
+        C(k+alpha+j, j) > 0, so each k-shell is a positive series scaled
+        by (-1)^k, with K = k + alpha + j. Inner terms carry
+        Gamma(m+1)/(lam K)^{m+1}; they decay only geometrically through
+        the binomial tail, so deep j truncations (thousands of terms)
+        are routinely needed and cheap here.
         """
+        m = _validate_order(m, "moment_series")
         ctrl = ctrl or DEFAULT_CONTROL
         a = self.alpha
+        lg_m = log_gamma(m + 1.0)
         j = np.arange(ctrl.j_max, dtype=float)
         log_j_fact = _log_gamma_vec(j + 1.0)
 
@@ -173,43 +177,12 @@ class OEGammaDist(GammaRatioDist):
                 + math.log(self.lam)
             )
             with np.errstate(over="ignore", under="ignore"):
-                terms = terms_of(kk, logs)
+                terms = np.exp(logs + lg_m - (m + 1.0) * np.log(self.lam * kk))
             val, j_used, ok = _truncate_inner(terms, ctrl)
             sign = -1.0 if k % 2 else 1.0
             return sign * val, j_used, ok, None
 
         return _sum_shells(inner, ctrl)
-
-    def moment_series(self, m, ctrl=None):
-        """Double-sum raw moment of order m.
-
-        Inner terms carry Gamma(m+1)/(lam K)^{m+1}; they decay only
-        geometrically through the binomial tail, so deep j truncations
-        (thousands of terms) are routinely needed and cheap here.
-        """
-        m = _validate_order(m, "moment_series")
-        lg_m = log_gamma(m + 1.0)
-        return self._sum_analytic_shells(
-            ctrl, lambda kk, logs: np.exp(logs + lg_m - (m + 1.0) * np.log(self.lam * kk))
-        )
-
-    def mgf_series(self, t, ctrl=None):
-        """Double-sum mgf: inner terms end in 1/(lam K - t), t < alpha lam."""
-        t = _validate_t(t, "mgf_series")
-        self._check_mgf_domain(t)
-        return self._sum_analytic_shells(
-            ctrl, lambda kk, logs: np.exp(logs - np.log(self.lam * kk - t))
-        )
-
-    def cf_series(self, t, ctrl=None):
-        """Double-sum characteristic function; value is complex."""
-        t = _validate_t(t, "cf_series")
-
-        def terms_of(kk, logs):
-            lam_kk = self.lam * kk
-            return np.exp(logs) * (lam_kk + 1j * t) / (lam_kk * lam_kk + t * t)
-
-        return self._sum_analytic_shells(ctrl, terms_of)
 
     def renyi_series(self, eta, ctrl=None):
         """Entropy double sum evaluated exactly as displayed.

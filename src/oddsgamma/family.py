@@ -84,11 +84,10 @@ DEFAULT_CONTROL = SeriesControl()
 class SeriesResult:
     """Outcome of a truncated series evaluation.
 
-    value is the partial sum reached (complex for the characteristic
-    function; nan when a term could not be evaluated at all). terms_used
-    is (k, j): k the number of shells summed into value, and j the most
-    inner terms any one shell reached, the term that aborted a shell
-    included; a shell whose sum could not change the verdict (see
+    value is the partial sum reached (nan when a term could not be
+    evaluated at all). terms_used is (k, j): k the number of shells
+    summed into value, and j the most inner terms any one shell reached,
+    the term that aborted a shell included; a shell whose sum could not change the verdict (see
     GammaRatioDist._tau_series) sums none.
     converged is True only when the last retained shell fell below
     tail_tol relative to the partial sum and no divergence flag fired.
@@ -218,11 +217,12 @@ def _sum_shells(inner, ctrl):
 def _truncate_inner(terms, ctrl):
     """Partial-sum an inner term array with the two-small-terms stop.
 
-    Returns (partial, count, satisfied). Works for real or complex
-    terms; the stop asks for two consecutive terms at or below
-    tail_tol relative to the running sum.
+    Returns (partial, count, satisfied). The stop asks for two
+    consecutive terms at or below tail_tol relative to the running sum.
+    A sum past double range comes back inf or nan, without a warning.
     """
-    csum = np.cumsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.cumsum(terms)
     mags = np.abs(terms)
     scale = np.maximum(np.abs(csum), _TINY)
     small = mags <= ctrl.tail_tol * scale
@@ -958,14 +958,20 @@ class GammaRatioDist:
         The zeroth raw moment is 1 by normalization and is substituted
         exactly, as in central_moment_quadrature; its own series is
         formal at every parameter. Convergence requires the raw-moment
-        series of every order 1..m to have converged.
+        series of every order 1..m to have converged. Where the
+        recombination cannot be formed in double range (raw moments of
+        inf and -inf, or a power of the mean past it), the value is nan
+        and the result is not converged.
         """
         m = _validate_order(m, "central_moment_series")
         ctrl = ctrl or DEFAULT_CONTROL
         parts = [self.moment_series(i, ctrl) for i in range(1, m + 1)]
         mus = [1.0] + [p.value for p in parts]
         mu = mus[1] if m else 0.0
-        value = math.fsum(math.comb(m, r) * (-mu) ** r * mus[m - r] for r in range(m + 1))
+        try:
+            value = math.fsum(math.comb(m, r) * (-mu) ** r * mus[m - r] for r in range(m + 1))
+        except (OverflowError, ValueError):  # inf - inf, or a term past double range
+            value = math.nan
         used = tuple(max((p.terms_used[i] for p in parts), default=0) for i in (0, 1))
         bad = next((i for i, p in enumerate(parts, 1) if not p.converged), None)
         if bad is not None:
@@ -974,30 +980,36 @@ class GammaRatioDist:
                 f"the order-{bad} raw-moment series did not converge: "
                 f"{parts[bad - 1].diagnostic}",
             )
+        if math.isnan(value):
+            return SeriesResult(
+                value, used, False, "the recombination of the raw moments left double range"
+            )
         return SeriesResult(value, used, True, "")
 
     def mgf_series(self, t, ctrl=None):
         """Formal triple-sum mgf: sum over orders m of t^m/m! times the
-        moment expansion. Formal at every parameter: the order-0
-        component's (k = 0, j = 0) term needs tau(0, 0, -(alpha + 1)),
-        the integral of u^-(alpha+1) over (0, 1), which diverges for
-        every base and every alpha > 0, so the result is that
-        component's failure, with a nan value."""
+        moment expansion. Formal at every parameter for every law,
+        OEGammaDist included: the order-0 component's (k = 0, j = 0)
+        term needs tau(0, 0, -(alpha + 1)), the integral of
+        u^-(alpha+1) over (0, 1), which diverges for every base and
+        every alpha > 0, so the result is that component's failure,
+        with a nan value."""
         t = _validate_t(t, "mgf_series")
-        ctrl = ctrl or DEFAULT_CONTROL
         self._check_mgf_domain(t)
         return self._exp_series(ctrl)
 
     def cf_series(self, t, ctrl=None):
         """Formal triple-sum characteristic function, formal at every
-        parameter for the reason mgf_series gives: the order-0
-        component fails, and the value is nan."""
+        parameter for every law, OEGammaDist included, for the reason
+        mgf_series gives: the order-0 component fails, and the value
+        is nan."""
         _validate_t(t, "cf_series")
-        return self._exp_series(ctrl or DEFAULT_CONTROL)
+        return self._exp_series(ctrl)
 
     def _exp_series(self, ctrl):
-        """The order-0 verdict that ends every order sum of the mgf/cf."""
-        part = self.moment_series(0, ctrl)
+        """The order-0 verdict that ends every order sum of the mgf/cf:
+        the tau expansion's, for every law, OEGammaDist included."""
+        part = GammaRatioDist.moment_series(self, 0, ctrl)
         return SeriesResult(
             math.nan, part.terms_used, False, f"order-0 component failed: {part.diagnostic}"
         )

@@ -10,6 +10,7 @@ usage (64), data (65), numerical (70), and partial-result (2) failures.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -231,6 +232,36 @@ class TestCurves:
         row = out.splitlines()[1].split("\t")
         assert row[2] == "1"
         assert float(row[3]) == pytest.approx(closed_form(x), rel=1e-9)
+
+    def test_hazard_divides_by_a_survival_below_1e_300(self, capsys):
+        # Weibull sf = exp(-(rate x)^shape) is about 1e-302 here; the
+        # hazard is still k rate^k x^(k-1)
+        x = 16700.0
+        assert 0.0 < math.exp(-(0.086 * x) ** 0.9) < 1e-300
+        code, out, _ = run_cli(capsys, "curves", "--model", "m6", "--params", "0.9,0.086",
+                               "--grid", f"{x}:{x}:1")
+        assert code == 0
+        hazard = float(out.splitlines()[1].split("\t")[3])
+        assert hazard == pytest.approx(0.9 * 0.086**0.9 * x ** -0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("model, params, x", [
+        ("m2", M2, 5000.0),
+        ("m6", "0.9,0.086", 20000.0),
+        ("m1", "0.84,0.0687", 15000.0),
+    ])
+    def test_hazard_is_nan_where_the_survival_underflows(self, capsys, model, params, x):
+        code, out, _ = run_cli(capsys, "curves", "--model", model, "--params", params,
+                               "--grid", f"{x}:{x}:1")
+        assert code == 0
+        row = out.splitlines()[1].split("\t")
+        assert row[2] == "1"
+        assert row[3] == "nan"
+
+    def test_params_that_do_not_parse(self, capsys):
+        code, _, err = run_cli(capsys, "curves", "--model", "m2",
+                               "--params", "abc", "--grid", "1:2:2")
+        assert code == 64
+        assert "--params must be a comma list of numbers" in err
 
     @pytest.mark.parametrize("bad,fragment", [
         ("1:2", "start:stop:count"),

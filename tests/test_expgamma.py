@@ -63,11 +63,7 @@ class TestClosedFormSubclass:
     """The exponential-base law is the family over Exp(lam) and overrides
     only what has a closed form there."""
 
-    OWN = {
-        "odds", "log_pdf",
-        "moment_series", "mgf_series", "cf_series", "renyi_series",
-        "_sum_analytic_shells", "as_family",
-    }
+    OWN = {"odds", "log_pdf", "moment_series", "renyi_series", "as_family"}
 
     def test_defines_only_the_closed_forms(self):
         assert issubclass(OEGammaDist, GammaRatioDist)
@@ -546,16 +542,41 @@ class TestSeriesPins:
 
     def test_moment_mgf_cf_series(self):
         d = OEGammaDist(0.6, 0.05, 1.0)
-        cells = [
-            (d.moment_series(2), 1.1684090110239669),
-            (d.mgf_series(0.15), 0.9676912399823493),
-            (d.cf_series(0.7), 0.7392217914744543 + 0.21277916064643515j),
-        ]
-        for r, value in cells:
-            assert r.value == pytest.approx(value, rel=1e-13)
-            assert r.terms_used[1] == 200
+        r = d.moment_series(2)
+        assert r.value == pytest.approx(1.1684090110239669, rel=1e-13)
+        assert r.terms_used == (13, 200)
+        assert not r.converged
+        # the mgf and cf expansions are formal at every parameter: each
+        # is the order-0 verdict of the tau expansion, as on every law
+        for r in (d.mgf_series(0.15), d.cf_series(0.7)):
+            assert math.isnan(r.value)
+            assert r.terms_used == (0, 1)
             assert not r.converged
-        assert [r.terms_used[0] for r, _ in cells] == [13, 16, 16]
+            assert r.diagnostic == (
+                "order-0 component failed: term (k=0, j=0) needs tau(m=0, eta=0, "
+                "r=-1.6), which is not integrable; the printed expansion is formal "
+                "at these parameters"
+            )
+
+    def test_overflowed_shells_end_the_sum(self):
+        r = OEGammaDist(0.5, 1e200, 1.0).moment_series(1)
+        assert r.value == math.inf
+        assert r.terms_used == (3, 200)
+        assert not r.converged
+        assert r.diagnostic == "shell k=2 is not finite; the expansion overflowed"
+        # the partial sums leave double range inside the inner truncation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = OEGammaDist(0.01, 1e20, 1.0).moment_series(2)
+        assert r.value == math.inf
+        assert r.diagnostic == "shell k=16 is not finite; the expansion overflowed"
+        r = OEGammaDist(200.0, 1e300, 1.0).renyi_series(2.0)
+        assert math.isnan(r.value)
+        assert r.terms_used == (0, 0)
+        assert not r.converged
+        assert r.diagnostic == (
+            "shell k=0 prefactor overflowed; the display is not summable at these parameters"
+        )
 
 
 class TestCentralMomentSeries:
@@ -592,6 +613,28 @@ class TestCentralMomentSeries:
         assert r.value == pytest.approx(4.0 - 3 * 0.5 * 1.25 + 2 * 0.5**3, rel=1e-15)
         assert d.central_moment_series(1).value == 0.0
         assert d.central_moment_series(0) == SeriesResult(1.0, (0, 0), True)
+
+    def test_overflowed_raw_moments_give_nan(self):
+        # moment_series(1) and (2) come back inf here, and inf - inf has
+        # no value
+        r = OEGammaDist(0.5, 1e200, 1.0).central_moment_series(2)
+        assert math.isnan(r.value)
+        assert r.terms_used == (3, 200)
+        assert not r.converged
+        assert r.diagnostic == (
+            "the order-1 raw-moment series did not converge: "
+            "shell k=2 is not finite; the expansion overflowed"
+        )
+
+    def test_recombination_past_double_range_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(
+            OEGammaDist, "moment_series",
+            lambda self, m, ctrl=None: SeriesResult(1e200, (m, 10 * m), True),
+        )
+        r = OEGammaDist(0.6, 0.05, 1.0).central_moment_series(2)
+        assert math.isnan(r.value)
+        assert not r.converged
+        assert r.diagnostic == "the recombination of the raw moments left double range"
 
 
 class TestWheatonLikelihood:

@@ -881,11 +881,12 @@ class TestMgfCf:
 
 
 class TestExpSeriesVerdict:
-    """The generic mgf/cf series sum t^m/m! times the order-m moment
-    expansion, and the order-0 one's (k = 0, j = 0) term needs
-    tau(0, 0, -(alpha + 1)), the integral of u^-(alpha+1) over (0, 1),
-    which diverges for every base and alpha > 0. So every evaluation is
-    that component's verdict, reached with one tau call."""
+    """The mgf/cf series sum t^m/m! times the order-m moment expansion,
+    and the order-0 one's (k = 0, j = 0) term needs tau(0, 0,
+    -(alpha + 1)), the integral of u^-(alpha+1) over (0, 1), which
+    diverges for every base and alpha > 0. So every evaluation, on every
+    law, OEGammaDist included, is that component's verdict, reached with
+    one tau call."""
 
     @pytest.fixture
     def tau_calls(self, monkeypatch):
@@ -900,16 +901,21 @@ class TestExpSeriesVerdict:
         return calls
 
     @pytest.mark.parametrize(
-        "make_base",
-        [lambda: make_exponential(1.0), lomax_base, lambda: scaled_lomax_base(3.0),
-         logistic_base],
-        ids=["exponential", "lomax", "lomax3", "logistic"],
+        "make_dist",
+        [lambda a: GammaRatioDist(a, 0.7, make_exponential(1.0)),
+         lambda a: GammaRatioDist(a, 0.7, lomax_base()),
+         lambda a: GammaRatioDist(a, 0.7, scaled_lomax_base(3.0)),
+         lambda a: GammaRatioDist(a, 0.7, logistic_base()),
+         lambda a: OEGammaDist(a, 0.7, 1.0)],
+        ids=["exponential", "lomax", "lomax3", "logistic", "oe-exponential"],
     )
     @pytest.mark.parametrize("alpha", [1e-3, 0.131, 2.0, 30.0])
-    def test_every_evaluation_is_the_order_zero_verdict(self, tau_calls, make_base, alpha):
-        base = make_base()
-        d = GammaRatioDist(alpha, 0.7, base)
-        part = d.moment_series(0)
+    def test_every_evaluation_is_the_order_zero_verdict(self, tau_calls, make_dist, alpha):
+        d = make_dist(alpha)
+        base = d.base
+        # the tau expansion's own order-0 verdict; OEGammaDist's
+        # moment_series is an analytic expansion that does not call tau
+        part = GammaRatioDist.moment_series(d, 0)
         note = f"order-0 component failed: {part.diagnostic}"
         assert part.diagnostic
         for method, t in ((d.mgf_series, -0.3), (d.mgf_series, 0.01), (d.cf_series, 2.0)):
@@ -923,6 +929,28 @@ class TestExpSeriesVerdict:
             assert math.isnan(r.value)
             assert (r.terms_used, r.converged, r.diagnostic) == (part.terms_used, False, note)
             assert tau_calls == [(0, 0.0, [-(alpha + 1.0)])]
+
+    @pytest.mark.parametrize("ctrl", [
+        None, SeriesControl(tail_tol=0.1), SeriesControl(tail_tol=0.5),
+        SeriesControl(tail_tol=0.9), SeriesControl(60, 200, 0.1),
+    ])
+    @pytest.mark.parametrize("prm", [(0.6, 0.05, 1.0), (0.131, 0.179, 0.539),
+                                     (2.5, 1.0, 1.0), (5.0, 2.0, 1.0)])
+    def test_oe_is_its_family_at_every_tail(self, tau_calls, prm, ctrl):
+        # OEGammaDist's own expansions, whose inner terms fall only like
+        # j^(k+alpha-1), claimed convergence under a loose tail_tol: at
+        # the flood fit under SeriesControl(60, 200, 0.1), mgf_series(
+        # 0.00706) gave 1.0338, where the mgf is 1.0959
+        d = OEGammaDist(*prm)
+        for name, t in (("mgf_series", 0.1 * d.alpha * d.lam), ("cf_series", 0.7)):
+            tau_calls.clear()
+            r = getattr(d, name)(t, ctrl)
+            assert tau_calls == [(0, 0.0, [-(d.alpha + 1.0)])]
+            ref = getattr(d.as_family(), name)(t, ctrl)
+            assert math.isnan(r.value) and math.isnan(ref.value)
+            assert r.terms_used == ref.terms_used == (0, 1)
+            assert r.converged is ref.converged is False
+            assert r.diagnostic == ref.diagnostic
 
     def test_pinned_verdict(self):
         r = dist(2.0, 1.0, 1.0).cf_series(1.0)
