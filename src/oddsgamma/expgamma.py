@@ -3,44 +3,34 @@
 With an Exp(lam) base the odds transform collapses to
 w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1). OEGammaDist is
 the GammaRatioDist over that base and overrides only what has a closed
-form here: the odds, the log-density, and the raw-moment and entropy
-double sums, whose inner terms are available analytically, which makes
-them fast enough to push to very deep truncations. Everything else
-(cdf, sf, pdf, hazard, the quantiles and the sampler, the memoised
-quadrature moments, mgf, cf, entropy, tau, the mgf and cf series, which
-are formal at every parameter, and the series' argument checks) is the
+form here: the odds, the log-density, and the raw-moment double sum,
+whose inner terms are available analytically, which makes it fast
+enough to push to very deep truncations. Everything else (cdf, sf, pdf,
+hazard, the quantiles and the sampler, the memoised quadrature moments,
+mgf, cf, entropy, tau, the mgf, cf and Renyi series, which are formal
+at every parameter here, and the series' argument checks) is the
 family's own code. The quantiles, the draws and the quadrature nodes
 all map back to x through the base's exact log_isf, -ln(s)/lam, which
 reaches survival levels below double range. ``as_family()`` builds the
 same law through the generic construction, as an independent reference.
-
-The entropy expansion is evaluated exactly as displayed even though it
-disagrees with direct quadrature of the density; the result carries a
-diagnostic quantifying the discrepancy rather than silently correcting
-the display.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .base import BaseDistribution, make_exponential
 from .data import _positive_observations
-from .errors import DivergenceError, NumericalError
 from .family import (
     DEFAULT_CONTROL,
     GammaRatioDist,
-    SeriesResult,
     _as_float_array,
-    _renyi_result,
     _restore,
     _set_positive_param,
-    _signed_binomial,
     _sum_shells,
     _truncate_inner,
     _validate_order,
-    _validate_renyi_order,
 )
 from .specfun import _MAP_BLOCK, _log_gamma_vec, _sq_trigamma, digamma, log_gamma
 
@@ -93,7 +83,7 @@ def _oe_log_pdf_block(alpha, beta, lam, const, x, out):
 
 @dataclass(frozen=True)
 class OEGammaDist(GammaRatioDist):
-    """Odds-gamma law with Exp(lam) base: closed maps plus its own expansions.
+    """Odds-gamma law with Exp(lam) base: closed maps plus its own moment series.
 
     Parameterised by the gamma shape alpha, the gamma rate beta applied
     to the odds, and the exponential rate lam of the base. All three
@@ -154,9 +144,11 @@ class OEGammaDist(GammaRatioDist):
         After rewriting the signed binomial, the inner coefficient is
         C(k+alpha+j, j) > 0, so each k-shell is a positive series scaled
         by (-1)^k, with K = k + alpha + j. Inner terms carry
-        Gamma(m+1)/(lam K)^{m+1}; they decay only geometrically through
-        the binomial tail, so deep j truncations (thousands of terms)
-        are routinely needed and cheap here.
+        Gamma(m+1)/(lam K)^{m+1}, so they go like j^(k+alpha-m-1): they
+        fall only algebraically, and deep j truncations (thousands of
+        terms) are routinely needed and cheap here. Shells k >= m - alpha
+        diverge; a sum that met its tail after summing the first of them
+        keeps its value but is not converged.
         """
         m = _validate_order(m, "moment_series")
         ctrl = ctrl or DEFAULT_CONTROL
@@ -182,59 +174,14 @@ class OEGammaDist(GammaRatioDist):
             sign = -1.0 if k % 2 else 1.0
             return sign * val, j_used, ok, None
 
-        return _sum_shells(inner, ctrl)
-
-    def renyi_series(self, eta, ctrl=None):
-        """Entropy double sum evaluated exactly as displayed.
-
-        The displayed inner denominator drops the eta scaling that
-        direct integration of the density^eta produces, so the summed
-        value generally disagrees with renyi_entropy(); when the gap
-        exceeds 1e-3 the result is not converged and the diagnostic
-        records the gap. The quadrature value is the authoritative one.
-        """
-        eta = _validate_renyi_order(eta, "renyi_series")
-        ctrl = ctrl or DEFAULT_CONTROL
-        a, b, lam = self.alpha, self.beta, self.lam
-        j = np.arange(float(ctrl.j_max))
-
-        def inner(k):
-            log_pref = (
-                eta * math.log(lam)
-                + k * math.log(eta)
-                + (eta * a + k) * math.log(b)
-                - log_gamma(k + 1.0)
-                - eta * log_gamma(a)
-            )
-            coef = _signed_binomial(k, log_pref, eta * (a - 1.0) + k, ctrl.j_max)
-            if not math.isfinite(coef[0]):
-                return math.nan, 0, False, (
-                    f"shell k={k} prefactor overflowed; the display is not "
-                    f"summable at these parameters"
-                )
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = coef / (lam * (a + k + j))
-            return *_truncate_inner(terms, ctrl), None
-
-        result = _renyi_result(_sum_shells(inner, ctrl), eta)
-        if math.isnan(result.value):
-            return result
-        converged = result.converged
-        try:
-            quad = self.renyi_entropy(eta)
-        except (DivergenceError, NumericalError) as exc:
-            note = f"quadrature cross-check unavailable: {exc}"
-        else:
-            gap = abs(result.value - quad)
-            if not gap > 1e-3:
-                return result
-            converged = False
-            note = (
-                f"series value {result.value:.6g} differs from the quadrature "
-                f"entropy {quad:.6g} by {gap:.3g}; prefer the quadrature value"
-            )
-        diag = f"{result.diagnostic}; {note}" if result.diagnostic else note
-        return SeriesResult(result.value, result.terms_used, converged, diag)
+        result = _sum_shells(inner, ctrl)
+        k_div = max(0, math.ceil(m - a))
+        if result.converged and result.terms_used[0] > k_div:
+            return replace(result, converged=False, diagnostic=(
+                f"shell k={k_div} diverges: its inner terms go like "
+                f"j^{k_div + a - m - 1.0:.6g}, which is not summable"
+            ))
+        return result
 
 
 def oe_loglik_and_score(data, alpha, beta, lam):

@@ -91,9 +91,8 @@ class SeriesResult:
     GammaRatioDist._tau_series) sums none.
     converged is True only when the last retained shell fell below
     tail_tol relative to the partial sum and no divergence flag fired.
-    diagnostic explains any failure; a converged result may still carry
-    a note when an independent cross-check disagrees with the summed
-    value.
+    diagnostic explains any failure, and is empty exactly when converged
+    is True.
     """
 
     value: float

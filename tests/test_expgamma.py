@@ -23,6 +23,7 @@ from oddsgamma import (
 from oddsgamma.specfun import _MAP_BLOCK
 
 from streams import numpy_sample
+from test_acceptance import SERIES_CONTROL, SERIES_ORDERS, SERIES_SETTINGS
 
 LN2 = math.log(2.0)
 M2_PARAMS = (0.131, 0.179, 0.539)
@@ -63,7 +64,7 @@ class TestClosedFormSubclass:
     """The exponential-base law is the family over Exp(lam) and overrides
     only what has a closed form there."""
 
-    OWN = {"odds", "log_pdf", "moment_series", "renyi_series", "as_family"}
+    OWN = {"odds", "log_pdf", "moment_series", "as_family"}
 
     def test_defines_only_the_closed_forms(self):
         assert issubclass(OEGammaDist, GammaRatioDist)
@@ -72,6 +73,8 @@ class TestClosedFormSubclass:
             if not name.startswith("__") and (callable(v) or isinstance(v, property))
         }
         assert own == self.OWN
+        for name in ("renyi_series", "mgf_series", "cf_series"):
+            assert getattr(OEGammaDist, name) is getattr(GammaRatioDist, name)
 
     def test_value_semantics(self):
         d = OEGammaDist(1, 2, 3)
@@ -366,7 +369,9 @@ class TestMoments:
         d6 = OEGammaDist(0.6, 0.05, 1.0)
         r = d6.moment_series(6, ctrl)
         q = d6.moment_quadrature(6)
-        assert r.converged
+        # every shell summed has k < m - alpha = 5.4, so none diverges
+        assert r.converged and r.diagnostic == ""
+        assert r.terms_used[0] == 3
         assert abs(r.value - q) <= max(1e-6, 1e-4 * abs(q))
         d1 = OEGammaDist(*M2_PARAMS)
         r1 = d1.moment_series(1, ctrl)
@@ -492,19 +497,6 @@ class TestMgfCfEntropy:
         with pytest.raises(ValueError):
             OEGammaDist(1.0, 1.0, 1.0).renyi_entropy(1.0)
 
-    def test_renyi_series_reports_gap(self):
-        # the printed display's eta-independent exponent makes the series
-        # disagree with the quadrature entropy; the diagnostic must say so,
-        # and the flag must not claim convergence, even when the sum itself
-        # met its tail criterion
-        d = OEGammaDist(1.0, 1.0, 1.0)
-        r = d.renyi_series(2.0, SeriesControl(40, 2000, 1e-8))
-        gap = abs(r.value - d.renyi_entropy(2.0))
-        if gap > 1e-3:
-            assert r.diagnostic
-            assert "quadrature" in r.diagnostic
-            assert not r.converged
-
     def test_renyi_monte_carlo(self):
         # E h^(eta-1)(X) = integral of h^eta; eta = 0.5
         d = OEGammaDist(2.0, 1.0, 1.0)
@@ -520,25 +512,24 @@ class TestMgfCfEntropy:
 class TestSeriesPins:
     """Pinned (value, terms_used, converged) cells of the exponential-base
     expansions: the counts and flags fix where each inner sum stopped.
-    The entropy display sums to a value 1.2 to 5 nats from the quadrature
-    entropy in each pinned cell (3.94756, 0.250603, -0.395715, 1.0268),
-    so none of them is converged, whether or not its shells met the tail
-    criterion, and each diagnostic names the gap."""
+    The Renyi series is the family's, whose verdict on this base comes
+    from its first one or two tau columns (see TestRenyiSeriesVerdict)."""
 
-    @pytest.mark.parametrize("prm, ctrl, eta, value, terms, converged", [
-        ((0.131, 0.179, 0.539), SeriesControl(60, 2000, 1e-6), 0.5,
-         2.7248021949778645, (4, 1090), False),
-        ((2.5, 1.0, 1.0), SeriesControl(40, 2000, 1e-8), 0.5,
-         -4.308290285642284, (7, 919), False),
-        ((2.5, 1.0, 1.0), SeriesControl(), 2.0, 4.560777339655881, (12, 17), False),
-        ((0.6, 0.05, 1.0), SeriesControl(), 0.5, -0.8670399106815463, (5, 200), False),
-    ])
-    def test_renyi_series(self, prm, ctrl, eta, value, terms, converged):
-        r = OEGammaDist(*prm).renyi_series(eta, ctrl)
-        assert r.value == pytest.approx(value, rel=1e-13)
-        assert r.terms_used == terms
-        assert r.converged is converged
-        assert "prefer the quadrature value" in r.diagnostic
+    @pytest.mark.parametrize("prm, ctrl, eta, terms, r", [
+        ((0.131, 0.179, 0.539), SeriesControl(60, 2000, 1e-6), 0.5, (1, 1), "-1.5655"),
+        ((2.5, 1.0, 1.0), SeriesControl(40, 2000, 1e-8), 0.5, (0, 1), "-1.75"),
+        ((2.5, 1.0, 1.0), SeriesControl(), 2.0, (0, 1), "-7"),
+        ((0.6, 0.05, 1.0), SeriesControl(), 0.5, (1, 1), "-1.8"),
+    ], ids=["m2-fit-eta0.5", "alpha2.5-eta0.5", "alpha2.5-eta2", "alpha0.6-eta0.5"])
+    def test_renyi_series(self, prm, ctrl, eta, terms, r):
+        result = OEGammaDist(*prm).renyi_series(eta, ctrl)
+        assert math.isnan(result.value)
+        assert result.terms_used == terms
+        assert result.converged is False
+        assert result.diagnostic == (
+            f"term (k={terms[0]}, j=0) needs tau(m=0, eta={eta - 1.0:.6g}, r={r}), "
+            "which is not integrable; the printed expansion is formal at these parameters"
+        )
 
     def test_moment_mgf_cf_series(self):
         d = OEGammaDist(0.6, 0.05, 1.0)
@@ -570,13 +561,128 @@ class TestSeriesPins:
             r = OEGammaDist(0.01, 1e20, 1.0).moment_series(2)
         assert r.value == math.inf
         assert r.diagnostic == "shell k=16 is not finite; the expansion overflowed"
+        # the Renyi series ends at its first column, before any shell's
+        # prefactor, which would overflow here, is formed
         r = OEGammaDist(200.0, 1e300, 1.0).renyi_series(2.0)
         assert math.isnan(r.value)
-        assert r.terms_used == (0, 0)
+        assert r.terms_used == (0, 1)
         assert not r.converged
         assert r.diagnostic == (
-            "shell k=0 prefactor overflowed; the display is not summable at these parameters"
+            "term (k=0, j=0) needs tau(m=0, eta=1, r=-402), which is not integrable; "
+            "the printed expansion is formal at these parameters"
         )
+
+
+# the Renyi-series grid: laws from tiny to large alpha, orders either side
+# of 1, and three controls
+RENYI_LAWS = (
+    (0.01, 1.0, 1.0), (0.131, 0.179, 0.539), (0.6, 0.05, 1.0), (1.0, 1.0, 1.0),
+    (2.0, 1.0, 1.0), (2.5, 1.0, 1.0), (5.0, 2.0, 1.0), (30.0, 0.5, 2.0),
+    (200.0, 1e-3, 1e-3),
+)
+RENYI_ETAS = (0.3, 0.5, 0.9, 1.1, 2.0, 5.0)
+RENYI_CONTROLS = (SeriesControl(), SeriesControl(60, 2000, 1e-6), SeriesControl(40, 2000, 1e-8))
+# tau at r = -eta (alpha + 1) within 1e-3 of the Beta function's pole may
+# be ruled "could not be resolved" rather than divergent
+RENYI_CELLS = [
+    (prm, eta, ctrl)
+    for prm in RENYI_LAWS for eta in RENYI_ETAS for ctrl in RENYI_CONTROLS
+    if abs(eta * (prm[0] + 1.0) - 1.0) >= 1e-3
+]
+
+
+class TestRenyiSeriesVerdict:
+    """OEGammaDist inherits the family's Renyi series. On the exponential
+    base, column j = 0 of shell k is tau(0, eta - 1, -k - eta (alpha + 1))
+    = lam^(eta - 1) B(1 - k - eta (alpha + 1), eta), finite only for
+    k = 0 with eta (alpha + 1) < 1. So the series ends at term (k=0, j=0)
+    where eta (alpha + 1) > 1 and at (k=1, j=0) where it is below 1: nan,
+    not converged, from at most two tau columns."""
+
+    @pytest.mark.parametrize(
+        "prm, eta, ctrl", RENYI_CELLS,
+        ids=[f"{prm}-{eta}-{ctrl.tail_tol:g}" for prm, eta, ctrl in RENYI_CELLS],
+    )
+    def test_family_verdict(self, prm, eta, ctrl):
+        d = OEGammaDist(*prm)
+        r = d.renyi_series(eta, ctrl)
+        ref = d.as_family().renyi_series(eta, ctrl)
+        assert math.isnan(r.value) and math.isnan(ref.value)
+        assert (r.terms_used, r.converged, r.diagnostic) == (
+            ref.terms_used, ref.converged, ref.diagnostic)
+        c = eta * (prm[0] + 1.0)
+        k = 0 if c > 1.0 else 1
+        assert r.terms_used == (k, 1)
+        assert not r.converged
+        assert r.diagnostic == (
+            f"term (k={k}, j=0) needs tau(m=0, eta={eta - 1.0:.6g}, r={-k - c:.6g}), "
+            "which is not integrable; the printed expansion is formal at these parameters"
+        )
+        if k == 1:
+            # shell 0's first column is finite: the Beta function's value
+            assert d.tau(0, eta - 1.0, -c) == pytest.approx(
+                prm[2] ** (eta - 1.0) * sp.beta(1.0 - c, eta), rel=1e-9)
+
+
+class TestDivergentShell:
+    """OE moment_series: shell k's inner terms go like j^(k+alpha-m-1),
+    so shells k >= m - alpha diverge. A sum that met its tail after
+    summing the first of them keeps its value and terms_used but is not
+    converged, and its note names that shell and the exponent."""
+
+    @pytest.mark.parametrize("prm, m, ctrl, value, terms, note", [
+        ((2.5, 1.0, 1.0), 2, SeriesControl(60, 2000, 0.1),
+         -42.28830781618547, (52, 466), "shell k=0 diverges: its inner terms go like j^-0.5"),
+        ((5.0, 2.0, 1.0), 3, SeriesControl(60, 2000, 0.5),
+         0.029112008657346523, (16, 20), "shell k=0 diverges: its inner terms go like j^1"),
+        # the inner terms underflow to 0, which met the tail criterion
+        ((200.0, 1e-3, 1e-3), 1, SeriesControl(),
+         0.0, (2, 2), "shell k=0 diverges: its inner terms go like j^198"),
+        ((200.0, 1.0, 1.0), 1, SeriesControl(),
+         0.0, (2, 2), "shell k=0 diverges: its inner terms go like j^198"),
+    ], ids=["alpha2.5-m2-tail0.1", "alpha5-m3-tail0.5", "alpha200-beta1e-3-m1", "alpha200-beta1-m1"])
+    def test_found_cells_are_not_converged(self, prm, m, ctrl, value, terms, note):
+        r = OEGammaDist(*prm).moment_series(m, ctrl)
+        # the first cell's 52 alternating shells move by 3.5e-13 relative
+        # without numpy's AVX-512 exp and log kernels
+        assert r.value == pytest.approx(value, rel=1e-10, abs=0.0)
+        assert r.terms_used == terms
+        assert r.converged is False
+        assert r.diagnostic == note + ", which is not summable"
+
+    def test_the_first_divergent_shell_is_named(self):
+        # m - alpha = 0.99: shell 0 converges, shell 1 is the first to diverge
+        d = OEGammaDist(0.01, 1e-3, 1.0)
+        r = d.moment_series(1, SeriesControl(60, 2000, 0.5))
+        assert r.terms_used == (2, 3)
+        assert r.diagnostic == (
+            "shell k=1 diverges: its inner terms go like j^-0.99, which is not summable")
+
+    def test_a_failed_sum_keeps_its_own_note(self):
+        r = OEGammaDist(2.5, 1.0, 1.0).moment_series(2)
+        assert not r.converged
+        assert "diverges" not in r.diagnostic
+
+
+def test_converged_exactly_when_the_diagnostic_is_empty():
+    """No SeriesResult is converged with a note, or unconverged without
+    one: the moment and central-moment series on criterion 9's grid (the
+    family's tau expansion at the default control), and the Renyi, mgf
+    and cf series on the Renyi grid."""
+    results = []
+    for prm in SERIES_SETTINGS:
+        d = OEGammaDist(*prm)
+        for m in SERIES_ORDERS:
+            results += [d.moment_series(m, SERIES_CONTROL),
+                        d.central_moment_series(m, SERIES_CONTROL),
+                        d.as_family().moment_series(m)]
+    for prm, eta, ctrl in RENYI_CELLS:
+        d = OEGammaDist(*prm)
+        results += [d.renyi_series(eta, ctrl),
+                    d.mgf_series(0.25 * prm[0] * prm[2], ctrl), d.cf_series(0.7, ctrl)]
+    assert any(r.converged for r in results)
+    for r in results:
+        assert r.converged is (r.diagnostic == ""), r
 
 
 class TestCentralMomentSeries:
