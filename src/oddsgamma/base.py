@@ -1,9 +1,9 @@
 """Baseline distribution bundles consumed by the odds-gamma family.
 
 A BaseDistribution packages the callables the family construction needs:
-cdf, log-pdf, quantile, parameter values and the survival side, derived
-from the rest where the base does not supply its own tail-accurate maps.
-All callables accept scalars or numpy arrays.
+cdf, log-pdf, quantile, parameter values, the survival side and the
+survival odds, derived from the rest where the base does not supply its
+own tail-accurate maps. All callables accept scalars or numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ class BaseDistribution:
     """Capability bundle for a continuous baseline on an interval support.
 
     name, cdf, log_pdf, quantile, support and params are required; the
-    four survival-side maps are derived when omitted.
+    four survival-side maps and the odds are derived when omitted.
 
     Parameters
     ----------
@@ -49,6 +49,12 @@ class BaseDistribution:
     tail_rate : float, optional
         Exponential decay rate of sf at the upper end of the support,
         when known. Consumers use it for moment-generating domains.
+    odds : callable, optional
+        The survival odds w(x) = sf(x)/cdf(x), +inf where cdf(x) = 0 and
+        nan for nan, returned as a new array. Derived as exactly that
+        quotient of the two maps, so neither tail loses digits to the
+        subtraction 1 - cdf. The family's cdf, sf and log-density read
+        it at every point, so a base with a closed form supplies it.
     """
 
     name: str
@@ -62,6 +68,7 @@ class BaseDistribution:
     isf: Optional[Callable] = None
     log_isf: Optional[Callable] = None
     tail_rate: Optional[float] = None
+    odds: Optional[Callable] = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -72,6 +79,7 @@ class BaseDistribution:
             "isf": lambda s: self.quantile(1.0 - np.asarray(s)),
             "log_sf": lambda x: _log_of(self.sf(x)),
             "log_isf": lambda log_s: _isf_of_log(self, log_s),
+            "odds": lambda x: _odds_of(self, x),
         }
         for name, default in derived.items():
             if getattr(self, name) is None:
@@ -82,6 +90,16 @@ def _log_of(s):
     """log(s), -inf where s is 0: the derived log_sf."""
     with np.errstate(divide="ignore"):
         return np.log(s)
+
+
+def _odds_of(base, x):
+    """The derived odds: sf/cdf, +inf where cdf is 0, nan for nan."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(base.cdf(x), dtype=float)
+    s = np.asarray(base.sf(x), dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(c > 0.0, s / c, np.inf)
+    return np.where(np.isnan(x), np.nan, w)
 
 
 def _isf_of_log(base, log_s):
@@ -106,11 +124,14 @@ def make_exponential(lam):
     exponential and isf(s) = -ln(s)/lam, so tail round trips do not lose
     precision to the 1 - u subtraction; log_sf(x) = -lam x and
     log_isf(ln s) = -ln(s)/lam reach survival levels below double range.
-    The maps test x <= 0, which is false for nan, so nan gives nan.
+    The odds are 1/expm1(lam x), formed in place in one new array: +inf
+    for x <= 0, and 0 where expm1 overflows. The maps test x <= 0, which
+    is false for nan, so nan gives nan.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"exponential rate must be positive and finite, got {lam}")
     lam = float(lam)
+    log_lam = np.log(lam)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -125,7 +146,10 @@ def make_exponential(lam):
 
     def log_pdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, -np.inf, np.log(lam) - lam * x)
+        out = np.multiply(x, lam, out=np.empty(x.shape))
+        np.subtract(log_lam, out, out=out)
+        out[x <= 0.0] = -np.inf
+        return out
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
@@ -144,6 +168,15 @@ def make_exponential(lam):
     def log_isf(log_s):
         return -np.asarray(log_s, dtype=float) / lam
 
+    def odds(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            w = np.multiply(x, lam, out=np.empty(x.shape))
+            np.expm1(w, out=w)
+            np.divide(1.0, w, out=w)
+        w[x <= 0.0] = np.inf
+        return w
+
     return BaseDistribution(
         name="exponential",
         cdf=cdf,
@@ -156,4 +189,5 @@ def make_exponential(lam):
         isf=isf,
         log_isf=log_isf,
         tail_rate=lam,
+        odds=odds,
     )

@@ -1,18 +1,19 @@
 """Survival-odds gamma distribution on an exponential base, in closed form.
 
 With an Exp(lam) base the odds transform collapses to
-w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1). OEGammaDist is
-the GammaRatioDist over that base and overrides only what has a closed
-form here: the odds, the log-density, and the raw-moment double sum,
-whose inner terms are available analytically, which makes it fast
-enough to push to very deep truncations. Everything else (cdf, sf, pdf,
-hazard, the quantiles and the sampler, the memoised quadrature moments,
-mgf, cf, entropy, tau, the mgf, cf and Renyi series, which are formal
-at every parameter here, and the series' argument checks) is the
-family's own code. The quantiles, the draws and the quadrature nodes
-all map back to x through the base's exact log_isf, -ln(s)/lam, which
-reaches survival levels below double range. ``as_family()`` builds the
-same law through the generic construction, as an independent reference.
+w(x) = e^{-lam x} / (1 - e^{-lam x}) = 1/(e^{lam x} - 1), which the
+base supplies as its own odds map. OEGammaDist is the GammaRatioDist
+over that base and overrides only the raw-moment double sum, whose
+inner terms are available analytically, which makes it fast enough to
+push to very deep truncations. Everything else (the odds, cdf, sf, the
+log-density, pdf, hazard, the quantiles and the sampler, the memoised
+quadrature moments, mgf, cf, entropy, tau, the mgf, cf and Renyi
+series, which are formal at every parameter here, and the series'
+argument checks) is the family's own code, reading the base's closed
+forms. The quantiles, the draws and the quadrature nodes all map back
+to x through the base's exact log_isf, -ln(s)/lam, which reaches
+survival levels below double range. ``as_family()`` builds the same law
+as a plain GammaRatioDist, whose maps are the same code bit for bit.
 """
 
 import math
@@ -25,14 +26,12 @@ from .data import _positive_observations
 from .family import (
     DEFAULT_CONTROL,
     GammaRatioDist,
-    _as_float_array,
-    _restore,
     _set_positive_param,
     _sum_shells,
     _truncate_inner,
     _validate_order,
 )
-from .specfun import _MAP_BLOCK, _log_gamma_vec, _sq_trigamma, digamma, log_gamma
+from .specfun import _log_gamma_vec, _sq_trigamma, digamma, log_gamma
 
 __all__ = ["OEGammaDist", "oe_loglik_and_score"]
 
@@ -52,42 +51,14 @@ def _log1mexp(y):
         return np.where(y <= _LN2, np.log(-np.expm1(-y)), np.log1p(-np.exp(-y)))
 
 
-def _oe_log_pdf_block(alpha, beta, lam, const, x, out):
-    """OEGammaDist.log_pdf of a 1-d block x into out, with const =
-    ln lam + alpha ln beta - ln Gamma(alpha)."""
-    # false for nan, which falls through as nan
-    below = x <= 0.0
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        y = np.where(below, 1.0, x)
-        y *= lam
-        w = np.expm1(y)
-        np.divide(1.0, w, out=w)
-        np.log1p(w, out=out)
-        out *= alpha + 1.0
-        over = w == np.inf
-        if over.any():
-            y_over = y[over]
-            out[over] = np.where(
-                y_over > 0.0,
-                -(alpha + 1.0) * np.log(y_over) - beta / y_over,
-                -np.inf,
-            )
-            w[over] = 0.0
-        y *= alpha
-        out -= y
-        w *= beta
-        out -= w
-        out += const
-    out[below] = -np.inf
-
-
 @dataclass(frozen=True)
 class OEGammaDist(GammaRatioDist):
-    """Odds-gamma law with Exp(lam) base: closed maps plus its own moment series.
+    """Odds-gamma law with Exp(lam) base: the family plus its own moment series.
 
     Parameterised by the gamma shape alpha, the gamma rate beta applied
     to the odds, and the exponential rate lam of the base. All three
-    must be strictly positive and finite. The base is derived from lam.
+    must be strictly positive and finite. The base is make_exponential(lam),
+    whose closed forms every map reads.
     """
 
     base: BaseDistribution = field(init=False, repr=False, compare=False)
@@ -101,40 +72,6 @@ class OEGammaDist(GammaRatioDist):
     def as_family(self):
         """The same law built through the generic construction."""
         return GammaRatioDist(self.alpha, self.beta, self.base)
-
-    # -- closed-form maps ------------------------------------------------
-
-    def odds(self, x):
-        """w(x) = 1/(e^{lam x} - 1); +inf for x <= 0, 0 where expm1 overflows.
-
-        Formed in place in one new array; nan falls through as nan.
-        """
-        x_arr, scalar = _as_float_array(x)
-        with np.errstate(over="ignore", divide="ignore"):
-            w = np.multiply(x_arr, self.lam, out=np.empty(x_arr.shape))
-            np.expm1(w, out=w)
-            np.divide(1.0, w, out=w)
-        w[x_arr <= 0.0] = np.inf
-        return _restore(w, scalar)
-
-    def log_pdf(self, x):
-        """ln lam + alpha ln beta - ln Gamma(alpha) - alpha y
-        - (alpha+1) ln(1 - e^-y) - beta w at y = lam x, from one
-        w = 1/expm1(y) per point: 1 + w = 1/(1 - e^-y), so
-        ln(1 - e^-y) = -log1p(w), to a few ulps wherever w is finite.
-        It overflows only where y is subnormal; there expm1(y) = y, so
-        ln(1 - e^-y) = ln y and beta w = beta / y, and where y rounds to
-        0 the density is 0. -inf for x <= 0, nan for nan. The points
-        run in blocks of _MAP_BLOCK, whose temporaries stay in cache.
-        """
-        x_arr, scalar = _as_float_array(x)
-        flat = x_arr.ravel()
-        out = np.empty(flat.shape)
-        const = math.log(self.lam) + self.alpha * math.log(self.beta) - log_gamma(self.alpha)
-        for start in range(0, flat.size, _MAP_BLOCK):
-            block = slice(start, start + _MAP_BLOCK)
-            _oe_log_pdf_block(self.alpha, self.beta, self.lam, const, flat[block], out[block])
-        return _restore(out.reshape(x_arr.shape), scalar)
 
     # -- expansions specific to the exponential base ----------------------
 
@@ -231,7 +168,8 @@ def _oe_loglik_and_score(x, alpha, beta, lam):
     with np.errstate(over="ignore", under="ignore"):
         np.divide(1.0, np.expm1(y), out=w)
         # ln(1 - e^-y) = -log1p(w), and ln y where y is subnormal and w
-        # overflows, as in OEGammaDist.log_pdf
+        # overflows, where expm1(y) = y, as GammaRatioDist.log_pdf takes
+        # ln cdf there
         np.log1p(w, out=l1m)
         np.negative(l1m, out=l1m)
         over = np.flatnonzero(w == np.inf)

@@ -29,6 +29,7 @@ from .base import BaseDistribution
 from .errors import DivergenceError, NumericalError
 from .quadrature import tanh_sinh, tanh_sinh_levels
 from .specfun import (
+    _MAP_BLOCK,
     _inv_reg_lower_gamma_vec,
     _inv_reg_upper_gamma_vec,
     _reg_lower_gamma_vec,
@@ -122,11 +123,6 @@ def _probabilities(q, who, name):
     if len(bad):
         raise ValueError(f"{who} requires 0 < {name} < 1, got {bad[0]}")
     return q, scalar
-
-
-def _keep_nan(x, out):
-    """out with nan wherever x is nan, whatever the base made of it."""
-    return np.where(np.isnan(x), np.nan, out)
 
 
 def _log_sf_of_log_odds(log_w):
@@ -419,17 +415,13 @@ class GammaRatioDist:
     # ---------------- pointwise maps ----------------
 
     def odds(self, x):
-        """Survival odds w(x) = (1 - G1(x))/G1(x) of the base.
+        """Survival odds w(x) = (1 - G1(x))/G1(x), the base's own map.
 
-        Evaluated as sf/cdf so neither tail loses precision to the
-        subtraction 1 - G1. Returns +inf where G1(x) = 0; the cdf/pdf
-        consume that as the limiting case, callers should too. nan gives nan.
+        +inf where G1(x) = 0; the cdf, sf and log-density consume that as
+        the limiting case, callers should too. nan gives nan.
         """
         x_arr, scalar = _as_float_array(x)
-        c = np.asarray(self.base.cdf(x_arr), dtype=float)
-        s = np.asarray(self.base.sf(x_arr), dtype=float)
-        w = np.where(c > 0.0, s / np.maximum(c, _TINY), np.inf)
-        return _restore(_keep_nan(x_arr, w), scalar)
+        return _restore(np.asarray(self.base.odds(x_arr), dtype=float), scalar)
 
     def cdf(self, x):
         """H(x) = Q(alpha, beta * w(x)); 0 below the support, 1 at its top.
@@ -448,39 +440,56 @@ class GammaRatioDist:
     def log_pdf(self, x):
         """Log density assembled term by term, never forming the density.
 
-        ln h = ln g1 - 2 ln G1 + alpha ln beta - ln Gamma(alpha)
-             + (alpha - 1) ln w - beta w, with G1 clamped away from 0 so
-        the support edges land on the correct -inf limit. ln w takes the
-        base's log_sf, so it stays finite where sf underflows when the
-        base supplies its own.
+        h = beta^alpha/Gamma(alpha) g1 S1^(alpha-1)/G1^(alpha+1) e^(-beta w)
+        and 1/G1 = 1 + w, so
+        ln h = ln g1 + (alpha-1) ln S1 + (alpha+1) log1p(w) - beta w
+             + alpha ln beta - ln Gamma(alpha),
+        with ln S1 the base's log_sf, which stays finite where sf
+        underflows when the base supplies its own. Only where beta w
+        overflows are ln G1 = ln cdf and beta w = beta sf / cdf formed
+        from the base's maps, and the density is 0 where cdf is 0. -inf outside
+        the support, and at alpha < 1 where ln S1 = -inf (past the
+        numeric top of the support); nan gives nan. The points run in
+        blocks of _MAP_BLOCK, whose temporaries stay in cache, and a
+        point's value depends on x alone.
         """
         x_arr, scalar = _as_float_array(x)
-        base = self.base
+        flat = x_arr.ravel()
+        out = np.empty(flat.shape)
+        const = self.alpha * math.log(self.beta) - log_gamma(self.alpha)
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            for start in range(0, flat.size, _MAP_BLOCK):
+                block = slice(start, start + _MAP_BLOCK)
+                self._log_pdf_block(const, flat[block], out[block])
+        return _restore(out.reshape(x_arr.shape), scalar)
+
+    def _log_pdf_block(self, const, x, out):
+        """log_pdf of a 1-d block x into out, with const =
+        alpha ln beta - ln Gamma(alpha). The odds array, the base's own
+        new array, becomes the block's scratch."""
+        base, a = self.base, self.alpha
+        w = np.asarray(base.odds(x), dtype=float)
+        np.log1p(w, out=out)
+        out *= a + 1.0
+        w *= self.beta
+        out -= w
+        over = w == np.inf
+        if over.any():
+            c = np.asarray(base.cdf(x[over]), dtype=float)
+            s = np.asarray(base.sf(x[over]), dtype=float)
+            out[over] = np.where(c > 0.0, -(a + 1.0) * np.log(c) - self.beta * s / c, -np.inf)
+        if a != 1.0:
+            # skipped at alpha=1 where it is 0 * ln S1, possibly 0 * -inf
+            np.multiply(base.log_sf(x), a - 1.0, out=w)
+            out += w
+        out += base.log_pdf(x)
+        out += const
+        if a < 1.0:
+            # past the numeric top of the support ln S1 = -inf, and
+            # (alpha-1) ln S1 = +inf would flip the limit to +inf
+            out[w == np.inf] = -np.inf
         lo, hi = base.support
-        with np.errstate(
-            divide="ignore", over="ignore", under="ignore", invalid="ignore"
-        ):
-            c = np.maximum(np.asarray(base.cdf(x_arr), dtype=float), _TINY)
-            s = np.asarray(base.sf(x_arr), dtype=float)
-            ln_s = np.asarray(base.log_sf(x_arr), dtype=float)
-            ln_c = np.log(c)
-            out = (
-                np.asarray(base.log_pdf(x_arr), dtype=float)
-                - 2.0 * ln_c
-                + self.alpha * math.log(self.beta)
-                - log_gamma(self.alpha)
-                - self.beta * (s / c)
-            )
-            if self.alpha != 1.0:
-                # skipped at alpha=1 where it is 0 * ln w, possibly 0 * inf
-                out = out + (self.alpha - 1.0) * (ln_s - ln_c)
-                if self.alpha < 1.0:
-                    # past the numeric top of the support ln sf is -inf
-                    # and (alpha-1) ln w would flip the limit to +inf
-                    out = np.where(ln_s > -np.inf, out, -np.inf)
-            inside = (x_arr > lo) & (x_arr < hi)
-            out = np.where(inside, out, -np.inf)
-        return _restore(_keep_nan(x_arr, out), scalar)
+        out[(x <= lo) | (x >= hi)] = -np.inf
 
     def pdf(self, x):
         x_arr, scalar = _as_float_array(x)

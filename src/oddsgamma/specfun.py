@@ -46,7 +46,7 @@ TOMS 12, 1986), route by route (see _reg_gamma):
   overflows, stay with special.gammaincc and special.gammainc.
 - x = 0, inf and nan are exact.
 A large call runs in blocks of _MAP_BLOCK (32,768) points, whose
-temporaries stay in a core's L2 cache, as do OEGammaDist.log_pdf's.
+temporaries stay in a core's L2 cache, as do GammaRatioDist.log_pdf's.
 A point's route and term count depend on a and x alone, never on the
 size of its call or on its block, so a scalar Q or P equals the array
 kernel's bit for bit.

@@ -23,10 +23,12 @@ bound the library's relative error on every cell, the entropy's
 relative to max(1, |entropy|); they were set from its worst errors,
 with and without numpy's AVX-512 kernels, and may only be tightened:
 - moments: 2e-15; the worst is 1.6e-15, m4 at (10, 1e-3, 0.539);
-- renyi2: 1.5e-13; the worst is 1.26e-13 at (200, 1e3, 0.539), where
-  OEGammaDist.log_pdf itself is off by about that much, as its terms
-  alpha ln beta and ln Gamma(alpha) are near 10^3 (an exact log density
-  on the same nodes meets the table to 4e-16); elsewhere 4.4e-14;
+- renyi2: 1.5e-13; the worst is 7.8e-14 at (200, 1e3, 0.539) (1.26e-13
+  before the family's one log-density replaced the exponential base's
+  own), where GammaRatioDist.log_pdf itself is off by about that much,
+  as its terms alpha ln beta and ln Gamma(alpha) are near 10^3 (an
+  exact log density on the same nodes meets the table to 4e-16);
+  elsewhere 3.2e-14;
 - mgf: 2e-14; the worst is 1.6e-14 at (200, 1e3, 3).
 
 Run from the repository root: python tests/make_moment_table.py

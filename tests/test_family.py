@@ -1063,11 +1063,11 @@ class TestRenyi:
 
     def test_series_is_honest(self):
         d = dist(2.0, 1.0, 1.0)
+        # formal at every parameter on this base: column j = 0 of shell 0
+        # needs tau(0, eta - 1, -eta(alpha + 1)), which is not integrable
         r = d.renyi_series(2.0, SeriesControl(k_max=40, j_max=2000, tail_tol=1e-8))
-        if r.converged and not r.diagnostic:
-            assert r.value == pytest.approx(d.renyi_entropy(2.0), abs=1e-3)
-        else:
-            assert r.diagnostic
+        assert math.isnan(r.value) and not r.converged
+        assert "not integrable" in r.diagnostic
 
 
 def _loop_binomial(s, n):

@@ -193,19 +193,20 @@ class TestGoldenPanel:
     # OEGammaDist(alpha, 0.179, 0.539), from the gamma-scale nodes. In
     # ulps from 45-digit mpmath (integrals over s = ln T, T = beta w(X)
     # ~ Gamma(alpha, 1)) the moments are within 1.7 and the entropies
-    # within 18, the rounding of log_pdf, whose terms alpha ln beta and
-    # ln Gamma(alpha) reach 10^2 at alpha = 30
+    # within 12, the rounding of log_pdf, whose terms alpha ln beta and
+    # ln Gamma(alpha) reach 10^2 at alpha = 30, and whose ln g1 and
+    # (alpha - 1) ln S1 cancel to ln lam - alpha lam x at alpha = 1e-3
     @pytest.mark.parametrize("alpha, values", [
         (1e-3, ["0x1.cf4ac6025ebc8p+10", "0x1.a3b26466f748bp+22", "0x1.1d27381c0be78p+35",
-                "0x1.025225fdbcd1dp+48", "0x1.1d2a62333f99bp+3", "0x1.06df478074a9ep+3"]),
+                "0x1.025225fdbcd1dp+48", "0x1.1d2a62333f9a7p+3", "0x1.06df478074aa4p+3"]),
         (0.05, ["0x1.18866e19bf312p+5", "0x1.44784426ef729p+11", "0x1.1a26b3376190fp+18",
-                "0x1.472b113036d05p+25", "0x1.3dd9fef9bbf1bp+2", "0x1.08116ea6856d7p+2"]),
+                "0x1.472b113036d05p+25", "0x1.3dd9fef9bbf1dp+2", "0x1.08116ea6856d8p+2"]),
         (0.131, ["0x1.87e2ceb432c01p+3", "0x1.55666b455681cp+8", "0x1.c49462005a095p+13",
-                 "0x1.90898f9bcbcbap+19", "0x1.f9497f91fd023p+1", "0x1.79e8e5760305cp+1"]),
+                 "0x1.90898f9bcbcbap+19", "0x1.f9497f91fd023p+1", "0x1.79e8e5760305bp+1"]),
         (2.0, ["0x1.18513a1645467p-2", "0x1.449c1ac1d0430p-3", "0x1.a5e45b5c548ddp-3",
-               "0x1.00e7570ebe215p-1", "0x1.ec8b18fea4780p-4", "-0x1.ccfcd8c81b520p-1"]),
+               "0x1.00e7570ebe215p-1", "0x1.ec8b18fea4790p-4", "-0x1.ccfcd8c81b51ep-1"]),
         (30.0, ["0x1.760d4bf2eb177p-7", "0x1.1af6e255a1e16p-13", "0x1.bbdb294b71726p-20",
-                "0x1.6965e34e5d89ep-26", "-0x1.2281d384fe0fdp+2", "-0x1.3c2f7372368d2p+2"]),
+                "0x1.6965e34e5d89ep-26", "-0x1.2281d384fe0f1p+2", "-0x1.3c2f7372368c9p+2"]),
     ])
     def test_functionals(self, alpha, values):
         d = OEGammaDist(alpha, 0.179, 0.539)
