@@ -17,6 +17,7 @@ import numpy as np
 from .data import _positive_observations, load_csv, wheaton
 from .errors import DataError, NumericalError
 from .expgamma import OEGammaDist
+from .family import _hazard
 from .fit import mle_fit
 from .gof import gof_report
 from .models import get_model
@@ -281,8 +282,7 @@ def _cmd_curves(args):
         lp = np.asarray(model.log_pdf(x, theta), dtype=float)
         pdf = np.where(inside, np.exp(lp), 0.0)
         cdf = np.where(inside, np.asarray(model.cdf(x, theta), dtype=float), 0.0)
-        sf = np.asarray(model.sf(x, theta), dtype=float)
-        hazard = np.where(inside, np.where(sf > 0.0, pdf / sf, np.nan), 0.0)
+        hazard = _hazard(lp, np.asarray(model.sf(x, theta), dtype=float))
     lines = ["x\tpdf\tcdf\thazard\n"]
     for xi, pi, ci, hi in zip(x, pdf, cdf, hazard):
         lines.append(f"{_fmt10(xi)}\t{_fmt10(pi)}\t{_fmt10(ci)}\t{_fmt10(hi)}\n")

@@ -125,6 +125,16 @@ def _probabilities(q, who, name):
     return q, scalar
 
 
+def _hazard(log_pdf, sf):
+    """The hazard exp(log_pdf - ln sf) where sf >= the least normal
+    number, nan elsewhere: a subnormal sf has lost digits and sf = 0 has
+    none. Below the support log_pdf = -inf and sf = 1 give 0, so no
+    support test is needed. GammaRatioDist.hazard and the CLI's curves
+    both take it."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        return np.where(sf >= _TINY, np.exp(log_pdf - np.log(sf)), np.nan)
+
+
 def _log_sf_of_log_odds(log_w):
     """ln(w/(1 + w)) = -softplus(-ln w) = min(ln w, 0) - log1p(e^-|ln w|)
     from an array ln w: -np.logaddexp(0, -ln w), which forms it one
@@ -507,20 +517,11 @@ class GammaRatioDist:
         return _restore(val, scalar)
 
     def hazard(self, x):
-        """h(x) / (1 - H(x)) with the survival taken from sf."""
+        """h(x) / (1 - H(x)) by _hazard from log_pdf and sf: 0 below the
+        support, nan where sf is not a normal number (at and past the
+        top of the support, and where sf has lost digits) and for nan."""
         x_arr, scalar = _as_float_array(x)
-        lo, hi = self.base.support
-        if not np.all((x_arr > lo) & (x_arr < hi)):
-            raise ValueError("hazard requires x strictly inside the support")
-        surv = self.sf(x_arr)
-        if np.any(surv < 1e-300):
-            raise NumericalError(
-                "hazard overflow: 1 - cdf fell below 1e-300 "
-                f"(smallest survival {np.min(surv):.3g})"
-            )
-        with np.errstate(over="ignore", under="ignore"):
-            val = np.exp(self.log_pdf(x_arr)) / surv
-        return _restore(val, scalar)
+        return _restore(_hazard(self.log_pdf(x_arr), self.sf(x_arr)), scalar)
 
     # ---------------- inverses and sampling ----------------
 
@@ -840,16 +841,13 @@ class GammaRatioDist:
         """
         eta = _validate_renyi_order(eta, "renyi_entropy")
         p = eta - 1.0
-        shift = []
+        # level 0's first head node is u = 1/2
+        c = p * float(self.log_pdf(self._nodes(0)[0][:1])[0])
+        c = c if math.isfinite(c) else 0.0
 
         def f(x):
-            p_log_h = p * self.log_pdf(x)
-            if not shift:
-                # the first call is level 0's, whose first node is u = 1/2
-                first = float(p_log_h[0]) if p_log_h.size else 0.0
-                shift.append(first if math.isfinite(first) else 0.0)
             with np.errstate(over="ignore", under="ignore"):
-                return np.expm1(p_log_h - shift[0])
+                return np.expm1(p * self.log_pdf(x) - c)
 
         try:
             mean = self._expect(f, f"renyi_entropy(eta={eta:.6g})")
@@ -861,9 +859,9 @@ class GammaRatioDist:
         if not mean > -1.0:
             raise NumericalError(
                 f"renyi_entropy(eta={eta:.6g}): integral evaluated to "
-                f"{1.0 + mean:.3g} times e^{shift[0]:.6g}"
+                f"{1.0 + mean:.3g} times e^{c:.6g}"
             )
-        return -(shift[0] + math.log1p(mean)) / p
+        return -(c + math.log1p(mean)) / p
 
     # ---------------- formal series evaluators ----------------
 

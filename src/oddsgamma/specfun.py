@@ -220,8 +220,9 @@ _CF_2J1 = 2.0 * _CF_J + 1.0
 # where that costs less than its numpy loop's fixed cost of 3 calls a term
 _CF_LOOP_MAX = 64
 # the forward power series sum their terms as a (terms, points) array up
-# to this many points, where that costs less than their numpy loop
-_ACCUMULATE_MAX = 2048
+# to this many points; at a = 0.131 that takes about half the loop's time
+# at 72 points, about as long near 256, and 2 to 6 times as long from 1,024
+_ACCUMULATE_MAX = 256
 _EULER = 0.5772156649015329
 _HALF_LOG_2PI = 0.9189385332046728
 _MACHEP = 2.0 ** -53
@@ -743,8 +744,9 @@ def _igamc_series(k, x):
     Q to them. Up to _ACCUMULATE_MAX points the terms are one
     multiply.accumulate and the sum one add.accumulate down a (terms,
     points) array, both sequential along it, so each point meets the
-    loop's operations in the loop's order: the same bits at a fraction
-    of the loop's cost per call.
+    loop's operations in the loop's order: the same bits, at less than
+    the loop's cost on small calls, where the loop's fixed cost per
+    numpy call dominates; on larger calls the loop costs less.
     """
     a, n_max = k.a, k.igamc_terms
     if x.size <= _ACCUMULATE_MAX:

@@ -248,6 +248,10 @@ class TestCurves:
         ("m2", M2, 5000.0),
         ("m6", "0.9,0.086", 20000.0),
         ("m1", "0.84,0.0687", 15000.0),
+        # a subnormal survival has lost digits: the true hazards are
+        # k rate^k x^(k-1) = 0.0371499 and, by mpmath, 0.0687
+        ("m6", "0.9,0.086", 17920.0),
+        ("m1", "0.84,0.0687", 10800.0),
     ])
     def test_hazard_is_nan_where_the_survival_underflows(self, capsys, model, params, x):
         code, out, _ = run_cli(capsys, "curves", "--model", model, "--params", params,
@@ -256,6 +260,13 @@ class TestCurves:
         row = out.splitlines()[1].split("\t")
         assert row[2] == "1"
         assert row[3] == "nan"
+
+    def test_m2_hazard_column_is_the_library_hazard(self, capsys):
+        code, out, _ = run_cli(capsys, "curves", "--model", "m2", "--params", M2,
+                               "--grid", "0.1:30:200")
+        assert code == 0
+        want = OEGammaDist(0.131, 0.179, 0.539).hazard(np.linspace(0.1, 30.0, 200))
+        assert [ln.split("\t")[3] for ln in out.splitlines()[1:]] == [_fmt10(h) for h in want]
 
     def test_params_that_do_not_parse(self, capsys):
         code, _, err = run_cli(capsys, "curves", "--model", "m2",

@@ -13,7 +13,6 @@ from oddsgamma import (
     DataError,
     DivergenceError,
     GammaRatioDist,
-    NumericalError,
     OEGammaDist,
     SeriesControl,
     SeriesResult,
@@ -88,8 +87,8 @@ class TestClosedFormSubclass:
         assert d != d.as_family()
 
     def test_hazard_at_infinity_is_outside_support(self):
-        with pytest.raises(ValueError, match="strictly inside the support"):
-            OEGammaDist(1.0, 1.0, 1.0).hazard(np.inf)
+        # at the top of the support sf = 0, and the hazard is nan
+        assert math.isnan(OEGammaDist(1.0, 1.0, 1.0).hazard(np.inf))
 
 
 class TestClosedForms:
@@ -190,11 +189,25 @@ class TestClosedForms:
         )
 
     def test_hazard_domain_and_overflow(self):
+        # 0 at the bottom of the support; at 700 sf ~ 9.9e-305 is normal
+        # and the hazard is lam = 1; at 709 sf ~ 1.2e-308 is subnormal and
+        # at 720 the odds underflow to sf = 0, so both are nan, as are
+        # +inf and nan; a scalar gives its array entry as a float
         d = OEGammaDist(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="strictly inside the support"):
-            d.hazard(0.0)
-        with pytest.raises(NumericalError, match="hazard overflow"):
-            d.hazard(700.0)
+        x = np.array([0.0, 700.0, 709.0, 720.0, np.inf, np.nan])
+        got = d.hazard(x)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(1.0, rel=1e-13)
+        assert np.isnan(got[2:]).all()
+        assert 0.0 < d.sf(709.0) < np.finfo(float).tiny <= d.sf(700.0)
+        for xi, hi in zip(x, got):
+            h = d.hazard(float(xi))
+            assert type(h) is float and (h == hi or math.isnan(h) and math.isnan(hi))
+
+    def test_hazard_is_nan_where_the_flood_law_survival_is_zero(self):
+        d = OEGammaDist(*M2_PARAMS)
+        assert d.sf(1370.0) == 0.0
+        assert math.isnan(d.hazard(1370.0))
 
     def test_quantile_at_exp_minus_one(self):
         assert OEGammaDist(1.0, 1.0, 1.0).quantile(math.exp(-1.0)) == pytest.approx(
@@ -216,7 +229,7 @@ class TestGenericAgreement:
             oe = OEGammaDist(a, b, lam)
             gen = GammaRatioDist(a, b, make_exponential(lam))
             xs = rng.uniform(0.05, 20.0 / lam, size=20)
-            xs = xs[oe.sf(xs) >= 1e-300]  # hazard raises past that
+            xs = xs[oe.sf(xs) >= np.finfo(float).tiny]  # hazard is nan past that
             for name in self.MAPS:
                 got, want = getattr(oe, name)(xs), getattr(gen, name)(xs)
                 assert np.array_equal(got, want), (name, a, b, lam)

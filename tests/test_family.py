@@ -149,13 +149,19 @@ class TestHazard:
             if surv > 1e-12:
                 assert d.hazard(x) * surv == pytest.approx(d.pdf(x), rel=1e-9)
 
-    def test_requires_interior_point(self):
-        with pytest.raises(ValueError, match="strictly inside"):
-            dist(1.0, 1.0, 1.0).hazard(0.0)
+    def test_zero_at_and_below_the_support(self):
+        # log_pdf = -inf and sf = 1 there; no point raises
+        d = dist(1.0, 1.0, 1.0)
+        assert d.hazard(0.0) == 0.0
+        assert np.array_equal(d.hazard(np.array([-np.inf, -3.0, 0.0])), np.zeros(3))
 
     def test_deep_tail_overflow_is_reported(self):
-        with pytest.raises(NumericalError, match="hazard overflow"):
-            dist(1.0, 1.0, 1.0).hazard(700.0)
+        # a normal sf keeps the hazard (-> lam = 1 in the tail); a
+        # subnormal or zero sf reports nan for its own point only
+        got = dist(1.0, 1.0, 1.0).hazard(np.array([700.0, 709.0, 720.0, 1.0]))
+        assert got[0] == pytest.approx(1.0, rel=1e-13)
+        assert np.isnan(got[1:3]).all()
+        assert got[3] == dist(1.0, 1.0, 1.0).hazard(1.0)
 
 
 class TestSurvival:
@@ -1052,6 +1058,31 @@ class TestRenyi:
             1 - 1e-6: -0.94418048590991320388, 1 + 1e-6: -0.94418143181945540921,
         },
     }
+
+    # the exponential base's order-2 entropy in closed form, from
+    # E h(X) = lam * integral of T (1 + T/beta) f_Gamma(T)^2 dT:
+    # 2 ln Gamma(alpha) - ln Gamma(2 alpha) + alpha ln 4
+    # - log1p(alpha/beta) - ln lam, by 40-digit mpmath, with ceilings on
+    # the error relative to max(1, |H|) at today's errors; (2, 1, 3) is
+    # exact with numpy's AVX-512 kernels and one ulp off without them.
+    # At alpha = 2215.897948974487 the gamma-scale head weight dips
+    # below the normal range and recovers, and tanh_sinh re-sums levels
+    # 0-2 at level 3: the one law that takes that path
+    RENYI2 = {
+        (1e-3, 1.0, 1.0): (7.601287611036383736, 1.2e-15),
+        (0.131, 0.179, 0.539): (2.9524199320058363999, 2.5e-16),
+        (2.0, 1.0, 3.0): (-1.2163953243244931459, 2.5e-16),
+        (30.0, 1.0, 1.0): (-3.8649072980019001632, 2e-15),
+        (300.0, 0.179, 0.539): (-8.3926711758260184766, 2.2e-14),
+        (2215.897948974487, 1.0, 1.0): (-10.290002140847947528, 2e-13),
+        (1e4, 1e3, 1.0): (-5.7375408353018217239, 1.5e-12),
+    }
+
+    @pytest.mark.parametrize("prm", list(RENYI2))
+    def test_order_two_closed_form(self, prm):
+        want, ceiling = self.RENYI2[prm]
+        got = OEGammaDist(*prm).renyi_entropy(2.0)
+        assert abs(got - want) <= ceiling * max(1.0, abs(want)), (got, want)
 
     @pytest.mark.parametrize("prm", list(NEAR_ONE))
     def test_near_order_one(self, prm):

@@ -9,6 +9,7 @@ regression anchor.
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +110,16 @@ class TestPlainStatistics:
             [np.linspace(0.05, 0.95, 19), [1e-12]]))
         assert bad > good + 1.0
 
-    def test_clamp_warning_below_log_floor(self):
-        with pytest.warns(RuntimeWarning, match="clamped before taking logs"):
-            anderson_darling([1e-320, 0.5, 0.9])
+    def test_subnormal_value_takes_its_own_log(self):
+        # the log of every positive double is finite: a subnormal PIT
+        # value enters A2 as it is, with no clamp and no warning
+        z = np.array([1e-320, 0.5, 0.9])
+        logs = np.log(z) + np.log(1.0 - z[::-1])
+        plain = float(-3 - np.add.reduce(np.array([1.0, 3.0, 5.0]) * logs) / 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert anderson_darling(z) == plain
+        assert np.log(1e-320) < np.log(1e-300)
 
 
 class TestValidation:
