@@ -48,7 +48,7 @@ windowed_quad = None
 _TINY = np.finfo(float).tiny
 # exp(v) rounds to 0 for every v <= -750, below log(2^-1075) = -745.13
 _EXP_ZERO = -750.0
-# inner terms j per tau quadrature; deeper shells go in j-ordered blocks
+# columns per tau call: a shell's j-ordered blocks, and the j = 0 rule's cap
 _TAU_BLOCK = 256
 # shell-over-shell growth factor that fires a series' divergence flag
 _DIVERGENCE_RATIO = 10.0
@@ -88,8 +88,9 @@ class SeriesResult:
     value is the partial sum reached (nan when a term could not be
     evaluated at all). terms_used is (k, j): k the number of shells
     summed into value, and j the most inner terms any one shell reached,
-    the term that aborted a shell included; a shell whose sum could not change the verdict (see
-    GammaRatioDist._tau_series) sums none.
+    the term that aborted a shell included; a tau series whose shell k
+    has a nan j = 0 column sums no shell and reports (k, 1) (see
+    GammaRatioDist._tau_series).
     converged is True only when the last retained shell fell below
     tail_tol relative to the partial sum and no divergence flag fired.
     diagnostic explains any failure, and is empty exactly when converged
@@ -873,16 +874,12 @@ class GammaRatioDist:
         _truncate_inner. A block of j asks tau, in one call, only for the
         offsets the table lacks, and reads its values back by slicing.
         The first j whose tau is nan aborts the whole evaluation via the
-        note channel, unless the truncation stopped before it. No
-        truncation stops before j = 0, so column j = 0 is ruled on first,
-        alone: where it is nan the shell aborts without integrating a
-        block. Both series' r grows with j, so column 0 is the most
-        singular one, and that is where their shells abort.
+        note channel, unless the truncation stopped before it; a nan
+        column 0 aborts the shell with nothing summed. In a series the
+        shells reached all have a finite column 0 (see _tau_series).
         """
         r, _, verdicts, _ = table
         first = ctrl.k_max - 1 - k  # the table index of this shell's j = 0
-        if np.isnan(self._tau_columns(m, eta, table, first, first + 1)[0]):
-            return 0.0, 1, False, _tau_note(k, 0, m, eta, r[first], verdicts[first])
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
@@ -892,7 +889,7 @@ class GammaRatioDist:
             good = bad[0] if bad.size else tau.size
             with np.errstate(over="ignore", invalid="ignore"):
                 terms = np.concatenate((terms, coef[start:start + good] * tau[:good]))
-            partial, used, ok = _truncate_inner(terms, ctrl)
+            partial, used, ok = _truncate_inner(terms, ctrl) if terms.size else (0.0, 0, False)
             if ok:
                 return partial, used, True, None
             if bad.size:
@@ -921,25 +918,28 @@ class GammaRatioDist:
         shell k is the column at offset j - k of one table, which every
         shell of the evaluation reads, so each offset is integrated once.
 
-        No shell before k = 1 can end the sum with a value (see
-        _sum_shells). So shell 0's own column 0 is ruled on first, as its
-        shell would, then shell 1's column 0, offset -1, alone; where that
-        is nan the evaluation ends at shell 1's note, and shell 0
-        contributes 0 from 0 terms without integrating a block. A nan
-        later in shell 0, whose note would have come first, is then not
-        looked for.
+        A term that is not integrable makes the expansion formal wherever
+        its truncation would stop, so column j = 0 of every shell k <
+        k_max, offset -k, the shell's most singular (r grows with j), is
+        ruled on before any shell is summed: offsets 0, -1, -2, ... in
+        tau calls of 1, 2, 4, ... columns, at most _TAU_BLOCK, up to the
+        first nan one. Where shell k's is nan the result is its note, a
+        nan value and terms_used (k, 1).
         """
         table = _tau_table(ctrl, c)
-        zero = ctrl.k_max - 1  # the table index of offset 0
-
-        def inner(k):
-            if (k == 0 and ctrl.k_max > 1
-                    and not np.isnan(self._tau_columns(m, eta, table, zero, zero + 1)[0])
-                    and np.isnan(self._tau_columns(m, eta, table, zero - 1, zero)[0])):
-                return 0.0, 0, False, None
-            return self._tau_inner(k, ctrl, m, eta, *shell(k), table)
-
-        return _sum_shells(inner, ctrl)
+        r, _, verdicts, _ = table
+        k, width = 0, 1
+        while k < ctrl.k_max:
+            n = min(width, ctrl.k_max - k)
+            top = ctrl.k_max - 1 - k  # the table index of offset -k
+            tau = self._tau_columns(m, eta, table, top + 1 - n, top + 1)
+            bad = np.flatnonzero(np.isnan(tau[::-1]))
+            if bad.size:
+                k, i = k + int(bad[0]), top - int(bad[0])
+                note = _tau_note(k, 0, m, eta, r[i], verdicts[i])
+                return SeriesResult(math.nan, (k, 1), False, note)
+            k, width = k + n, min(2 * width, _TAU_BLOCK)
+        return _sum_shells(lambda k: self._tau_inner(k, ctrl, m, eta, *shell(k), table), ctrl)
 
     def moment_series(self, m, ctrl=None):
         """Formal double-sum expansion of the raw moment of order m.

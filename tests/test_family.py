@@ -1190,8 +1190,8 @@ class TestBatchedTauInner:
         ((0.6, 0.05, 1.0), 0, 1, 0.0, 1.6, DEFAULT_CONTROL, None, None),
         # an entropy shell's binomial C(eta (alpha - 1) + k, j)
         ((0.6, 0.05, 1.3), 1, 0, 1.0, -0.5, DEFAULT_CONTROL, 2.0, None),
-        # column j = 0 not integrable, so a tau of that column alone
-        # decides: a moment shell of order 1, r = j - alpha - k - 1 ...
+        # column j = 0 not integrable, so the shell aborts there with
+        # nothing summed: a moment shell of order 1, r = j - alpha - k - 1 ...
         ((0.6, 0.05, 1.0), 1, 1, 0.0, 1.6, DEFAULT_CONTROL, None, None),
         # ... and an order-2 entropy shell, r = j - eta (alpha + 1) - k
         ((0.6, 0.05, 1.3), 0, 0, 1.0, 3.2, DEFAULT_CONTROL, 2.0, None),
@@ -1220,7 +1220,8 @@ class TestBatchedTauInner:
 # three points of the benchmark's series design (seed 101, ops 0, 1, 4)
 # and the r of each series' aborting term, pinned when tau ran on an
 # adaptive Gauss-Legendre engine with a Cauchy window verdict, before
-# the j = 0 probe existed; the tanh-sinh verdicts reproduce them
+# any j = 0 column was ruled on ahead of the sum; the tanh-sinh
+# verdicts reproduce them
 SERIES_DESIGN_PINS = [
     ((0.1424794840723003, 0.14194181322263508, 1.1988089867236236),
      [-2.14248, -3.14248, -2.28496]),
@@ -1238,14 +1239,14 @@ def _series_op(d):
 class TestSeriesDesignPins:
     """moment_series(1), moment_series(2) and renyi_series(2) at design
     points of the benchmark's series workload: every one aborts at the
-    j = 0 term of one shell. moment_series(2)'s shells before it ran to
-    j_max; moment_series(1)'s shell 0 sums nothing, because shell 1's
-    j = 0 column is ruled not integrable before shell 0's blocks."""
+    j = 0 term of one shell, k* = max(0, ceil(m - alpha)) for the
+    moments, and sums no shell, because every shell's j = 0 column is
+    ruled on before any block is integrated."""
 
     @pytest.mark.parametrize("prm, r0", SERIES_DESIGN_PINS)
     def test_pinned_results(self, prm, r0):
         results = _series_op(dist(*prm))
-        terms = [(1, 1), (2, 200), (0, 1)]
+        terms = [(1, 1), (2, 1), (0, 1)]
         tau_args = [(1, 1, 0), (2, 2, 0), (0, 0, 1)]  # (k, m, eta) of the aborting shell
         for res, used, r, (k, m, eta) in zip(results, terms, r0, tau_args):
             assert math.isnan(res.value)
@@ -1281,8 +1282,8 @@ class TestSeriesDesignPins:
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_first_moment_integrates_no_block(self, monkeypatch, prm):
-        # moment_series(1) asks tau for shell 0's column 0 and then for
-        # shell 1's column 0, one column a call, and for nothing else
+        # moment_series(1) asks tau for shell 0's column 0, then for
+        # shell 1's and shell 2's in one call, and for nothing else
         seen = []
         tau = GammaRatioDist.tau
 
@@ -1292,12 +1293,12 @@ class TestSeriesDesignPins:
 
         monkeypatch.setattr(GammaRatioDist, "tau", spy)
         assert dist(*prm).moment_series(1).terms_used == (1, 1)
-        assert seen == [1, 1]
+        assert seen == [1, 2]
 
 
 class TestSeriesWork:
     """Integrand values (nodes times columns) counted through the module
-    global family.tanh_sinh, which every tau quadrature, the j = 0 probe
+    global family.tanh_sinh, which every tau quadrature, the j = 0 rule
     included, calls: a deterministic count that shows a regression noisy
     timings hide."""
 
@@ -1320,32 +1321,33 @@ class TestSeriesWork:
         return seen
 
     def test_aborting_shell_evaluates_one_column_at_level_zero(self, runs):
-        prm = SERIES_DESIGN_PINS[0][0]
-        d = dist(*prm)
-        a = d.alpha
-        # the k = 1 shell of moment_series(1), r = (j - 1) - (alpha + 1)
-        ctrl = DEFAULT_CONTROL
-        out = d._tau_inner(1, ctrl, 1, 0.0, -0.7, a, _tau_table(ctrl, a + 1.0))
-        assert out[:3] == (0.0, 1, False)
-        assert len(runs) == 1
-        [(n, columns)] = runs[0]
+        d = dist(*SERIES_DESIGN_PINS[0][0])
+        # with two shells, moment_series(1) rules on offset 0 and then
+        # on shell 1's column 0 alone, r = -1 - (alpha + 1), which
+        # diverges at the rule's first level
+        res = d.moment_series(1, SeriesControl(k_max=2))
+        assert res.terms_used == (1, 1) and res.diagnostic.startswith("term (k=1, j=0)")
+        assert len(runs) == 2
+        [(n, columns)] = runs[1]
         assert columns == 1
         assert 0 < n <= 2 * quadrature.tanh_sinh_levels(0).size
 
     def test_series_op_value_count(self, runs):
-        # exactly the nodes the bit-identical results need: 78,890
-        # values in 7 tanh_sinh runs. Before shell 1's j = 0 column was
-        # ruled on ahead of shell 0's blocks it took 156,898 in 8 runs,
-        # before the shells shared their tau columns 236,082 in 9, and
-        # on the adaptive Gauss-Legendre engine before that 921,975.
+        # only the j = 0 columns the verdicts need: 1,078 values in 5
+        # tanh_sinh runs. Before every shell's j = 0 column was ruled on
+        # ahead of the sum it took 78,890 in 7 runs (moment_series(2)
+        # summed shells 0 and 1 to j_max before aborting at shell 2),
+        # before shell 1's alone was 156,898 in 8, before the shells
+        # shared their tau columns 236,082 in 9, and on the adaptive
+        # Gauss-Legendre engine before that 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
-        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 78_890
-        assert len(runs) == 7
+        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 1_078
+        assert len(runs) == 5
 
     def test_series_op_evaluates_the_base_once_per_level(self, runs):
         # every tau of the op reads log G1 (and log g1) at a level's
         # nodes from one memo per distribution: the base's cdf runs once
-        # per level reached (3), where each integrand call ran it (12)
+        # per level reached (2), where each integrand call ran it (8)
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
         calls = {"cdf": 0, "log_pdf": 0}
@@ -1359,36 +1361,71 @@ class TestSeriesWork:
         d = GammaRatioDist(a, b, dataclasses.replace(
             base, cdf=counted("cdf"), log_pdf=counted("log_pdf")))
         results = _series_op(d)
-        assert sum(len(shapes) for shapes in runs) == 12
-        assert len(d._base_abscissae) == 3
-        assert calls["cdf"] == 3
+        assert sum(len(shapes) for shapes in runs) == 8
+        assert len(d._base_abscissae) == 2
+        assert calls["cdf"] == 2
         assert 0 < calls["log_pdf"] <= calls["cdf"]
         assert [(r.terms_used, r.diagnostic) for r in results] == [
             (r.terms_used, r.diagnostic) for r in _series_op(dist(a, b, lam))]
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
-        # shell 1's columns j >= 1 are shell 0's columns j - 1, and its
-        # probe, column 0, is ruled on alone before shell 0 runs, right
-        # after shell 0's own probe
-        shell_runs = {}
+        # shell 2's column 0 is not integrable, so no shell is summed:
+        # offset 0 is ruled on alone, then offsets -1 and -2, the
+        # column 0 of shells 1 and 2, in one two-column run
+        shells = []
+        monkeypatch.setattr(GammaRatioDist, "_tau_inner", lambda *args: shells.append(args))
+        assert dist(*prm).moment_series(2).terms_used == (2, 1)
+        assert shells == []
+        assert [{columns for _, columns in shapes} for shapes in runs] == [{1}, {2}]
+
+    # (law, order (None: renyi_series(0.3)), control, result) where no
+    # shell's j = 0 column below k_max is nan, the result pinned from the
+    # code that summed shells before ruling on any column
+    UNCHANGED = [
+        ((0.131, 0.7, 1.3), 6, SeriesControl(5, 2000, 1e-3),
+         ("0x1.bdca7e97af82dp+11", (3, 653), True, "")),
+        ((0.6, 0.7, 1.3), 3, SeriesControl(3, 200, 1e-6),
+         ("0x1.e2a315097a8a4p+2", (3, 200), False,
+          "k_max=3 shells consumed before the tail criterion was met")),
+        ((0.131, 0.7, 1.3), 6, SeriesControl(6, 200, 1e-6),
+         ("0x1.8bf1591bf38b0p+10", (4, 200), False,
+          "an inner sum hit j_max=200 before its tail criterion")),
+        (SERIES_DESIGN_PINS[0][0], 2, SeriesControl(k_max=2),
+         ("0x1.cce345ca143efp+1", (2, 200), False,
+          "k_max=2 shells consumed before the tail criterion was met")),
+        ((0.5, 0.7, 1.3), None, SeriesControl(k_max=1),
+         ("0x1.05abcd42e9d72p+1", (1, 200), False,
+          "k_max=1 shells consumed before the tail criterion was met")),
+    ]
+
+    @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
+    def test_sum_without_a_nan_column_is_unchanged(self, runs, monkeypatch, prm, m, ctrl, want):
+        # the rule on the j = 0 columns takes at most ceil(log2 k_max) + 1
+        # tanh_sinh runs ahead of the first shell
+        first = []
         tau_inner = GammaRatioDist._tau_inner
 
-        def spy(self, k, *args, **kwargs):
-            start = len(runs)
-            shell_runs.setdefault("before", runs[:start])
-            out = tau_inner(self, k, *args, **kwargs)
-            shell_runs[k] = runs[start:]
-            return out
+        def spy(self, *args):
+            first.append(len(runs))
+            return tau_inner(self, *args)
 
         monkeypatch.setattr(GammaRatioDist, "_tau_inner", spy)
-        assert dist(*prm).moment_series(2).terms_used == (2, 200)
-        assert len(shell_runs["before"]) == 2
-        assert all(columns == 1 for shapes in shell_runs["before"] for _, columns in shapes)
-        assert shell_runs[1] == []
+        d = dist(*prm)
+        res = d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
+        assert (res.value.hex(), res.terms_used, res.converged, res.diagnostic) == want
+        assert 1 <= first[0] <= math.ceil(math.log2(ctrl.k_max)) + 1
+
+    def test_huge_k_max_ends_at_the_first_formal_shell(self, runs):
+        # the rule reads offsets 0 and then -1, -2 and stops at shell 2's
+        # nan column: two runs, far below ceil(log2 k_max) + 1 = 18
+        res = dist(*SERIES_DESIGN_PINS[0][0]).moment_series(2, SeriesControl(k_max=100_000))
+        assert math.isnan(res.value) and res.converged is False
+        assert res.terms_used == (2, 1) and res.diagnostic.startswith("term (k=2, j=0)")
+        assert len(runs) == 2
 
     def test_series_op_maps_each_level_through_the_base_once(self, runs):
-        # every tau of the op, the j = 0 probes included, reads the
+        # every tau of the op, the j = 0 rule's included, reads the
         # base's abscissae from one memo per distribution
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
@@ -1405,7 +1442,7 @@ class TestSeriesWork:
         _series_op(d)
         assert len(runs) > 3  # many tau quadratures share the memo
         levels = [quadrature.tanh_sinh_levels(level).size for level in sorted(d._base_abscissae)]
-        assert len(levels) == 3
+        assert len(levels) == 2
         assert calls == {"quantile": levels, "isf": levels}
 
 
@@ -1416,6 +1453,44 @@ SERIES_GRID = [
     for b in (0.05, 0.3, 1.0, 5.0)
     for lam in (0.5, 1.0, 2.0)
 ]
+
+
+# the exponential-base laws of the series honesty grid: 7 x 4 x 4
+EXP_SERIES_GRID = [
+    (a, b, lam)
+    for a in (0.01, 0.131, 0.6, 1.5, 2.5, 5.0, 30.0)
+    for b in (1e-6, 1e-3, 0.05, 1.0)
+    for lam in (1e-3, 0.539, 1.0, 10.0)
+]
+
+
+class TestExpSeriesGrid:
+    """On the exponential base x^m ~ (u/lam)^m as u -> 0, so shell k's
+    column 0, tau(m, 0, -k - (alpha + 1)), is not integrable from
+    k* = max(0, ceil(m - alpha)) on, and the order-2 entropy's,
+    tau(0, 1, -2 (alpha + 1) - k), at every shell. The j = 0 columns
+    are ruled on before any shell is summed, so every moment and
+    entropy series there is the note of shell k*, with a nan value. The
+    tail test once called 200 of these cells converged, off quadrature
+    by 6.9e-4 to 2.7 relative."""
+
+    @pytest.mark.parametrize("ctrl", [None, SeriesControl(60, 20000, 1e-6),
+                                      SeriesControl(60, 2000, 0.1)])
+    def test_every_series_is_its_first_formal_shell(self, ctrl):
+        misses = []
+        for a, b, lam in EXP_SERIES_GRID:
+            d = dist(a, b, lam)
+            for m in (1, 2, 3, 6, None):
+                if m is None:
+                    k, res = 0, d.renyi_series(2.0, ctrl)
+                    head = f"term (k=0, j=0) needs tau(m=0, eta=1, r={-2.0 * (a + 1.0):.6g}), "
+                else:
+                    k, res = max(0, math.ceil(m - a)), d.moment_series(m, ctrl)
+                    head = f"term (k={k}, j=0) needs tau(m={m}, eta=0, r={-k - (a + 1.0):.6g}), "
+                if not (math.isnan(res.value) and res.converged is False
+                        and res.terms_used == (k, 1) and res.diagnostic.startswith(head)):
+                    misses.append(((a, b, lam), m, res))
+        assert misses == []
 
 
 class TestSharedTauColumns:
@@ -1472,18 +1547,21 @@ class TestSharedTauColumns:
             return tau(self, m, eta, r, errors_out)
 
         monkeypatch.setattr(GammaRatioDist, "tau", spy)
-        wide = SeriesControl(j_max=600)
+        wide, two = SeriesControl(j_max=600), SeriesControl(k_max=2, j_max=600)
         for prm, _ in SERIES_DESIGN_PINS:
             d = dist(*prm)
             for evaluate in (lambda: d.moment_series(1), lambda: d.moment_series(2),
-                             lambda: d.moment_series(2, wide), lambda: d.renyi_series(2.0)):
+                             lambda: d.moment_series(2, wide), lambda: d.moment_series(2, two),
+                             lambda: d.renyi_series(2.0)):
                 seen.append([])
                 evaluate()
                 assert len(seen[-1]) == len(set(seen[-1]))
-        # moment_series(2) at j_max = 600, in three blocks: shell 0's 600
-        # columns, and shell 1's and shell 2's probes, the only offsets
-        # they lack
-        assert [len(r) for r in seen[2::4]] == [602, 602, 602]
+        # moment_series(2) at j_max = 600: the column 0 of shells 0-2,
+        # where shell 2's ends it; with two shells, whose column 0 are
+        # both integrable, shell 0's 600 columns in three blocks and
+        # shell 1's column 0, the only offset shell 0 lacks
+        assert [len(r) for r in seen[2::5]] == [3, 3, 3]
+        assert [len(r) for r in seen[3::5]] == [601, 601, 601]
 
     def test_table_r_is_each_shells_r_bit_for_bit(self):
         # column j of shell k sits at offset j - k; its r is the one the
@@ -1544,7 +1622,7 @@ class TestSeriesGolden:
         for res in results:
             digest.update(repr(res.terms_used).encode())
         assert digest.hexdigest() == (
-            "0b866a1c8dcc7c5ab26392ce88d4aeae818732bdd12688e486dcb71b4e0337f1")
+            "40be4c0eadff44b6bd2a56e7db824552709c0da5eb940e175c924708cd1adcc8")
 
     @pytest.mark.usefixtures("avx512_bits")
     def test_tau_columns_digest(self):
