@@ -48,7 +48,8 @@ windowed_quad = None
 _TINY = np.finfo(float).tiny
 # exp(v) rounds to 0 for every v <= -750, below log(2^-1075) = -745.13
 _EXP_ZERO = -750.0
-# columns per tau call: a shell's j-ordered blocks, and the j = 0 rule's cap
+# columns per tau call: a shell's j-ordered blocks, and the cap of the j = 0
+# rule's calls, which start at m + 1 columns for x^m and double
 _TAU_BLOCK = 256
 # shell-over-shell growth factor that fires a series' divergence flag
 _DIVERGENCE_RATIO = 10.0
@@ -677,19 +678,24 @@ class GammaRatioDist:
         for every entry, nan where it is not integrable or the nodes
         cannot resolve it; errors_out (a list, extended in place), when
         given, then receives each entry's verdict: None, or the
-        DivergenceError or NumericalError that made it nan. For a scalar
-        r a non-integrable tau raises DivergenceError naming (m, eta, r),
-        and an unresolved one NumericalError. A non-finite eta or entry
-        of r raises ValueError.
+        DivergenceError or NumericalError that made it nan. An empty r
+        gives an empty array, and no verdict. For a scalar r a
+        non-integrable tau raises DivergenceError naming (m, eta, r), and
+        an unresolved one NumericalError. A non-finite eta or entry of r,
+        or an r of two or more dimensions, raises ValueError.
         """
         m = _validate_order(m, "tau")
         eta = float(eta)
         if not math.isfinite(eta):
             raise ValueError(f"tau requires a finite eta, got eta = {eta}")
+        if np.ndim(r) > 1:
+            raise ValueError(f"tau requires a scalar or 1-D r, got shape {np.shape(r)}")
         r_vec = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.isfinite(r_vec).all():
             bad = float(r_vec[~np.isfinite(r_vec)][0])
             raise ValueError(f"tau requires a finite r, got r = {bad}")
+        if not r_vec.size:
+            return np.empty(0)
         base = self.base
         signed = m % 2 == 1 and base.support[0] < 0.0
 
@@ -921,14 +927,19 @@ class GammaRatioDist:
         A term that is not integrable makes the expansion formal wherever
         its truncation would stop, so column j = 0 of every shell k <
         k_max, offset -k, the shell's most singular (r grows with j), is
-        ruled on before any shell is summed: offsets 0, -1, -2, ... in
-        tau calls of 1, 2, 4, ... columns, at most _TAU_BLOCK, up to the
-        first nan one. Where shell k's is nan the result is its note, a
-        nan value and terms_used (k, 1).
+        ruled on before any shell is summed: offsets 0, -1, -2, ... up to
+        the first nan one, in tau calls of m + 1, 2(m + 1), 4(m + 1), ...
+        columns, at most _TAU_BLOCK. On the exponential base shell k's
+        column 0 goes like x^(m - k - alpha - 1) at the head, so the
+        first call, shells 0..m, holds the first formal shell
+        max(0, ceil(m - alpha)) of every moment series there; a column's
+        value and verdict do not depend on the others in its call. Where
+        shell k's is nan the result is its note, a nan value and
+        terms_used (k, 1).
         """
         table = _tau_table(ctrl, c)
         r, _, verdicts, _ = table
-        k, width = 0, 1
+        k, width = 0, min(m + 1, _TAU_BLOCK)
         while k < ctrl.k_max:
             n = min(width, ctrl.k_max - k)
             top = ctrl.k_max - 1 - k  # the table index of offset -k
@@ -1049,12 +1060,15 @@ class GammaRatioDist:
 
         Refuses integer alpha, where the coefficient 1/(j - alpha - k)
         hits a pole; the Q-based cdf is always the production route.
+        x is one point: an array, even of one entry, raises ValueError.
         """
         if float(self.alpha).is_integer():
             raise ValueError(
                 "cdf_series is undefined at integer alpha (pole at j = alpha + k); "
                 "use cdf"
             )
+        if np.ndim(x) != 0:
+            raise ValueError(f"cdf_series requires a scalar x, got shape {np.shape(x)}")
         ctrl = ctrl or DEFAULT_CONTROL
         a, b = self.alpha, self.beta
         g = float(self.base.cdf(x))

@@ -370,6 +370,15 @@ class TestTau:
         with pytest.raises(ValueError, match=f"^tau requires a finite .*, got {bad}$"):
             dist(1.0, 1.0, 1.0).tau(1, eta, r, errors_out=[])
 
+    def test_empty_r_gives_an_empty_array(self):
+        errors = []
+        got = dist(0.6, 0.05, 1.0).tau(1, 0.0, np.array([]), errors_out=errors)
+        assert got.shape == (0,) and errors == []
+
+    def test_two_dimensional_r_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"scalar or 1-D r, got shape \(2, 3\)"):
+            dist(0.6, 0.05, 1.0).tau(1, 0.0, np.zeros((2, 3)))
+
     def test_support_below_zero_keeps_the_sign(self):
         # x = logit(u), so tau(m, 0, r) is the integral of logit(u)^m u^r
         # over (0, 1)
@@ -1282,8 +1291,8 @@ class TestSeriesDesignPins:
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_first_moment_integrates_no_block(self, monkeypatch, prm):
-        # moment_series(1) asks tau for shell 0's column 0, then for
-        # shell 1's and shell 2's in one call, and for nothing else
+        # moment_series(1) asks tau for the column 0 of shells 0 and 1
+        # in one call, and for nothing else: shell 1's ends it
         seen = []
         tau = GammaRatioDist.tau
 
@@ -1293,7 +1302,7 @@ class TestSeriesDesignPins:
 
         monkeypatch.setattr(GammaRatioDist, "tau", spy)
         assert dist(*prm).moment_series(1).terms_used == (1, 1)
-        assert seen == [1, 2]
+        assert seen == [2]
 
 
 class TestSeriesWork:
@@ -1322,32 +1331,40 @@ class TestSeriesWork:
 
     def test_aborting_shell_evaluates_one_column_at_level_zero(self, runs):
         d = dist(*SERIES_DESIGN_PINS[0][0])
-        # with two shells, moment_series(1) rules on offset 0 and then
-        # on shell 1's column 0 alone, r = -1 - (alpha + 1), which
-        # diverges at the rule's first level
-        res = d.moment_series(1, SeriesControl(k_max=2))
-        assert res.terms_used == (1, 1) and res.diagnostic.startswith("term (k=1, j=0)")
-        assert len(runs) == 2
-        [(n, columns)] = runs[1]
+        # renyi_series(2) weighs x^0, so the rule's first call is shell
+        # 0's column 0 alone, r = -2 (alpha + 1), which diverges at the
+        # rule's first level
+        res = d.renyi_series(2.0, SeriesControl(k_max=2))
+        assert res.terms_used == (0, 1) and res.diagnostic.startswith("term (k=0, j=0)")
+        [[(n, columns)]] = runs
         assert columns == 1
         assert 0 < n <= 2 * quadrature.tanh_sinh_levels(0).size
+        # moment_series(1) rules on shells 0 and 1 in one call, which
+        # runs until shell 0's column settles at level 1; shell 1's ends
+        # the series
+        runs.clear()
+        res = d.moment_series(1, SeriesControl(k_max=2))
+        assert res.terms_used == (1, 1) and res.diagnostic.startswith("term (k=1, j=0)")
+        assert [[columns for _, columns in shapes] for shapes in runs] == [[2, 2]]
 
     def test_series_op_value_count(self, runs):
-        # only the j = 0 columns the verdicts need: 1,078 values in 5
-        # tanh_sinh runs. Before every shell's j = 0 column was ruled on
-        # ahead of the sum it took 78,890 in 7 runs (moment_series(2)
-        # summed shells 0 and 1 to j_max before aborting at shell 2),
-        # before shell 1's alone was 156,898 in 8, before the shells
-        # shared their tau columns 236,082 in 9, and on the adaptive
-        # Gauss-Legendre engine before that 921,975.
+        # only the j = 0 columns the verdicts need: 1,078 values in 3
+        # tanh_sinh runs, one per series, as the rule's first call takes
+        # shells 0..m; 1,078 in 5 runs when it took shell 0 alone. Before
+        # every shell's j = 0 column was ruled on ahead of the sum it
+        # took 78,890 in 7 runs (moment_series(2) summed shells 0 and 1
+        # to j_max before aborting at shell 2), before shell 1's alone
+        # was 156,898 in 8, before the shells shared their tau columns
+        # 236,082 in 9, and on the adaptive Gauss-Legendre engine before
+        # that 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
         assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 1_078
-        assert len(runs) == 5
+        assert len(runs) == 3
 
     def test_series_op_evaluates_the_base_once_per_level(self, runs):
         # every tau of the op reads log G1 (and log g1) at a level's
         # nodes from one memo per distribution: the base's cdf runs once
-        # per level reached (2), where each integrand call ran it (8)
+        # per level reached (2), where each integrand call ran it (5)
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
         calls = {"cdf": 0, "log_pdf": 0}
@@ -1361,7 +1378,7 @@ class TestSeriesWork:
         d = GammaRatioDist(a, b, dataclasses.replace(
             base, cdf=counted("cdf"), log_pdf=counted("log_pdf")))
         results = _series_op(d)
-        assert sum(len(shapes) for shapes in runs) == 8
+        assert sum(len(shapes) for shapes in runs) == 5
         assert len(d._base_abscissae) == 2
         assert calls["cdf"] == 2
         assert 0 < calls["log_pdf"] <= calls["cdf"]
@@ -1371,13 +1388,13 @@ class TestSeriesWork:
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
         # shell 2's column 0 is not integrable, so no shell is summed:
-        # offset 0 is ruled on alone, then offsets -1 and -2, the
-        # column 0 of shells 1 and 2, in one two-column run
+        # offsets 0, -1 and -2, the column 0 of shells 0-2, are ruled on
+        # in one three-column run
         shells = []
         monkeypatch.setattr(GammaRatioDist, "_tau_inner", lambda *args: shells.append(args))
         assert dist(*prm).moment_series(2).terms_used == (2, 1)
         assert shells == []
-        assert [{columns for _, columns in shapes} for shapes in runs] == [{1}, {2}]
+        assert [{columns for _, columns in shapes} for shapes in runs] == [{3}]
 
     # (law, order (None: renyi_series(0.3)), control, result) where no
     # shell's j = 0 column below k_max is nan, the result pinned from the
@@ -1399,10 +1416,16 @@ class TestSeriesWork:
           "k_max=1 shells consumed before the tail criterion was met")),
     ]
 
+    @staticmethod
+    def _unchanged(prm, m, ctrl):
+        d = dist(*prm)
+        return d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
+
     @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
     def test_sum_without_a_nan_column_is_unchanged(self, runs, monkeypatch, prm, m, ctrl, want):
-        # the rule on the j = 0 columns takes at most ceil(log2 k_max) + 1
-        # tanh_sinh runs ahead of the first shell
+        # every k_max here is at most m + 1 (or 1), so the rule's first
+        # call holds every shell's j = 0 column: one tanh_sinh run ahead
+        # of the first shell
         first = []
         tau_inner = GammaRatioDist._tau_inner
 
@@ -1411,22 +1434,31 @@ class TestSeriesWork:
             return tau_inner(self, *args)
 
         monkeypatch.setattr(GammaRatioDist, "_tau_inner", spy)
-        d = dist(*prm)
-        res = d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
-        assert (res.value.hex(), res.terms_used, res.converged, res.diagnostic) == want
-        assert 1 <= first[0] <= math.ceil(math.log2(ctrl.k_max)) + 1
+        res = self._unchanged(prm, m, ctrl)
+        assert (res.terms_used, res.converged, res.diagnostic) == want[1:]
+        assert first[0] == 1
+        # numpy's kernels without AVX-512 move the last bits of exp and
+        # log: the sums then differ from the pinned bits by up to 2 ulp
+        pinned = float.fromhex(want[0])
+        assert abs(res.value - pinned) <= 2.0 * math.ulp(pinned)
+
+    @pytest.mark.usefixtures("avx512_bits")
+    @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
+    def test_sum_without_a_nan_column_keeps_its_bits(self, prm, m, ctrl, want):
+        assert self._unchanged(prm, m, ctrl).value.hex() == want[0]
 
     def test_huge_k_max_ends_at_the_first_formal_shell(self, runs):
-        # the rule reads offsets 0 and then -1, -2 and stops at shell 2's
-        # nan column: two runs, far below ceil(log2 k_max) + 1 = 18
+        # the rule reads offsets 0, -1 and -2 in one call and stops at
+        # shell 2's nan column: one run
         res = dist(*SERIES_DESIGN_PINS[0][0]).moment_series(2, SeriesControl(k_max=100_000))
         assert math.isnan(res.value) and res.converged is False
         assert res.terms_used == (2, 1) and res.diagnostic.startswith("term (k=2, j=0)")
-        assert len(runs) == 2
+        assert len(runs) == 1
 
     def test_series_op_maps_each_level_through_the_base_once(self, runs):
         # every tau of the op, the j = 0 rule's included, reads the
-        # base's abscissae from one memo per distribution
+        # base's abscissae from one memo per distribution: the three
+        # series' rule calls share it
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
         calls = {"quantile": [], "isf": []}
@@ -1440,7 +1472,7 @@ class TestSeriesWork:
         d = GammaRatioDist(a, b, dataclasses.replace(
             base, quantile=counted("quantile"), isf=counted("isf")))
         _series_op(d)
-        assert len(runs) > 3  # many tau quadratures share the memo
+        assert len(runs) == 3
         levels = [quadrature.tanh_sinh_levels(level).size for level in sorted(d._base_abscissae)]
         assert len(levels) == 2
         assert calls == {"quantile": levels, "isf": levels}
@@ -1491,6 +1523,46 @@ class TestExpSeriesGrid:
                         and res.terms_used == (k, 1) and res.diagnostic.startswith(head)):
                     misses.append(((a, b, lam), m, res))
         assert misses == []
+
+
+class TestFirstFailingTau:
+    """The j = 0 rule batches its columns, m + 1 in its first tau call,
+    and each column's verdict does not depend on the others in its call,
+    so a series ends where the scalar tau of its first failing j = 0
+    column raises, whatever the batch held."""
+
+    @pytest.mark.parametrize("base", [lambda: make_exponential(0.539), lomax_base,
+                                      logistic_base], ids=["exponential", "lomax", "logistic"])
+    def test_verdict_is_the_first_failing_scalar_tau(self, base):
+        misses = []
+        for a in (0.131, 0.6, 1.5, 2.5):
+            d = GammaRatioDist(a, 0.7, base())
+            # (result, m, eta, c): shell k's column 0 is tau(m, eta, -k - c)
+            cases = [(d.moment_series(m), m, 0.0, a + 1.0) for m in (1, 2, 3, 6)]
+            cases += [(d.renyi_series(eta), 0, eta - 1.0, eta * (a + 1.0)) for eta in (2.0, 0.3)]
+            for res, m, eta, c in cases:
+                k, err = _first_failing_column(d, m, eta, c)
+                note = res.diagnostic
+                if k is None:
+                    ok = ", j=0) needs" not in note
+                else:
+                    ok = (math.isnan(res.value) and res.terms_used == (k, 1)
+                          and note.startswith(f"term (k={k}, j=0) needs ")
+                          and ("not integrable" in note) == isinstance(err, DivergenceError))
+                if not ok:
+                    misses.append((a, m, eta, k, res))
+        assert misses == []
+
+
+def _first_failing_column(d, m, eta, c):
+    """(k, its exception) for the first shell k < k_max whose scalar
+    tau(m, eta, -k - c) raises, or (None, None)."""
+    for k in range(DEFAULT_CONTROL.k_max):
+        try:
+            d.tau(m, eta, -k - c)
+        except (DivergenceError, NumericalError) as err:
+            return k, err
+    return None, None
 
 
 class TestSharedTauColumns:
@@ -1719,3 +1791,7 @@ class TestCdfSeries:
     def test_requires_interior_point(self):
         with pytest.raises(ValueError, match="strictly inside"):
             dist(0.5, 1.0, 1.0).cdf_series(-1.0)
+
+    def test_requires_a_scalar_point(self):
+        with pytest.raises(ValueError, match=r"scalar x, got shape \(1,\)"):
+            dist(0.5, 1.0, 1.0).cdf_series(np.array([1.0]))
