@@ -851,10 +851,16 @@ class GammaRatioDist:
         # level 0's first head node is u = 1/2
         c = p * float(self.log_pdf(self._nodes(0)[0][:1])[0])
         c = c if math.isfinite(c) else 0.0
+        const = self.alpha * math.log(self.beta) - log_gamma(self.alpha)
 
         def f(x):
-            with np.errstate(over="ignore", under="ignore"):
-                return np.expm1(p * self.log_pdf(x) - c)
+            # tanh_sinh passes a 1-D float array and runs f with numpy's
+            # warnings off, so log_pdf's checks and blocks are not needed
+            out = np.empty(x.shape)
+            self._log_pdf_block(const, x, out)
+            out *= p
+            out -= c
+            return np.expm1(out, out=out)
 
         try:
             mean = self._expect(f, f"renyi_entropy(eta={eta:.6g})")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oddsgamma import DivergenceError, NumericalError, OEGammaDist
+from oddsgamma import quadrature
 from oddsgamma.quadrature import _ts_new, tanh_sinh, tanh_sinh_levels
 
 
@@ -15,6 +16,23 @@ def unit_map(level):
     """The quantile map of U(0, 1): head u = s, tail u = 1 - s."""
     s = tanh_sinh_levels(level)
     return s, 1.0 - s
+
+
+# vector widths for the per-component checks, on both sides of the
+# size at which tanh_sinh's verdict changes form
+_WIDTHS = [1, 2, 5, 8, 16, 64, 300]
+
+
+def _mixed_component(j):
+    """Component j of a mix that cycles through convergent integrands,
+    divergent ones (x^-1.5, not finite at the outermost nodes, and
+    e^-230 x^-1.2, a power law that is not integrable), and ones the
+    rule cannot resolve (x^-0.999, too much beyond the last node, and
+    cos(c/x), whose levels never agree)."""
+    c = 1.0 + j / 64.0
+    return [lambda x: x ** -(0.5 * c), lambda x: np.cos(10.0 * c * x),
+            lambda x: c * x**-1.5, lambda x: np.exp(-1.2 * np.log(x) - 230.0 * c),
+            lambda x: c * x**-0.999, lambda x: np.cos(c / x), lambda x: np.log(x) * c][j % 7]
 
 
 class TestTanhSinh:
@@ -39,6 +57,23 @@ class TestTanhSinh:
         assert errors == [None] * 3
         assert values.tolist() == [tanh_sinh(f, unit_map)[0] for f in fs]
         assert values[2] == pytest.approx(math.sin(40.0) / 40.0, rel=1e-13)
+
+    @pytest.mark.parametrize("r", _WIDTHS)
+    @pytest.mark.parametrize("nodes", ["unit", "hole", "head only"])
+    def test_components_settle_alone_at_every_width(self, r, nodes):
+        # convergent, divergent and unresolved components side by side,
+        # at widths on both sides of _TS_LOOP_MAX, where the verdict
+        # leaves Python floats for array operations: every component
+        # keeps the value bits, error type and message of its scalar run
+        abscissae = {"unit": unit_map, "hole": _hole_map, "head only": _head_only_map}[nodes]
+        fs = [_mixed_component(j) for j in range(r)]
+        values, errors = tanh_sinh(lambda x: np.stack([f(x) for f in fs], -1), abscissae)
+        singles = [tanh_sinh(f, abscissae) for f in fs]
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v, _ in singles]
+        assert _verdicts(errors) == [_verdicts(err)[0] for _, err in singles]
+
+    def test_widths_straddle_the_loop_limit(self):
+        assert min(_WIDTHS) <= quadrature._TS_LOOP_MAX < max(_WIDTHS)
 
     def test_non_integrable_power_is_divergent(self):
         # e^-230 x^-1.2, formed in logs so the outermost values stay
@@ -129,6 +164,12 @@ def _hole_map(level):
     if level == 1:
         head[3] = np.nan
     return head, tail
+
+
+def _head_only_map(level):
+    """unit_map with a tail that keeps no node."""
+    head, tail = unit_map(level)
+    return head, np.full_like(tail, np.nan)
 
 
 def _verdicts(errors):
