@@ -468,17 +468,21 @@ class GammaRatioDist:
         x_arr, scalar = _as_float_array(x)
         flat = x_arr.ravel()
         out = np.empty(flat.shape)
-        const = self.alpha * math.log(self.beta) - log_gamma(self.alpha)
+        const = self._log_norm()
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             for start in range(0, flat.size, _MAP_BLOCK):
                 block = slice(start, start + _MAP_BLOCK)
                 self._log_pdf_block(const, flat[block], out[block])
         return _restore(out.reshape(x_arr.shape), scalar)
 
+    def _log_norm(self):
+        """The density's normalising constant, alpha ln beta - ln Gamma(alpha)."""
+        return self.alpha * math.log(self.beta) - log_gamma(self.alpha)
+
     def _log_pdf_block(self, const, x, out):
-        """log_pdf of a 1-d block x into out, with const =
-        alpha ln beta - ln Gamma(alpha). The odds array, the base's own
-        new array, becomes the block's scratch."""
+        """log_pdf of a 1-d block x into out, with const = _log_norm().
+        The odds array, the base's own new array, becomes the block's
+        scratch."""
         base, a = self.base, self.alpha
         w = np.asarray(base.odds(x), dtype=float)
         np.log1p(w, out=out)
@@ -851,7 +855,7 @@ class GammaRatioDist:
         # level 0's first head node is u = 1/2
         c = p * float(self.log_pdf(self._nodes(0)[0][:1])[0])
         c = c if math.isfinite(c) else 0.0
-        const = self.alpha * math.log(self.beta) - log_gamma(self.alpha)
+        const = self._log_norm()
 
         def f(x):
             # tanh_sinh passes a 1-D float array and runs f with numpy's

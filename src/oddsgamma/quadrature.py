@@ -22,16 +22,17 @@ call of f and forms the product of its values with q, the weighted
 row sums of each side and the edge power law in a fixed number of
 numpy calls, whatever the number of components. The rest of the level,
 the running totals, the bound beyond the outermost nodes, the verdict
-and the value, is Python float work on each component still open, up
-to _TS_LOOP_MAX components, and a fixed number of array operations
-above that, where the float work would cost more; an exception is built
-only for a component that fails. A component is accepted when two
-successive levels agree to 1e-13 of the integral of its magnitude, so
-the answer is accurate relative to its own size at every scale. The
-divergence verdict comes from the outermost nodes: the local power law
-of the integrand there says whether the part beyond them is integrable
-and bounds its size. The integrand may be vector valued, one column per
-component, with a value and a verdict per component.
+and the value, is Python float work on each component still open,
+which grows with their number: on the few components of a moment or
+entropy run each numpy call would cost more than the arithmetic it
+does. An exception is built only for a component that fails. A
+component is accepted when two successive levels agree to 1e-13 of the
+integral of its magnitude, so the answer is accurate relative to its
+own size at every scale. The divergence verdict comes from the
+outermost nodes: the local power law of the integrand there says
+whether the part beyond them is integrable and bounds its size. The
+integrand may be vector valued, one column per component, with a value
+and a verdict per component.
 """
 
 import functools
@@ -55,10 +56,6 @@ _TS_LEVELS = 10
 _TS_TOL = 1e-13
 _TS_T_MAX = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
 _TS_SIDES = ("u", "1 - u")
-# the verdict runs in Python floats up to this many components, where
-# that costs less than its array form: a tau(1, 0, r) run takes 0.80 of
-# the array form's time at 4 entries of r, 0.95-0.98 at 16, 1.10 at 32
-_TS_LOOP_MAX = 16
 
 
 @functools.cache
@@ -129,16 +126,6 @@ def _edges(level, m_head, m_tail):
     return tuple(nodes), s_k, log_s
 
 
-def _bound(s, e, p):
-    """The part beyond a side's outermost node, s e/(1 + p) for the
-    magnitude e there and the power p, 0 where e is 0, as numpy forms
-    it: inf where 1 + p is 0."""
-    if e == 0.0:
-        return 0.0
-    d = 1.0 + p
-    return s * e / d if d else math.inf
-
-
 def _failure(total, p, bound, s_k, tol, scale):
     """The exception of a component that failed the level's verdict: a
     non-finite sum, or the first side whose power law diverges or
@@ -157,62 +144,39 @@ def _failure(total, p, bound, s_k, tol, scale):
         f"above {_TS_TOL:g} of {scale:.3g}")
 
 
-def _unsettled(diff, scale):
-    """The exception of a component still open after the last level."""
-    return NumericalError(
-        f"tanh-sinh levels still differ by {diff:.3g} after {_TS_LEVELS} "
-        f"levels, above {_TS_TOL:g} of {scale:.3g}")
-
-
-def _verdict_floats(todo, h, acc, prev, edge, p, s_k, value, errors, last):
+def _verdict(todo, h, acc, prev, edge, p, s_k, value, errors, last):
     """The level's verdict on the open components todo, a list, one at a
     time in Python floats, whose operations are numpy's on each
-    component: the same bits. Records the value of each and the
-    exception of each that fails, and returns (the level's totals, the
-    components still open, or None once none is)."""
-    (head, head_abs), (tail, tail_abs) = acc.tolist()
-    total = [h * (a + b) for a, b in zip(head, tail)]
-    edge, p, (s_head, s_tail) = edge.tolist(), p.tolist(), s_k.tolist()
+    component: the same bits. Records the value of each in value, a
+    list, and the exception of each that fails, and returns the
+    components still open, or None once none is."""
+    (total, scale), (e_head, e_tail), (p_head, p_tail) = (
+        (acc[0] + acc[1]).tolist(), edge[:, :2].T.tolist(), p.T.tolist())
+    s_head, s_tail = s_k.tolist()
     still = []
     for i in todo:
-        t, scale, power = total[i], h * (head_abs[i] + tail_abs[i]), p[i]
-        tol = _TS_TOL * scale
-        bound = _bound(s_head, edge[i][0], power[0]), _bound(s_tail, edge[i][1], power[1])
+        t, size = h * total[i], h * scale[i]
+        tol = _TS_TOL * size
         value[i] = t
-        if not (math.isfinite(t) and bound[0] <= tol and bound[1] <= tol
+        # the part beyond each side's outermost node, s e/(1 + p) for the
+        # magnitude e there, 0 where e is 0, and inf, as numpy gives it,
+        # where 1 + p is 0
+        e, q = e_head[i], p_head[i]
+        b_head = 0.0 if e == 0.0 else s_head * e / (1.0 + q) if q != -1.0 else math.inf
+        e, q = e_tail[i], p_tail[i]
+        b_tail = 0.0 if e == 0.0 else s_tail * e / (1.0 + q) if q != -1.0 else math.inf
+        power = p_head[i], p_tail[i]
+        if not (b_head <= tol and b_tail <= tol and math.isfinite(t)
                 and not (power[0] <= -1.0 or power[1] <= -1.0)):
-            errors[i] = _failure(t, power, bound, s_k, tol, scale)
+            errors[i] = _failure(t, power, (b_head, b_tail), s_k, tol, size)
         elif prev is None or not abs(t - prev[i]) <= tol:
             if last:
-                errors[i] = _unsettled(abs(t - prev[i]), scale)
+                errors[i] = NumericalError(
+                    f"tanh-sinh levels still differ by {abs(t - prev[i]):.3g} after "
+                    f"{_TS_LEVELS} levels, above {_TS_TOL:g} of {size:.3g}")
             else:
                 still.append(i)
-    return total, still or None
-
-
-def _verdict_arrays(todo, h, acc, prev, edge, p, s_k, value, errors, last):
-    """_verdict_floats as array operations over every component, whose
-    number does not grow with theirs; todo is a mask of the open
-    components, updated in place."""
-    total, scale = h * (acc[0] + acc[1])
-    bound = np.where(edge[:, :2] == 0.0, 0.0, s_k * edge[:, :2] / (1.0 + p))
-    tol = _TS_TOL * scale
-    ok = ((bound <= tol[:, None]) & ~(p <= -1.0)).all(axis=1) & np.isfinite(total)
-    np.copyto(value, total, where=todo)
-    if np.count_nonzero(ok) < ok.size:
-        for i in np.flatnonzero(todo & ~ok):
-            errors[i] = _failure(total[i], p[i], bound[i], s_k, tol[i], scale[i])
-        todo &= ok
-    if prev is not None:
-        diff = np.abs(total - prev)
-        todo &= ~(diff <= tol)
-    if not np.count_nonzero(todo):
-        return total, None
-    if last:
-        for i in np.flatnonzero(todo):
-            errors[i] = _unsettled(diff[i], scale[i])
-        return total, None
-    return total, todo
+    return still or None
 
 
 def tanh_sinh(f, abscissae):
@@ -227,9 +191,8 @@ def tanh_sinh(f, abscissae):
     and "the integrand" below is f q. f maps a 1-D array of abscissae
     to one value per node, shape (n,), or to R components, shape (n, R),
     once per level from level 0 on: the level's kept head nodes, then
-    its kept tail nodes. abscissae and f run with numpy's floating-point
-    warnings off, as a value that is not finite is the verdict's to
-    judge.
+    its kept tail nodes. It runs with numpy's floating-point warnings
+    off, as a value that is not finite is the verdict's to judge.
 
     Level n steps t by 2^-(n+3), and f sees and the rule sums only the
     nodes it adds. One buffer holds the values of both sides, one row
@@ -248,9 +211,8 @@ def tanh_sinh(f, abscissae):
     A level calls f once, and forms the product with q, the row sums and
     the edge power law in a fixed number of numpy calls whatever R is.
     The rest of the verdict runs in Python floats on each component
-    still open up to _TS_LOOP_MAX components, and as array operations,
-    whose number does not grow with R, above it. An exception is built
-    only for a component that fails.
+    still open, so its cost grows with R. An exception is built only
+    for a component that fails.
 
     Returns (value, errors): a float, or an array of R for a
     vector-valued f, and per component None or the exception saying why
@@ -260,33 +222,29 @@ def tanh_sinh(f, abscissae):
     # per level: the buffer columns where its head and tail values
     # start, and how many of each are kept (t below the cut)
     starts, kept = [], []
-    # values that are not finite are the divergence verdict's to judge
-    with np.errstate(all="ignore"):
-        for level in range(_TS_LEVELS):
-            h = 2.0 ** -(level + 3)
-            t_new, _, w = _ts_new(level)
-            head, tail, *weights = abscissae(level)
-            n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
+    for level in range(_TS_LEVELS):
+        h = 2.0 ** -(level + 3)
+        t_new, _, w = _ts_new(level)
+        head, tail, *weights = abscissae(level)
+        n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
+        x = np.concatenate((head[:n[0]], tail[:n[1]]))
+        moved = []
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            # a side's first non-finite node moves its cut inward to it
+            for side, xs in enumerate((head, tail)):
+                finite = np.isfinite(xs[:n[side]])
+                if not finite.all():
+                    n[side] = int(finite.argmin())
+                    cut[side] = float(t_new[n[side]])
+                    moved.append(side)
             x = np.concatenate((head[:n[0]], tail[:n[1]]))
-            moved = []
-            if np.count_nonzero(np.isfinite(x)) < x.size:
-                # a side's first non-finite node moves its cut inward to it
-                for side, xs in enumerate((head, tail)):
-                    finite = np.isfinite(xs[:n[side]])
-                    if not finite.all():
-                        n[side] = int(finite.argmin())
-                        cut[side] = float(t_new[n[side]])
-                        moved.append(side)
-                x = np.concatenate((head[:n[0]], tail[:n[1]]))
+        # values that are not finite are the divergence verdict's to judge
+        with np.errstate(all="ignore"):
             y = np.asarray(f(x), dtype=float)
             if level == 0:
                 vector = y.ndim == 2
                 r = y.shape[1] if vector else 1
-                value, errors = np.zeros(r), [None] * r
-                if r <= _TS_LOOP_MAX:
-                    verdict, todo = _verdict_floats, list(range(r))
-                else:
-                    verdict, todo = _verdict_arrays, np.ones(r, dtype=bool)
+                value, errors, todo = [0.0] * r, [None] * r, list(range(r))
                 # per level, side and component, the sum and the sum of
                 # magnitudes of its kept terms; acc their running totals
                 sums, acc = np.empty((_TS_LEVELS, 2, 2, r)), np.zeros((2, 2, r))
@@ -311,7 +269,7 @@ def tanh_sinh(f, abscissae):
             kept.append(n)
             used += cols
             _level_sums(np.concatenate((w[:n[0]], w[:n[1]])), vals, n[0], sums[level])
-            prev = total if level else None
+            prev = value.copy() if level else None
             for side in moved:
                 # re-sum each earlier level whose kept nodes reach past
                 # the cut, which has moved inward
@@ -327,7 +285,7 @@ def tanh_sinh(f, abscissae):
                 if resum:
                     acc[side] = sum(sums[:level, side], np.zeros((2, r)))
                     # the level before summed the grid's even nodes, at step 2h
-                    prev = 2.0 * h * (acc[0, 0] + acc[1, 0])
+                    prev = (2.0 * h * (acc[0, 0] + acc[1, 0])).tolist()
             acc += sums[level]
             # the outermost node k h < cut of each side is read against
             # the node j at 1/2 further in for the power law s^p there;
@@ -341,8 +299,8 @@ def tanh_sinh(f, abscissae):
             if -1 in at:
                 edge[:, [q for q, col in enumerate(at) if col < 0]] = np.nan
             p = np.log(edge[:, :2] / edge[:, 2:]) / log_s
-            total, todo = verdict(todo, h, acc, prev, edge, p, s_k, value, errors,
-                                  level == _TS_LEVELS - 1)
-            if todo is None:
-                break
-    return (value if vector else float(value[0])), errors
+            todo = _verdict(todo, h, acc, prev, edge, p, s_k, value, errors,
+                            level == _TS_LEVELS - 1)
+        if todo is None:
+            break
+    return (np.array(value) if vector else value[0]), errors

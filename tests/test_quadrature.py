@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from oddsgamma import DivergenceError, NumericalError, OEGammaDist
-from oddsgamma import quadrature
 from oddsgamma.quadrature import _ts_new, tanh_sinh, tanh_sinh_levels
 
 
@@ -18,8 +17,8 @@ def unit_map(level):
     return s, 1.0 - s
 
 
-# vector widths for the per-component checks, on both sides of the
-# size at which tanh_sinh's verdict changes form
+# vector widths for the per-component checks, from the moments' few
+# components up past tau's widest call of _TAU_BLOCK = 256 columns
 _WIDTHS = [1, 2, 5, 8, 16, 64, 300]
 
 
@@ -61,19 +60,15 @@ class TestTanhSinh:
     @pytest.mark.parametrize("r", _WIDTHS)
     @pytest.mark.parametrize("nodes", ["unit", "hole", "head only"])
     def test_components_settle_alone_at_every_width(self, r, nodes):
-        # convergent, divergent and unresolved components side by side,
-        # at widths on both sides of _TS_LOOP_MAX, where the verdict
-        # leaves Python floats for array operations: every component
-        # keeps the value bits, error type and message of its scalar run
+        # convergent, divergent and unresolved components side by side:
+        # at every width each component keeps the value bits, error
+        # type and message of its scalar run
         abscissae = {"unit": unit_map, "hole": _hole_map, "head only": _head_only_map}[nodes]
         fs = [_mixed_component(j) for j in range(r)]
         values, errors = tanh_sinh(lambda x: np.stack([f(x) for f in fs], -1), abscissae)
         singles = [tanh_sinh(f, abscissae) for f in fs]
         assert [v.hex() for v in values.tolist()] == [v.hex() for v, _ in singles]
         assert _verdicts(errors) == [_verdicts(err)[0] for _, err in singles]
-
-    def test_widths_straddle_the_loop_limit(self):
-        assert min(_WIDTHS) <= quadrature._TS_LOOP_MAX < max(_WIDTHS)
 
     def test_non_integrable_power_is_divergent(self):
         # e^-230 x^-1.2, formed in logs so the outermost values stay
