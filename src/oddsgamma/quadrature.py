@@ -14,25 +14,23 @@ u = 1/(1 + e^{-pi sinh t}) integrates at a rate exp(-c/h) in the step
 h (Takahasi & Mori 1974; Mori & Sugihara 2001). Each level halves h
 and evaluates and sums only the nodes it adds. Their values f q go
 into one buffer, a row per component and the levels side by side,
-which grows only when a level does not fit: at first to room for
-levels 0-2, where the moments settle, never to the ten-level cap. Each
-level's sums are kept, and an earlier level is re-summed from the
-buffer only where a cut moves inward past its nodes. A level makes one
-call of f and forms the product of its values with q, the weighted
-row sums of each side and the edge power law in a fixed number of
-numpy calls, whatever the number of components. The rest of the level,
-the running totals, the bound beyond the outermost nodes, the verdict
-and the value, is Python float work on each component still open,
-which grows with their number: on the few components of a moment or
-entropy run each numpy call would cost more than the arithmetic it
-does. An exception is built only for a component that fails. A
-component is accepted when two successive levels agree to 1e-13 of the
-integral of its magnitude, so the answer is accurate relative to its
-own size at every scale. The divergence verdict comes from the
-outermost nodes: the local power law of the integrand there says
-whether the part beyond them is integrable and bounds its size. The
-integrand may be vector valued, one column per component, with a value
-and a verdict per component.
+where the edge power law finds its nodes; it grows only when a level
+does not fit: at first to room for levels 0-2, where the moments
+settle, never to the ten-level cap. A level makes one call of f and
+forms the product of its values with q, the weighted row sums of each
+side and the edge power law in a fixed number of numpy calls, whatever
+the number of components. The rest of the level, the running totals,
+the bound beyond the outermost nodes, the verdict and the value, is
+Python float work on each component still open, which grows with their
+number: on the few components of a moment or entropy run each numpy
+call would cost more than the arithmetic it does. An exception is
+built only for a component that fails. A component is accepted when
+two successive levels agree to 1e-13 of the integral of its magnitude,
+so the answer is accurate relative to its own size at every scale. The
+divergence verdict comes from the outermost nodes: the local power law
+of the integrand there says whether the part beyond them is integrable
+and bounds its size. The integrand may be vector valued, one column per
+component, with a value and a verdict per component.
 """
 
 import functools
@@ -108,14 +106,12 @@ def _edges(level, m_head, m_tail):
     node of each side, i = m - 1, then for the node 1/2 further in:
     the level that added it, level - v for i = 2^v times odd, level 0
     where v >= level, and its index among that level's nodes. A side
-    that keeps no node reads i = -1, the grid's last node, which it does
-    not keep either, so tanh_sinh reads nan there. s_k is s at each
-    side's outermost node, log_s the law's step log(s_k / s_j)."""
-    size = int(_TS_T_MAX / 2.0 ** -(level + 3)) + 1
-    outer = [m - 1 for m in (m_head, m_tail)]
+    that keeps no node names the node t = 0 for both, and tanh_sinh
+    reads 0 there. s_k is s at each side's outermost node, log_s the
+    law's step log(s_k / s_j)."""
+    outer = [max(m - 1, 0) for m in (m_head, m_tail)]
     nodes, s = [], []
     for q, i in enumerate(outer + [max(i - 2 ** (level + 2), 0) for i in outer]):
-        i %= size
         v = min((i & -i).bit_length() - 1 if i else level, level)
         nodes.append((q % 2, level - v, i >> (v + (v < level))))
         s.append(_ts_new(level - v)[1][nodes[-1][2]])
@@ -186,9 +182,10 @@ def tanh_sinh(f, abscissae):
     abscissae(level) returns (head, tail): x at u = s and at 1 - u = s
     for s = tanh_sinh_levels(level), nan where the map has left the
     support; such a node and every node farther out on its side are
-    left out. It may return (head, tail, head weights, tail weights),
-    q at the same nodes, which multiply f's values; without them q = 1,
-    and "the integrand" below is f q. f maps a 1-D array of abscissae
+    left out from that level on; an earlier level's sums stand. It may
+    return (head, tail, head weights, tail weights), q at the same
+    nodes, which multiply f's values; without them q = 1, and "the
+    integrand" below is f q. f maps a 1-D array of abscissae
     to one value per node, shape (n,), or to R components, shape (n, R),
     once per level from level 0 on: the level's kept head nodes, then
     its kept tail nodes. It runs with numpy's floating-point warnings
@@ -196,13 +193,13 @@ def tanh_sinh(f, abscissae):
 
     Level n steps t by 2^-(n+3), and f sees and the rule sums only the
     nodes it adds. One buffer holds the values of both sides, one row
-    per component, level after level; it grows only when a level does
-    not fit, to room for every node through that level (through level 2
-    at first). An earlier level is re-summed from it only when a nan
-    moves its side's cut inward past that level's kept nodes. A
-    component is accepted at the first level whose sum agrees with the
-    level before to 1e-13 of the integral of its magnitude, and reports
-    that sum, so its value does not depend on the other components. At
+    per component, level after level, for the edge power law, which
+    reads nodes of earlier levels; it grows only when a level does not
+    fit, to room for every node through that level (through level 2 at
+    first). A side that keeps no node adds nothing and leaves no part
+    beyond it. A component is accepted at the first level whose sum
+    agrees with the level before to 1e-13 of the integral of its
+    magnitude, and reports that sum, so its value does not depend on the other components. At
     each side's outermost node the integrand behaves like s^p: a
     non-finite sum or p <= -1 is a DivergenceError, and a part beyond
     the nodes, s|f|/(1 + p), above 1e-13 of that integral a
@@ -219,16 +216,13 @@ def tanh_sinh(f, abscissae):
     it failed.
     """
     cut = [math.inf, math.inf]
-    # per level: the buffer columns where its head and tail values
-    # start, and how many of each are kept (t below the cut)
-    starts, kept = [], []
+    starts = []  # per level, the buffer columns where its head and tail values start
     for level in range(_TS_LEVELS):
         h = 2.0 ** -(level + 3)
         t_new, _, w = _ts_new(level)
         head, tail, *weights = abscissae(level)
         n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
         x = np.concatenate((head[:n[0]], tail[:n[1]]))
-        moved = []
         if np.count_nonzero(np.isfinite(x)) < x.size:
             # a side's first non-finite node moves its cut inward to it
             for side, xs in enumerate((head, tail)):
@@ -236,7 +230,6 @@ def tanh_sinh(f, abscissae):
                 if not finite.all():
                     n[side] = int(finite.argmin())
                     cut[side] = float(t_new[n[side]])
-                    moved.append(side)
             x = np.concatenate((head[:n[0]], tail[:n[1]]))
         # values that are not finite are the divergence verdict's to judge
         with np.errstate(all="ignore"):
@@ -245,9 +238,9 @@ def tanh_sinh(f, abscissae):
                 vector = y.ndim == 2
                 r = y.shape[1] if vector else 1
                 value, errors, todo = [0.0] * r, [None] * r, list(range(r))
-                # per level, side and component, the sum and the sum of
-                # magnitudes of its kept terms; acc their running totals
-                sums, acc = np.empty((_TS_LEVELS, 2, 2, r)), np.zeros((2, 2, r))
+                # per side and component, the sum and the sum of magnitudes
+                # of the level's kept terms; acc their running totals
+                sums, acc = np.empty((2, 2, r)), np.zeros((2, 2, r))
                 buf, used = None, 0
             cols = n[0] + n[1]
             if buf is None or used + cols > buf.shape[1]:
@@ -266,38 +259,22 @@ def tanh_sinh(f, abscissae):
                 vals[...] = y.reshape(-1, r).T
             del y  # the level's values live on in the buffer only
             starts.append((used, used + n[0]))
-            kept.append(n)
             used += cols
-            _level_sums(np.concatenate((w[:n[0]], w[:n[1]])), vals, n[0], sums[level])
+            _level_sums(np.concatenate((w[:n[0]], w[:n[1]])), vals, n[0], sums)
+            acc += sums
             prev = value.copy() if level else None
-            for side in moved:
-                # re-sum each earlier level whose kept nodes reach past
-                # the cut, which has moved inward
-                resum = False
-                for lv in range(level):
-                    m = int(np.searchsorted(_ts_new(lv)[0], cut[side]))
-                    if m < kept[lv][side]:
-                        kept[lv][side], resum = m, True
-                        col = starts[lv][side]
-                        part = np.empty((2, 2, r))
-                        _level_sums(_ts_new(lv)[2][:m], buf[:, col:col + m], m, part)
-                        sums[lv, side] = part[0]
-                if resum:
-                    acc[side] = sum(sums[:level, side], np.zeros((2, r)))
-                    # the level before summed the grid's even nodes, at step 2h
-                    prev = (2.0 * h * (acc[0, 0] + acc[1, 0])).tolist()
-            acc += sums[level]
             # the outermost node k h < cut of each side is read against
             # the node j at 1/2 further in for the power law s^p there;
-            # columns k head, k tail, j head, j tail, nan past the kept nodes
+            # columns k head, k tail, j head, j tail
             size = int(_TS_T_MAX / h) + 1
             on_grid = [size if c == math.inf else min(size, round(c / h)) for c in cut]
             nodes, s_k, log_s = _edges(level, *on_grid)
-            at = [starts[src][side] + idx if idx < kept[src][side] else -1
-                  for side, src, idx in nodes]
-            edge = np.abs(buf[:, at])
-            if -1 in at:
-                edge[:, [q for q, col in enumerate(at) if col < 0]] = np.nan
+            edge = np.abs(buf[:, [starts[src][side] + idx for side, src, idx in nodes]])
+            for side, m in enumerate(on_grid):
+                if not m:
+                    # a side that keeps no node adds nothing and leaves
+                    # no part beyond it
+                    edge[:, side::2] = 0.0
             p = np.log(edge[:, :2] / edge[:, 2:]) / log_s
             todo = _verdict(todo, h, acc, prev, edge, p, s_k, value, errors,
                             level == _TS_LEVELS - 1)

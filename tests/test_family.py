@@ -1075,8 +1075,9 @@ class TestRenyi:
     # the error relative to max(1, |H|) at today's errors; (2, 1, 3) is
     # exact with numpy's AVX-512 kernels and one ulp off without them.
     # At alpha = 2215.897948974487 the gamma-scale head weight dips
-    # below the normal range and recovers, and tanh_sinh re-sums levels
-    # 0-2 at level 3: the one law that takes that path
+    # below the normal range and recovers, and the nan node this leaves
+    # at level 3 moves the head's cut inward for levels 3 on; the sums
+    # of levels 0-2 stand
     RENYI2 = {
         (1e-3, 1.0, 1.0): (7.601287611036383736, 1.2e-15),
         (0.131, 0.179, 0.539): (2.9524199320058363999, 2.5e-16),
@@ -1092,6 +1093,15 @@ class TestRenyi:
         want, ceiling = self.RENYI2[prm]
         got = OEGammaDist(*prm).renyi_entropy(2.0)
         assert abs(got - want) <= ceiling * max(1.0, abs(want)), (got, want)
+
+    @pytest.mark.usefixtures("avx512_bits")
+    def test_order_two_bits_where_the_head_weight_underflows(self):
+        # the gamma-scale head weight dips below the normal range and
+        # recovers at this alpha, so one interior head node is nan and
+        # moves the head's cut inward at level 3; without AVX-512 the
+        # last hex digits read 68ff
+        got = OEGammaDist(2215.897948974487, 1.0, 1.0).renyi_entropy(2.0)
+        assert got.hex() == "-0x1.4947b291d68f8p+3"
 
     @pytest.mark.parametrize("prm", list(NEAR_ONE))
     def test_near_order_one(self, prm):

@@ -118,37 +118,38 @@ class TestTanhSinh:
         assert value == pytest.approx(2.0, rel=1e-15)
         assert all(np.isfinite(x).all() and x.min() >= 1e-100 for x in seen)
 
-    def test_cut_moving_inward_drops_summed_nodes(self):
+    def test_cut_moving_inward_stops_later_levels(self):
         # the head map leaves the support below u = 1e-100 (the level-0
         # cut) and, not monotone, at the level-1 node t = 7/16 as well,
-        # inside that cut: the level-0 nodes beyond it, summed at level
-        # 0, drop out at level 1, and the integrand never sees a node at
-        # or beyond it
+        # inside that cut: the cut moves inward for level 1 on, the
+        # level-0 sums stand, and from level 1 on the integrand never
+        # sees a node at or beyond the hole
         hole = 3  # the level-1 node t = 7/16
         seen = []
-
-        def hole_map(level):
-            head, tail = unit_map(level)
-            head = np.where(head < 1e-100, np.nan, head)
-            if level == 1:
-                head[hole] = np.nan
-            return head, tail
 
         def f(x):
             seen.append(x)
             return x**-0.5
 
-        value, errors = tanh_sinh(f, hole_map)
-        # the level-1 grid steps t by 1/16 and keeps the head's t < 7/16
+        value, errors = tanh_sinh(f, _hole_map)
+        # the rule by hand: level 0 keeps its head nodes with s >= 1e-100,
+        # level 1 those with t < 7/16, and both keep every tail node
         h = 1.0 / 16.0
-        t, s, w = (np.concatenate([a, b]) for a, b in zip(_ts_new(0), _ts_new(1)))
-        head = t < (2 * hole + 1) * h
-        rule = h * (np.sum(w[head] * s[head] ** -0.5) + np.sum(w * (1.0 - s) ** -0.5))
+        (_, s0, w0), (t1, s1, w1) = _ts_new(0), _ts_new(1)
+        head0, head1 = s0 >= 1e-100, t1 < (2 * hole + 1) * h
+        rule = h * (np.sum(w0[head0] * s0[head0] ** -0.5) + np.sum(w1[head1] * s1[head1] ** -0.5)
+                    + np.sum(w0 * (1.0 - s0) ** -0.5) + np.sum(w1 * (1.0 - s1) ** -0.5))
         assert value == pytest.approx(rule, rel=1e-15)
         assert isinstance(errors[0], NumericalError) and "unsummed" in str(errors[0])
         assert len(seen) == 2
-        s_hole = _ts_new(1)[1][hole]
-        assert np.isfinite(seen[1]).all() and seen[1].min() > s_hole
+        assert np.isfinite(seen[1]).all() and seen[1].min() > s1[hole]
+
+    def test_side_that_keeps_no_node_names_no_node(self):
+        # a tail that is nan at every node adds nothing and leaves no
+        # part beyond it: the verdict is the head's, naming no node
+        _, errors = tanh_sinh(lambda x: x**-0.5, _head_only_map)
+        message = str(errors[0])
+        assert "nan" not in message and "last node" not in message, message
 
 
 def _hole_map(level):
@@ -184,9 +185,9 @@ class TestGoldenPanel:
          ["0x1.0000000000000p+1", "0x1.b7e151628aed3p+0", "0x1.3132c719b98b6p-6"],
          [None, None, None]),
         # a cut that moves inward at level 1
-        (lambda x: x**-0.5, _hole_map, "0x1.14276efbd0436p+0",
+        (lambda x: x**-0.5, _hole_map, "0x1.8521331500edcp+0",
          [("NumericalError", "the integrand behaves like (u)^-0.5 beyond the last node at "
-           "u = 0.23, which leaves up to 0.96 unsummed, above 1e-13 of 1.08")]),
+           "u = 0.23, which leaves up to 0.96 unsummed, above 1e-13 of 1.52")]),
         # a divergent power between two integrable components
         (lambda x: np.stack([x**-0.5, np.exp(-1.2 * np.log(x) - 230.0), np.exp(x)], -1),
          unit_map,
