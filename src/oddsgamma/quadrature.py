@@ -107,7 +107,7 @@ def _edges(level, m_head, m_tail):
     the level that added it, level - v for i = 2^v times odd, level 0
     where v >= level, and its index among that level's nodes. A side
     that keeps no node names the node t = 0 for both, and tanh_sinh
-    reads 0 there. s_k is s at each side's outermost node, log_s the
+    reads nan there. s_k is s at each side's outermost node, log_s the
     law's step log(s_k / s_j)."""
     outer = [max(m - 1, 0) for m in (m_head, m_tail)]
     nodes, s = [], []
@@ -122,10 +122,10 @@ def _edges(level, m_head, m_tail):
     return tuple(nodes), s_k, log_s
 
 
-def _failure(total, p, bound, s_k, tol, scale):
+def _failure(total, p, bound, s_k, kept, tol, scale):
     """The exception of a component that failed the level's verdict: a
-    non-finite sum, or the first side whose power law diverges or
-    leaves too much beyond its outermost node."""
+    non-finite sum, or the first side that diverges, leaves too much
+    beyond its outermost node or keeps fewer than two (kept[side] < 2)."""
     if not math.isfinite(total):
         return DivergenceError("the integrand is not finite at every node")
     side = 0 if p[0] <= -1.0 or not bound[0] <= tol else 1
@@ -134,13 +134,16 @@ def _failure(total, p, bound, s_k, tol, scale):
         return DivergenceError(
             f"the integrand grows like ({name})^{power:.3g} as {name} -> 0, "
             "which is not integrable")
+    if kept[side] < 2:
+        return NumericalError(f"{('no', 'only one')[kept[side]]} node of the {name} side "
+                              "lies inside the support, too few to bound the integral there")
     return NumericalError(
         f"the integrand behaves like ({name})^{power:.3g} beyond the last node at "
         f"{name} = {s_k[side]:.3g}, which leaves up to {bound[side]:.3g} unsummed, "
         f"above {_TS_TOL:g} of {scale:.3g}")
 
 
-def _verdict(todo, h, acc, prev, edge, p, s_k, value, errors, last):
+def _verdict(todo, h, acc, prev, edge, p, s_k, kept, value, errors, last):
     """The level's verdict on the open components todo, a list, one at a
     time in Python floats, whose operations are numpy's on each
     component: the same bits. Records the value of each in value, a
@@ -164,7 +167,7 @@ def _verdict(todo, h, acc, prev, edge, p, s_k, value, errors, last):
         power = p_head[i], p_tail[i]
         if not (b_head <= tol and b_tail <= tol and math.isfinite(t)
                 and not (power[0] <= -1.0 or power[1] <= -1.0)):
-            errors[i] = _failure(t, power, (b_head, b_tail), s_k, tol, size)
+            errors[i] = _failure(t, power, (b_head, b_tail), s_k, kept, tol, size)
         elif prev is None or not abs(t - prev[i]) <= tol:
             if last:
                 errors[i] = NumericalError(
@@ -185,10 +188,10 @@ def tanh_sinh(f, abscissae):
     left out from that level on; an earlier level's sums stand. It may
     return (head, tail, head weights, tail weights), q at the same
     nodes, which multiply f's values; without them q = 1, and "the
-    integrand" below is f q. f maps a 1-D array of abscissae
-    to one value per node, shape (n,), or to R components, shape (n, R),
-    once per level from level 0 on: the level's kept head nodes, then
-    its kept tail nodes. It runs with numpy's floating-point warnings
+    integrand" below is f q. f maps a 1-D array of abscissae to one
+    value per node, shape (n,), or to R components, shape (n, R), once
+    per level from level 0 on: the level's kept head nodes, then its
+    kept tail nodes. It runs with numpy's floating-point warnings
     off, as a value that is not finite is the verdict's to judge.
 
     Level n steps t by 2^-(n+3), and f sees and the rule sums only the
@@ -196,14 +199,14 @@ def tanh_sinh(f, abscissae):
     per component, level after level, for the edge power law, which
     reads nodes of earlier levels; it grows only when a level does not
     fit, to room for every node through that level (through level 2 at
-    first). A side that keeps no node adds nothing and leaves no part
-    beyond it. A component is accepted at the first level whose sum
-    agrees with the level before to 1e-13 of the integral of its
-    magnitude, and reports that sum, so its value does not depend on the other components. At
-    each side's outermost node the integrand behaves like s^p: a
-    non-finite sum or p <= -1 is a DivergenceError, and a part beyond
-    the nodes, s|f|/(1 + p), above 1e-13 of that integral a
-    NumericalError, as is a component still unsettled after ten levels.
+    first). A component is accepted at the first level whose sum agrees
+    with the level before to 1e-13 of the integral of its magnitude, and
+    reports that sum, so its value does not depend on the other
+    components. At each side's outermost node the integrand behaves like
+    s^p: a non-finite sum or p <= -1 is a DivergenceError, and a part
+    beyond the nodes, s|f|/(1 + p), above 1e-13 of that integral a
+    NumericalError, as are a side that keeps no node and a component
+    still unsettled after ten levels.
 
     A level calls f once, and forms the product with q, the row sums and
     the edge power law in a fixed number of numpy calls whatever R is.
@@ -272,11 +275,11 @@ def tanh_sinh(f, abscissae):
             edge = np.abs(buf[:, [starts[src][side] + idx for side, src, idx in nodes]])
             for side, m in enumerate(on_grid):
                 if not m:
-                    # a side that keeps no node adds nothing and leaves
-                    # no part beyond it
-                    edge[:, side::2] = 0.0
+                    # a side that keeps no node bounds nothing: its nan
+                    # bound fails every component
+                    edge[:, side::2] = math.nan
             p = np.log(edge[:, :2] / edge[:, 2:]) / log_s
-            todo = _verdict(todo, h, acc, prev, edge, p, s_k, value, errors,
+            todo = _verdict(todo, h, acc, prev, edge, p, s_k, on_grid, value, errors,
                             level == _TS_LEVELS - 1)
         if todo is None:
             break

@@ -733,6 +733,17 @@ class TestTanhSinhExpectations:
                 d.moment_quadrature(2)
         assert d.moment_quadrature(1) / c == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("alpha, kept", [(5e-4, "no node"), (1e-3, "only one node")])
+    def test_nodes_off_the_support_at_the_median(self, alpha, kept):
+        # the derived log_isf reads isf(0), the top of the support, once
+        # ln(T/beta) < -745: at alpha = 5e-4 already at the gamma median,
+        # T(u = 1/2), which both sides share, so neither side keeps a
+        # node; at 1e-3 the head keeps that node alone. Either way the
+        # mean raises and names the side
+        d = GammaRatioDist(alpha, 1.0, dataclasses.replace(make_exponential(1.0), log_isf=None))
+        with pytest.raises(NumericalError, match=f"order 1: {kept} of the u side lies inside"):
+            d.moment_quadrature(1)
+
     @pytest.mark.parametrize("t, re, im", [
         (1.0, 0.057040439556620784069, 0.14016601256619804372),
         (5.0, -0.021505898137954687863, 0.033988280912829271986),

@@ -58,12 +58,13 @@ class TestTanhSinh:
         assert values[2] == pytest.approx(math.sin(40.0) / 40.0, rel=1e-13)
 
     @pytest.mark.parametrize("r", _WIDTHS)
-    @pytest.mark.parametrize("nodes", ["unit", "hole", "head only"])
+    @pytest.mark.parametrize("nodes", ["unit", "hole", "head only", "no node"])
     def test_components_settle_alone_at_every_width(self, r, nodes):
         # convergent, divergent and unresolved components side by side:
         # at every width each component keeps the value bits, error
         # type and message of its scalar run
-        abscissae = {"unit": unit_map, "hole": _hole_map, "head only": _head_only_map}[nodes]
+        abscissae = {"unit": unit_map, "hole": _hole_map, "head only": _head_only_map,
+                     "no node": _no_node_map}[nodes]
         fs = [_mixed_component(j) for j in range(r)]
         values, errors = tanh_sinh(lambda x: np.stack([f(x) for f in fs], -1), abscissae)
         singles = [tanh_sinh(f, abscissae) for f in fs]
@@ -144,12 +145,31 @@ class TestTanhSinh:
         assert len(seen) == 2
         assert np.isfinite(seen[1]).all() and seen[1].min() > s1[hole]
 
-    def test_side_that_keeps_no_node_names_no_node(self):
-        # a tail that is nan at every node adds nothing and leaves no
-        # part beyond it: the verdict is the head's, naming no node
-        _, errors = tanh_sinh(lambda x: x**-0.5, _head_only_map)
-        message = str(errors[0])
-        assert "nan" not in message and "last node" not in message, message
+    @pytest.mark.parametrize("nodes, kept, side", [
+        ("head only", "no node", "1 - u"),
+        ("no node", "no node", "u"),
+        ("one node", "only one node", "u"),
+    ])
+    def test_side_with_too_few_nodes_fails(self, nodes, kept, side):
+        # a side that keeps fewer than two nodes has no power law to bound
+        # the rest of its half: every component fails at level 0 with a
+        # NumericalError that names the side and no node, and is not
+        # accepted at the value of the other side (or 0, where the
+        # integrand sees no node at all)
+        abscissae = {"head only": _head_only_map, "no node": _no_node_map,
+                     "one node": _one_node_map}[nodes]
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.stack([x**-0.5, np.exp(x)], -1)
+
+        _, errors = tanh_sinh(f, abscissae)
+        assert len(seen) == 1
+        for error in errors:
+            assert type(error) is NumericalError
+            assert str(error) == (f"{kept} of the {side} side lies inside the support, "
+                                  "too few to bound the integral there")
 
 
 def _hole_map(level):
@@ -166,6 +186,18 @@ def _head_only_map(level):
     """unit_map with a tail that keeps no node."""
     head, tail = unit_map(level)
     return head, np.full_like(tail, np.nan)
+
+
+def _no_node_map(level):
+    """unit_map with neither side keeping a node."""
+    head, tail = unit_map(level)
+    return np.full_like(head, np.nan), np.full_like(tail, np.nan)
+
+
+def _one_node_map(level):
+    """unit_map with a head that keeps the node u = 1/2 alone."""
+    head, tail = unit_map(level)
+    return np.where(head < 0.5, np.nan, head), tail
 
 
 def _verdicts(errors):
