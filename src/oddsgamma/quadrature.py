@@ -122,10 +122,10 @@ def _edges(level, m_head, m_tail):
     return tuple(nodes), s_k, log_s
 
 
-def _failure(total, p, bound, s_k, kept, tol, scale):
+def _failure(total, p, bound, s_k, m, tol, scale):
     """The exception of a component that failed the level's verdict: a
     non-finite sum, or the first side that diverges, leaves too much
-    beyond its outermost node or keeps fewer than two (kept[side] < 2)."""
+    beyond its outermost node or keeps m[side] < 2 of the grid's nodes."""
     if not math.isfinite(total):
         return DivergenceError("the integrand is not finite at every node")
     side = 0 if p[0] <= -1.0 or not bound[0] <= tol else 1
@@ -134,8 +134,8 @@ def _failure(total, p, bound, s_k, kept, tol, scale):
         return DivergenceError(
             f"the integrand grows like ({name})^{power:.3g} as {name} -> 0, "
             "which is not integrable")
-    if kept[side] < 2:
-        return NumericalError(f"{('no', 'only one')[kept[side]]} node of the {name} side "
+    if m[side] < 2:
+        return NumericalError(f"{('no', 'only one')[m[side]]} node of the {name} side "
                               "lies inside the support, too few to bound the integral there")
     return NumericalError(
         f"the integrand behaves like ({name})^{power:.3g} beyond the last node at "
@@ -143,7 +143,7 @@ def _failure(total, p, bound, s_k, kept, tol, scale):
         f"above {_TS_TOL:g} of {scale:.3g}")
 
 
-def _verdict(todo, h, acc, prev, edge, p, s_k, kept, value, errors, last):
+def _verdict(todo, h, acc, prev, edge, p, s_k, m, value, errors, last):
     """The level's verdict on the open components todo, a list, one at a
     time in Python floats, whose operations are numpy's on each
     component: the same bits. Records the value of each in value, a
@@ -167,7 +167,7 @@ def _verdict(todo, h, acc, prev, edge, p, s_k, kept, value, errors, last):
         power = p_head[i], p_tail[i]
         if not (b_head <= tol and b_tail <= tol and math.isfinite(t)
                 and not (power[0] <= -1.0 or power[1] <= -1.0)):
-            errors[i] = _failure(t, power, (b_head, b_tail), s_k, kept, tol, size)
+            errors[i] = _failure(t, power, (b_head, b_tail), s_k, m, tol, size)
         elif prev is None or not abs(t - prev[i]) <= tol:
             if last:
                 errors[i] = NumericalError(
