@@ -5,12 +5,15 @@ and quantile, from mpmath alone, for tests/test_specfun.py's
 TestGammaTable and TestShapeTable and tests/test_gof.py's TestNormalTable.
 
 The (a, x) grid crosses x = 1.1, where the power series give way to the
-continued fraction and the igam series, and x = a. It covers a from
-1e-4 to 20, a few shapes up to 1e3, and x up to 1e3, past the point
-where Q underflows. Cells inside scipy's uniform asymptotic window
-(20 < a < 200 with |x - a| < 0.3 a, a > 200 with |x - a| < 4.5 sqrt(a))
-are left out. Each a, x, p and y is a float, taken at its exact binary
-value. ln Gamma(a) is tabled on a from 5e-324 to 1e6, and so are psi(a),
+Taylor rows, the continued fraction and the igam series, and x = a. It
+covers a from 1e-4 to 20, a few shapes up to 1e3, and x up to 1e3, past
+the point where Q underflows. Below a = 9 it also holds each edge of
+the Taylor rows, 1.1 * 1.2^(i - 1/2) for i = 1..12, the last the row
+top, and the float below it, the last x of the row beneath. Cells
+inside scipy's uniform asymptotic window (20 < a < 200 with
+|x - a| < 0.3 a, a > 200 with |x - a| < 4.5 sqrt(a)) are left out.
+Each a, x, p and y is a float, taken at its exact binary value.
+ln Gamma(a) is tabled on a from 5e-324 to 1e6, and so are psi(a),
 log a - psi(a) and a^2 psi'(a + 1), with 100 more shapes between 0.3
 and 30, where the recurrences act. The normal quantile is tabled on p
 from 1e-300 to 1 - 1e-16, the normal cdf on y from -38 to 9.
@@ -60,6 +63,9 @@ XS = [1e-300, 1e-10, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.05, 1
       1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, 30.0, 50.0, 80.0, 120.0, 200.0,
       350.0, 600.0, 745.0, 800.0, 1000.0]
 NEAR_A = (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0)
+# specfun._ROW_EDGES but the first, which lies below x = 1.1
+ROW_EDGES = [1.1 * 1.2 ** (i - 0.5) for i in range(1, 13)]
+ROW_XS = sorted(ROW_EDGES + [math.nextafter(e, 0.0) for e in ROW_EDGES])
 LOG_GAMMA_SHAPES = sorted(set(
     [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308]
     + [float(v) for v in np.geomspace(1e-300, 1e6, 160)]
@@ -83,7 +89,8 @@ def in_window(a, x):
 
 def cells():
     for a in SHAPES:
-        for x in sorted(set(XS + [a * f for f in NEAR_A])):
+        rows = ROW_XS if a < 9.0 else []
+        for x in sorted(set(XS + [a * f for f in NEAR_A] + rows)):
             if not in_window(a, x):
                 yield a, x
 

@@ -1,6 +1,7 @@
 """Special-function layer: values against independent references and
 inverse round trips including deep tails."""
 
+import bisect
 import json
 import math
 import warnings
@@ -306,6 +307,13 @@ def scipy_inputs(monkeypatch):
     return seen
 
 
+# every edge of Q's Taylor rows, the row top the last, with the floats
+# either side: the row a point takes, on either side of an edge, and the
+# continued fraction past the top
+ROW_EDGE_XS = np.array([e if d is None else np.nextafter(e, d) for e in specfun._ROW_EDGES[1:]
+                        for d in (0.0, None, np.inf)])
+
+
 def _scipy_served(a, x):
     """The points the kernel leaves to scipy: x > 1.1 inside scipy's
     uniform asymptotic window (20 < a, |x - a| < 0.3 a), and every
@@ -475,7 +483,7 @@ class TestUpperGammaKernel:
 
     @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 40.0])
     def test_scalar_matches_array(self, a):
-        xs = np.geomspace(1e-6, 1e3, 1536)
+        xs = np.concatenate([np.geomspace(1e-6, 1e3, 1536), ROW_EDGE_XS])
         for f, g in zip(PAIR, (reg_upper_gamma, reg_lower_gamma)):
             got = f(a, xs)
             one = np.array([g(a, x) for x in xs])
@@ -483,10 +491,12 @@ class TestUpperGammaKernel:
 
     @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2, 3.0, 20.0, 40.0])
     def test_chunked_calls_match_one_call(self, a):
-        # chunks of 1 and 2 run the continued fraction in Python floats
-        # and the series as accumulations, as 72 does for most shapes; the
-        # whole grid runs them as numpy loops
-        xs = np.concatenate([np.geomspace(1e-8, 1e3, 1531), [0.0, 0.5, 1.1, np.inf, np.nan]])
+        # chunks of 1 and 2 run the Taylor rows and the continued
+        # fraction in Python floats and the igam series as accumulations,
+        # as 72 does for most shapes; the whole grid runs them as numpy
+        # loops
+        xs = np.concatenate([np.geomspace(1e-8, 1e3, 1531), [0.0, 0.5, 1.1, np.inf, np.nan],
+                             ROW_EDGE_XS])
         for f in PAIR:
             whole = f(a, xs)
             for size in (1, 2, 7, 72, 767, 768):
@@ -500,6 +510,15 @@ class TestUpperGammaKernel:
             for size in (_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1):
                 parts = [f(a, xs[pick[i:i + size]]) for i in range(0, pick.size, size)]
                 assert np.array_equal(np.concatenate(parts), long, equal_nan=True), (a, size)
+
+    def test_row_index_is_bisects(self):
+        # the array kernel reads a point's Taylor row off its bits, the
+        # scalar one bisects the edges: the same row on either side of
+        # every edge and across each row
+        xs = np.concatenate([ROW_EDGE_XS[:-1], np.geomspace(np.nextafter(1.1, 2.0),
+                                                            ROW_EDGE_XS[-3], 4001)])
+        want = [bisect.bisect_right(specfun._ROW_EDGES, x) - 1 for x in xs.tolist()]
+        assert specfun._row_index(xs).tolist() == want
 
     def test_wheaton_cdf_does_not_depend_on_its_call(self):
         x = np.asarray(wheaton().values)
@@ -574,6 +593,13 @@ class TestGammaTable:
             xs = [x for x, _, _ in rows]
             assert min(xs) <= 1.1 < max(xs), a
             assert min(xs) < a <= max(xs) or a > 20.0, a
+
+    def test_grid_holds_the_row_edges(self, cells):
+        # below a = 9 every edge of the Taylor rows and the float below it
+        for a, rows in cells.items():
+            if a < 9.0:
+                xs = {x for x, _, _ in rows}
+                assert set(ROW_EDGE_XS.reshape(-1, 3)[:, :2].flat) <= xs, a
 
     def test_pair_within_ceilings(self, cells):
         for a, rows in cells.items():
@@ -741,16 +767,46 @@ class TestTermCounts:
 
     @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.2])
     def test_igamc_series(self, a):
-        n = specfun._shape(a).igamc_terms
+        # the sum runs by Horner over (-1)^n/(n! (a + n)), n = 1..count
+        k = specfun._shape(a)
+        n = len(k.igamc_coefs)
+        fac, deeper = 1.0, []
+        for j in range(1, n + 41):
+            fac /= -j
+            deeper.append(fac / (a + j))
+        assert k.igamc_coefs == deeper[n - 1::-1]
 
-        def total(m):
-            term, s = 1.0, 0.0
-            for j in range(1, m + 1):
-                term *= -1.1 / j
-                s += term / (a + j)
-            return s
+        def total(coef):
+            s = 0.0
+            for c in reversed(coef):
+                s = s * 1.1 + c
+            return s * 1.1
 
-        assert _within_an_ulp(total(n), total(n + 40)), a
+        assert _within_an_ulp(total(deeper[:n]), total(deeper)), a
+
+    @pytest.mark.parametrize("a", [1e-4, 0.131, 0.9, 1.0, 1.5, 3.7])
+    def test_taylor_rows(self, a):
+        # each row the shape takes, at both ends of the x it serves,
+        # against the same row 40 orders longer by the same recurrence;
+        # its order-0 term, the continued fraction at the anchor, against
+        # the fraction 40 terms past its count
+        k = specfun._shape(a)
+        edges = specfun._ROW_EDGES
+        for i, x0 in enumerate(specfun._ROW_ANCHORS):
+            top = math.nextafter(edges[i + 1], 0.0)
+            if top < a:
+                continue
+            row = k.row(i)
+            depth = specfun._cf_count(k, x0)
+            assert _within_an_ulp(row[-1], _backward_cf(a, x0, depth + 40)), (a, i)
+            f = row[::-1]
+            for n in range(len(f) - 1, len(f) + 39):
+                f.append(((x0 - a - n) * f[n] + f[n - 1]) / (x0 * (n + 1)))
+            low = max(edges[i], math.nextafter(1.1, 2.0), a)
+            for x in (low, top):
+                short = np.polyval(row, x - x0)
+                deep = np.polyval(f[::-1], x - x0)
+                assert _within_an_ulp(short, deep), (a, i, x)
 
 
 # deep-tail grid: flat regions are where an absolute residual criterion lies
