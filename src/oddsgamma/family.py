@@ -148,23 +148,35 @@ def _log_sf_of_log_odds(log_w):
     return np.subtract(np.minimum(log_w, 0.0), log_sf, out=log_sf)
 
 
-def _log_gamma_variates(rng, alpha, n):
-    """Logs of n Gamma(alpha, 1) draws from a numpy Generator.
+def _log_gamma_variates(rng, alpha, n, log_rate, f):
+    """f(ln T) for n draws T = G/rate, G ~ Gamma(alpha, 1), from a numpy
+    Generator, one _MAP_BLOCK block at a time: a block's ln T is formed
+    in place and overwritten with f of it, so that f runs in cache; the
+    draws' buffer is returned.
 
-    The draws are numpy's standard_gamma. Shapes below 1 are boosted
-    through Gamma(alpha+1) times an independent uniform to the power
-    1/alpha, added in log space, ln G = ln G(alpha+1) + ln(U)/alpha,
-    because U^(1/alpha) underflows for a sizeable share of draws once
-    alpha is small; the uniforms are drawn first.
+    The draws are numpy's standard_gamma, all n made before the first
+    block. Shapes below 1 are boosted through Gamma(alpha+1) times an
+    independent uniform to the power 1/alpha, added in log space,
+    ln G = ln G(alpha+1) + ln(U)/alpha, because U^(1/alpha) underflows
+    for a sizeable share of draws once alpha is small; the uniforms are
+    drawn first.
     """
     if alpha >= 1.0:
-        return np.log(rng.standard_gamma(alpha, n))
-    with np.errstate(divide="ignore"):
-        log_boost = np.log(rng.random(n))
-    log_boost /= alpha
-    out = np.log(rng.standard_gamma(alpha + 1.0, n))
-    out += log_boost
-    return out
+        uniforms, draws = None, rng.standard_gamma(alpha, n)
+    else:
+        uniforms = rng.random(n)
+        draws = rng.standard_gamma(alpha + 1.0, n)
+    for start in range(0, n, _MAP_BLOCK):
+        block = slice(start, start + _MAP_BLOCK)
+        log_t = np.log(draws[block], out=draws[block])
+        if uniforms is not None:
+            with np.errstate(divide="ignore"):
+                log_boost = np.log(uniforms[block], out=uniforms[block])
+            log_boost /= alpha
+            log_t += log_boost
+        log_t -= log_rate
+        draws[block] = f(log_t)
+    return draws
 
 
 def _sum_shells(inner, ctrl):
@@ -556,29 +568,33 @@ class GammaRatioDist:
         """x with cdf(x) = p and 1 - cdf(x) = s, through beta * w(x) = g.
 
         g solves Q(alpha, g) = p where upper holds, P(alpha, g) = s
-        elsewhere; a scalar goes to the scalar inverses, cheaper on one
-        level than the masked array path, and gives a float.
-        Odds g/beta below double range are taken from the level instead:
-        P(alpha, g) = g^alpha/Gamma(alpha+1) (1 + O(g)) gives ln g =
-        (ln s + ln Gamma(alpha+1))/alpha to O(g).
+        elsewhere. Odds g/beta below double range are taken from the
+        level instead: P(alpha, g) = g^alpha/Gamma(alpha+1) (1 + O(g))
+        gives ln g = (ln s + ln Gamma(alpha+1))/alpha to O(g).
+        A scalar level takes the same steps in floats, without the array
+        path's dozen numpy calls on one-element arrays: the scalar
+        inverse, then logs and exps by numpy's ufuncs on a scalar, which
+        give an array entry's bits, and the base's log_isf at a 0-d ln
+        sf; it gives a float.
         """
         if scalar:
-            g = np.array([inv_reg_upper_gamma(self.alpha, p) if upper
-                          else inv_reg_lower_gamma(self.alpha, s)])
-            s = np.array([s])
-        else:
-            g = np.empty(p.shape)
-            if upper.any():
-                g[upper] = _inv_reg_upper_gamma_vec(self.alpha, p[upper])
-            if not upper.all():
-                g[~upper] = _inv_reg_lower_gamma_vec(self.alpha, s[~upper])
+            g = (inv_reg_upper_gamma(self.alpha, p) if upper
+                 else inv_reg_lower_gamma(self.alpha, s))
+            w = g / self.beta
+            log_w = self._log_odds_of_level(s) if w < _TINY else np.log(w)
+            log_sf = min(log_w, 0.0) - np.log1p(np.exp(-abs(log_w)))
+            return float(self.base.log_isf(log_sf))
+        g = np.empty(p.shape)
+        if upper.any():
+            g[upper] = _inv_reg_upper_gamma_vec(self.alpha, p[upper])
+        if not upper.all():
+            g[~upper] = _inv_reg_lower_gamma_vec(self.alpha, s[~upper])
         w = g / self.beta
         log_w = np.log(np.maximum(w, _TINY))
         deep = w < _TINY
         if deep.any():
             log_w[deep] = self._log_odds_of_level(s[deep])
-        x = self._x_of_log_odds(log_w)
-        return float(x[0]) if scalar else x
+        return self._x_of_log_odds(log_w)
 
     def _log_odds_of_level(self, s):
         """ln(g/beta) with P(alpha, g) = s, to O(g), for odds below double range."""
@@ -593,15 +609,15 @@ class GammaRatioDist:
         rate beta has P(T >= w(x)) = Q(alpha, beta w(x)) = H(x), so
         mapping T back through the odds inverts the construction without
         any quantile iteration. T is drawn in log space and mapped through
-        the base's log_isf at ln sf = -softplus(-ln T).
+        the base's log_isf at ln sf = -softplus(-ln T), one block of
+        _MAP_BLOCK draws at a time, in the draws' own buffer
+        (_log_gamma_variates); a draw's value does not depend on its block.
         """
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"sample size must be an integer >= 0, got {n!r}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        log_t = _log_gamma_variates(rng, self.alpha, n)
-        log_t -= math.log(self.beta)
-        return self._x_of_log_odds(log_t)
+        return _log_gamma_variates(rng, self.alpha, n, math.log(self.beta), self._x_of_log_odds)
 
     # ---------------- quadrature expectations ----------------
 

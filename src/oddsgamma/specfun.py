@@ -50,10 +50,12 @@ TOMS 12, 1986), route by route (see _reg_gamma):
   overflows, stay with special.gammaincc and special.gammainc.
 - x = 0, inf and nan are exact.
 A large call runs in blocks of _MAP_BLOCK (32,768) points, whose
-temporaries stay in a core's L2 cache, as do GammaRatioDist.log_pdf's.
-A point's route and term count depend on a and x alone, never on the
-size of its call or on its block, so a scalar Q or P equals the array
-kernel's bit for bit.
+temporaries stay in a core's L2 cache, as do those of
+GammaRatioDist.log_pdf and of the sampler's logs and odds-to-x map
+(family._log_gamma_variates); the Taylor rows gather each order's
+coefficients into one buffer. A point's route and term count depend on
+a and x alone, never on the size of its call or on its block, so a
+scalar Q or P equals the array kernel's bit for bit.
 
 The inverses are scipy's gammainccinv/gammaincinv, which implement
 DiDonato & Morris (ACM TOMS 12, 1986) and keep relative accuracy in
@@ -798,11 +800,10 @@ def _igamc_series(k, x):
     to a few ulp, where scipy loses up to 3e-14 of Q to them.
     """
     coef = k.igamc_coefs
-    total = np.full_like(x, coef[0])
+    total = np.multiply(x, coef[0])
     for c in coef[1:]:
-        total *= x
         total += c
-    total *= x
+        total *= x
     np.log(x, out=x)
     x *= k.a
     lead = np.subtract(x, k.lgam1p)
@@ -825,10 +826,11 @@ def _igam_near(k, x):
     _igam_p's forward sum and _prefactor's powers.
     """
     coef = k.upper_coefs
-    total = np.full_like(x, coef[-1])
-    for c in reversed(coef[:-1]):
-        total *= x
+    total = np.multiply(x, coef[-1])
+    for c in reversed(coef[1:-1]):
         total += c
+        total *= x
+    total += coef[0]
     log_p = np.log(x)
     log_p *= k.a
     log_p -= x
@@ -949,10 +951,14 @@ def _taylor(k, x, upper):
     is summed by Horner in h = x - x_i over its Taylor row at the anchor
     x_i whose interval holds x (_taylor_row), about 20 multiply-adds a
     point where the fraction takes 40 to 120 steps; h is exact, as
-    x/x_i lies within 0.9 and 1.1. Up to _CF_LOOP_MAX points it runs in
-    Python floats, with bisect on the edges for the row and numpy's
-    multiplies and adds in their order, so the bits are the array
-    loop's."""
+    x/x_i lies within 0.9 and 1.1. The array loop gathers each order's
+    coefficients by the points' row index into one buffer, reused from
+    order to order. Up to _CF_LOOP_MAX points it runs in Python floats,
+    with bisect on the edges for the row and numpy's multiplies and adds
+    in their order, so the bits are the array loop's."""
+    # before the row sum, so that its temporaries and the sum's are never
+    # live together: a lower peak for a large call
+    q = _prefactor(k, x, False)
     if x.size <= _CF_LOOP_MAX:
         f = np.empty_like(x)
         for n, xn in enumerate(x.tolist()):
@@ -968,10 +974,12 @@ def _taylor(k, x, upper):
         table = k.row_table(i)
         h = x - _ROW_ANCHOR_ARRAY.take(i)
         f = table[0].take(i)
+        coef = np.empty_like(f)
         for c in table[1:]:
             f *= h
-            f += c.take(i)
-    q = _prefactor(k, x, False)
+            # the indices are in range; with out, mode "raise" would
+            # write through a temporary
+            f += c.take(i, out=coef, mode="clip")
     q *= f
     return q if upper else _complement(q)
 

@@ -230,16 +230,25 @@ class TestQuantile:
     # that quantile_sf maps through the base's log_isf
     LEVELS = np.array([1e-300, 1e-200, 1e-30, 1e-9, 0.1, 0.5, 0.5000001, 0.7, 1.0 - 1e-12])
 
+    @staticmethod
+    def laws(prm):
+        """The law on the exponential base, OE's own, and on the logistic
+        and Lomax bases, whose log_isf is derived: there a scalar level
+        reaches the base as a 0-d ln sf."""
+        alpha, beta, _ = prm
+        return (dist(*prm), OEGammaDist(*prm), GammaRatioDist(alpha, beta, logistic_base()),
+                GammaRatioDist(alpha, beta, lomax_base()))
+
     @pytest.mark.parametrize("prm", [(0.131, 0.179, 0.539), (0.01, 1.0, 1.0), (3.2, 2.5, 0.8)])
     def test_arrays_match_scalars_bit_for_bit(self, prm):
-        for d in (dist(*prm), OEGammaDist(*prm)):
+        for d in self.laws(prm):
             for name in ("quantile", "quantile_sf"):
                 f = getattr(d, name)
                 levels = self.LEVELS[::-1] if name == "quantile" else self.LEVELS
                 got = f(levels)
                 assert got.shape == levels.shape
                 want = np.array([f(float(q)) for q in levels])
-                assert np.array_equal(got, want), (prm, name)
+                assert np.array_equal(got, want), (prm, d.base.name, name)
                 assert np.array_equal(f(levels.reshape(3, 3)), want.reshape(3, 3))
 
     def test_deep_survival_levels_are_distinct(self):
@@ -263,11 +272,11 @@ class TestQuantile:
         # below about s = 1e-40 at the flood fit the odds underflow and x
         # comes from the base's log_isf; scalars take their own branch
         levels = np.logspace(-300.0, math.log10(0.999), 121)
-        for d in (dist(*prm), OEGammaDist(*prm)):
+        for d in self.laws(prm):
             for name in ("quantile_sf", "quantile"):
                 f, q = getattr(d, name), levels
                 got = np.array([f(float(v)) for v in q])
-                assert np.array_equal(got, f(q)), (prm, name)
+                assert np.array_equal(got, f(q)), (prm, d.base.name, name)
                 assert all(type(f(float(v))) is float for v in q[:3])
 
     def test_zero_dim_input_gives_a_float(self):
@@ -280,16 +289,23 @@ class TestQuantile:
 
 class TestSampling:
     @pytest.mark.parametrize("alpha", [0.05, 0.131, 0.96, 1.0, 1.5, 6.0])
-    @pytest.mark.parametrize("generic", [False, True], ids=["oe", "family"])
-    def test_sample_is_numpys_gamma_stream(self, alpha, generic):
+    @pytest.mark.parametrize("law", ["oe", "family", "logistic"])
+    def test_sample_is_numpys_gamma_stream(self, alpha, law):
         # bit for bit on every CPU: the same calls on the same generator,
-        # then ln T - ln beta through the base's log_isf
+        # then ln T - ln beta through the base's log_isf, which the
+        # sampler maps a block at a time and the reference in one call;
+        # the sizes end a call just short of, at and just past a block
+        # edge, and one past two blocks
         d = OEGammaDist(alpha, 0.179, 0.539)
-        if generic:
+        if law == "family":
             d = d.as_family()
+        elif law == "logistic":
+            d = GammaRatioDist(alpha, 0.179, logistic_base())
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        assert np.array_equal(d.sample(100_000, rng), numpy_sample(d, ref_rng, 100_000))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        block = family._MAP_BLOCK
+        for n in (100_000, block - 1, block, block + 1, 2 * block + 1):
+            assert np.array_equal(d.sample(n, rng), numpy_sample(d, ref_rng, n)), n
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_size_must_be_an_integer(self, n):
