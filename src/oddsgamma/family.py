@@ -276,16 +276,6 @@ def _tau_note(k, j, m, eta, r, err):
     return term + f"which could not be resolved ({err}); the series stops there"
 
 
-def _tau_table(ctrl, c):
-    """(r, tau, verdicts, done): the tau columns of one series
-    evaluation at the integer offsets o = j - k in [1 - k_max, j_max),
-    index o + k_max - 1, at r = float(o) - c. _tau_inner fills a column's
-    value and done flag the first time a shell asks for it, and its
-    verdict, the error that made it nan, where it is nan."""
-    r = np.arange(1.0 - ctrl.k_max, ctrl.j_max) - c
-    return r, np.empty(r.size), [None] * r.size, np.zeros(r.size, dtype=bool)
-
-
 @functools.cache
 def _level_logit(level):
     """(v, ln u, ln v, z) at the nodes tanh_sinh's level adds, the head
@@ -898,25 +888,22 @@ class GammaRatioDist:
 
     # ---------------- formal series evaluators ----------------
 
-    def _tau_inner(self, k, ctrl, m, eta, log_pref, s_binom, table):
-        """One k-shell of a tau-based double sum.
-
-        Terms are (-1)^(k+j) exp(log_pref) C(s_binom, j) times column j,
-        the table's column at offset j - k (see _tau_table), truncated by
-        _truncate_inner. A block of j asks tau, in one call, only for the
-        offsets the table lacks, and reads its values back by slicing.
-        The first j whose tau is nan aborts the whole evaluation via the
-        note channel, unless the truncation stopped before it; a nan
+    def _tau_inner(self, k, ctrl, m, eta, c, log_pref, s_binom):
+        """One k-shell of a tau-based double sum: terms (-1)^(k+j)
+        exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c), truncated by
+        _truncate_inner, each block of j asking tau for its columns in one
+        call. The first j whose tau is nan aborts the whole evaluation via
+        the note channel, unless the truncation stopped before it; a nan
         column 0 aborts the shell with nothing summed. In a series the
         shells reached all have a finite column 0 (see _tau_series).
         """
-        r, _, verdicts, _ = table
-        first = ctrl.k_max - 1 - k  # the table index of this shell's j = 0
         coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
         terms = np.empty(0)
         for start in range(0, ctrl.j_max, _TAU_BLOCK):
             stop = min(start + _TAU_BLOCK, ctrl.j_max)
-            tau = self._tau_columns(m, eta, table, first + start, first + stop)
+            r = np.arange(float(start - k), stop - k) - c
+            errors = []
+            tau = self.tau(m, eta, r, errors_out=errors)
             bad = np.flatnonzero(np.isnan(tau))
             good = bad[0] if bad.size else tau.size
             with np.errstate(over="ignore", invalid="ignore"):
@@ -925,58 +912,38 @@ class GammaRatioDist:
             if ok:
                 return partial, used, True, None
             if bad.size:
-                j = start + int(bad[0])
-                note = _tau_note(k, j, m, eta, r[first + j], verdicts[first + j])
-                return 0.0, j + 1, False, note
+                i, j = bad[0], start + int(bad[0])
+                return 0.0, j + 1, False, _tau_note(k, j, m, eta, r[i], errors[i])
         return partial, used, False, None
-
-    def _tau_columns(self, m, eta, table, i, n):
-        """Table entries i:n of tau(m, eta, r), after integrating, in one
-        tau call, the entries not yet done (see _tau_table)."""
-        r, values, verdicts, done = table
-        todo = np.flatnonzero(~done[i:n]) + i
-        if todo.size:
-            errors = []
-            values[todo] = self.tau(m, eta, r[todo], errors_out=errors)
-            done[todo] = True
-            for t in np.flatnonzero(np.isnan(values[todo])):
-                verdicts[todo[t]] = errors[t]
-        return values[i:n]
 
     def _tau_series(self, ctrl, m, eta, c, shell):
         """The double sum behind moment_series and renyi_series: shell k,
         with (log_pref, s_binom) = shell(k), has terms (-1)^(k+j)
-        exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c). Column j of
-        shell k is the column at offset j - k of one table, which every
-        shell of the evaluation reads, so each offset is integrated once.
+        exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c).
 
         A term that is not integrable makes the expansion formal wherever
         its truncation would stop, so column j = 0 of every shell k <
-        k_max, offset -k, the shell's most singular (r grows with j), is
-        ruled on before any shell is summed: offsets 0, -1, -2, ... up to
-        the first nan one, in tau calls of m + 1, 2(m + 1), 4(m + 1), ...
-        columns, at most _TAU_BLOCK. On the exponential base shell k's
-        column 0 goes like x^(m - k - alpha - 1) at the head, so the
-        first call, shells 0..m, holds the first formal shell
-        max(0, ceil(m - alpha)) of every moment series there; a column's
-        value and verdict do not depend on the others in its call. Where
-        shell k's is nan the result is its note, a nan value and
-        terms_used (k, 1).
+        k_max, tau(m, eta, -k - c), the shell's most singular (r grows
+        with j), is ruled on before any shell is summed, up to the first
+        nan one, in tau calls of m + 1, 2(m + 1), 4(m + 1), ... columns,
+        at most _TAU_BLOCK. On the exponential base shell k's column 0
+        goes like x^(m - k - alpha - 1) at the head, so the first call,
+        shells 0..m, holds the first formal shell max(0, ceil(m - alpha))
+        of every moment series there; a column's value and verdict do not
+        depend on the others in its call. Where shell k's is nan the
+        result is its note, a nan value and terms_used (k, 1).
         """
-        table = _tau_table(ctrl, c)
-        r, _, verdicts, _ = table
-        k, width = 0, min(m + 1, _TAU_BLOCK)
+        k, n = 0, min(m + 1, _TAU_BLOCK)
         while k < ctrl.k_max:
-            n = min(width, ctrl.k_max - k)
-            top = ctrl.k_max - 1 - k  # the table index of offset -k
-            tau = self._tau_columns(m, eta, table, top + 1 - n, top + 1)
-            bad = np.flatnonzero(np.isnan(tau[::-1]))
+            r = -np.arange(float(k), min(k + n, ctrl.k_max)) - c
+            errors = []
+            bad = np.flatnonzero(np.isnan(self.tau(m, eta, r, errors_out=errors)))
             if bad.size:
-                k, i = k + int(bad[0]), top - int(bad[0])
-                note = _tau_note(k, 0, m, eta, r[i], verdicts[i])
-                return SeriesResult(math.nan, (k, 1), False, note)
-            k, width = k + n, min(2 * width, _TAU_BLOCK)
-        return _sum_shells(lambda k: self._tau_inner(k, ctrl, m, eta, *shell(k), table), ctrl)
+                i, k = bad[0], k + int(bad[0])
+                return SeriesResult(math.nan, (k, 1), False,
+                                    _tau_note(k, 0, m, eta, r[i], errors[i]))
+            k, n = k + n, min(2 * n, _TAU_BLOCK)
+        return _sum_shells(lambda k: self._tau_inner(k, ctrl, m, eta, c, *shell(k)), ctrl)
 
     def moment_series(self, m, ctrl=None):
         """Formal double-sum expansion of the raw moment of order m.
@@ -984,8 +951,8 @@ class GammaRatioDist:
         Mirrors the tau-based expansion term for term; the quadrature
         path is authoritative. converged=False results carry a
         diagnostic (shell growth, non-integrable tau, or truncation).
-        Shell k's column j takes tau at r = (j - k) - (alpha + 1), the
-        table column at the integer offset j - k (see _tau_series).
+        Shell k's column j takes tau at r = (j - k) - (alpha + 1) (see
+        _tau_series).
         """
         m = _validate_order(m, "moment_series")
         a, b = self.alpha, self.beta
@@ -1062,8 +1029,8 @@ class GammaRatioDist:
 
         The result's value is the transformed entropy log(S)/(1 - eta),
         nan when the inner sum is not a positive finite number. Shell
-        k's column j takes tau at r = (j - k) - eta (alpha + 1), the
-        table column at the integer offset j - k, as in moment_series.
+        k's column j takes tau at r = (j - k) - eta (alpha + 1), as in
+        moment_series.
         """
         eta = _validate_renyi_order(eta, "renyi_series")
         a, b = self.alpha, self.beta

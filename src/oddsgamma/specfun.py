@@ -52,8 +52,7 @@ TOMS 12, 1986), route by route (see _reg_gamma):
 A large call runs in blocks of _MAP_BLOCK (32,768) points, whose
 temporaries stay in a core's L2 cache, as do those of
 GammaRatioDist.log_pdf and of the sampler's logs and odds-to-x map
-(family._log_gamma_variates); the Taylor rows gather each order's
-coefficients into one buffer. A point's route and term count depend on
+(family._log_gamma_variates). A point's route and term count depend on
 a and x alone, never on the size of its call or on its block, so a
 scalar Q or P equals the array kernel's bit for bit.
 
@@ -952,10 +951,10 @@ def _taylor(k, x, upper):
     x_i whose interval holds x (_taylor_row), about 20 multiply-adds a
     point where the fraction takes 40 to 120 steps; h is exact, as
     x/x_i lies within 0.9 and 1.1. The array loop gathers each order's
-    coefficients by the points' row index into one buffer, reused from
-    order to order. Up to _CF_LOOP_MAX points it runs in Python floats,
-    with bisect on the edges for the row and numpy's multiplies and adds
-    in their order, so the bits are the array loop's."""
+    coefficients by the points' row index. Up to _CF_LOOP_MAX points it
+    runs in Python floats, with bisect on the edges for the row and
+    numpy's multiplies and adds in their order, so the bits are the array
+    loop's."""
     # before the row sum, so that its temporaries and the sum's are never
     # live together: a lower peak for a large call
     q = _prefactor(k, x, False)
@@ -974,12 +973,9 @@ def _taylor(k, x, upper):
         table = k.row_table(i)
         h = x - _ROW_ANCHOR_ARRAY.take(i)
         f = table[0].take(i)
-        coef = np.empty_like(f)
         for c in table[1:]:
             f *= h
-            # the indices are in range; with out, mode "raise" would
-            # write through a temporary
-            f += c.take(i, out=coef, mode="clip")
+            f += c.take(i)
     q *= f
     return q if upper else _complement(q)
 

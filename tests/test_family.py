@@ -25,7 +25,7 @@ from oddsgamma import (
     make_exponential,
     quadrature,
 )
-from oddsgamma.family import _signed_binomial, _tau_table, _truncate_inner
+from oddsgamma.family import _signed_binomial, _truncate_inner
 
 from streams import numpy_sample
 
@@ -1042,6 +1042,15 @@ class TestRenyi:
             e2 = dist(0.7, 1.3, 0.55).renyi_entropy(eta)
             assert e2 - e1 == pytest.approx(math.log(2.0), abs=1e-9), eta
 
+    @pytest.mark.parametrize("alpha, eta", [(0.5, 0.6), (1.0, 0.4), (2.0, 0.2)])
+    def test_divergent_order_is_named(self, alpha, eta):
+        # on the Lomax base h ~ x^-(1 + alpha), so the integral of h^eta
+        # diverges where eta (1 + alpha) <= 1
+        d = GammaRatioDist(alpha, 1.0, lomax_base())
+        with pytest.raises(DivergenceError, match=(
+                rf"renyi entropy undefined for eta={eta:.6g}: the integral of h\^eta diverges")):
+            d.renyi_entropy(eta)
+
     def test_domain(self):
         d = dist(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="eta"):
@@ -1252,7 +1261,7 @@ class TestBatchedTauInner:
             s_binom = d.alpha + k - 1.0
         else:
             s_binom = renyi_eta * (d.alpha - 1.0) + k
-        got = d._tau_inner(k, ctrl, m, eta, log_pref, s_binom, _tau_table(ctrl, c))
+        got = d._tau_inner(k, ctrl, m, eta, c, log_pref, s_binom)
         want = _loop_tau_inner(d, k, ctrl, m, eta, c, log_pref, s_binom)
         assert got[1:] == want[1:]
         if poison is not None:
@@ -1425,8 +1434,7 @@ class TestSeriesWork:
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
         # shell 2's column 0 is not integrable, so no shell is summed:
-        # offsets 0, -1 and -2, the column 0 of shells 0-2, are ruled on
-        # in one three-column run
+        # the column 0 of shells 0-2 is ruled on in one three-column run
         shells = []
         monkeypatch.setattr(GammaRatioDist, "_tau_inner", lambda *args: shells.append(args))
         assert dist(*prm).moment_series(2).terms_used == (2, 1)
@@ -1484,9 +1492,20 @@ class TestSeriesWork:
     def test_sum_without_a_nan_column_keeps_its_bits(self, prm, m, ctrl, want):
         assert self._unchanged(prm, m, ctrl).value.hex() == want[0]
 
+    # integrand values of each UNCHANGED case, whose shells each ask tau
+    # for their own columns, the j = 0 rule's included; when the shells
+    # of an evaluation read one table of columns, each integrated once,
+    # they took 301,644, 78,596, 79,184, 78,400 and 78,204
+    @pytest.mark.parametrize("prm, m, ctrl, values", [
+        (prm, m, ctrl, values) for (prm, m, ctrl, _), values in zip(
+            UNCHANGED, [502_740, 235_788, 314_776, 157_192, 78_596])])
+    def test_summed_shells_value_count(self, runs, prm, m, ctrl, values):
+        self._unchanged(prm, m, ctrl)
+        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == values
+
     def test_huge_k_max_ends_at_the_first_formal_shell(self, runs):
-        # the rule reads offsets 0, -1 and -2 in one call and stops at
-        # shell 2's nan column: one run
+        # the rule reads the column 0 of shells 0-2 in one call and stops
+        # at shell 2's nan column: one run
         res = dist(*SERIES_DESIGN_PINS[0][0]).moment_series(2, SeriesControl(k_max=100_000))
         assert math.isnan(res.value) and res.converged is False
         assert res.terms_used == (2, 1) and res.diagnostic.startswith("term (k=2, j=0)")
@@ -1600,106 +1619,6 @@ def _first_failing_column(d, m, eta, c):
         except (DivergenceError, NumericalError) as err:
             return k, err
     return None, None
-
-
-class TestSharedTauColumns:
-    """The shells of one series evaluation share one table of tau
-    columns, addressed by the integer offset j - k. Each column settles
-    alone in tanh_sinh, so a column in the table is the one a fresh
-    block would integrate, bit for bit."""
-
-    @staticmethod
-    def _shells(d):
-        # (k, m, eta, c, log_pref, s_binom) of moment_series(2)'s
-        # shells 0 and 1 and of renyi_series(2)'s shell 0
-        a, b = d.alpha, d.beta
-
-        def moment(k):
-            log_pref = (a + k) * math.log(b) - math.lgamma(k + 1.0) - math.lgamma(a)
-            return k, 2, 0.0, a + 1.0, log_pref, a + k - 1.0
-
-        renyi = (0, 0, 1.0, 2.0 * (a + 1.0),
-                 2.0 * a * math.log(b) - 2.0 * math.lgamma(a), 2.0 * (a - 1.0))
-        return moment(0), moment(1), renyi
-
-    @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
-    def test_prefilled_memo_gives_the_fresh_shell(self, prm):
-        # the memo is the evaluation's column table
-        d = dist(*prm)
-        ctrl = DEFAULT_CONTROL
-
-        def shell(k, m, eta, c, log_pref, s_binom, table=None):
-            table = _tau_table(ctrl, c) if table is None else table
-            return d._tau_inner(k, ctrl, m, eta, log_pref, s_binom, table)
-
-        shell0, shell1, renyi = self._shells(d)
-        # moment_series(2)'s shell 1 after shell 0 filled the table
-        table = _tau_table(ctrl, shell0[3])
-        shell(*shell0, table)
-        done = table[3]
-        assert done.sum() == ctrl.j_max and done[ctrl.k_max - 1:].all()
-        assert shell(*shell1, table) == shell(*shell1)
-        # renyi_series(2)'s shell 0 with every column integrated in one tau
-        r, values, verdicts, done = table = _tau_table(ctrl, renyi[3])
-        errors = []
-        values[:] = d.tau(renyi[1], renyi[2], r, errors_out=errors)
-        verdicts[:] = errors
-        done[:] = True
-        assert shell(*renyi, table) == shell(*renyi)
-
-    def test_no_offset_reaches_tau_twice(self, monkeypatch):
-        seen = []
-        tau = GammaRatioDist.tau
-
-        def spy(self, m, eta, r, errors_out=None):
-            seen[-1].extend(np.atleast_1d(r).tolist())
-            return tau(self, m, eta, r, errors_out)
-
-        monkeypatch.setattr(GammaRatioDist, "tau", spy)
-        wide, two = SeriesControl(j_max=600), SeriesControl(k_max=2, j_max=600)
-        for prm, _ in SERIES_DESIGN_PINS:
-            d = dist(*prm)
-            for evaluate in (lambda: d.moment_series(1), lambda: d.moment_series(2),
-                             lambda: d.moment_series(2, wide), lambda: d.moment_series(2, two),
-                             lambda: d.renyi_series(2.0)):
-                seen.append([])
-                evaluate()
-                assert len(seen[-1]) == len(set(seen[-1]))
-        # moment_series(2) at j_max = 600: the column 0 of shells 0-2,
-        # where shell 2's ends it; with two shells, whose column 0 are
-        # both integrable, shell 0's 600 columns in three blocks and
-        # shell 1's column 0, the only offset shell 0 lacks
-        assert [len(r) for r in seen[2::5]] == [3, 3, 3]
-        assert [len(r) for r in seen[3::5]] == [601, 601, 601]
-
-    def test_table_r_is_each_shells_r_bit_for_bit(self):
-        # column j of shell k sits at offset j - k; its r is the one the
-        # shell would form from j and k, (j - k) - c, in every bit
-        ctrl = SeriesControl(k_max=7, j_max=300)
-        j = np.arange(float(ctrl.j_max))
-        for c in (0.1 + 1.0, 2.0 * (0.1 + 1.0), 0.45542855490186324 + 1.0,
-                  1.9 * (0.8162849940598352 + 1.0)):
-            r = _tau_table(ctrl, c)[0]
-            assert r.size == ctrl.k_max - 1 + ctrl.j_max
-            for k in range(ctrl.k_max):
-                first = ctrl.k_max - 1 - k
-                assert r[first:first + ctrl.j_max].tobytes() == ((j - k) - c).tobytes()
-
-    def test_grid_results_equal_unshared_shells(self, monkeypatch):
-        shared = {prm: _series_op(dist(*prm)) for prm in SERIES_GRID}
-        tau_inner = GammaRatioDist._tau_inner
-
-        def unshared(self, k, ctrl, m, eta, log_pref, s_binom, table):
-            fresh = (table[0],) + _tau_table(ctrl, 0.0)[1:]
-            return tau_inner(self, k, ctrl, m, eta, log_pref, s_binom, fresh)
-
-        monkeypatch.setattr(GammaRatioDist, "_tau_inner", unshared)
-        for prm, results in shared.items():
-            for got, want in zip(results, _series_op(dist(*prm))):
-                assert (got.converged, got.terms_used, got.diagnostic) == (
-                    want.converged, want.terms_used, want.diagnostic), prm
-                assert got.value == want.value or math.isnan(got.value) and math.isnan(
-                    want.value), prm
 
 
 class TestSeriesGolden:

@@ -10,6 +10,7 @@ equations and against scipy.optimize, a maximiser outside the library.
 """
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -488,6 +489,37 @@ class TestShapeEquations:
         got = np.array(res.theta_hat)
         got[-1] *= scale  # the rate is the last parameter of every model
         assert tuple(got) == pytest.approx(fits[alias][0].theta_hat, rel=1e-13, abs=0.0)
+
+    # 50-digit mpmath root of the Weibull shape equation on one point
+    # eleven decades above forty in [10, 11), and its rate mean(x^k)^(-1/k)
+    OUTLIER_ROOT = (0.12146651001111255500442195178409938217693916283732,
+                    0.0033496039919219758095013410391246424849583685034892)
+
+    def test_weibull_newton_step_out_of_its_bracket_bisects(self):
+        # Menon's start, 0.329, tops the bracket [0.041, 0.329], and
+        # Newton steps from it to -1.06: the solver bisects instead, and
+        # the fit still meets the root
+        x = np.r_[np.random.default_rng(0).random(40) + 10.0, 1e12]
+        solver = models._weibull_exact_mle
+        lines, first = inspect.getsourcelines(solver)
+        fallback = first + next(i for i, line in enumerate(lines) if "0.5 * (lo + hi)" in line)
+        brackets = []
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == fallback:
+                brackets.append((frame.f_locals["lo"], frame.f_locals["hi"]))
+            return line
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: line if frame.f_code is solver.__code__ else None)
+        try:
+            res = mle_fit(get_model("m6"), x)
+        finally:
+            sys.settrace(previous)
+        [(lo, hi)] = brackets  # one bisection, inside a finite bracket
+        assert 0.0 < lo < hi < math.inf
+        assert res.converged and res.iterations == 6
+        assert res.theta_hat == pytest.approx(self.OUTLIER_ROOT, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alias, name, data", [
         # two nearly equal observations near 1e-294, whose gamma rate
