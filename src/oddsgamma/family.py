@@ -8,9 +8,10 @@ computed by a tanh-sinh rule on the gamma scale, with divergence
 detection: T = beta * w(X) is Gamma(alpha, 1), and a closed-form map of
 (0, 1) onto T with its density as node weights replaces the quantile
 map, so no expectation inverts the incomplete gamma. The family's
-double-series expansions are exposed as formal evaluators that report
-their own convergence honestly; quadrature is authoritative whenever
-the two disagree. The mgf and cf series, sums over orders m of
+double-series expansions in tau functionals are formal: their
+evaluators sum no shell and return the verdict of the first shell whose
+j = 0 column is not integrable, and quadrature gives the values. The
+mgf and cf series, sums over orders m of
 t^m/m! times the order-m moment expansion, are formal at every
 parameter: their order-0 component needs tau(0, 0, -(alpha + 1)), the
 integral of u^-(alpha+1) over (0, 1), which diverges for every base and
@@ -48,8 +49,8 @@ windowed_quad = None
 _TINY = np.finfo(float).tiny
 # exp(v) rounds to 0 for every v <= -750, below log(2^-1075) = -745.13
 _EXP_ZERO = -750.0
-# columns per tau call: a shell's j-ordered blocks, and the cap of the j = 0
-# rule's calls, which start at m + 1 columns for x^m and double
+# the cap of the j = 0 rule's tau calls, which start at m + 1 columns for
+# x^m and double, and of the shells it scans
 _TAU_BLOCK = 256
 # shell-over-shell growth factor that fires a series' divergence flag
 _DIVERGENCE_RATIO = 10.0
@@ -57,7 +58,10 @@ _DIVERGENCE_RATIO = 10.0
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation and honesty knobs for the formal series evaluators.
+    """Truncation and honesty knobs for the summed series evaluators,
+    OEGammaDist.moment_series and cdf_series; the family's tau series
+    (GammaRatioDist.moment_series, renyi_series, mgf_series and
+    cf_series) sum no shell and read no field.
 
     k_max and j_max are term counts, integers >= 1: shells
     k = 0..k_max-1 with inner terms j = 0..j_max-1 are eligible.
@@ -84,14 +88,15 @@ DEFAULT_CONTROL = SeriesControl()
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of a truncated series evaluation.
+    """Outcome of a series evaluation.
 
+    For the summed series, OEGammaDist.moment_series and cdf_series,
     value is the partial sum reached (nan when a term could not be
-    evaluated at all). terms_used is (k, j): k the number of shells
+    evaluated at all), and terms_used is (k, j): k the number of shells
     summed into value, and j the most inner terms any one shell reached,
-    the term that aborted a shell included; a tau series whose shell k
-    has a nan j = 0 column sums no shell and reports (k, 1) (see
-    GammaRatioDist._tau_series).
+    the term that aborted a shell included. A family tau series sums no
+    shell: its value is nan, and it reports (k, 1) for the shell k whose
+    j = 0 column ended it (see GammaRatioDist._tau_series).
     converged is True only when the last retained shell fell below
     tail_tol relative to the partial sum and no divergence flag fired.
     diagnostic explains any failure, and is empty exactly when converged
@@ -265,11 +270,11 @@ def _signed_binomial(k, log_pref, s, n):
         return sign_k * float(np.exp(log_pref)) * (-1.0) ** j * binom
 
 
-def _tau_note(k, j, m, eta, r, err):
-    """The note that aborts a series at its first nan tau, whose
-    quadrature verdict is err: not integrable where that is a
+def _tau_note(k, m, eta, r, err):
+    """The note that ends a tau series at shell k's nan j = 0 column,
+    whose quadrature verdict is err: not integrable where that is a
     DivergenceError, else not resolved."""
-    term = f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, r={r:.6g}), "
+    term = f"term (k={k}, j=0) needs tau(m={m}, eta={eta:.6g}, r={r:.6g}), "
     if isinstance(err, DivergenceError):
         return term + ("which is not integrable; the printed expansion is formal "
                        "at these parameters")
@@ -361,19 +366,6 @@ def _validate_t(t, who):
     if not math.isfinite(t):
         raise ValueError(f"{who} requires a finite t, got t = {t}")
     return t
-
-
-def _renyi_result(raw, eta):
-    """The order-eta entropy log(S)/(1 - eta) of a summed series raw;
-    nan, not converged, where S is not a positive finite number."""
-    if not math.isfinite(raw.value) or raw.value <= 0.0:
-        diag = raw.diagnostic or (
-            f"summed value {raw.value:.6g} is not a positive finite number, "
-            "so it has no logarithm"
-        )
-        return SeriesResult(math.nan, raw.terms_used, False, diag)
-    value = math.log(raw.value) / (1.0 - eta)
-    return SeriesResult(value, raw.terms_used, raw.converged, raw.diagnostic)
 
 
 def _validate_order(m, who):
@@ -888,79 +880,48 @@ class GammaRatioDist:
 
     # ---------------- formal series evaluators ----------------
 
-    def _tau_inner(self, k, ctrl, m, eta, c, log_pref, s_binom):
-        """One k-shell of a tau-based double sum: terms (-1)^(k+j)
-        exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c), truncated by
-        _truncate_inner, each block of j asking tau for its columns in one
-        call. The first j whose tau is nan aborts the whole evaluation via
-        the note channel, unless the truncation stopped before it; a nan
-        column 0 aborts the shell with nothing summed. In a series the
-        shells reached all have a finite column 0 (see _tau_series).
-        """
-        coef = _signed_binomial(k, log_pref, s_binom, ctrl.j_max)
-        terms = np.empty(0)
-        for start in range(0, ctrl.j_max, _TAU_BLOCK):
-            stop = min(start + _TAU_BLOCK, ctrl.j_max)
-            r = np.arange(float(start - k), stop - k) - c
-            errors = []
-            tau = self.tau(m, eta, r, errors_out=errors)
-            bad = np.flatnonzero(np.isnan(tau))
-            good = bad[0] if bad.size else tau.size
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = np.concatenate((terms, coef[start:start + good] * tau[:good]))
-            partial, used, ok = _truncate_inner(terms, ctrl) if terms.size else (0.0, 0, False)
-            if ok:
-                return partial, used, True, None
-            if bad.size:
-                i, j = bad[0], start + int(bad[0])
-                return 0.0, j + 1, False, _tau_note(k, j, m, eta, r[i], errors[i])
-        return partial, used, False, None
-
-    def _tau_series(self, ctrl, m, eta, c, shell):
-        """The double sum behind moment_series and renyi_series: shell k,
-        with (log_pref, s_binom) = shell(k), has terms (-1)^(k+j)
-        exp(log_pref) C(s_binom, j) tau(m, eta, (j - k) - c).
-
-        A term that is not integrable makes the expansion formal wherever
-        its truncation would stop, so column j = 0 of every shell k <
-        k_max, tau(m, eta, -k - c), the shell's most singular (r grows
-        with j), is ruled on before any shell is summed, up to the first
-        nan one, in tau calls of m + 1, 2(m + 1), 4(m + 1), ... columns,
-        at most _TAU_BLOCK. On the exponential base shell k's column 0
-        goes like x^(m - k - alpha - 1) at the head, so the first call,
-        shells 0..m, holds the first formal shell max(0, ceil(m - alpha))
-        of every moment series there; a column's value and verdict do not
-        depend on the others in its call. Where shell k's is nan the
-        result is its note, a nan value and terms_used (k, 1).
+    def _tau_series(self, m, eta, c):
+        """The verdict of the formal double sum behind moment_series
+        and renyi_series, whose shell k has terms in tau(m, eta,
+        (j - k) - c); no shell is summed. Column j = 0 of shell k,
+        tau(m, eta, -k - c), the shell's most singular (r grows with j),
+        is ruled on over shells k < _TAU_BLOCK up to the first nan one,
+        in tau calls of m + 1, 2(m + 1), 4(m + 1), ... columns. On the
+        exponential base it goes like x^(m - k - alpha - 1) at the head,
+        so the first call, shells 0..m, holds the first formal shell
+        max(0, ceil(m - alpha)) of every moment series there; a column's
+        value and verdict do not depend on the others in its call. Where
+        shell k's is nan the result is its note, a nan value and
+        terms_used (k, 1); where none below the cap is, as on a base
+        whose head decays faster than any power, a nan value, terms_used
+        (_TAU_BLOCK, 1) and a note that the expansion is not summed.
         """
         k, n = 0, min(m + 1, _TAU_BLOCK)
-        while k < ctrl.k_max:
-            r = -np.arange(float(k), min(k + n, ctrl.k_max)) - c
+        while k < _TAU_BLOCK:
+            r = -np.arange(float(k), min(k + n, _TAU_BLOCK)) - c
             errors = []
             bad = np.flatnonzero(np.isnan(self.tau(m, eta, r, errors_out=errors)))
             if bad.size:
                 i, k = bad[0], k + int(bad[0])
                 return SeriesResult(math.nan, (k, 1), False,
-                                    _tau_note(k, 0, m, eta, r[i], errors[i]))
+                                    _tau_note(k, m, eta, r[i], errors[i]))
             k, n = k + n, min(2 * n, _TAU_BLOCK)
-        return _sum_shells(lambda k: self._tau_inner(k, ctrl, m, eta, c, *shell(k)), ctrl)
+        return SeriesResult(
+            math.nan, (_TAU_BLOCK, 1), False,
+            f"no shell k < {_TAU_BLOCK} has a non-integrable j = 0 column "
+            f"tau(m={m}, eta={eta:.6g}, r=-k-{c:.6g}); the family's expansion is "
+            "not summed, and the quadrature path gives the value",
+        )
 
     def moment_series(self, m, ctrl=None):
-        """Formal double-sum expansion of the raw moment of order m.
-
-        Mirrors the tau-based expansion term for term; the quadrature
-        path is authoritative. converged=False results carry a
-        diagnostic (shell growth, non-integrable tau, or truncation).
-        Shell k's column j takes tau at r = (j - k) - (alpha + 1) (see
-        _tau_series).
+        """The verdict of the formal double-sum expansion of the raw
+        moment of order m, whose shell k's column j takes tau at
+        r = (j - k) - (alpha + 1): _tau_series' nan value and note of the
+        first shell whose j = 0 column fails. moment_quadrature gives
+        the value; ctrl, kept for OEGammaDist's signature, is not read.
         """
         m = _validate_order(m, "moment_series")
-        a, b = self.alpha, self.beta
-
-        def shell(k):
-            return (a + k) * math.log(b) - log_gamma(k + 1.0) - log_gamma(a), a + k - 1.0
-
-        return self._tau_series(ctrl or DEFAULT_CONTROL, m, 0.0, a + 1.0, shell)
+        return self._tau_series(m, 0.0, self.alpha + 1.0)
 
     def central_moment_series(self, m, ctrl=None):
         """Binomial recombination of series raw moments (all-series path).
@@ -1006,7 +967,7 @@ class GammaRatioDist:
         with a nan value."""
         t = _validate_t(t, "mgf_series")
         self._check_mgf_domain(t)
-        return self._exp_series(ctrl)
+        return self._exp_series()
 
     def cf_series(self, t, ctrl=None):
         """Formal triple-sum characteristic function, formal at every
@@ -1014,33 +975,24 @@ class GammaRatioDist:
         mgf_series gives: the order-0 component fails, and the value
         is nan."""
         _validate_t(t, "cf_series")
-        return self._exp_series(ctrl)
+        return self._exp_series()
 
-    def _exp_series(self, ctrl):
+    def _exp_series(self):
         """The order-0 verdict that ends every order sum of the mgf/cf:
         the tau expansion's, for every law, OEGammaDist included."""
-        part = GammaRatioDist.moment_series(self, 0, ctrl)
+        part = self._tau_series(0, 0.0, self.alpha + 1.0)
         return SeriesResult(
             math.nan, part.terms_used, False, f"order-0 component failed: {part.diagnostic}"
         )
 
     def renyi_series(self, eta, ctrl=None):
-        """Formal expansion of the order-eta entropy via tau functionals.
-
-        The result's value is the transformed entropy log(S)/(1 - eta),
-        nan when the inner sum is not a positive finite number. Shell
-        k's column j takes tau at r = (j - k) - eta (alpha + 1), as in
-        moment_series.
+        """The verdict of the formal tau expansion of the order-eta
+        entropy, whose shell k's column j takes tau(0, eta - 1,
+        (j - k) - eta (alpha + 1)), as moment_series gives its own.
+        renyi_entropy gives the value; ctrl is not read.
         """
         eta = _validate_renyi_order(eta, "renyi_series")
-        a, b = self.alpha, self.beta
-
-        def shell(k):
-            log_pref = k * math.log(eta) + (eta * a + k) * math.log(b) - log_gamma(k + 1.0)
-            return log_pref - eta * log_gamma(a), eta * (a - 1.0) + k
-
-        raw = self._tau_series(ctrl or DEFAULT_CONTROL, 0, eta - 1.0, eta * (a + 1.0), shell)
-        return _renyi_result(raw, eta)
+        return self._tau_series(0, eta - 1.0, eta * (self.alpha + 1.0))
 
     def cdf_series(self, x, ctrl=None):
         """Formal power-in-G1 expansion of the cdf; diagnostic path only.

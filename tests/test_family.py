@@ -25,7 +25,7 @@ from oddsgamma import (
     make_exponential,
     quadrature,
 )
-from oddsgamma.family import _signed_binomial, _truncate_inner
+from oddsgamma.family import _TAU_BLOCK, _signed_binomial, _truncate_inner
 
 from streams import numpy_sample
 
@@ -1180,98 +1180,6 @@ def _loop_truncate(terms, ctrl):
     return partial, len(terms), False
 
 
-def _loop_tau_inner(d, k, ctrl, m, eta, c, log_pref, s_binom):
-    """The scalar j loop _tau_inner once ran: one tau quadrature per term,
-    at r = (j - k) - c."""
-    pref = (-1.0 if k % 2 else 1.0) * float(np.exp(log_pref))
-    binom = _loop_binomial(s_binom, ctrl.j_max)
-    partial, small_run = 0.0, 0
-    for j in range(ctrl.j_max):
-        r = float(j - k) - c
-        try:
-            tau_val = d.tau(m, eta, r)
-        except DivergenceError:
-            return (
-                0.0, j + 1, False,
-                f"term (k={k}, j={j}) needs tau(m={m}, eta={eta:.6g}, "
-                f"r={r:.6g}), which is not integrable; the printed "
-                "expansion is formal at these parameters",
-            )
-        term = pref * ((-1.0) ** j) * binom[j] * tau_val
-        partial += term
-        if abs(term) <= ctrl.tail_tol * max(abs(partial), np.finfo(float).tiny):
-            small_run += 1
-            if small_run >= 2 and j >= 1:
-                return partial, j + 1, True, None
-        else:
-            small_run = 0
-    return partial, ctrl.j_max, False, None
-
-
-def _poison_tau(monkeypatch, r_bad):
-    """Make GammaRatioDist.tau rule the column at r_bad not integrable,
-    for a scalar r and inside a block alike."""
-    tau = GammaRatioDist.tau
-
-    def poisoned(self, m, eta, r, errors_out=None):
-        if np.ndim(r) == 0:
-            if r == r_bad:
-                raise DivergenceError("poisoned column")
-            return tau(self, m, eta, r)
-        errors = []
-        values = tau(self, m, eta, r, errors_out=errors)
-        for i in np.flatnonzero(r == r_bad):
-            values[i], errors[i] = np.nan, DivergenceError("poisoned column")
-        errors_out.extend(errors)
-        return values
-
-    monkeypatch.setattr(GammaRatioDist, "tau", poisoned)
-
-
-class TestBatchedTauInner:
-    """_tau_inner asks tau for blocks of j at once; it must keep the
-    scalar loop's stop, term count and first-non-integrable-j note."""
-
-    # shell k's column j is tau(m, eta, (j - k) - c); renyi_eta: None
-    # for a moment shell, whose binomial is C(alpha + k - 1, j); poison:
-    # a column j that tau is made to rule not integrable, or None
-    @pytest.mark.parametrize("prm, k, m, eta, c, ctrl, renyi_eta, poison", [
-        # j_max = 2000: stops at j = 310, in the second block of j
-        ((0.6, 0.05, 1.3), 0, 0, 1.0, 0.5, SeriesControl(j_max=2000, tail_tol=1e-7), None,
-         None),
-        # j_max = 2000: not integrable at j = 300, inside the second block
-        ((0.6, 0.05, 1.3), 0, 0, 1.0, 0.5, SeriesControl(j_max=2000), None, 300),
-        # a moment shell at the default control, run to j_max
-        ((0.6, 0.05, 1.0), 0, 1, 0.0, 1.6, DEFAULT_CONTROL, None, None),
-        # an entropy shell's binomial C(eta (alpha - 1) + k, j)
-        ((0.6, 0.05, 1.3), 1, 0, 1.0, -0.5, DEFAULT_CONTROL, 2.0, None),
-        # column j = 0 not integrable, so the shell aborts there with
-        # nothing summed: a moment shell of order 1, r = j - alpha - k - 1 ...
-        ((0.6, 0.05, 1.0), 1, 1, 0.0, 1.6, DEFAULT_CONTROL, None, None),
-        # ... and an order-2 entropy shell, r = j - eta (alpha + 1) - k
-        ((0.6, 0.05, 1.3), 0, 0, 1.0, 3.2, DEFAULT_CONTROL, 2.0, None),
-    ])
-    def test_matches_scalar_loop(self, monkeypatch, prm, k, m, eta, c, ctrl, renyi_eta,
-                                 poison):
-        d = dist(*prm)
-        if poison is not None:
-            _poison_tau(monkeypatch, float(poison - k) - c)
-        log_pref = 0.3 * k - 0.7
-        if renyi_eta is None:
-            s_binom = d.alpha + k - 1.0
-        else:
-            s_binom = renyi_eta * (d.alpha - 1.0) + k
-        got = d._tau_inner(k, ctrl, m, eta, c, log_pref, s_binom)
-        want = _loop_tau_inner(d, k, ctrl, m, eta, c, log_pref, s_binom)
-        assert got[1:] == want[1:]
-        if poison is not None:
-            assert got[1] == poison + 1
-            assert f"(k={k}, j={poison})" in got[3] and "not integrable" in got[3]
-        # each column of a block settles alone, so its tau is the scalar
-        # one; the partial sums add the same terms in another order
-        assert got[0] == pytest.approx(want[0], rel=1e-10, abs=0.0)
-
-
 # three points of the benchmark's series design (seed 101, ops 0, 1, 4)
 # and the r of each series' aborting term, pinned when tau ran on an
 # adaptive Gauss-Legendre engine with a Cauchy window verdict, before
@@ -1295,8 +1203,7 @@ class TestSeriesDesignPins:
     """moment_series(1), moment_series(2) and renyi_series(2) at design
     points of the benchmark's series workload: every one aborts at the
     j = 0 term of one shell, k* = max(0, ceil(m - alpha)) for the
-    moments, and sums no shell, because every shell's j = 0 column is
-    ruled on before any block is integrated."""
+    moments, and sums no shell."""
 
     @pytest.mark.parametrize("prm, r0", SERIES_DESIGN_PINS)
     def test_pinned_results(self, prm, r0):
@@ -1314,26 +1221,17 @@ class TestSeriesDesignPins:
 
     @pytest.mark.parametrize("prm, r0", SERIES_DESIGN_PINS)
     def test_short_controls(self, prm, r0):
+        # the verdict is the law's, not the truncation's: a k_max at or
+        # below the first formal shell k* sums no shell either, and the
+        # result is shell k*'s note
         d = dist(*prm)
-        # one shell: there is no shell 1 column to rule on, so shell 0
-        # sums to j_max
-        one = SeriesControl(k_max=1)
-        res = d.moment_series(1, one)
-        assert math.isfinite(res.value) and res.converged is False
-        assert res.terms_used == (1, 200)
-        assert res.diagnostic == "k_max=1 shells consumed before the tail criterion was met"
-        # two shells: shell 1's j = 0 column ends it, and shell 0 sums
-        # nothing; for moment_series(2) that column is integrable, so
-        # both shells sum to j_max
-        two = SeriesControl(k_max=2, j_max=50)
-        res = d.moment_series(1, two)
-        assert math.isnan(res.value) and res.converged is False
-        assert res.terms_used == (1, 1)
-        assert res.diagnostic.startswith(
-            f"term (k=1, j=0) needs tau(m=1, eta=0, r={r0[0]}), which is not integrable")
-        res = d.moment_series(2, two)
-        assert math.isfinite(res.value) and res.terms_used == (2, 50)
-        assert res.diagnostic == "k_max=2 shells consumed before the tail criterion was met"
+        for ctrl in (SeriesControl(k_max=1), SeriesControl(k_max=2, j_max=50)):
+            for m, k, r in ((1, 1, r0[0]), (2, 2, r0[1])):
+                res = d.moment_series(m, ctrl)
+                assert math.isnan(res.value) and res.converged is False
+                assert res.terms_used == (k, 1)
+                assert res.diagnostic.startswith(
+                    f"term (k={k}, j=0) needs tau(m={m}, eta=0, r={r}), which is not integrable")
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
     def test_first_moment_integrates_no_block(self, monkeypatch, prm):
@@ -1432,75 +1330,34 @@ class TestSeriesWork:
             (r.terms_used, r.diagnostic) for r in _series_op(dist(a, b, lam))]
 
     @pytest.mark.parametrize("prm", [prm for prm, _ in SERIES_DESIGN_PINS])
-    def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, monkeypatch, prm):
-        # shell 2's column 0 is not integrable, so no shell is summed:
-        # the column 0 of shells 0-2 is ruled on in one three-column run
-        shells = []
-        monkeypatch.setattr(GammaRatioDist, "_tau_inner", lambda *args: shells.append(args))
+    def test_second_moment_k1_shell_integrates_only_its_probe(self, runs, prm):
+        # shell 2's column 0 is not integrable: the column 0 of shells
+        # 0-2 is ruled on in one three-column run
         assert dist(*prm).moment_series(2).terms_used == (2, 1)
-        assert shells == []
         assert [{columns for _, columns in shapes} for shapes in runs] == [{3}]
 
-    # (law, order (None: renyi_series(0.3)), control, result) where no
-    # shell's j = 0 column below k_max is nan, the result pinned from the
-    # code that summed shells before ruling on any column
-    UNCHANGED = [
-        ((0.131, 0.7, 1.3), 6, SeriesControl(5, 2000, 1e-3),
-         ("0x1.bdca7e97af82dp+11", (3, 653), True, "")),
-        ((0.6, 0.7, 1.3), 3, SeriesControl(3, 200, 1e-6),
-         ("0x1.e2a315097a8a4p+2", (3, 200), False,
-          "k_max=3 shells consumed before the tail criterion was met")),
-        ((0.131, 0.7, 1.3), 6, SeriesControl(6, 200, 1e-6),
-         ("0x1.8bf1591bf38b0p+10", (4, 200), False,
-          "an inner sum hit j_max=200 before its tail criterion")),
-        (SERIES_DESIGN_PINS[0][0], 2, SeriesControl(k_max=2),
-         ("0x1.cce345ca143efp+1", (2, 200), False,
-          "k_max=2 shells consumed before the tail criterion was met")),
-        ((0.5, 0.7, 1.3), None, SeriesControl(k_max=1),
-         ("0x1.05abcd42e9d72p+1", (1, 200), False,
-          "k_max=1 shells consumed before the tail criterion was met")),
+    # (law, order (None: renyi_series(0.3)), control, first formal shell
+    # k*, integrand values): every k_max is at most k*, so no shell's
+    # j = 0 column below k_max is nan. When such shells were summed the
+    # first cell returned converged=True at 3,566.3, where
+    # moment_quadrature(6) is 2.998e7, and the five took 502,740,
+    # 235,788, 314,776, 157,192 and 78,596 values
+    SHORT_K_MAX = [
+        ((0.131, 0.7, 1.3), 6, SeriesControl(5, 2000, 1e-3), 6, 1_372),
+        ((0.6, 0.7, 1.3), 3, SeriesControl(3, 200, 1e-6), 3, 784),
+        ((0.131, 0.7, 1.3), 6, SeriesControl(6, 200, 1e-6), 6, 1_372),
+        (SERIES_DESIGN_PINS[0][0], 2, SeriesControl(k_max=2), 2, 588),
+        ((0.5, 0.7, 1.3), None, SeriesControl(k_max=1), 1, 392),
     ]
 
-    @staticmethod
-    def _unchanged(prm, m, ctrl):
+    @pytest.mark.parametrize("prm, m, ctrl, k, values", SHORT_K_MAX)
+    def test_short_k_max_ends_at_the_first_formal_shell(self, runs, prm, m, ctrl, k, values):
         d = dist(*prm)
-        return d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
-
-    @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
-    def test_sum_without_a_nan_column_is_unchanged(self, runs, monkeypatch, prm, m, ctrl, want):
-        # every k_max here is at most m + 1 (or 1), so the rule's first
-        # call holds every shell's j = 0 column: one tanh_sinh run ahead
-        # of the first shell
-        first = []
-        tau_inner = GammaRatioDist._tau_inner
-
-        def spy(self, *args):
-            first.append(len(runs))
-            return tau_inner(self, *args)
-
-        monkeypatch.setattr(GammaRatioDist, "_tau_inner", spy)
-        res = self._unchanged(prm, m, ctrl)
-        assert (res.terms_used, res.converged, res.diagnostic) == want[1:]
-        assert first[0] == 1
-        # numpy's kernels without AVX-512 move the last bits of exp and
-        # log: the sums then differ from the pinned bits by up to 2 ulp
-        pinned = float.fromhex(want[0])
-        assert abs(res.value - pinned) <= 2.0 * math.ulp(pinned)
-
-    @pytest.mark.usefixtures("avx512_bits")
-    @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
-    def test_sum_without_a_nan_column_keeps_its_bits(self, prm, m, ctrl, want):
-        assert self._unchanged(prm, m, ctrl).value.hex() == want[0]
-
-    # integrand values of each UNCHANGED case, whose shells each ask tau
-    # for their own columns, the j = 0 rule's included; when the shells
-    # of an evaluation read one table of columns, each integrated once,
-    # they took 301,644, 78,596, 79,184, 78,400 and 78,204
-    @pytest.mark.parametrize("prm, m, ctrl, values", [
-        (prm, m, ctrl, values) for (prm, m, ctrl, _), values in zip(
-            UNCHANGED, [502_740, 235_788, 314_776, 157_192, 78_596])])
-    def test_summed_shells_value_count(self, runs, prm, m, ctrl, values):
-        self._unchanged(prm, m, ctrl)
+        res = d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
+        assert math.isnan(res.value) and res.converged is False
+        assert res.terms_used == (k, 1)
+        assert res.diagnostic.startswith(f"term (k={k}, j=0) needs ")
+        assert "not integrable" in res.diagnostic
         assert sum(math.prod(shape) for shapes in runs for shape in shapes) == values
 
     def test_huge_k_max_ends_at_the_first_formal_shell(self, runs):
@@ -1600,7 +1457,7 @@ class TestFirstFailingTau:
                 k, err = _first_failing_column(d, m, eta, c)
                 note = res.diagnostic
                 if k is None:
-                    ok = ", j=0) needs" not in note
+                    ok = math.isnan(res.value) and NOT_SUMMED in note
                 else:
                     ok = (math.isnan(res.value) and res.terms_used == (k, 1)
                           and note.startswith(f"term (k={k}, j=0) needs ")
@@ -1609,11 +1466,88 @@ class TestFirstFailingTau:
                     misses.append((a, m, eta, k, res))
         assert misses == []
 
+    @pytest.mark.parametrize("ctrl", [SeriesControl(k_max=1), SeriesControl(k_max=100_000)])
+    def test_no_failing_column_below_the_cap(self, monkeypatch, ctrl):
+        # a tau that rules every column integrable leaves no verdict
+        # below the cap, whatever k_max: the rule asks for _TAU_BLOCK
+        # columns, sums no shell and says so
+        asked = []
+
+        def integrable(self, m, eta, r, errors_out=None):
+            asked.append(np.size(r))
+            errors_out.extend([None] * np.size(r))
+            return np.ones(np.size(r))
+
+        monkeypatch.setattr(GammaRatioDist, "tau", integrable)
+        res = dist(0.6, 0.7, 1.3).moment_series(1, ctrl)
+        assert math.isnan(res.value) and res.converged is False
+        assert res.terms_used == (_TAU_BLOCK, 1)
+        assert res.diagnostic == (
+            f"no shell k < {_TAU_BLOCK} has a non-integrable j = 0 column "
+            f"tau(m=1, eta=0, r=-k-1.6); {NOT_SUMMED}")
+        assert sum(asked) == _TAU_BLOCK
+
+
+def power_base(c):
+    """G1 = x^c on (0, 1): x^m ~ u^(m/c) at the head u = G1 -> 0."""
+    return BaseDistribution(
+        name=f"power({c})",
+        cdf=lambda x: np.asarray(x, dtype=float) ** c,
+        log_pdf=lambda x: math.log(c) + (c - 1.0) * np.log(np.asarray(x, dtype=float)),
+        quantile=lambda u: np.asarray(u, dtype=float) ** (1.0 / c),
+        support=(0.0, 1.0),
+        params=(c,),
+        sf=lambda x: -np.expm1(c * np.log(np.asarray(x, dtype=float))),
+        isf=lambda s: np.exp(np.log1p(-np.asarray(s, dtype=float)) / c),
+    )
+
+
+class TestSeriesCensus:
+    """Shell k's j = 0 column of the order-m moment series is
+    tau(m, 0, -k - (alpha + 1)), the integral of x(u)^m u^(-k - alpha - 1).
+    Where G1 ~ x^c at a head at 0 it is not integrable from
+    k* = max(0, ceil(m/c - alpha)) on (c = 1 on the exponential base),
+    and on the unit Lomax (whose mean diverges) and the logistic (whose
+    head is at -inf) from k* = 0. That formula is the oracle: at every
+    control each result is nan and names shell k* as not integrable, or
+    an earlier, barely integrable shell as not resolved."""
+
+    # alpha log-uniform on [0.01, 30], beta on [0.01, 10]
+    LAWS = np.exp(np.random.default_rng(2015).uniform(
+        np.log([0.01, 0.01]), np.log([30.0, 10.0]), size=(25, 2))).tolist()
+    # (base, c of a head G1 ~ x^c at 0, or None where k* = 0)
+    BASES = [(lambda: make_exponential(0.539), 1.0), (lomax_base, None),
+             (logistic_base, None), (lambda: power_base(0.2), 0.2),
+             (lambda: power_base(0.5), 0.5)]
+
+    def test_every_moment_series_is_the_oracle_shell(self):
+        misses, cells = [], 0
+        for make, c in self.BASES:
+            for a, b in self.LAWS:
+                d = GammaRatioDist(a, b, make())
+                for m in (1, 2, 4):
+                    k_star = 0 if c is None else max(0, math.ceil(m / c - a))
+                    for ctrl in (None, SeriesControl(k_max=1), SeriesControl(k_max=2)):
+                        res = d.moment_series(m, ctrl)
+                        k, note = res.terms_used[0], res.diagnostic
+                        cells += 1
+                        ok = (math.isnan(res.value) and res.converged is False
+                              and note.startswith(f"term (k={k}, j=0) needs tau(m={m}, eta=0, ")
+                              and ((k == k_star and "not integrable" in note)
+                                   or (k < k_star and "could not be resolved" in note)))
+                        if not ok:
+                            misses.append((d.base.name, a, b, m, ctrl, k_star, res))
+        assert cells == 1_125
+        assert misses == []
+
+
+NOT_SUMMED = "the family's expansion is not summed, and the quadrature path gives the value"
+
 
 def _first_failing_column(d, m, eta, c):
-    """(k, its exception) for the first shell k < k_max whose scalar
+    """(k, its exception) for the first shell k < _TAU_BLOCK whose scalar
     tau(m, eta, -k - c) raises, or (None, None)."""
-    for k in range(DEFAULT_CONTROL.k_max):
+    for k in range(_TAU_BLOCK):
         try:
             d.tau(m, eta, -k - c)
         except (DivergenceError, NumericalError) as err:
