@@ -1336,29 +1336,61 @@ class TestSeriesWork:
         assert dist(*prm).moment_series(2).terms_used == (2, 1)
         assert [{columns for _, columns in shapes} for shapes in runs] == [{3}]
 
-    # (law, order (None: renyi_series(0.3)), control, first formal shell
-    # k*, integrand values): every k_max is at most k*, so no shell's
-    # j = 0 column below k_max is nan. When such shells were summed the
-    # first cell returned converged=True at 3,566.3, where
-    # moment_quadrature(6) is 2.998e7, and the five took 502,740,
-    # 235,788, 314,776, 157,192 and 78,596 values
-    SHORT_K_MAX = [
-        ((0.131, 0.7, 1.3), 6, SeriesControl(5, 2000, 1e-3), 6, 1_372),
-        ((0.6, 0.7, 1.3), 3, SeriesControl(3, 200, 1e-6), 3, 784),
-        ((0.131, 0.7, 1.3), 6, SeriesControl(6, 200, 1e-6), 6, 1_372),
-        (SERIES_DESIGN_PINS[0][0], 2, SeriesControl(k_max=2), 2, 588),
-        ((0.5, 0.7, 1.3), None, SeriesControl(k_max=1), 1, 392),
+    # (law, order (None: renyi_series(0.3)), control, result) where no
+    # shell's j = 0 column below k_max is nan. When such shells were
+    # summed the first case returned converged=True at 3,566.3, where
+    # moment_quadrature(6) is 2.998e7; now each is shell k*'s note, as
+    # at the default control
+    UNCHANGED = [
+        ((0.131, 0.7, 1.3), 6, SeriesControl(5, 2000, 1e-3),
+         ("nan", (6, 1), False, "term (k=6, j=0) needs tau(m=6, eta=0, r=-7.131), "
+          "which is not integrable; the printed expansion is formal at these parameters")),
+        ((0.6, 0.7, 1.3), 3, SeriesControl(3, 200, 1e-6),
+         ("nan", (3, 1), False, "term (k=3, j=0) needs tau(m=3, eta=0, r=-4.6), "
+          "which is not integrable; the printed expansion is formal at these parameters")),
+        ((0.131, 0.7, 1.3), 6, SeriesControl(6, 200, 1e-6),
+         ("nan", (6, 1), False, "term (k=6, j=0) needs tau(m=6, eta=0, r=-7.131), "
+          "which is not integrable; the printed expansion is formal at these parameters")),
+        (SERIES_DESIGN_PINS[0][0], 2, SeriesControl(k_max=2),
+         ("nan", (2, 1), False, "term (k=2, j=0) needs tau(m=2, eta=0, r=-3.14248), "
+          "which is not integrable; the printed expansion is formal at these parameters")),
+        ((0.5, 0.7, 1.3), None, SeriesControl(k_max=1),
+         ("nan", (1, 1), False, "term (k=1, j=0) needs tau(m=0, eta=-0.7, r=-1.45), "
+          "which is not integrable; the printed expansion is formal at these parameters")),
     ]
 
-    @pytest.mark.parametrize("prm, m, ctrl, k, values", SHORT_K_MAX)
-    def test_short_k_max_ends_at_the_first_formal_shell(self, runs, prm, m, ctrl, k, values):
+    @staticmethod
+    def _unchanged(prm, m, ctrl):
         d = dist(*prm)
-        res = d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
-        assert math.isnan(res.value) and res.converged is False
-        assert res.terms_used == (k, 1)
-        assert res.diagnostic.startswith(f"term (k={k}, j=0) needs ")
-        assert "not integrable" in res.diagnostic
-        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == values
+        return d.renyi_series(0.3, ctrl) if m is None else d.moment_series(m, ctrl)
+
+    @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
+    def test_sum_without_a_nan_column_is_unchanged(self, prm, m, ctrl, want):
+        # the verdict depends on the law, not on k_max: a short control
+        # gives the default control's result
+        res = self._unchanged(prm, m, ctrl)
+        assert math.isnan(res.value)
+        assert (res.terms_used, res.converged, res.diagnostic) == want[1:]
+        default = self._unchanged(prm, m, None)
+        assert (default.terms_used, default.converged, default.diagnostic) == want[1:]
+
+    @pytest.mark.parametrize("prm, m, ctrl, want", UNCHANGED)
+    def test_sum_without_a_nan_column_keeps_its_bits(self, prm, m, ctrl, want):
+        # no shell is summed, so no kernel's last bits reach the value
+        assert self._unchanged(prm, m, ctrl).value.hex() == want[0]
+
+    # integrand values of each UNCHANGED case: only the j = 0 rule's
+    # columns, where summing shells 0..k_max-1, each asking tau for its
+    # own columns, took the parametrised count
+    @pytest.mark.parametrize("prm, m, ctrl, summed, values", [
+        pytest.param(prm, m, ctrl, summed, values, id=f"prm{i}-{m}-ctrl{i}-{summed}")
+        for i, ((prm, m, ctrl, _), summed, values) in enumerate(zip(
+            UNCHANGED, [502_740, 235_788, 314_776, 157_192, 78_596],
+            [1_372, 784, 1_372, 588, 392]))])
+    def test_summed_shells_value_count(self, runs, prm, m, ctrl, summed, values):
+        self._unchanged(prm, m, ctrl)
+        count = sum(math.prod(shape) for shapes in runs for shape in shapes)
+        assert count == values < summed
 
     def test_huge_k_max_ends_at_the_first_formal_shell(self, runs):
         # the rule reads the column 0 of shells 0-2 in one call and stops
