@@ -24,8 +24,8 @@ import numpy as np
 from .base import BaseDistribution, make_exponential
 from .data import _positive_observations
 from .family import (
-    DEFAULT_CONTROL,
     GammaRatioDist,
+    _control,
     _set_positive_param,
     _sum_shells,
     _truncate_inner,
@@ -88,7 +88,7 @@ class OEGammaDist(GammaRatioDist):
         keeps its value but is not converged.
         """
         m = _validate_order(m, "moment_series")
-        ctrl = ctrl or DEFAULT_CONTROL
+        ctrl = _control(ctrl, "moment_series")
         a = self.alpha
         lg_m = log_gamma(m + 1.0)
         j = np.arange(ctrl.j_max, dtype=float)

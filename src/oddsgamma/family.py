@@ -120,7 +120,7 @@ def _restore(arr, scalar):
 
 def _probabilities(q, who, name):
     """(q, is scalar): q as a float or a float array with entries in (0, 1)."""
-    scalar = np.ndim(q) == 0
+    scalar = isinstance(q, float) or np.ndim(q) == 0
     if scalar:
         q = float(q)
         bad = [] if 0.0 < q < 1.0 else [q]
@@ -130,6 +130,15 @@ def _probabilities(q, who, name):
     if len(bad):
         raise ValueError(f"{who} requires 0 < {name} < 1, got {bad[0]}")
     return q, scalar
+
+
+def _control(ctrl, who):
+    """ctrl, or DEFAULT_CONTROL for None; TypeError unless a SeriesControl."""
+    if ctrl is None:
+        return DEFAULT_CONTROL
+    if not isinstance(ctrl, SeriesControl):
+        raise TypeError(f"{who} requires a SeriesControl or None, got {ctrl!r}")
+    return ctrl
 
 
 def _hazard(log_pdf, sf):
@@ -281,12 +290,29 @@ def _tau_note(k, m, eta, r, err):
     return term + f"which could not be resolved ({err}); the series stops there"
 
 
+def _level_s(levels):
+    """s at the nodes tanh_sinh adds at each of levels, in turn."""
+    return np.concatenate([tanh_sinh_levels(level) for level in levels])
+
+
+def _per_level(levels, arrays):
+    """{level: views of each array at that level's nodes} for arrays
+    over the nodes of levels in turn."""
+    out, start = {}, 0
+    for level in levels:
+        stop = start + tanh_sinh_levels(level).size
+        out[level] = tuple(a[start:stop] for a in arrays)
+        start = stop
+    return out
+
+
 @functools.cache
-def _level_logit(level):
-    """(v, ln u, ln v, z) at the nodes tanh_sinh's level adds, the head
-    nodes u = s and then the tail nodes 1 - u = s, with v = 1 - u and
-    z = ln(u/v), each formed from s without a cancellation."""
-    s = tanh_sinh_levels(level)
+def _level_logit(levels):
+    """(v, ln u, ln v, z) at the nodes tanh_sinh adds at levels, a
+    tuple, the head nodes u = s and then the tail nodes 1 - u = s, with
+    v = 1 - u and z = ln(u/v), each formed from s without a
+    cancellation."""
+    s = _level_s(levels)
     log_s, log_c = np.log(s), np.log1p(-s)
     log_u, log_v = np.concatenate((log_s, log_c)), np.concatenate((log_c, log_s))
     out = np.concatenate((1.0 - s, s)), log_u, log_v, log_u - log_v
@@ -295,8 +321,8 @@ def _level_logit(level):
     return out
 
 
-def _gamma_scale(alpha, level):
-    """(ln T, ln weight) at the nodes of _level_logit(level): T = T(u) a
+def _gamma_scale(alpha, levels):
+    """(ln T, ln weight) at the nodes of _level_logit(levels): T = T(u) a
     closed-form monotone map of (0, 1) onto (0, inf) and weight the
     Gamma(alpha, 1) density times dT/du, so that E g(T) is the integral
     of g(T(u)) weight(u) du over (0, 1).
@@ -315,7 +341,7 @@ def _gamma_scale(alpha, level):
     free of cancellation: alpha ln C against ln Gamma(1 + alpha) below
     alpha = 10, and Stirling's series for ln Gamma(alpha) above.
     """
-    v, log_u, log_v, z = _level_logit(level)
+    v, log_u, log_v, z = _level_logit(levels)
     a, b, z0, c, const = _scale_constants(alpha)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         y = np.logaddexp(0.0, (z - z0) / b)
@@ -618,16 +644,20 @@ class GammaRatioDist:
         _gamma_scale, and the weights are its gamma density times dT/du;
         no gamma inverse is called. A node is nan where x has left the
         open support or its weight is below the normal range, where it
-        adds nothing but a 0 * inf. Memoised per instance."""
+        adds nothing but a 0 * inf. Memoised per instance; levels 0 and 1
+        are mapped in one pass and kept as views of it: every step is
+        elementwise, so a node's entries do not depend on the others."""
         memo = self._abscissae
         if level not in memo:
-            log_t, log_weight = _gamma_scale(self.alpha, level)
+            # levels 0 and 1 together, as tanh_sinh's first call of f takes both
+            levels = (0, 1) if level < 2 else (level,)
+            log_t, log_weight = _gamma_scale(self.alpha, levels)
             with np.errstate(over="ignore", under="ignore"):
                 weight = np.exp(log_weight)
             x = self._inside(self._x_of_log_odds(log_t - math.log(self.beta)))
             x[~(weight >= _TINY)] = np.nan
             n = x.size // 2
-            memo[level] = (x[:n], x[n:], weight[:n], weight[n:])
+            memo.update(_per_level(levels, (x[:n], x[n:], weight[:n], weight[n:])))
         return memo[level]
 
     def _base_nodes(self, level):
@@ -635,11 +665,14 @@ class GammaRatioDist:
         on the base's own quantile map, u = G1(x): base.quantile(s) and
         base.isf(s) for s = tanh_sinh_levels(level), nan where the map
         has left the open support, with no weights; memoised per
-        instance in a dict of its own."""
+        instance in a dict of its own, levels 0 and 1 from one quantile
+        and one isf call, as in _nodes."""
         memo = self._base_abscissae
         if level not in memo:
-            s = tanh_sinh_levels(level)
-            memo[level] = (self._inside(self.base.quantile(s)), self._inside(self.base.isf(s)))
+            levels = (0, 1) if level < 2 else (level,)
+            s = _level_s(levels)
+            memo.update(_per_level(levels, (self._inside(self.base.quantile(s)),
+                                            self._inside(self.base.isf(s)))))
         return memo[level]
 
     def _expect(self, f, what, per_component=False):
@@ -671,11 +704,12 @@ class GammaRatioDist:
         entry of r. The integrand is formed in logs, exp(r ln G1 +
         eta ln g1 + m ln|x|) times sign(x)^m, because G1^r alone
         overflows at outer nodes where the product is finite. Every tau
-        run on an instance meets the same nodes at a level, so ln G1,
-        ln g1 and ln|x| there are memoised per instance and level, next
-        to the base's abscissae: the base is evaluated once per level,
-        and each run forms only its outer product with r, its addends
-        and one exp, one row per entry of r. r may be a
+        run on an instance meets the same nodes at an integrand call,
+        those of levels 0 and 1 at the first and one level's at each
+        after, so ln G1, ln g1 and ln|x| there are memoised per instance
+        and call, next to the base's abscissae: the base is evaluated
+        once per call, and each run forms only its outer product with
+        r, its addends and one exp, one row per entry of r. r may be a
         1-D array: one vector-valued quadrature then gives the integral
         for every entry, nan where it is not integrable or the nodes
         cannot resolve it; errors_out (a list, extended in place), when
@@ -701,13 +735,13 @@ class GammaRatioDist:
         base = self.base
         signed = m % 2 == 1 and base.support[0] < 0.0
 
-        levels = itertools.count()
+        calls = itertools.count()
 
         def integrand(x):
-            # tanh_sinh calls it once per level, from level 0 on, at
-            # nodes that depend on the level and the base alone, with
-            # numpy's floating-point warnings off
-            logs = self._base_logs.setdefault(next(levels), {})
+            # tanh_sinh calls it first at the nodes of levels 0 and 1,
+            # then once per level, at nodes that depend on the call and
+            # the base alone, with numpy's floating-point warnings off
+            logs = self._base_logs.setdefault(next(calls), {})
             if "cdf" not in logs:
                 logs["cdf"] = np.log(base.cdf(x))
             val = np.multiply.outer(r_vec, logs["cdf"])
@@ -846,21 +880,24 @@ class GammaRatioDist:
         -(c + log1p(E expm1(pL - c)))/p, in which nothing cancels as
         eta -> 1, where e^{pL} rounds to 1 at every node, nor where the
         integral is far from 1. eta must be positive and different from
-        1 (the Shannon limit is out of scope).
+        1 (the Shannon limit is out of scope). c is read off the
+        integrand's first call, and is 0 where pL at u = 1/2 is not finite.
         """
         eta = _validate_renyi_order(eta, "renyi_entropy")
         p = eta - 1.0
-        # level 0's first head node is u = 1/2
-        c = p * float(self.log_pdf(self._nodes(0)[0][:1])[0])
-        c = c if math.isfinite(c) else 0.0
+        # level 0's first head node, u = 1/2, is f's first wherever finite
+        c = None if math.isfinite(self._nodes(0)[0][0]) else 0.0
         const = self._log_norm()
 
         def f(x):
             # tanh_sinh passes a 1-D float array and runs f with numpy's
             # warnings off, so log_pdf's checks and blocks are not needed
+            nonlocal c
             out = np.empty(x.shape)
             self._log_pdf_block(const, x, out)
             out *= p
+            if c is None:
+                c = float(out[0]) if math.isfinite(out[0]) else 0.0
             out -= c
             return np.expm1(out, out=out)
 
@@ -918,9 +955,11 @@ class GammaRatioDist:
         moment of order m, whose shell k's column j takes tau at
         r = (j - k) - (alpha + 1): _tau_series' nan value and note of the
         first shell whose j = 0 column fails. moment_quadrature gives
-        the value; ctrl, kept for OEGammaDist's signature, is not read.
+        the value; ctrl, kept for OEGammaDist's signature, is checked
+        and not read.
         """
         m = _validate_order(m, "moment_series")
+        _control(ctrl, "moment_series")
         return self._tau_series(m, 0.0, self.alpha + 1.0)
 
     def central_moment_series(self, m, ctrl=None):
@@ -932,12 +971,18 @@ class GammaRatioDist:
         series of every order 1..m to have converged. Where the
         recombination cannot be formed in double range (raw moments of
         inf and -inf, or a power of the mean past it), the value is nan
-        and the result is not converged.
+        and the result is not converged. The orders after the first
+        whose value is nan, which leaves the value nan and the note
+        named, are not evaluated; terms_used is the widest part that is.
         """
         m = _validate_order(m, "central_moment_series")
-        ctrl = ctrl or DEFAULT_CONTROL
-        parts = [self.moment_series(i, ctrl) for i in range(1, m + 1)]
-        mus = [1.0] + [p.value for p in parts]
+        ctrl = _control(ctrl, "central_moment_series")
+        parts = []
+        for i in range(1, m + 1):
+            parts.append(self.moment_series(i, ctrl))
+            if math.isnan(parts[-1].value):
+                break
+        mus = [1.0] + [p.value for p in parts] + [math.nan] * (m - len(parts))
         mu = mus[1] if m else 0.0
         try:
             value = math.fsum(math.comb(m, r) * (-mu) ** r * mus[m - r] for r in range(m + 1))
@@ -966,6 +1011,7 @@ class GammaRatioDist:
         every alpha > 0, so the result is that component's failure,
         with a nan value."""
         t = _validate_t(t, "mgf_series")
+        _control(ctrl, "mgf_series")
         self._check_mgf_domain(t)
         return self._exp_series()
 
@@ -975,6 +1021,7 @@ class GammaRatioDist:
         mgf_series gives: the order-0 component fails, and the value
         is nan."""
         _validate_t(t, "cf_series")
+        _control(ctrl, "cf_series")
         return self._exp_series()
 
     def _exp_series(self):
@@ -989,9 +1036,10 @@ class GammaRatioDist:
         """The verdict of the formal tau expansion of the order-eta
         entropy, whose shell k's column j takes tau(0, eta - 1,
         (j - k) - eta (alpha + 1)), as moment_series gives its own.
-        renyi_entropy gives the value; ctrl is not read.
+        renyi_entropy gives the value; ctrl is checked and not read.
         """
         eta = _validate_renyi_order(eta, "renyi_series")
+        _control(ctrl, "renyi_series")
         return self._tau_series(0, eta - 1.0, eta * (self.alpha + 1.0))
 
     def cdf_series(self, x, ctrl=None):
@@ -1014,7 +1062,7 @@ class GammaRatioDist:
             )
         if np.ndim(x) != 0:
             raise ValueError(f"cdf_series requires a scalar x, got shape {np.shape(x)}")
-        ctrl = ctrl or DEFAULT_CONTROL
+        ctrl = _control(ctrl, "cdf_series")
         a, b = self.alpha, self.beta
         g = float(self.base.cdf(x))
         if not 0.0 < g < 1.0:

@@ -16,14 +16,17 @@ and evaluates and sums only the nodes it adds. Their values f q go
 into one buffer, a row per component and the levels side by side,
 where the edge power law finds its nodes; it grows only when a level
 does not fit: at first to room for levels 0-2, where the moments
-settle, never to the ten-level cap. A level makes one call of f and
-forms the product of its values with q, the weighted row sums of each
-side and the edge power law in a fixed number of numpy calls, whatever
-the number of components. The rest of the level, the running totals,
-the bound beyond the outermost nodes, the verdict and the value, is
-Python float work on each component still open, which grows with their
-number: on the few components of a moment or entropy run each numpy
-call would cost more than the arithmetic it does. An exception is
+settle, never to the ten-level cap. The first call of f takes levels
+0 and 1, as no component can be accepted before level 1 (a run that
+fails at level 0 pays for level 1's nodes too), and each later level
+makes one. A level forms the product of its values with q, the
+weighted row sums of each side and the edge power law in a fixed
+number of numpy calls, whatever the number of components. The rest of
+the level, the running totals, the bound beyond the outermost nodes,
+the verdict and the value, is Python float work on each component
+still open, which grows with their number: on the few components of a
+moment or entropy run each numpy call would cost more than the
+arithmetic it does. An exception is
 built only for a component that fails. A component is accepted when
 two successive levels agree to 1e-13 of the integral of its magnitude,
 so the answer is accurate relative to its own size at every scale. The
@@ -178,6 +181,27 @@ def _verdict(todo, h, acc, prev, edge, p, s_k, m, value, errors, last):
     return still or None
 
 
+def _kept(abscissae, level, cut):
+    """(n, x, q, cut) of the nodes the level keeps: n[side] nodes of
+    each side short of its cut, their abscissae x, head then tail, and
+    their weights q, or None, and the cut, moved inward to a side's
+    first non-finite node, as a new list where it moves."""
+    t_new = _ts_new(level)[0]
+    head, tail, *weights = abscissae(level)
+    n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
+    x = np.concatenate((head[:n[0]], tail[:n[1]]))
+    if np.count_nonzero(np.isfinite(x)) < x.size:
+        cut = list(cut)
+        for side, xs in enumerate((head, tail)):
+            finite = np.isfinite(xs[:n[side]])
+            if not finite.all():
+                n[side] = int(finite.argmin())
+                cut[side] = float(t_new[n[side]])
+        x = np.concatenate((head[:n[0]], tail[:n[1]]))
+    q = np.concatenate((weights[0][:n[0]], weights[1][:n[1]])) if weights else None
+    return n, x, q, cut
+
+
 def tanh_sinh(f, abscissae):
     """Integrate f(x(u)) q(u) du over (0, 1) by the tanh-sinh rule,
     split at u = 1/2.
@@ -189,10 +213,12 @@ def tanh_sinh(f, abscissae):
     return (head, tail, head weights, tail weights), q at the same
     nodes, which multiply f's values; without them q = 1, and "the
     integrand" below is f q. f maps a 1-D array of abscissae to one
-    value per node, shape (n,), or to R components, shape (n, R), once
-    per level from level 0 on: the level's kept head nodes, then its
-    kept tail nodes. It runs with numpy's floating-point warnings
-    off, as a value that is not finite is the verdict's to judge.
+    value per node, shape (n,), or to R components, shape (n, R), at a
+    level's kept head nodes, then its kept tail nodes: first levels 0
+    and 1 in one call, as no component can be accepted before level 1,
+    so f sees level 1's nodes even where every component fails at level
+    0, then once per level. It runs with numpy's floating-point
+    warnings off, as a value that is not finite is the verdict's to judge.
 
     Level n steps t by 2^-(n+3), and f sees and the rule sums only the
     nodes it adds. One buffer holds the values of both sides, one row
@@ -208,8 +234,8 @@ def tanh_sinh(f, abscissae):
     NumericalError, as are a side that keeps no node and a component
     still unsettled after ten levels.
 
-    A level calls f once, and forms the product with q, the row sums and
-    the edge power law in a fixed number of numpy calls whatever R is.
+    A level forms the product with q, the row sums and the edge power
+    law in a fixed number of numpy calls whatever R is.
     The rest of the verdict runs in Python floats on each component
     still open, so its cost grows with R. An exception is built only
     for a component that fails.
@@ -222,22 +248,23 @@ def tanh_sinh(f, abscissae):
     starts = []  # per level, the buffer columns where its head and tail values start
     for level in range(_TS_LEVELS):
         h = 2.0 ** -(level + 3)
-        t_new, _, w = _ts_new(level)
-        head, tail, *weights = abscissae(level)
-        n = [t_new.size if c == math.inf else int(np.searchsorted(t_new, c)) for c in cut]
-        x = np.concatenate((head[:n[0]], tail[:n[1]]))
-        if np.count_nonzero(np.isfinite(x)) < x.size:
-            # a side's first non-finite node moves its cut inward to it
-            for side, xs in enumerate((head, tail)):
-                finite = np.isfinite(xs[:n[side]])
-                if not finite.all():
-                    n[side] = int(finite.argmin())
-                    cut[side] = float(t_new[n[side]])
-            x = np.concatenate((head[:n[0]], tail[:n[1]]))
+        w = _ts_new(level)[2]
+        if level == 1:
+            (n, _, q, cut), y = ahead
+        else:
+            n, x, q, cut = _kept(abscissae, level, cut)
+            if level == 0:
+                # level 1's nodes go into the same call of f, its values
+                # and cut held until level 0 is judged
+                ahead = _kept(abscissae, 1, cut)
+                x = np.concatenate((x, ahead[1]))
+        cols = n[0] + n[1]
         # values that are not finite are the divergence verdict's to judge
         with np.errstate(all="ignore"):
-            y = np.asarray(f(x), dtype=float)
+            if level != 1:
+                y = np.asarray(f(x), dtype=float)
             if level == 0:
+                ahead, y = (ahead, y[cols:]), y[:cols]
                 vector = y.ndim == 2
                 r = y.shape[1] if vector else 1
                 value, errors, todo = [0.0] * r, [None] * r, list(range(r))
@@ -245,7 +272,6 @@ def tanh_sinh(f, abscissae):
                 # of the level's kept terms; acc their running totals
                 sums, acc = np.empty((2, 2, r)), np.zeros((2, 2, r))
                 buf, used = None, 0
-            cols = n[0] + n[1]
             if buf is None or used + cols > buf.shape[1]:
                 # room for every node of both sides through this level,
                 # or at first through level 2, where the moments settle
@@ -255,9 +281,8 @@ def tanh_sinh(f, abscissae):
                     grown[:, :used] = buf[:, :used]
                 buf = grown
             vals = buf[:, used:used + cols]
-            if weights:
-                np.multiply(y.reshape(-1, r).T,
-                            np.concatenate((weights[0][:n[0]], weights[1][:n[1]])), out=vals)
+            if q is not None:
+                np.multiply(y.reshape(-1, r).T, q, out=vals)
             else:
                 vals[...] = y.reshape(-1, r).T
             del y  # the level's values live on in the buffer only

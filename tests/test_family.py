@@ -286,6 +286,18 @@ class TestQuantile:
             assert type(got) is float
             assert got == f(0.3)
 
+    def test_scalar_kinds_give_one_value_and_one_message(self):
+        # a Python float and a numpy float64 skip np.ndim; an int and a
+        # 0-d array take it, to the same value and the same message
+        d = dist(0.5, 1.0, 1.0)
+        for f, name, var in ((d.quantile, "quantile", "p"), (d.quantile_sf, "quantile_sf", "s")):
+            want = f(0.25)
+            assert [f(np.float64(0.25)), f(np.array(0.25))] == [want, want]
+            message = rf"^{name} requires 0 < {var} < 1, got 1\.0$"
+            for bad in (1, 1.0, np.float64(1.0), np.array(1.0)):
+                with pytest.raises(ValueError, match=message):
+                    f(bad)
+
 
 class TestSampling:
     @pytest.mark.parametrize("alpha", [0.05, 0.131, 0.96, 1.0, 1.5, 6.0])
@@ -668,7 +680,8 @@ class TestMomentMemo:
     def test_payload_integrand_values(self, monkeypatch):
         # a deterministic work counter: the moment and Renyi passes each
         # settle at tanh-sinh level 1, on the 49 + 49 nodes of each of
-        # levels 0 and 1, so the integrands see 392 values
+        # levels 0 and 1, which the integrand takes in one call, so the
+        # integrands see 392 values in two calls
         from oddsgamma import family
 
         sizes = []
@@ -683,7 +696,7 @@ class TestMomentMemo:
 
         monkeypatch.setattr(family, "tanh_sinh", counted)
         self.payload(OEGammaDist(2.0, 1.0, 3.0))
-        assert sizes == [98, 98, 98, 98]
+        assert sizes == [196, 196]
 
 
 def scaled_lomax_base(c):
@@ -1277,24 +1290,29 @@ class TestSeriesWork:
         d = dist(*SERIES_DESIGN_PINS[0][0])
         # renyi_series(2) weighs x^0, so the rule's first call is shell
         # 0's column 0 alone, r = -2 (alpha + 1), which diverges at the
-        # rule's first level
+        # rule's first level: one integrand call, at the nodes of levels
+        # 0 and 1, which tanh_sinh takes together
         res = d.renyi_series(2.0, SeriesControl(k_max=2))
         assert res.terms_used == (0, 1) and res.diagnostic.startswith("term (k=0, j=0)")
         [[(n, columns)]] = runs
         assert columns == 1
-        assert 0 < n <= 2 * quadrature.tanh_sinh_levels(0).size
+        assert 0 < n <= 2 * sum(quadrature.tanh_sinh_levels(lv).size for lv in (0, 1))
         # moment_series(1) rules on shells 0 and 1 in one call, which
-        # runs until shell 0's column settles at level 1; shell 1's ends
-        # the series
+        # runs until shell 0's column settles at level 1, the integrand's
+        # first call; shell 1's ends the series
         runs.clear()
         res = d.moment_series(1, SeriesControl(k_max=2))
         assert res.terms_used == (1, 1) and res.diagnostic.startswith("term (k=1, j=0)")
-        assert [[columns for _, columns in shapes] for shapes in runs] == [[2, 2]]
+        assert [[columns for _, columns in shapes] for shapes in runs] == [[2]]
 
     def test_series_op_value_count(self, runs):
-        # only the j = 0 columns the verdicts need: 1,078 values in 3
+        # only the j = 0 columns the verdicts need: 1,176 values in 3
         # tanh_sinh runs, one per series, as the rule's first call takes
-        # shells 0..m; 1,078 in 5 runs when it took shell 0 alone. Before
+        # shells 0..m, and 3 integrand calls, as each run's first call
+        # takes levels 0 and 1 (renyi_series(2)'s, which fails at level
+        # 0, adds level 1's 98 values). 1,078 values in 3 runs and 5 calls
+        # when a call took one level; 1,078 in 5 runs when the rule's
+        # first call took shell 0 alone. Before
         # every shell's j = 0 column was ruled on ahead of the sum it
         # took 78,890 in 7 runs (moment_series(2) summed shells 0 and 1
         # to j_max before aborting at shell 2), before shell 1's alone
@@ -1302,13 +1320,14 @@ class TestSeriesWork:
         # 236,082 in 9, and on the adaptive Gauss-Legendre engine before
         # that 921,975.
         _series_op(dist(*SERIES_DESIGN_PINS[0][0]))
-        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 1_078
+        assert sum(math.prod(shape) for shapes in runs for shape in shapes) == 1_176
         assert len(runs) == 3
 
     def test_series_op_evaluates_the_base_once_per_level(self, runs):
-        # every tau of the op reads log G1 (and log g1) at a level's
-        # nodes from one memo per distribution: the base's cdf runs once
-        # per level reached (2), where each integrand call ran it (5)
+        # every tau of the op reads log G1 (and log g1) at an integrand
+        # call's nodes from one memo per distribution: the base's cdf runs
+        # once per call index reached (1, the nodes of levels 0 and 1),
+        # where each integrand call ran it (3)
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
         calls = {"cdf": 0, "log_pdf": 0}
@@ -1322,9 +1341,9 @@ class TestSeriesWork:
         d = GammaRatioDist(a, b, dataclasses.replace(
             base, cdf=counted("cdf"), log_pdf=counted("log_pdf")))
         results = _series_op(d)
-        assert sum(len(shapes) for shapes in runs) == 5
+        assert sum(len(shapes) for shapes in runs) == 3
         assert len(d._base_abscissae) == 2
-        assert calls["cdf"] == 2
+        assert calls["cdf"] == 1
         assert 0 < calls["log_pdf"] <= calls["cdf"]
         assert [(r.terms_used, r.diagnostic) for r in results] == [
             (r.terms_used, r.diagnostic) for r in _series_op(dist(a, b, lam))]
@@ -1381,12 +1400,14 @@ class TestSeriesWork:
 
     # integrand values of each UNCHANGED case: only the j = 0 rule's
     # columns, where summing shells 0..k_max-1, each asking tau for its
-    # own columns, took the parametrised count
+    # own columns, took the parametrised count. The last case's rule
+    # ends at level 0, yet evaluates level 1's nodes in the same
+    # integrand call: 588 values, 392 when a call took one level
     @pytest.mark.parametrize("prm, m, ctrl, summed, values", [
         pytest.param(prm, m, ctrl, summed, values, id=f"prm{i}-{m}-ctrl{i}-{summed}")
         for i, ((prm, m, ctrl, _), summed, values) in enumerate(zip(
             UNCHANGED, [502_740, 235_788, 314_776, 157_192, 78_596],
-            [1_372, 784, 1_372, 588, 392]))])
+            [1_372, 784, 1_372, 588, 588]))])
     def test_summed_shells_value_count(self, runs, prm, m, ctrl, summed, values):
         self._unchanged(prm, m, ctrl)
         count = sum(math.prod(shape) for shapes in runs for shape in shapes)
@@ -1403,7 +1424,8 @@ class TestSeriesWork:
     def test_series_op_maps_each_level_through_the_base_once(self, runs):
         # every tau of the op, the j = 0 rule's included, reads the
         # base's abscissae from one memo per distribution: the three
-        # series' rule calls share it
+        # series' rule calls share it, and levels 0 and 1 are mapped in
+        # one quantile and one isf call
         a, b, lam = SERIES_DESIGN_PINS[0][0]
         base = make_exponential(lam)
         calls = {"quantile": [], "isf": []}
@@ -1418,9 +1440,9 @@ class TestSeriesWork:
             base, quantile=counted("quantile"), isf=counted("isf")))
         _series_op(d)
         assert len(runs) == 3
-        levels = [quadrature.tanh_sinh_levels(level).size for level in sorted(d._base_abscissae)]
-        assert len(levels) == 2
-        assert calls == {"quantile": levels, "isf": levels}
+        assert sorted(d._base_abscissae) == [0, 1]
+        both = quadrature.tanh_sinh_levels(0).size + quadrature.tanh_sinh_levels(1).size
+        assert calls == {"quantile": [both], "isf": [both]}
 
 
 # 7 x 4 x 3 points over alpha 0.1-6, beta 0.05-5, lambda 0.5-2
@@ -1717,3 +1739,106 @@ class TestCdfSeries:
     def test_requires_a_scalar_point(self):
         with pytest.raises(ValueError, match=r"scalar x, got shape \(1,\)"):
             dist(0.5, 1.0, 1.0).cdf_series(np.array([1.0]))
+
+
+class TestFirstCallOfLevelsZeroAndOne:
+    """tanh_sinh takes the nodes of levels 0 and 1 in one call of f, and
+    the node memos build both levels in one pass: every step is
+    elementwise, so each node keeps the bits of a one-level build, and
+    the Renyi constant, read off the first call, keeps its bits."""
+
+    ALPHAS = [0.01, 0.6, 9.99, 10.0, 300.0]
+    BASES = {"exponential": lambda: make_exponential(1.3), "lomax": lomax_base}
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_nodes_keep_the_one_level_bits(self, alpha, base):
+        d = GammaRatioDist(alpha, 0.7, self.BASES[base]())
+        for level in (0, 1):
+            # the build of one level alone, on _gamma_scale's nodes of it
+            log_t, log_weight = family._gamma_scale(alpha, (level,))
+            with np.errstate(over="ignore", under="ignore"):
+                weight = np.exp(log_weight)
+            x = d._inside(d._x_of_log_odds(log_t - math.log(d.beta)))
+            x[~(weight >= np.finfo(float).tiny)] = np.nan
+            n = x.size // 2
+            want = (x[:n], x[n:], weight[:n], weight[n:])
+            assert [a.tobytes() for a in d._nodes(level)] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_base_nodes_keep_the_one_level_bits(self, alpha, base):
+        d = GammaRatioDist(alpha, 0.7, self.BASES[base]())
+        for level in (0, 1):
+            s = quadrature.tanh_sinh_levels(level)
+            want = (d._inside(d.base.quantile(s)), d._inside(d.base.isf(s)))
+            assert [a.tobytes() for a in d._base_nodes(level)] == [a.tobytes() for a in want]
+
+    # (law, eta, the value's hex with numpy's AVX-512 kernels), the hex
+    # that of c read off a public log_pdf call at the node u = 1/2
+    RENYI = [
+        (lambda: OEGammaDist(2.0, 1.0, 3.0), 2.0, "-0x1.3765af18fb239p+0"),
+        (lambda: OEGammaDist(0.02, 0.5, 3.0), 0.5, "0x1.0c9fccb95ed38p+2"),
+        (lambda: GammaRatioDist(1.5, 1.0, lomax_base()), 1.0 + 1e-9, "0x1.49b9e5da36b64p+0"),
+    ]
+
+    def test_renyi_calls_no_public_log_pdf(self, monkeypatch):
+        calls = []
+        log_pdf = GammaRatioDist.log_pdf
+
+        def spy(self, x):
+            calls.append(x)
+            return log_pdf(self, x)
+
+        monkeypatch.setattr(GammaRatioDist, "log_pdf", spy)
+        for law, eta, _ in self.RENYI:
+            assert math.isfinite(law().renyi_entropy(eta))
+        assert calls == []
+
+    @pytest.mark.parametrize("law, eta, want", RENYI)
+    def test_renyi_keeps_its_bits(self, avx512_bits, law, eta, want):
+        assert law().renyi_entropy(eta).hex() == want
+
+    @pytest.mark.parametrize("law, eta, want", RENYI)
+    def test_renyi_keeps_its_value(self, law, eta, want):
+        assert law().renyi_entropy(eta) == pytest.approx(float.fromhex(want), rel=1e-15)
+
+
+class TestSeriesControlArgument:
+    # every series method of both classes, with a valid first argument
+    CALLS = [("moment_series", 1), ("central_moment_series", 2), ("mgf_series", 0.1),
+             ("cf_series", 1.0), ("renyi_series", 2.0), ("cdf_series", 1.0)]
+
+    @pytest.mark.parametrize("family_law", [False, True])
+    @pytest.mark.parametrize("method, arg", CALLS)
+    def test_a_control_that_is_not_one_raises(self, family_law, method, arg):
+        d = OEGammaDist(0.6, 0.7, 1.3)
+        d = d.as_family() if family_law else d
+        with pytest.raises(TypeError, match=f"^{method} requires a SeriesControl or None, "
+                                            "got 'junk'$"):
+            getattr(d, method)(arg, "junk")
+        getattr(d, method)(arg, None)
+        getattr(d, method)(arg, SeriesControl(k_max=2))
+
+
+class TestCentralMomentSeriesStops:
+    def test_first_nan_order_ends_the_recombination(self, monkeypatch):
+        # the order-1 series is nan (shell 1's j = 0 column is not
+        # integrable), so orders 2-4 cannot change the value or the note:
+        # one tanh_sinh run, and the order-1 part's terms_used
+        runs = []
+        engine = family.tanh_sinh
+
+        def counted(f, abscissae):
+            runs.append(f)
+            return engine(f, abscissae)
+
+        monkeypatch.setattr(family, "tanh_sinh", counted)
+        d = dist(0.6, 0.7, 1.3)
+        res = d.central_moment_series(4)
+        assert len(runs) == 1
+        first = d.moment_series(1)
+        assert math.isnan(res.value) and res.converged is False
+        assert res.terms_used == first.terms_used == (1, 1)
+        assert res.diagnostic == ("the order-1 raw-moment series did not converge: "
+                                  + first.diagnostic)

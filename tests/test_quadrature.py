@@ -124,7 +124,8 @@ class TestTanhSinh:
         # cut) and, not monotone, at the level-1 node t = 7/16 as well,
         # inside that cut: the cut moves inward for level 1 on, the
         # level-0 sums stand, and from level 1 on the integrand never
-        # sees a node at or beyond the hole
+        # sees a node at or beyond the hole. Its one call holds level
+        # 0's kept nodes, then level 1's short of the hole
         hole = 3  # the level-1 node t = 7/16
         seen = []
 
@@ -142,8 +143,46 @@ class TestTanhSinh:
                     + np.sum(w0 * (1.0 - s0) ** -0.5) + np.sum(w1 * (1.0 - s1) ** -0.5))
         assert value == pytest.approx(rule, rel=1e-15)
         assert isinstance(errors[0], NumericalError) and "unsummed" in str(errors[0])
-        assert len(seen) == 2
-        assert np.isfinite(seen[1]).all() and seen[1].min() > s1[hole]
+        assert len(seen) == 1
+        [x] = seen
+        n0 = np.count_nonzero(head0) + s0.size
+        assert np.array_equal(x[:n0], np.concatenate((s0[head0], 1.0 - s0)))
+        assert np.array_equal(x[n0:], np.concatenate((s1[head1], 1.0 - s1)))
+        assert x[n0:].min() > s1[hole]
+
+    @staticmethod
+    def _calls(f, abscissae=unit_map):
+        """tanh_sinh(f, abscissae) and the sizes of f's calls."""
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        return tanh_sinh(counted, abscissae), sizes
+
+    def test_divergent_at_level_zero_calls_f_once(self):
+        # every component fails at level 0; the one call held level 1's
+        # nodes as well, and the verdicts are level 0's
+        (values, errors), sizes = self._calls(lambda x: np.stack(
+            [x**-1.5, np.exp(-1.2 * np.log(x) - 230.0), x**-2.0], -1))
+        assert sizes == [2 * (tanh_sinh_levels(0).size + tanh_sinh_levels(1).size)]
+        assert [(type(e), str(e)) for e in errors] == [
+            (DivergenceError, "the integrand is not finite at every node"),
+            (DivergenceError, "the integrand grows like (u)^-1.2 as u -> 0, "
+                              "which is not integrable"),
+            (DivergenceError, "the integrand is not finite at every node")]
+        assert values[1] == pytest.approx(1.131360931820937e-43, rel=1e-12)
+
+    @pytest.mark.parametrize("f, calls", [
+        (lambda x: x**-0.5, 1),  # settles at level 1
+        (lambda x: np.cos(60.0 * x), 3),  # at level 3: levels 0-1, 2 and 3
+    ])
+    def test_first_call_takes_levels_zero_and_one(self, f, calls):
+        (value, errors), sizes = self._calls(f)
+        assert errors == [None]
+        both = 2 * (tanh_sinh_levels(0).size + tanh_sinh_levels(1).size)
+        assert sizes == [both] + [2 * tanh_sinh_levels(lv).size for lv in range(2, calls + 1)]
 
     @pytest.mark.parametrize("nodes, kept, side", [
         ("head only", "no node", "1 - u"),
