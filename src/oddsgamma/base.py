@@ -166,7 +166,8 @@ def make_exponential(lam):
             return -np.log(s) / lam
 
     def log_isf(log_s):
-        return -np.asarray(log_s, dtype=float) / lam
+        # -ln(s)/lam without np.asarray, which is most of a scalar's cost
+        return np.negative(log_s) / lam
 
     def odds(x):
         x = np.asarray(x, dtype=float)

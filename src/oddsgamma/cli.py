@@ -17,7 +17,7 @@ import numpy as np
 from .data import _positive_observations, load_csv, wheaton
 from .errors import DataError, NumericalError
 from .expgamma import OEGammaDist
-from .family import _hazard
+from .family import _TINY, _hazard
 from .fit import mle_fit
 from .gof import gof_report
 from .models import get_model
@@ -61,6 +61,42 @@ def _round10(v):
 def _fmt10(v):
     f = float(v)
     return _digits10(f) if math.isfinite(f) else "nan"
+
+
+def _rows10(columns, as_json=False):
+    """Rows of the numbers in columns (equal-length 1-d arrays), cells
+    tab-separated and each row ending in a newline: the _fmt10 of each,
+    or with as_json the json.dumps of its _round10, from one C-level
+    ("%.10g" * n) % values pass.
+
+    %.10g is _fmt10's text of every finite |v| <= _EDGE10. For a normal
+    v it is also repr(float(f"{v:.10g}")): ten significant digits name
+    a normal double uniquely, so repr's shortest digits are those, and
+    both write e-05 below 1e-4 and e+16 from 1e16 up; but below 1e16
+    repr writes a 10-digit integer out with ".0" ("1.0" for "1",
+    "10000000000.0" for "1e+10"), and |v - rint(v)| <= 1e-9 |v| holds
+    for each such v. Those, the non-finite, those past _EDGE10 and the
+    subnormal (whose repr can be shorter than 10 digits) are rewritten
+    one by one, splitting the text into lines only then."""
+    k = len(columns)
+    flat = np.column_stack([np.asarray(c, dtype=float) for c in columns]).ravel()
+    vals = flat.tolist()
+    text = (("\t".join(["%.10g"] * k) + "\n") * (len(vals) // k)) % tuple(vals)
+    a = np.abs(flat)
+    with np.errstate(invalid="ignore"):
+        odd = ~((a >= _TINY) & (a <= _EDGE10))
+        if as_json:
+            odd |= (a < 1e16) & (np.abs(flat - np.rint(flat)) <= 1e-9 * a)
+    odd = np.flatnonzero(odd).tolist()
+    if not odd:
+        return text
+    lines = text.split("\n")
+    for i in odd:
+        r, c = divmod(i, k)
+        cells = lines[r].split("\t")
+        cells[c] = json.dumps(_round10(vals[i])) if as_json else _fmt10(vals[i])
+        lines[r] = "\t".join(cells)
+    return "\n".join(lines)
 
 
 def _build_parser():
@@ -167,15 +203,16 @@ def _json(doc):
 
 
 def _json_list_last(doc):
-    """_json(doc) for a doc whose last entry is a long list of numbers.
-    indent=2 sends every number through json's pure-Python encoder; this
-    writes the list with the C encoder, one number on a line by its
-    separator, inside the frame indent=2 gives it: the same bytes."""
+    """_json(doc) for a doc whose last entry is a long list of numbers,
+    each written as its _round10 (None as null). indent=2 sends every
+    number through json's pure-Python encoder; this writes the list by
+    _rows10, one number on a line, inside the frame indent=2 gives it:
+    the same bytes."""
     *head, (key, values) = doc.items()
-    if not values:
-        return _json(doc)
+    if not len(values):
+        return _json({**doc, key: []})
     frame = json.dumps(dict(head), indent=2)[:-2]  # drop the closing "\n}"
-    items = json.dumps(values, separators=(",\n    ", ": "))[1:-1]
+    items = _rows10([values], as_json=True)[:-1].replace("\n", ",\n    ")
     return f"{frame},\n  {json.dumps(key)}: [\n    {items}\n  ]\n}}\n"
 
 
@@ -283,10 +320,7 @@ def _cmd_curves(args):
         pdf = np.where(inside, np.exp(lp), 0.0)
         cdf = np.where(inside, np.asarray(model.cdf(x, theta), dtype=float), 0.0)
         hazard = _hazard(lp, np.asarray(model.sf(x, theta), dtype=float))
-    lines = ["x\tpdf\tcdf\thazard\n"]
-    for xi, pi, ci, hi in zip(x, pdf, cdf, hazard):
-        lines.append(f"{_fmt10(xi)}\t{_fmt10(pi)}\t{_fmt10(ci)}\t{_fmt10(hi)}\n")
-    _emit(args, "".join(lines))
+    _emit(args, "x\tpdf\tcdf\thazard\n" + _rows10([x, pdf, cdf, hazard]))
     return EXIT_OK
 
 
@@ -311,11 +345,11 @@ def _cmd_sample(args):
             "model": model.name,
             "seed": args.seed,
             "n": args.n,
-            "values": [_round10(v) for v in draws],
+            "values": draws,
         }
         _emit(args, _json_list_last(doc))
     else:
-        _emit(args, "".join(_fmt10(v) + "\n" for v in draws))
+        _emit(args, _rows10([draws]))
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ double is finite, so nothing is clamped and nothing warns.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -95,13 +96,14 @@ def _w2_modified(z):
 
 def _ndtri(p):
     """The standard normal quantile at each p in (0, 1) of a 1-d array:
-    Wichura's AS 241 (Appl. Statist. 37, 1988), as the standard
-    library's NormalDist.inv_cdf computes it (in C where it can), within
-    6e-16 relative. statistics is imported at the first call, not with
-    the package."""
-    from statistics import NormalDist
+    Wichura's AS 241 (Appl. Statist. 37, 1988), within 6e-16 relative,
+    by the function NormalDist.inv_cdf wraps (in C where it can be),
+    without inv_cdf's per-call checks. statistics is imported at the
+    first call, not with the package."""
+    from statistics import _normal_dist_inv_cdf
 
-    return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, p.size)
+    return np.fromiter(map(_normal_dist_inv_cdf, p.tolist(), repeat(0.0), repeat(1.0)),
+                       float, p.size)
 
 
 def _ndtr(y):

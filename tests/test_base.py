@@ -79,6 +79,27 @@ class TestExponentialFactory:
         x = np.array([1e-3, 0.5, 3.0, 40.0])
         assert np.array_equal(exp07.odds(x), 1.0 / np.expm1(0.7 * x))
 
+    @pytest.mark.parametrize("lam", [0.7, 0.539, 3.0, 1e-3, 1e3])
+    def test_log_isf_is_the_negated_level_over_lam(self, lam):
+        # the bits of -np.asarray(ln s, dtype=float) / lam, nan signs
+        # included, for arrays and for float, numpy-scalar and 0-d levels
+        rng = np.random.default_rng(20261022)
+        edge = [0.0, -0.0, -math.inf, math.nan, -math.nan, -5e-324, -4.9e-314,
+                -2.2250738585072014e-308, -1e-300, -745.0, -1e300]
+        levels = np.concatenate([edge, -rng.exponential(1.0, 200_000)
+                                 * 10.0 ** rng.integers(-12, 6, 200_000)])
+        base = make_exponential(lam)
+
+        def bits(a):
+            return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+        want = -np.asarray(levels, dtype=float) / lam
+        assert bits(base.log_isf(levels)) == bits(want)
+        for v in edge + levels[len(edge):len(edge) + 200].tolist():
+            for level in (v, np.float64(v), np.array(v)):
+                got = base.log_isf(level)
+                assert np.ndim(got) == 0 and bits(got) == bits(-np.asarray(v) / lam), v
+
     def test_metadata(self, exp07):
         assert exp07.name == "exponential"
         assert exp07.support == (0.0, math.inf)

@@ -9,6 +9,7 @@ command lines give byte-identical output, and exit codes distinguish
 usage (64), data (65), numerical (70), and partial-result (2) failures.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -22,8 +23,11 @@ import pytest
 from scipy import special
 
 import oddsgamma
+from oddsgamma import cli
 from oddsgamma.cli import _fmt10, _json_list_last, _round10, main
 from oddsgamma.expgamma import OEGammaDist
+from oddsgamma.family import GammaRatioDist, _hazard
+from oddsgamma.models import get_model
 
 M2 = "0.131,0.179,0.539"
 # tests/test_fit.py's SUBNORMAL: m6 reports its rate at the float edge
@@ -342,10 +346,13 @@ class TestSample:
             assert out == want, fmt
 
     def test_edge_values_are_the_indented_dump(self):
+        # the list is written as each number's _round10 gives it
         values = [None, 1e16, 12345678901.0, 1e-5, -0.0, 1.797693134e308, 5e-324]
+        rounded = [v if v is None else _round10(v) for v in values]
         for seed in (None, 7):
             doc = {"model": "oe-gamma", "seed": seed, "n": len(values), "values": values}
-            assert _json_list_last(doc) == json.dumps(doc, indent=2) + "\n"
+            want = json.dumps({**doc, "values": rounded}, indent=2) + "\n"
+            assert _json_list_last(doc) == want
 
     def test_negative_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--model", "m2", "--params", M2,
@@ -366,6 +373,99 @@ class TestSample:
                                "--params", "1,1", "--n", "3")
         assert code == 64
         assert "proposed model only" in err
+
+
+def _clamped(f):
+    # the ten-digit value toward zero past the largest one inside the range
+    return max(-1.797693134e308, min(1.797693134e308, f))
+
+
+def _json_number(v):
+    return float(f"{_clamped(v):.10g}") if math.isfinite(v) else None
+
+
+def _tsv_number(v):
+    return f"{_clamped(v):.10g}" if math.isfinite(v) else "nan"
+
+
+class TestBulkNumbers:
+    """sample and curves format their numbers in one pass and rewrite
+    the few that pass cannot print one by one: the bytes stay those of
+    json.dumps(indent=2) over 10-digit floats (null where not finite)
+    and of a 10-digit line per number (nan where not finite)."""
+
+    EDGE = [0.0, -0.0, 1.0, 3.0, 0.99999999996, -0.99999999996, 99999.999999,
+            9999999999.6, 12345678901.0, 1.5e12, 1e16, 1e-5, 2.5e-7,
+            5e-324, 4.9e-314, 2.2250738585072014e-308,
+            1.797693134e308, 1.7976931348e308, sys.float_info.max,
+            math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("values", [[], EDGE[:1], EDGE, [-v for v in EDGE]],
+                             ids=["n0", "n1", "edge", "negated"])
+    def test_sample_edge_values(self, capsys, monkeypatch, values):
+        monkeypatch.setattr(GammaRatioDist, "sample",
+                            lambda dist, n, rng=None: np.array(values[:n]))
+        n = len(values)
+        doc = {"model": "oe-gamma", "seed": 3, "n": n,
+               "values": [_json_number(v) for v in values]}
+        for fmt, want in (("json", json.dumps(doc, indent=2) + "\n"),
+                          ("tsv", "".join(_tsv_number(v) + "\n" for v in values))):
+            code, out, _ = run_cli(capsys, "sample", "--params", M2, "--n", str(n),
+                                   "--seed", "3", "--format", fmt)
+            assert code == 0
+            assert out == want, fmt
+        if values is self.EDGE:
+            # the oracle's reading of the edge values, by hand
+            assert out.splitlines()[:3] == ["0", "-0", "1"]
+            assert [json.dumps(v) for v in doc["values"]] == [
+                "0.0", "-0.0", "1.0", "3.0", "1.0", "-1.0", "100000.0",
+                "10000000000.0", "12345678900.0", "1500000000000.0", "1e+16",
+                "1e-05", "2.5e-07", "5e-324", "4.9e-314", "2.225073859e-308",
+                "1.797693134e+308", "1.797693134e+308", "1.797693134e+308",
+                "null", "null", "null"]
+
+    def test_curves_rows_with_edge_values(self, capsys, monkeypatch):
+        # a model whose curves put the edge values in the cdf column and,
+        # by the pdf's exp, 0, 1, an infinite and a clamped pdf in the rows
+        n = len(self.EDGE)
+        lp = np.full(n, -1.5)
+        lp[:4] = [-np.inf, 0.0, 710.0, 709.782712893384]
+        sf = np.linspace(1.0, 0.0, n)
+        fake = dataclasses.replace(get_model("m6"), log_pdf=lambda x, t: lp,
+                                   cdf=lambda x, t: np.array(self.EDGE), sf=lambda x, t: sf)
+        monkeypatch.setattr(cli, "get_model", lambda name: fake)
+        code, out, _ = run_cli(capsys, "curves", "--params", "1,1", "--grid", f"1:2:{n}")
+        assert code == 0
+        with np.errstate(over="ignore"):
+            pdf = np.exp(lp)
+        columns = [np.linspace(1.0, 2.0, n), pdf, self.EDGE, _hazard(lp, sf)]
+        want = "x\tpdf\tcdf\thazard\n" + "".join(
+            "\t".join(_tsv_number(float(c[i])) for c in columns) + "\n" for i in range(n))
+        assert out == want
+        rows = [ln.split("\t") for ln in out.splitlines()[1:]]
+        assert [r[1] for r in rows[:4]] == ["0", "1", "nan", "1.797693134e+308"]
+        assert rows[1][2] == "-0" and rows[2][2] == "1" and rows[-1][3] == "nan"
+
+    @pytest.mark.parametrize("model, params, grid", [
+        ("m6", "0.9,0.086", "-20000:20000:3"),  # 0 rows, cdf 1, hazard nan
+        ("m1", "0.001,1", "-1e-320:1e-320:3"),  # an infinite pdf
+        ("m2", M2, "0.1:30:200"),
+    ])
+    def test_curves_rows_are_the_per_value_text(self, capsys, model, params, grid):
+        code, out, _ = run_cli(capsys, "curves", "--model", model, "--params", params,
+                               f"--grid={grid}")
+        assert code == 0
+        m, theta = get_model(model), [float(t) for t in params.split(",")]
+        start, stop, count = grid.split(":")
+        x = np.linspace(float(start), float(stop), int(count))
+        with np.errstate(all="ignore"):
+            lp = np.asarray(m.log_pdf(x, theta), dtype=float)
+            pdf = np.where(x > 0.0, np.exp(lp), 0.0)
+            cdf = np.where(x > 0.0, np.asarray(m.cdf(x, theta), dtype=float), 0.0)
+        columns = [x, pdf, cdf, _hazard(lp, np.asarray(m.sf(x, theta), dtype=float))]
+        want = "".join("\t".join(_tsv_number(float(c[i])) for c in columns) + "\n"
+                       for i in range(x.size))
+        assert out == "x\tpdf\tcdf\thazard\n" + want
 
 
 class TestMoments:

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ class TestNormalTable:
         err = np.abs(got - refs) / np.where(refs == 0.0, 1.0, np.abs(refs))
         assert err.max() <= TABLE["ceilings"]["ndtri"], p[err.argmax()]
         assert got[p == 0.5].tolist() == [0.0]
+
+    def test_quantile_is_normal_dist_inv_cdf(self):
+        # the same bits as the public method whose function _ndtri maps
+        p = np.array([row[0] for row in TABLE["ndtri"]], dtype=float)
+        want = [NormalDist().inv_cdf(v) for v in p.tolist()]
+        assert gof._ndtri(p).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
     def test_cdf(self):
         # rounding y / sqrt(2) moves erfc(-y / sqrt(2)) by about y^2 ulp;
